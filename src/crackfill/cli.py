@@ -8,7 +8,8 @@ Subcommands mirror the pipeline stages:
                 depth/mask/skeleton images and the waypoint table
     fill        run the full repair loop once, write waypoints, pre/post
                 surfaces, and the fill report
-    experiment  fixed-speed sweep plus adaptive run, write a summary CSV
+    experiment  survey once, then fill under each fixed speed and in
+                adaptive mode, write a summary CSV
     localize    repeated localization study, write a summary JSON
 
 Every command is a pure function of (config, seed): re-running with the
@@ -25,6 +26,7 @@ import argparse
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from . import io
@@ -46,17 +48,16 @@ from .repair import (
     FillMode,
     FillRunArtifacts,
     edge_threshold_for,
+    experiment_modes,
     localization_experiment,
-    perceive,
-    refine_waypoints,
+    run_experiment,
     run_fill,
+    survey,
 )
-from .sensors import LaserProfile, scan_profile
+from .sensors import NOISE_STREAMS, LaserProfile, scan_profile
 from .specimen import Heightfield, deposit
 
 logger = logging.getLogger(__name__)
-
-_STREAM_CALIBRATE = 4
 
 
 def _strip_scans(cfg: ScenarioConfig) -> list[tuple[float, list[LaserProfile]]]:
@@ -89,7 +90,7 @@ def _strip_scans(cfg: ScenarioConfig) -> list[tuple[float, list[LaserProfile]]]:
                 Frame.LASER,
                 Frame.ROBOT,
             )
-            scan_noise = noise.derive(_STREAM_CALIBRATE, si, k)
+            scan_noise = noise.derive(NOISE_STREAMS["calibrate"], si, k)
             profiles.append(scan_profile(hf, pose, span, scan_noise, standoff_mm=standoff))
         scans.append((speed, profiles))
     return scans
@@ -107,7 +108,7 @@ def _calibration_model(cfg: ScenarioConfig) -> CalibrationModel:
     return calibrate(_strip_scans(cfg), edge_threshold_for(noise))
 
 
-def _write_waypoints_csv(path, waypoints: list[Waypoint]) -> None:
+def _write_waypoints_csv(path, waypoints: tuple[Waypoint, ...]) -> None:
     columns = (
         "u,v,depth_mm,x_mm,y_mm,z_mm,"
         "refined_x_mm,refined_y_mm,refined_z_mm,area_mm2,speed_mm_s"
@@ -195,25 +196,27 @@ def cmd_fill(cfg: ScenarioConfig, out: Path) -> int:
     return 0
 
 
-def _experiment_worker(args):
-    scene, mode, params, noise, model, interpolate = args
-    return run_fill(scene, mode, params, noise, model, None, interpolate).report
-
-
 def cmd_experiment(cfg: ScenarioConfig, out: Path, parallel: int = 1) -> int:
-    scene = cfg.build_scene()
-    params = cfg.build_deposition()
-    noise = cfg.build_noise()
-    model = _calibration_model(cfg)
-    interpolate = cfg.raw["calibration"]["interpolate"]
     speeds = sorted(float(v) for v in cfg.raw["experiment"]["fixed_speeds_mm_s"])
-    modes = [FillMode.fixed(v) for v in speeds] + [FillMode.adaptive()]
-    jobs = [(scene, mode, params, noise, model, interpolate) for mode in modes]
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            reports = list(pool.map(_experiment_worker, jobs))
+    modes = experiment_modes(speeds)
+    run = partial(
+        run_experiment,
+        cfg.build_scene(),
+        params=cfg.build_deposition(),
+        noise=cfg.build_noise(),
+        model=_calibration_model(cfg),
+        interpolate=cfg.raw["calibration"]["interpolate"],
+    )
+    # Each worker surveys its own specimen for a contiguous chunk of modes:
+    # shipping one survey from here would hold a specimen in this process too.
+    n = min(parallel, len(modes))
+    chunks = [modes[k * len(modes) // n : (k + 1) * len(modes) // n] for k in range(n)]
+    if n > 1:
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            parts = list(pool.map(run, chunks))
     else:
-        reports = [_experiment_worker(job) for job in jobs]
+        parts = list(map(run, chunks))
+    reports = [report for part in parts for report in part]
     io.ensure_dir(out)
     with open(out / "experiment.csv", "w", newline="\n") as f:
         f.write("Speed (mm/s),Mean,Std. Dev.,Median,Time (s)\n")
@@ -249,18 +252,8 @@ def cmd_localize(cfg: ScenarioConfig, out: Path) -> int:
 
 def cmd_scan(cfg: ScenarioConfig, out: Path) -> int:
     scene = cfg.build_scene()
-    noise = cfg.build_noise()
-    hf = scene.build_specimen()
-    perception = perceive(scene, hf, noise, _mask_source(cfg))
-    refinement = refine_waypoints(
-        perception.waypoints,
-        hf,
-        laser_mount=scene.laser_mount,
-        orientation=scene.orientation(),
-        span_mm=scene.scan_span_mm,
-        standoff_mm=scene.scan_standoff_mm,
-        noise=noise,
-    )
+    surveyed = survey(scene, scene.build_specimen(), cfg.build_noise(), _mask_source(cfg))
+    perception, refinement = surveyed.perception, surveyed.refinement
     io.ensure_dir(out)
     io.write_depth_pgm(out / "depth.pgm", perception.depth)
     io.write_mask_pgm(out / "mask.pgm", perception.mask.flags)

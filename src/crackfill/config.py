@@ -492,9 +492,6 @@ class ScenarioConfig:
             seed=self.seed,
         )
 
-    def build_crack(self) -> CrackSpec | None:
-        return self._crack
-
     def build_deposition(self, flow_rate: float | None = None) -> DepositionParams:
         dep = self.raw["deposition"]
         return DepositionParams(

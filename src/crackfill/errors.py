@@ -35,6 +35,10 @@ class ZeroSpeed(CrackFillError):
     """Deposition was requested at zero or negative travel speed."""
 
 
+class Overfill(CrackFillError):
+    """Deposition piled a bead higher than the model's overfill bound."""
+
+
 class NoIntersection(CrackFillError):
     """No camera ray intersects the heightfield surface."""
 

@@ -1,13 +1,15 @@
 """Artifact readers and writers: binary PGM images, CSV tables, JSON.
 
 All writers are deterministic: fixed float formatting, sorted JSON
-keys, no timestamps. PGM headers carry the metadata needed to invert
-the integer quantization (origin, cell size, z range).
+keys, no timestamps. JSON is strict: a NaN or infinite float is written
+as null. PGM headers carry the metadata needed to invert the integer
+quantization (origin, cell size, z range).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -85,17 +87,6 @@ def write_heightfield_pgm(path, hf) -> None:
     write_pgm(path, _quantize(hf.heights, lo, hi, 65535), 65535, comments)
 
 
-def write_heightfield_csv(path, hf) -> None:
-    xs = hf.x_of(np.arange(hf.nx))
-    with open(path, "w", newline="\n") as f:
-        f.write("x_mm,y_mm,z_mm\n")
-        for iy in range(hf.ny):
-            y = hf.y_of(iy)
-            row = hf.heights[iy]
-            for ix in range(hf.nx):
-                f.write(f"{fmt(xs[ix])},{fmt(y)},{fmt(row[ix])}\n")
-
-
 def write_depth_pgm(path, depth_image) -> None:
     d = depth_image.depth_mm
     valid = depth_image.valid
@@ -113,16 +104,19 @@ def write_mask_pgm(path, flags: np.ndarray) -> None:
     write_pgm(path, np.where(flags, 255, 0).astype(np.uint8), 255)
 
 
-def write_profile_csv(path, profile) -> None:
-    with open(path, "w", newline="\n") as f:
-        f.write("x_mm,z_mm\n")
-        for x, z in zip(profile.x, profile.z):
-            f.write(f"{fmt(x)},{fmt(z)}\n")
+def _finite_or_null(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 def write_json(path, obj: dict) -> None:
     with open(path, "w", newline="\n") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(obj), f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 

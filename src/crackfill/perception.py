@@ -43,9 +43,13 @@ class Skeleton:
         return list(zip(rows.tolist(), cols.tolist()))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Waypoint:
-    """A crack point carried through the localization chain."""
+    """A crack point carried through the localization chain.
+
+    Immutable: each stage that learns more about the point (refined
+    position, measured area, planned speed) returns a new Waypoint.
+    """
 
     pixel: PixelCoord
     camera_pt: Point3

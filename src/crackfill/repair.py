@@ -1,19 +1,20 @@
 """Repair pipeline: laser refinement, fill planning, execution, validation.
 
 This module wires the perception, profiling, and deposition layers into
-the full repair loop: RGB-D waypoints are corrected by laser line
-scans, a fill plan assigns per-segment speeds (adaptive or fixed), the
-extruder executes it, and a post-fill rescan at the same stations
-scores the fill error per station. The two experiment drivers at the
-bottom reproduce the localization-accuracy and adaptive-versus-fixed
-comparisons end to end.
+the full repair loop. A survey finds RGB-D waypoints and corrects them by
+laser line scans; a repair fills a copy of the surveyed specimen (a fill
+plan assigns per-segment speeds, adaptive or fixed, the extruder executes
+it) and a post-fill rescan at the same stations scores the fill error per
+station. The two experiment drivers at the bottom reproduce the
+localization-accuracy and adaptive-versus-fixed comparisons end to end.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -50,6 +51,7 @@ from .profile import (
 )
 from .sensors import (
     DEFAULT_MASK_THRESHOLD_MM,
+    NOISE_STREAMS,
     SCANNER_STANDOFF_MM,
     DepthImage,
     MaskImage,
@@ -63,11 +65,6 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_AREA_FLOOR_MM2 = 1.0
 DEFAULT_SCAN_SPAN_MM = 40.0
-
-# noise stream labels for deriving per-stage seeds
-_STREAM_REFINE = 2
-_STREAM_VALIDATE = 3
-_STREAM_SCANS = 10
 
 
 def edge_threshold_for(noise: SensorNoise | None) -> float:
@@ -84,7 +81,11 @@ def fill_error(area_pre_mm2: float, area_post_mm2: float) -> float:
 
 @dataclass(frozen=True)
 class ScanStation:
-    """Where and how one laser scan was taken, so it can be reproduced."""
+    """Where and how one laser scan was taken, so it can be reproduced.
+
+    id, the index among refinement survivors in perception order, keys the
+    rescan noise and names the station in reports, whatever the fill order.
+    """
 
     x_mm: float
     y_mm: float
@@ -92,19 +93,23 @@ class ScanStation:
     orientation: Orientation
     span_mm: float
     standoff_mm: float
+    id: int
 
     def pose(self) -> RigidTransform:
         rotation = np.eye(3) if self.orientation == Orientation.HORIZONTAL else rotation_about_z(math.pi / 2)
         return RigidTransform(rotation, np.array([self.x_mm, self.y_mm, self.scanner_z_mm]), Frame.LASER, Frame.ROBOT)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RefinementResult:
-    """Survivors of the laser refinement pass, with their measurements."""
+    """Survivors of the laser refinement pass in travel order.
 
-    waypoints: list[Waypoint]
-    features: list[ProfileFeatures]
-    stations: list[ScanStation]
+    waypoints[i] was measured as features[i] by the scan at stations[i].
+    """
+
+    waypoints: tuple[Waypoint, ...]
+    features: tuple[ProfileFeatures, ...]
+    stations: tuple[ScanStation, ...]
     dropped: int
 
 
@@ -135,11 +140,11 @@ class FillMode:
         return f"{self.fixed_speed_mm_s:g}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FillPlan:
     """Ordered waypoints with per-segment speeds already assigned."""
 
-    waypoints: list[Waypoint]
+    waypoints: tuple[Waypoint, ...]
     mode: FillMode
 
 
@@ -275,12 +280,12 @@ class RepairScene:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PerceptionResult:
     depth: DepthImage
     mask: MaskImage
     skeleton: Skeleton
-    waypoints: list[Waypoint]
+    waypoints: tuple[Waypoint, ...]
 
 
 def perceive(scene: RepairScene, hf: Heightfield, noise: SensorNoise | None, mask_source=None) -> PerceptionResult:
@@ -300,8 +305,7 @@ def perceive(scene: RepairScene, hf: Heightfield, noise: SensorNoise | None, mas
     if noise is not None and noise.extrinsic_bias is not None:
         pose_used = compose(noise.extrinsic_bias, scene.camera_pose)
     waypoints = pixels_to_robot(pixels, scene.intrinsics, pose_used)
-    ordered = order_path(waypoints)
-    return PerceptionResult(depth=depth, mask=mask, skeleton=skeleton, waypoints=ordered)
+    return PerceptionResult(depth=depth, mask=mask, skeleton=skeleton, waypoints=tuple(order_path(waypoints)))
 
 
 def refine_waypoints(
@@ -320,14 +324,12 @@ def refine_waypoints(
     The scanner parks above each RGB-D-derived point, profiles the
     crack, and the measured centre offsets (lateral and height) are
     mapped through the laser mount into a robot-frame correction added
-    to the waypoint. Waypoints whose scan shows no crack are dropped
-    with a warning; if none survive AllPointsDropped is raised.
+    to a new copy of the waypoint. Waypoints whose scan shows no crack are
+    dropped with a warning; if none survive AllPointsDropped is raised.
+    Survivors are in travel order, features and stations permuted alike.
     """
     threshold = edge_threshold_for(noise)
-    survivors: list[Waypoint] = []
-    features: list[ProfileFeatures] = []
-    stations: list[ScanStation] = []
-    dropped = 0
+    survivors: list[tuple[Waypoint, ProfileFeatures, ScanStation]] = []
     mount_offset = laser_mount.translation
     for i, wp in enumerate(waypoints):
         station = ScanStation(
@@ -337,14 +339,14 @@ def refine_waypoints(
             orientation=orientation,
             span_mm=span_mm,
             standoff_mm=standoff_mm,
+            id=len(survivors),
         )
-        scan_noise = noise.derive(_STREAM_REFINE, i) if noise is not None else None
+        scan_noise = noise.derive(NOISE_STREAMS["refine"], i) if noise is not None else None
         prof = scan_profile(hf, station.pose(), span_mm, scan_noise, standoff_mm=standoff_mm)
         try:
             feats = measure(prof, threshold, min_separation)
         except NoEdges:
             logger.warning("waypoint %d: no crack under the laser, dropping", i)
-            dropped += 1
             continue
         # The height correction is the crack centre's position relative to
         # the scanner's reference plane (centre height is reported relative
@@ -355,19 +357,21 @@ def refine_waypoints(
         height = feats.centre_height_mm + feats.baseline_mm
         correction = laser_correction(feats.centre_offset_mm, height, orientation)
         corr_robot = transform_point(correction, laser_mount, Frame.ROBOT)
-        wp.refined_robot_pt = Point3(
+        refined = Point3(
             wp.robot_pt.x + corr_robot.x,
             wp.robot_pt.y + corr_robot.y,
             wp.robot_pt.z + corr_robot.z,
             Frame.ROBOT,
         )
-        wp.area_mm2 = feats.area_mm2
-        survivors.append(wp)
-        features.append(feats)
-        stations.append(station)
+        survivors.append((replace(wp, refined_robot_pt=refined, area_mm2=feats.area_mm2), feats, station))
     if not survivors:
         raise AllPointsDropped("laser refinement dropped every waypoint")
-    return RefinementResult(waypoints=survivors, features=features, stations=stations, dropped=dropped)
+    by_waypoint = {id(s[0]): s for s in survivors}
+    ordered = [by_waypoint[id(wp)] for wp in order_path([s[0] for s in survivors])]
+    refined_wps, features, stations = zip(*ordered)
+    return RefinementResult(
+        waypoints=refined_wps, features=features, stations=stations, dropped=len(waypoints) - len(survivors)
+    )
 
 
 def plan_fill(
@@ -379,21 +383,24 @@ def plan_fill(
     """Order the waypoints and assign a travel speed to each segment.
 
     Adaptive mode converts each waypoint's measured area to a speed via
-    the calibration model; fixed mode applies one speed throughout.
+    the calibration model; fixed mode applies one speed throughout. Input
+    from refine_waypoints is in travel order already, so plan order equals
+    station order.
     """
     if not waypoints:
         raise EmptyWaypoints("cannot plan a fill without waypoints")
-    ordered = order_path(waypoints)
-    for wp in ordered:
+    planned = []
+    for wp in order_path(waypoints):
         if mode.kind == "adaptive":
             if model is None:
                 raise ValueError("adaptive fill planning requires a calibration model")
             if wp.area_mm2 is None:
                 raise ValueError("adaptive fill planning requires laser-measured areas; run refine_waypoints first")
-            wp.speed_mm_s = speed_for_area(model, wp.area_mm2, interpolate)
+            speed = speed_for_area(model, wp.area_mm2, interpolate)
         else:
-            wp.speed_mm_s = float(mode.fixed_speed_mm_s)
-    return FillPlan(waypoints=ordered, mode=mode)
+            speed = float(mode.fixed_speed_mm_s)
+        planned.append(replace(wp, speed_mm_s=speed))
+    return FillPlan(waypoints=tuple(planned), mode=mode)
 
 
 def execute_fill(hf: Heightfield, plan: FillPlan, params: DepositionParams) -> ExecutionResult:
@@ -428,6 +435,7 @@ def validate(
     pre_features: list[ProfileFeatures],
     hf_filled: Heightfield,
     *,
+    speeds: Sequence[float],
     noise: SensorNoise | None,
     elapsed_s: float,
     mode: FillMode,
@@ -436,18 +444,19 @@ def validate(
 ) -> FillReport:
     """Rescan every pre-fill station and score the fill.
 
-    The fill error at a station is |post area / pre area| using unsigned
-    deviation areas, so over- and under-fill cannot cancel. If the
-    post-fill profile no longer shows edges (the fill levelled the
-    surface) the post area integrates the residual deviation over the
-    pre-fill window instead. Stations whose pre-fill area is below
+    speeds[i] is the planned travel speed at stations[i]; the report
+    records it with the station. The fill error at a station is
+    |post area / pre area| using unsigned deviation areas, so over- and
+    under-fill cannot cancel. If the post-fill profile no longer shows
+    edges (the fill levelled the surface) the post area integrates the
+    residual deviation over the pre-fill window instead. Stations whose pre-fill area is below
     area_floor_mm2 are excluded from the statistics.
     """
     threshold = edge_threshold_for(noise)
     records: list[StationRecord] = []
     errors: list[float] = []
-    for i, (station, pre) in enumerate(zip(stations, pre_features)):
-        scan_noise = noise.derive(_STREAM_VALIDATE, i) if noise is not None else None
+    for station, pre, speed in zip(stations, pre_features, speeds, strict=True):
+        scan_noise = noise.derive(NOISE_STREAMS["validate"], station.id) if noise is not None else None
         prof = scan_profile(hf_filled, station.pose(), station.span_mm, scan_noise, standoff_mm=station.standoff_mm)
         try:
             post = measure(prof, threshold, min_separation)
@@ -461,13 +470,12 @@ def validate(
         included = pre.area_mm2 >= area_floor_mm2
         err = fill_error(pre.area_mm2, area_post) if included else None
         if not included:
-            logger.info("station %d excluded from fill statistics: pre area %.3f below floor", i, pre.area_mm2)
+            logger.info("station %d excluded from fill statistics: pre area %.3f below floor", station.id, pre.area_mm2)
         else:
             errors.append(err)
-        speed = 0.0
         records.append(
             StationRecord(
-                station=i,
+                station=station.id,
                 area_pre_mm2=pre.area_mm2,
                 area_post_mm2=area_post,
                 fill_error=err,
@@ -492,17 +500,76 @@ def validate(
     )
 
 
-@dataclass
-class FillRunArtifacts:
-    """Everything a fill run produces, for export and inspection."""
+@dataclass(frozen=True)
+class Survey:
+    """One specimen, imaged and laser-refined once.
 
+    specimen is a read-only view; each repair fills a copy of it.
+    """
+
+    scene: RepairScene
+    noise: SensorNoise | None
+    specimen: Heightfield
     perception: PerceptionResult
     refinement: RefinementResult
+
+
+def survey(scene: RepairScene, specimen: Heightfield, noise: SensorNoise | None, mask_source=None) -> Survey:
+    """Localize the crack on the specimen and refine it with the laser."""
+    heights = specimen.heights.view()
+    heights.flags.writeable = False
+    specimen = replace(specimen, heights=heights)
+    perception = perceive(scene, specimen, noise, mask_source)
+    refinement = refine_waypoints(
+        perception.waypoints,
+        specimen,
+        laser_mount=scene.laser_mount,
+        orientation=scene.orientation(),
+        span_mm=scene.scan_span_mm,
+        standoff_mm=scene.scan_standoff_mm,
+        noise=noise,
+    )
+    return Survey(scene=scene, noise=noise, specimen=specimen, perception=perception, refinement=refinement)
+
+
+@dataclass(frozen=True)
+class FillRunArtifacts:
+    """Everything one repair produces, for export and inspection."""
+
+    survey: Survey
     plan: FillPlan
     execution: ExecutionResult
-    surface_before: Heightfield
     surface_after: Heightfield
     report: FillReport
+
+    @property
+    def surface_before(self) -> Heightfield:
+        return self.survey.specimen
+
+
+def repair(
+    survey: Survey,
+    mode: FillMode,
+    params: DepositionParams,
+    model: CalibrationModel | None = None,
+    interpolate: bool = False,
+) -> FillRunArtifacts:
+    """Fill a copy of the surveyed specimen under one speed policy and rescan it."""
+    hf = survey.specimen.copy()
+    refinement = survey.refinement
+    plan = plan_fill(refinement.waypoints, mode, model, interpolate)
+    execution = execute_fill(hf, plan, params)
+    report = validate(
+        refinement.stations,
+        refinement.features,
+        hf,
+        speeds=[wp.speed_mm_s for wp in plan.waypoints],
+        noise=survey.noise,
+        elapsed_s=execution.elapsed_s,
+        mode=mode,
+        area_floor_mm2=survey.scene.area_floor_mm2,
+    )
+    return FillRunArtifacts(survey=survey, plan=plan, execution=execution, surface_after=hf, report=report)
 
 
 def run_fill(
@@ -515,63 +582,30 @@ def run_fill(
     interpolate: bool = False,
 ) -> FillRunArtifacts:
     """Run the complete repair pipeline once on a fresh specimen."""
-    hf = scene.build_specimen()
-    surface_before = hf.copy()
-    perception = perceive(scene, hf, noise, mask_source)
-    refinement = refine_waypoints(
-        perception.waypoints,
-        hf,
-        laser_mount=scene.laser_mount,
-        orientation=scene.orientation(),
-        span_mm=scene.scan_span_mm,
-        standoff_mm=scene.scan_standoff_mm,
-        noise=noise,
-    )
-    plan = plan_fill(refinement.waypoints, mode, model, interpolate)
-    execution = execute_fill(hf, plan, params)
-    report = validate(
-        refinement.stations,
-        refinement.features,
-        hf,
-        noise=noise,
-        elapsed_s=execution.elapsed_s,
-        mode=mode,
-        area_floor_mm2=scene.area_floor_mm2,
-    )
-    report = _attach_speeds(report, plan)
-    return FillRunArtifacts(
-        perception=perception,
-        refinement=refinement,
-        plan=plan,
-        execution=execution,
-        surface_before=surface_before,
-        surface_after=hf,
-        report=report,
-    )
+    return repair(survey(scene, scene.build_specimen(), noise, mask_source), mode, params, model, interpolate)
 
 
-def _attach_speeds(report: FillReport, plan: FillPlan) -> FillReport:
-    """Fill in the per-station planned speed in the report records."""
-    speeds = [wp.speed_mm_s for wp in plan.waypoints]
-    records = tuple(
-        StationRecord(
-            station=r.station,
-            area_pre_mm2=r.area_pre_mm2,
-            area_post_mm2=r.area_post_mm2,
-            fill_error=r.fill_error,
-            speed_mm_s=speeds[i] if i < len(speeds) else 0.0,
-            included=r.included,
-        )
-        for i, r in enumerate(report.records)
-    )
-    return FillReport(
-        records=records,
-        mean_fill_error=report.mean_fill_error,
-        std_fill_error=report.std_fill_error,
-        median_fill_error=report.median_fill_error,
-        elapsed_s=report.elapsed_s,
-        mode=report.mode,
-    )
+def experiment_modes(fixed_speeds: Sequence[float]) -> list[FillMode]:
+    """The experiment's fill modes: each fixed speed in turn, then adaptive."""
+    return [FillMode.fixed(v) for v in fixed_speeds] + [FillMode.adaptive()]
+
+
+def run_experiment(
+    scene: RepairScene,
+    modes: Sequence[FillMode],
+    params: DepositionParams,
+    noise: SensorNoise | None,
+    model: CalibrationModel,
+    interpolate: bool = False,
+) -> list[FillReport]:
+    """Survey one fresh specimen, then repair a copy of it under each mode."""
+    surveyed = survey(scene, scene.build_specimen(), noise)
+    reports = []
+    for mode in modes:
+        report = repair(surveyed, mode, params, model, interpolate).report
+        reports.append(report)
+        logger.info("fill mode %s: mean error %.3f, elapsed %.1f s", mode.label(), report.mean_fill_error, report.elapsed_s)
+    return reports
 
 
 def table2_experiment(
@@ -580,20 +614,10 @@ def table2_experiment(
     model: CalibrationModel,
     noise: SensorNoise | None,
     fixed_speeds: tuple[float, ...] = (6.0, 8.0, 10.0, 15.0, 20.0),
+    interpolate: bool = False,
 ) -> list[FillReport]:
-    """Fixed-speed sweep plus adaptive run, each on an identical fresh specimen."""
-    modes = [FillMode.fixed(v) for v in fixed_speeds] + [FillMode.adaptive()]
-    reports = []
-    for mode in modes:
-        artifacts = run_fill(scene, mode, params, noise, model)
-        reports.append(artifacts.report)
-        logger.info(
-            "fill mode %s: mean error %.3f, elapsed %.1f s",
-            mode.label(),
-            artifacts.report.mean_fill_error,
-            artifacts.report.elapsed_s,
-        )
-    return reports
+    """Fixed-speed sweep plus adaptive run, each repairing one identical surveyed specimen."""
+    return run_experiment(scene, experiment_modes(fixed_speeds), params, noise, model, interpolate)
 
 
 def _distance_to_centreline(path, x: float, y: float) -> float:
@@ -661,18 +685,8 @@ def localization_experiment(
     pairs: list[tuple[Point3, Point3]] = []
     lateral: list[float] = []
     for s in range(n_scans):
-        scan_noise = noise.derive(_STREAM_SCANS, s) if noise is not None else None
-        perception = perceive(scene, hf, scan_noise)
-        refinement = refine_waypoints(
-            perception.waypoints,
-            hf,
-            laser_mount=scene.laser_mount,
-            orientation=scene.orientation(),
-            span_mm=scene.scan_span_mm,
-            standoff_mm=scene.scan_standoff_mm,
-            noise=scan_noise,
-        )
-        for wp in refinement.waypoints:
+        scan_noise = noise.derive(NOISE_STREAMS["localize_scans"], s) if noise is not None else None
+        for wp in survey(scene, hf, scan_noise).refinement.waypoints:
             pairs.append((wp.robot_pt, wp.refined_robot_pt))
             lateral.append(_distance_to_centreline(scene.crack.path, wp.refined_robot_pt.x, wp.refined_robot_pt.y))
     return build_localization_report(pairs, lateral)

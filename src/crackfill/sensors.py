@@ -29,6 +29,10 @@ DEFAULT_MASK_THRESHOLD_MM = 0.2
 
 _RAYCAST_ITERATIONS = 16
 
+# Every stream id passed to SensorNoise.derive, by pipeline stage. Ids must
+# stay distinct, and fixed, so each stage keeps its own reproducible noise.
+NOISE_STREAMS = {"refine": 2, "validate": 3, "calibrate": 4, "localize_scans": 10}
+
 
 @dataclass
 class DepthImage:
@@ -45,11 +49,6 @@ class DepthImage:
         if not np.all(np.isfinite(self.depth_mm)):
             raise ValueError("depth image must not contain NaN or inf")
 
-    def to_pgm(self, path) -> None:
-        from . import io as _io
-
-        _io.write_depth_pgm(path, self)
-
 
 @dataclass
 class MaskImage:
@@ -61,11 +60,6 @@ class MaskImage:
         self.flags = np.asarray(self.flags, dtype=bool)
         if self.flags.ndim != 2:
             raise ValueError("mask must be 2-D")
-
-    def to_pgm(self, path) -> None:
-        from . import io as _io
-
-        _io.write_mask_pgm(path, self.flags)
 
 
 @dataclass
@@ -100,11 +94,6 @@ class LaserProfile:
     @property
     def pitch(self) -> float:
         return float(self.x[1] - self.x[0])
-
-    def to_csv(self, path) -> None:
-        from . import io as _io
-
-        _io.write_profile_csv(path, self)
 
 
 @dataclass(frozen=True)

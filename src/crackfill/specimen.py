@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import PathOutsideGrid, SegmentOutsideGrid, StationOutsideGrid, ZeroSpeed
+from .errors import Overfill, PathOutsideGrid, SegmentOutsideGrid, StationOutsideGrid, ZeroSpeed
 from .geometry import Orientation
 
 logger = logging.getLogger(__name__)
@@ -113,20 +113,6 @@ class Heightfield:
         """Total trough volume (mm^3) below the nominal surface."""
         deficit = np.maximum(0.0, self.nominal_surface - self.heights)
         return float(deficit.sum() * self.cell_size**2)
-
-    def total_material_volume(self) -> float:
-        """Signed volume relative to the nominal plane (mm^3)."""
-        return float((self.heights - self.nominal_surface).sum() * self.cell_size**2)
-
-    def to_pgm(self, path) -> None:
-        from . import io as _io
-
-        _io.write_heightfield_pgm(path, self)
-
-    def to_csv(self, path) -> None:
-        from . import io as _io
-
-        _io.write_heightfield_csv(path, self)
 
 
 @dataclass(frozen=True)
@@ -422,5 +408,7 @@ def deposit(
         deposited += (line.sum() - before) * cs * cs
 
     if float(hf.heights.max()) > hf.nominal_surface + MAX_OVERFILL_MM:
-        raise ValueError("deposition produced a bead beyond the model's overfill bound")
+        raise Overfill(
+            f"deposition at {speed_mm_s:g} mm/s piled a bead more than {MAX_OVERFILL_MM:g} mm above the surface"
+        )
     return DepositResult(elapsed_s=length / speed_mm_s, volume_target_mm3=area * length, volume_deposited_mm3=deposited)

@@ -10,6 +10,7 @@ checks too.
 """
 
 import functools
+import hashlib
 import json
 import time
 
@@ -298,3 +299,39 @@ def test_experiment_determinism(tmp_path):
     assert names_a == names_b and names_a
     for name in names_a:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+# sha256 of every artifact each subcommand writes for EXPERIMENT_CONFIG at the
+# default seed. Recorded before perception was split from repair (one survey
+# shared by every fill mode); any change to these bytes must be deliberate.
+ARTIFACT_DIGESTS = {
+    ("scan",): {
+        "depth.pgm": "6820aee80834add3ec14923d0ff7ca7a400b93e57c98cf3857d638d909962a34",
+        "mask.pgm": "31d1f0c27c1263c9f64e21e8ba9f269c5773ddd5e6a852a73d80cd8846ffd3af",
+        "skeleton.pgm": "567e793a1cb4673f0b78fc6a74b334d3430efffb01e128c72e7a1ca5ee6be6a9",
+        "waypoints.csv": "5c7cd9f8f3274c1ed399d33b8f182ddb58e3940b3f336bd84ad247ddc4fd52b9",
+    },
+    ("fill",): {
+        "fill_report.csv": "9cd3d95d1cfbe8dd392ece83c6aaf23363b9998414ef615c546fe93af0c22c3d",
+        "fill_summary.json": "357c5fb75ad9655b8c7aebf040150f608683c4ca805af86ff0260949c30c9730",
+        "surface_post.pgm": "61456477abc85288a6f64d754a408edee58885961395e02a01156e95c5a5900a",
+        "surface_pre.pgm": "e40d0a311e7ac6f669cc0fda1d54b8a7ceaa5d6daf6c00125abed4d13a116a8d",
+        "waypoints.csv": "42c6449fe970320a2e03f095d017f5215156c4cc6850dfa6d87d6fed6fe77164",
+    },
+    ("experiment",): {
+        "experiment.csv": "612b60718c90e70d92dc8b5bde24d6a9b22e709ed148fba5b5572fb522b6038b",
+    },
+    ("--parallel", "2", "experiment"): {
+        "experiment.csv": "612b60718c90e70d92dc8b5bde24d6a9b22e709ed148fba5b5572fb522b6038b",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(ARTIFACT_DIGESTS), ids=" ".join)
+def test_artifact_digests_are_pinned(tmp_path, argv):
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(EXPERIMENT_CONFIG))
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg_path), "--out", str(out), *argv]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == ARTIFACT_DIGESTS[argv]

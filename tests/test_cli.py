@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from crackfill import cli
+from crackfill import ScenarioConfig, cli, table2_experiment
 from crackfill import io as cfio
 
 WAYPOINT_HEADER = (
@@ -190,6 +190,28 @@ class TestFill:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "not found" in err
 
+    def test_overfill_is_a_pipeline_error(self, tmp_path, capsys):
+        data = compact_config()
+        data["fill"] = {"mode": "fixed", "fixed_speed_mm_s": 0.5}
+        cfg = write_config(tmp_path, data)
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "o"), "fill"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pipeline error:") and "Traceback" not in err
+
+    def test_summary_is_strict_json_when_no_station_qualifies(self, tmp_path):
+        data = compact_config()
+        data["fill"] = {"area_floor_mm2": 1000.0}
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert cli.main(["--config", cfg, "--out", str(out), "fill"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        summary = json.loads((out / "fill_summary.json").read_text(), parse_constant=reject)
+        assert summary["mean"] is None and summary["std"] is None and summary["median"] is None
+        assert summary["time_s"] > 0.0
+
     def test_no_crack_exit_code(self, tmp_path, capsys):
         data = compact_config()
         data["crack"] = None
@@ -225,6 +247,29 @@ class TestExperiment:
         assert cli.main(["--config", cfg, "--out", str(outs[2]), "--parallel", "2", "experiment"]) == 0
         blobs = [(o / "experiment.csv").read_bytes() for o in outs]
         assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_library_matches_cli_with_interpolation(self, tmp_path):
+        data = compact_config()
+        data["calibration"]["interpolate"] = True
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert cli.main(["--config", cfg, "--out", str(out), "experiment"]) == 0
+        _, rows = read_csv_rows(out / "experiment.csv")
+
+        scenario = ScenarioConfig.from_dict(data)
+        reports = table2_experiment(
+            scenario.build_scene(),
+            scenario.build_deposition(),
+            cli._calibration_model(scenario),
+            scenario.build_noise(),
+            fixed_speeds=(6.0, 20.0),
+            interpolate=True,
+        )
+        library = [
+            [cfio.fmt(r.mean_fill_error), cfio.fmt(r.std_fill_error), cfio.fmt(r.median_fill_error), cfio.fmt(r.elapsed_s)]
+            for r in reports
+        ]
+        assert [row[1:] for row in rows] == library
 
     def test_bad_parallel_value(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -6,6 +6,8 @@ one pixel wide (no fully set 2x2 block), preserve the 8-connected
 component count, and be a fixpoint of the thinning itself.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -188,9 +190,7 @@ class TestOrderPath:
         wps = pixels_to_robot(pixels, k, pose)
         from crackfill import Point3
 
-        for wp, (x, y) in zip(wps, coords):
-            wp.robot_pt = Point3(x, y, 0.0, Frame.ROBOT)
-        return wps
+        return [replace(wp, robot_pt=Point3(x, y, 0.0, Frame.ROBOT)) for wp, (x, y) in zip(wps, coords)]
 
     def test_orders_by_dominant_axis(self):
         rng = np.random.default_rng(5)

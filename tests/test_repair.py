@@ -3,6 +3,9 @@ crack centreline, planning and execution arithmetic is exact, validation
 scores and excludes stations correctly, and the localization experiment
 is error-free when the sensors are."""
 
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,7 @@ from crackfill import (
     table2_experiment,
     validate,
 )
+from crackfill import repair
 from crackfill.geometry import CameraIntrinsics, rotation_about_z
 from crackfill.repair import _distance_to_centreline
 from conftest import camera_pose, make_flat, make_rect_crack
@@ -102,11 +106,11 @@ class TestSmallHelpers:
             FillMode.fixed(0.0)
 
     def test_scan_station_pose(self):
-        horiz = ScanStation(1.0, 2.0, 300.0, Orientation.HORIZONTAL, 40.0, 310.0).pose()
+        horiz = ScanStation(1.0, 2.0, 300.0, Orientation.HORIZONTAL, 40.0, 310.0, 0).pose()
         np.testing.assert_array_equal(horiz.rotation, np.eye(3))
         np.testing.assert_array_equal(horiz.translation, [1.0, 2.0, 300.0])
         assert horiz.source_frame == Frame.LASER and horiz.target_frame == Frame.ROBOT
-        vert = ScanStation(0.0, 0.0, 300.0, Orientation.VERTICAL, 40.0, 310.0).pose()
+        vert = ScanStation(0.0, 0.0, 300.0, Orientation.VERTICAL, 40.0, 310.0, 0).pose()
         np.testing.assert_allclose(vert.rotation, rotation_about_z(np.pi / 2.0), atol=1e-12)
 
     def test_distance_to_centreline(self):
@@ -196,6 +200,20 @@ class TestRefineWaypoints:
         assert len(result.waypoints) == 1
         assert "dropping" in caplog.text
 
+    def test_survivors_come_back_in_travel_order(self):
+        """Waypoints handed over in reverse travel order return in travel
+        order, each with the station it was scanned from."""
+        scene = make_scene(straight_crack())
+        hf = scene.build_specimen()
+        waypoints = [make_waypoint(1.0, y, -5.0) for y in (110.0, 75.0, 40.0)]
+        result = refine_waypoints(
+            waypoints, hf, laser_mount=scene.laser_mount, orientation=Orientation.HORIZONTAL, noise=None
+        )
+        assert [wp.robot_pt.y for wp in result.waypoints] == [40.0, 75.0, 110.0]
+        assert [st.id for st in result.stations] == [2, 1, 0]
+        for wp, st in zip(result.waypoints, result.stations):
+            assert (st.x_mm, st.y_mm) == (wp.robot_pt.x, wp.robot_pt.y)
+
     def test_all_points_dropped_raises(self):
         hf = make_flat(nx=500, ny=500, cell=0.1, origin=(-25.0, -25.0))
         waypoints = [make_waypoint(0.0, 0.0, 0.0)]
@@ -214,17 +232,19 @@ class TestPlanFill:
         """Areas 20 and 40 mm^2 both demand more than the top calibrated
         speed, so both clamp to it."""
         model = make_model()
-        wps = [make_waypoint(0.0, 0.0, 0.0), make_waypoint(0.0, 10.0, 0.0)]
-        wps[0].area_mm2 = 20.0
-        wps[1].area_mm2 = 40.0
+        wps = [
+            replace(make_waypoint(0.0, 0.0, 0.0), area_mm2=20.0),
+            replace(make_waypoint(0.0, 10.0, 0.0), area_mm2=40.0),
+        ]
         plan = plan_fill(wps, FillMode.adaptive(), model)
         assert [wp.speed_mm_s for wp in plan.waypoints] == [20.0, 20.0]
 
     def test_adaptive_speed_inside_range(self):
         model = make_model()
-        wps = [make_waypoint(0.0, 0.0, 0.0), make_waypoint(0.0, 10.0, 0.0)]
-        wps[0].area_mm2 = model.flow_rate_mm3_s / 10.0
-        wps[1].area_mm2 = model.flow_rate_mm3_s / 8.0
+        wps = [
+            replace(make_waypoint(0.0, 0.0, 0.0), area_mm2=model.flow_rate_mm3_s / 10.0),
+            replace(make_waypoint(0.0, 10.0, 0.0), area_mm2=model.flow_rate_mm3_s / 8.0),
+        ]
         plan = plan_fill(wps, FillMode.adaptive(), model)
         assert plan.waypoints[0].speed_mm_s == pytest.approx(10.0, rel=1e-12)
         assert plan.waypoints[1].speed_mm_s == pytest.approx(8.0, rel=1e-12)
@@ -241,11 +261,10 @@ class TestPlanFill:
             plan_fill([], FillMode.fixed(10.0))
 
     def test_adaptive_needs_model_and_areas(self):
-        wps = [make_waypoint(0.0, 0.0, 0.0)]
-        wps[0].area_mm2 = 40.0
+        wps = [replace(make_waypoint(0.0, 0.0, 0.0), area_mm2=40.0)]
         with pytest.raises(ValueError):
             plan_fill(wps, FillMode.adaptive(), model=None)
-        wps[0].area_mm2 = None
+        wps = [replace(wps[0], area_mm2=None)]
         with pytest.raises(ValueError):
             plan_fill(wps, FillMode.adaptive(), make_model())
 
@@ -283,11 +302,12 @@ class TestValidate:
 
     def test_levelled_surface_scores_zero_error(self):
         hf = make_flat(nx=500, ny=500, cell=0.1, origin=(-25.0, -25.0))
-        station = ScanStation(0.0, 0.0, 310.0, Orientation.HORIZONTAL, 40.0, 310.0)
+        station = ScanStation(0.0, 0.0, 310.0, Orientation.HORIZONTAL, 40.0, 310.0, 0)
         report = validate(
             [station],
             [self.scan_setup(100.0)],
             hf,
+            speeds=[10.0],
             noise=None,
             elapsed_s=12.5,
             mode=FillMode.fixed(10.0),
@@ -300,13 +320,13 @@ class TestValidate:
     def test_small_pre_area_excluded_from_statistics(self, caplog):
         hf = make_flat(nx=500, ny=500, cell=0.1, origin=(-25.0, -25.0))
         stations = [
-            ScanStation(0.0, -5.0, 310.0, Orientation.HORIZONTAL, 40.0, 310.0),
-            ScanStation(0.0, 5.0, 310.0, Orientation.HORIZONTAL, 40.0, 310.0),
+            ScanStation(0.0, -5.0, 310.0, Orientation.HORIZONTAL, 40.0, 310.0, 0),
+            ScanStation(0.0, 5.0, 310.0, Orientation.HORIZONTAL, 40.0, 310.0, 1),
         ]
         features = [self.scan_setup(100.0), self.scan_setup(0.5)]
         with caplog.at_level("INFO", logger="crackfill.repair"):
             report = validate(
-                stations, features, hf, noise=None, elapsed_s=1.0, mode=FillMode.adaptive(), area_floor_mm2=1.0
+                stations, features, hf, speeds=[8.0, 8.0], noise=None, elapsed_s=1.0, mode=FillMode.adaptive(), area_floor_mm2=1.0
             )
         assert report.records[0].included
         assert not report.records[1].included
@@ -320,17 +340,17 @@ class TestValidate:
         hf = make_rect_crack(width=8.0, depth=5.0)
         scene = make_scene(straight_crack())
         del scene
-        station = ScanStation(0.0, 75.0, 305.0, Orientation.HORIZONTAL, 40.0, 310.0)
+        station = ScanStation(0.0, 75.0, 305.0, Orientation.HORIZONTAL, 40.0, 310.0, 0)
         pre = self.scan_setup(80.0)
-        report = validate([station], [pre], hf, noise=None, elapsed_s=0.0, mode=FillMode.fixed(6.0))
+        report = validate([station], [pre], hf, speeds=[6.0], noise=None, elapsed_s=0.0, mode=FillMode.fixed(6.0))
         # the unfilled trough still measures about 40 mm^2 against pre=80
         assert report.records[0].fill_error == pytest.approx(0.5, rel=0.05)
 
     def test_summary_dict_shape(self):
         hf = make_flat(nx=500, ny=500, cell=0.1, origin=(-25.0, -25.0))
-        station = ScanStation(0.0, 0.0, 310.0, Orientation.HORIZONTAL, 40.0, 310.0)
+        station = ScanStation(0.0, 0.0, 310.0, Orientation.HORIZONTAL, 40.0, 310.0, 0)
         report = validate(
-            [station], [self.scan_setup(50.0)], hf, noise=None, elapsed_s=3.0, mode=FillMode.fixed(8.0)
+            [station], [self.scan_setup(50.0)], hf, speeds=[8.0], noise=None, elapsed_s=3.0, mode=FillMode.fixed(8.0)
         )
         summary = report.summary_dict()
         assert set(summary) == {"mean", "std", "median", "time_s", "mode"}
@@ -374,6 +394,27 @@ class TestRunFill:
         assert by_label["6"].elapsed_s > by_label["adaptive"].elapsed_s > by_label["20"].elapsed_s
         assert by_label["adaptive"].mean_fill_error < by_label["6"].mean_fill_error
         assert by_label["adaptive"].mean_fill_error < by_label["20"].mean_fill_error
+
+    def test_experiment_leaves_the_survey_untouched(self, monkeypatch):
+        """Every mode repairs a copy: the shared survey keeps its surface
+        bytes and its waypoints."""
+        real_survey = repair.survey
+        seen = []
+
+        def recording(*args, **kwargs):
+            s = real_survey(*args, **kwargs)
+            seen.append((s, s.specimen.heights.tobytes(), copy.deepcopy(s.refinement.waypoints)))
+            return s
+
+        monkeypatch.setattr(repair, "survey", recording)
+        scene = make_scene(self.tapered_crack(), camera_y=60.0, ny=1200)
+        params = DepositionParams(flow_rate_mm3_s=946.0635673187572, purge_time_s=1.5)
+        reports = table2_experiment(scene, params, make_model(), None, fixed_speeds=(6.0, 20.0))
+        assert len(reports) == 3 and len(seen) == 1
+        surveyed, surface, waypoints = seen[0]
+        assert surveyed.specimen.heights.tobytes() == surface
+        assert surveyed.refinement.waypoints == waypoints
+        assert all(wp.speed_mm_s is None for wp in surveyed.refinement.waypoints)
 
     def test_same_noise_reproduces_waypoints_across_modes(self):
         scene = make_scene(straight_crack())

@@ -19,7 +19,7 @@ from crackfill import (
     render_truth_mask,
     scan_profile,
 )
-from crackfill.sensors import SCANNER_POINTS, SCANNER_RANGE_MM
+from crackfill.sensors import NOISE_STREAMS, SCANNER_POINTS, SCANNER_RANGE_MM
 from conftest import CAMERA_DOWN, camera_pose, down_scan_pose, make_flat, make_rect_crack
 
 
@@ -182,6 +182,9 @@ class TestSensorNoise:
         assert base.derive(2, 7).seed == SensorNoise(seed=5).derive(2, 7).seed
         assert base.derive(2, 7).seed != base.derive(2, 8).seed
         assert base.derive(2).seed != base.derive(3).seed
+
+    def test_pipeline_noise_streams_are_distinct(self):
+        assert len(set(NOISE_STREAMS.values())) == len(NOISE_STREAMS)
 
     def test_derive_keeps_noise_parameters(self):
         tf = RigidTransform(np.eye(3), [1.0, 0.0, 0.0])
