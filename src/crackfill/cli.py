@@ -49,6 +49,7 @@ from .repair import (
     FillRunArtifacts,
     edge_threshold_for,
     experiment_modes,
+    image_specimen,
     localization_experiment,
     run_experiment,
     run_fill,
@@ -127,8 +128,8 @@ def _write_waypoints_csv(path, waypoints: tuple[Waypoint, ...]) -> None:
                 io.fmt(refined.x) if refined is not None else "",
                 io.fmt(refined.y) if refined is not None else "",
                 io.fmt(refined.z) if refined is not None else "",
-                io.fmt(wp.area_mm2) if wp.area_mm2 is not None else "",
-                io.fmt(wp.speed_mm_s) if wp.speed_mm_s is not None else "",
+                io.fmt_cell(wp.area_mm2),
+                io.fmt_cell(wp.speed_mm_s),
             ]
             f.write(",".join(cells) + "\n")
 
@@ -223,8 +224,8 @@ def cmd_experiment(cfg: ScenarioConfig, out: Path, parallel: int = 1) -> int:
         for mode, report in zip(modes, reports):
             label = "Adaptive" if mode.kind == "adaptive" else f"{mode.fixed_speed_mm_s:g}"
             f.write(
-                f"{label},{io.fmt(report.mean_fill_error)},{io.fmt(report.std_fill_error)},"
-                f"{io.fmt(report.median_fill_error)},{io.fmt(report.elapsed_s)}\n"
+                f"{label},{io.fmt_cell(report.mean_fill_error)},{io.fmt_cell(report.std_fill_error)},"
+                f"{io.fmt_cell(report.median_fill_error)},{io.fmt(report.elapsed_s)}\n"
             )
     for mode, report in zip(modes, reports):
         print(
@@ -252,7 +253,8 @@ def cmd_localize(cfg: ScenarioConfig, out: Path) -> int:
 
 def cmd_scan(cfg: ScenarioConfig, out: Path) -> int:
     scene = cfg.build_scene()
-    surveyed = survey(scene, scene.build_specimen(), cfg.build_noise(), _mask_source(cfg))
+    view = image_specimen(scene, scene.build_specimen(), _mask_source(cfg))
+    surveyed = survey(scene, view, cfg.build_noise())
     perception, refinement = surveyed.perception, surveyed.refinement
     io.ensure_dir(out)
     io.write_depth_pgm(out / "depth.pgm", perception.depth)

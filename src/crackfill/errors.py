@@ -44,7 +44,8 @@ class NoIntersection(CrackFillError):
 
 
 class ProviderUnavailable(CrackFillError):
-    """A segmentation mask source cannot deliver a mask (e.g. missing file)."""
+    """A segmentation mask source cannot deliver a usable mask: a missing or
+    malformed file, or a mask whose size differs from the camera image."""
 
 
 class EmptyPath(CrackFillError):

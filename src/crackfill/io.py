@@ -21,6 +21,11 @@ def fmt(value: float) -> str:
     return FLOAT_FMT.format(float(value))
 
 
+def fmt_cell(value: float | None) -> str:
+    """A CSV cell: empty when the value does not exist (None, NaN or infinite)."""
+    return fmt(value) if value is not None and math.isfinite(value) else ""
+
+
 def write_pgm(path, data: np.ndarray, maxval: int, comments: list[str] | None = None) -> None:
     """Write a binary (P5) PGM; 16-bit data is stored big-endian."""
     data = np.asarray(data)
@@ -38,10 +43,14 @@ def write_pgm(path, data: np.ndarray, maxval: int, comments: list[str] | None = 
 
 
 def read_pgm(path) -> tuple[np.ndarray, list[str]]:
-    """Read a binary (P5) PGM, returning the image and header comments."""
+    """Read a binary (P5) PGM, returning the image and header comments.
+
+    Raises ValueError when the header is malformed or the payload holds
+    fewer bytes than the header's size and depth require.
+    """
     with open(path, "rb") as f:
         blob = f.read()
-    if not blob.startswith(b"P5"):
+    if not (blob.startswith(b"P5") and blob[2:3].isspace()):
         raise ValueError(f"{path}: not a binary PGM (P5) file")
     comments: list[str] = []
     tokens: list[bytes] = []
@@ -49,9 +58,13 @@ def read_pgm(path) -> tuple[np.ndarray, list[str]]:
     while len(tokens) < 3:
         while pos < len(blob) and blob[pos : pos + 1].isspace():
             pos += 1
-        if pos < len(blob) and blob[pos : pos + 1] == b"#":
-            end = blob.index(b"\n", pos)
-            comments.append(blob[pos + 1 : end].decode("ascii").strip())
+        if pos == len(blob):
+            raise ValueError(f"{path}: PGM header ends before width, height and maxval")
+        if blob[pos : pos + 1] == b"#":
+            end = blob.find(b"\n", pos)
+            if end < 0:
+                raise ValueError(f"{path}: PGM header ends inside a comment")
+            comments.append(blob[pos + 1 : end].decode("ascii", errors="replace").strip())
             pos = end + 1
             continue
         end = pos
@@ -60,9 +73,18 @@ def read_pgm(path) -> tuple[np.ndarray, list[str]]:
         tokens.append(blob[pos:end])
         pos = end
     pos += 1  # single whitespace byte after maxval
+    if not all(t.isdigit() for t in tokens):
+        raise ValueError(f"{path}: PGM width, height and maxval must be decimal integers")
     width, height, maxval = (int(t) for t in tokens)
-    dtype = ">u2" if maxval > 255 else "u1"
+    if width < 1 or height < 1 or not 1 <= maxval <= 65535:
+        raise ValueError(f"{path}: PGM header gives width {width}, height {height}, maxval {maxval}")
+    dtype = np.dtype(">u2" if maxval > 255 else "u1")
     count = width * height
+    if len(blob) - pos < count * dtype.itemsize:
+        raise ValueError(
+            f"{path}: PGM payload holds {max(len(blob) - pos, 0)} bytes, "
+            f"the {width}x{height} header needs {count * dtype.itemsize}"
+        )
     img = np.frombuffer(blob, dtype=dtype, count=count, offset=pos).reshape(height, width)
     return img.astype(np.uint16 if maxval > 255 else np.uint8), comments
 

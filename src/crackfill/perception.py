@@ -88,7 +88,10 @@ class FileMaskSource:
 
         if not Path(self.path).is_file():
             raise ProviderUnavailable(f"mask file not found: {self.path}")
-        img, _ = _io.read_pgm(self.path)
+        try:
+            img, _ = _io.read_pgm(self.path)
+        except ValueError as exc:
+            raise ProviderUnavailable(f"unreadable mask file: {exc}") from exc
         return MaskImage(flags=binarize(img, self.threshold))
 
 
@@ -151,8 +154,22 @@ def skeletonize(mask) -> Skeleton:
     erase a whole component are withheld so every input component keeps
     at least one pixel, and a final sweep dissolves any residual 2x2
     blocks so no set pixel has a fully set 2x2 neighbourhood.
+
+    Only the bounding box of the set pixels, plus a one-pixel border, is
+    thinned: every pixel outside it is clear and stays clear.
     """
     img = (mask.flags if isinstance(mask, MaskImage) else np.asarray(mask, dtype=bool)).copy()
+    rows = np.flatnonzero(img.any(axis=1))
+    cols = np.flatnonzero(img.any(axis=0))
+    if rows.size:
+        box = img[max(rows[0] - 1, 0) : rows[-1] + 2, max(cols[0] - 1, 0) : cols[-1] + 2]
+        _thin(box)
+        _dissolve_squares(box)
+    return Skeleton(flags=img)
+
+
+def _thin(img: np.ndarray) -> None:
+    """Parallel thinning of img, in place, until a full pass deletes nothing."""
     while True:
         changed = False
         for phase in (0, 1):
@@ -172,9 +189,7 @@ def skeletonize(mask) -> Skeleton:
                 img[deletions] = False
                 changed = True
         if not changed:
-            break
-    _dissolve_squares(img)
-    return Skeleton(flags=img)
+            return
 
 
 def _safe_to_delete(img: np.ndarray, r: int, c: int) -> bool:

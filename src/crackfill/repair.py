@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AllPointsDropped, EmptyWaypoints, NoEdges
+from .errors import AllPointsDropped, EmptyWaypoints, NoEdges, ProviderUnavailable
 from .geometry import (
     CameraIntrinsics,
     Frame,
@@ -34,7 +34,6 @@ from .perception import (
     DEFAULT_MIN_SPACING_PX,
     Skeleton,
     Waypoint,
-    TruthMaskSource,
     extract_pixels,
     order_path,
     pixels_to_robot,
@@ -56,7 +55,8 @@ from .sensors import (
     DepthImage,
     MaskImage,
     SensorNoise,
-    render_depth,
+    add_depth_noise,
+    render_view,
     scan_profile,
 )
 from .specimen import CrackSpec, DepositionParams, DepositResult, Heightfield, deposit, generate_specimen
@@ -184,8 +184,10 @@ class FillReport:
         with open(path, "w", newline="\n") as f:
             f.write("station,area_pre_mm2,area_post_mm2,fill_error,speed_mm_s\n")
             for r in self.records:
-                err = _io.fmt(r.fill_error) if r.included else ""
-                f.write(f"{r.station},{_io.fmt(r.area_pre_mm2)},{_io.fmt(r.area_post_mm2)},{err},{_io.fmt(r.speed_mm_s)}\n")
+                f.write(
+                    f"{r.station},{_io.fmt(r.area_pre_mm2)},{_io.fmt(r.area_post_mm2)},"
+                    f"{_io.fmt_cell(r.fill_error)},{_io.fmt(r.speed_mm_s)}\n"
+                )
 
     def summary_dict(self) -> dict:
         return {
@@ -281,6 +283,22 @@ class RepairScene:
 
 
 @dataclass(frozen=True)
+class SpecimenView:
+    """The noise-free camera view of one specimen, imaged once.
+
+    Holds one raycast's clean depth, the crack mask and its skeleton.
+    Every scan of the specimen reuses them: only the depth jitter and
+    the camera mount used for back-projection differ between scans.
+    specimen and every array here are read-only.
+    """
+
+    specimen: Heightfield
+    depth: DepthImage
+    mask: MaskImage
+    skeleton: Skeleton
+
+
+@dataclass(frozen=True)
 class PerceptionResult:
     depth: DepthImage
     mask: MaskImage
@@ -288,24 +306,55 @@ class PerceptionResult:
     waypoints: tuple[Waypoint, ...]
 
 
-def perceive(scene: RepairScene, hf: Heightfield, noise: SensorNoise | None, mask_source=None) -> PerceptionResult:
-    """Run the RGB-D localization chain on the current surface.
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
-    Rendering always uses the true camera mount; back-projection uses
-    the mount perturbed by the noise model's extrinsic bias, exactly
-    like a miscalibrated hand-eye transform would.
+
+def image_specimen(scene: RepairScene, specimen: Heightfield, mask_source=None) -> SpecimenView:
+    """Image the specimen once through the true camera mount.
+
+    One raycast gives the clean depth and, without a mask_source, the
+    ground-truth mask. A mask from mask_source must match the camera
+    image size.
     """
-    depth = render_depth(hf, scene.intrinsics, scene.camera_pose, noise)
-    if mask_source is None:
-        mask_source = TruthMaskSource(hf, scene.intrinsics, scene.camera_pose, scene.mask_threshold_mm)
-    mask = segment(mask_source)
+    specimen = replace(specimen, heights=_read_only(specimen.heights))
+    depth, mask = render_view(specimen, scene.intrinsics, scene.camera_pose, scene.mask_threshold_mm)
+    if mask_source is not None:
+        mask = segment(mask_source)
+        if mask.flags.shape != depth.depth_mm.shape:
+            (h, w), (image_h, image_w) = mask.flags.shape, depth.depth_mm.shape
+            raise ProviderUnavailable(f"mask is {w}x{h} pixels but the camera image is {image_w}x{image_h}")
     skeleton = skeletonize(mask)
-    pixels = extract_pixels(skeleton, depth, scene.min_spacing_px)
+    return SpecimenView(
+        specimen=specimen,
+        depth=DepthImage(_read_only(depth.depth_mm), _read_only(depth.valid)),
+        mask=MaskImage(_read_only(mask.flags)),
+        skeleton=Skeleton(_read_only(skeleton.flags)),
+    )
+
+
+def perceive_view(scene: RepairScene, view: SpecimenView, noise: SensorNoise | None) -> PerceptionResult:
+    """One RGB-D localization scan of an imaged specimen.
+
+    The scan reads the view's depth with fresh noise, extracts skeleton
+    pixels, and back-projects them through the camera mount perturbed by
+    the noise model's extrinsic bias, exactly like a miscalibrated
+    hand-eye transform would.
+    """
+    depth = add_depth_noise(view.depth, noise)
+    pixels = extract_pixels(view.skeleton, depth, scene.min_spacing_px)
     pose_used = scene.camera_pose
     if noise is not None and noise.extrinsic_bias is not None:
         pose_used = compose(noise.extrinsic_bias, scene.camera_pose)
     waypoints = pixels_to_robot(pixels, scene.intrinsics, pose_used)
-    return PerceptionResult(depth=depth, mask=mask, skeleton=skeleton, waypoints=tuple(order_path(waypoints)))
+    return PerceptionResult(depth=depth, mask=view.mask, skeleton=view.skeleton, waypoints=tuple(order_path(waypoints)))
+
+
+def perceive(scene: RepairScene, hf: Heightfield, noise: SensorNoise | None, mask_source=None) -> PerceptionResult:
+    """Run the RGB-D localization chain once on the current surface."""
+    return perceive_view(scene, image_specimen(scene, hf, mask_source), noise)
 
 
 def refine_waypoints(
@@ -502,34 +551,35 @@ def validate(
 
 @dataclass(frozen=True)
 class Survey:
-    """One specimen, imaged and laser-refined once.
+    """One imaged specimen, scanned and laser-refined once.
 
-    specimen is a read-only view; each repair fills a copy of it.
+    Each repair fills a copy of the view's read-only specimen.
     """
 
     scene: RepairScene
     noise: SensorNoise | None
-    specimen: Heightfield
+    view: SpecimenView
     perception: PerceptionResult
     refinement: RefinementResult
 
+    @property
+    def specimen(self) -> Heightfield:
+        return self.view.specimen
 
-def survey(scene: RepairScene, specimen: Heightfield, noise: SensorNoise | None, mask_source=None) -> Survey:
-    """Localize the crack on the specimen and refine it with the laser."""
-    heights = specimen.heights.view()
-    heights.flags.writeable = False
-    specimen = replace(specimen, heights=heights)
-    perception = perceive(scene, specimen, noise, mask_source)
+
+def survey(scene: RepairScene, view: SpecimenView, noise: SensorNoise | None) -> Survey:
+    """Localize the crack in one scan of the imaged specimen and refine it with the laser."""
+    perception = perceive_view(scene, view, noise)
     refinement = refine_waypoints(
         perception.waypoints,
-        specimen,
+        view.specimen,
         laser_mount=scene.laser_mount,
         orientation=scene.orientation(),
         span_mm=scene.scan_span_mm,
         standoff_mm=scene.scan_standoff_mm,
         noise=noise,
     )
-    return Survey(scene=scene, noise=noise, specimen=specimen, perception=perception, refinement=refinement)
+    return Survey(scene=scene, noise=noise, view=view, perception=perception, refinement=refinement)
 
 
 @dataclass(frozen=True)
@@ -582,7 +632,8 @@ def run_fill(
     interpolate: bool = False,
 ) -> FillRunArtifacts:
     """Run the complete repair pipeline once on a fresh specimen."""
-    return repair(survey(scene, scene.build_specimen(), noise, mask_source), mode, params, model, interpolate)
+    view = image_specimen(scene, scene.build_specimen(), mask_source)
+    return repair(survey(scene, view, noise), mode, params, model, interpolate)
 
 
 def experiment_modes(fixed_speeds: Sequence[float]) -> list[FillMode]:
@@ -599,7 +650,7 @@ def run_experiment(
     interpolate: bool = False,
 ) -> list[FillReport]:
     """Survey one fresh specimen, then repair a copy of it under each mode."""
-    surveyed = survey(scene, scene.build_specimen(), noise)
+    surveyed = survey(scene, image_specimen(scene, scene.build_specimen()), noise)
     reports = []
     for mode in modes:
         report = repair(surveyed, mode, params, model, interpolate).report
@@ -675,18 +726,19 @@ def localization_experiment(
 ) -> LocalizationReport:
     """Repeatedly localize the same crack and compare RGB-D against laser.
 
-    Each scan renders a fresh noisy depth image, extracts and
-    back-projects waypoints (through the biased mount when the noise
-    model carries one), refines them with the laser, and accumulates
-    per-axis absolute differences. The refined points' distance to the
-    true crack centreline is tracked as a diagnostic.
+    The specimen is imaged once; each scan reads that view with fresh
+    depth noise, extracts and back-projects waypoints (through the
+    biased mount when the noise model carries one), refines them with
+    the laser, and accumulates per-axis absolute differences. The
+    refined points' distance to the true crack centreline is tracked as
+    a diagnostic.
     """
-    hf = scene.build_specimen()
+    view = image_specimen(scene, scene.build_specimen())
     pairs: list[tuple[Point3, Point3]] = []
     lateral: list[float] = []
     for s in range(n_scans):
         scan_noise = noise.derive(NOISE_STREAMS["localize_scans"], s) if noise is not None else None
-        for wp in survey(scene, hf, scan_noise).refinement.waypoints:
+        for wp in survey(scene, view, scan_noise).refinement.waypoints:
             pairs.append((wp.robot_pt, wp.refined_robot_pt))
             lateral.append(_distance_to_centreline(scene.crack.path, wp.refined_robot_pt.x, wp.refined_robot_pt.y))
     return build_localization_report(pairs, lateral)

@@ -130,7 +130,9 @@ def _raycast(hf: Heightfield, k: CameraIntrinsics, camera_pose: RigidTransform):
     parameter equals depth. The intersection uses fixed-point iteration
     against the nearest-cell surface height, which converges in one
     step for a camera looking straight down and within a few steps for
-    the mild tilts this rig uses.
+    the mild tilts this rig uses. A ray's next depth depends only on its
+    own depth, so each step updates only the rays whose depth changed in
+    the step before; the stop rule still compares every ray.
     """
     us = np.arange(k.image_width, dtype=float)
     vs = np.arange(k.image_height, dtype=float)
@@ -141,19 +143,59 @@ def _raycast(hf: Heightfield, k: CameraIntrinsics, camera_pose: RigidTransform):
     dz = dirs_0[..., 2]
     live = np.abs(dz) > 1e-12
     t = np.where(live, (hf.nominal_surface - oz) / np.where(live, dz, 1.0), 0.0)
+    flat_t = t.reshape(-1)
+    flat_dirs = dirs_0.reshape(-1, 3)
+    moving = np.flatnonzero(live)
     for _ in range(_RAYCAST_ITERATIONS):
-        x = ox + t * dirs_0[..., 0]
-        y = oy + t * dirs_0[..., 1]
-        h = hf.height_at(x, y)
-        t_new = np.where(live, (h - oz) / np.where(live, dz, 1.0), 0.0)
-        if np.allclose(t_new, t, atol=1e-9, rtol=0.0):
-            t = t_new
+        t_old = flat_t[moving]
+        d = flat_dirs[moving]
+        h = hf.height_at(ox + t_old * d[:, 0], oy + t_old * d[:, 1])
+        t_new = (h - oz) / d[:, 2]
+        flat_t[moving] = t_new
+        if np.allclose(t_new, t_old, atol=1e-9, rtol=0.0):
             break
-        t = t_new
+        moving = moving[t_new != t_old]
+    else:
+        logger.debug("raycast stopped after %d steps with %d rays still moving", _RAYCAST_ITERATIONS, moving.size)
     x = ox + t * dirs_0[..., 0]
     y = oy + t * dirs_0[..., 1]
     valid = live & (t > 0) & hf.contains(x, y)
     return t, x, y, valid
+
+
+def _truth_flags(hf: Heightfield, x: np.ndarray, y: np.ndarray, valid: np.ndarray, threshold_mm: float) -> np.ndarray:
+    """Ray hits that sit below the nominal surface by more than threshold_mm."""
+    return valid & (hf.nominal_surface - hf.height_at(x, y) > threshold_mm)
+
+
+def render_view(
+    hf: Heightfield,
+    k: CameraIntrinsics,
+    camera_pose: RigidTransform,
+    threshold_mm: float = DEFAULT_MASK_THRESHOLD_MM,
+) -> tuple[DepthImage, MaskImage]:
+    """Noise-free depth and the ground-truth mask, both from one raycast.
+
+    Raises NoIntersection when no pixel ray hits the grid.
+    """
+    t, x, y, valid = _raycast(hf, k, camera_pose)
+    if not valid.any():
+        raise NoIntersection("no camera ray intersects the heightfield")
+    depth = DepthImage(depth_mm=np.where(valid, t, 0.0), valid=valid)
+    return depth, MaskImage(flags=_truth_flags(hf, x, y, valid, threshold_mm))
+
+
+def add_depth_noise(depth: DepthImage, noise: SensorNoise | None) -> DepthImage:
+    """One noisy reading of a noise-free depth image.
+
+    Each valid pixel gets Gaussian jitter with sigma proportional to its
+    depth; without depth noise the image is returned as it is.
+    """
+    if noise is None or noise.depth_sigma_fraction <= 0:
+        return depth
+    rng = noise.generator(0)
+    jitter = rng.normal(0.0, 1.0, size=depth.depth_mm.shape) * depth.depth_mm * noise.depth_sigma_fraction
+    return DepthImage(depth_mm=np.where(depth.valid, depth.depth_mm + jitter, 0.0), valid=depth.valid)
 
 
 def render_depth(
@@ -168,15 +210,8 @@ def render_depth(
     per pixel by Gaussian noise with sigma proportional to depth.
     Raises NoIntersection when no pixel ray hits the grid.
     """
-    t, _, _, valid = _raycast(hf, k, camera_pose)
-    if not valid.any():
-        raise NoIntersection("no camera ray intersects the heightfield")
-    depth = np.where(valid, t, 0.0)
-    if noise is not None and noise.depth_sigma_fraction > 0:
-        rng = noise.generator(0)
-        jitter = rng.normal(0.0, 1.0, size=depth.shape) * depth * noise.depth_sigma_fraction
-        depth = np.where(valid, depth + jitter, 0.0)
-    return DepthImage(depth_mm=depth, valid=valid)
+    depth, _ = render_view(hf, k, camera_pose)
+    return add_depth_noise(depth, noise)
 
 
 def render_truth_mask(
@@ -188,9 +223,7 @@ def render_truth_mask(
     """Ground-truth segmentation: pixels whose hit point sits below the
     nominal surface by more than threshold_mm."""
     _, x, y, valid = _raycast(hf, k, camera_pose)
-    h = hf.height_at(x, y)
-    flags = valid & (hf.nominal_surface - h > threshold_mm)
-    return MaskImage(flags=flags)
+    return MaskImage(flags=_truth_flags(hf, x, y, valid, threshold_mm))
 
 
 def scan_profile(

@@ -284,6 +284,15 @@ EXPERIMENT_CONFIG = {
         "scan_length_mm": 40.0,
     },
     "experiment": {"fixed_speeds_mm_s": [6.0, 10.0, 20.0]},
+    # the default localization crack is longer than this grid
+    "localization": {
+        "crack": {
+            "orientation": "horizontal",
+            "path_mm": [[0.0, 10.0], [0.0, 110.0]],
+            "width_mm": 8.0,
+            "depth_mm": 5.0,
+        },
+    },
 }
 
 
@@ -323,6 +332,10 @@ ARTIFACT_DIGESTS = {
     },
     ("--parallel", "2", "experiment"): {
         "experiment.csv": "612b60718c90e70d92dc8b5bde24d6a9b22e709ed148fba5b5572fb522b6038b",
+    },
+    # recorded before the specimen was imaged once for all localization scans
+    ("localize",): {
+        "localization.json": "3380b66958dc67cfc99b1c9cefd0718068846e394e9aded07c378953c282bd7e",
     },
 }
 

@@ -9,6 +9,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crackfill import ScenarioConfig, cli, table2_experiment
@@ -271,6 +272,18 @@ class TestExperiment:
         ]
         assert [row[1:] for row in rows] == library
 
+    def test_missing_statistics_are_empty_cells(self, tmp_path):
+        data = compact_config()
+        data["fill"] = {"area_floor_mm2": 1000.0}
+        out = tmp_path / "out"
+        assert cli.main(["--config", write_config(tmp_path, data), "--out", str(out), "experiment"]) == 0
+        header, rows = read_csv_rows(out / "experiment.csv")
+        assert header == ["Speed (mm/s)", "Mean", "Std. Dev.", "Median", "Time (s)"]
+        assert [row[0] for row in rows] == ["6", "20", "Adaptive"]
+        for row in rows:
+            assert row[1:4] == ["", "", ""]
+            assert float(row[4]) > 0.0
+
     def test_bad_parallel_value(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert cli.main(["--config", cfg, "--parallel", "0", "experiment"]) == 2
@@ -315,6 +328,33 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, data)
         assert cli.main(["--config", cfg, "fill"]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+
+class TestBadMaskFiles:
+    """A mask file the camera cannot use is a configuration error."""
+
+    def scan_with_mask(self, tmp_path, capsys, write) -> str:
+        path = tmp_path / "mask.pgm"
+        write(path)
+        data = compact_config()
+        data["fill"] = {"mask_path": str(path)}
+        cfg = write_config(tmp_path, data)
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "o"), "scan"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        return err
+
+    def test_truncated_payload(self, tmp_path, capsys):
+        err = self.scan_with_mask(tmp_path, capsys, lambda p: p.write_bytes(b"P5\n640 480\n255\n" + bytes(100)))
+        assert "payload" in err
+
+    def test_not_a_binary_pgm(self, tmp_path, capsys):
+        err = self.scan_with_mask(tmp_path, capsys, lambda p: p.write_text("P2\n2 2\n255\n0 0 0 0\n"))
+        assert "not a binary PGM" in err
+
+    def test_mask_smaller_than_the_camera_image(self, tmp_path, capsys):
+        err = self.scan_with_mask(tmp_path, capsys, lambda p: cfio.write_mask_pgm(p, np.ones((10, 10), dtype=bool)))
+        assert "10x10" in err and "640x480" in err
 
 
 class TestParser:

@@ -10,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from crackfill import (
@@ -108,6 +110,24 @@ class TestSkeletonize:
     def test_skeleton_validation(self):
         with pytest.raises(ValueError):
             Skeleton(flags=np.zeros(5, dtype=bool))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mask=arrays(bool, st.tuples(st.integers(1, 14), st.integers(1, 14))),
+        offset=st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    )
+    @example(mask=np.zeros((5, 7), dtype=bool), offset=(2, 1, 0, 3))
+    @example(mask=np.ones((4, 6), dtype=bool), offset=(0, 0, 0, 0))
+    @example(mask=np.eye(6, dtype=bool) | np.eye(6, dtype=bool)[::-1], offset=(1, 0, 2, 0))
+    @example(mask=np.array([[1, 0, 0, 1], [0, 0, 0, 0], [1, 1, 0, 1]], dtype=bool), offset=(0, 2, 3, 0))
+    def test_placement_does_not_change_the_skeleton(self, mask, offset):
+        """Thinning a mask placed inside a larger clear image gives the
+        mask's own skeleton at that place, whether or not the mask touches
+        the image border."""
+        top, bottom, left, right = offset
+        placed = np.pad(mask, ((top, bottom), (left, right)))
+        expected = np.pad(skeletonize(mask).flags, ((top, bottom), (left, right)))
+        np.testing.assert_array_equal(skeletonize(placed).flags, expected)
 
 
 class TestExtractPixels:

@@ -450,6 +450,22 @@ class TestLocalization:
         assert report.refined_lateral_max_mm <= 3.0 * PITCH_40MM
         assert report.n_pairs >= 30
 
+    def test_specimen_is_imaged_once_for_all_scans(self, monkeypatch):
+        """Scans differ only in noise, so one raycast and one thinning serve them all."""
+        calls = {"render_view": 0, "skeletonize": 0}
+        for name in calls:
+            real = getattr(repair, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(repair, name, counting)
+        scene = make_scene(straight_crack())
+        noise = SensorNoise(depth_sigma_fraction=0.02, laser_sigma_mm=0.02, seed=0)
+        localization_experiment(scene, noise, n_scans=3)
+        assert calls == {"render_view": 1, "skeletonize": 1}
+
     def test_report_from_identical_pairs_is_all_zero(self):
         p = Point3(1.0, 2.0, 3.0, Frame.ROBOT)
         report = build_localization_report([(p, p)] * 5, [0.0] * 5)

@@ -8,6 +8,7 @@ import pytest
 
 from crackfill import (
     DepthImage,
+    ScenarioConfig,
     Frame,
     LaserProfile,
     MaskImage,
@@ -15,11 +16,19 @@ from crackfill import (
     RigidTransform,
     SensorNoise,
     StationOutsideGrid,
+    axis_angle_rotation,
     render_depth,
     render_truth_mask,
     scan_profile,
 )
-from crackfill.sensors import NOISE_STREAMS, SCANNER_POINTS, SCANNER_RANGE_MM
+from crackfill.sensors import (
+    NOISE_STREAMS,
+    SCANNER_POINTS,
+    SCANNER_RANGE_MM,
+    _raycast,
+    add_depth_noise,
+    render_view,
+)
 from conftest import CAMERA_DOWN, camera_pose, down_scan_pose, make_flat, make_rect_crack
 
 
@@ -100,6 +109,65 @@ class TestRenderTruthMask:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             MaskImage(flags=np.zeros(16, dtype=bool))
+
+
+def full_image_raycast(hf, k, camera_pose):
+    """Reference raycast: every ray takes every fixed-point step."""
+    uu, vv = np.meshgrid(np.arange(k.image_width, dtype=float), np.arange(k.image_height, dtype=float))
+    dirs_c = np.stack([(uu - k.px) / k.fx, (vv - k.py) / k.fy, np.ones_like(uu)], axis=-1)
+    dirs_0 = dirs_c @ camera_pose.rotation.T
+    ox, oy, oz = camera_pose.translation
+    dz = dirs_0[..., 2]
+    live = np.abs(dz) > 1e-12
+    t = np.where(live, (hf.nominal_surface - oz) / np.where(live, dz, 1.0), 0.0)
+    for _ in range(16):
+        h = hf.height_at(ox + t * dirs_0[..., 0], oy + t * dirs_0[..., 1])
+        t_new = np.where(live, (h - oz) / np.where(live, dz, 1.0), 0.0)
+        converged = np.allclose(t_new, t, atol=1e-9, rtol=0.0)
+        t = t_new
+        if converged:
+            break
+    x = ox + t * dirs_0[..., 0]
+    y = oy + t * dirs_0[..., 1]
+    return t, x, y, live & (t > 0) & hf.contains(x, y)
+
+
+def tilted(pose: RigidTransform, angle_rad: float) -> RigidTransform:
+    rotation = axis_angle_rotation(np.array([1.0, 0.5, 0.0]), angle_rad) @ pose.rotation
+    return RigidTransform(rotation, pose.translation, pose.source_frame, pose.target_frame)
+
+
+class TestRaycast:
+    @pytest.mark.parametrize(
+        "localization, tilt",
+        [(False, 0.0), (True, 0.0), (False, 0.05)],
+        ids=["default", "localization", "tilted"],
+    )
+    def test_matches_full_image_iteration_bitwise(self, localization, tilt, caplog):
+        scene = ScenarioConfig.default().build_scene(localization=localization)
+        hf = scene.build_specimen()
+        pose = tilted(scene.camera_pose, tilt)
+        with caplog.at_level("DEBUG", logger="crackfill.sensors"):
+            got = _raycast(hf, scene.intrinsics, pose)
+        want = full_image_raycast(hf, scene.intrinsics, pose)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        if not localization and not tilt:
+            # a 2-cycle of a few rays keeps the default scene from converging
+            assert "still moving" in caplog.text
+
+    def test_view_is_one_raycast_of_both_renderers(self, intrinsics):
+        hf = make_rect_crack(width=8.0, depth=5.0, cell=0.1)
+        pose = camera_pose(y=75.0)
+        depth, mask = render_view(hf, intrinsics, pose, threshold_mm=0.2)
+        clean = render_depth(hf, intrinsics, pose)
+        np.testing.assert_array_equal(depth.depth_mm, clean.depth_mm)
+        np.testing.assert_array_equal(depth.valid, clean.valid)
+        np.testing.assert_array_equal(mask.flags, render_truth_mask(hf, intrinsics, pose, 0.2).flags)
+        noise = SensorNoise(seed=7)
+        noisy = render_depth(hf, intrinsics, pose, noise)
+        assert add_depth_noise(depth, noise).depth_mm.tobytes() == noisy.depth_mm.tobytes()
+        assert add_depth_noise(depth, None) is depth
 
 
 class TestScanProfile:
