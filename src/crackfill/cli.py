@@ -104,7 +104,10 @@ def _calibration_model(cfg: ScenarioConfig) -> CalibrationModel:
         path = Path(cal["path"])
         if not path.is_file():
             raise ConfigError(f"calibration file not found: {path}")
-        return CalibrationModel.from_dict(io.read_json(path))
+        try:
+            return CalibrationModel.from_dict(io.read_json(path))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"calibration file {path}: {type(exc).__name__}: {exc}") from None
     noise = cfg.build_noise()
     return calibrate(_strip_scans(cfg), edge_threshold_for(noise))
 

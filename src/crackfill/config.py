@@ -1,94 +1,21 @@
-"""Scenario configuration: JSON schema, validation, and scene builders.
+"""Scenario configuration: one schema table, validation, and scene builders.
 
-A scenario config is a plain JSON object with the blocks below; every
-key has a default, unknown keys are rejected, and all values are
-validated before anything runs. The builder methods turn the validated
-config into the geometry, noise, and scene objects the pipeline
-consumes, so a run is a pure function of (config, seed).
-
-Schema (defaults shown):
-
-    {
-      "seed": 0,
-      "output_dir": "out",
-      "camera": {
-        "fx": 600.0, "fy": 600.0, "px": 320.0, "py": 240.0,
-        "width": 640, "height": 480,
-        "position_mm": [0.0, 125.0, 500.0],
-        "rotation": [1, 0, 0, 0, -1, 0, 0, 0, -1]
-      },
-      "laser": {
-        "span_mm": 40.0, "standoff_mm": 310.0,
-        "mount_rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1],
-        "mount_translation_mm": [0.0, 0.0, 0.0]
-      },
-      "noise": {
-        "depth_sigma_fraction": 0.02,
-        "laser_sigma_mm": 0.02,
-        "camera_bias_mm": [0.0, 0.0, 0.0]
-      },
-      "grid": {
-        "origin_mm": [-45.0, 0.0], "cell_size_mm": 0.1,
-        "nx": 900, "ny": 2600, "nominal_surface_mm": 0.0
-      },
-      "crack": {
-        "orientation": "horizontal",
-        "path_mm": [[0.0, 10.0], [0.0, 240.0]],
-        "width_mm": [[0.0, 10.0], [230.0, 16.0]],
-        "depth_mm": [[0.0, 4.0], [230.0, 9.5]]
-      },
-      "deposition": {
-        "flow_rate_mm3_s": 946.0635673187572,
-        "nozzle_diameter_mm": 4.0,
-        "purge_time_s": 1.5
-      },
-      "calibration": {
-        "source": "synthetic",
-        "path": null,
-        "speeds_mm_s": [6.0, 8.0, 10.0, 15.0, 20.0],
-        "flow_per_speed_mm3_s": {
-          "6": 994.584, "8": 895.816, "10": 914.48,
-          "15": 953.415, "20": 834.26
-        },
-        "strip_length_mm": 150.0,
-        "scan_length_mm": 100.0,
-        "scan_step_mm": 10.0,
-        "interpolate": false
-      },
-      "fill": {
-        "mode": "adaptive", "fixed_speed_mm_s": 10.0,
-        "min_spacing_px": 8.0, "mask_threshold_mm": 0.2,
-        "area_floor_mm2": 1.0, "mask_path": null
-      },
-      "experiment": {"fixed_speeds_mm_s": [6.0, 8.0, 10.0, 15.0, 20.0]},
-      "localization": {
-        "n_scans": 10,
-        "camera_bias_mm": [10.0, 0.0, 0.0],
-        "span_mm": 60.0,
-        "crack": {
-          "orientation": "horizontal",
-          "path_mm": [[0.0, 10.0], [0.0, 240.0]],
-          "width_mm": 8.0,
-          "depth_mm": 5.0
-        }
-      }
-    }
-
-"crack" may be null for an undamaged specimen. "width_mm" and
-"depth_mm" accept a number (constant profile) or a list of
-[arclength_mm, value_mm] breakpoints interpolated linearly. The
-calibration "flow_per_speed_mm3_s" map emulates a pump whose delivery
-drifts with speed; set it to null to pump at the constant
-deposition flow_rate_mm3_s instead. With "source": "file", "path"
-must point at a calibration JSON written by the calibrate command.
+A scenario config is a plain JSON object of the blocks in ``SCHEMA``.
+Every key has a default, unknown keys are rejected, and every value is
+checked before anything runs. The README's configuration tables
+document each key. The builder methods turn the checked config into
+the geometry, noise, and scene objects the pipeline consumes, so a run
+is a pure function of (config, seed).
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -98,236 +25,271 @@ from .repair import RepairScene
 from .sensors import SensorNoise
 from .specimen import CrackSpec, DepositionParams
 
-DEFAULT_FLOW_RATE_MM3_S = 946.0635673187572
 
-_DEFAULTS: dict = {
-    "seed": 0,
-    "output_dir": "out",
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _number(v, path: str) -> None:
+    if not _is_number(v):
+        raise ConfigError(f"{path} must be a finite number, got {v!r}")
+
+
+def _positive(v, path: str) -> None:
+    _number(v, path)
+    if v <= 0:
+        raise ConfigError(f"{path} must be positive, got {v}")
+
+
+def _non_negative(v, path: str) -> None:
+    _number(v, path)
+    if v < 0:
+        raise ConfigError(f"{path} must be non-negative, got {v}")
+
+
+def _integer(least: int) -> Callable:
+    word = "positive" if least > 0 else "non-negative"
+
+    def check(v, path: str) -> None:
+        if isinstance(v, bool) or not isinstance(v, int) or v < least:
+            raise ConfigError(f"{path} must be a {word} integer, got {v!r}")
+
+    return check
+
+
+def _vector(length: int) -> Callable:
+    def check(v, path: str) -> None:
+        if not isinstance(v, (list, tuple)) or len(v) != length or not all(map(_is_number, v)):
+            raise ConfigError(f"{path} must be a list of {length} finite numbers, got {v!r}")
+
+    return check
+
+
+def _rotation(v, path: str) -> None:
+    _vector(9)(v, path)
+    try:
+        RigidTransform(np.array(v, dtype=float).reshape(3, 3), np.zeros(3))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _choice(*options: str) -> Callable:
+    def check(v, path: str) -> None:
+        if v not in options:
+            raise ConfigError(f"{path} must be {' or '.join(map(repr, options))}, got {v!r}")
+
+    return check
+
+
+def _boolean(v, path: str) -> None:
+    if not isinstance(v, bool):
+        raise ConfigError(f"{path} must be a boolean, got {v!r}")
+
+
+def _non_empty_string(v, path: str) -> None:
+    if not isinstance(v, str) or not v:
+        raise ConfigError(f"{path} must be a non-empty string, got {v!r}")
+
+
+def _string_or_null(v, path: str) -> None:
+    if v is not None and not isinstance(v, str):
+        raise ConfigError(f"{path} must be a string or null, got {v!r}")
+
+
+def _speeds(distinct: bool) -> Callable:
+    def check(v, path: str) -> None:
+        if not isinstance(v, list) or not v:
+            raise ConfigError(f"{path} must be a non-empty list, got {v!r}")
+        for item in v:
+            _positive(item, path)
+        if distinct and len(set(map(float, v))) != len(v):
+            raise ConfigError(f"{path} must not contain duplicates")
+
+    return check
+
+
+def _flow_map(v, path: str) -> None:
+    """Pump delivery per calibration speed: {"<speed>": flow, ...} or null."""
+    if v is None:
+        return
+    if not isinstance(v, dict):
+        raise ConfigError(f"{path} must be an object or null, got {v!r}")
+    for key, flow in v.items():
+        try:
+            speed = float(key)
+        except (TypeError, ValueError):
+            speed = math.nan
+        if not math.isfinite(speed):
+            raise ConfigError(f"{path} keys must be finite numbers, got {key!r}")
+        _positive(flow, f"{path}[{key!r}]")
+
+
+def _points(v) -> bool:
+    return isinstance(v, list) and all(isinstance(p, list) and len(p) == 2 and all(map(_is_number, p)) for p in v)
+
+
+def _polyline(v, path: str) -> None:
+    if not _points(v) or len(v) < 2:
+        raise ConfigError(f"{path} must be a list of at least two [x, y] points, got {v!r}")
+
+
+def _profile(v, path: str) -> None:
+    """Width/depth profile: a positive number or [[s, value], ...] table."""
+    if _is_number(v):
+        _positive(v, path)
+        return
+    if not _points(v) or not v:
+        raise ConfigError(f"{path} must be a positive number or a list of [arclength_mm, value_mm] pairs, got {v!r}")
+    if any(b[0] <= a[0] for a, b in zip(v, v[1:])):
+        raise ConfigError(f"{path} breakpoints must have strictly increasing arclength")
+    if any(p[1] <= 0 for p in v):
+        raise ConfigError(f"{path} values must be positive")
+
+
+@dataclass(frozen=True)
+class Field:
+    """One leaf key of the schema: its default and the check its value must pass."""
+
+    default: Any
+    check: Callable[[Any, str], None]
+
+
+def _crack(width, depth) -> dict:
+    return {
+        "orientation": Field("horizontal", _choice("horizontal", "vertical")),
+        "path_mm": Field([[0.0, 10.0], [0.0, 240.0]], _polyline),
+        "width_mm": Field(width, _profile),
+        "depth_mm": Field(depth, _profile),
+    }
+
+
+_SPEEDS_MM_S = [6.0, 8.0, 10.0, 15.0, 20.0]
+
+# The scenario schema. A dict is a block of keys; a Field is a leaf.
+SCHEMA: dict = {
+    "seed": Field(0, _integer(0)),
+    "output_dir": Field("out", _non_empty_string),
     "camera": {
-        "fx": 600.0,
-        "fy": 600.0,
-        "px": 320.0,
-        "py": 240.0,
-        "width": 640,
-        "height": 480,
-        "position_mm": [0.0, 125.0, 500.0],
-        "rotation": [1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, -1.0],
+        "fx": Field(600.0, _positive),
+        "fy": Field(600.0, _positive),
+        "px": Field(320.0, _number),
+        "py": Field(240.0, _number),
+        "width": Field(640, _integer(1)),
+        "height": Field(480, _integer(1)),
+        "position_mm": Field([0.0, 125.0, 500.0], _vector(3)),
+        "rotation": Field([1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, -1.0], _rotation),
     },
     "laser": {
-        "span_mm": 40.0,
-        "standoff_mm": 310.0,
-        "mount_rotation": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
-        "mount_translation_mm": [0.0, 0.0, 0.0],
+        "span_mm": Field(40.0, _positive),
+        "standoff_mm": Field(310.0, _positive),
+        "mount_rotation": Field([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], _rotation),
+        "mount_translation_mm": Field([0.0, 0.0, 0.0], _vector(3)),
     },
     "noise": {
-        "depth_sigma_fraction": 0.02,
-        "laser_sigma_mm": 0.02,
-        "camera_bias_mm": [0.0, 0.0, 0.0],
+        "depth_sigma_fraction": Field(0.02, _non_negative),
+        "laser_sigma_mm": Field(0.02, _non_negative),
+        "camera_bias_mm": Field([0.0, 0.0, 0.0], _vector(3)),
     },
     "grid": {
-        "origin_mm": [-45.0, 0.0],
-        "cell_size_mm": 0.1,
-        "nx": 900,
-        "ny": 2600,
-        "nominal_surface_mm": 0.0,
+        "origin_mm": Field([-45.0, 0.0], _vector(2)),
+        "cell_size_mm": Field(0.1, _positive),
+        "nx": Field(900, _integer(1)),
+        "ny": Field(2600, _integer(1)),
+        "nominal_surface_mm": Field(0.0, _number),
     },
-    "crack": {
-        "orientation": "horizontal",
-        "path_mm": [[0.0, 10.0], [0.0, 240.0]],
-        "width_mm": [[0.0, 10.0], [230.0, 16.0]],
-        "depth_mm": [[0.0, 4.0], [230.0, 9.5]],
-    },
+    "crack": _crack([[0.0, 10.0], [230.0, 16.0]], [[0.0, 4.0], [230.0, 9.5]]),
     "deposition": {
-        "flow_rate_mm3_s": DEFAULT_FLOW_RATE_MM3_S,
-        "nozzle_diameter_mm": 4.0,
-        "purge_time_s": 1.5,
+        "flow_rate_mm3_s": Field(946.0635673187572, _positive),
+        "nozzle_diameter_mm": Field(4.0, _positive),
+        "purge_time_s": Field(1.5, _non_negative),
     },
     "calibration": {
-        "source": "synthetic",
-        "path": None,
-        "speeds_mm_s": [6.0, 8.0, 10.0, 15.0, 20.0],
-        "flow_per_speed_mm3_s": {
-            "6": 994.584,
-            "8": 895.816,
-            "10": 914.48,
-            "15": 953.415,
-            "20": 834.26,
-        },
-        "strip_length_mm": 150.0,
-        "scan_length_mm": 100.0,
-        "scan_step_mm": 10.0,
-        "interpolate": False,
+        "source": Field("synthetic", _choice("synthetic", "file")),
+        "path": Field(None, _string_or_null),
+        "speeds_mm_s": Field(_SPEEDS_MM_S, _speeds(distinct=True)),
+        "flow_per_speed_mm3_s": Field(
+            {"6": 994.584, "8": 895.816, "10": 914.48, "15": 953.415, "20": 834.26}, _flow_map
+        ),
+        "strip_length_mm": Field(150.0, _positive),
+        "scan_length_mm": Field(100.0, _positive),
+        "scan_step_mm": Field(10.0, _positive),
+        "interpolate": Field(False, _boolean),
     },
     "fill": {
-        "mode": "adaptive",
-        "fixed_speed_mm_s": 10.0,
-        "min_spacing_px": 8.0,
-        "mask_threshold_mm": 0.2,
-        "area_floor_mm2": 1.0,
-        "mask_path": None,
+        "mode": Field("adaptive", _choice("adaptive", "fixed")),
+        "fixed_speed_mm_s": Field(10.0, _positive),
+        "min_spacing_px": Field(8.0, _non_negative),
+        "mask_threshold_mm": Field(0.2, _positive),
+        "area_floor_mm2": Field(1.0, _non_negative),
+        "mask_path": Field(None, _string_or_null),
     },
     "experiment": {
-        "fixed_speeds_mm_s": [6.0, 8.0, 10.0, 15.0, 20.0],
+        "fixed_speeds_mm_s": Field(_SPEEDS_MM_S, _speeds(distinct=False)),
     },
     "localization": {
-        "n_scans": 10,
-        "camera_bias_mm": [10.0, 0.0, 0.0],
-        "span_mm": 60.0,
-        "crack": {
-            "orientation": "horizontal",
-            "path_mm": [[0.0, 10.0], [0.0, 240.0]],
-            "width_mm": 8.0,
-            "depth_mm": 5.0,
-        },
+        "n_scans": Field(10, _integer(1)),
+        "camera_bias_mm": Field([10.0, 0.0, 0.0], _vector(3)),
+        "span_mm": Field(60.0, _positive),
+        "crack": _crack(8.0, 5.0),
     },
 }
 
-
-def default_config_dict() -> dict:
-    """A deep copy of the full default configuration."""
-    return copy.deepcopy(_DEFAULTS)
+# Blocks the user may set to null (an undamaged specimen).
+_NULLABLE = frozenset({"crack", "localization.crack"})
 
 
-def _check_keys(block: dict, allowed, where: str) -> None:
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be an object, got {type(block).__name__}")
-    unknown = set(block) - set(allowed)
+def _resolve(schema: dict, value, path: str) -> dict:
+    """Overlay a user block on the schema's defaults and check every key."""
+    where = path or "config"
+    if not isinstance(value, dict):
+        kind = "an object or null" if path in _NULLABLE else "an object"
+        raise ConfigError(f"{where} must be {kind}, got {type(value).__name__}")
+    unknown = set(value) - set(schema)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {', '.join(sorted(unknown))}")
-
-
-def _number(block: dict, key: str, where: str, positive: bool = False, nonneg: bool = False) -> float:
-    v = block[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
-    v = float(v)
-    if positive and v <= 0:
-        raise ConfigError(f"{where}.{key} must be positive, got {v}")
-    if nonneg and v < 0:
-        raise ConfigError(f"{where}.{key} must be non-negative, got {v}")
-    return v
-
-
-def _integer(block: dict, key: str, where: str, positive: bool = False) -> int:
-    v = block[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{where}.{key} must be an integer, got {v!r}")
-    if positive and v <= 0:
-        raise ConfigError(f"{where}.{key} must be positive, got {v}")
-    return v
-
-
-def _vector(block: dict, key: str, where: str, length: int) -> list[float]:
-    v = block[key]
-    if not isinstance(v, (list, tuple)) or len(v) != length:
-        raise ConfigError(f"{where}.{key} must be a list of {length} numbers")
-    out = []
-    for item in v:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"{where}.{key} must contain only numbers, got {item!r}")
-        out.append(float(item))
+    out = {}
+    for key, node in schema.items():
+        sub = f"{path}.{key}" if path else key
+        if isinstance(node, Field):
+            out[key] = value.get(key, node.default)
+            node.check(out[key], sub)
+        elif key in value and value[key] is None and sub in _NULLABLE:
+            out[key] = None
+        else:
+            out[key] = _resolve(node, value.get(key, {}), sub)
     return out
 
 
-def _merge(defaults: dict, override: dict, where: str) -> dict:
-    """Overlay a user block onto its defaults, rejecting unknown keys."""
-    _check_keys(override, defaults.keys(), where)
-    merged = copy.deepcopy(defaults)
-    for key, value in override.items():
-        if isinstance(defaults.get(key), dict) and isinstance(value, dict) and key not in ("flow_per_speed_mm3_s",):
-            merged[key] = _merge(defaults[key], value, f"{where}.{key}")
-        else:
-            merged[key] = copy.deepcopy(value)
-    return merged
-
-
-def _parse_profile(value, where: str):
-    """Width/depth profile: a positive number or [[s, value], ...] table."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{where} must be a number or breakpoint table")
-    if isinstance(value, (int, float)):
-        if value <= 0:
-            raise ConfigError(f"{where} must be positive, got {value}")
-        return float(value)
-    if isinstance(value, list) and value and all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in p)
-        for p in value
-    ):
-        pts = [[float(p[0]), float(p[1])] for p in value]
-        if any(b[0] <= a[0] for a, b in zip(pts, pts[1:])):
-            raise ConfigError(f"{where} breakpoints must have strictly increasing arclength")
-        if any(p[1] <= 0 for p in pts):
-            raise ConfigError(f"{where} values must be positive")
-        return pts
-    raise ConfigError(f"{where} must be a number or a list of [arclength_mm, value_mm] pairs")
-
-
-def _parse_crack(block, where: str) -> CrackSpec | None:
+def _crack_spec(block: dict | None) -> CrackSpec | None:
     if block is None:
         return None
-    _check_keys(block, ("orientation", "path_mm", "width_mm", "depth_mm"), where)
-    merged = _merge(_DEFAULTS["crack"], block, where)
-    try:
-        orientation = Orientation(merged["orientation"])
-    except ValueError:
-        raise ConfigError(f"{where}.orientation must be 'horizontal' or 'vertical'") from None
-    path = merged["path_mm"]
-    if not isinstance(path, list) or len(path) < 2 or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in p)
-        for p in path
-    ):
-        raise ConfigError(f"{where}.path_mm must be a list of at least two [x, y] points")
-    width = _parse_profile(merged["width_mm"], f"{where}.width_mm")
-    depth = _parse_profile(merged["depth_mm"], f"{where}.depth_mm")
-    try:
-        return CrackSpec(
-            path=[(float(p[0]), float(p[1])) for p in path],
-            width=width,
-            depth=depth,
-            orientation=orientation,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
 
+    def profile(v):
+        return [[float(s), float(h)] for s, h in v] if isinstance(v, list) else float(v)
 
-def _parse_rotation(values: list[float], where: str) -> np.ndarray:
-    matrix = np.array(values, dtype=float).reshape(3, 3)
-    try:
-        RigidTransform(matrix, np.zeros(3))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    return matrix
+    return CrackSpec(
+        path=[(float(x), float(y)) for x, y in block["path_mm"]],
+        width=profile(block["width_mm"]),
+        depth=profile(block["depth_mm"]),
+        orientation=Orientation(block["orientation"]),
+    )
 
 
 @dataclass
 class ScenarioConfig:
-    """Validated scenario configuration with builder methods."""
+    """Checked scenario configuration with builder methods."""
 
     raw: dict
 
     @staticmethod
     def from_dict(data: dict) -> "ScenarioConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-        _check_keys(data, _DEFAULTS.keys(), "config")
-        merged = copy.deepcopy(_DEFAULTS)
-        for key, value in data.items():
-            if key in ("crack",) and value is None:
-                merged[key] = None
-            elif key == "localization":
-                _check_keys(value, _DEFAULTS["localization"].keys(), "localization")
-                for sub, subval in value.items():
-                    if sub == "crack":
-                        merged["localization"]["crack"] = subval
-                    else:
-                        merged["localization"][sub] = copy.deepcopy(subval)
-            elif isinstance(_DEFAULTS.get(key), dict) and isinstance(value, dict):
-                merged[key] = _merge(_DEFAULTS[key], value, key)
-            else:
-                merged[key] = copy.deepcopy(value)
-        cfg = ScenarioConfig(raw=merged)
-        cfg._validate()
-        return cfg
+        raw = copy.deepcopy(_resolve(SCHEMA, data, ""))
+        cal = raw["calibration"]
+        if cal["source"] == "file" and cal["path"] is None:
+            raise ConfigError("calibration.source 'file' requires calibration.path")
+        if cal["scan_length_mm"] > cal["strip_length_mm"]:
+            raise ConfigError("calibration.scan_length_mm cannot exceed strip_length_mm")
+        return ScenarioConfig(raw=raw)
 
     @staticmethod
     def from_file(path) -> "ScenarioConfig":
@@ -343,105 +305,6 @@ class ScenarioConfig:
     @staticmethod
     def default() -> "ScenarioConfig":
         return ScenarioConfig.from_dict({})
-
-    def _validate(self) -> None:
-        raw = self.raw
-        if isinstance(raw["seed"], bool) or not isinstance(raw["seed"], int) or raw["seed"] < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {raw['seed']!r}")
-        if not isinstance(raw["output_dir"], str) or not raw["output_dir"]:
-            raise ConfigError("output_dir must be a non-empty string")
-
-        cam = raw["camera"]
-        for key in ("fx", "fy", "px", "py"):
-            _number(cam, key, "camera", positive=key in ("fx", "fy"))
-        _integer(cam, "width", "camera", positive=True)
-        _integer(cam, "height", "camera", positive=True)
-        _vector(cam, "position_mm", "camera", 3)
-        _parse_rotation(_vector(cam, "rotation", "camera", 9), "camera.rotation")
-
-        las = raw["laser"]
-        _number(las, "span_mm", "laser", positive=True)
-        _number(las, "standoff_mm", "laser", positive=True)
-        _parse_rotation(_vector(las, "mount_rotation", "laser", 9), "laser.mount_rotation")
-        _vector(las, "mount_translation_mm", "laser", 3)
-
-        noi = raw["noise"]
-        _number(noi, "depth_sigma_fraction", "noise", nonneg=True)
-        _number(noi, "laser_sigma_mm", "noise", nonneg=True)
-        _vector(noi, "camera_bias_mm", "noise", 3)
-
-        grid = raw["grid"]
-        _vector(grid, "origin_mm", "grid", 2)
-        _number(grid, "cell_size_mm", "grid", positive=True)
-        _integer(grid, "nx", "grid", positive=True)
-        _integer(grid, "ny", "grid", positive=True)
-        _number(grid, "nominal_surface_mm", "grid")
-
-        self._crack = _parse_crack(raw["crack"], "crack")
-
-        dep = raw["deposition"]
-        _number(dep, "flow_rate_mm3_s", "deposition", positive=True)
-        _number(dep, "nozzle_diameter_mm", "deposition", positive=True)
-        _number(dep, "purge_time_s", "deposition", nonneg=True)
-
-        cal = raw["calibration"]
-        if cal["source"] not in ("synthetic", "file"):
-            raise ConfigError(f"calibration.source must be 'synthetic' or 'file', got {cal['source']!r}")
-        if cal["source"] == "file" and not isinstance(cal["path"], str):
-            raise ConfigError("calibration.source 'file' requires calibration.path")
-        speeds = cal["speeds_mm_s"]
-        if not isinstance(speeds, list) or not speeds:
-            raise ConfigError("calibration.speeds_mm_s must be a non-empty list")
-        for v in speeds:
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
-                raise ConfigError(f"calibration speeds must be positive numbers, got {v!r}")
-        if len(set(float(v) for v in speeds)) != len(speeds):
-            raise ConfigError("calibration.speeds_mm_s must not contain duplicates")
-        fps = cal["flow_per_speed_mm3_s"]
-        if fps is not None:
-            if not isinstance(fps, dict):
-                raise ConfigError("calibration.flow_per_speed_mm3_s must be an object or null")
-            for key, value in fps.items():
-                try:
-                    float(key)
-                except ValueError:
-                    raise ConfigError(f"flow_per_speed_mm3_s keys must be numeric, got {key!r}") from None
-                if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-                    raise ConfigError(f"flow_per_speed_mm3_s values must be positive, got {value!r}")
-        _number(cal, "strip_length_mm", "calibration", positive=True)
-        _number(cal, "scan_length_mm", "calibration", positive=True)
-        _number(cal, "scan_step_mm", "calibration", positive=True)
-        if cal["scan_length_mm"] > cal["strip_length_mm"]:
-            raise ConfigError("calibration.scan_length_mm cannot exceed strip_length_mm")
-        if not isinstance(cal["interpolate"], bool):
-            raise ConfigError("calibration.interpolate must be a boolean")
-
-        fill = raw["fill"]
-        if fill["mode"] not in ("adaptive", "fixed"):
-            raise ConfigError(f"fill.mode must be 'adaptive' or 'fixed', got {fill['mode']!r}")
-        _number(fill, "fixed_speed_mm_s", "fill", positive=True)
-        _number(fill, "min_spacing_px", "fill", nonneg=True)
-        _number(fill, "mask_threshold_mm", "fill", positive=True)
-        _number(fill, "area_floor_mm2", "fill", nonneg=True)
-        if fill["mask_path"] is not None and not isinstance(fill["mask_path"], str):
-            raise ConfigError("fill.mask_path must be a string or null")
-
-        exp = raw["experiment"]
-        fixed = exp["fixed_speeds_mm_s"]
-        if not isinstance(fixed, list) or not fixed:
-            raise ConfigError("experiment.fixed_speeds_mm_s must be a non-empty list")
-        for v in fixed:
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
-                raise ConfigError(f"experiment speeds must be positive numbers, got {v!r}")
-
-        loc = raw["localization"]
-        _check_keys(loc, _DEFAULTS["localization"].keys(), "localization")
-        n_scans = loc["n_scans"]
-        if isinstance(n_scans, bool) or not isinstance(n_scans, int) or n_scans <= 0:
-            raise ConfigError(f"localization.n_scans must be a positive integer, got {n_scans!r}")
-        _vector(loc, "camera_bias_mm", "localization", 3)
-        _number(loc, "span_mm", "localization", positive=True)
-        self._loc_crack = _parse_crack(loc["crack"], "localization.crack")
 
     @property
     def seed(self) -> int:
@@ -512,7 +375,7 @@ class ScenarioConfig:
     def build_scene(self, localization: bool = False) -> RepairScene:
         grid = self.raw["grid"]
         fill = self.raw["fill"]
-        crack = self._loc_crack if localization else self._crack
+        crack = _crack_spec(self.raw["localization"]["crack"] if localization else self.raw["crack"])
         span = self.raw["localization"]["span_mm"] if localization else self.raw["laser"]["span_mm"]
         return RepairScene(
             crack=crack,

@@ -145,6 +145,29 @@ def detect_edges(
     return left, right
 
 
+def window_area(
+    profile: LaserProfile,
+    left: int,
+    right: int,
+    baseline_margin: int = DEFAULT_BASELINE_MARGIN,
+) -> tuple[float, float]:
+    """Baseline and unsigned deviation area of the window [left, right].
+
+    The baseline is the median valid height outside the window padded by
+    baseline_margin samples, or of every valid sample when none lies
+    outside.
+    """
+    idx = np.arange(profile.n_points)
+    outside = ((idx < left - baseline_margin) | (idx > right + baseline_margin)) & profile.valid
+    if outside.any():
+        baseline = float(np.median(profile.z[outside]))
+    else:
+        logger.warning("edge window spans the whole profile; baseline falls back to global median")
+        baseline = float(np.median(profile.z[profile.valid]))
+    window = profile.z[left : right + 1]
+    return baseline, float(np.sum(np.abs(window - baseline)) * profile.pitch)
+
+
 def measure(
     profile: LaserProfile,
     edge_threshold_mm: float = DEFAULT_EDGE_THRESHOLD_MM,
@@ -158,15 +181,7 @@ def measure(
     from it, so troughs and beads (and mixtures) measure alike.
     """
     left, right = detect_edges(profile, edge_threshold_mm, min_separation)
-    idx = np.arange(profile.n_points)
-    outside = ((idx < left - baseline_margin) | (idx > right + baseline_margin)) & profile.valid
-    if outside.any():
-        baseline = float(np.median(profile.z[outside]))
-    else:
-        logger.warning("edge window spans the whole profile; baseline falls back to global median")
-        baseline = float(np.median(profile.z[profile.valid]))
-    window = profile.z[left : right + 1]
-    area = float(np.sum(np.abs(window - baseline)) * profile.pitch)
+    baseline, area = window_area(profile, left, right, baseline_margin)
     centre = (left + right) // 2
     return ProfileFeatures(
         left_index=left,

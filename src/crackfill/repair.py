@@ -47,6 +47,7 @@ from .profile import (
     ProfileFeatures,
     measure,
     speed_for_area,
+    window_area,
 )
 from .sensors import (
     DEFAULT_MASK_THRESHOLD_MM,
@@ -511,11 +512,7 @@ def validate(
             post = measure(prof, threshold, min_separation)
             area_post = post.area_mm2
         except NoEdges:
-            idx = np.arange(prof.n_points)
-            outside = ((idx < pre.left_index - 10) | (idx > pre.right_index + 10)) & prof.valid
-            baseline = float(np.median(prof.z[outside])) if outside.any() else float(np.median(prof.z))
-            window = prof.z[pre.left_index : pre.right_index + 1]
-            area_post = float(np.sum(np.abs(window - baseline)) * prof.pitch)
+            _, area_post = window_area(prof, pre.left_index, pre.right_index)
         included = pre.area_mm2 >= area_floor_mm2
         err = fill_error(pre.area_mm2, area_post) if included else None
         if not included:

@@ -329,6 +329,26 @@ class TestConfigErrors:
         assert cli.main(["--config", cfg, "fill"]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "{}",
+            "{not json",
+            "[1, 2]",
+            '{"samples": [], "Q": -1, "v_min": 6.0, "v_max": 20.0}',
+        ],
+        ids=["missing-keys", "not-json", "not-an-object", "negative-flow"],
+    )
+    def test_malformed_calibration_file(self, tmp_path, capsys, body):
+        model = tmp_path / "calibration.json"
+        model.write_text(body)
+        data = compact_config()
+        data["calibration"].update(source="file", path=str(model))
+        cfg = write_config(tmp_path, data)
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "o"), "fill"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: calibration file {model}:") and "Traceback" not in err
+
 
 class TestBadMaskFiles:
     """A mask file the camera cannot use is a configuration error."""

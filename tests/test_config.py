@@ -1,0 +1,203 @@
+"""Scenario schema tests: every rejected value exits 2 with its key's dotted
+path, defaults merge block by block, and the README's configuration tables
+name exactly the keys of the schema."""
+
+import json
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+from crackfill import ScenarioConfig, cli
+from crackfill.config import SCHEMA, Field
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def nested(path: str, value) -> dict:
+    """{"a": {"b": value}} for the dotted path "a.b"."""
+    *blocks, key = path.split(".")
+    data = {key: value}
+    for block in reversed(blocks):
+        data = {block: data}
+    return data
+
+
+def run_scan(tmp_path, data) -> int:
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(data))
+    return cli.main(["--config", str(cfg), "--out", str(tmp_path / "o"), "scan"])
+
+
+REJECTED = [
+    # (check kind, key path, rejected value)
+    ("number", "camera.px", "320"),
+    ("number", "grid.nominal_surface_mm", True),
+    ("finite number", "noise.laser_sigma_mm", math.nan),
+    ("finite number", "grid.cell_size_mm", math.inf),
+    ("finite number", "camera.py", -math.inf),
+    ("positive", "camera.fx", 0),
+    ("positive", "deposition.flow_rate_mm3_s", -1.0),
+    ("non-negative", "noise.depth_sigma_fraction", -0.01),
+    ("non-negative", "fill.area_floor_mm2", -1),
+    ("integer", "grid.nx", 2.5),
+    ("integer", "seed", -1),
+    ("integer", "localization.n_scans", 0),
+    ("vector length", "camera.position_mm", [0.0, 1.0]),
+    ("vector length", "localization.camera_bias_mm", [1.0, 0.0, math.nan]),
+    ("rotation", "camera.rotation", [2, 0, 0, 0, 1, 0, 0, 0, 1]),
+    ("rotation", "laser.mount_rotation", [1, 0, 0, 0, 1, 0, 0, 0, -1]),
+    ("choice", "fill.mode", "slow"),
+    ("choice", "calibration.source", "pump"),
+    ("choice", "crack.orientation", "diagonal"),
+    ("string or null", "fill.mask_path", 5),
+    ("string or null", "calibration.path", ["a"]),
+    ("non-empty string", "output_dir", ""),
+    ("boolean", "calibration.interpolate", 1),
+    ("speeds list", "calibration.speeds_mm_s", []),
+    ("speeds list", "calibration.speeds_mm_s", [6.0, -1.0]),
+    ("speeds list", "calibration.speeds_mm_s", [6.0, 6]),
+    ("speeds list", "experiment.fixed_speeds_mm_s", ["fast"]),
+    ("flow map", "calibration.flow_per_speed_mm3_s", {"nan": 900.0}),
+    ("flow map", "calibration.flow_per_speed_mm3_s", {"six": 900.0}),
+    ("flow map", "calibration.flow_per_speed_mm3_s", {"6": 0.0}),
+    ("flow map", "calibration.flow_per_speed_mm3_s", [900.0]),
+    ("profile", "crack.width_mm", -1.0),
+    ("profile", "crack.depth_mm", [[0.0, 4.0], [0.0, 9.5]]),
+    ("profile", "localization.crack.depth_mm", [[0.0, 4.0], [10.0, 0.0]]),
+    ("profile", "localization.crack.width_mm", "wide"),
+    ("polyline", "crack.path_mm", [[0.0, 10.0]]),
+    ("polyline", "localization.crack.path_mm", [[0.0, 10.0], [0.0, "far"]]),
+    ("block", "camera", 5),
+    ("block", "fill", [1]),
+    ("block", "crack", 3),
+    ("block", "localization.crack", "straight"),
+    ("unknown key", "camera.fz", 600.0),
+    ("unknown key", "localization.crack.colour", "grey"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, path, value", REJECTED, ids=[f"{kind}:{path}" for kind, path, _ in REJECTED]
+)
+def test_rejected_value_names_its_key(tmp_path, capsys, kind, path, value):
+    assert run_scan(tmp_path, nested(path, value)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    where = path.rsplit(".", 1)[0] if kind == "unknown key" else path
+    assert where in err
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"camera": 5}, "camera must be an object, got int"),
+        ({"fill": [1]}, "fill must be an object, got list"),
+        ({"crack": 3}, "crack must be an object or null, got int"),
+        ([1, 2], "config must be an object, got list"),
+    ],
+)
+def test_non_object_block_is_a_config_error(tmp_path, capsys, data, message):
+    assert run_scan(tmp_path, data) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"noise": {"laser_sigma_mm": math.nan}},
+        {"grid": {"cell_size_mm": math.inf}},
+        {"calibration": {"flow_per_speed_mm3_s": {"nan": 900.0, "6": 994.584}}},
+        {"calibration": {"flow_per_speed_mm3_s": {"inf": 900.0}}},
+        {"calibration": {"flow_per_speed_mm3_s": {"6": math.inf}}},
+    ],
+)
+def test_non_finite_numbers_are_rejected(tmp_path, capsys, data):
+    """JSON parsers accept NaN and Infinity; the schema does not."""
+    assert run_scan(tmp_path, data) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "calibration, message",
+    [
+        ({"source": "file"}, "calibration.source 'file' requires calibration.path"),
+        (
+            {"strip_length_mm": 50.0, "scan_length_mm": 60.0},
+            "calibration.scan_length_mm cannot exceed strip_length_mm",
+        ),
+    ],
+)
+def test_cross_field_rules(tmp_path, capsys, calibration, message):
+    assert run_scan(tmp_path, {"calibration": calibration}) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_localization_crack_merges_over_its_own_defaults():
+    cfg = ScenarioConfig.from_dict({"localization": {"crack": {"width_mm": 3.0}}})
+    assert cfg.raw["localization"]["crack"] == {
+        "orientation": "horizontal",
+        "path_mm": [[0.0, 10.0], [0.0, 240.0]],
+        "width_mm": 3.0,
+        "depth_mm": 5.0,
+    }
+    crack = cfg.build_scene(localization=True).crack
+    assert (crack.width, crack.depth) == (3.0, 5.0)
+    # the main crack keeps its own defaults
+    assert cfg.raw["crack"]["depth_mm"] == [[0.0, 4.0], [230.0, 9.5]]
+
+
+def test_null_crack_is_a_pristine_plate():
+    cfg = ScenarioConfig.from_dict({"crack": None, "localization": {"crack": None}})
+    assert cfg.raw["crack"] is None and cfg.raw["localization"]["crack"] is None
+    assert cfg.build_scene().crack is None and cfg.build_scene(localization=True).crack is None
+
+
+def test_raw_keeps_user_values_uncoerced_and_unaliased():
+    data = {"camera": {"fx": 600, "position_mm": [0, 125, 500]}, "calibration": {"flow_per_speed_mm3_s": None}}
+    cfg = ScenarioConfig.from_dict(data)
+    assert type(cfg.raw["camera"]["fx"]) is int
+    assert cfg.raw["camera"]["position_mm"] == [0, 125, 500]
+    assert cfg.raw["calibration"]["flow_per_speed_mm3_s"] is None
+    data["camera"]["position_mm"].append(1)
+    assert cfg.raw["camera"]["position_mm"] == [0, 125, 500]
+    ScenarioConfig.default().raw["camera"]["rotation"][0] = 5.0
+    assert ScenarioConfig.default().raw["camera"]["rotation"][0] == 1.0
+
+
+def schema_keys(schema: dict, prefix: str = "") -> set[str]:
+    keys = set()
+    for key, node in schema.items():
+        path = prefix + key
+        if isinstance(node, Field):
+            keys.add(path)
+        else:
+            keys |= schema_keys(node, path + ".")
+    return keys
+
+
+def readme_keys() -> set[str]:
+    """Dotted key paths named by the rows of the README's configuration tables."""
+    text = README.read_text()
+    section = text[text.index("## Configuration") : text.index("## Artifact formats")]
+    keys, block = set(), None
+    for line in section.splitlines():
+        heading = re.match(r"^(Top level|`([\w.]+)`[^|]*):$", line)
+        if heading:
+            block = heading.group(2)
+        elif line.startswith("| `"):
+            cell = line.split("|")[1]
+            for key in re.findall(r"`([\w.]+)`", cell):
+                keys.add(f"{block}.{key}" if block else key)
+    return keys
+
+
+def test_readme_tables_match_the_schema():
+    # localization.crack is one README row that stands for its four keys.
+    schema = {
+        "localization.crack" if key.startswith("localization.crack.") else key for key in schema_keys(SCHEMA)
+    }
+    assert len(schema_keys(SCHEMA)) == 51
+    assert readme_keys() == schema

@@ -26,6 +26,7 @@ from crackfill import (
     measure,
     speed_for_area,
 )
+from crackfill.profile import window_area
 from conftest import rect_profile
 
 # Per-speed mean strip areas (mm^2) and the flow rate their inverse-speed
@@ -185,6 +186,20 @@ class TestMeasure:
             feats = measure(prof, edge_threshold_mm=1e-6)
         assert "baseline" in caplog.text
         assert np.isfinite(feats.area_mm2)
+
+    def test_window_area_matches_measure(self):
+        prof = trough(width=10.0, depth=2.0)
+        feats = measure(prof, edge_threshold_mm=1e-6)
+        assert window_area(prof, feats.left_index, feats.right_index) == (feats.baseline_mm, feats.area_mm2)
+
+    def test_window_area_fallback_baseline_ignores_invalid_samples(self):
+        """With nothing outside the padded window, the baseline is the
+        median of the valid samples only."""
+        x = np.linspace(-1.0, 1.0, 11)
+        z = np.array([-50.0, -50.0, -50.0, -50.0, 1.0, 1.0, 1.0, 1.0, 1.0, -50.0, -50.0])
+        valid = z > 0
+        baseline, area = window_area(LaserProfile(x, z, valid), 4, 8)
+        assert baseline == 1.0 and area == 0.0
 
     def test_features_validation(self):
         with pytest.raises(ValueError):
