@@ -41,11 +41,9 @@ from .errors import (
     NoIntersection,
     ProviderUnavailable,
 )
-from .geometry import Frame, RigidTransform, rotation_about_z
-from .perception import FileMaskSource, Waypoint
-from .profile import CalibrationModel, calibrate
+from .perception import Waypoint
+from .profile import calibrate
 from .repair import (
-    FillMode,
     FillRunArtifacts,
     edge_threshold_for,
     experiment_modes,
@@ -55,61 +53,6 @@ from .repair import (
     run_fill,
     survey,
 )
-from .sensors import NOISE_STREAMS, LaserProfile, scan_profile
-from .specimen import Heightfield, deposit
-
-logger = logging.getLogger(__name__)
-
-
-def _strip_scans(cfg: ScenarioConfig) -> list[tuple[float, list[LaserProfile]]]:
-    """Print one strip per configured speed and scan its inner section."""
-    cal = cfg.raw["calibration"]
-    speeds = sorted(float(v) for v in cal["speeds_mm_s"])
-    span = cfg.raw["laser"]["span_mm"]
-    standoff = cfg.raw["laser"]["standoff_mm"]
-    cell = cfg.raw["grid"]["cell_size_mm"]
-    strip_len = cal["strip_length_mm"]
-    scan_len = cal["scan_length_mm"]
-    step = cal["scan_step_mm"]
-    noise = cfg.build_noise()
-    margin = 5.0
-    nx = int(round((span + 2 * margin) / cell))
-    ny = int(round((strip_len + 2 * margin) / cell))
-    origin = (-(span / 2 + margin), -margin)
-    scans: list[tuple[float, list[LaserProfile]]] = []
-    for si, speed in enumerate(speeds):
-        hf = Heightfield.flat(origin, cell, nx, ny)
-        params = cfg.build_deposition(flow_rate=cfg.calibration_flow(speed))
-        deposit(hf, (0.0, 0.0), (0.0, strip_len), speed, params)
-        y0 = (strip_len - scan_len) / 2
-        n_stations = int(round(scan_len / step)) + 1
-        profiles = []
-        for k in range(n_stations):
-            pose = RigidTransform(
-                rotation_about_z(0.0),
-                [0.0, y0 + k * step, standoff],
-                Frame.LASER,
-                Frame.ROBOT,
-            )
-            scan_noise = noise.derive(NOISE_STREAMS["calibrate"], si, k)
-            profiles.append(scan_profile(hf, pose, span, scan_noise, standoff_mm=standoff))
-        scans.append((speed, profiles))
-    return scans
-
-
-def _calibration_model(cfg: ScenarioConfig) -> CalibrationModel:
-    """Load or synthesize the calibration the fill planner needs."""
-    cal = cfg.raw["calibration"]
-    if cal["source"] == "file":
-        path = Path(cal["path"])
-        if not path.is_file():
-            raise ConfigError(f"calibration file not found: {path}")
-        try:
-            return CalibrationModel.from_dict(io.read_json(path))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"calibration file {path}: {type(exc).__name__}: {exc}") from None
-    noise = cfg.build_noise()
-    return calibrate(_strip_scans(cfg), edge_threshold_for(noise))
 
 
 def _write_waypoints_csv(path, waypoints: tuple[Waypoint, ...]) -> None:
@@ -138,11 +81,8 @@ def _write_waypoints_csv(path, waypoints: tuple[Waypoint, ...]) -> None:
 
 
 def cmd_calibrate(cfg: ScenarioConfig, out: Path) -> int:
-    if len(cfg.raw["calibration"]["speeds_mm_s"]) < 2:
-        raise InsufficientSamples("calibration needs at least 2 speeds configured")
-    noise = cfg.build_noise()
-    scans = _strip_scans(cfg)
-    model = calibrate(scans, edge_threshold_for(noise))
+    scans = cfg.strip_scans()
+    model = calibrate(scans, edge_threshold_for(cfg.build_noise()))
     io.ensure_dir(out)
     io.write_json(out / "calibration.json", model.to_dict())
     with open(out / "calibration_areas.csv", "w", newline="\n") as f:
@@ -157,18 +97,6 @@ def cmd_calibrate(cfg: ScenarioConfig, out: Path) -> int:
     return 0
 
 
-def _fill_mode(cfg: ScenarioConfig) -> FillMode:
-    fill = cfg.raw["fill"]
-    if fill["mode"] == "adaptive":
-        return FillMode.adaptive()
-    return FillMode.fixed(fill["fixed_speed_mm_s"])
-
-
-def _mask_source(cfg: ScenarioConfig):
-    path = cfg.raw["fill"]["mask_path"]
-    return FileMaskSource(path) if path is not None else None
-
-
 def _write_fill_artifacts(out: Path, artifacts: FillRunArtifacts) -> None:
     io.ensure_dir(out)
     _write_waypoints_csv(out / "waypoints.csv", artifacts.plan.waypoints)
@@ -179,15 +107,15 @@ def _write_fill_artifacts(out: Path, artifacts: FillRunArtifacts) -> None:
 
 
 def cmd_fill(cfg: ScenarioConfig, out: Path) -> int:
-    mode = _fill_mode(cfg)
-    model = _calibration_model(cfg) if mode.kind == "adaptive" else None
+    mode = cfg.build_mode()
+    model = cfg.build_calibration() if mode.kind == "adaptive" else None
     artifacts = run_fill(
         cfg.build_scene(),
         mode,
         cfg.build_deposition(),
         cfg.build_noise(),
         model,
-        _mask_source(cfg),
+        cfg.build_mask(),
         cfg.raw["calibration"]["interpolate"],
     )
     _write_fill_artifacts(out, artifacts)
@@ -208,7 +136,7 @@ def cmd_experiment(cfg: ScenarioConfig, out: Path, parallel: int = 1) -> int:
         cfg.build_scene(),
         params=cfg.build_deposition(),
         noise=cfg.build_noise(),
-        model=_calibration_model(cfg),
+        model=cfg.build_calibration(),
         interpolate=cfg.raw["calibration"]["interpolate"],
     )
     # Each worker surveys its own specimen for a contiguous chunk of modes:
@@ -225,10 +153,10 @@ def cmd_experiment(cfg: ScenarioConfig, out: Path, parallel: int = 1) -> int:
     with open(out / "experiment.csv", "w", newline="\n") as f:
         f.write("Speed (mm/s),Mean,Std. Dev.,Median,Time (s)\n")
         for mode, report in zip(modes, reports):
-            label = "Adaptive" if mode.kind == "adaptive" else f"{mode.fixed_speed_mm_s:g}"
             f.write(
-                f"{label},{io.fmt_cell(report.mean_fill_error)},{io.fmt_cell(report.std_fill_error)},"
-                f"{io.fmt_cell(report.median_fill_error)},{io.fmt(report.elapsed_s)}\n"
+                f"{mode.label().capitalize()},{io.fmt_cell(report.mean_fill_error)},"
+                f"{io.fmt_cell(report.std_fill_error)},{io.fmt_cell(report.median_fill_error)},"
+                f"{io.fmt(report.elapsed_s)}\n"
             )
     for mode, report in zip(modes, reports):
         print(
@@ -256,7 +184,7 @@ def cmd_localize(cfg: ScenarioConfig, out: Path) -> int:
 
 def cmd_scan(cfg: ScenarioConfig, out: Path) -> int:
     scene = cfg.build_scene()
-    view = image_specimen(scene, scene.build_specimen(), _mask_source(cfg))
+    view = image_specimen(scene, scene.build_specimen(), cfg.build_mask())
     surveyed = survey(scene, view, cfg.build_noise())
     perception, refinement = surveyed.perception, surveyed.refinement
     io.ensure_dir(out)

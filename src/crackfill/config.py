@@ -1,11 +1,11 @@
-"""Scenario configuration: one schema table, validation, and scene builders.
+"""Scenario configuration: one schema table, validation, and pipeline builders.
 
 A scenario config is a plain JSON object of the blocks in ``SCHEMA``.
 Every key has a default, unknown keys are rejected, and every value is
 checked before anything runs. The README's configuration tables
 document each key. The builder methods turn the checked config into
-the geometry, noise, and scene objects the pipeline consumes, so a run
-is a pure function of (config, seed).
+every input the pipeline consumes (scene, noise, deposition, fill mode,
+mask, calibration model), so a run is a pure function of (config, seed).
 """
 
 from __future__ import annotations
@@ -19,11 +19,14 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ConfigError
-from .geometry import CameraIntrinsics, Frame, Orientation, RigidTransform
-from .repair import RepairScene
-from .sensors import SensorNoise
-from .specimen import CrackSpec, DepositionParams
+from . import io
+from .errors import ConfigError, ProviderUnavailable
+from .geometry import CameraIntrinsics, Frame, Orientation, RigidTransform, rotation_about_z
+from .perception import binarize
+from .profile import CalibrationModel, calibrate
+from .repair import FillMode, RepairScene, edge_threshold_for
+from .sensors import NOISE_STREAMS, LaserProfile, MaskImage, SensorNoise, scan_profile
+from .specimen import CrackSpec, DepositionParams, Heightfield, deposit
 
 
 def _is_number(v) -> bool:
@@ -96,10 +99,10 @@ def _string_or_null(v, path: str) -> None:
         raise ConfigError(f"{path} must be a string or null, got {v!r}")
 
 
-def _speeds(distinct: bool) -> Callable:
+def _speeds(least: int, distinct: bool) -> Callable:
     def check(v, path: str) -> None:
-        if not isinstance(v, list) or not v:
-            raise ConfigError(f"{path} must be a non-empty list, got {v!r}")
+        if not isinstance(v, list) or len(v) < least:
+            raise ConfigError(f"{path} must be a list of at least {least} speeds, got {v!r}")
         for item in v:
             _positive(item, path)
         if distinct and len(set(map(float, v))) != len(v):
@@ -206,7 +209,7 @@ SCHEMA: dict = {
     "calibration": {
         "source": Field("synthetic", _choice("synthetic", "file")),
         "path": Field(None, _string_or_null),
-        "speeds_mm_s": Field(_SPEEDS_MM_S, _speeds(distinct=True)),
+        "speeds_mm_s": Field(_SPEEDS_MM_S, _speeds(2, distinct=True)),
         "flow_per_speed_mm3_s": Field(
             {"6": 994.584, "8": 895.816, "10": 914.48, "15": 953.415, "20": 834.26}, _flow_map
         ),
@@ -224,7 +227,7 @@ SCHEMA: dict = {
         "mask_path": Field(None, _string_or_null),
     },
     "experiment": {
-        "fixed_speeds_mm_s": Field(_SPEEDS_MM_S, _speeds(distinct=False)),
+        "fixed_speeds_mm_s": Field(_SPEEDS_MM_S, _speeds(1, distinct=False)),
     },
     "localization": {
         "n_scans": Field(10, _integer(1)),
@@ -284,6 +287,10 @@ class ScenarioConfig:
     @staticmethod
     def from_dict(data: dict) -> "ScenarioConfig":
         raw = copy.deepcopy(_resolve(SCHEMA, data, ""))
+        cam = raw["camera"]
+        for key, size in (("px", "width"), ("py", "height")):
+            if not 0 <= cam[key] < cam[size]:
+                raise ConfigError(f"camera.{key} must lie in [0, camera.{size}) = [0, {cam[size]}), got {cam[key]}")
         cal = raw["calibration"]
         if cal["source"] == "file" and cal["path"] is None:
             raise ConfigError("calibration.source 'file' requires calibration.path")
@@ -393,3 +400,73 @@ class ScenarioConfig:
             mask_threshold_mm=fill["mask_threshold_mm"],
             area_floor_mm2=fill["area_floor_mm2"],
         )
+
+    def build_mode(self) -> FillMode:
+        fill = self.raw["fill"]
+        if fill["mode"] == "adaptive":
+            return FillMode.adaptive()
+        return FillMode.fixed(fill["fixed_speed_mm_s"])
+
+    def build_mask(self) -> MaskImage | None:
+        """The segmentation PGM at fill.mask_path, or None for the camera's truth mask.
+
+        Grey levels at or above mid-scale (128) are crack pixels.
+        """
+        path = self.raw["fill"]["mask_path"]
+        if path is None:
+            return None
+        if not Path(path).is_file():
+            raise ProviderUnavailable(f"mask file not found: {path}")
+        try:
+            img, _ = io.read_pgm(path)
+        except ValueError as exc:
+            raise ProviderUnavailable(f"unreadable mask file: {exc}") from exc
+        return MaskImage(flags=binarize(img, 128))
+
+    def strip_scans(self) -> list[tuple[float, list[LaserProfile]]]:
+        """Print one strip per calibration speed and scan its inner section."""
+        cal = self.raw["calibration"]
+        speeds = sorted(float(v) for v in cal["speeds_mm_s"])
+        span = self.raw["laser"]["span_mm"]
+        standoff = self.raw["laser"]["standoff_mm"]
+        cell = self.raw["grid"]["cell_size_mm"]
+        strip_len = cal["strip_length_mm"]
+        scan_len = cal["scan_length_mm"]
+        step = cal["scan_step_mm"]
+        noise = self.build_noise()
+        margin = 5.0
+        nx = int(round((span + 2 * margin) / cell))
+        ny = int(round((strip_len + 2 * margin) / cell))
+        origin = (-(span / 2 + margin), -margin)
+        scans: list[tuple[float, list[LaserProfile]]] = []
+        for si, speed in enumerate(speeds):
+            hf = Heightfield.flat(origin, cell, nx, ny)
+            params = self.build_deposition(flow_rate=self.calibration_flow(speed))
+            deposit(hf, (0.0, 0.0), (0.0, strip_len), speed, params)
+            y0 = (strip_len - scan_len) / 2
+            n_stations = int(round(scan_len / step)) + 1
+            profiles = []
+            for k in range(n_stations):
+                pose = RigidTransform(
+                    rotation_about_z(0.0),
+                    [0.0, y0 + k * step, standoff],
+                    Frame.LASER,
+                    Frame.ROBOT,
+                )
+                scan_noise = noise.derive(NOISE_STREAMS["calibrate"], si, k)
+                profiles.append(scan_profile(hf, pose, span, scan_noise, standoff_mm=standoff))
+            scans.append((speed, profiles))
+        return scans
+
+    def build_calibration(self) -> CalibrationModel:
+        """Load the calibration file, or fit the model to the synthetic strip scans."""
+        cal = self.raw["calibration"]
+        if cal["source"] == "file":
+            path = Path(cal["path"])
+            if not path.is_file():
+                raise ConfigError(f"calibration file not found: {path}")
+            try:
+                return CalibrationModel.from_dict(io.read_json(path))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"calibration file {path}: {type(exc).__name__}: {exc}") from None
+        return calibrate(self.strip_scans(), edge_threshold_for(self.build_noise()))

@@ -103,27 +103,6 @@ class CameraIntrinsics:
             ]
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "fx": self.fx,
-            "fy": self.fy,
-            "px": self.px,
-            "py": self.py,
-            "image_width": self.image_width,
-            "image_height": self.image_height,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "CameraIntrinsics":
-        return CameraIntrinsics(
-            fx=float(d["fx"]),
-            fy=float(d["fy"]),
-            px=float(d["px"]),
-            py=float(d["py"]),
-            image_width=int(d["image_width"]),
-            image_height=int(d["image_height"]),
-        )
-
 
 def _check_rotation(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
@@ -142,7 +121,7 @@ class RigidTransform:
 
     The constructor rejects rotations that are not orthonormal with
     determinant +1 (within 1e-9); it never silently re-normalizes.
-    Frame tags are optional: transforms built from calibration files
+    Frame tags are optional: transforms built from the scenario config
     carry them, scratch transforms in tests may omit them.
     """
 
@@ -166,25 +145,6 @@ class RigidTransform:
         """Apply to an (..., 3) array of coordinates."""
         xyz = np.asarray(xyz, dtype=float)
         return xyz @ self.rotation.T + self.translation
-
-    def to_dict(self) -> dict:
-        d = {
-            "rotation": [float(v) for v in self.rotation.reshape(-1)],
-            "translation": [float(v) for v in self.translation],
-        }
-        if self.source_frame is not None:
-            d["source_frame"] = self.source_frame.value
-        if self.target_frame is not None:
-            d["target_frame"] = self.target_frame.value
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "RigidTransform":
-        rotation = np.array(d["rotation"], dtype=float).reshape(3, 3)
-        translation = np.array(d["translation"], dtype=float)
-        source = Frame(d["source_frame"]) if "source_frame" in d else None
-        target = Frame(d["target_frame"]) if "target_frame" in d else None
-        return RigidTransform(rotation, translation, source, target)
 
 
 def rotation_about_x(angle_rad: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Crack perception: mask sources, thinning, and waypoint extraction.
+"""Crack perception: mask binarization, thinning, and waypoint extraction.
 
 The chain turns a binary crack mask into an ordered list of robot-frame
 waypoints: skeletonize the mask to a one-pixel centreline, subsample it
@@ -9,16 +9,14 @@ camera model, and order the points along the crack's dominant axis.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import EmptyPath, ProviderUnavailable
+from .errors import EmptyPath
 from .geometry import CameraIntrinsics, Frame, PixelCoord, Point3, RigidTransform, pixel_to_camera, transform_point
-from .sensors import DepthImage, MaskImage, render_truth_mask
-from .specimen import Heightfield
+from .sensors import DepthImage, MaskImage
 
 logger = logging.getLogger(__name__)
 
@@ -61,43 +59,6 @@ class Waypoint:
     def position(self) -> Point3:
         """Best known robot-frame position (refined when available)."""
         return self.refined_robot_pt if self.refined_robot_pt is not None else self.robot_pt
-
-
-@dataclass(frozen=True)
-class TruthMaskSource:
-    """Mask source backed by the simulator's ground truth."""
-
-    hf: Heightfield
-    intrinsics: CameraIntrinsics
-    camera_pose: RigidTransform
-    threshold_mm: float = 0.2
-
-    def provide(self) -> MaskImage:
-        return render_truth_mask(self.hf, self.intrinsics, self.camera_pose, self.threshold_mm)
-
-
-@dataclass(frozen=True)
-class FileMaskSource:
-    """Mask source reading an externally produced PGM segmentation."""
-
-    path: str
-    threshold: int = 128
-
-    def provide(self) -> MaskImage:
-        from . import io as _io
-
-        if not Path(self.path).is_file():
-            raise ProviderUnavailable(f"mask file not found: {self.path}")
-        try:
-            img, _ = _io.read_pgm(self.path)
-        except ValueError as exc:
-            raise ProviderUnavailable(f"unreadable mask file: {exc}") from exc
-        return MaskImage(flags=binarize(img, self.threshold))
-
-
-def segment(source) -> MaskImage:
-    """Obtain a crack mask from whichever segmentation source is configured."""
-    return source.provide()
 
 
 def binarize(image, threshold: float) -> np.ndarray:

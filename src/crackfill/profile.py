@@ -10,6 +10,7 @@ the crack centre is read at the midpoint sample.
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -67,6 +68,12 @@ class CalibrationSample:
     area_mm2: float
     std_mm2: float
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.speed_mm_s) and self.speed_mm_s > 0):
+            raise ValueError(f"sample speed must be finite and positive, got {self.speed_mm_s}")
+        if not (math.isfinite(self.area_mm2) and math.isfinite(self.std_mm2)):
+            raise ValueError(f"sample at {self.speed_mm_s} mm/s has a non-finite area or std")
+
 
 @dataclass(frozen=True)
 class CalibrationModel:
@@ -78,10 +85,10 @@ class CalibrationModel:
     v_max: float
 
     def __post_init__(self) -> None:
-        if self.flow_rate_mm3_s <= 0:
-            raise ValueError("fitted flow rate must be positive")
-        if not (0 < self.v_min <= self.v_max):
-            raise ValueError("speed clamp range is invalid")
+        if not (math.isfinite(self.flow_rate_mm3_s) and self.flow_rate_mm3_s > 0):
+            raise ValueError(f"fitted flow rate must be finite and positive, got {self.flow_rate_mm3_s}")
+        if not (math.isfinite(self.v_max) and 0 < self.v_min <= self.v_max):
+            raise ValueError(f"speed clamp range [{self.v_min}, {self.v_max}] is invalid")
 
     def to_dict(self) -> dict:
         return {

@@ -37,7 +37,6 @@ from .perception import (
     extract_pixels,
     order_path,
     pixels_to_robot,
-    segment,
     skeletonize,
 )
 from .profile import (
@@ -313,20 +312,20 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return view
 
 
-def image_specimen(scene: RepairScene, specimen: Heightfield, mask_source=None) -> SpecimenView:
+def image_specimen(scene: RepairScene, specimen: Heightfield, mask: MaskImage | None = None) -> SpecimenView:
     """Image the specimen once through the true camera mount.
 
-    One raycast gives the clean depth and, without a mask_source, the
-    ground-truth mask. A mask from mask_source must match the camera
-    image size.
+    One raycast gives the clean depth and the ground-truth mask, which
+    an external segmentation mask replaces when given. That mask must
+    match the camera image size.
     """
     specimen = replace(specimen, heights=_read_only(specimen.heights))
-    depth, mask = render_view(specimen, scene.intrinsics, scene.camera_pose, scene.mask_threshold_mm)
-    if mask_source is not None:
-        mask = segment(mask_source)
-        if mask.flags.shape != depth.depth_mm.shape:
-            (h, w), (image_h, image_w) = mask.flags.shape, depth.depth_mm.shape
-            raise ProviderUnavailable(f"mask is {w}x{h} pixels but the camera image is {image_w}x{image_h}")
+    depth, truth = render_view(specimen, scene.intrinsics, scene.camera_pose, scene.mask_threshold_mm)
+    if mask is None:
+        mask = truth
+    elif mask.flags.shape != depth.depth_mm.shape:
+        (h, w), (image_h, image_w) = mask.flags.shape, depth.depth_mm.shape
+        raise ProviderUnavailable(f"mask is {w}x{h} pixels but the camera image is {image_w}x{image_h}")
     skeleton = skeletonize(mask)
     return SpecimenView(
         specimen=specimen,
@@ -353,9 +352,11 @@ def perceive_view(scene: RepairScene, view: SpecimenView, noise: SensorNoise | N
     return PerceptionResult(depth=depth, mask=view.mask, skeleton=view.skeleton, waypoints=tuple(order_path(waypoints)))
 
 
-def perceive(scene: RepairScene, hf: Heightfield, noise: SensorNoise | None, mask_source=None) -> PerceptionResult:
+def perceive(
+    scene: RepairScene, hf: Heightfield, noise: SensorNoise | None, mask: MaskImage | None = None
+) -> PerceptionResult:
     """Run the RGB-D localization chain once on the current surface."""
-    return perceive_view(scene, image_specimen(scene, hf, mask_source), noise)
+    return perceive_view(scene, image_specimen(scene, hf, mask), noise)
 
 
 def refine_waypoints(
@@ -625,11 +626,11 @@ def run_fill(
     params: DepositionParams,
     noise: SensorNoise | None,
     model: CalibrationModel | None = None,
-    mask_source=None,
+    mask: MaskImage | None = None,
     interpolate: bool = False,
 ) -> FillRunArtifacts:
     """Run the complete repair pipeline once on a fresh specimen."""
-    view = image_specimen(scene, scene.build_specimen(), mask_source)
+    view = image_specimen(scene, scene.build_specimen(), mask)
     return repair(survey(scene, view, noise), mode, params, model, interpolate)
 
 
@@ -654,18 +655,6 @@ def run_experiment(
         reports.append(report)
         logger.info("fill mode %s: mean error %.3f, elapsed %.1f s", mode.label(), report.mean_fill_error, report.elapsed_s)
     return reports
-
-
-def table2_experiment(
-    scene: RepairScene,
-    params: DepositionParams,
-    model: CalibrationModel,
-    noise: SensorNoise | None,
-    fixed_speeds: tuple[float, ...] = (6.0, 8.0, 10.0, 15.0, 20.0),
-    interpolate: bool = False,
-) -> list[FillReport]:
-    """Fixed-speed sweep plus adaptive run, each repairing one identical surveyed specimen."""
-    return run_experiment(scene, experiment_modes(fixed_speeds), params, noise, model, interpolate)
 
 
 def _distance_to_centreline(path, x: float, y: float) -> float:

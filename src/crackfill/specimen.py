@@ -40,10 +40,6 @@ def profile_values(profile: Profile, s: np.ndarray) -> np.ndarray:
     return np.interp(s, pts[:, 0], pts[:, 1])
 
 
-def profile_value(profile: Profile, s: float) -> float:
-    return float(profile_values(profile, np.asarray([s]))[0])
-
-
 @dataclass
 class Heightfield:
     """Surface heights h[iy, ix] on a grid with square cells.

@@ -30,6 +30,7 @@ from crackfill import (
     Waypoint,
     axis_angle_rotation,
     compose,
+    experiment_modes,
     extract_pixels,
     invert,
     laser_correction,
@@ -37,11 +38,10 @@ from crackfill import (
     measure,
     order_path,
     pixel_to_camera,
+    run_experiment,
     skeletonize,
-    table2_experiment,
 )
 from crackfill import cli, repair
-from crackfill.cli import _calibration_model
 from crackfill.sensors import SCANNER_POINTS
 
 FITTED_FLOW_MM3_S = 946.0635673187572
@@ -73,11 +73,17 @@ def reported(number: int, label: str):
     return decorate
 
 
+def default_experiment(cfg, model):
+    """The configured fixed-speed sweep plus the adaptive run, on one survey."""
+    modes = experiment_modes(cfg.raw["experiment"]["fixed_speeds_mm_s"])
+    return run_experiment(cfg.build_scene(), modes, cfg.build_deposition(), cfg.build_noise(), model)
+
+
 @pytest.fixture(scope="module")
 def default_scene_model():
     """Default scenario plus the calibration model its strips produce."""
     cfg = ScenarioConfig.default()
-    return cfg, _calibration_model(cfg)
+    return cfg, cfg.build_calibration()
 
 
 @reported(1, "profile measurement matches analytic cross-sections")
@@ -123,12 +129,12 @@ def test_calibration_self_consistency():
             "calibration": {"flow_per_speed_mm3_s": None},
         }
     )
-    model = _calibration_model(constant)
+    model = constant.build_calibration()
     assert model.flow_rate_mm3_s == pytest.approx(900.0, rel=0.02)
     areas = [s.area_mm2 for s in model.samples]
     assert all(hi > lo for hi, lo in zip(areas, areas[1:]))
 
-    model = _calibration_model(ScenarioConfig.default())
+    model = ScenarioConfig.default().build_calibration()
     assert model.flow_rate_mm3_s == pytest.approx(FITTED_FLOW_MM3_S, rel=0.02)
     for sample in model.samples:
         assert sample.area_mm2 == pytest.approx(
@@ -140,9 +146,7 @@ def test_calibration_self_consistency():
 def test_adaptive_fill_experiment(default_scene_model):
     cfg, model = default_scene_model
     start = time.perf_counter()
-    reports = table2_experiment(
-        cfg.build_scene(), cfg.build_deposition(), model, cfg.build_noise()
-    )
+    reports = default_experiment(cfg, model)
     wall = time.perf_counter() - start
     fixed, adaptive = reports[:-1], reports[-1]
     assert len(fixed) == 5
@@ -264,7 +268,7 @@ def test_deposit_volume_conservation(default_scene_model, monkeypatch):
         return result
 
     monkeypatch.setattr(repair, "deposit", recording)
-    table2_experiment(cfg.build_scene(), cfg.build_deposition(), model, cfg.build_noise())
+    default_experiment(cfg, model)
     assert len(calls) >= 100
     for target, deposited in calls:
         assert deposited == pytest.approx(target, rel=0.005)

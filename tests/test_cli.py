@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crackfill import ScenarioConfig, cli, table2_experiment
+from crackfill import ScenarioConfig, cli, experiment_modes, run_experiment
 from crackfill import io as cfio
 
 WAYPOINT_HEADER = (
@@ -258,12 +258,12 @@ class TestExperiment:
         _, rows = read_csv_rows(out / "experiment.csv")
 
         scenario = ScenarioConfig.from_dict(data)
-        reports = table2_experiment(
+        reports = run_experiment(
             scenario.build_scene(),
+            experiment_modes((6.0, 20.0)),
             scenario.build_deposition(),
-            cli._calibration_model(scenario),
             scenario.build_noise(),
-            fixed_speeds=(6.0, 20.0),
+            scenario.build_calibration(),
             interpolate=True,
         )
         library = [
@@ -336,8 +336,10 @@ class TestConfigErrors:
             "{not json",
             "[1, 2]",
             '{"samples": [], "Q": -1, "v_min": 6.0, "v_max": 20.0}',
+            '{"samples": [], "Q": NaN, "v_min": 6.0, "v_max": 20.0}',
+            '{"samples": [{"speed": 6.0, "area": NaN, "std": 0.0}], "Q": 900.0, "v_min": 6.0, "v_max": 20.0}',
         ],
-        ids=["missing-keys", "not-json", "not-an-object", "negative-flow"],
+        ids=["missing-keys", "not-json", "not-an-object", "negative-flow", "nan-flow", "nan-sample-area"],
     )
     def test_malformed_calibration_file(self, tmp_path, capsys, body):
         model = tmp_path / "calibration.json"

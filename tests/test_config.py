@@ -56,6 +56,7 @@ REJECTED = [
     ("non-empty string", "output_dir", ""),
     ("boolean", "calibration.interpolate", 1),
     ("speeds list", "calibration.speeds_mm_s", []),
+    ("speeds list", "calibration.speeds_mm_s", [6.0]),
     ("speeds list", "calibration.speeds_mm_s", [6.0, -1.0]),
     ("speeds list", "calibration.speeds_mm_s", [6.0, 6]),
     ("speeds list", "experiment.fixed_speeds_mm_s", ["fast"]),
@@ -75,6 +76,8 @@ REJECTED = [
     ("block", "localization.crack", "straight"),
     ("unknown key", "camera.fz", 600.0),
     ("unknown key", "localization.crack.colour", "grey"),
+    ("principal point", "camera.px", 1000.0),
+    ("principal point", "camera.py", -1.0),
 ]
 
 

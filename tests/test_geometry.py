@@ -117,18 +117,6 @@ class TestRigidTransform:
         with pytest.raises(ValueError):
             RigidTransform(reflect, np.zeros(3))
 
-    def test_dict_round_trip(self):
-        tf = RigidTransform(rotation_about_y(0.4), [1.0, -2.0, 3.0], Frame.LASER, Frame.ROBOT)
-        back = RigidTransform.from_dict(tf.to_dict())
-        np.testing.assert_allclose(back.rotation, tf.rotation, atol=1e-12)
-        np.testing.assert_allclose(back.translation, tf.translation, atol=1e-12)
-        assert back.source_frame == Frame.LASER
-        assert back.target_frame == Frame.ROBOT
-
-    def test_intrinsics_dict_round_trip(self):
-        k = CameraIntrinsics(fx=600.0, fy=598.0, px=319.5, py=241.0, image_width=640, image_height=480)
-        assert CameraIntrinsics.from_dict(k.to_dict()) == k
-
 
 class TestAxisRotations:
     def test_quarter_turns_map_unit_vectors(self):

@@ -19,23 +19,20 @@ from crackfill import (
     DepthImage,
     EmptyPath,
     Frame,
-    FileMaskSource,
     MaskImage,
     PixelCoord,
     ProviderUnavailable,
+    ScenarioConfig,
     Skeleton,
-    TruthMaskSource,
     Waypoint,
     binarize,
     extract_pixels,
     order_path,
     pixels_to_robot,
-    render_truth_mask,
-    segment,
     skeletonize,
 )
 from crackfill import io as cfio
-from conftest import camera_pose, make_rect_crack
+from conftest import camera_pose
 
 EIGHT = np.ones((3, 3), dtype=int)
 
@@ -241,25 +238,21 @@ class TestOrderPath:
 
 
 class TestMaskSources:
-    def test_truth_source_matches_renderer(self, intrinsics):
-        hf = make_rect_crack(width=8.0, depth=5.0)
-        pose = camera_pose(y=75.0)
-        source = TruthMaskSource(hf=hf, intrinsics=intrinsics, camera_pose=pose, threshold_mm=0.2)
-        direct = render_truth_mask(hf, intrinsics, pose, 0.2)
-        np.testing.assert_array_equal(segment(source).flags, direct.flags)
+    @staticmethod
+    def mask_from(path) -> MaskImage | None:
+        return ScenarioConfig.from_dict({"fill": {"mask_path": str(path)}}).build_mask()
 
     def test_file_source_round_trip(self, tmp_path):
         flags = np.zeros((12, 16), dtype=bool)
         flags[4:7, 2:14] = True
         path = tmp_path / "mask.pgm"
         cfio.write_mask_pgm(path, flags)
-        source = FileMaskSource(path=str(path))
-        np.testing.assert_array_equal(segment(source).flags, flags)
+        np.testing.assert_array_equal(self.mask_from(path).flags, flags)
+        assert ScenarioConfig.default().build_mask() is None
 
     def test_missing_file_raises_provider_unavailable(self, tmp_path):
-        source = FileMaskSource(path=str(tmp_path / "absent.pgm"))
         with pytest.raises(ProviderUnavailable):
-            source.provide()
+            self.mask_from(tmp_path / "absent.pgm")
 
     def test_binarize_threshold(self):
         img = np.array([[0, 127, 128, 255]])

@@ -275,6 +275,10 @@ class TestCalibrate:
             CalibrationModel((sample,), -5.0, 6.0, 20.0)
         with pytest.raises(ValueError):
             CalibrationModel((sample,), 900.0, 20.0, 6.0)
+        with pytest.raises(ValueError):
+            CalibrationModel((sample,), float("nan"), 6.0, 20.0)
+        with pytest.raises(ValueError):
+            CalibrationModel((sample,), 900.0, 6.0, float("inf"))
 
 
 class TestSpeedForArea:

@@ -31,13 +31,14 @@ from crackfill import (
     build_localization_report,
     edge_threshold_for,
     execute_fill,
+    experiment_modes,
     fill_error,
     localization_experiment,
     perceive,
     plan_fill,
     refine_waypoints,
+    run_experiment,
     run_fill,
-    table2_experiment,
     validate,
 )
 from crackfill import repair
@@ -388,7 +389,7 @@ class TestRunFill:
         scene = make_scene(self.tapered_crack(), camera_y=60.0, ny=1200)
         params = DepositionParams(flow_rate_mm3_s=946.0635673187572, purge_time_s=1.5)
         model = make_model()
-        reports = table2_experiment(scene, params, model, None, fixed_speeds=(6.0, 20.0))
+        reports = run_experiment(scene, experiment_modes((6.0, 20.0)), params, None, model)
         by_label = {r.mode.label(): r for r in reports}
         assert set(by_label) == {"6", "20", "adaptive"}
         assert by_label["6"].elapsed_s > by_label["adaptive"].elapsed_s > by_label["20"].elapsed_s
@@ -409,7 +410,7 @@ class TestRunFill:
         monkeypatch.setattr(repair, "survey", recording)
         scene = make_scene(self.tapered_crack(), camera_y=60.0, ny=1200)
         params = DepositionParams(flow_rate_mm3_s=946.0635673187572, purge_time_s=1.5)
-        reports = table2_experiment(scene, params, make_model(), None, fixed_speeds=(6.0, 20.0))
+        reports = run_experiment(scene, experiment_modes((6.0, 20.0)), params, None, make_model())
         assert len(reports) == 3 and len(seen) == 1
         surveyed, surface, waypoints = seen[0]
         assert surveyed.specimen.heights.tobytes() == surface

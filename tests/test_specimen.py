@@ -16,7 +16,7 @@ from crackfill import (
     generate_specimen,
     true_cross_section,
 )
-from crackfill.specimen import profile_value, profile_values
+from crackfill.specimen import profile_values
 from conftest import make_flat, make_rect_crack
 
 
@@ -31,7 +31,6 @@ class TestProfiles:
     def test_constant_profile(self):
         s = np.linspace(0, 10, 7)
         np.testing.assert_array_equal(profile_values(3.5, s), np.full(7, 3.5))
-        assert profile_value(3.5, 2.0) == 3.5
 
     def test_callable_profile(self):
         f = lambda s: 2.0 + 0.1 * s
