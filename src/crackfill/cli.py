@@ -116,7 +116,6 @@ def cmd_fill(cfg: ScenarioConfig, out: Path) -> int:
         cfg.build_noise(),
         model,
         cfg.build_mask(),
-        cfg.raw["calibration"]["interpolate"],
     )
     _write_fill_artifacts(out, artifacts)
     report = artifacts.report
@@ -128,16 +127,15 @@ def cmd_fill(cfg: ScenarioConfig, out: Path) -> int:
     return 0
 
 
-def cmd_experiment(cfg: ScenarioConfig, out: Path, parallel: int = 1) -> int:
+def cmd_experiment(cfg: ScenarioConfig, out: Path, parallel: int) -> int:
     speeds = sorted(float(v) for v in cfg.raw["experiment"]["fixed_speeds_mm_s"])
-    modes = experiment_modes(speeds)
+    modes = experiment_modes(speeds, cfg.raw["calibration"]["interpolate"])
     run = partial(
         run_experiment,
         cfg.build_scene(),
         params=cfg.build_deposition(),
         noise=cfg.build_noise(),
         model=cfg.build_calibration(),
-        interpolate=cfg.raw["calibration"]["interpolate"],
     )
     # Each worker surveys its own specimen for a contiguous chunk of modes:
     # shipping one survey from here would hold a specimen in this process too.
@@ -186,11 +184,11 @@ def cmd_scan(cfg: ScenarioConfig, out: Path) -> int:
     scene = cfg.build_scene()
     view = image_specimen(scene, scene.build_specimen(), cfg.build_mask())
     surveyed = survey(scene, view, cfg.build_noise())
-    perception, refinement = surveyed.perception, surveyed.refinement
+    refinement = surveyed.refinement
     io.ensure_dir(out)
-    io.write_depth_pgm(out / "depth.pgm", perception.depth)
-    io.write_mask_pgm(out / "mask.pgm", perception.mask.flags)
-    io.write_mask_pgm(out / "skeleton.pgm", perception.skeleton.flags)
+    io.write_depth_pgm(out / "depth.pgm", surveyed.perception.depth)
+    io.write_mask_pgm(out / "mask.pgm", view.mask.flags)
+    io.write_mask_pgm(out / "skeleton.pgm", view.skeleton.flags)
     _write_waypoints_csv(out / "waypoints.csv", refinement.waypoints)
     print(
         f"found {len(refinement.waypoints)} waypoints "

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import io
 from .errors import ConfigError, ProviderUnavailable
-from .geometry import CameraIntrinsics, Frame, Orientation, RigidTransform, rotation_about_z
+from .geometry import ROTATION_TOL, CameraIntrinsics, Frame, Orientation, RigidTransform, rotation_about_z
 from .perception import binarize
 from .profile import CalibrationModel, calibrate
 from .repair import FillMode, RepairScene, edge_threshold_for
@@ -74,6 +74,13 @@ def _rotation(v, path: str) -> None:
         RigidTransform(np.array(v, dtype=float).reshape(3, 3), np.zeros(3))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+
+
+def _rotation_about_z(v, path: str) -> None:
+    """A rotation that keeps the laser line level and the scanner looking straight down."""
+    _rotation(v, path)
+    if not np.allclose(v[6:], [0.0, 0.0, 1.0], atol=ROTATION_TOL, rtol=0.0):
+        raise ConfigError(f"{path} must be a rotation about z, got {v!r}")
 
 
 def _choice(*options: str) -> Callable:
@@ -185,7 +192,7 @@ SCHEMA: dict = {
     "laser": {
         "span_mm": Field(40.0, _positive),
         "standoff_mm": Field(310.0, _positive),
-        "mount_rotation": Field([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], _rotation),
+        "mount_rotation": Field([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], _rotation_about_z),
         "mount_translation_mm": Field([0.0, 0.0, 0.0], _vector(3)),
     },
     "noise": {
@@ -404,7 +411,7 @@ class ScenarioConfig:
     def build_mode(self) -> FillMode:
         fill = self.raw["fill"]
         if fill["mode"] == "adaptive":
-            return FillMode.adaptive()
+            return FillMode.adaptive(self.raw["calibration"]["interpolate"])
         return FillMode.fixed(fill["fixed_speed_mm_s"])
 
     def build_mask(self) -> MaskImage | None:

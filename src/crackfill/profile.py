@@ -23,12 +23,12 @@ logger = logging.getLogger(__name__)
 
 # Flat-profile rejection must survive sensor noise: first differences of
 # iid Gaussian samples have sigma*sqrt(2), and the expected maximum over
-# ~1000 samples stays below 6 sigma. Default matches the default laser
-# noise of 0.02 mm.
+# ~1000 samples stays below 6 sigma.
 EDGE_THRESHOLD_SIGMA_FACTOR = 6.0
-DEFAULT_EDGE_THRESHOLD_MM = 0.12
-DEFAULT_MIN_SEPARATION = 5
-DEFAULT_BASELINE_MARGIN = 10
+# Fewest samples between the two walls of a crack.
+MIN_SEPARATION = 5
+# Samples beside the edge window that the baseline leaves out.
+BASELINE_MARGIN = 10
 
 # A ramp (sloped wall) spreads one edge over many samples of nearly
 # equal first difference; treat everything within this fraction of the
@@ -118,14 +118,10 @@ def _plateau_end(d: np.ndarray, index: int, direction: int) -> int:
     return j
 
 
-def detect_edges(
-    profile: LaserProfile,
-    edge_threshold_mm: float = DEFAULT_EDGE_THRESHOLD_MM,
-    min_separation: int = DEFAULT_MIN_SEPARATION,
-) -> tuple[int, int]:
+def detect_edges(profile: LaserProfile, edge_threshold_mm: float) -> tuple[int, int]:
     """Locate the two crack walls as opposite-signed first-difference extrema.
 
-    The second wall must lie at least min_separation samples from the
+    The second wall must lie at least MIN_SEPARATION samples from the
     first and have the opposite sign. Each wall's index is pushed to
     the outer end of its near-equal run so that sloped walls (ramps)
     resolve to the foot of the ramp rather than an arbitrary sample on
@@ -138,7 +134,7 @@ def detect_edges(
     if not np.isfinite(mag[first]) or mag[first] <= edge_threshold_mm:
         raise NoEdges("no first-difference excursion above threshold")
     idx = np.arange(len(d))
-    opposite = pair_valid & (np.sign(d) == -np.sign(d[first])) & (np.abs(idx - first) >= min_separation)
+    opposite = pair_valid & (np.sign(d) == -np.sign(d[first])) & (np.abs(idx - first) >= MIN_SEPARATION)
     if not opposite.any():
         raise NoEdges("no opposite-signed wall at sufficient separation")
     mag2 = np.where(opposite, np.abs(d), -np.inf)
@@ -152,20 +148,15 @@ def detect_edges(
     return left, right
 
 
-def window_area(
-    profile: LaserProfile,
-    left: int,
-    right: int,
-    baseline_margin: int = DEFAULT_BASELINE_MARGIN,
-) -> tuple[float, float]:
+def window_area(profile: LaserProfile, left: int, right: int) -> tuple[float, float]:
     """Baseline and unsigned deviation area of the window [left, right].
 
     The baseline is the median valid height outside the window padded by
-    baseline_margin samples, or of every valid sample when none lies
+    BASELINE_MARGIN samples, or of every valid sample when none lies
     outside.
     """
     idx = np.arange(profile.n_points)
-    outside = ((idx < left - baseline_margin) | (idx > right + baseline_margin)) & profile.valid
+    outside = ((idx < left - BASELINE_MARGIN) | (idx > right + BASELINE_MARGIN)) & profile.valid
     if outside.any():
         baseline = float(np.median(profile.z[outside]))
     else:
@@ -175,20 +166,15 @@ def window_area(
     return baseline, float(np.sum(np.abs(window - baseline)) * profile.pitch)
 
 
-def measure(
-    profile: LaserProfile,
-    edge_threshold_mm: float = DEFAULT_EDGE_THRESHOLD_MM,
-    min_separation: int = DEFAULT_MIN_SEPARATION,
-    baseline_margin: int = DEFAULT_BASELINE_MARGIN,
-) -> ProfileFeatures:
+def measure(profile: LaserProfile, edge_threshold_mm: float) -> ProfileFeatures:
     """Measure the crack cross-section bounded by the detected edges.
 
     The baseline is the median height outside the edge window padded by
-    baseline_margin samples; the area integrates unsigned deviation
+    BASELINE_MARGIN samples; the area integrates unsigned deviation
     from it, so troughs and beads (and mixtures) measure alike.
     """
-    left, right = detect_edges(profile, edge_threshold_mm, min_separation)
-    baseline, area = window_area(profile, left, right, baseline_margin)
+    left, right = detect_edges(profile, edge_threshold_mm)
+    baseline, area = window_area(profile, left, right)
     centre = (left + right) // 2
     return ProfileFeatures(
         left_index=left,
@@ -202,11 +188,7 @@ def measure(
     )
 
 
-def calibrate(
-    strip_scans: list[tuple[float, list[LaserProfile]]],
-    edge_threshold_mm: float = DEFAULT_EDGE_THRESHOLD_MM,
-    min_separation: int = DEFAULT_MIN_SEPARATION,
-) -> CalibrationModel:
+def calibrate(strip_scans: list[tuple[float, list[LaserProfile]]], edge_threshold_mm: float) -> CalibrationModel:
     """Fit the extrusion model A(v) = Q / v from strip-print scans.
 
     Per speed the area is averaged over that strip's profiles; the flow
@@ -224,7 +206,7 @@ def calibrate(
         profiles = by_speed[speed]
         if len(profiles) < 2:
             raise InsufficientSamples(f"speed {speed} mm/s has {len(profiles)} profiles, needs >= 2")
-        areas = np.array([measure(p, edge_threshold_mm, min_separation).area_mm2 for p in profiles])
+        areas = np.array([measure(p, edge_threshold_mm).area_mm2 for p in profiles])
         samples.append(CalibrationSample(speed, float(areas.mean()), float(areas.std(ddof=1))))
     means = np.array([s.area_mm2 for s in samples])
     if np.any(np.diff(means) >= 0):
@@ -241,10 +223,13 @@ def speed_for_area(model: CalibrationModel, area_mm2: float, interpolate: bool =
     By default the fitted constant-flow model v = Q / A is inverted.
     With interpolate=True the per-speed sample means are interpolated
     piecewise-linearly in inverse speed instead, which tracks pumps
-    whose flow rate drifts with speed.
+    whose flow rate drifts with speed; that needs at least two samples,
+    or InsufficientSamples is raised.
     """
     if area_mm2 < 0:
         raise ValueError(f"area must be non-negative, got {area_mm2}")
+    if interpolate and len(model.samples) < 2:
+        raise InsufficientSamples(f"interpolated speeds need >= 2 calibration samples, got {len(model.samples)}")
     if area_mm2 == 0:
         return model.v_max
     if interpolate:

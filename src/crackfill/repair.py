@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +40,6 @@ from .perception import (
     skeletonize,
 )
 from .profile import (
-    DEFAULT_MIN_SEPARATION,
     CalibrationModel,
     EDGE_THRESHOLD_SIGMA_FACTOR,
     ProfileFeatures,
@@ -67,9 +66,9 @@ DEFAULT_AREA_FLOOR_MM2 = 1.0
 DEFAULT_SCAN_SPAN_MM = 40.0
 
 
-def edge_threshold_for(noise: SensorNoise | None) -> float:
+def edge_threshold_for(noise: SensorNoise) -> float:
     """Edge rejection threshold adapted to the configured laser noise."""
-    if noise is None or noise.laser_sigma_mm <= 0:
+    if noise.laser_sigma_mm <= 0:
         return 1e-9
     return EDGE_THRESHOLD_SIGMA_FACTOR * noise.laser_sigma_mm
 
@@ -85,6 +84,8 @@ class ScanStation:
 
     id, the index among refinement survivors in perception order, keys the
     rescan noise and names the station in reports, whatever the fill order.
+    The scan line runs along the laser mount's x axis for a horizontal crack
+    and its y axis for a vertical one, as laser_correction maps the offset.
     """
 
     x_mm: float
@@ -94,10 +95,12 @@ class ScanStation:
     span_mm: float
     standoff_mm: float
     id: int
+    mount_rotation: np.ndarray = field(default_factory=lambda: np.eye(3), compare=False)
 
     def pose(self) -> RigidTransform:
-        rotation = np.eye(3) if self.orientation == Orientation.HORIZONTAL else rotation_about_z(math.pi / 2)
-        return RigidTransform(rotation, np.array([self.x_mm, self.y_mm, self.scanner_z_mm]), Frame.LASER, Frame.ROBOT)
+        turn = np.eye(3) if self.orientation == Orientation.HORIZONTAL else rotation_about_z(math.pi / 2)
+        position = np.array([self.x_mm, self.y_mm, self.scanner_z_mm])
+        return RigidTransform(self.mount_rotation @ turn, position, Frame.LASER, Frame.ROBOT)
 
 
 @dataclass(frozen=True)
@@ -115,20 +118,27 @@ class RefinementResult:
 
 @dataclass(frozen=True)
 class FillMode:
-    """Speed policy for a fill: calibrated-adaptive or constant."""
+    """Speed policy for a fill: calibrated-adaptive or constant.
+
+    An adaptive mode with interpolate set reads speeds off the calibration
+    samples instead of the fitted flow (see speed_for_area).
+    """
 
     kind: str
     fixed_speed_mm_s: float | None = None
+    interpolate: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in ("adaptive", "fixed"):
             raise ValueError(f"unknown fill mode {self.kind!r}")
         if self.kind == "fixed" and (self.fixed_speed_mm_s is None or self.fixed_speed_mm_s <= 0):
             raise ValueError("fixed mode needs a positive speed")
+        if self.kind == "fixed" and self.interpolate:
+            raise ValueError("only adaptive mode interpolates")
 
     @staticmethod
-    def adaptive() -> "FillMode":
-        return FillMode(kind="adaptive")
+    def adaptive(interpolate: bool = False) -> "FillMode":
+        return FillMode(kind="adaptive", interpolate=interpolate)
 
     @staticmethod
     def fixed(speed_mm_s: float) -> "FillMode":
@@ -300,9 +310,9 @@ class SpecimenView:
 
 @dataclass(frozen=True)
 class PerceptionResult:
+    """One scan's noisy depth and its waypoints; mask and skeleton are the view's."""
+
     depth: DepthImage
-    mask: MaskImage
-    skeleton: Skeleton
     waypoints: tuple[Waypoint, ...]
 
 
@@ -335,7 +345,7 @@ def image_specimen(scene: RepairScene, specimen: Heightfield, mask: MaskImage | 
     )
 
 
-def perceive_view(scene: RepairScene, view: SpecimenView, noise: SensorNoise | None) -> PerceptionResult:
+def perceive_view(scene: RepairScene, view: SpecimenView, noise: SensorNoise) -> PerceptionResult:
     """One RGB-D localization scan of an imaged specimen.
 
     The scan reads the view's depth with fresh noise, extracts skeleton
@@ -346,15 +356,13 @@ def perceive_view(scene: RepairScene, view: SpecimenView, noise: SensorNoise | N
     depth = add_depth_noise(view.depth, noise)
     pixels = extract_pixels(view.skeleton, depth, scene.min_spacing_px)
     pose_used = scene.camera_pose
-    if noise is not None and noise.extrinsic_bias is not None:
+    if noise.extrinsic_bias is not None:
         pose_used = compose(noise.extrinsic_bias, scene.camera_pose)
     waypoints = pixels_to_robot(pixels, scene.intrinsics, pose_used)
-    return PerceptionResult(depth=depth, mask=view.mask, skeleton=view.skeleton, waypoints=tuple(order_path(waypoints)))
+    return PerceptionResult(depth=depth, waypoints=tuple(order_path(waypoints)))
 
 
-def perceive(
-    scene: RepairScene, hf: Heightfield, noise: SensorNoise | None, mask: MaskImage | None = None
-) -> PerceptionResult:
+def perceive(scene: RepairScene, hf: Heightfield, noise: SensorNoise, mask: MaskImage | None = None) -> PerceptionResult:
     """Run the RGB-D localization chain once on the current surface."""
     return perceive_view(scene, image_specimen(scene, hf, mask), noise)
 
@@ -367,15 +375,15 @@ def refine_waypoints(
     orientation: Orientation,
     span_mm: float = DEFAULT_SCAN_SPAN_MM,
     standoff_mm: float = SCANNER_STANDOFF_MM,
-    noise: SensorNoise | None = None,
-    min_separation: int = DEFAULT_MIN_SEPARATION,
+    noise: SensorNoise,
 ) -> RefinementResult:
     """Correct each waypoint with a laser line scan across the crack.
 
     The scanner parks above each RGB-D-derived point, profiles the
-    crack, and the measured centre offsets (lateral and height) are
-    mapped through the laser mount into a robot-frame correction added
-    to a new copy of the waypoint. Waypoints whose scan shows no crack are
+    crack along the line the mount rotation gives, and the measured
+    centre offsets (lateral and height) are mapped through the laser
+    mount into a robot-frame correction added to a new copy of the
+    waypoint. Waypoints whose scan shows no crack are
     dropped with a warning; if none survive AllPointsDropped is raised.
     Survivors are in travel order, features and stations permuted alike.
     """
@@ -391,11 +399,12 @@ def refine_waypoints(
             span_mm=span_mm,
             standoff_mm=standoff_mm,
             id=len(survivors),
+            mount_rotation=laser_mount.rotation,
         )
-        scan_noise = noise.derive(NOISE_STREAMS["refine"], i) if noise is not None else None
+        scan_noise = noise.derive(NOISE_STREAMS["refine"], i)
         prof = scan_profile(hf, station.pose(), span_mm, scan_noise, standoff_mm=standoff_mm)
         try:
-            feats = measure(prof, threshold, min_separation)
+            feats = measure(prof, threshold)
         except NoEdges:
             logger.warning("waypoint %d: no crack under the laser, dropping", i)
             continue
@@ -425,12 +434,7 @@ def refine_waypoints(
     )
 
 
-def plan_fill(
-    waypoints: list[Waypoint],
-    mode: FillMode,
-    model: CalibrationModel | None = None,
-    interpolate: bool = False,
-) -> FillPlan:
+def plan_fill(waypoints: list[Waypoint], mode: FillMode, model: CalibrationModel | None = None) -> FillPlan:
     """Order the waypoints and assign a travel speed to each segment.
 
     Adaptive mode converts each waypoint's measured area to a speed via
@@ -447,7 +451,7 @@ def plan_fill(
                 raise ValueError("adaptive fill planning requires a calibration model")
             if wp.area_mm2 is None:
                 raise ValueError("adaptive fill planning requires laser-measured areas; run refine_waypoints first")
-            speed = speed_for_area(model, wp.area_mm2, interpolate)
+            speed = speed_for_area(model, wp.area_mm2, mode.interpolate)
         else:
             speed = float(mode.fixed_speed_mm_s)
         planned.append(replace(wp, speed_mm_s=speed))
@@ -487,11 +491,10 @@ def validate(
     hf_filled: Heightfield,
     *,
     speeds: Sequence[float],
-    noise: SensorNoise | None,
+    noise: SensorNoise,
     elapsed_s: float,
     mode: FillMode,
     area_floor_mm2: float = DEFAULT_AREA_FLOOR_MM2,
-    min_separation: int = DEFAULT_MIN_SEPARATION,
 ) -> FillReport:
     """Rescan every pre-fill station and score the fill.
 
@@ -507,10 +510,10 @@ def validate(
     records: list[StationRecord] = []
     errors: list[float] = []
     for station, pre, speed in zip(stations, pre_features, speeds, strict=True):
-        scan_noise = noise.derive(NOISE_STREAMS["validate"], station.id) if noise is not None else None
+        scan_noise = noise.derive(NOISE_STREAMS["validate"], station.id)
         prof = scan_profile(hf_filled, station.pose(), station.span_mm, scan_noise, standoff_mm=station.standoff_mm)
         try:
-            post = measure(prof, threshold, min_separation)
+            post = measure(prof, threshold)
             area_post = post.area_mm2
         except NoEdges:
             _, area_post = window_area(prof, pre.left_index, pre.right_index)
@@ -555,7 +558,7 @@ class Survey:
     """
 
     scene: RepairScene
-    noise: SensorNoise | None
+    noise: SensorNoise
     view: SpecimenView
     perception: PerceptionResult
     refinement: RefinementResult
@@ -565,7 +568,7 @@ class Survey:
         return self.view.specimen
 
 
-def survey(scene: RepairScene, view: SpecimenView, noise: SensorNoise | None) -> Survey:
+def survey(scene: RepairScene, view: SpecimenView, noise: SensorNoise) -> Survey:
     """Localize the crack in one scan of the imaged specimen and refine it with the laser."""
     perception = perceive_view(scene, view, noise)
     refinement = refine_waypoints(
@@ -600,12 +603,11 @@ def repair(
     mode: FillMode,
     params: DepositionParams,
     model: CalibrationModel | None = None,
-    interpolate: bool = False,
 ) -> FillRunArtifacts:
     """Fill a copy of the surveyed specimen under one speed policy and rescan it."""
     hf = survey.specimen.copy()
     refinement = survey.refinement
-    plan = plan_fill(refinement.waypoints, mode, model, interpolate)
+    plan = plan_fill(refinement.waypoints, mode, model)
     execution = execute_fill(hf, plan, params)
     report = validate(
         refinement.stations,
@@ -624,34 +626,32 @@ def run_fill(
     scene: RepairScene,
     mode: FillMode,
     params: DepositionParams,
-    noise: SensorNoise | None,
+    noise: SensorNoise,
     model: CalibrationModel | None = None,
     mask: MaskImage | None = None,
-    interpolate: bool = False,
 ) -> FillRunArtifacts:
     """Run the complete repair pipeline once on a fresh specimen."""
     view = image_specimen(scene, scene.build_specimen(), mask)
-    return repair(survey(scene, view, noise), mode, params, model, interpolate)
+    return repair(survey(scene, view, noise), mode, params, model)
 
 
-def experiment_modes(fixed_speeds: Sequence[float]) -> list[FillMode]:
+def experiment_modes(fixed_speeds: Sequence[float], interpolate: bool = False) -> list[FillMode]:
     """The experiment's fill modes: each fixed speed in turn, then adaptive."""
-    return [FillMode.fixed(v) for v in fixed_speeds] + [FillMode.adaptive()]
+    return [FillMode.fixed(v) for v in fixed_speeds] + [FillMode.adaptive(interpolate)]
 
 
 def run_experiment(
     scene: RepairScene,
     modes: Sequence[FillMode],
     params: DepositionParams,
-    noise: SensorNoise | None,
+    noise: SensorNoise,
     model: CalibrationModel,
-    interpolate: bool = False,
 ) -> list[FillReport]:
     """Survey one fresh specimen, then repair a copy of it under each mode."""
     surveyed = survey(scene, image_specimen(scene, scene.build_specimen()), noise)
     reports = []
     for mode in modes:
-        report = repair(surveyed, mode, params, model, interpolate).report
+        report = repair(surveyed, mode, params, model).report
         reports.append(report)
         logger.info("fill mode %s: mean error %.3f, elapsed %.1f s", mode.label(), report.mean_fill_error, report.elapsed_s)
     return reports
@@ -705,11 +705,7 @@ def build_localization_report(
     )
 
 
-def localization_experiment(
-    scene: RepairScene,
-    noise: SensorNoise | None,
-    n_scans: int = 10,
-) -> LocalizationReport:
+def localization_experiment(scene: RepairScene, noise: SensorNoise, n_scans: int) -> LocalizationReport:
     """Repeatedly localize the same crack and compare RGB-D against laser.
 
     The specimen is imaged once; each scan reads that view with fresh
@@ -723,8 +719,7 @@ def localization_experiment(
     pairs: list[tuple[Point3, Point3]] = []
     lateral: list[float] = []
     for s in range(n_scans):
-        scan_noise = noise.derive(NOISE_STREAMS["localize_scans"], s) if noise is not None else None
-        for wp in survey(scene, view, scan_noise).refinement.waypoints:
+        for wp in survey(scene, view, noise.derive(NOISE_STREAMS["localize_scans"], s)).refinement.waypoints:
             pairs.append((wp.robot_pt, wp.refined_robot_pt))
             lateral.append(_distance_to_centreline(scene.crack.path, wp.refined_robot_pt.x, wp.refined_robot_pt.y))
     return build_localization_report(pairs, lateral)

@@ -118,8 +118,9 @@ class SensorNoise:
         return dataclasses.replace(self, seed=child)
 
     @staticmethod
-    def noiseless(seed: int = 0) -> "SensorNoise":
-        return SensorNoise(depth_sigma_fraction=0.0, laser_sigma_mm=0.0, extrinsic_bias=None, seed=seed)
+    def noiseless() -> "SensorNoise":
+        """Exact sensors and hand-eye calibration: the only "no noise" value."""
+        return SensorNoise(depth_sigma_fraction=0.0, laser_sigma_mm=0.0)
 
 
 def _raycast(hf: Heightfield, k: CameraIntrinsics, camera_pose: RigidTransform):
@@ -185,13 +186,13 @@ def render_view(
     return depth, MaskImage(flags=_truth_flags(hf, x, y, valid, threshold_mm))
 
 
-def add_depth_noise(depth: DepthImage, noise: SensorNoise | None) -> DepthImage:
+def add_depth_noise(depth: DepthImage, noise: SensorNoise) -> DepthImage:
     """One noisy reading of a noise-free depth image.
 
     Each valid pixel gets Gaussian jitter with sigma proportional to its
     depth; without depth noise the image is returned as it is.
     """
-    if noise is None or noise.depth_sigma_fraction <= 0:
+    if noise.depth_sigma_fraction <= 0:
         return depth
     rng = noise.generator(0)
     jitter = rng.normal(0.0, 1.0, size=depth.depth_mm.shape) * depth.depth_mm * noise.depth_sigma_fraction
@@ -202,7 +203,7 @@ def render_depth(
     hf: Heightfield,
     k: CameraIntrinsics,
     camera_pose: RigidTransform,
-    noise: SensorNoise | None = None,
+    noise: SensorNoise = SensorNoise.noiseless(),
 ) -> DepthImage:
     """Render the depth camera view of the specimen.
 
@@ -230,11 +231,10 @@ def scan_profile(
     hf: Heightfield,
     laser_pose: RigidTransform,
     span_mm: float,
-    noise: SensorNoise | None = None,
-    n_points: int = SCANNER_POINTS,
+    noise: SensorNoise = SensorNoise.noiseless(),
     standoff_mm: float = SCANNER_STANDOFF_MM,
 ) -> LaserProfile:
-    """Sample one laser line across the surface.
+    """Sample SCANNER_POINTS points of one laser line across the surface.
 
     The line runs along the laser frame's x axis, centred on the
     scanner origin; the scanner measures straight down. z is reported
@@ -244,9 +244,7 @@ def scan_profile(
     """
     if span_mm <= 0:
         raise ValueError(f"span must be positive, got {span_mm}")
-    if n_points < 2:
-        raise ValueError("a profile needs at least 2 points")
-    lateral = np.linspace(-span_mm / 2.0, span_mm / 2.0, n_points)
+    lateral = np.linspace(-span_mm / 2.0, span_mm / 2.0, SCANNER_POINTS)
     direction = laser_pose.rotation[:, 0]
     if abs(direction[2]) > 1e-9:
         raise ValueError("laser line must be horizontal (x axis of the laser frame parallel to the surface)")
@@ -259,7 +257,7 @@ def scan_profile(
     distance = oz - h
     valid = (distance >= SCANNER_RANGE_MM[0]) & (distance <= SCANNER_RANGE_MM[1])
     z = h - (oz - standoff_mm)
-    if noise is not None and noise.laser_sigma_mm > 0:
+    if noise.laser_sigma_mm > 0:
         rng = noise.generator(1)
         z = z + rng.normal(0.0, noise.laser_sigma_mm, size=z.shape)
     return LaserProfile(x=lateral, z=z, valid=valid)

@@ -345,10 +345,8 @@ def deposit(
     dom = 0 if abs(p1[0] - p0[0]) >= abs(p1[1] - p0[1]) else 1
     if dom == 0:
         i_from, i_to = int(hf.ix_of(p0[0])), int(hf.ix_of(p1[0]))
-        n_lines = hf.ny
     else:
         i_from, i_to = int(hf.iy_of(p0[1])), int(hf.iy_of(p1[1]))
-        n_lines = hf.nx
     step = 1 if i_to >= i_from else -1
     stations = list(range(i_from, i_to + step, step))
     if not include_end and len(stations) > 1:

@@ -318,6 +318,10 @@ def test_experiment_determinism(tmp_path):
 # default seed. Recorded before perception was split from repair (one survey
 # shared by every fill mode); any change to these bytes must be deliberate.
 ARTIFACT_DIGESTS = {
+    ("calibrate",): {
+        "calibration.json": "d934ea59e158254005b72baa0dc253f435336a0e2aab68c5fbca9e2b7de6299f",
+        "calibration_areas.csv": "5f7e9386ac78958bee5c9e1ec25352985dbb8278f1c09538d70431dbd0c26c99",
+    },
     ("scan",): {
         "depth.pgm": "6820aee80834add3ec14923d0ff7ca7a400b93e57c98cf3857d638d909962a34",
         "mask.pgm": "31d1f0c27c1263c9f64e21e8ba9f269c5773ddd5e6a852a73d80cd8846ffd3af",

@@ -260,11 +260,10 @@ class TestExperiment:
         scenario = ScenarioConfig.from_dict(data)
         reports = run_experiment(
             scenario.build_scene(),
-            experiment_modes((6.0, 20.0)),
+            experiment_modes((6.0, 20.0), interpolate=True),
             scenario.build_deposition(),
             scenario.build_noise(),
             scenario.build_calibration(),
-            interpolate=True,
         )
         library = [
             [cfio.fmt(r.mean_fill_error), cfio.fmt(r.std_fill_error), cfio.fmt(r.median_fill_error), cfio.fmt(r.elapsed_s)]
@@ -350,6 +349,18 @@ class TestConfigErrors:
         assert cli.main(["--config", cfg, "--out", str(tmp_path / "o"), "fill"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: calibration file {model}:") and "Traceback" not in err
+
+
+    def test_interpolating_a_sample_free_model(self, tmp_path, capsys):
+        """A Q-only calibration file has no samples to interpolate between."""
+        model = tmp_path / "calibration.json"
+        model.write_text('{"samples": [], "Q": 900.0, "v_min": 6.0, "v_max": 20.0}')
+        data = compact_config()
+        data["calibration"].update(source="file", path=str(model), interpolate=True)
+        cfg = write_config(tmp_path, data)
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "o"), "fill"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "calibration samples" in err and "Traceback" not in err
 
 
 class TestBadMaskFiles:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from crackfill import ScenarioConfig, cli
+from crackfill import ScenarioConfig, cli, rotation_about_y
 from crackfill.config import SCHEMA, Field
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -48,6 +48,8 @@ REJECTED = [
     ("vector length", "localization.camera_bias_mm", [1.0, 0.0, math.nan]),
     ("rotation", "camera.rotation", [2, 0, 0, 0, 1, 0, 0, 0, 1]),
     ("rotation", "laser.mount_rotation", [1, 0, 0, 0, 1, 0, 0, 0, -1]),
+    # 0.1 rad about y: the laser line would leave the surface plane
+    ("rotation about z", "laser.mount_rotation", rotation_about_y(0.1).reshape(-1).tolist()),
     ("choice", "fill.mode", "slow"),
     ("choice", "calibration.source", "pump"),
     ("choice", "crack.orientation", "diagonal"),

@@ -21,8 +21,10 @@ from crackfill import (
     NoEdges,
     NonMonotonicCalibration,
     ProfileFeatures,
+    SensorNoise,
     calibrate,
     detect_edges,
+    edge_threshold_for,
     measure,
     speed_for_area,
 )
@@ -79,7 +81,7 @@ class TestDetectEdges:
         x = np.linspace(-20.0, 20.0, 256)
         prof = LaserProfile(x=x, z=np.zeros(256), valid=np.ones(256, dtype=bool))
         with pytest.raises(NoEdges):
-            detect_edges(prof)
+            detect_edges(prof, edge_threshold_for(SensorNoise()))
 
     def test_subthreshold_trough_raises(self):
         prof = trough(width=10.0, depth=0.05)
@@ -101,13 +103,13 @@ class TestDetectEdges:
 
     def test_min_separation_excludes_adjacent_spike(self):
         """A one-sample spike has its two walls one sample apart, closer
-        than min_separation, so it must not count as a crack."""
+        than MIN_SEPARATION, so it must not count as a crack."""
         x = np.linspace(-20.0, 20.0, 256)
         z = np.zeros(256)
         z[100] = -2.0
         prof = LaserProfile(x=x, z=z, valid=np.ones(256, dtype=bool))
         with pytest.raises(NoEdges):
-            detect_edges(prof, edge_threshold_mm=1e-6, min_separation=5)
+            detect_edges(prof, edge_threshold_mm=1e-6)
 
 
 class TestMeasure:
@@ -315,6 +317,12 @@ class TestSpeedForArea:
     def test_interpolation_hits_sample_speeds_exactly(self, model):
         for speed, area in STRIP_AREAS.items():
             assert speed_for_area(model, area, interpolate=True) == pytest.approx(speed, rel=1e-12)
+
+    def test_interpolation_needs_two_samples(self, model):
+        q_only = CalibrationModel((), model.flow_rate_mm3_s, model.v_min, model.v_max)
+        with pytest.raises(InsufficientSamples):
+            speed_for_area(q_only, 50.0, interpolate=True)
+        assert speed_for_area(q_only, 50.0) == pytest.approx(model.flow_rate_mm3_s / 50.0)
 
     def test_interpolation_clamps_and_stays_monotone(self, model):
         assert speed_for_area(model, 1000.0, interpolate=True) == 6.0

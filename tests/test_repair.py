@@ -26,6 +26,7 @@ from crackfill import (
     RepairScene,
     RigidTransform,
     ScanStation,
+    ScenarioConfig,
     SensorNoise,
     Waypoint,
     build_localization_report,
@@ -86,7 +87,6 @@ def straight_crack() -> CrackSpec:
 
 class TestSmallHelpers:
     def test_edge_threshold_tracks_laser_sigma(self):
-        assert edge_threshold_for(None) == 1e-9
         assert edge_threshold_for(SensorNoise.noiseless()) == 1e-9
         assert edge_threshold_for(SensorNoise(laser_sigma_mm=0.02)) == pytest.approx(0.12)
 
@@ -105,6 +105,11 @@ class TestSmallHelpers:
             FillMode(kind="fixed")
         with pytest.raises(ValueError):
             FillMode.fixed(0.0)
+        assert FillMode.adaptive(interpolate=True).interpolate
+        assert FillMode.adaptive(interpolate=True).label() == "adaptive"
+        assert not FillMode.adaptive().interpolate
+        with pytest.raises(ValueError):
+            FillMode(kind="fixed", fixed_speed_mm_s=10.0, interpolate=True)
 
     def test_scan_station_pose(self):
         horiz = ScanStation(1.0, 2.0, 300.0, Orientation.HORIZONTAL, 40.0, 310.0, 0).pose()
@@ -113,6 +118,12 @@ class TestSmallHelpers:
         assert horiz.source_frame == Frame.LASER and horiz.target_frame == Frame.ROBOT
         vert = ScanStation(0.0, 0.0, 300.0, Orientation.VERTICAL, 40.0, 310.0, 0).pose()
         np.testing.assert_allclose(vert.rotation, rotation_about_z(np.pi / 2.0), atol=1e-12)
+        # the scan line turns with the laser mount
+        mount = rotation_about_z(0.2)
+        turned = ScanStation(0.0, 0.0, 300.0, Orientation.HORIZONTAL, 40.0, 310.0, 0, mount).pose()
+        np.testing.assert_array_equal(turned.rotation, mount)
+        turned = ScanStation(0.0, 0.0, 300.0, Orientation.VERTICAL, 40.0, 310.0, 0, mount).pose()
+        np.testing.assert_allclose(turned.rotation, rotation_about_z(0.2 + np.pi / 2.0), atol=1e-12)
 
     def test_distance_to_centreline(self):
         path = [(0.0, 10.0), (0.0, 140.0)]
@@ -127,7 +138,7 @@ class TestPerceive:
     def test_noiseless_waypoints_sit_on_centreline(self):
         scene = make_scene(straight_crack())
         hf = scene.build_specimen()
-        result = perceive(scene, hf, None)
+        result = perceive(scene, hf, SensorNoise.noiseless())
         assert len(result.waypoints) >= 10
         ys = [wp.robot_pt.y for wp in result.waypoints]
         assert ys == sorted(ys)
@@ -141,7 +152,7 @@ class TestPerceive:
         scene = make_scene(None)
         hf = scene.build_specimen()
         with pytest.raises(EmptyPath):
-            perceive(scene, hf, None)
+            perceive(scene, hf, SensorNoise.noiseless())
 
 
 class TestRefineWaypoints:
@@ -156,7 +167,7 @@ class TestRefineWaypoints:
             hf,
             laser_mount=scene.laser_mount,
             orientation=Orientation.HORIZONTAL,
-            noise=None,
+            noise=SensorNoise.noiseless(),
         )
         assert result.dropped == 0
         for wp in result.waypoints:
@@ -169,7 +180,7 @@ class TestRefineWaypoints:
         hf = scene.build_specimen()
         waypoints = [make_waypoint(0.0, y, -5.0) for y in (40.0, 75.0, 110.0)]
         result = refine_waypoints(
-            waypoints, hf, laser_mount=scene.laser_mount, orientation=Orientation.HORIZONTAL, noise=None
+            waypoints, hf, laser_mount=scene.laser_mount, orientation=Orientation.HORIZONTAL, noise=SensorNoise.noiseless()
         )
         for wp in result.waypoints:
             assert abs(wp.refined_robot_pt.x - wp.robot_pt.x) <= 2.0 * PITCH_40MM
@@ -183,7 +194,7 @@ class TestRefineWaypoints:
         mount = RigidTransform(np.eye(3), [5.0, 0.0, 2.0], Frame.LASER, Frame.ROBOT)
         waypoints = [make_waypoint(0.0, y, -5.0) for y in (40.0, 75.0, 110.0)]
         result = refine_waypoints(
-            waypoints, hf, laser_mount=mount, orientation=Orientation.HORIZONTAL, noise=None
+            waypoints, hf, laser_mount=mount, orientation=Orientation.HORIZONTAL, noise=SensorNoise.noiseless()
         )
         for wp in result.waypoints:
             assert abs(wp.refined_robot_pt.x) <= 2.5 * PITCH_40MM
@@ -195,7 +206,7 @@ class TestRefineWaypoints:
         waypoints = [make_waypoint(0.0, 75.0, -5.0), make_waypoint(0.0, 145.0, 0.0)]
         with caplog.at_level("WARNING", logger="crackfill.repair"):
             result = refine_waypoints(
-                waypoints, hf, laser_mount=scene.laser_mount, orientation=Orientation.HORIZONTAL, noise=None
+                waypoints, hf, laser_mount=scene.laser_mount, orientation=Orientation.HORIZONTAL, noise=SensorNoise.noiseless()
             )
         assert result.dropped == 1
         assert len(result.waypoints) == 1
@@ -208,7 +219,7 @@ class TestRefineWaypoints:
         hf = scene.build_specimen()
         waypoints = [make_waypoint(1.0, y, -5.0) for y in (110.0, 75.0, 40.0)]
         result = refine_waypoints(
-            waypoints, hf, laser_mount=scene.laser_mount, orientation=Orientation.HORIZONTAL, noise=None
+            waypoints, hf, laser_mount=scene.laser_mount, orientation=Orientation.HORIZONTAL, noise=SensorNoise.noiseless()
         )
         assert [wp.robot_pt.y for wp in result.waypoints] == [40.0, 75.0, 110.0]
         assert [st.id for st in result.stations] == [2, 1, 0]
@@ -224,7 +235,7 @@ class TestRefineWaypoints:
                 hf,
                 laser_mount=RigidTransform.identity(Frame.LASER, Frame.ROBOT),
                 orientation=Orientation.HORIZONTAL,
-                noise=None,
+                noise=SensorNoise.noiseless(),
             )
 
 
@@ -249,6 +260,14 @@ class TestPlanFill:
         plan = plan_fill(wps, FillMode.adaptive(), model)
         assert plan.waypoints[0].speed_mm_s == pytest.approx(10.0, rel=1e-12)
         assert plan.waypoints[1].speed_mm_s == pytest.approx(8.0, rel=1e-12)
+
+    def test_interpolating_mode_reads_the_samples(self):
+        """An interpolating adaptive mode plans from the samples, not the fitted flow."""
+        model = CalibrationModel((CalibrationSample(6.0, 200.0, 0.0), CalibrationSample(20.0, 40.0, 0.0)), 946.0, 6.0, 20.0)
+        wps = [replace(make_waypoint(0.0, 0.0, 0.0), area_mm2=120.0)]
+        speed = plan_fill(wps, FillMode.adaptive(interpolate=True), model).waypoints[0].speed_mm_s
+        assert speed == pytest.approx(1.0 / (0.5 / 6.0 + 0.5 / 20.0), rel=1e-12)
+        assert plan_fill(wps, FillMode.adaptive(), model).waypoints[0].speed_mm_s == pytest.approx(946.0 / 120.0)
 
     def test_fixed_mode_applies_one_speed(self):
         wps = [make_waypoint(0.0, float(y), 0.0) for y in (30, 10, 20)]
@@ -309,7 +328,7 @@ class TestValidate:
             [self.scan_setup(100.0)],
             hf,
             speeds=[10.0],
-            noise=None,
+            noise=SensorNoise.noiseless(),
             elapsed_s=12.5,
             mode=FillMode.fixed(10.0),
         )
@@ -327,7 +346,7 @@ class TestValidate:
         features = [self.scan_setup(100.0), self.scan_setup(0.5)]
         with caplog.at_level("INFO", logger="crackfill.repair"):
             report = validate(
-                stations, features, hf, speeds=[8.0, 8.0], noise=None, elapsed_s=1.0, mode=FillMode.adaptive(), area_floor_mm2=1.0
+                stations, features, hf, speeds=[8.0, 8.0], noise=SensorNoise.noiseless(), elapsed_s=1.0, mode=FillMode.adaptive(), area_floor_mm2=1.0
             )
         assert report.records[0].included
         assert not report.records[1].included
@@ -343,7 +362,7 @@ class TestValidate:
         del scene
         station = ScanStation(0.0, 75.0, 305.0, Orientation.HORIZONTAL, 40.0, 310.0, 0)
         pre = self.scan_setup(80.0)
-        report = validate([station], [pre], hf, speeds=[6.0], noise=None, elapsed_s=0.0, mode=FillMode.fixed(6.0))
+        report = validate([station], [pre], hf, speeds=[6.0], noise=SensorNoise.noiseless(), elapsed_s=0.0, mode=FillMode.fixed(6.0))
         # the unfilled trough still measures about 40 mm^2 against pre=80
         assert report.records[0].fill_error == pytest.approx(0.5, rel=0.05)
 
@@ -351,7 +370,7 @@ class TestValidate:
         hf = make_flat(nx=500, ny=500, cell=0.1, origin=(-25.0, -25.0))
         station = ScanStation(0.0, 0.0, 310.0, Orientation.HORIZONTAL, 40.0, 310.0, 0)
         report = validate(
-            [station], [self.scan_setup(50.0)], hf, speeds=[8.0], noise=None, elapsed_s=3.0, mode=FillMode.fixed(8.0)
+            [station], [self.scan_setup(50.0)], hf, speeds=[8.0], noise=SensorNoise.noiseless(), elapsed_s=3.0, mode=FillMode.fixed(8.0)
         )
         summary = report.summary_dict()
         assert set(summary) == {"mean", "std", "median", "time_s", "mode"}
@@ -370,7 +389,7 @@ class TestRunFill:
     def test_noiseless_adaptive_fill_is_nearly_perfect(self):
         scene = make_scene(self.tapered_crack(), camera_y=60.0, ny=1200)
         params = DepositionParams(flow_rate_mm3_s=946.0635673187572, nozzle_diameter_mm=4.0, purge_time_s=1.5)
-        artifacts = run_fill(scene, FillMode.adaptive(), params, None, make_model())
+        artifacts = run_fill(scene, FillMode.adaptive(), params, SensorNoise.noiseless(), make_model())
         assert artifacts.report.mean_fill_error <= 0.35
         assert artifacts.report.elapsed_s > 1.5
         assert all(r.included for r in artifacts.report.records)
@@ -389,7 +408,7 @@ class TestRunFill:
         scene = make_scene(self.tapered_crack(), camera_y=60.0, ny=1200)
         params = DepositionParams(flow_rate_mm3_s=946.0635673187572, purge_time_s=1.5)
         model = make_model()
-        reports = run_experiment(scene, experiment_modes((6.0, 20.0)), params, None, model)
+        reports = run_experiment(scene, experiment_modes((6.0, 20.0)), params, SensorNoise.noiseless(), model)
         by_label = {r.mode.label(): r for r in reports}
         assert set(by_label) == {"6", "20", "adaptive"}
         assert by_label["6"].elapsed_s > by_label["adaptive"].elapsed_s > by_label["20"].elapsed_s
@@ -410,7 +429,7 @@ class TestRunFill:
         monkeypatch.setattr(repair, "survey", recording)
         scene = make_scene(self.tapered_crack(), camera_y=60.0, ny=1200)
         params = DepositionParams(flow_rate_mm3_s=946.0635673187572, purge_time_s=1.5)
-        reports = run_experiment(scene, experiment_modes((6.0, 20.0)), params, None, make_model())
+        reports = run_experiment(scene, experiment_modes((6.0, 20.0)), params, SensorNoise.noiseless(), make_model())
         assert len(reports) == 3 and len(seen) == 1
         surveyed, surface, waypoints = seen[0]
         assert surveyed.specimen.heights.tobytes() == surface
@@ -433,7 +452,7 @@ class TestLocalization:
         """With perfect sensors and exact extrinsics the laser must not
         move any waypoint by more than one grid cell."""
         scene = make_scene(straight_crack())
-        report = localization_experiment(scene, None, n_scans=2)
+        report = localization_experiment(scene, SensorNoise.noiseless(), n_scans=2)
         assert report.x.mean_abs_mm < scene.cell_size_mm
         assert report.y.mean_abs_mm < scene.cell_size_mm
         assert report.z.mean_abs_mm < scene.cell_size_mm
@@ -450,6 +469,16 @@ class TestLocalization:
         assert report.y.mean_abs_mm <= 0.5
         assert report.refined_lateral_max_mm <= 3.0 * PITCH_40MM
         assert report.n_pairs >= 30
+
+    def test_rotated_laser_mount_scans_along_its_line(self):
+        """The default localization study with the laser mounted 10 degrees
+        about z keeps refined points within one laser sample pitch of the
+        crack: the scan line turns with the mount, like the correction."""
+        rotation = rotation_about_z(np.radians(10.0)).reshape(-1).tolist()
+        cfg = ScenarioConfig.from_dict({"laser": {"mount_rotation": rotation}})
+        scene, noise = cfg.build_scene(localization=True), cfg.build_noise(localization=True)
+        report = localization_experiment(scene, noise, cfg.raw["localization"]["n_scans"])
+        assert report.refined_lateral_mean_mm <= cfg.raw["localization"]["span_mm"] / 1023.0
 
     def test_specimen_is_imaged_once_for_all_scans(self, monkeypatch):
         """Scans differ only in noise, so one raycast and one thinning serve them all."""
