@@ -21,7 +21,7 @@ import numpy as np
 
 from . import io
 from .errors import ConfigError, ProviderUnavailable
-from .geometry import ROTATION_TOL, CameraIntrinsics, Frame, Orientation, RigidTransform, rotation_about_z
+from .geometry import ROTATION_TOL, CameraIntrinsics, Frame, Orientation, RigidTransform
 from .perception import binarize
 from .profile import CalibrationModel, calibrate
 from .repair import FillMode, RepairScene, edge_threshold_for
@@ -431,7 +431,12 @@ class ScenarioConfig:
         return MaskImage(flags=binarize(img, 128))
 
     def strip_scans(self) -> list[tuple[float, list[LaserProfile]]]:
-        """Print one strip per calibration speed and scan its inner section."""
+        """Print one strip per calibration speed and scan its inner section.
+
+        The strip runs along robot y and is scanned like a horizontal
+        crack, along the laser mount's x axis, so its sections are cut at
+        the same angle as the crack's.
+        """
         cal = self.raw["calibration"]
         speeds = sorted(float(v) for v in cal["speeds_mm_s"])
         span = self.raw["laser"]["span_mm"]
@@ -441,6 +446,7 @@ class ScenarioConfig:
         scan_len = cal["scan_length_mm"]
         step = cal["scan_step_mm"]
         noise = self.build_noise()
+        rotation = self.build_laser_mount().rotation
         margin = 5.0
         nx = int(round((span + 2 * margin) / cell))
         ny = int(round((strip_len + 2 * margin) / cell))
@@ -454,26 +460,29 @@ class ScenarioConfig:
             n_stations = int(round(scan_len / step)) + 1
             profiles = []
             for k in range(n_stations):
-                pose = RigidTransform(
-                    rotation_about_z(0.0),
-                    [0.0, y0 + k * step, standoff],
-                    Frame.LASER,
-                    Frame.ROBOT,
-                )
+                pose = RigidTransform(rotation, [0.0, y0 + k * step, standoff], Frame.LASER, Frame.ROBOT)
                 scan_noise = noise.derive(NOISE_STREAMS["calibrate"], si, k)
                 profiles.append(scan_profile(hf, pose, span, scan_noise, standoff_mm=standoff))
             scans.append((speed, profiles))
         return scans
 
     def build_calibration(self) -> CalibrationModel:
-        """Load the calibration file, or fit the model to the synthetic strip scans."""
+        """Load the calibration file, or fit the model to the synthetic strip scans.
+
+        A model that calibration.interpolate cannot interpolate is refused
+        here, before any specimen is surveyed.
+        """
         cal = self.raw["calibration"]
         if cal["source"] == "file":
             path = Path(cal["path"])
             if not path.is_file():
                 raise ConfigError(f"calibration file not found: {path}")
             try:
-                return CalibrationModel.from_dict(io.read_json(path))
+                model = CalibrationModel.from_dict(io.read_json(path))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"calibration file {path}: {type(exc).__name__}: {exc}") from None
-        return calibrate(self.strip_scans(), edge_threshold_for(self.build_noise()))
+        else:
+            model = calibrate(self.strip_scans(), edge_threshold_for(self.build_noise()))
+        if cal["interpolate"] and len(model.samples) < 2:
+            raise ConfigError(f"calibration.interpolate needs >= 2 calibration samples, got {len(model.samples)}")
+        return model

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -84,23 +84,13 @@ class ScanStation:
 
     id, the index among refinement survivors in perception order, keys the
     rescan noise and names the station in reports, whatever the fill order.
-    The scan line runs along the laser mount's x axis for a horizontal crack
-    and its y axis for a vertical one, as laser_correction maps the offset.
+    pose places the scanner; its line runs along the pose's x axis.
     """
 
-    x_mm: float
-    y_mm: float
-    scanner_z_mm: float
-    orientation: Orientation
+    pose: RigidTransform
     span_mm: float
     standoff_mm: float
     id: int
-    mount_rotation: np.ndarray = field(default_factory=lambda: np.eye(3), compare=False)
-
-    def pose(self) -> RigidTransform:
-        turn = np.eye(3) if self.orientation == Orientation.HORIZONTAL else rotation_about_z(math.pi / 2)
-        position = np.array([self.x_mm, self.y_mm, self.scanner_z_mm])
-        return RigidTransform(self.mount_rotation @ turn, position, Frame.LASER, Frame.ROBOT)
 
 
 @dataclass(frozen=True)
@@ -389,20 +379,19 @@ def refine_waypoints(
     """
     threshold = edge_threshold_for(noise)
     survivors: list[tuple[Waypoint, ProfileFeatures, ScanStation]] = []
+    # The line runs along the mount's x axis across a horizontal crack and
+    # along its y axis across a vertical one, as laser_correction maps the
+    # measured offset back.
+    turn = np.eye(3) if orientation == Orientation.HORIZONTAL else rotation_about_z(math.pi / 2)
+    rotation = laser_mount.rotation @ turn
     mount_offset = laser_mount.translation
     for i, wp in enumerate(waypoints):
-        station = ScanStation(
-            x_mm=wp.robot_pt.x + mount_offset[0],
-            y_mm=wp.robot_pt.y + mount_offset[1],
-            scanner_z_mm=wp.robot_pt.z + mount_offset[2] + standoff_mm,
-            orientation=orientation,
-            span_mm=span_mm,
-            standoff_mm=standoff_mm,
-            id=len(survivors),
-            mount_rotation=laser_mount.rotation,
-        )
+        x, y, z = wp.robot_pt.x, wp.robot_pt.y, wp.robot_pt.z
+        position = [x + mount_offset[0], y + mount_offset[1], z + mount_offset[2] + standoff_mm]
+        pose = RigidTransform(rotation, position, Frame.LASER, Frame.ROBOT)
+        station = ScanStation(pose=pose, span_mm=span_mm, standoff_mm=standoff_mm, id=len(survivors))
         scan_noise = noise.derive(NOISE_STREAMS["refine"], i)
-        prof = scan_profile(hf, station.pose(), span_mm, scan_noise, standoff_mm=standoff_mm)
+        prof = scan_profile(hf, pose, span_mm, scan_noise, standoff_mm=standoff_mm)
         try:
             feats = measure(prof, threshold)
         except NoEdges:
@@ -511,7 +500,7 @@ def validate(
     errors: list[float] = []
     for station, pre, speed in zip(stations, pre_features, speeds, strict=True):
         scan_noise = noise.derive(NOISE_STREAMS["validate"], station.id)
-        prof = scan_profile(hf_filled, station.pose(), station.span_mm, scan_noise, standoff_mm=station.standoff_mm)
+        prof = scan_profile(hf_filled, station.pose, station.span_mm, scan_noise, standoff_mm=station.standoff_mm)
         try:
             post = measure(prof, threshold)
             area_post = post.area_mm2

@@ -351,16 +351,22 @@ class TestConfigErrors:
         assert err.startswith(f"config error: calibration file {model}:") and "Traceback" not in err
 
 
-    def test_interpolating_a_sample_free_model(self, tmp_path, capsys):
-        """A Q-only calibration file has no samples to interpolate between."""
+    def test_interpolating_a_sample_free_model(self, tmp_path, capsys, monkeypatch):
+        """A Q-only calibration file has no samples to interpolate between,
+        which fill and experiment report before any specimen is repaired."""
         model = tmp_path / "calibration.json"
         model.write_text('{"samples": [], "Q": 900.0, "v_min": 6.0, "v_max": 20.0}')
         data = compact_config()
         data["calibration"].update(source="file", path=str(model), interpolate=True)
         cfg = write_config(tmp_path, data)
-        assert cli.main(["--config", cfg, "--out", str(tmp_path / "o"), "fill"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "calibration samples" in err and "Traceback" not in err
+        ran = []
+        monkeypatch.setattr(cli, "run_fill", lambda *args, **kwargs: ran.append("fill"))
+        monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: ran.append("experiment"))
+        for command in ("fill", "experiment"):
+            assert cli.main(["--config", cfg, "--out", str(tmp_path / "o"), command]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: calibration.interpolate") and "Traceback" not in err
+        assert ran == []
 
 
 class TestBadMaskFiles:
