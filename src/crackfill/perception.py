@@ -12,7 +12,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import EmptyPath
 from .geometry import CameraIntrinsics, Frame, PixelCoord, Point3, RigidTransform, pixel_to_camera, transform_point
@@ -21,7 +20,6 @@ from .sensors import DepthImage, MaskImage
 logger = logging.getLogger(__name__)
 
 DEFAULT_MIN_SPACING_PX = 8.0
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
 
 @dataclass
@@ -90,18 +88,27 @@ def _transitions(nb: list[np.ndarray]) -> np.ndarray:
     return total
 
 
+def _reach(seed: np.ndarray, within: np.ndarray) -> np.ndarray:
+    """Pixels of within 8-connected to seed through within."""
+    reached = seed & within
+    while True:
+        grown = reached | (within & np.any(_neighbours(reached), axis=0))
+        if np.array_equal(grown, reached):
+            return reached
+        reached = grown
+
+
 def _protect_components(img: np.ndarray, deletions: np.ndarray) -> np.ndarray:
-    """Drop deletions that would erase an entire connected component."""
-    if not deletions.any():
-        return deletions
-    labels, n = ndimage.label(img, structure=_EIGHT_CONNECTED)
-    if n == 0:
-        return deletions
-    total = ndimage.sum_labels(np.ones_like(labels), labels, index=np.arange(1, n + 1))
-    doomed = ndimage.sum_labels(deletions.astype(float), labels, index=np.arange(1, n + 1))
-    for comp in np.nonzero(doomed >= total)[0] + 1:
-        rows, cols = np.nonzero((labels == comp) & deletions)
-        deletions[rows[0], cols[0]] = False
+    """Drop deletions that would erase an entire connected component.
+
+    The pixels no kept pixel reaches make up the components the pass would
+    erase; each of them keeps its first pixel in raster order.
+    """
+    doomed = img & ~_reach(img & ~deletions, img)
+    while doomed.any():
+        deletions[np.unravel_index(np.argmax(doomed), doomed.shape)] = False
+        # the pixel just withheld is the only one in doomed not deleted
+        doomed &= ~_reach(doomed & ~deletions, doomed)
     return deletions
 
 
@@ -156,18 +163,9 @@ def _thin(img: np.ndarray) -> None:
 def _safe_to_delete(img: np.ndarray, r: int, c: int) -> bool:
     """A deletion keeps local connectivity when the pixel's neighbourhood
     has exactly one 0->1 transition and 2..6 set neighbours."""
-    rows = img[max(r - 1, 0) : r + 2, max(c - 1, 0) : c + 2]
-    if rows.shape != (3, 3):
-        padded = np.zeros((3, 3), dtype=bool)
-        padded[
-            (0 if r > 0 else 1) : (3 if r < img.shape[0] - 1 else 2),
-            (0 if c > 0 else 1) : (3 if c < img.shape[1] - 1 else 2),
-        ] = rows
-        rows = padded
-    seq = [rows[0, 1], rows[0, 2], rows[1, 2], rows[2, 2], rows[2, 1], rows[2, 0], rows[1, 0], rows[0, 0]]
-    b = sum(bool(v) for v in seq)
-    a = sum((not x) and y for x, y in zip(seq, seq[1:] + seq[:1]))
-    return a == 1 and 2 <= b <= 6
+    nb = _neighbours(np.pad(img, 1)[r : r + 3, c : c + 3])
+    b = sum(int(n[1, 1]) for n in nb)
+    return _transitions(nb)[1, 1] == 1 and 2 <= b <= 6
 
 
 def _dissolve_squares(img: np.ndarray) -> None:

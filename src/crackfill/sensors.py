@@ -164,11 +164,6 @@ def _raycast(hf: Heightfield, k: CameraIntrinsics, camera_pose: RigidTransform):
     return t, x, y, valid
 
 
-def _truth_flags(hf: Heightfield, x: np.ndarray, y: np.ndarray, valid: np.ndarray, threshold_mm: float) -> np.ndarray:
-    """Ray hits that sit below the nominal surface by more than threshold_mm."""
-    return valid & (hf.nominal_surface - hf.height_at(x, y) > threshold_mm)
-
-
 def render_view(
     hf: Heightfield,
     k: CameraIntrinsics,
@@ -177,13 +172,15 @@ def render_view(
 ) -> tuple[DepthImage, MaskImage]:
     """Noise-free depth and the ground-truth mask, both from one raycast.
 
-    Raises NoIntersection when no pixel ray hits the grid.
+    The mask flags the ray hits that sit below the nominal surface by
+    more than threshold_mm. Raises NoIntersection when no pixel ray
+    hits the grid.
     """
     t, x, y, valid = _raycast(hf, k, camera_pose)
     if not valid.any():
         raise NoIntersection("no camera ray intersects the heightfield")
     depth = DepthImage(depth_mm=np.where(valid, t, 0.0), valid=valid)
-    return depth, MaskImage(flags=_truth_flags(hf, x, y, valid, threshold_mm))
+    return depth, MaskImage(flags=valid & (hf.nominal_surface - hf.height_at(x, y) > threshold_mm))
 
 
 def add_depth_noise(depth: DepthImage, noise: SensorNoise) -> DepthImage:
@@ -221,10 +218,8 @@ def render_truth_mask(
     camera_pose: RigidTransform,
     threshold_mm: float = DEFAULT_MASK_THRESHOLD_MM,
 ) -> MaskImage:
-    """Ground-truth segmentation: pixels whose hit point sits below the
-    nominal surface by more than threshold_mm."""
-    _, x, y, valid = _raycast(hf, k, camera_pose)
-    return MaskImage(flags=_truth_flags(hf, x, y, valid, threshold_mm))
+    """The ground-truth mask of render_view; raises NoIntersection when no ray hits."""
+    return render_view(hf, k, camera_pose, threshold_mm)[1]
 
 
 def scan_profile(

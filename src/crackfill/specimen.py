@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import Overfill, PathOutsideGrid, SegmentOutsideGrid, StationOutsideGrid, ZeroSpeed
 from .geometry import Orientation
@@ -26,7 +25,7 @@ logger = logging.getLogger(__name__)
 # surface before deposition is considered outside the model's regime.
 MAX_OVERFILL_MM = 80.0
 
-Profile = float | Sequence[tuple[float, float]] | Callable[[float], float]
+Profile = float | Sequence[tuple[float, float]]
 
 
 def profile_values(profile: Profile, s: np.ndarray) -> np.ndarray:
@@ -34,10 +33,15 @@ def profile_values(profile: Profile, s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if isinstance(profile, (int, float)):
         return np.full(s.shape, float(profile))
-    if callable(profile):
-        return np.array([float(profile(sv)) for sv in s.reshape(-1)]).reshape(s.shape)
     pts = np.asarray(profile, dtype=float)
     return np.interp(s, pts[:, 0], pts[:, 1])
+
+
+def _profile_extremes(profile: Profile, length: float) -> np.ndarray:
+    """Values at both path ends and at each breakpoint on the path: the
+    profile is piecewise linear, so its extremes are among them."""
+    knots = [] if isinstance(profile, (int, float)) else [s for s, _ in profile]
+    return profile_values(profile, np.clip([0.0, length, *knots], 0.0, length))
 
 
 @dataclass
@@ -115,8 +119,8 @@ class Heightfield:
 class CrackSpec:
     """Geometry of a crack to carve: a polyline with width/depth profiles.
 
-    width and depth may be constants, breakpoint tables [(s, value)...]
-    over arclength, or callables of arclength. The cross-section at
+    width and depth may be constants or breakpoint tables [(s, value)...]
+    over arclength, interpolated linearly. The cross-section at
     each station is rectangular: width w(s) across the path, depth d(s)
     below the nominal surface.
     """
@@ -129,8 +133,7 @@ class CrackSpec:
     def __post_init__(self) -> None:
         if len(self.path) < 2:
             raise ValueError("crack path needs at least 2 points")
-        ss = np.linspace(0.0, self.arclength(), 65)
-        if np.any(profile_values(self.width, ss) <= 0) or np.any(profile_values(self.depth, ss) <= 0):
+        if any(_profile_extremes(p, self.arclength()).min() <= 0 for p in (self.width, self.depth)):
             raise ValueError("width and depth profiles must be positive along the path")
 
     def arclength(self) -> float:
@@ -138,8 +141,7 @@ class CrackSpec:
         return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
 
     def max_width(self) -> float:
-        ss = np.linspace(0.0, self.arclength(), 65)
-        return float(profile_values(self.width, ss).max())
+        return float(_profile_extremes(self.width, self.arclength()).max())
 
 
 @dataclass(frozen=True)
@@ -260,6 +262,50 @@ def true_cross_section(hf: Heightfield, point: tuple[float, float], normal: tupl
     return float(deficit.sum() * hf.cell_size)
 
 
+def _brentq(f: Callable[[float], float], xa: float, xb: float) -> float:
+    """Root of f in [xa, xb] by Brent's method (Brent, 1973): a step-for-step port of
+    SciPy's Zeros/brentq.c with xtol 1e-12, rtol 4 eps and 100 iterations, which
+    tests/test_specimen.py checks against SciPy's brentq bit for bit."""
+    xtol, rtol = 1e-12, 4 * np.finfo(float).eps
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError("Brent's method did not converge in 100 iterations")
+
+
 def _cap_profile(offsets: np.ndarray, chord: float, area: float) -> np.ndarray:
     """Bead heights above the surface at lateral offsets from the cap centre.
 
@@ -271,7 +317,7 @@ def _cap_profile(offsets: np.ndarray, chord: float, area: float) -> np.ndarray:
     semi_area = math.pi * chord**2 / 8.0
     if area <= semi_area:
         f = lambda th: chord**2 * (th - math.sin(th) * math.cos(th)) / (4.0 * math.sin(th) ** 2) - area
-        theta = brentq(f, 1e-9, math.pi / 2.0, xtol=1e-12)
+        theta = _brentq(f, 1e-9, math.pi / 2.0)
         radius = chord / (2.0 * math.sin(theta))
         base = radius * math.cos(theta)
         riser = 0.0

@@ -12,7 +12,11 @@ checks too.
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +45,7 @@ from crackfill import (
     run_experiment,
     skeletonize,
 )
+import crackfill
 from crackfill import cli, repair
 from crackfill.sensors import SCANNER_POINTS
 
@@ -356,3 +361,19 @@ def test_artifact_digests_are_pinned(tmp_path, argv):
     assert cli.main(["--config", str(cfg_path), "--out", str(out), *argv]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == ARTIFACT_DIGESTS[argv]
+
+
+def test_fill_runs_on_numpy_alone(tmp_path):
+    """numpy is the only runtime dependency: a fresh interpreter in which
+    scipy cannot be imported runs `fill` and writes the pinned artifacts."""
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(EXPERIMENT_CONFIG))
+    out = tmp_path / "out"
+    src = str(Path(crackfill.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import sys; sys.modules['scipy'] = None; from crackfill import cli; sys.exit(cli.main(sys.argv[1:]))"
+    argv = ["--config", str(cfg_path), "--out", str(out), "fill"]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == ARTIFACT_DIGESTS[("fill",)]

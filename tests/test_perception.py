@@ -32,6 +32,7 @@ from crackfill import (
     skeletonize,
 )
 from crackfill import io as cfio
+from crackfill.perception import _protect_components
 from conftest import camera_pose
 
 EIGHT = np.ones((3, 3), dtype=int)
@@ -54,6 +55,49 @@ def random_blob_mask(rng: np.random.Generator, size: int = 64) -> np.ndarray:
 
 def has_full_2x2_block(img: np.ndarray) -> bool:
     return bool((img[:-1, :-1] & img[:-1, 1:] & img[1:, :-1] & img[1:, 1:]).any())
+
+
+def label_protect_components(img: np.ndarray, deletions: np.ndarray) -> np.ndarray:
+    """Reference for _protect_components, on scipy's component labels: a
+    component whose every pixel is a deletion keeps its first pixel."""
+    if not deletions.any():
+        return deletions
+    labels, n = ndimage.label(img, structure=EIGHT)
+    if n == 0:
+        return deletions
+    total = ndimage.sum_labels(np.ones_like(labels), labels, index=np.arange(1, n + 1))
+    doomed = ndimage.sum_labels(deletions.astype(float), labels, index=np.arange(1, n + 1))
+    for comp in np.nonzero(doomed >= total)[0] + 1:
+        rows, cols = np.nonzero((labels == comp) & deletions)
+        deletions[rows[0], cols[0]] = False
+    return deletions
+
+
+@st.composite
+def masks_and_deletions(draw):
+    """A random mask and a random subset of it, as one thinning pass deletes."""
+    shape = draw(st.tuples(st.integers(1, 16), st.integers(1, 16)))
+    img = draw(arrays(bool, shape))
+    return img, img & draw(arrays(bool, shape))
+
+
+# 200 pixels, two wide, along the diagonal: reaching along it takes one growth step per row
+DIAGONAL_CHAIN = np.zeros((100, 101), dtype=bool)
+DIAGONAL_CHAIN[np.arange(100), np.arange(100)] = DIAGONAL_CHAIN[np.arange(100), np.arange(1, 101)] = True
+CHAIN_BUT_ITS_END = DIAGONAL_CHAIN.copy()
+CHAIN_BUT_ITS_END[99, 100] = False
+
+
+class TestProtectComponents:
+    @settings(max_examples=300, deadline=None)
+    @given(case=masks_and_deletions())
+    @example(case=(DIAGONAL_CHAIN, DIAGONAL_CHAIN))
+    @example(case=(DIAGONAL_CHAIN, CHAIN_BUT_ITS_END))
+    @example(case=(np.eye(6, dtype=bool) | np.eye(6, dtype=bool)[::-1], np.eye(6, dtype=bool)))
+    def test_matches_component_labels(self, case):
+        img, deletions = case
+        got = _protect_components(img, deletions.copy())
+        np.testing.assert_array_equal(got, label_protect_components(img, deletions.copy()))
 
 
 class TestSkeletonize:

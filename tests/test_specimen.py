@@ -1,14 +1,18 @@
 """Specimen tests: carved trough geometry against brute-force cell sums,
 deposition volume conservation, and the guard rails on bad inputs."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from crackfill import (
     CrackSpec,
     DepositionParams,
     Heightfield,
     PathOutsideGrid,
+    ScenarioConfig,
     SegmentOutsideGrid,
     StationOutsideGrid,
     ZeroSpeed,
@@ -16,6 +20,7 @@ from crackfill import (
     generate_specimen,
     true_cross_section,
 )
+from crackfill import specimen
 from crackfill.specimen import profile_values
 from conftest import make_flat, make_rect_crack
 
@@ -31,11 +36,6 @@ class TestProfiles:
     def test_constant_profile(self):
         s = np.linspace(0, 10, 7)
         np.testing.assert_array_equal(profile_values(3.5, s), np.full(7, 3.5))
-
-    def test_callable_profile(self):
-        f = lambda s: 2.0 + 0.1 * s
-        s = np.array([0.0, 5.0, 10.0])
-        np.testing.assert_allclose(profile_values(f, s), [2.0, 2.5, 3.0])
 
     def test_table_profile_matches_interp(self):
         table = [(0.0, 10.0), (100.0, 16.0), (230.0, 16.0)]
@@ -54,6 +54,12 @@ class TestCrackSpecValidation:
             CrackSpec(path=[(0.0, 0.0), (0.0, 100.0)], width=0.0, depth=5.0)
         with pytest.raises(ValueError):
             CrackSpec(path=[(0.0, 0.0), (0.0, 100.0)], width=[(0.0, 4.0), (100.0, -1.0)], depth=5.0)
+
+    def test_negative_breakpoint_between_samples_rejected(self):
+        """A dip to -5 mm at s = 1 mm is checked at its breakpoint, not
+        missed between evenly spaced samples of the 230 mm path."""
+        with pytest.raises(ValueError):
+            CrackSpec(path=[(0.0, 10.0), (0.0, 240.0)], width=[(0.0, 4.0), (1.0, -5.0), (2.0, 4.0)], depth=5.0)
 
     def test_nonpositive_depth_rejected(self):
         with pytest.raises(ValueError):
@@ -98,6 +104,16 @@ class TestGenerateSpecimen:
         near_start = true_cross_section(hf, (0.0, 15.0), (1.0, 0.0))
         near_end = true_cross_section(hf, (0.0, 135.0), (1.0, 0.0))
         assert near_end > near_start * 2.0
+
+    def test_narrow_width_peak_is_carved(self):
+        """crack.width_mm [[0, 4], [1, 20], [2, 4]] carves its full 20 mm at
+        s = 1 mm: the carving reach is the profile's peak at its breakpoint."""
+        cfg = ScenarioConfig.from_dict({"crack": {"width_mm": [[0.0, 4.0], [1.0, 20.0], [2.0, 4.0]]}})
+        scene = cfg.build_scene()
+        assert scene.crack.max_width() == 20.0
+        hf = scene.build_specimen()
+        carved = np.count_nonzero(hf.heights[int(hf.iy_of(11.0)), :] < hf.nominal_surface) * hf.cell_size
+        assert carved == pytest.approx(20.0, abs=2 * hf.cell_size)
 
     def test_path_outside_grid_rejected(self):
         spec = CrackSpec(path=[(0.0, 10.0), (0.0, 300.0)], width=4.0, depth=5.0)
@@ -227,3 +243,33 @@ class TestDeposit:
             DepositionParams(flow_rate_mm3_s=10.0, nozzle_diameter_mm=-1.0)
         with pytest.raises(ValueError):
             DepositionParams(flow_rate_mm3_s=10.0, purge_time_s=-0.5)
+
+
+class TestBrentRoot:
+    def test_matches_scipy_bit_for_bit(self, monkeypatch):
+        """Every bead-cap angle the in-package Brent root finds is the root
+        scipy.optimize.brentq finds, bit for bit: 10,000 seeded (chord, area)
+        pairs, the full semicircle, and areas down to 1e-12 mm^2."""
+        port = specimen._brentq
+        roots = []
+
+        def both(f, xa, xb):
+            got = port(f, xa, xb)
+            want = brentq(f, xa, xb, xtol=1e-12, rtol=4 * np.finfo(float).eps, maxiter=100)
+            assert got.hex() == want.hex()
+            roots.append(got)
+            return got
+
+        monkeypatch.setattr(specimen, "_brentq", both)
+        rng = np.random.default_rng(1973)
+        chords = rng.uniform(0.05, 10.0, 10_000)
+        semi = math.pi * chords**2 / 8.0
+        fractions = np.concatenate([rng.uniform(0.0, 1.0, 5_000), 10.0 ** rng.uniform(-12.0, 0.0, 5_000)])
+        pairs = [
+            *zip(chords, np.maximum(semi * fractions, 1e-12)),
+            *zip(chords[:200], semi[:200]),
+            *zip(chords[:200], np.geomspace(1e-12, 1e-10, 200)),
+        ]
+        for chord, area in pairs:
+            specimen._cap_profile(np.zeros(1), float(chord), float(area))
+        assert len(roots) == len(pairs)
