@@ -31,6 +31,10 @@ class SegmentOutsideGrid(CrackFillError):
     """A deposition segment endpoint lies outside the heightfield."""
 
 
+class ZeroLengthSegment(CrackFillError):
+    """A deposition segment starts and ends at the same point."""
+
+
 class ZeroSpeed(CrackFillError):
     """Deposition was requested at zero or negative travel speed."""
 

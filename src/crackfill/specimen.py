@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import Overfill, PathOutsideGrid, SegmentOutsideGrid, StationOutsideGrid, ZeroSpeed
+from .errors import Overfill, PathOutsideGrid, SegmentOutsideGrid, StationOutsideGrid, ZeroLengthSegment, ZeroSpeed
 from .geometry import Orientation
 
 logger = logging.getLogger(__name__)
@@ -170,10 +170,9 @@ class DepositResult:
     volume_deposited_mm3: float
 
 
-def _path_distance_field(hf: Heightfield, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell distance to the polyline and arclength of the closest point."""
-    xs = hf.x_of(np.arange(hf.nx))
-    ys = hf.y_of(np.arange(hf.ny))
+def _path_distance_field(xs: np.ndarray, ys: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distance from each cell centre (xs[ix], ys[iy]) to the polyline and
+    arclength of the closest point."""
     gx, gy = np.meshgrid(xs, ys)
     best_d2 = np.full(gx.shape, np.inf)
     best_s = np.zeros(gx.shape)
@@ -206,6 +205,10 @@ def generate_specimen(
 ) -> Heightfield:
     """Carve the crack into a fresh flat plate.
 
+    Only the block of cells within the maximum half width of the path's
+    bounding box is visited; every cell outside it lies farther than
+    that from the path and keeps the nominal height.
+
     Raises PathOutsideGrid when the trough (path swept by its half
     width) would not fit inside the grid.
     """
@@ -221,13 +224,19 @@ def generate_specimen(
     ):
         raise PathOutsideGrid("crack path plus half-width does not fit inside the grid")
 
-    dist, s = _path_distance_field(hf, pts)
+    # one spare cell on each side absorbs rounding at the block's edges
+    lo = np.floor((pts.min(axis=0) - half_w - origin) / cell_size).astype(int) - 1
+    hi = np.ceil((pts.max(axis=0) + half_w - origin) / cell_size).astype(int) + 2
+    ix0, iy0 = np.maximum(lo, 0)
+    ix1, iy1 = np.minimum(hi, (nx, ny))
+    block = hf.heights[iy0:iy1, ix0:ix1]
+    dist, s = _path_distance_field(hf.x_of(np.arange(ix0, ix1)), hf.y_of(np.arange(iy0, iy1)), pts)
     near = dist <= half_w
     widths = profile_values(spec.width, s[near])
     depths = profile_values(spec.depth, s[near])
     carved = dist[near] <= widths / 2.0
     rows, cols = np.nonzero(near)
-    hf.heights[rows[carved], cols[carved]] = nominal_surface - depths[carved]
+    block[rows[carved], cols[carved]] = nominal_surface - depths[carved]
     return hf
 
 
@@ -341,17 +350,13 @@ def _water_fill(heights: np.ndarray, budget_area: float, ceiling: float, cell_si
     if budget_area >= capacity:
         np.maximum(heights, ceiling, out=heights)
         return budget_area - capacity
-    order = np.argsort(heights)
-    h_sorted = heights[order]
-    prefix = np.concatenate([[0.0], np.cumsum(h_sorted)])
-    level = h_sorted[-1]
-    for k in range(1, len(h_sorted) + 1):
-        # cost of levelling the k lowest cells up to h_sorted[k]
-        next_h = h_sorted[k] if k < len(h_sorted) else np.inf
-        cost_next = (next_h * k - prefix[k]) * cell_size
-        if cost_next >= budget_area:
-            level = budget_area / (cell_size * k) + prefix[k] / k
-            break
+    h_sorted = np.sort(heights)
+    prefix = np.cumsum(h_sorted)
+    k = np.arange(1, len(h_sorted) + 1)
+    # cost[k - 1]: levelling the k lowest cells up to the next height
+    cost = (np.append(h_sorted[1:], np.inf) * k - prefix) * cell_size
+    i = int(np.flatnonzero(cost >= budget_area)[0])
+    level = budget_area / (cell_size * (i + 1)) + prefix[i] / (i + 1)
     np.maximum(heights, min(level, ceiling), out=heights)
     return 0.0
 
@@ -374,7 +379,14 @@ def deposit(
     each cross-section exactly once.
 
     Mutates hf in place and returns elapsed time plus the volume
-    bookkeeping for the segment.
+    bookkeeping for the segment. Raises Overfill, after the segment is
+    laid, when a cap cell of this segment ends more than MAX_OVERFILL_MM
+    above the nominal surface; a cap stacked on an earlier bead counts.
+    Only the cells this segment caps are checked. Carving only lowers
+    cells and the trough flood never rises above the surface, so on a
+    plate whose earlier segments each passed this check no other cell
+    can be above the bound; a plate handed in with such a cell elsewhere
+    is not refused.
     """
     if speed_mm_s <= 0:
         raise ZeroSpeed(f"deposition speed must be positive, got {speed_mm_s}")
@@ -384,7 +396,7 @@ def deposit(
         raise SegmentOutsideGrid(f"segment {tuple(p0)} -> {tuple(p1)} leaves the grid")
     length = float(np.linalg.norm(p1 - p0))
     if length == 0:
-        raise ValueError("zero-length deposition segment")
+        raise ZeroLengthSegment(f"deposition segment starts and ends at {tuple(p0)}")
 
     area = params.flow_rate_mm3_s / speed_mm_s
     cs = hf.cell_size
@@ -401,53 +413,55 @@ def deposit(
     station_area = area * length / (len(stations) * cs)
     nozzle_half_cells = max(1, math.ceil(params.nozzle_diameter_mm / 2.0 / cs))
     denom = p1[dom] - p0[dom]
+    o_line, o_perp = hf.origin[dom], hf.origin[1 - dom]
+    n = hf.ny if dom == 0 else hf.nx
     deposited = 0.0
+    peak = -math.inf
     for idx in stations:
-        coord = (hf.x_of(idx) if dom == 0 else hf.y_of(idx))
-        t = (coord - p0[dom]) / denom if denom != 0 else 0.0
-        centre_perp = p0[1 - dom] + np.clip(t, 0.0, 1.0) * (p1[1 - dom] - p0[1 - dom])
+        t = (o_line + idx * cs - p0[dom]) / denom if denom != 0 else 0.0
+        centre_perp = p0[1 - dom] + min(max(t, 0.0), 1.0) * (p1[1 - dom] - p0[1 - dom])
         line = hf.heights[:, idx] if dom == 0 else hf.heights[idx, :]
-        j_c = int(np.clip(round((centre_perp - hf.origin[1 - dom]) / cs), 0, len(line) - 1))
+        j_c = min(max(round((centre_perp - o_perp) / cs), 0), n - 1)
         before = line.sum()
 
         # locate the contiguous trough run reachable from the nozzle
+        below = line < hf.nominal_surface - 1e-12
         lo = max(0, j_c - nozzle_half_cells)
-        hi = min(len(line) - 1, j_c + nozzle_half_cells)
-        window = np.nonzero(line[lo : hi + 1] < hf.nominal_surface - 1e-12)[0]
+        window = np.flatnonzero(below[lo : j_c + nozzle_half_cells + 1])
         remaining = station_area
         if window.size:
-            j0 = lo + window[np.argmin(np.abs(window + lo - j_c))]
-            j_lo = j0
-            while j_lo > 0 and line[j_lo - 1] < hf.nominal_surface - 1e-12:
-                j_lo -= 1
-            j_hi = j0
-            while j_hi < len(line) - 1 and line[j_hi + 1] < hf.nominal_surface - 1e-12:
-                j_hi += 1
+            j0 = lo + int(window[np.argmin(np.abs(window + lo - j_c))])
+            dry_lo = np.flatnonzero(~below[:j0])
+            dry_hi = np.flatnonzero(~below[j0:])
+            j_lo = int(dry_lo[-1]) + 1 if dry_lo.size else 0
+            j_hi = j0 + int(dry_hi[0]) - 1 if dry_hi.size else n - 1
             trough_width = (j_hi - j_lo + 1) * cs
             remaining = _water_fill(line[j_lo : j_hi + 1], station_area, hf.nominal_surface, cs)
-            cap_centre = (hf.origin[1 - dom] + (j_lo + j_hi) / 2.0 * cs)
+            cap_centre = o_perp + (j_lo + j_hi) / 2.0 * cs
             cap_width = min(trough_width, params.nozzle_diameter_mm)
         else:
             cap_centre = centre_perp
             cap_width = params.nozzle_diameter_mm
 
         if remaining > 1e-12:
-            j_first = max(0, int(math.ceil((cap_centre - cap_width / 2.0 - hf.origin[1 - dom]) / cs)))
-            j_last = min(len(line) - 1, int(math.floor((cap_centre + cap_width / 2.0 - hf.origin[1 - dom]) / cs)))
+            j_first = max(0, int(math.ceil((cap_centre - cap_width / 2.0 - o_perp) / cs)))
+            j_last = min(n - 1, int(math.floor((cap_centre + cap_width / 2.0 - o_perp) / cs)))
             if j_last < j_first:
                 j_first = j_last = j_c
             cells = np.arange(j_first, j_last + 1)
-            offsets = hf.origin[1 - dom] + cells * cs - cap_centre
+            offsets = o_perp + cells * cs - cap_centre
             z = _cap_profile(offsets, cap_width, remaining)
             total = z.sum() * cs
             if total <= 0:
                 z = np.full(cells.shape, remaining / (len(cells) * cs))
             else:
                 z *= remaining / total
-            line[cells] += z
+            cap = line[j_first : j_last + 1]
+            cap += z
+            peak = max(peak, float(cap.max()))
         deposited += (line.sum() - before) * cs * cs
 
-    if float(hf.heights.max()) > hf.nominal_surface + MAX_OVERFILL_MM:
+    if peak > hf.nominal_surface + MAX_OVERFILL_MM:
         raise Overfill(
             f"deposition at {speed_mm_s:g} mm/s piled a bead more than {MAX_OVERFILL_MM:g} mm above the surface"
         )

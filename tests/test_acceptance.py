@@ -319,6 +319,24 @@ def test_experiment_determinism(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+# An adaptive fill of a crack along robot x: deposition walks strided columns
+# of the heightfield instead of rows.
+CRACK_ALONG_X_CONFIG = {
+    "camera": {"position_mm": [0.0, 60.0, 500.0]},
+    "grid": {"origin_mm": [-70.0, 30.0], "nx": 1400, "ny": 600},
+    "crack": {
+        "orientation": "vertical",
+        "path_mm": [[-55.0, 60.0], [55.0, 60.0]],
+        "width_mm": [[0.0, 10.0], [110.0, 16.0]],
+        "depth_mm": [[0.0, 5.0], [110.0, 9.5]],
+    },
+    "calibration": EXPERIMENT_CONFIG["calibration"],
+}
+
+# The scenario files a pinned run can name with --config; the others read
+# scenario.json.
+SCENARIO_FILES = {"scenario.json": EXPERIMENT_CONFIG, "crack_along_x.json": CRACK_ALONG_X_CONFIG}
+
 # sha256 of every artifact each subcommand writes for EXPERIMENT_CONFIG at the
 # default seed. Recorded before perception was split from repair (one survey
 # shared by every fill mode); any change to these bytes must be deliberate.
@@ -350,15 +368,25 @@ ARTIFACT_DIGESTS = {
     ("localize",): {
         "localization.json": "3380b66958dc67cfc99b1c9cefd0718068846e394e9aded07c378953c282bd7e",
     },
+    # recorded while deposit still ran Python over each grid line
+    ("--config", "crack_along_x.json", "fill"): {
+        "fill_report.csv": "b82f1c1655a05278bd5b80691b7feab5fbf2499a5cbbbd566ea10c2713e7b643",
+        "fill_summary.json": "fbe65e6694e44461a7c08616d85232bc0b7754bbcb9a37d9fad7b81644624a11",
+        "surface_post.pgm": "699178122f43e554985c962887c19e2d54ad46e1184e955b14168e07d7efb515",
+        "surface_pre.pgm": "567fb0513c71d0a65863607416d4e8a5e44cabd8903072a0df28f07c8124a33d",
+        "waypoints.csv": "2d8469fc168a499ba92236f0650065bbbd61ee85ad460802d95752e21a0ee60e",
+    },
 }
 
 
 @pytest.mark.parametrize("argv", list(ARTIFACT_DIGESTS), ids=" ".join)
-def test_artifact_digests_are_pinned(tmp_path, argv):
-    cfg_path = tmp_path / "scenario.json"
-    cfg_path.write_text(json.dumps(EXPERIMENT_CONFIG))
+def test_artifact_digests_are_pinned(tmp_path, monkeypatch, argv):
+    for name, data in SCENARIO_FILES.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    config = [] if "--config" in argv else ["--config", "scenario.json"]
     out = tmp_path / "out"
-    assert cli.main(["--config", str(cfg_path), "--out", str(out), *argv]) == 0
+    assert cli.main([*config, "--out", str(out), *argv]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == ARTIFACT_DIGESTS[argv]
 

@@ -7,6 +7,7 @@ prefixes, and byte-level determinism are the contract under test.
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 from crackfill import ScenarioConfig, cli, experiment_modes, run_experiment
 from crackfill import io as cfio
+from crackfill import repair as repair_module
 
 WAYPOINT_HEADER = (
     "u,v,depth_mm,x_mm,y_mm,z_mm,"
@@ -198,6 +200,20 @@ class TestFill:
         assert cli.main(["--config", cfg, "--out", str(tmp_path / "o"), "fill"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("pipeline error:") and "Traceback" not in err
+
+    def test_zero_length_segment_is_a_pipeline_error(self, tmp_path, capsys, monkeypatch):
+        """Two waypoints at the same xy make a zero-length deposition segment."""
+        plan_fill = repair_module.plan_fill
+
+        def repeat_first_waypoint(*args, **kwargs):
+            plan = plan_fill(*args, **kwargs)
+            return replace(plan, waypoints=plan.waypoints[:1] + plan.waypoints)
+
+        monkeypatch.setattr(repair_module, "plan_fill", repeat_first_waypoint)
+        cfg = write_config(tmp_path)
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "o"), "fill"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pipeline error: deposition segment starts and ends at") and "Traceback" not in err
 
     def test_summary_is_strict_json_when_no_station_qualifies(self, tmp_path):
         data = compact_config()

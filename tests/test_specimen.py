@@ -5,16 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from crackfill import (
+    CrackFillError,
     CrackSpec,
     DepositionParams,
     Heightfield,
+    Overfill,
     PathOutsideGrid,
     ScenarioConfig,
     SegmentOutsideGrid,
     StationOutsideGrid,
+    ZeroLengthSegment,
     ZeroSpeed,
     deposit,
     generate_specimen,
@@ -228,8 +232,9 @@ class TestDeposit:
             deposit(hf, (0.0, 0.0), (0.0, 10.0), 0.0, params)
         with pytest.raises(SegmentOutsideGrid):
             deposit(hf, (0.0, 0.0), (0.0, 1000.0), 10.0, params)
-        with pytest.raises(ValueError):
+        with pytest.raises(ZeroLengthSegment):
             deposit(hf, (0.0, 0.0), (0.0, 0.0), 10.0, params)
+        assert issubclass(ZeroLengthSegment, CrackFillError)
 
     def test_station_outside_grid(self):
         hf = make_flat(nx=50, ny=50, cell=1.0, origin=(-25.0, -25.0))
@@ -273,3 +278,328 @@ class TestBrentRoot:
         for chord, area in pairs:
             specimen._cap_profile(np.zeros(1), float(chord), float(area))
         assert len(roots) == len(pairs)
+
+
+class TestOverfill:
+    PARAMS = DepositionParams(flow_rate_mm3_s=200.0, nozzle_diameter_mm=4.0)
+
+    def test_one_segment_over_the_bound_raises(self):
+        """946/0.5 mm^2 per mm on a 4 mm nozzle piles a riser of about 470 mm."""
+        hf = make_flat(nx=60, ny=80, cell=0.5, origin=(-15.0, -5.0))
+        with pytest.raises(Overfill):
+            deposit(hf, (0.0, 0.0), (0.0, 20.0), 0.5, DepositionParams(flow_rate_mm3_s=946.0))
+
+    def test_bead_stacked_on_a_capped_line_raises(self):
+        """200 mm^2 per mm piles a bead about 50 mm high: one pass stays under
+        the 80 mm bound, and the second pass over the same lines crosses it."""
+        hf = make_flat(nx=60, ny=80, cell=0.5, origin=(-15.0, -5.0))
+        deposit(hf, (0.0, 0.0), (0.0, 20.0), 1.0, self.PARAMS)
+        peak = hf.heights.max() - hf.nominal_surface
+        assert 40.0 < peak <= specimen.MAX_OVERFILL_MM
+        deposit(hf, (0.0, 25.0), (0.0, 30.0), 1.0, self.PARAMS)  # other lines: no stacking
+        with pytest.raises(Overfill):
+            deposit(hf, (0.0, 20.0), (0.0, 10.0), 1.0, self.PARAMS)
+
+    def test_check_reads_only_the_cells_the_segment_caps(self):
+        """A plate handed in already above the bound, away from this
+        segment's caps, is outside the check's scope."""
+        hf = make_flat(nx=60, ny=80, cell=0.5, origin=(-15.0, -5.0))
+        hf.heights[-1, -1] = specimen.MAX_OVERFILL_MM + 1.0
+        deposit(hf, (0.0, 0.0), (0.0, 20.0), 1.0, self.PARAMS)
+
+
+# The deposit kernel and carving as they were when each grid line ran its
+# own Python loop: the reference the vectorized kernel must match bit for bit.
+
+
+def loop_water_fill(heights: np.ndarray, budget_area: float, ceiling: float, cell_size: float) -> float:
+    capacity = float(np.maximum(0.0, ceiling - heights).sum() * cell_size)
+    if budget_area >= capacity:
+        np.maximum(heights, ceiling, out=heights)
+        return budget_area - capacity
+    order = np.argsort(heights)
+    h_sorted = heights[order]
+    prefix = np.concatenate([[0.0], np.cumsum(h_sorted)])
+    level = h_sorted[-1]
+    for k in range(1, len(h_sorted) + 1):
+        next_h = h_sorted[k] if k < len(h_sorted) else np.inf
+        cost_next = (next_h * k - prefix[k]) * cell_size
+        if cost_next >= budget_area:
+            level = budget_area / (cell_size * k) + prefix[k] / k
+            break
+    np.maximum(heights, min(level, ceiling), out=heights)
+    return 0.0
+
+
+def line_by_line_deposit(hf, start, end, speed_mm_s, params, include_end=True):
+    p0 = np.asarray(start, dtype=float)
+    p1 = np.asarray(end, dtype=float)
+    length = float(np.linalg.norm(p1 - p0))
+    area = params.flow_rate_mm3_s / speed_mm_s
+    cs = hf.cell_size
+    dom = 0 if abs(p1[0] - p0[0]) >= abs(p1[1] - p0[1]) else 1
+    if dom == 0:
+        i_from, i_to = int(hf.ix_of(p0[0])), int(hf.ix_of(p1[0]))
+    else:
+        i_from, i_to = int(hf.iy_of(p0[1])), int(hf.iy_of(p1[1]))
+    step = 1 if i_to >= i_from else -1
+    stations = list(range(i_from, i_to + step, step))
+    if not include_end and len(stations) > 1:
+        stations = stations[:-1]
+
+    station_area = area * length / (len(stations) * cs)
+    nozzle_half_cells = max(1, math.ceil(params.nozzle_diameter_mm / 2.0 / cs))
+    denom = p1[dom] - p0[dom]
+    deposited = 0.0
+    for idx in stations:
+        coord = hf.x_of(idx) if dom == 0 else hf.y_of(idx)
+        t = (coord - p0[dom]) / denom if denom != 0 else 0.0
+        centre_perp = p0[1 - dom] + np.clip(t, 0.0, 1.0) * (p1[1 - dom] - p0[1 - dom])
+        line = hf.heights[:, idx] if dom == 0 else hf.heights[idx, :]
+        j_c = int(np.clip(round((centre_perp - hf.origin[1 - dom]) / cs), 0, len(line) - 1))
+        before = line.sum()
+        lo = max(0, j_c - nozzle_half_cells)
+        hi = min(len(line) - 1, j_c + nozzle_half_cells)
+        window = np.nonzero(line[lo : hi + 1] < hf.nominal_surface - 1e-12)[0]
+        remaining = station_area
+        if window.size:
+            j0 = lo + window[np.argmin(np.abs(window + lo - j_c))]
+            j_lo = j0
+            while j_lo > 0 and line[j_lo - 1] < hf.nominal_surface - 1e-12:
+                j_lo -= 1
+            j_hi = j0
+            while j_hi < len(line) - 1 and line[j_hi + 1] < hf.nominal_surface - 1e-12:
+                j_hi += 1
+            trough_width = (j_hi - j_lo + 1) * cs
+            remaining = loop_water_fill(line[j_lo : j_hi + 1], station_area, hf.nominal_surface, cs)
+            cap_centre = hf.origin[1 - dom] + (j_lo + j_hi) / 2.0 * cs
+            cap_width = min(trough_width, params.nozzle_diameter_mm)
+        else:
+            cap_centre = centre_perp
+            cap_width = params.nozzle_diameter_mm
+        if remaining > 1e-12:
+            j_first = max(0, int(math.ceil((cap_centre - cap_width / 2.0 - hf.origin[1 - dom]) / cs)))
+            j_last = min(len(line) - 1, int(math.floor((cap_centre + cap_width / 2.0 - hf.origin[1 - dom]) / cs)))
+            if j_last < j_first:
+                j_first = j_last = j_c
+            cells = np.arange(j_first, j_last + 1)
+            offsets = hf.origin[1 - dom] + cells * cs - cap_centre
+            z = specimen._cap_profile(offsets, cap_width, remaining)
+            total = z.sum() * cs
+            if total <= 0:
+                z = np.full(cells.shape, remaining / (len(cells) * cs))
+            else:
+                z *= remaining / total
+            line[cells] += z
+        deposited += (line.sum() - before) * cs * cs
+    if float(hf.heights.max()) > hf.nominal_surface + specimen.MAX_OVERFILL_MM:
+        raise Overfill("overfill")
+    return specimen.DepositResult(length / speed_mm_s, area * length, deposited)
+
+
+def full_grid_specimen(spec, *, origin, cell_size, nx, ny):
+    hf = Heightfield.flat(origin, cell_size, nx, ny)
+    pts = np.asarray(spec.path, dtype=float)
+    half_w = spec.max_width() / 2.0
+    gx, gy = np.meshgrid(hf.x_of(np.arange(nx)), hf.y_of(np.arange(ny)))
+    best_d2 = np.full(gx.shape, np.inf)
+    best_s = np.zeros(gx.shape)
+    s0 = 0.0
+    for a, b in zip(pts[:-1], pts[1:]):
+        d = b - a
+        seg_len = float(np.hypot(*d))
+        if seg_len == 0:
+            continue
+        t = np.clip(((gx - a[0]) * d[0] + (gy - a[1]) * d[1]) / seg_len**2, 0.0, 1.0)
+        d2 = (gx - (a[0] + t * d[0])) ** 2 + (gy - (a[1] + t * d[1])) ** 2
+        closer = d2 < best_d2
+        best_d2[closer] = d2[closer]
+        best_s[closer] = s0 + t[closer] * seg_len
+        s0 += seg_len
+    dist, s = np.sqrt(best_d2), best_s
+    near = dist <= half_w
+    widths = profile_values(spec.width, s[near])
+    depths = profile_values(spec.depth, s[near])
+    carved = dist[near] <= widths / 2.0
+    rows, cols = np.nonzero(near)
+    hf.heights[rows[carved], cols[carved]] = hf.nominal_surface - depths[carved]
+    return hf
+
+
+def assert_deposit_matches_reference(hf, start, end, speed, params, include_end=True):
+    got_hf, want_hf = hf.copy(), hf.copy()
+    outcomes = []
+    for run, plate in ((deposit, got_hf), (line_by_line_deposit, want_hf)):
+        try:
+            outcomes.append(run(plate, start, end, speed, params, include_end=include_end))
+        except Overfill:
+            outcomes.append(Overfill)
+    assert np.array_equal(got_hf.heights, want_hf.heights)
+    got, want = outcomes
+    assert got == want  # the same exception, or == on every DepositResult field
+
+
+def trough_plate(nx, ny, cell, origin, troughs=(), beads=()):
+    """Flat plate with rectangular troughs and raised beads: (ix0, ix1, iy0, iy1, dz)."""
+    hf = Heightfield.flat(origin, cell, nx, ny)
+    for ix0, ix1, iy0, iy1, dz in troughs:
+        hf.heights[iy0:iy1, ix0:ix1] -= dz
+    for ix0, ix1, iy0, iy1, dz in beads:
+        hf.heights[iy0:iy1, ix0:ix1] += dz
+    return hf
+
+
+CRACK = make_rect_crack(width=8.0, depth=5.0, cell=0.1, ny=400, y0=5.0, y1=35.0)
+PARAMS = DepositionParams(flow_rate_mm3_s=946.0)
+
+
+class TestDepositMatchesLineByLine:
+    @pytest.mark.parametrize(
+        "start, end",
+        [
+            ((0.0, 8.0), (0.0, 32.0)),  # column-dominant, along the crack
+            ((0.0, 32.0), (0.3, 8.0)),  # reversed
+            ((-12.0, 20.0), (12.0, 20.0)),  # row-dominant, across the crack
+            ((12.0, 25.0), (-12.0, 21.0)),  # row-dominant, reversed and oblique
+            ((-3.0, 10.0), (4.0, 30.0)),  # oblique
+            ((-5.0, 12.0), (5.0, 22.0)),  # 45 degrees: the x run wins the tie
+        ],
+    )
+    @pytest.mark.parametrize("speed", [3.0, 20.0, 60.0])  # overfilled to underfilled
+    @pytest.mark.parametrize("include_end", [True, False])
+    def test_on_a_carved_crack(self, start, end, speed, include_end):
+        assert_deposit_matches_reference(CRACK, start, end, speed, PARAMS, include_end)
+
+    @pytest.mark.parametrize("start, end", [((0.0, 0.0), (0.0, 20.0)), ((-8.0, 3.0), (9.0, 1.0))])
+    def test_on_a_flat_plate(self, start, end):
+        hf = make_flat(nx=60, ny=80, cell=0.5, origin=(-15.0, -5.0))
+        assert_deposit_matches_reference(hf, start, end, 10.0, PARAMS)
+
+    def test_troughs_reaching_both_grid_edges(self):
+        """Every row below the surface from index 0 to n - 1, and a deeper
+        trough that starts at index 0 of each column."""
+        hf = trough_plate(30, 40, 0.5, (-7.5, -10.0), troughs=[(0, 30, 0, 40, 0.5), (0, 30, 0, 6, 2.0)])
+        for speed in (2.0, 40.0):
+            assert_deposit_matches_reference(hf, (0.0, -8.0), (0.0, 8.0), speed, PARAMS)
+            assert_deposit_matches_reference(hf, (-7.0, -9.0), (7.0, -8.0), speed, PARAMS)
+            assert_deposit_matches_reference(hf, (7.0, 9.0), (-7.0, 9.0), speed, PARAMS)
+
+    def test_a_second_pass_over_filled_lines(self):
+        hf = CRACK.copy()
+        deposit(hf, (0.0, 8.0), (0.0, 32.0), 40.0, PARAMS)
+        assert_deposit_matches_reference(hf, (0.0, 30.0), (0.2, 10.0), 15.0, PARAMS)
+        assert_deposit_matches_reference(hf, (-10.0, 20.0), (10.0, 20.0), 15.0, PARAMS)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        nx=st.integers(4, 40),
+        ny=st.integers(4, 40),
+        cell=st.sampled_from([0.25, 0.5, 1.0]),
+        speed=st.floats(1.0, 60.0),
+        flow=st.floats(5.0, 1000.0),
+        nozzle=st.floats(0.2, 8.0),
+        include_end=st.booleans(),
+    )
+    def test_random_plates(self, data, nx, ny, cell, speed, flow, nozzle, include_end):
+        origin = (-nx * cell / 3, -ny * cell / 2)
+
+        def blocks(max_dz):
+            return st.lists(
+                st.tuples(
+                    st.integers(0, nx - 1), st.integers(1, nx), st.integers(0, ny - 1), st.integers(1, ny),
+                    st.floats(0.01, max_dz),
+                ),
+                max_size=4,
+            )
+
+        hf = trough_plate(nx, ny, cell, origin, data.draw(blocks(6.0)), data.draw(blocks(3.0)))
+        x_min, x_max, y_min, y_max = hf.bounds()
+        ends = [(data.draw(st.floats(x_min, x_max)), data.draw(st.floats(y_min, y_max))) for _ in range(2)]
+        if ends[0] == ends[1]:
+            return
+        params = DepositionParams(flow_rate_mm3_s=flow, nozzle_diameter_mm=nozzle)
+        assert_deposit_matches_reference(hf, ends[0], ends[1], speed, params, include_end)
+
+
+class TestWaterFillMatchesLoop:
+    @staticmethod
+    def check(heights, budget, ceiling=0.0, cell=0.1):
+        got, want = heights.copy(), heights.copy()
+        assert specimen._water_fill(got, budget, ceiling, cell) == loop_water_fill(want, budget, ceiling, cell)
+        assert np.array_equal(got, want)
+
+    def test_tied_heights_and_budgets_near_capacity(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            heights = -rng.choice([0.5, 1.0, 2.5, 4.0], size=rng.integers(1, 40))
+            capacity = float(np.maximum(0.0, -heights).sum() * 0.1)
+            for budget in (
+                capacity,
+                np.nextafter(capacity, 0.0),
+                capacity * (1 - 1e-12),
+                capacity * rng.uniform(0.9, 1.0),
+                capacity * rng.uniform(0.0, 1.0),
+                1e-15,
+            ):
+                self.check(heights, float(budget))
+
+    def test_budget_exactly_levelling_the_lowest_cells(self):
+        """A budget equal to the cost of levelling the k lowest cells up to
+        the next height stops at k, not k + 1."""
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            heights = -rng.uniform(0.01, 9.0, size=rng.integers(2, 30))
+            h_sorted = np.sort(heights)
+            prefix = np.cumsum(h_sorted)
+            for k in range(1, len(heights)):
+                self.check(heights, float((h_sorted[k] * k - prefix[k - 1]) * 0.1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        heights=st.lists(st.floats(-10.0, -1e-9), min_size=1, max_size=60),
+        fraction=st.floats(0.0, 1.0),
+        cell=st.sampled_from([0.05, 0.1, 0.5]),
+    )
+    @example(heights=[-1.0] * 7, fraction=1.0, cell=0.1)
+    @example(heights=[-2.0, -1.0, -2.0, -1.0], fraction=0.5, cell=0.1)
+    def test_random_troughs(self, heights, fraction, cell):
+        heights = np.asarray(heights)
+        capacity = float(np.maximum(0.0, -heights).sum() * cell)
+        self.check(heights, capacity * fraction, cell=cell)
+
+
+class TestCarveMatchesFullGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n_pts=st.integers(2, 5),
+        cell=st.sampled_from([0.1, 0.25, 0.5]),
+        tabled=st.booleans(),
+        touch_edge=st.booleans(),
+    )
+    def test_random_polylines(self, data, n_pts, cell, tabled, touch_edge):
+        coord = st.floats(-20.0, 20.0)
+        pts = [(data.draw(coord), data.draw(coord)) for _ in range(n_pts)]
+        if tabled:
+            knots = sorted(data.draw(st.lists(st.floats(0.0, 60.0), min_size=1, max_size=4, unique=True)))
+            width = [(s, data.draw(st.floats(0.3, 9.0))) for s in knots]
+            depth = [(s, data.draw(st.floats(0.3, 9.0))) for s in knots]
+        else:
+            width, depth = data.draw(st.floats(0.3, 9.0)), data.draw(st.floats(0.3, 9.0))
+        spec = CrackSpec(path=pts, width=width, depth=depth)
+        half_w = spec.max_width() / 2.0
+        arr = np.asarray(pts)
+        margin = 0.0 if touch_edge else data.draw(st.floats(0.0, 10.0))
+        origin = tuple(arr.min(axis=0) - half_w - margin)
+        # the low edges touch the trough; one spare cell keeps the high edges clear of rounding
+        nx, ny = (np.ceil((np.ptp(arr, axis=0) + 2 * (half_w + margin)) / cell).astype(int) + 2).tolist()
+        got = generate_specimen(spec, origin=origin, cell_size=cell, nx=nx, ny=ny)
+        want = full_grid_specimen(spec, origin=origin, cell_size=cell, nx=nx, ny=ny)
+        assert np.array_equal(got.heights, want.heights)
+
+    def test_default_scene(self):
+        scene = ScenarioConfig.default().build_scene()
+        hf = scene.build_specimen()
+        want = full_grid_specimen(scene.crack, origin=hf.origin, cell_size=hf.cell_size, nx=hf.nx, ny=hf.ny)
+        assert np.array_equal(hf.heights, want.heights)
