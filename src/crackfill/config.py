@@ -175,6 +175,12 @@ def _crack(width, depth) -> dict:
 
 _SPEEDS_MM_S = [6.0, 8.0, 10.0, 15.0, 20.0]
 
+# Size caps, checked before anything is allocated: a camera image holds at
+# most MAX_IMAGE_PIXELS pixels and a heightfield (the specimen grid or a
+# calibration strip plate) at most MAX_GRID_CELLS cells.
+MAX_IMAGE_PIXELS = 2048 * 2048
+MAX_GRID_CELLS = 2**24
+
 # The scenario schema. A dict is a block of keys; a Field is a leaf.
 SCHEMA: dict = {
     "seed": Field(0, _integer(0)),
@@ -298,6 +304,13 @@ class ScenarioConfig:
         for key, size in (("px", "width"), ("py", "height")):
             if not 0 <= cam[key] < cam[size]:
                 raise ConfigError(f"camera.{key} must lie in [0, camera.{size}) = [0, {cam[size]}), got {cam[key]}")
+        if cam["width"] * cam["height"] > MAX_IMAGE_PIXELS:
+            raise ConfigError(
+                f"camera.width x camera.height must be at most {MAX_IMAGE_PIXELS} pixels, got {cam['width']} x {cam['height']}"
+            )
+        grid = raw["grid"]
+        if grid["nx"] * grid["ny"] > MAX_GRID_CELLS:
+            raise ConfigError(f"grid.nx x grid.ny must be at most {MAX_GRID_CELLS} cells, got {grid['nx']} x {grid['ny']}")
         cal = raw["calibration"]
         if cal["source"] == "file" and cal["path"] is None:
             raise ConfigError("calibration.source 'file' requires calibration.path")
@@ -435,7 +448,8 @@ class ScenarioConfig:
 
         The strip runs along robot y and is scanned like a horizontal
         crack, along the laser mount's x axis, so its sections are cut at
-        the same angle as the crack's.
+        the same angle as the crack's. A plate over MAX_GRID_CELLS cells is
+        refused before it is built.
         """
         cal = self.raw["calibration"]
         speeds = sorted(float(v) for v in cal["speeds_mm_s"])
@@ -448,8 +462,13 @@ class ScenarioConfig:
         noise = self.build_noise()
         rotation = self.build_laser_mount().rotation
         margin = 5.0
-        nx = int(round((span + 2 * margin) / cell))
-        ny = int(round((strip_len + 2 * margin) / cell))
+        cells = ((span + 2 * margin) / cell, (strip_len + 2 * margin) / cell)
+        if cells[0] * cells[1] > MAX_GRID_CELLS:
+            raise ConfigError(
+                f"grid.cell_size_mm {cell} cuts the calibration strip plate (laser.span_mm + {2 * margin:g} by "
+                f"calibration.strip_length_mm + {2 * margin:g}) into more than {MAX_GRID_CELLS} cells"
+            )
+        nx, ny = (int(round(n)) for n in cells)
         origin = (-(span / 2 + margin), -margin)
         scans: list[tuple[float, list[LaserProfile]]] = []
         for si, speed in enumerate(speeds):

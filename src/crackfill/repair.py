@@ -82,22 +82,20 @@ def fill_error(area_pre_mm2: float, area_post_mm2: float) -> float:
 class ScanStation:
     """Where and how one laser scan was taken, so it can be reproduced.
 
-    id, the index among refinement survivors in perception order, keys the
-    rescan noise and names the station in reports, whatever the fill order.
     pose places the scanner; its line runs along the pose's x axis.
     """
 
     pose: RigidTransform
     span_mm: float
     standoff_mm: float
-    id: int
 
 
 @dataclass(frozen=True)
 class RefinementResult:
-    """Survivors of the laser refinement pass in travel order.
+    """Survivors of the laser refinement pass, in perception's travel order.
 
-    waypoints[i] was measured as features[i] by the scan at stations[i].
+    waypoints[i] was measured as features[i] by the scan at stations[i];
+    a station's number is its position here.
     """
 
     waypoints: tuple[Waypoint, ...]
@@ -375,7 +373,7 @@ def refine_waypoints(
     mount into a robot-frame correction added to a new copy of the
     waypoint. Waypoints whose scan shows no crack are
     dropped with a warning; if none survive AllPointsDropped is raised.
-    Survivors are in travel order, features and stations permuted alike.
+    Survivors keep the input's travel order.
     """
     threshold = edge_threshold_for(noise)
     survivors: list[tuple[Waypoint, ProfileFeatures, ScanStation]] = []
@@ -389,7 +387,7 @@ def refine_waypoints(
         x, y, z = wp.robot_pt.x, wp.robot_pt.y, wp.robot_pt.z
         position = [x + mount_offset[0], y + mount_offset[1], z + mount_offset[2] + standoff_mm]
         pose = RigidTransform(rotation, position, Frame.LASER, Frame.ROBOT)
-        station = ScanStation(pose=pose, span_mm=span_mm, standoff_mm=standoff_mm, id=len(survivors))
+        station = ScanStation(pose=pose, span_mm=span_mm, standoff_mm=standoff_mm)
         scan_noise = noise.derive(NOISE_STREAMS["refine"], i)
         prof = scan_profile(hf, pose, span_mm, scan_noise, standoff_mm=standoff_mm)
         try:
@@ -415,26 +413,24 @@ def refine_waypoints(
         survivors.append((replace(wp, refined_robot_pt=refined, area_mm2=feats.area_mm2), feats, station))
     if not survivors:
         raise AllPointsDropped("laser refinement dropped every waypoint")
-    by_waypoint = {id(s[0]): s for s in survivors}
-    ordered = [by_waypoint[id(wp)] for wp in order_path([s[0] for s in survivors])]
-    refined_wps, features, stations = zip(*ordered)
+    refined_wps, features, stations = zip(*survivors)
     return RefinementResult(
         waypoints=refined_wps, features=features, stations=stations, dropped=len(waypoints) - len(survivors)
     )
 
 
 def plan_fill(waypoints: list[Waypoint], mode: FillMode, model: CalibrationModel | None = None) -> FillPlan:
-    """Order the waypoints and assign a travel speed to each segment.
+    """Assign a travel speed to each segment, keeping the waypoints' order.
 
     Adaptive mode converts each waypoint's measured area to a speed via
     the calibration model; fixed mode applies one speed throughout. Input
-    from refine_waypoints is in travel order already, so plan order equals
+    from refine_waypoints is in travel order, so plan order equals
     station order.
     """
     if not waypoints:
         raise EmptyWaypoints("cannot plan a fill without waypoints")
     planned = []
-    for wp in order_path(waypoints):
+    for wp in waypoints:
         if mode.kind == "adaptive":
             if model is None:
                 raise ValueError("adaptive fill planning requires a calibration model")
@@ -488,7 +484,7 @@ def validate(
     """Rescan every pre-fill station and score the fill.
 
     speeds[i] is the planned travel speed at stations[i]; the report
-    records it with the station. The fill error at a station is
+    records it with the station, numbered i. The fill error at a station is
     |post area / pre area| using unsigned deviation areas, so over- and
     under-fill cannot cancel. If the post-fill profile no longer shows
     edges (the fill levelled the surface) the post area integrates the
@@ -498,8 +494,8 @@ def validate(
     threshold = edge_threshold_for(noise)
     records: list[StationRecord] = []
     errors: list[float] = []
-    for station, pre, speed in zip(stations, pre_features, speeds, strict=True):
-        scan_noise = noise.derive(NOISE_STREAMS["validate"], station.id)
+    for number, (station, pre, speed) in enumerate(zip(stations, pre_features, speeds, strict=True)):
+        scan_noise = noise.derive(NOISE_STREAMS["validate"], number)
         prof = scan_profile(hf_filled, station.pose, station.span_mm, scan_noise, standoff_mm=station.standoff_mm)
         try:
             post = measure(prof, threshold)
@@ -509,12 +505,12 @@ def validate(
         included = pre.area_mm2 >= area_floor_mm2
         err = fill_error(pre.area_mm2, area_post) if included else None
         if not included:
-            logger.info("station %d excluded from fill statistics: pre area %.3f below floor", station.id, pre.area_mm2)
+            logger.info("station %d excluded from fill statistics: pre area %.3f below floor", number, pre.area_mm2)
         else:
             errors.append(err)
         records.append(
             StationRecord(
-                station=station.id,
+                station=number,
                 area_pre_mm2=pre.area_mm2,
                 area_post_mm2=area_post,
                 fill_error=err,

@@ -394,9 +394,11 @@ def deposit(
     p1 = np.asarray(end, dtype=float)
     if not (hf.contains(p0[0], p0[1]) and hf.contains(p1[0], p1[1])):
         raise SegmentOutsideGrid(f"segment {tuple(p0)} -> {tuple(p1)} leaves the grid")
-    length = float(np.linalg.norm(p1 - p0))
-    if length == 0:
+    # Compare the ends, not the length: the norm of a distinct but tiny
+    # offset (say 1e-200 mm) squares to zero and would read as no segment.
+    if np.array_equal(p0, p1):
         raise ZeroLengthSegment(f"deposition segment starts and ends at {tuple(p0)}")
+    length = float(np.linalg.norm(p1 - p0))
 
     area = params.flow_rate_mm3_s / speed_mm_s
     cs = hf.cell_size

@@ -333,6 +333,32 @@ CRACK_ALONG_X_CONFIG = {
     "calibration": EXPERIMENT_CONFIG["calibration"],
 }
 
+
+def test_refinement_keeps_perception_order(monkeypatch):
+    """Perception fixes the travel order and no later stage sorts again, so
+    the pinned bytes hold only while refined points stay in the order that
+    order_path would give them: on the default scene, a crack along x and
+    every scan of the default localization study."""
+    surveys = []
+    real_survey = repair.survey
+
+    def recording(*args, **kwargs):
+        surveys.append(real_survey(*args, **kwargs))
+        return surveys[-1]
+
+    monkeypatch.setattr(repair, "survey", recording)
+    for cfg in (ScenarioConfig.default(), ScenarioConfig.from_dict(CRACK_ALONG_X_CONFIG)):
+        scene = cfg.build_scene()
+        repair.survey(scene, repair.image_specimen(scene, scene.build_specimen()), cfg.build_noise())
+    cfg = ScenarioConfig.default()
+    n_scans = cfg.raw["localization"]["n_scans"]
+    localization_experiment(cfg.build_scene(localization=True), cfg.build_noise(localization=True), n_scans)
+    assert len(surveys) == 2 + n_scans
+    for surveyed in surveys:
+        refined = list(surveyed.refinement.waypoints)
+        assert order_path(refined) == refined
+
+
 # The scenario files a pinned run can name with --config; the others read
 # scenario.json.
 SCENARIO_FILES = {"scenario.json": EXPERIMENT_CONFIG, "crack_along_x.json": CRACK_ALONG_X_CONFIG}

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crackfill import ScenarioConfig, cli, experiment_modes, run_experiment
+from crackfill import Heightfield, ScenarioConfig, cli, experiment_modes, run_experiment
 from crackfill import io as cfio
 from crackfill import repair as repair_module
 
@@ -383,6 +383,22 @@ class TestConfigErrors:
             err = capsys.readouterr().err
             assert err.startswith("config error: calibration.interpolate") and "Traceback" not in err
         assert ran == []
+
+    def test_strip_plate_over_the_cell_cap(self, tmp_path, capsys, monkeypatch):
+        """A grid cell so fine that a calibration strip plate would pass the
+        cell cap (500,000 x 900,000 cells here) is a config error that
+        calibrate and fill report before any plate is built."""
+        data = compact_config()
+        data["grid"]["cell_size_mm"] = 1e-4
+        cfg = write_config(tmp_path, data)
+        built = []
+        monkeypatch.setattr(Heightfield, "flat", staticmethod(lambda *args, **kwargs: built.append(args)))
+        monkeypatch.setattr(cli, "run_fill", lambda *args, **kwargs: built.append("fill"))
+        for command in ("calibrate", "fill"):
+            assert cli.main(["--config", cfg, "--out", str(tmp_path / "o"), command]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: grid.cell_size_mm") and "Traceback" not in err
+        assert built == []
 
 
 class TestBadMaskFiles:

@@ -80,6 +80,11 @@ REJECTED = [
     ("unknown key", "localization.crack.colour", "grey"),
     ("principal point", "camera.px", 1000.0),
     ("principal point", "camera.py", -1.0),
+    # rejected before any image or grid is allocated
+    ("image pixels", "camera.height", 10_000_000),
+    ("image pixels", "camera.width", 10_000_000),
+    ("grid cells", "grid.nx", 10_000_000),
+    ("grid cells", "grid.ny", 10_000_000),
 ]
 
 

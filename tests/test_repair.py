@@ -81,9 +81,9 @@ def make_scene(crack: CrackSpec | None, camera_y: float = 75.0, ny: int = 1500) 
     )
 
 
-def level_station(x: float, y: float, z: float, id: int) -> ScanStation:
+def level_station(x: float, y: float, z: float) -> ScanStation:
     """A station scanning along robot x from (x, y, z)."""
-    return ScanStation(RigidTransform(np.eye(3), [x, y, z], Frame.LASER, Frame.ROBOT), 40.0, 310.0, id)
+    return ScanStation(RigidTransform(np.eye(3), [x, y, z], Frame.LASER, Frame.ROBOT), 40.0, 310.0)
 
 
 def straight_crack() -> CrackSpec:
@@ -222,18 +222,22 @@ class TestRefineWaypoints:
         assert "dropping" in caplog.text
 
     def test_survivors_come_back_in_travel_order(self):
-        """Waypoints handed over in reverse travel order return in travel
-        order, each with the station it was scanned from."""
+        """Refinement keeps the order it is handed: reversed input stays
+        reversed, and a dropped waypoint (y = 145, past the crack's end)
+        leaves the others in order, each with the station it was scanned
+        from."""
         scene = make_scene(straight_crack())
         hf = scene.build_specimen()
-        waypoints = [make_waypoint(1.0, y, -5.0) for y in (110.0, 75.0, 40.0)]
-        result = refine_waypoints(
-            waypoints, hf, laser_mount=scene.laser_mount, orientation=Orientation.HORIZONTAL, noise=SensorNoise.noiseless()
-        )
-        assert [wp.robot_pt.y for wp in result.waypoints] == [40.0, 75.0, 110.0]
-        assert [st.id for st in result.stations] == [2, 1, 0]
-        for wp, st in zip(result.waypoints, result.stations):
-            assert tuple(st.pose.translation[:2]) == (wp.robot_pt.x, wp.robot_pt.y)
+        on_crack = [make_waypoint(1.0, y, -5.0) for y in (110.0, 75.0, 40.0)]
+        off_crack = make_waypoint(1.0, 145.0, 0.0)
+        for waypoints in (on_crack, [on_crack[0], off_crack, *on_crack[1:]]):
+            result = refine_waypoints(
+                waypoints, hf, laser_mount=scene.laser_mount, orientation=Orientation.HORIZONTAL, noise=SensorNoise.noiseless()
+            )
+            assert result.dropped == len(waypoints) - 3
+            assert [wp.robot_pt.y for wp in result.waypoints] == [110.0, 75.0, 40.0]
+            for wp, st in zip(result.waypoints, result.stations, strict=True):
+                assert tuple(st.pose.translation[:2]) == (wp.robot_pt.x, wp.robot_pt.y)
 
     def test_all_points_dropped_raises(self):
         hf = make_flat(nx=500, ny=500, cell=0.1, origin=(-25.0, -25.0))
@@ -282,8 +286,7 @@ class TestPlanFill:
         wps = [make_waypoint(0.0, float(y), 0.0) for y in (30, 10, 20)]
         plan = plan_fill(wps, FillMode.fixed(10.0))
         assert all(wp.speed_mm_s == 10.0 for wp in plan.waypoints)
-        ys = [wp.robot_pt.y for wp in plan.waypoints]
-        assert ys == sorted(ys)
+        assert [wp.robot_pt.y for wp in plan.waypoints] == [30.0, 10.0, 20.0]
 
     def test_empty_waypoints_raises(self):
         with pytest.raises(EmptyWaypoints):
@@ -331,7 +334,7 @@ class TestValidate:
 
     def test_levelled_surface_scores_zero_error(self):
         hf = make_flat(nx=500, ny=500, cell=0.1, origin=(-25.0, -25.0))
-        station = level_station(0.0, 0.0, 310.0, 0)
+        station = level_station(0.0, 0.0, 310.0)
         report = validate(
             [station],
             [self.scan_setup(100.0)],
@@ -349,18 +352,19 @@ class TestValidate:
     def test_small_pre_area_excluded_from_statistics(self, caplog):
         hf = make_flat(nx=500, ny=500, cell=0.1, origin=(-25.0, -25.0))
         stations = [
-            level_station(0.0, -5.0, 310.0, 0),
-            level_station(0.0, 5.0, 310.0, 1),
+            level_station(0.0, -5.0, 310.0),
+            level_station(0.0, 5.0, 310.0),
         ]
         features = [self.scan_setup(100.0), self.scan_setup(0.5)]
         with caplog.at_level("INFO", logger="crackfill.repair"):
             report = validate(
                 stations, features, hf, speeds=[8.0, 8.0], noise=SensorNoise.noiseless(), elapsed_s=1.0, mode=FillMode.adaptive(), area_floor_mm2=1.0
             )
+        assert [r.station for r in report.records] == [0, 1]
         assert report.records[0].included
         assert not report.records[1].included
         assert report.records[1].fill_error is None
-        assert "excluded" in caplog.text
+        assert "station 1 excluded" in caplog.text
         assert len(report.included_errors()) == 1
 
     def test_residual_trough_measured_against_pre_area(self):
@@ -369,7 +373,7 @@ class TestValidate:
         hf = make_rect_crack(width=8.0, depth=5.0)
         scene = make_scene(straight_crack())
         del scene
-        station = level_station(0.0, 75.0, 305.0, 0)
+        station = level_station(0.0, 75.0, 305.0)
         pre = self.scan_setup(80.0)
         report = validate([station], [pre], hf, speeds=[6.0], noise=SensorNoise.noiseless(), elapsed_s=0.0, mode=FillMode.fixed(6.0))
         # the unfilled trough still measures about 40 mm^2 against pre=80
@@ -377,7 +381,7 @@ class TestValidate:
 
     def test_summary_dict_shape(self):
         hf = make_flat(nx=500, ny=500, cell=0.1, origin=(-25.0, -25.0))
-        station = level_station(0.0, 0.0, 310.0, 0)
+        station = level_station(0.0, 0.0, 310.0)
         report = validate(
             [station], [self.scan_setup(50.0)], hf, speeds=[8.0], noise=SensorNoise.noiseless(), elapsed_s=3.0, mode=FillMode.fixed(8.0)
         )

@@ -490,6 +490,13 @@ class TestDepositMatchesLineByLine:
         assert_deposit_matches_reference(hf, (0.0, 30.0), (0.2, 10.0), 15.0, PARAMS)
         assert_deposit_matches_reference(hf, (-10.0, 20.0), (10.0, 20.0), 15.0, PARAMS)
 
+    def test_a_segment_whose_norm_underflows(self):
+        """Distinct ends whose squared offset is zero are a segment, not a refusal."""
+        hf = make_flat(nx=4, ny=4, cell=0.25, origin=(-1 / 3, -0.5))
+        params = DepositionParams(flow_rate_mm3_s=5.0, nozzle_diameter_mm=1.0)
+        for include_end in (True, False):
+            assert_deposit_matches_reference(hf, (0.0, 0.0), (3.9e-260, 0.0), 1.0, params, include_end)
+
     @settings(max_examples=150, deadline=None)
     @given(
         data=st.data(),
