@@ -4,12 +4,15 @@ The chain turns a binary crack mask into an ordered list of robot-frame
 waypoints: skeletonize the mask to a one-pixel centreline, subsample it
 at a minimum pixel spacing, attach depths, back-project through the
 camera model, and order the points along the crack's dominant axis.
+The skeleton and its subsample depend on the mask alone, so repeated
+scans of one view redo only the depth and later steps.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -186,26 +189,34 @@ def _dissolve_squares(img: np.ndarray) -> None:
         img[victim] = False
 
 
-def extract_pixels(skeleton: Skeleton, depth: DepthImage, min_spacing_px: float = DEFAULT_MIN_SPACING_PX) -> list[PixelCoord]:
+def space_pixels(skeleton: Skeleton, min_spacing_px: float = DEFAULT_MIN_SPACING_PX) -> tuple[tuple[int, int], ...]:
     """Subsample the skeleton at a minimum Euclidean pixel spacing.
 
     Pixels are visited in the skeleton's raster order and kept greedily
-    when at least min_spacing_px from every kept pixel. Depth per kept
-    pixel is the median of valid depths in its 3x3 neighbourhood; a
-    pixel with no valid depth nearby is dropped with a warning. An empty
-    skeleton yields an empty list (with a warning), not an error.
+    when at least min_spacing_px from every kept pixel; the result is
+    (row, col) pairs in that order. An empty skeleton yields no pixels
+    (with a warning), not an error.
     """
     pts = skeleton.pixels()
     if not pts:
         logger.warning("empty skeleton: no crack pixels to extract")
-        return []
     kept: list[tuple[int, int]] = []
     for r, c in pts:
         if all((r - kr) ** 2 + (c - kc) ** 2 >= min_spacing_px**2 for kr, kc in kept):
             kept.append((r, c))
+    return tuple(kept)
+
+
+def extract_pixels(pixels: Sequence[tuple[int, int]], depth: DepthImage) -> list[PixelCoord]:
+    """Attach a depth to each (row, col) skeleton pixel.
+
+    Depth per pixel is the median of valid depths in its 3x3
+    neighbourhood; a pixel with no valid depth nearby is dropped with a
+    warning.
+    """
     out: list[PixelCoord] = []
     h, w = depth.depth_mm.shape
-    for r, c in kept:
+    for r, c in pixels:
         r0, r1 = max(r - 1, 0), min(r + 2, h)
         c0, c1 = max(c - 1, 0), min(c + 2, w)
         window = depth.depth_mm[r0:r1, c0:c1]

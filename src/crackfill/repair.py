@@ -38,6 +38,7 @@ from .perception import (
     order_path,
     pixels_to_robot,
     skeletonize,
+    space_pixels,
 )
 from .profile import (
     CalibrationModel,
@@ -284,16 +285,18 @@ class RepairScene:
 class SpecimenView:
     """The noise-free camera view of one specimen, imaged once.
 
-    Holds one raycast's clean depth, the crack mask and its skeleton.
-    Every scan of the specimen reuses them: only the depth jitter and
-    the camera mount used for back-projection differ between scans.
-    specimen and every array here are read-only.
+    Holds one raycast's clean depth, the crack mask, its skeleton and
+    the skeleton pixels kept at the scene's minimum spacing. Every scan
+    of the specimen reuses them: only the depth jitter and the camera
+    mount used for back-projection differ between scans. specimen and
+    every array here are read-only.
     """
 
     specimen: Heightfield
     depth: DepthImage
     mask: MaskImage
     skeleton: Skeleton
+    pixels: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -330,19 +333,20 @@ def image_specimen(scene: RepairScene, specimen: Heightfield, mask: MaskImage | 
         depth=DepthImage(_read_only(depth.depth_mm), _read_only(depth.valid)),
         mask=MaskImage(_read_only(mask.flags)),
         skeleton=Skeleton(_read_only(skeleton.flags)),
+        pixels=space_pixels(skeleton, scene.min_spacing_px),
     )
 
 
 def perceive_view(scene: RepairScene, view: SpecimenView, noise: SensorNoise) -> PerceptionResult:
     """One RGB-D localization scan of an imaged specimen.
 
-    The scan reads the view's depth with fresh noise, extracts skeleton
-    pixels, and back-projects them through the camera mount perturbed by
-    the noise model's extrinsic bias, exactly like a miscalibrated
-    hand-eye transform would.
+    The scan reads the view's depth with fresh noise, attaches it to the
+    view's spaced skeleton pixels, and back-projects them through the
+    camera mount perturbed by the noise model's extrinsic bias, exactly
+    like a miscalibrated hand-eye transform would.
     """
     depth = add_depth_noise(view.depth, noise)
-    pixels = extract_pixels(view.skeleton, depth, scene.min_spacing_px)
+    pixels = extract_pixels(view.pixels, depth)
     pose_used = scene.camera_pose
     if noise.extrinsic_bias is not None:
         pose_used = compose(noise.extrinsic_bias, scene.camera_pose)

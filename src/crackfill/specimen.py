@@ -315,50 +315,63 @@ def _brentq(f: Callable[[float], float], xa: float, xb: float) -> float:
     raise RuntimeError("Brent's method did not converge in 100 iterations")
 
 
-def _cap_profile(offsets: np.ndarray, chord: float, area: float) -> np.ndarray:
-    """Bead heights above the surface at lateral offsets from the cap centre.
+def _cap_shape(chord: float, area: float) -> tuple[float, float, float]:
+    """(radius**2, base, riser) of a bead cap with the given chord and area.
 
     Up to a semicircle the bead cross-section is a circular segment of
-    the given chord; beyond that the extra material is modelled as a
-    rectangular riser of the same width under a semicircular cap.
+    the given chord, whose circle centre lies base below the surface;
+    beyond that the extra material is modelled as a rectangular riser of
+    the same width under a semicircular cap.
     """
-    half = chord / 2.0
     semi_area = math.pi * chord**2 / 8.0
     if area <= semi_area:
         f = lambda th: chord**2 * (th - math.sin(th) * math.cos(th)) / (4.0 * math.sin(th) ** 2) - area
         theta = _brentq(f, 1e-9, math.pi / 2.0)
         radius = chord / (2.0 * math.sin(theta))
-        base = radius * math.cos(theta)
-        riser = 0.0
-    else:
-        radius = half
-        base = 0.0
-        riser = (area - semi_area) / chord
-    inside = np.abs(offsets) <= half
-    z = np.zeros_like(offsets)
-    z[inside] = riser + np.sqrt(np.maximum(radius**2 - offsets[inside] ** 2, 0.0)) - base
+        return radius**2, radius * math.cos(theta), 0.0
+    return (chord / 2.0) ** 2, 0.0, (area - semi_area) / chord
+
+
+def _caps(offsets: np.ndarray, chords: np.ndarray, areas: np.ndarray, cell_size: float) -> np.ndarray:
+    """Bead heights of one cap per row, at lateral offsets from its centre.
+
+    Row r is the cap of chord chords[r], scaled so its cells hold
+    areas[r] (mm^2); a cap that covers no cell spreads its area evenly.
+    Rows with the same chord and area share one shape.
+    """
+    keys = list(zip(chords.tolist(), areas.tolist()))
+    shapes = {key: _cap_shape(*key) for key in set(keys)}
+    radius_sq, base, riser = np.array([shapes[key] for key in keys]).T[:, :, None]
+    z = riser + np.sqrt(np.maximum(radius_sq - offsets**2, 0.0)) - base
+    z = np.where(np.abs(offsets) <= chords[:, None] / 2.0, z, 0.0)
+    total = z.sum(axis=1) * cell_size
+    spread = total <= 0
+    z[spread] = (areas[spread] / (offsets.shape[1] * cell_size))[:, None]
+    z[~spread] *= (areas[~spread] / total[~spread])[:, None]
     return z
 
 
-def _water_fill(heights: np.ndarray, budget_area: float, ceiling: float, cell_size: float) -> float:
-    """Raise the lowest cells toward the ceiling, spending budget_area (mm^2).
+def _water_fill(runs: np.ndarray, budget_area: float, ceiling: float, cell_size: float) -> tuple[np.ndarray, np.ndarray]:
+    """Raise the lowest cells of each row toward the ceiling, spending budget_area (mm^2) per row.
 
-    Mutates heights in place; returns the unspent remainder of the
-    budget (positive when the trough fills completely).
+    Returns the filled rows and each row's unspent remainder of the
+    budget (positive when the row fills completely).
     """
-    capacity = float(np.maximum(0.0, ceiling - heights).sum() * cell_size)
-    if budget_area >= capacity:
-        np.maximum(heights, ceiling, out=heights)
-        return budget_area - capacity
-    h_sorted = np.sort(heights)
-    prefix = np.cumsum(h_sorted)
-    k = np.arange(1, len(h_sorted) + 1)
-    # cost[k - 1]: levelling the k lowest cells up to the next height
-    cost = (np.append(h_sorted[1:], np.inf) * k - prefix) * cell_size
-    i = int(np.flatnonzero(cost >= budget_area)[0])
-    level = budget_area / (cell_size * (i + 1)) + prefix[i] / (i + 1)
-    np.maximum(heights, min(level, ceiling), out=heights)
-    return 0.0
+    capacity = np.maximum(0.0, ceiling - runs).sum(axis=1) * cell_size
+    level = np.full(len(runs), float(ceiling))
+    part = np.flatnonzero(budget_area < capacity)
+    if part.size:
+        h_sorted = np.sort(runs[part], axis=1)
+        prefix = np.cumsum(h_sorted, axis=1)
+        k = np.arange(1, runs.shape[1] + 1)
+        # cost[:, k - 1]: levelling the k lowest cells up to the next height
+        cost = (np.append(h_sorted[:, 1:], np.full((part.size, 1), np.inf), axis=1) * k - prefix) * cell_size
+        i = np.argmax(cost >= budget_area, axis=1)
+        fill = budget_area / (cell_size * (i + 1)) + prefix[np.arange(part.size), i] / (i + 1)
+        level[part] = np.where(ceiling < fill, ceiling, fill)
+    remaining = budget_area - capacity
+    remaining[part] = 0.0
+    return np.maximum(runs, level[:, None]), remaining
 
 
 def deposit(
@@ -371,12 +384,18 @@ def deposit(
 ) -> DepositResult:
     """Extrude along the segment from start to end at constant speed.
 
-    Per unit length the nozzle lays a cross-section of A = Q / speed.
-    The material floods the local trough bottom-up; excess forms a bead
-    cap above the surface of width min(local trough width, nozzle
-    diameter). With include_end false the grid line at the segment's
-    far end is left to the following segment, so chained segments touch
-    each cross-section exactly once.
+    Per unit length the nozzle lays a cross-section of A = Q / speed,
+    split evenly over the grid lines across the segment's dominant axis.
+    On each line the material floods the trough run nearest the nozzle
+    bottom-up; excess forms a bead cap above the surface of width
+    min(local trough width, nozzle diameter). With include_end false the
+    grid line at the segment's far end is left to the following segment,
+    so chained segments touch each cross-section exactly once.
+
+    The segment's lines are distinct and each only changes itself, so
+    they are handled together as one (lines x cells) block, each line a
+    contiguous row; every row gets the same arithmetic as a line handled
+    on its own, and the volume sums each line in travel order.
 
     Mutates hf in place and returns elapsed time plus the volume
     bookkeeping for the segment. Raises Overfill, after the segment is
@@ -402,68 +421,90 @@ def deposit(
 
     area = params.flow_rate_mm3_s / speed_mm_s
     cs = hf.cell_size
+    nominal = hf.nominal_surface
+    nozzle = params.nozzle_diameter_mm
     dom = 0 if abs(p1[0] - p0[0]) >= abs(p1[1] - p0[1]) else 1
     if dom == 0:
         i_from, i_to = int(hf.ix_of(p0[0])), int(hf.ix_of(p1[0]))
     else:
         i_from, i_to = int(hf.iy_of(p0[1])), int(hf.iy_of(p1[1]))
     step = 1 if i_to >= i_from else -1
-    stations = list(range(i_from, i_to + step, step))
-    if not include_end and len(stations) > 1:
-        stations = stations[:-1]
+    if not include_end and i_to != i_from:
+        i_to -= step
+    lo, hi = min(i_from, i_to), max(i_from, i_to) + 1
+    lines = np.arange(lo, hi)
+    station_area = area * length / (len(lines) * cs)
 
-    station_area = area * length / (len(stations) * cs)
-    nozzle_half_cells = max(1, math.ceil(params.nozzle_diameter_mm / 2.0 / cs))
-    denom = p1[dom] - p0[dom]
-    o_line, o_perp = hf.origin[dom], hf.origin[1 - dom]
-    n = hf.ny if dom == 0 else hf.nx
-    deposited = 0.0
+    # one row per grid line, in ascending index order; contiguous rows,
+    # so a row sum rounds like the sum of its own line
+    view = hf.heights[:, lo:hi].T if dom == 0 else hf.heights[lo:hi]
+    block = np.ascontiguousarray(view)
+    before = block.sum(axis=1)
+    m, n = block.shape
+    o_perp = hf.origin[1 - dom]
+
+    # the nozzle centre's cell on each line
+    # distinct ends differ in the dominant axis, so the divisor is never zero
+    t = (hf.origin[dom] + lines * cs - p0[dom]) / (p1[dom] - p0[dom])
+    t = np.where(t > 1.0, 1.0, np.where(t < 0.0, 0.0, t))
+    centre_perp = p0[1 - dom] + t * (p1[1 - dom] - p0[1 - dom])
+    j_c = np.clip(np.rint((centre_perp - o_perp) / cs), 0, n - 1).astype(int)
+
+    # the below-surface cell under the nozzle nearest its centre, searched
+    # in the order 0, -1, +1, -2, +2, ... so the lower cell wins a tie
+    below = block < nominal - 1e-12
+    # no cell lies more than n - 1 away, however wide the nozzle
+    reach = np.arange(1, min(max(1, math.ceil(nozzle / 2.0 / cs)), n - 1) + 1)
+    candidates = j_c[:, None] + np.concatenate(([0], np.column_stack((-reach, reach)).ravel()))
+    hit = (candidates >= 0) & (candidates < n) & below[np.arange(m)[:, None], np.clip(candidates, 0, n - 1)]
+    wet = np.flatnonzero(hit.any(axis=1))
+    j0 = candidates[wet, hit[wet].argmax(axis=1)]
+
+    # flood the contiguous trough run around that cell, rows grouped by run
+    # length; only the band of columns holding these rows' below-surface
+    # cells, plus one dry column each side, can bound a run
+    wet_cols = np.flatnonzero(below[wet].any(axis=0))
+    c0, c1 = (max(wet_cols[0] - 1, 0), min(wet_cols[-1] + 2, n)) if wet.size else (0, 0)
+    cells = np.arange(c0, c1)
+    dry = ~below[wet, c0:c1]
+    j_lo = np.where(dry & (cells < j0[:, None]), cells, c0 - 1).max(axis=1, initial=c0 - 1) + 1
+    j_hi = np.where(dry & (cells > j0[:, None]), cells, c1).min(axis=1, initial=c1) - 1
+    run = j_hi - j_lo + 1
+    remaining = np.full(m, station_area)
+    for size in np.unique(run):
+        of_size = run == size
+        at = (wet[of_size][:, None], j_lo[of_size][:, None] + np.arange(size))
+        block[at], remaining[wet[of_size]] = _water_fill(block[at], station_area, nominal, cs)
+
+    # cap whatever the trough could not hold, rows grouped by cap size
+    cap_centre = centre_perp.copy()
+    cap_width = np.full(m, nozzle)
+    cap_centre[wet] = o_perp + (j_lo + j_hi) / 2.0 * cs
+    trough_width = run * cs
+    cap_width[wet] = np.where(nozzle < trough_width, nozzle, trough_width)
+    capped = np.flatnonzero(remaining > 1e-12)
+    centre, width = cap_centre[capped], cap_width[capped]
+    j_first = np.maximum(0, np.ceil((centre - width / 2.0 - o_perp) / cs)).astype(int)
+    j_last = np.minimum(n - 1, np.floor((centre + width / 2.0 - o_perp) / cs)).astype(int)
+    collapsed = j_last < j_first
+    j_first[collapsed] = j_last[collapsed] = j_c[capped[collapsed]]
+    span = j_last - j_first + 1
     peak = -math.inf
-    for idx in stations:
-        t = (o_line + idx * cs - p0[dom]) / denom if denom != 0 else 0.0
-        centre_perp = p0[1 - dom] + min(max(t, 0.0), 1.0) * (p1[1 - dom] - p0[1 - dom])
-        line = hf.heights[:, idx] if dom == 0 else hf.heights[idx, :]
-        j_c = min(max(round((centre_perp - o_perp) / cs), 0), n - 1)
-        before = line.sum()
+    for size in np.unique(span):
+        of_size = span == size
+        at = (capped[of_size][:, None], j_first[of_size][:, None] + np.arange(size))
+        offsets = o_perp + at[1] * cs - centre[of_size][:, None]
+        cap = block[at] + _caps(offsets, width[of_size], remaining[capped[of_size]], cs)
+        block[at] = cap
+        peak = max(peak, float(cap.max()))
 
-        # locate the contiguous trough run reachable from the nozzle
-        below = line < hf.nominal_surface - 1e-12
-        lo = max(0, j_c - nozzle_half_cells)
-        window = np.flatnonzero(below[lo : j_c + nozzle_half_cells + 1])
-        remaining = station_area
-        if window.size:
-            j0 = lo + int(window[np.argmin(np.abs(window + lo - j_c))])
-            dry_lo = np.flatnonzero(~below[:j0])
-            dry_hi = np.flatnonzero(~below[j0:])
-            j_lo = int(dry_lo[-1]) + 1 if dry_lo.size else 0
-            j_hi = j0 + int(dry_hi[0]) - 1 if dry_hi.size else n - 1
-            trough_width = (j_hi - j_lo + 1) * cs
-            remaining = _water_fill(line[j_lo : j_hi + 1], station_area, hf.nominal_surface, cs)
-            cap_centre = o_perp + (j_lo + j_hi) / 2.0 * cs
-            cap_width = min(trough_width, params.nozzle_diameter_mm)
-        else:
-            cap_centre = centre_perp
-            cap_width = params.nozzle_diameter_mm
+    if block is not view:  # rows already contiguous in hf were filled in place
+        view[...] = block
+    # each line's change, summed in travel order
+    change = (block.sum(axis=1) - before) * cs * cs
+    deposited = np.cumsum(np.concatenate(([0.0], change[::step])))[-1]
 
-        if remaining > 1e-12:
-            j_first = max(0, int(math.ceil((cap_centre - cap_width / 2.0 - o_perp) / cs)))
-            j_last = min(n - 1, int(math.floor((cap_centre + cap_width / 2.0 - o_perp) / cs)))
-            if j_last < j_first:
-                j_first = j_last = j_c
-            cells = np.arange(j_first, j_last + 1)
-            offsets = o_perp + cells * cs - cap_centre
-            z = _cap_profile(offsets, cap_width, remaining)
-            total = z.sum() * cs
-            if total <= 0:
-                z = np.full(cells.shape, remaining / (len(cells) * cs))
-            else:
-                z *= remaining / total
-            cap = line[j_first : j_last + 1]
-            cap += z
-            peak = max(peak, float(cap.max()))
-        deposited += (line.sum() - before) * cs * cs
-
-    if peak > hf.nominal_surface + MAX_OVERFILL_MM:
+    if peak > nominal + MAX_OVERFILL_MM:
         raise Overfill(
             f"deposition at {speed_mm_s:g} mm/s piled a bead more than {MAX_OVERFILL_MM:g} mm above the surface"
         )

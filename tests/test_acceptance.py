@@ -44,6 +44,7 @@ from crackfill import (
     pixel_to_camera,
     run_experiment,
     skeletonize,
+    space_pixels,
 )
 import crackfill
 from crackfill import cli, repair
@@ -245,7 +246,7 @@ def test_perception_invariants():
         assert not blocks.any()
         assert np.array_equal(skeletonize(flags).flags, flags)
 
-        pts = extract_pixels(skel, depth, min_spacing_px=spacing)
+        pts = extract_pixels(space_pixels(skel, min_spacing_px=spacing), depth)
         assert pts
         for i, p in enumerate(pts):
             for q in pts[i + 1 :]:

@@ -30,6 +30,7 @@ from crackfill import (
     order_path,
     pixels_to_robot,
     skeletonize,
+    space_pixels,
 )
 from crackfill import io as cfio
 from crackfill.perception import _protect_components
@@ -182,7 +183,7 @@ class TestExtractPixels:
 
     def test_min_spacing_subsamples_line(self):
         skel = self.make_line_skeleton(length=100)
-        pts = extract_pixels(skel, self.full_depth(), min_spacing_px=10.0)
+        pts = extract_pixels(space_pixels(skel, min_spacing_px=10.0), self.full_depth())
         assert 10 <= len(pts) <= 11
         for i, a in enumerate(pts):
             for b in pts[i + 1 :]:
@@ -190,7 +191,7 @@ class TestExtractPixels:
 
     def test_zero_spacing_keeps_every_pixel(self):
         skel = self.make_line_skeleton(length=40)
-        pts = extract_pixels(skel, self.full_depth(), min_spacing_px=0.0)
+        pts = extract_pixels(space_pixels(skel, min_spacing_px=0.0), self.full_depth())
         assert len(pts) == 40
 
     def test_depth_is_median_of_valid_neighbourhood(self):
@@ -200,7 +201,7 @@ class TestExtractPixels:
         valid = np.ones((5, 5), dtype=bool)
         valid[1, 1] = False
         img = DepthImage(depth_mm=depth, valid=valid)
-        (pt,) = extract_pixels(Skeleton(flags=flags), img, min_spacing_px=0.0)
+        (pt,) = extract_pixels(space_pixels(Skeleton(flags=flags), min_spacing_px=0.0), img)
         window = depth[1:4, 1:4][valid[1:4, 1:4]]
         assert pt.depth == float(np.median(window))
         assert (pt.u, pt.v) == (2.0, 2.0)
@@ -214,7 +215,7 @@ class TestExtractPixels:
         valid[6:9, 6:9] = True
         img = DepthImage(depth_mm=depth, valid=valid)
         with caplog.at_level("WARNING", logger="crackfill.perception"):
-            pts = extract_pixels(Skeleton(flags=flags), img, min_spacing_px=0.0)
+            pts = extract_pixels(space_pixels(Skeleton(flags=flags), min_spacing_px=0.0), img)
         assert len(pts) == 1
         assert (pts[0].u, pts[0].v) == (7.0, 7.0)
         assert "no valid depth" in caplog.text
@@ -222,7 +223,7 @@ class TestExtractPixels:
     def test_empty_skeleton_returns_empty_list(self, caplog):
         skel = Skeleton(flags=np.zeros((5, 5), dtype=bool))
         with caplog.at_level("WARNING", logger="crackfill.perception"):
-            assert extract_pixels(skel, self.full_depth((5, 5)), 0.0) == []
+            assert extract_pixels(space_pixels(skel, 0.0), self.full_depth((5, 5))) == []
         assert "empty skeleton" in caplog.text
 
 

@@ -506,8 +506,9 @@ class TestLocalization:
         assert report.refined_lateral_mean_mm <= cfg.raw["localization"]["span_mm"] / 1023.0
 
     def test_specimen_is_imaged_once_for_all_scans(self, monkeypatch):
-        """Scans differ only in noise, so one raycast and one thinning serve them all."""
-        calls = {"render_view": 0, "skeletonize": 0}
+        """Scans differ only in noise, so one raycast, one thinning and one
+        spacing pass serve them all."""
+        calls = {"render_view": 0, "skeletonize": 0, "space_pixels": 0}
         for name in calls:
             real = getattr(repair, name)
 
@@ -519,7 +520,7 @@ class TestLocalization:
         scene = make_scene(straight_crack())
         noise = SensorNoise(depth_sigma_fraction=0.02, laser_sigma_mm=0.02, seed=0)
         localization_experiment(scene, noise, n_scans=3)
-        assert calls == {"render_view": 1, "skeletonize": 1}
+        assert calls == {"render_view": 1, "skeletonize": 1, "space_pixels": 1}
 
     def test_report_from_identical_pairs_is_all_zero(self):
         p = Point3(1.0, 2.0, 3.0, Frame.ROBOT)

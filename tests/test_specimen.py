@@ -12,15 +12,22 @@ from crackfill import (
     CrackFillError,
     CrackSpec,
     DepositionParams,
+    FillMode,
+    FillPlan,
+    Frame,
     Heightfield,
     Overfill,
     PathOutsideGrid,
+    PixelCoord,
+    Point3,
     ScenarioConfig,
     SegmentOutsideGrid,
     StationOutsideGrid,
+    Waypoint,
     ZeroLengthSegment,
     ZeroSpeed,
     deposit,
+    execute_fill,
     generate_specimen,
     true_cross_section,
 )
@@ -276,7 +283,7 @@ class TestBrentRoot:
             *zip(chords[:200], np.geomspace(1e-12, 1e-10, 200)),
         ]
         for chord, area in pairs:
-            specimen._cap_profile(np.zeros(1), float(chord), float(area))
+            specimen._cap_shape(float(chord), float(area))
         assert len(roots) == len(pairs)
 
 
@@ -329,6 +336,25 @@ def loop_water_fill(heights: np.ndarray, budget_area: float, ceiling: float, cel
             break
     np.maximum(heights, min(level, ceiling), out=heights)
     return 0.0
+
+
+def loop_cap_profile(offsets: np.ndarray, chord: float, area: float) -> np.ndarray:
+    half = chord / 2.0
+    semi_area = math.pi * chord**2 / 8.0
+    if area <= semi_area:
+        f = lambda th: chord**2 * (th - math.sin(th) * math.cos(th)) / (4.0 * math.sin(th) ** 2) - area
+        theta = specimen._brentq(f, 1e-9, math.pi / 2.0)
+        radius = chord / (2.0 * math.sin(theta))
+        base = radius * math.cos(theta)
+        riser = 0.0
+    else:
+        radius = half
+        base = 0.0
+        riser = (area - semi_area) / chord
+    inside = np.abs(offsets) <= half
+    z = np.zeros_like(offsets)
+    z[inside] = riser + np.sqrt(np.maximum(radius**2 - offsets[inside] ** 2, 0.0)) - base
+    return z
 
 
 def line_by_line_deposit(hf, start, end, speed_mm_s, params, include_end=True):
@@ -384,7 +410,7 @@ def line_by_line_deposit(hf, start, end, speed_mm_s, params, include_end=True):
                 j_first = j_last = j_c
             cells = np.arange(j_first, j_last + 1)
             offsets = hf.origin[1 - dom] + cells * cs - cap_centre
-            z = specimen._cap_profile(offsets, cap_width, remaining)
+            z = loop_cap_profile(offsets, cap_width, remaining)
             total = z.sum() * cs
             if total <= 0:
                 z = np.full(cells.shape, remaining / (len(cells) * cs))
@@ -497,6 +523,74 @@ class TestDepositMatchesLineByLine:
         for include_end in (True, False):
             assert_deposit_matches_reference(hf, (0.0, 0.0), (3.9e-260, 0.0), 1.0, params, include_end)
 
+    def test_a_tie_under_the_nozzle_floods_the_lower_troughs(self):
+        """The nozzle centre sits on a dry cell between two troughs, each one
+        cell away: the trough at the lower index takes the material."""
+        params = DepositionParams(flow_rate_mm3_s=5.0, nozzle_diameter_mm=4.0)
+        j = 14  # the cell under x = 0 and under y = 0
+        across = trough_plate(30, 30, 0.5, (-7.0, -7.0), troughs=[(j - 3, j, 0, 30, 1.0), (j + 1, j + 4, 0, 30, 3.0)])
+        along = trough_plate(30, 30, 0.5, (-7.0, -7.0), troughs=[(0, 30, j - 3, j, 1.0), (0, 30, j + 1, j + 4, 3.0)])
+        for hf, start, end, deep in (
+            (across, (0.0, -5.0), (0.0, 5.0), np.s_[:, j + 1 : j + 4]),
+            (along, (-5.0, 0.0), (5.0, 0.0), np.s_[j + 1 : j + 4, :]),
+        ):
+            assert_deposit_matches_reference(hf, start, end, 10.0, params)
+            filled = hf.copy()
+            deposit(filled, start, end, 10.0, params)
+            assert np.array_equal(filled.heights[deep], hf.heights[deep])
+            assert not np.array_equal(filled.heights, hf.heights)
+
+    def test_a_cap_narrower_than_a_cell(self):
+        """A 0.2 mm nozzle between two cell centres covers no cell, so the
+        cell under the nozzle takes its area."""
+        hf = make_flat(nx=60, ny=80, cell=0.5, origin=(-15.0, -5.0))
+        params = DepositionParams(flow_rate_mm3_s=5.0, nozzle_diameter_mm=0.2)
+        for start, end, under in (((0.2, 0.0), (0.2, 20.0), np.s_[10:40, 30]), ((-8.0, 3.2), (9.0, 3.2), np.s_[16, 20:40])):
+            assert_deposit_matches_reference(hf, start, end, 10.0, params)
+            filled = hf.copy()
+            deposit(filled, start, end, 10.0, params)
+            assert (filled.heights[under] > 0).all()
+
+    def test_a_nozzle_wider_than_the_plate(self):
+        """The nozzle spans every cell of each line it crosses."""
+        hf = trough_plate(30, 40, 0.5, (-7.5, -10.0), troughs=[(3, 8, 0, 40, 1.0), (20, 24, 0, 40, 2.0)])
+        params = DepositionParams(flow_rate_mm3_s=50.0, nozzle_diameter_mm=1e4)
+        for start, end in (((0.0, -8.0), (0.0, 8.0)), ((-7.0, 2.0), (7.0, 3.0))):
+            assert_deposit_matches_reference(hf, start, end, 10.0, params)
+
+    def test_a_calibration_strip(self):
+        """The default strip plate: every line of the segment caps a flat
+        line with the same chord and area."""
+        cfg = ScenarioConfig.default()
+        span, cell = cfg.raw["laser"]["span_mm"], cfg.raw["grid"]["cell_size_mm"]
+        strip_len = cfg.raw["calibration"]["strip_length_mm"]
+        hf = make_flat(nx=round((span + 10) / cell), ny=round((strip_len + 10) / cell), cell=cell, origin=(-span / 2 - 5, -5.0))
+        for speed in (6.0, 20.0):
+            params = cfg.build_deposition(flow_rate=cfg.calibration_flow(speed))
+            assert_deposit_matches_reference(hf, (0.0, 0.0), (0.0, strip_len), speed, params)
+
+    def test_a_fill_chained_along_x(self):
+        """execute_fill along a crack on robot x deposits column by column,
+        each interior segment leaving its far line to the next."""
+        spec = CrackSpec(path=[(-20.0, 10.0), (20.0, 10.0)], width=6.0, depth=4.0)
+        hf = generate_specimen(spec, origin=(-25.0, 0.0), cell_size=0.1, nx=500, ny=200)
+        stops = [(-18.0, 10.2, 7.0), (-9.5, 9.8, 12.0), (-1.03, 10.05, 50.0), (8.0, 10.4, 4.0), (18.0, 10.0, 20.0)]
+        plan = FillPlan(
+            waypoints=tuple(
+                Waypoint(PixelCoord(0.0, 0.0, 500.0), Point3(0.0, 0.0, 500.0, Frame.CAMERA), Point3(x, y, 0.0, Frame.ROBOT), speed_mm_s=v)
+                for x, y, v in stops
+            ),
+            mode=FillMode.fixed(10.0),
+        )
+        got_hf, want_hf = hf.copy(), hf.copy()
+        got = execute_fill(got_hf, plan, PARAMS).segments
+        want = [
+            line_by_line_deposit(want_hf, a[:2], b[:2], a[2], PARAMS, include_end=(i == len(stops) - 2))
+            for i, (a, b) in enumerate(zip(stops, stops[1:]))
+        ]
+        assert np.array_equal(got_hf.heights, want_hf.heights)
+        assert list(got) == want
+
     @settings(max_examples=150, deadline=None)
     @given(
         data=st.data(),
@@ -531,16 +625,22 @@ class TestDepositMatchesLineByLine:
 
 class TestWaterFillMatchesLoop:
     @staticmethod
-    def check(heights, budget, ceiling=0.0, cell=0.1):
-        got, want = heights.copy(), heights.copy()
-        assert specimen._water_fill(got, budget, ceiling, cell) == loop_water_fill(want, budget, ceiling, cell)
-        assert np.array_equal(got, want)
+    def check(runs, budget, ceiling=0.0, cell=0.1):
+        """Each row of the row-wise fill against the loop on that row alone."""
+        runs = np.atleast_2d(runs)
+        filled, remaining = specimen._water_fill(runs.copy(), budget, ceiling, cell)
+        for row, got_row, got_left in zip(runs, filled, remaining):
+            want = row.copy()
+            assert got_left == loop_water_fill(want, budget, ceiling, cell)
+            assert np.array_equal(got_row, want)
 
     def test_tied_heights_and_budgets_near_capacity(self):
+        """Rows of one block share the budget, so some of them fill completely
+        and others stop part way."""
         rng = np.random.default_rng(8)
         for _ in range(300):
-            heights = -rng.choice([0.5, 1.0, 2.5, 4.0], size=rng.integers(1, 40))
-            capacity = float(np.maximum(0.0, -heights).sum() * 0.1)
+            runs = -rng.choice([0.5, 1.0, 2.5, 4.0], size=(3, rng.integers(1, 40)))
+            capacity = float(np.maximum(0.0, -runs[0]).sum() * 0.1)
             for budget in (
                 capacity,
                 np.nextafter(capacity, 0.0),
@@ -549,7 +649,7 @@ class TestWaterFillMatchesLoop:
                 capacity * rng.uniform(0.0, 1.0),
                 1e-15,
             ):
-                self.check(heights, float(budget))
+                self.check(runs, float(budget))
 
     def test_budget_exactly_levelling_the_lowest_cells(self):
         """A budget equal to the cost of levelling the k lowest cells up to
@@ -573,7 +673,8 @@ class TestWaterFillMatchesLoop:
     def test_random_troughs(self, heights, fraction, cell):
         heights = np.asarray(heights)
         capacity = float(np.maximum(0.0, -heights).sum() * cell)
-        self.check(heights, capacity * fraction, cell=cell)
+        # the reversed row holds the same capacity, the halved row half of it
+        self.check(np.stack([heights, heights[::-1], heights / 2]), capacity * fraction, cell=cell)
 
 
 class TestCarveMatchesFullGrid:
