@@ -90,7 +90,7 @@ def cmd_calibrate(cfg: ScenarioConfig, out: Path) -> int:
         for sample, (_, profiles) in zip(model.samples, scans):
             f.write(
                 f"{io.fmt(sample.speed_mm_s)},{io.fmt(sample.area_mm2)},"
-                f"{io.fmt(sample.std_mm2)},{len(profiles)}\n"
+                f"{io.fmt(sample.std_mm2)},{profiles.n_lines}\n"
             )
     print(f"fitted flow rate {model.flow_rate_mm3_s:.3f} mm^3/s over {len(model.samples)} speeds")
     print(f"wrote {out / 'calibration.json'} and {out / 'calibration_areas.csv'}")

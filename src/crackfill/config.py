@@ -443,13 +443,14 @@ class ScenarioConfig:
             raise ProviderUnavailable(f"unreadable mask file: {exc}") from exc
         return MaskImage(flags=binarize(img, 128))
 
-    def strip_scans(self) -> list[tuple[float, list[LaserProfile]]]:
+    def strip_scans(self) -> list[tuple[float, LaserProfile]]:
         """Print one strip per calibration speed and scan its inner section.
 
         The strip runs along robot y and is scanned like a horizontal
         crack, along the laser mount's x axis, so its sections are cut at
-        the same angle as the crack's. A plate over MAX_GRID_CELLS cells is
-        refused before it is built.
+        the same angle as the crack's. Each strip's stations are scanned
+        as one batch, a row per station. A plate over MAX_GRID_CELLS cells
+        is refused before it is built.
         """
         cal = self.raw["calibration"]
         speeds = sorted(float(v) for v in cal["speeds_mm_s"])
@@ -460,7 +461,7 @@ class ScenarioConfig:
         scan_len = cal["scan_length_mm"]
         step = cal["scan_step_mm"]
         noise = self.build_noise()
-        rotation = self.build_laser_mount().rotation
+        mount = self.build_laser_mount()
         margin = 5.0
         cells = ((span + 2 * margin) / cell, (strip_len + 2 * margin) / cell)
         if cells[0] * cells[1] > MAX_GRID_CELLS:
@@ -470,19 +471,16 @@ class ScenarioConfig:
             )
         nx, ny = (int(round(n)) for n in cells)
         origin = (-(span / 2 + margin), -margin)
-        scans: list[tuple[float, list[LaserProfile]]] = []
+        y0 = (strip_len - scan_len) / 2
+        n_stations = int(round(scan_len / step)) + 1
+        poses = [mount.at([0.0, y0 + k * step, standoff]) for k in range(n_stations)]
+        scans: list[tuple[float, LaserProfile]] = []
         for si, speed in enumerate(speeds):
             hf = Heightfield.flat(origin, cell, nx, ny)
             params = self.build_deposition(flow_rate=self.calibration_flow(speed))
             deposit(hf, (0.0, 0.0), (0.0, strip_len), speed, params)
-            y0 = (strip_len - scan_len) / 2
-            n_stations = int(round(scan_len / step)) + 1
-            profiles = []
-            for k in range(n_stations):
-                pose = RigidTransform(rotation, [0.0, y0 + k * step, standoff], Frame.LASER, Frame.ROBOT)
-                scan_noise = noise.derive(NOISE_STREAMS["calibrate"], si, k)
-                profiles.append(scan_profile(hf, pose, span, scan_noise, standoff_mm=standoff))
-            scans.append((speed, profiles))
+            noises = [noise.derive(NOISE_STREAMS["calibrate"], si, k) for k in range(n_stations)]
+            scans.append((speed, scan_profile(hf, poses, span, noises, standoff_mm=standoff)))
         return scans
 
     def build_calibration(self) -> CalibrationModel:

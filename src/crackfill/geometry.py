@@ -20,6 +20,7 @@ base frame.
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from dataclasses import dataclass
@@ -115,6 +116,13 @@ def _check_rotation(r: np.ndarray) -> np.ndarray:
     return r
 
 
+def _check_translation(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float).reshape(-1)
+    if t.shape != (3,):
+        raise ValueError(f"translation must have 3 components, got {t.shape}")
+    return t
+
+
 @dataclass
 class RigidTransform:
     """Rigid motion mapping source-frame points into the target frame.
@@ -132,10 +140,17 @@ class RigidTransform:
 
     def __post_init__(self) -> None:
         self.rotation = _check_rotation(self.rotation)
-        t = np.asarray(self.translation, dtype=float).reshape(-1)
-        if t.shape != (3,):
-            raise ValueError(f"translation must have 3 components, got {t.shape}")
-        self.translation = t
+        self.translation = _check_translation(self.translation)
+
+    def at(self, translation) -> "RigidTransform":
+        """The same rotation and frames at another translation.
+
+        The rotation passed its check when this transform was built, so
+        it is shared, not checked again.
+        """
+        moved = copy.copy(self)
+        moved.translation = _check_translation(translation)
+        return moved
 
     @staticmethod
     def identity(source_frame: Frame | None = None, target_frame: Frame | None = None) -> "RigidTransform":

@@ -13,6 +13,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -118,38 +119,58 @@ def _plateau_end(d: np.ndarray, index: int, direction: int) -> int:
     return j
 
 
-def detect_edges(profile: LaserProfile, edge_threshold_mm: float) -> tuple[int, int]:
+def _find_edges(profile: LaserProfile, edge_threshold_mm: float) -> list[tuple[int, int] | None]:
+    """Edge pair of every line of a profile, None where a line has none.
+
+    The first differences, both extrema and the opposite-sign mask are
+    taken for all lines at once; only the walk to each wall's outer end
+    runs per line.
+    """
+    z = np.atleast_2d(profile.z)
+    valid = np.atleast_2d(profile.valid)
+    d = np.diff(z, axis=1)
+    pair_valid = valid[:, 1:] & valid[:, :-1]
+    mag = np.where(pair_valid, np.abs(d), -np.inf)
+    rows = np.arange(len(d))
+    first = np.argmax(mag, axis=1)
+    mag_first = mag[rows, first]
+    idx = np.arange(d.shape[1])
+    opposite = (
+        pair_valid
+        & (np.sign(d) == -np.sign(d[rows, first])[:, None])
+        & (np.abs(idx - first[:, None]) >= MIN_SEPARATION)
+    )
+    second = np.argmax(np.where(opposite, np.abs(d), -np.inf), axis=1)
+    found = np.isfinite(mag_first) & (mag_first > edge_threshold_mm) & opposite[rows, second]
+    found &= np.abs(d[rows, second]) > edge_threshold_mm
+    edges: list[tuple[int, int] | None] = []
+    for r in rows:
+        a, b = sorted((int(first[r]), int(second[r])))
+        edges.append((_plateau_end(d[r], a, -1), _plateau_end(d[r], b, +1)) if found[r] else None)
+    return edges
+
+
+def detect_edges(profile: LaserProfile, edge_threshold_mm: float) -> tuple[int, int] | list[tuple[int, int] | None]:
     """Locate the two crack walls as opposite-signed first-difference extrema.
 
     The second wall must lie at least MIN_SEPARATION samples from the
     first and have the opposite sign. Each wall's index is pushed to
     the outer end of its near-equal run so that sloped walls (ramps)
     resolve to the foot of the ramp rather than an arbitrary sample on
-    it. Raises NoEdges when no such pair exceeds the threshold.
+    it. One line gives its pair or raises NoEdges when no pair exceeds
+    the threshold; a batch gives one entry per station, None where that
+    line has no pair.
     """
-    d = np.diff(profile.z)
-    pair_valid = profile.valid[1:] & profile.valid[:-1]
-    mag = np.where(pair_valid, np.abs(d), -np.inf)
-    first = int(np.argmax(mag))
-    if not np.isfinite(mag[first]) or mag[first] <= edge_threshold_mm:
-        raise NoEdges("no first-difference excursion above threshold")
-    idx = np.arange(len(d))
-    opposite = pair_valid & (np.sign(d) == -np.sign(d[first])) & (np.abs(idx - first) >= MIN_SEPARATION)
-    if not opposite.any():
-        raise NoEdges("no opposite-signed wall at sufficient separation")
-    mag2 = np.where(opposite, np.abs(d), -np.inf)
-    second = int(np.argmax(mag2))
-    if mag2[second] <= edge_threshold_mm:
-        raise NoEdges("opposite wall does not exceed threshold")
-    if first < second:
-        left, right = _plateau_end(d, first, -1), _plateau_end(d, second, +1)
-    else:
-        left, right = _plateau_end(d, second, -1), _plateau_end(d, first, +1)
-    return left, right
+    edges = _find_edges(profile, edge_threshold_mm)
+    if profile.z.ndim == 2:
+        return edges
+    if edges[0] is None:
+        raise NoEdges("no opposite-signed edge pair above threshold")
+    return edges[0]
 
 
 def window_area(profile: LaserProfile, left: int, right: int) -> tuple[float, float]:
-    """Baseline and unsigned deviation area of the window [left, right].
+    """Baseline and unsigned deviation area of one line's window [left, right].
 
     The baseline is the median valid height outside the window padded by
     BASELINE_MARGIN samples, or of every valid sample when none lies
@@ -166,47 +187,67 @@ def window_area(profile: LaserProfile, left: int, right: int) -> tuple[float, fl
     return baseline, float(np.sum(np.abs(window - baseline)) * profile.pitch)
 
 
-def measure(profile: LaserProfile, edge_threshold_mm: float) -> ProfileFeatures:
-    """Measure the crack cross-section bounded by the detected edges.
-
-    The baseline is the median height outside the edge window padded by
-    BASELINE_MARGIN samples; the area integrates unsigned deviation
-    from it, so troughs and beads (and mixtures) measure alike.
-    """
-    left, right = detect_edges(profile, edge_threshold_mm)
-    baseline, area = window_area(profile, left, right)
+def _features(line: LaserProfile, left: int, right: int) -> ProfileFeatures:
+    baseline, area = window_area(line, left, right)
     centre = (left + right) // 2
     return ProfileFeatures(
         left_index=left,
         right_index=right,
-        left_x_mm=float(profile.x[left]),
-        right_x_mm=float(profile.x[right]),
+        left_x_mm=float(line.x[left]),
+        right_x_mm=float(line.x[right]),
         baseline_mm=baseline,
         area_mm2=area,
-        centre_offset_mm=float(profile.x[centre]),
-        centre_height_mm=float(profile.z[centre] - baseline),
+        centre_offset_mm=float(line.x[centre]),
+        centre_height_mm=float(line.z[centre] - baseline),
     )
 
 
-def calibrate(strip_scans: list[tuple[float, list[LaserProfile]]], edge_threshold_mm: float) -> CalibrationModel:
+def measure(profile: LaserProfile, edge_threshold_mm: float) -> ProfileFeatures | list[ProfileFeatures | None]:
+    """Measure the crack cross-section bounded by the detected edges.
+
+    The baseline is the median height outside the edge window padded by
+    BASELINE_MARGIN samples; the area integrates unsigned deviation
+    from it, so troughs and beads (and mixtures) measure alike. One
+    line gives its features or raises NoEdges; a batch gives one entry
+    per station, None where that line shows no edges.
+    """
+    edges = detect_edges(profile, edge_threshold_mm)
+    if profile.z.ndim == 1:
+        return _features(profile, *edges)
+    return [None if e is None else _features(profile.line(i), *e) for i, e in enumerate(edges)]
+
+
+def calibrate(
+    strip_scans: Sequence[tuple[float, LaserProfile | Sequence[LaserProfile]]], edge_threshold_mm: float
+) -> CalibrationModel:
     """Fit the extrusion model A(v) = Q / v from strip-print scans.
 
-    Per speed the area is averaged over that strip's profiles; the flow
+    Each entry pairs a print speed with that strip's profiles: one batch
+    of lines, measured in one call, or a list of single lines. Per
+    speed the area is averaged over all of that speed's lines; the flow
     rate is the closed-form least squares solution
     Q = sum(A_i / v_i) / sum(1 / v_i^2) over the per-speed means.
-    Needs at least two distinct speeds with two profiles each.
+    Needs at least two distinct speeds with two lines each.
     """
     by_speed: dict[float, list[LaserProfile]] = {}
     for speed, profiles in strip_scans:
-        by_speed.setdefault(float(speed), []).extend(profiles)
+        batches = [profiles] if isinstance(profiles, LaserProfile) else profiles
+        by_speed.setdefault(float(speed), []).extend(batches)
     if len(by_speed) < 2:
         raise InsufficientSamples(f"calibration needs >= 2 distinct speeds, got {len(by_speed)}")
     samples = []
     for speed in sorted(by_speed):
-        profiles = by_speed[speed]
-        if len(profiles) < 2:
-            raise InsufficientSamples(f"speed {speed} mm/s has {len(profiles)} profiles, needs >= 2")
-        areas = np.array([measure(p, edge_threshold_mm).area_mm2 for p in profiles])
+        batches = by_speed[speed]
+        n_lines = sum(p.n_lines for p in batches)
+        if n_lines < 2:
+            raise InsufficientSamples(f"speed {speed} mm/s has {n_lines} profiles, needs >= 2")
+        features = []
+        for p in batches:
+            found = measure(p, edge_threshold_mm)
+            features.extend(found if isinstance(found, list) else [found])
+        if None in features:
+            raise NoEdges(f"a strip profile at {speed} mm/s shows no edges")
+        areas = np.array([f.area_mm2 for f in features])
         samples.append(CalibrationSample(speed, float(areas.mean()), float(areas.std(ddof=1))))
     means = np.array([s.area_mm2 for s in samples])
     if np.any(np.diff(means) >= 0):

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AllPointsDropped, EmptyWaypoints, NoEdges, ProviderUnavailable
+from .errors import AllPointsDropped, EmptyWaypoints, ProviderUnavailable
 from .geometry import (
     CameraIntrinsics,
     Frame,
@@ -380,23 +380,26 @@ def refine_waypoints(
     Survivors keep the input's travel order.
     """
     threshold = edge_threshold_for(noise)
-    survivors: list[tuple[Waypoint, ProfileFeatures, ScanStation]] = []
     # The line runs along the mount's x axis across a horizontal crack and
     # along its y axis across a vertical one, as laser_correction maps the
     # measured offset back.
     turn = np.eye(3) if orientation == Orientation.HORIZONTAL else rotation_about_z(math.pi / 2)
-    rotation = laser_mount.rotation @ turn
-    mount_offset = laser_mount.translation
-    for i, wp in enumerate(waypoints):
-        x, y, z = wp.robot_pt.x, wp.robot_pt.y, wp.robot_pt.z
-        position = [x + mount_offset[0], y + mount_offset[1], z + mount_offset[2] + standoff_mm]
-        pose = RigidTransform(rotation, position, Frame.LASER, Frame.ROBOT)
-        station = ScanStation(pose=pose, span_mm=span_mm, standoff_mm=standoff_mm)
-        scan_noise = noise.derive(NOISE_STREAMS["refine"], i)
-        prof = scan_profile(hf, pose, span_mm, scan_noise, standoff_mm=standoff_mm)
-        try:
-            feats = measure(prof, threshold)
-        except NoEdges:
+    scanner = RigidTransform(laser_mount.rotation @ turn, np.zeros(3), Frame.LASER, Frame.ROBOT)
+    m = laser_mount.translation
+    stations = [
+        ScanStation(scanner.at([p.x + m[0], p.y + m[1], p.z + m[2] + standoff_mm]), span_mm, standoff_mm)
+        for p in (wp.robot_pt for wp in waypoints)
+    ]
+    profiles = scan_profile(
+        hf,
+        [station.pose for station in stations],
+        span_mm,
+        [noise.derive(NOISE_STREAMS["refine"], i) for i in range(len(stations))],
+        standoff_mm=standoff_mm,
+    )
+    survivors: list[tuple[Waypoint, ProfileFeatures, ScanStation]] = []
+    for i, (wp, feats, station) in enumerate(zip(waypoints, measure(profiles, threshold), stations)):
+        if feats is None:
             logger.warning("waypoint %d: no crack under the laser, dropping", i)
             continue
         # The height correction is the crack centre's position relative to
@@ -493,19 +496,34 @@ def validate(
     under-fill cannot cancel. If the post-fill profile no longer shows
     edges (the fill levelled the surface) the post area integrates the
     residual deviation over the pre-fill window instead. Stations whose pre-fill area is below
-    area_floor_mm2 are excluded from the statistics.
+    area_floor_mm2 are excluded from the statistics. The stations share
+    one scanner span and standoff and are rescanned as one batch.
     """
+    if not len(stations) == len(pre_features) == len(speeds):
+        raise ValueError(
+            f"validate needs one pre-fill feature and one speed per station, got {len(stations)} stations, "
+            f"{len(pre_features)} features and {len(speeds)} speeds"
+        )
+    if len({(station.span_mm, station.standoff_mm) for station in stations}) > 1:
+        raise ValueError("stations rescanned together must share one scanner span and standoff")
     threshold = edge_threshold_for(noise)
     records: list[StationRecord] = []
     errors: list[float] = []
-    for number, (station, pre, speed) in enumerate(zip(stations, pre_features, speeds, strict=True)):
-        scan_noise = noise.derive(NOISE_STREAMS["validate"], number)
-        prof = scan_profile(hf_filled, station.pose, station.span_mm, scan_noise, standoff_mm=station.standoff_mm)
-        try:
-            post = measure(prof, threshold)
+    posts: list[ProfileFeatures | None] = []
+    if stations:
+        profiles = scan_profile(
+            hf_filled,
+            [station.pose for station in stations],
+            stations[0].span_mm,
+            [noise.derive(NOISE_STREAMS["validate"], number) for number in range(len(stations))],
+            standoff_mm=stations[0].standoff_mm,
+        )
+        posts = measure(profiles, threshold)
+    for number, (pre, post, speed) in enumerate(zip(pre_features, posts, speeds)):
+        if post is not None:
             area_post = post.area_mm2
-        except NoEdges:
-            _, area_post = window_area(prof, pre.left_index, pre.right_index)
+        else:
+            _, area_post = window_area(profiles.line(number), pre.left_index, pre.right_index)
         included = pre.area_mm2 >= area_floor_mm2
         err = fill_error(pre.area_mm2, area_post) if included else None
         if not included:

@@ -10,9 +10,11 @@ Gaussian noise and a hard validity gate on measuring range.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import logging
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -64,10 +66,12 @@ class MaskImage:
 
 @dataclass
 class LaserProfile:
-    """One laser line: lateral positions x (mm, scanner frame) and heights z.
+    """Laser lines sampled at lateral positions x (mm, scanner frame).
 
     x is strictly increasing with uniform pitch span/(n-1); z is height
-    relative to the scanner's reference standoff. Samples outside the
+    relative to the scanner's reference standoff. A single line holds z
+    and valid as (n,) arrays; a batch of stations scanned with the same
+    x holds one row per station, (stations, n). Samples outside the
     scanner's measuring range are flagged invalid.
     """
 
@@ -79,10 +83,12 @@ class LaserProfile:
         self.x = np.asarray(self.x, dtype=float)
         self.z = np.asarray(self.z, dtype=float)
         if self.valid is None:
-            self.valid = np.ones(self.x.shape, dtype=bool)
+            self.valid = np.ones(self.z.shape, dtype=bool)
         self.valid = np.asarray(self.valid, dtype=bool)
-        if not (self.x.shape == self.z.shape == self.valid.shape) or self.x.ndim != 1:
-            raise ValueError("profile arrays must be 1-D and equally long")
+        if self.x.ndim != 1 or self.z.ndim not in (1, 2) or self.z.shape[-1:] != self.x.shape:
+            raise ValueError("x must be 1-D and z hold one line or one row per station of equal length")
+        if self.valid.shape != self.z.shape:
+            raise ValueError("validity mask and z shapes differ")
         dx = np.diff(self.x)
         if len(dx) == 0 or np.any(dx <= 0) or not np.allclose(dx, dx[0], rtol=1e-9, atol=1e-12):
             raise ValueError("x must be strictly increasing with uniform pitch")
@@ -92,8 +98,19 @@ class LaserProfile:
         return len(self.x)
 
     @property
+    def n_lines(self) -> int:
+        """Stations in a batch; a single line counts one."""
+        return 1 if self.z.ndim == 1 else self.z.shape[0]
+
+    @property
     def pitch(self) -> float:
         return float(self.x[1] - self.x[0])
+
+    def line(self, i: int) -> "LaserProfile":
+        """Row i of a batch as a single line; x was checked with the batch."""
+        row = copy.copy(self)
+        row.z, row.valid = self.z[i], self.valid[i]
+        return row
 
 
 @dataclass(frozen=True)
@@ -224,35 +241,51 @@ def render_truth_mask(
 
 def scan_profile(
     hf: Heightfield,
-    laser_pose: RigidTransform,
+    laser_pose: RigidTransform | Sequence[RigidTransform],
     span_mm: float,
-    noise: SensorNoise = SensorNoise.noiseless(),
+    noise: SensorNoise | Sequence[SensorNoise] = SensorNoise.noiseless(),
     standoff_mm: float = SCANNER_STANDOFF_MM,
 ) -> LaserProfile:
-    """Sample SCANNER_POINTS points of one laser line across the surface.
+    """Sample SCANNER_POINTS points of a laser line across the surface.
 
-    The line runs along the laser frame's x axis, centred on the
-    scanner origin; the scanner measures straight down. z is reported
-    relative to the reference standoff, so a scanner parked exactly
-    standoff_mm above a flat surface reads zero. Samples whose absolute
-    range leaves the scanner's measuring window are flagged invalid.
+    Given one pose, scans one line; given a sequence of poses, scans a
+    batch with one row per station, each with the noise model of the
+    same position in the noise sequence (a lone noiseless model serves
+    every station). Every line runs along its laser frame's x axis,
+    centred on the scanner origin; the scanner measures straight down.
+    z is reported relative to the reference standoff, so a scanner
+    parked exactly standoff_mm above a flat surface reads zero. Samples
+    whose absolute range leaves the scanner's measuring window are
+    flagged invalid. Raises StationOutsideGrid when any line leaves the
+    grid.
     """
+    single = isinstance(laser_pose, RigidTransform)
+    poses = [laser_pose] if single else list(laser_pose)
+    if isinstance(noise, SensorNoise):
+        if not single and noise.laser_sigma_mm > 0:
+            raise ValueError("a batch scan needs one noise model per station")
+        noise = [noise] * len(poses)
+    elif len(noise) != len(poses):
+        raise ValueError(f"{len(poses)} stations but {len(noise)} noise models")
     if span_mm <= 0:
         raise ValueError(f"span must be positive, got {span_mm}")
     lateral = np.linspace(-span_mm / 2.0, span_mm / 2.0, SCANNER_POINTS)
-    direction = laser_pose.rotation[:, 0]
-    if abs(direction[2]) > 1e-9:
+    direction = np.array([p.rotation[:, 0] for p in poses]).reshape(-1, 3)
+    if np.any(np.abs(direction[:, 2]) > 1e-9):
         raise ValueError("laser line must be horizontal (x axis of the laser frame parallel to the surface)")
-    ox, oy, oz = laser_pose.translation
-    xs = ox + lateral * direction[0]
-    ys = oy + lateral * direction[1]
+    origin = np.array([p.translation for p in poses]).reshape(-1, 3)
+    ox, oy, oz = origin.T[..., None]
+    xs = ox + lateral * direction[:, [0]]
+    ys = oy + lateral * direction[:, [1]]
     if not np.all(hf.contains(xs, ys)):
         raise StationOutsideGrid("scan line leaves the heightfield")
     h = hf.height_at(xs, ys)
     distance = oz - h
     valid = (distance >= SCANNER_RANGE_MM[0]) & (distance <= SCANNER_RANGE_MM[1])
     z = h - (oz - standoff_mm)
-    if noise.laser_sigma_mm > 0:
-        rng = noise.generator(1)
-        z = z + rng.normal(0.0, noise.laser_sigma_mm, size=z.shape)
+    for row, station_noise in zip(z, noise):
+        if station_noise.laser_sigma_mm > 0:
+            row += station_noise.generator(1).normal(0.0, station_noise.laser_sigma_mm, size=row.shape)
+    if single:
+        return LaserProfile(x=lateral, z=z[0], valid=valid[0])
     return LaserProfile(x=lateral, z=z, valid=valid)

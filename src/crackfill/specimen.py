@@ -9,6 +9,7 @@ surface. All lengths are millimetres, areas mm^2, volumes mm^3.
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 from dataclasses import dataclass
@@ -75,7 +76,10 @@ class Heightfield:
         return Heightfield(origin, cell_size, nx, ny, heights, nominal_surface)
 
     def copy(self) -> "Heightfield":
-        return Heightfield(self.origin, self.cell_size, self.nx, self.ny, self.heights.copy(), self.nominal_surface)
+        """An independent copy; its heights passed the finiteness check with self's."""
+        out = copy.copy(self)
+        out.heights = self.heights.copy()
+        return out
 
     def x_of(self, ix) -> np.ndarray | float:
         return self.origin[0] + np.asarray(ix) * self.cell_size

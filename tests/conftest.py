@@ -15,7 +15,10 @@ from crackfill import (
     Frame,
     Heightfield,
     LaserProfile,
+    PixelCoord,
+    Point3,
     RigidTransform,
+    Waypoint,
     generate_specimen,
 )
 
@@ -48,6 +51,25 @@ def make_rect_crack(
 def camera_pose(height_mm=500.0, x=0.0, y=0.0) -> RigidTransform:
     """Camera looking straight down at the plate from the given height."""
     return RigidTransform(CAMERA_DOWN, [x, y, height_mm], Frame.CAMERA, Frame.ROBOT)
+
+
+def counted(calls: dict, name: str, fn):
+    """fn, adding one to calls[name] on each call."""
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def make_waypoint(x: float, y: float, z: float) -> Waypoint:
+    """An RGB-D waypoint at robot (x, y, z), not yet laser-refined."""
+    return Waypoint(
+        pixel=PixelCoord(0.0, 0.0, 500.0),
+        camera_pt=Point3(0.0, 0.0, 500.0, Frame.CAMERA),
+        robot_pt=Point3(x, y, z, Frame.ROBOT),
+    )
 
 
 def down_scan_pose(x=0.0, y=0.0, z=310.0) -> RigidTransform:

@@ -117,6 +117,30 @@ class TestRigidTransform:
         with pytest.raises(ValueError):
             RigidTransform(reflect, np.zeros(3))
 
+    def test_at_moves_the_checked_rotation_without_checking_it_again(self, monkeypatch):
+        from crackfill import geometry
+
+        mount = RigidTransform(rotation_about_z(0.4), [1.0, 2.0, 3.0], Frame.LASER, Frame.ROBOT)
+        checks = []
+        monkeypatch.setattr(geometry, "_check_rotation", lambda r: checks.append(r) or r)
+        moved = mount.at([4.0, 5.0, 6.0])
+        assert checks == []
+        assert moved.rotation is mount.rotation
+        np.testing.assert_array_equal(moved.translation, [4.0, 5.0, 6.0])
+        np.testing.assert_array_equal(mount.translation, [1.0, 2.0, 3.0])
+        assert (moved.source_frame, moved.target_frame) == (Frame.LASER, Frame.ROBOT)
+        with pytest.raises(ValueError):
+            mount.at([1.0, 2.0])
+
+    def test_untrusted_matrix_is_still_rejected(self):
+        """Reusing a checked rotation leaves the constructor's check in
+        place for every matrix that enters from outside."""
+        nearly = rotation_about_z(0.4) + 1e-7
+        with pytest.raises(ValueError, match="orthonormal"):
+            RigidTransform(nearly, np.zeros(3), Frame.LASER, Frame.ROBOT)
+        with pytest.raises(ValueError):
+            RigidTransform(np.eye(3)[:2], np.zeros(3))
+
 
 class TestAxisRotations:
     def test_quarter_turns_map_unit_vectors(self):

@@ -7,7 +7,9 @@ constant computed independently from the closed-form least squares
 expression Q = sum(A_i/v_i) / sum(1/v_i^2).
 """
 
+import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,20 +18,37 @@ from hypothesis import given, settings, strategies as st
 from crackfill import (
     CalibrationModel,
     CalibrationSample,
+    FillMode,
+    Frame,
+    Heightfield,
     InsufficientSamples,
     LaserProfile,
     NoEdges,
     NonMonotonicCalibration,
+    Orientation,
+    Point3,
     ProfileFeatures,
+    RigidTransform,
+    ScanStation,
+    ScenarioConfig,
     SensorNoise,
+    StationOutsideGrid,
+    StationRecord,
     calibrate,
     detect_edges,
     edge_threshold_for,
+    laser_correction,
     measure,
+    refine_waypoints,
+    rotation_about_z,
+    scan_profile,
     speed_for_area,
+    transform_point,
+    validate,
 )
 from crackfill.profile import window_area
-from conftest import rect_profile
+from crackfill.sensors import SCANNER_POINTS, SCANNER_RANGE_MM, SCANNER_STANDOFF_MM
+from conftest import counted, make_waypoint, rect_profile
 
 # Per-speed mean strip areas (mm^2) and the flow rate their inverse-speed
 # fit must produce. Frozen from an independent evaluation of
@@ -330,3 +349,289 @@ class TestSpeedForArea:
         areas = np.linspace(1.0, 400.0, 300)
         speeds = [speed_for_area(model, a, interpolate=True) for a in areas]
         assert all(s2 <= s1 + 1e-12 for s1, s2 in zip(speeds, speeds[1:]))
+
+
+# -- batch scans against the per-station reference --------------------------------------
+#
+# reference_scan and reference_measure are the per-station scan_profile and
+# measure as they stood before stations were scanned in batches. Every row of
+# a batch must reproduce them byte for byte.
+
+
+def reference_scan(hf, pose, span, noise, standoff=SCANNER_STANDOFF_MM):
+    lateral = np.linspace(-span / 2.0, span / 2.0, SCANNER_POINTS)
+    direction = pose.rotation[:, 0]
+    ox, oy, oz = pose.translation
+    xs = ox + lateral * direction[0]
+    ys = oy + lateral * direction[1]
+    if not np.all(hf.contains(xs, ys)):
+        raise StationOutsideGrid("scan line leaves the heightfield")
+    h = hf.height_at(xs, ys)
+    distance = oz - h
+    valid = (distance >= SCANNER_RANGE_MM[0]) & (distance <= SCANNER_RANGE_MM[1])
+    z = h - (oz - standoff)
+    if noise.laser_sigma_mm > 0:
+        z = z + noise.generator(1).normal(0.0, noise.laser_sigma_mm, size=z.shape)
+    return lateral, z, valid
+
+
+def _reference_plateau_end(d, index, direction):
+    floor = 0.5 * abs(d[index])
+    sign = np.sign(d[index])
+    j = index
+    while 0 <= j + direction < len(d) and np.sign(d[j + direction]) == sign and abs(d[j + direction]) >= floor:
+        j += direction
+    return j
+
+
+def reference_edges(z, valid, threshold):
+    d = np.diff(z)
+    pair_valid = valid[1:] & valid[:-1]
+    mag = np.where(pair_valid, np.abs(d), -np.inf)
+    first = int(np.argmax(mag))
+    if not np.isfinite(mag[first]) or mag[first] <= threshold:
+        raise NoEdges("no first-difference excursion above threshold")
+    idx = np.arange(len(d))
+    opposite = pair_valid & (np.sign(d) == -np.sign(d[first])) & (np.abs(idx - first) >= 5)
+    if not opposite.any():
+        raise NoEdges("no opposite-signed wall at sufficient separation")
+    mag2 = np.where(opposite, np.abs(d), -np.inf)
+    second = int(np.argmax(mag2))
+    if mag2[second] <= threshold:
+        raise NoEdges("opposite wall does not exceed threshold")
+    if first < second:
+        return _reference_plateau_end(d, first, -1), _reference_plateau_end(d, second, +1)
+    return _reference_plateau_end(d, second, -1), _reference_plateau_end(d, first, +1)
+
+
+def reference_window_area(x, z, valid, left, right):
+    idx = np.arange(len(x))
+    outside = ((idx < left - 10) | (idx > right + 10)) & valid
+    baseline = float(np.median(z[outside] if outside.any() else z[valid]))
+    return baseline, float(np.sum(np.abs(z[left : right + 1] - baseline)) * float(x[1] - x[0]))
+
+
+def reference_measure(x, z, valid, threshold):
+    left, right = reference_edges(z, valid, threshold)
+    baseline, area = reference_window_area(x, z, valid, left, right)
+    centre = (left + right) // 2
+    return ProfileFeatures(
+        left_index=left,
+        right_index=right,
+        left_x_mm=float(x[left]),
+        right_x_mm=float(x[right]),
+        baseline_mm=baseline,
+        area_mm2=area,
+        centre_offset_mm=float(x[centre]),
+        centre_height_mm=float(z[centre] - baseline),
+    )
+
+
+def reference_or_none(x, z, valid, threshold):
+    try:
+        return reference_measure(x, z, valid, threshold)
+    except NoEdges:
+        return None
+
+
+def banded_plate() -> Heightfield:
+    """A plate whose bands along y give every kind of laser line.
+
+    y < 0: rectangular trough |x| < 4, 5 mm deep. 0 <= y < 8: trough with
+    ramp walls, 4 mm deep for |x| < 2 and rising to the surface at |x| = 6.
+    8 <= y < 14: flat, no edges. 14 <= y < 22: the rectangular trough
+    beside a pit at 8 <= x <= 12 too deep for the scanner's range, so part
+    of the line is invalid. y >= 22: one step down at x = 2, no second wall.
+    """
+    hf = Heightfield.flat((-30.0, -10.0), 0.1, 600, 400)
+    x = hf.x_of(np.arange(hf.nx))[None, :]
+    y = hf.y_of(np.arange(hf.ny))[:, None]
+    h = np.zeros((hf.ny, hf.nx))
+    rect = np.where(np.abs(x) < 4.0, -5.0, 0.0)
+    ramp = -4.0 * np.clip((6.0 - np.abs(x)) / 4.0, 0.0, 1.0)
+    pit = np.where((x >= 8.0) & (x <= 12.0), -200.0, rect)
+    step = np.where(x > 2.0, -3.0, 0.0)
+    h = np.where(y < 0.0, rect, h)
+    h = np.where((y >= 0.0) & (y < 8.0), ramp, h)
+    h = np.where((y >= 14.0) & (y < 22.0), pit, h)
+    h = np.where(y >= 22.0, step, h)
+    hf.heights[:] = h
+    return hf
+
+
+PLATE = banded_plate()
+NOISY = SensorNoise(laser_sigma_mm=0.02, seed=5)
+
+
+def station_pose(x: float, y: float, angle: float = 0.0, z: float = SCANNER_STANDOFF_MM) -> RigidTransform:
+    return RigidTransform(rotation_about_z(angle), [x, y, z], Frame.LASER, Frame.ROBOT)
+
+
+def assert_batch_matches_reference(hf, poses, noises, threshold, span=40.0):
+    """Scan poses as one batch and check every row against the reference."""
+    batch = scan_profile(hf, poses, span, noises)
+    found = measure(batch, threshold)
+    assert batch.n_lines == len(found) == len(poses)
+    per_station = noises if isinstance(noises, list) else [noises] * len(poses)
+    for i, (pose, noise) in enumerate(zip(poses, per_station)):
+        x, z, valid = reference_scan(hf, pose, span, noise)
+        assert np.array_equal(batch.x, x) and batch.x.tobytes() == x.tobytes()
+        assert np.array_equal(batch.z[i], z) and batch.z[i].tobytes() == z.tobytes()
+        assert np.array_equal(batch.valid[i], valid)
+        assert found[i] == reference_or_none(x, z, valid, threshold)
+    return batch, found
+
+
+class TestBatchMatchesPerStation:
+    def test_mixed_rows_match_the_reference_field_by_field(self):
+        """Troughs, ramp walls, a flat band, invalid samples and a lone step
+        in one batch: each row scans and measures like its own station."""
+        ys = [-5.0, 3.0, 5.5, 10.0, 12.0, 17.0, 20.0, 25.0, -2.0]
+        poses = [station_pose(0.3 * (k % 3) - 0.3, y) for k, y in enumerate(ys)]
+        noises = [NOISY.derive(2, k) for k in range(len(poses))]
+        batch, found = assert_batch_matches_reference(PLATE, poses, noises, edge_threshold_for(NOISY))
+        assert [f is None for f in found] == [False, False, False, True, True, False, False, True, False]
+        assert not batch.valid[5].all() and batch.valid[0].all()
+
+    def test_ramp_walls_resolve_like_the_reference(self):
+        shifts = [-0.5, 0.0, 0.7] * 3
+        poses = [station_pose(dx, y) for dx, y in zip(shifts, [1.0, 4.0, 7.5] * 3)]
+        _, found = assert_batch_matches_reference(PLATE, poses, SensorNoise.noiseless(), 1e-9)
+        # the left ramp is resolved to its foot at robot x = -6
+        assert all(f is not None and abs(f.left_x_mm + dx + 6.0) < 0.1 for f, dx in zip(found, shifts))
+
+    def test_noiseless_batch_matches(self):
+        poses = [station_pose(0.0, y) for y in np.linspace(-9.0, 29.0, 12)]
+        assert_batch_matches_reference(PLATE, poses, SensorNoise.noiseless(), edge_threshold_for(SensorNoise.noiseless()))
+
+    def test_single_station_is_a_batch_of_one(self):
+        pose = station_pose(0.2, -4.0)
+        noise = NOISY.derive(2, 0)
+        line = scan_profile(PLATE, pose, 40.0, noise)
+        batch = scan_profile(PLATE, [pose], 40.0, [noise])
+        assert line.z.shape == (SCANNER_POINTS,) and line.n_lines == 1
+        assert line.z.tobytes() == batch.z[0].tobytes()
+        assert measure(line, 0.12) == measure(batch, 0.12)[0] == reference_measure(*reference_scan(PLATE, pose, 40.0, noise), 0.12)
+        with pytest.raises(NoEdges):
+            measure(scan_profile(PLATE, station_pose(0.0, 11.0), 40.0), 0.12)
+
+    def test_one_station_off_the_grid_fails_the_batch(self):
+        poses = [station_pose(0.0, -5.0), station_pose(12.0, 3.0), station_pose(0.0, 20.0)]
+        with pytest.raises(StationOutsideGrid):
+            reference_scan(PLATE, poses[1], 40.0, SensorNoise.noiseless())
+        with pytest.raises(StationOutsideGrid):
+            scan_profile(PLATE, poses, 40.0, [NOISY.derive(2, k) for k in range(3)])
+
+    @given(
+        layout=st.lists(
+            st.tuples(st.floats(-4.0, 4.0), st.floats(-5.5, 25.5), st.floats(-0.2, 0.2)), min_size=1, max_size=6
+        ),
+        sigma=st.sampled_from([0.0, 0.02, 0.3]),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_station_layouts(self, layout, sigma, seed):
+        noise = SensorNoise(laser_sigma_mm=sigma, seed=seed)
+        poses = [station_pose(x, y, angle) for x, y, angle in layout]
+        assert_batch_matches_reference(PLATE, poses, [noise.derive(2, k) for k in range(len(poses))], edge_threshold_for(noise))
+
+    def test_refinement_matches_a_per_station_loop(self):
+        """refine_waypoints against the loop that scanned and measured one
+        waypoint at a time: same survivors, features, stations and drops."""
+        mount = RigidTransform(rotation_about_z(0.05), [0.5, -0.25, 1.0], Frame.LASER, Frame.ROBOT)
+        waypoints = [make_waypoint(0.4 * math.sin(k), y, -0.3) for k, y in enumerate(np.arange(-8.0, 24.0, 1.5))]
+        threshold = edge_threshold_for(NOISY)
+        result = refine_waypoints(waypoints, PLATE, laser_mount=mount, orientation=Orientation.HORIZONTAL, noise=NOISY)
+        kept, features, poses = [], [], []
+        for i, wp in enumerate(waypoints):
+            p = wp.robot_pt
+            pose = RigidTransform(mount.rotation @ np.eye(3), [p.x + 0.5, p.y - 0.25, p.z + 1.0 + 310.0], Frame.LASER, Frame.ROBOT)
+            try:
+                feats = reference_measure(*reference_scan(PLATE, pose, 40.0, NOISY.derive(2, i)), threshold)
+            except NoEdges:
+                continue
+            corr = transform_point(
+                laser_correction(feats.centre_offset_mm, feats.centre_height_mm + feats.baseline_mm, Orientation.HORIZONTAL),
+                mount,
+                Frame.ROBOT,
+            )
+            refined = Point3(p.x + corr.x, p.y + corr.y, p.z + corr.z, Frame.ROBOT)
+            kept.append(replace(wp, refined_robot_pt=refined, area_mm2=feats.area_mm2))
+            features.append(feats)
+            poses.append(pose)
+        assert 0 < result.dropped == len(waypoints) - len(kept)
+        assert result.waypoints == tuple(kept)
+        assert result.features == tuple(features)
+        for station, pose in zip(result.stations, poses, strict=True):
+            assert station.pose.rotation.tobytes() == pose.rotation.tobytes()
+            assert station.pose.translation.tobytes() == pose.translation.tobytes()
+            assert (station.pose.source_frame, station.pose.target_frame) == (Frame.LASER, Frame.ROBOT)
+            assert (station.span_mm, station.standoff_mm) == (40.0, 310.0)
+
+    def test_validation_matches_a_per_station_loop(self):
+        """validate against the loop that rescanned one station at a time,
+        with the pre-fill window as the fallback where the fill left no edges."""
+        mount = RigidTransform.identity(Frame.LASER, Frame.ROBOT)
+        waypoints = [make_waypoint(0.1 * k, y, 0.0) for k, y in enumerate([-8.0, -4.0, 2.0, 5.0, 16.0, 19.0])]
+        refined = refine_waypoints(waypoints, PLATE, laser_mount=mount, orientation=Orientation.HORIZONTAL, noise=NOISY)
+        filled = PLATE.copy()
+        filled.heights[: filled.iy_of(-3.0)] = 0.0  # stations 0 and 1 levelled: no edges after the fill
+        speeds = [6.0, 8.0, 10.0, 12.0, 15.0, 20.0]
+        report = validate(
+            list(refined.stations), list(refined.features), filled, speeds=speeds, noise=NOISY, elapsed_s=4.0, mode=FillMode.adaptive()
+        )
+        threshold = edge_threshold_for(NOISY)
+        records, fallbacks = [], 0
+        for number, (station, pre, speed) in enumerate(zip(refined.stations, refined.features, speeds, strict=True)):
+            x, z, valid = reference_scan(filled, station.pose, 40.0, NOISY.derive(3, number))
+            try:
+                area_post = reference_measure(x, z, valid, threshold).area_mm2
+            except NoEdges:
+                fallbacks += 1
+                _, area_post = reference_window_area(x, z, valid, pre.left_index, pre.right_index)
+            records.append(StationRecord(number, pre.area_mm2, area_post, abs(area_post / pre.area_mm2), speed, True))
+        assert fallbacks == 2
+        assert report.records == tuple(records)
+        errors = [r.fill_error for r in records]
+        assert report.mean_fill_error == float(np.mean(errors))
+        assert report.std_fill_error == float(np.std(errors, ddof=1))
+        assert report.median_fill_error == float(np.median(errors))
+
+    def test_validation_rejects_mismatched_lengths(self):
+        station = ScanStation(station_pose(0.0, -5.0), 40.0, 310.0)
+        feats = measure(scan_profile(PLATE, station.pose, 40.0), 1e-9)
+        with pytest.raises(ValueError):
+            validate([station, station], [feats], PLATE, speeds=[6.0, 6.0], noise=NOISY, elapsed_s=0.0, mode=FillMode.fixed(6.0))
+        with pytest.raises(ValueError):
+            validate([station], [feats], PLATE, speeds=[6.0, 6.0], noise=NOISY, elapsed_s=0.0, mode=FillMode.fixed(6.0))
+
+
+class TestStripCalibration:
+    def test_each_strip_is_scanned_and_measured_in_one_call(self, monkeypatch):
+        from crackfill import config, profile
+
+        calls = {"scan": 0, "measure": 0}
+
+        monkeypatch.setattr(config, "scan_profile", counted(calls, "scan", config.scan_profile))
+        monkeypatch.setattr(profile, "measure", counted(calls, "measure", profile.measure))
+        cfg = ScenarioConfig.default()
+        scans = cfg.strip_scans()
+        model = calibrate(scans, edge_threshold_for(cfg.build_noise()))
+        n_strips = len(cfg.raw["calibration"]["speeds_mm_s"])
+        assert calls == {"scan": n_strips, "measure": n_strips}
+        assert len(model.samples) == n_strips
+        assert all(lines.n_lines > 1 for _, lines in scans)
+
+    def test_batches_and_lists_of_lines_calibrate_alike(self):
+        scans = [(speed, [exact_area_profile(area), exact_area_profile(area)]) for speed, area in STRIP_AREAS.items()]
+        batches = [
+            (speed, LaserProfile(lines[0].x, np.stack([p.z for p in lines]), np.stack([p.valid for p in lines])))
+            for speed, lines in scans
+        ]
+        assert calibrate(batches, edge_threshold_mm=1e-6) == calibrate(scans, edge_threshold_mm=1e-6)
+
+    def test_a_strip_line_without_edges_fails_calibration(self):
+        flat = LaserProfile(np.linspace(-20.0, 20.0, 1024), np.zeros((2, 1024)))
+        good = exact_area_profile(40.0)
+        with pytest.raises(NoEdges):
+            calibrate([(10.0, flat), (20.0, [good, good])], edge_threshold_mm=1e-6)

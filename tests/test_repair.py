@@ -45,7 +45,7 @@ from crackfill import (
 from crackfill import repair
 from crackfill.geometry import CameraIntrinsics, rotation_about_z
 from crackfill.repair import _distance_to_centreline
-from conftest import camera_pose, make_flat, make_rect_crack
+from conftest import camera_pose, counted, make_flat, make_rect_crack, make_waypoint
 
 PITCH_40MM = 40.0 / 1023.0
 
@@ -57,14 +57,6 @@ def make_model(flow: float = 946.0635673187572) -> CalibrationModel:
         CalibrationSample(20.0, flow / 20.0, 0.0),
     )
     return CalibrationModel(samples, flow, 6.0, 20.0)
-
-
-def make_waypoint(x: float, y: float, z: float) -> Waypoint:
-    return Waypoint(
-        pixel=PixelCoord(0.0, 0.0, 500.0),
-        camera_pt=Point3(0.0, 0.0, 500.0, Frame.CAMERA),
-        robot_pt=Point3(x, y, z, Frame.ROBOT),
-    )
 
 
 def make_scene(crack: CrackSpec | None, camera_y: float = 75.0, ny: int = 1500) -> RepairScene:
@@ -239,6 +231,31 @@ class TestRefineWaypoints:
             for wp, st in zip(result.waypoints, result.stations, strict=True):
                 assert tuple(st.pose.translation[:2]) == (wp.robot_pt.x, wp.robot_pt.y)
 
+    def test_one_batch_and_one_rotation_check_per_pass(self, monkeypatch):
+        """Refinement scans and measures all its stations in one call each,
+        and every station pose shares the one checked scanner rotation;
+        rescanning a repair is one more call."""
+        from crackfill import geometry
+
+        calls = {"scan": 0, "measure": 0, "rotation": 0}
+
+        scene = make_scene(straight_crack())
+        hf = scene.build_specimen()
+        waypoints = [make_waypoint(0.5, y, -5.0) for y in np.linspace(20.0, 130.0, 12)]
+        noise = SensorNoise(laser_sigma_mm=0.02, seed=4)
+        monkeypatch.setattr(repair, "scan_profile", counted(calls, "scan", repair.scan_profile))
+        monkeypatch.setattr(repair, "measure", counted(calls, "measure", repair.measure))
+        monkeypatch.setattr(geometry, "_check_rotation", counted(calls, "rotation", geometry._check_rotation))
+        result = refine_waypoints(
+            waypoints, hf, laser_mount=scene.laser_mount, orientation=Orientation.HORIZONTAL, noise=noise
+        )
+        assert calls == {"scan": 1, "measure": 1, "rotation": 1}
+        assert len({id(st.pose.rotation) for st in result.stations}) == 1
+        validate(
+            list(result.stations), list(result.features), hf, speeds=[10.0] * 12, noise=noise, elapsed_s=0.0, mode=FillMode.fixed(10.0)
+        )
+        assert calls == {"scan": 2, "measure": 2, "rotation": 1}
+
     def test_all_points_dropped_raises(self):
         hf = make_flat(nx=500, ny=500, cell=0.1, origin=(-25.0, -25.0))
         waypoints = [make_waypoint(0.0, 0.0, 0.0)]
@@ -378,6 +395,25 @@ class TestValidate:
         report = validate([station], [pre], hf, speeds=[6.0], noise=SensorNoise.noiseless(), elapsed_s=0.0, mode=FillMode.fixed(6.0))
         # the unfilled trough still measures about 40 mm^2 against pre=80
         assert report.records[0].fill_error == pytest.approx(0.5, rel=0.05)
+
+    def test_stations_must_share_one_scanner(self):
+        hf = make_flat(nx=500, ny=500, cell=0.1, origin=(-25.0, -25.0))
+        stations = [level_station(0.0, -5.0, 310.0), replace(level_station(0.0, 5.0, 310.0), span_mm=30.0)]
+        with pytest.raises(ValueError, match="span and standoff"):
+            validate(
+                stations,
+                [self.scan_setup(100.0)] * 2,
+                hf,
+                speeds=[8.0, 8.0],
+                noise=SensorNoise.noiseless(),
+                elapsed_s=0.0,
+                mode=FillMode.fixed(8.0),
+            )
+
+    def test_no_stations_give_an_empty_report(self):
+        hf = make_flat(nx=50, ny=50, cell=0.5, origin=(-12.5, -12.5))
+        report = validate([], [], hf, speeds=[], noise=SensorNoise.noiseless(), elapsed_s=0.0, mode=FillMode.fixed(8.0))
+        assert report.records == () and np.isnan(report.mean_fill_error)
 
     def test_summary_dict_shape(self):
         hf = make_flat(nx=500, ny=500, cell=0.1, origin=(-25.0, -25.0))

@@ -241,6 +241,52 @@ class TestScanProfile:
         with pytest.raises(ValueError):
             LaserProfile(x=np.array([1.0, 0.0]), z=np.zeros(2), valid=np.ones(2, dtype=bool))
 
+    def test_non_uniform_pitch_rejected(self):
+        """A profile built by a caller is checked for uniform pitch, as one
+        line or as a batch."""
+        x = np.array([0.0, 1.0, 2.0, 3.5])
+        with pytest.raises(ValueError, match="uniform pitch"):
+            LaserProfile(x=x, z=np.zeros(4))
+        with pytest.raises(ValueError, match="uniform pitch"):
+            LaserProfile(x=x, z=np.zeros((3, 4)))
+
+    def test_batch_shape_validation(self):
+        x = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError):
+            LaserProfile(x=x, z=np.zeros((2, 4)))
+        with pytest.raises(ValueError):
+            LaserProfile(x=x, z=np.zeros((2, 5)), valid=np.ones((3, 5), dtype=bool))
+        with pytest.raises(ValueError):
+            LaserProfile(x=x, z=np.zeros((2, 2, 5)))
+        batch = LaserProfile(x=x, z=np.arange(10.0).reshape(2, 5))
+        assert batch.n_lines == 2 and batch.valid.shape == (2, 5)
+        row = batch.line(1)
+        assert row.n_lines == 1 and row.x is batch.x
+        np.testing.assert_array_equal(row.z, [5.0, 6.0, 7.0, 8.0, 9.0])
+
+    def test_batch_checks_the_pitch_once(self, monkeypatch):
+        hf = make_flat(nx=200, ny=200, cell=0.5, origin=(-50.0, -50.0))
+        poses = [down_scan_pose(y=float(y)) for y in range(6)]
+        calls = []
+        real = np.allclose
+        monkeypatch.setattr(np, "allclose", lambda *a, **k: calls.append(1) or real(*a, **k))
+        batch = scan_profile(hf, poses, 40.0)
+        assert batch.z.shape == (6, SCANNER_POINTS) and len(calls) == 1
+
+    def test_batch_takes_one_noise_model_per_station(self):
+        hf = make_flat(nx=200, ny=200, cell=0.5, origin=(-50.0, -50.0))
+        poses = [down_scan_pose(y=-1.0), down_scan_pose(y=1.0)]
+        noise = SensorNoise(laser_sigma_mm=0.05, seed=3)
+        with pytest.raises(ValueError):
+            scan_profile(hf, poses, 40.0, noise)
+        with pytest.raises(ValueError):
+            scan_profile(hf, poses, 40.0, [noise.derive(0)])
+        batch = scan_profile(hf, poses, 40.0, [noise.derive(0), noise.derive(1)])
+        for row, (pose, k) in enumerate(zip(poses, (0, 1))):
+            assert batch.z[row].tobytes() == scan_profile(hf, pose, 40.0, noise.derive(k)).z.tobytes()
+        assert not np.array_equal(batch.z[0], batch.z[1])
+        assert scan_profile(hf, [], 40.0).z.shape == (0, SCANNER_POINTS)
+
 
 class TestSensorNoise:
     def test_derive_is_deterministic_and_keyed(self):

@@ -165,6 +165,34 @@ class TestHeightfield:
         clone.heights[0, 0] = 9.0
         assert hf.heights[0, 0] == 0.0
 
+    def test_copy_of_a_read_only_view_skips_the_finiteness_scan(self, monkeypatch):
+        """A copy owns writable heights equal to its source's and does not
+        check again what the source passed when it was built."""
+        hf = make_rect_crack(cell=0.5, nx=100, ny=300)
+        view = hf.heights.view()
+        view.flags.writeable = False
+        source = Heightfield(hf.origin, hf.cell_size, hf.nx, hf.ny, view, hf.nominal_surface)
+
+        def refuse(self):
+            raise AssertionError("copy re-ran __post_init__")
+
+        monkeypatch.setattr(Heightfield, "__post_init__", refuse)
+        clone = source.copy()
+        assert (clone.origin, clone.cell_size, clone.nx, clone.ny, clone.nominal_surface) == (
+            source.origin, source.cell_size, source.nx, source.ny, source.nominal_surface
+        )
+        assert clone.heights.tobytes() == source.heights.tobytes()
+        assert not np.shares_memory(clone.heights, source.heights)
+        clone.heights[:] = 1.0
+        assert source.heights.tobytes() == hf.heights.tobytes()
+
+    def test_non_finite_heights_still_rejected(self):
+        for bad in (np.inf, -np.inf, np.nan):
+            heights = np.zeros((3, 4))
+            heights[1, 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                Heightfield((0.0, 0.0), 0.1, 4, 3, heights)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Heightfield.flat((0.0, 0.0), 0.0, 10, 10)
