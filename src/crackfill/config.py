@@ -21,11 +21,11 @@ import numpy as np
 
 from . import io
 from .errors import ConfigError, ProviderUnavailable
-from .geometry import ROTATION_TOL, CameraIntrinsics, Frame, Orientation, RigidTransform
+from .geometry import ROTATION_TOL, CameraIntrinsics, Frame, RigidTransform
 from .perception import binarize
 from .profile import CalibrationModel, calibrate
 from .repair import FillMode, RepairScene, edge_threshold_for
-from .sensors import NOISE_STREAMS, LaserProfile, MaskImage, SensorNoise, scan_profile
+from .sensors import NOISE_STREAMS, SCANNER_POINTS, LaserProfile, MaskImage, SensorNoise, scan_profile
 from .specimen import CrackSpec, DepositionParams, Heightfield, deposit
 
 
@@ -176,8 +176,9 @@ def _crack(width, depth) -> dict:
 _SPEEDS_MM_S = [6.0, 8.0, 10.0, 15.0, 20.0]
 
 # Size caps, checked before anything is allocated: a camera image holds at
-# most MAX_IMAGE_PIXELS pixels and a heightfield (the specimen grid or a
-# calibration strip plate) at most MAX_GRID_CELLS cells.
+# most MAX_IMAGE_PIXELS pixels, and a heightfield (the specimen grid or a
+# calibration strip plate) and a calibration strip's batch of laser
+# samples (stations x SCANNER_POINTS) at most MAX_GRID_CELLS values each.
 MAX_IMAGE_PIXELS = 2048 * 2048
 MAX_GRID_CELLS = 2**24
 
@@ -276,6 +277,15 @@ def _resolve(schema: dict, value, path: str) -> dict:
     return out
 
 
+def _strip_stations(cal: dict) -> int:
+    """Laser stations along each calibration strip's scanned section.
+
+    A ratio too large to round counts as MAX_GRID_CELLS, which is over
+    the strip batch cap all the same.
+    """
+    return int(round(min(cal["scan_length_mm"] / cal["scan_step_mm"], MAX_GRID_CELLS))) + 1
+
+
 def _crack_spec(block: dict | None) -> CrackSpec | None:
     if block is None:
         return None
@@ -287,7 +297,6 @@ def _crack_spec(block: dict | None) -> CrackSpec | None:
         path=[(float(x), float(y)) for x, y in block["path_mm"]],
         width=profile(block["width_mm"]),
         depth=profile(block["depth_mm"]),
-        orientation=Orientation(block["orientation"]),
     )
 
 
@@ -316,6 +325,12 @@ class ScenarioConfig:
             raise ConfigError("calibration.source 'file' requires calibration.path")
         if cal["scan_length_mm"] > cal["strip_length_mm"]:
             raise ConfigError("calibration.scan_length_mm cannot exceed strip_length_mm")
+        if _strip_stations(cal) * SCANNER_POINTS > MAX_GRID_CELLS:
+            raise ConfigError(
+                f"calibration.scan_step_mm {cal['scan_step_mm']} cuts calibration.scan_length_mm "
+                f"{cal['scan_length_mm']} into more than {MAX_GRID_CELLS // SCANNER_POINTS} laser stations "
+                f"of {SCANNER_POINTS} samples ({MAX_GRID_CELLS} in all)"
+            )
         return ScenarioConfig(raw=raw)
 
     @staticmethod
@@ -446,11 +461,12 @@ class ScenarioConfig:
     def strip_scans(self) -> list[tuple[float, LaserProfile]]:
         """Print one strip per calibration speed and scan its inner section.
 
-        The strip runs along robot y and is scanned like a horizontal
-        crack, along the laser mount's x axis, so its sections are cut at
-        the same angle as the crack's. Each strip's stations are scanned
-        as one batch, a row per station. A plate over MAX_GRID_CELLS cells
-        is refused before it is built.
+        The strip runs along robot y and is scanned like a crack along y,
+        along the laser mount's x axis, so its sections are cut at the
+        same angle as such a crack's. Each strip's stations are scanned
+        as one batch, a row per station; from_dict caps that batch at
+        MAX_GRID_CELLS samples. A plate over MAX_GRID_CELLS cells is
+        refused before it is built.
         """
         cal = self.raw["calibration"]
         speeds = sorted(float(v) for v in cal["speeds_mm_s"])
@@ -472,7 +488,7 @@ class ScenarioConfig:
         nx, ny = (int(round(n)) for n in cells)
         origin = (-(span / 2 + margin), -margin)
         y0 = (strip_len - scan_len) / 2
-        n_stations = int(round(scan_len / step)) + 1
+        n_stations = _strip_stations(cal)
         poses = [mount.at([0.0, y0 + k * step, standoff]) for k in range(n_stations)]
         scans: list[tuple[float, LaserProfile]] = []
         for si, speed in enumerate(speeds):

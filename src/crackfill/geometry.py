@@ -38,17 +38,6 @@ class Frame(str, enum.Enum):
     ROBOT = "robot"
 
 
-class Orientation(str, enum.Enum):
-    """Dominant direction of a crack as seen by the scan planner.
-
-    A horizontal crack runs along robot y and is profiled with scan
-    lines along robot x; a vertical crack is the transpose.
-    """
-
-    HORIZONTAL = "horizontal"
-    VERTICAL = "vertical"
-
-
 @dataclass(frozen=True)
 class Point3:
     """A 3D point tagged with the frame its coordinates live in."""
@@ -209,19 +198,6 @@ def transform_point(p: Point3, t: RigidTransform, target_frame: Frame | None = N
     if out_frame is None:
         raise ValueError("target frame unknown: pass target_frame or tag the transform")
     return Point3.from_array(t.apply(p.as_array()), out_frame)
-
-
-def laser_correction(c_x: float, c_y: float, orientation: Orientation) -> Point3:
-    """Laser-frame correction vector built from measured crack centre offsets.
-
-    For a horizontal crack the lateral offset lands on the laser x axis
-    and the along-crack component is identically zero; for a vertical
-    crack the lateral offset lands on the y axis instead. The height
-    offset c_y always lands on z.
-    """
-    if orientation == Orientation.HORIZONTAL:
-        return Point3(c_x, 0.0, c_y, Frame.LASER)
-    return Point3(0.0, c_x, c_y, Frame.LASER)
 
 
 def invert(t: RigidTransform) -> RigidTransform:

@@ -238,18 +238,28 @@ def pixels_to_robot(pixels: list[PixelCoord], k: CameraIntrinsics, camera_to_rob
     return out
 
 
+def runs_along_x(points: Sequence[Point3]) -> bool:
+    """Whether a crack through these points runs along robot x.
+
+    It does when the points' x extent is at least their y extent, so a
+    lone point, which has no extent, counts as running along x. The
+    points must not be empty.
+    """
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
+    return (max(xs) - min(xs)) >= (max(ys) - min(ys))
+
+
 def order_path(waypoints: list[Waypoint]) -> list[Waypoint]:
     """Order waypoints along the crack's dominant axis.
 
-    Sort ascending by robot x when the x extent is at least the y
-    extent, otherwise by robot y; ties fall back to the other
+    Sort ascending by robot x when the crack runs along x (see
+    runs_along_x), otherwise by robot y; ties fall back to the other
     coordinate. The input list is not modified.
     """
     if not waypoints:
         raise EmptyPath("cannot order an empty waypoint list")
-    xs = [wp.position().x for wp in waypoints]
-    ys = [wp.position().y for wp in waypoints]
-    if (max(xs) - min(xs)) >= (max(ys) - min(ys)):
+    if runs_along_x([wp.position() for wp in waypoints]):
         key = lambda wp: (wp.position().x, wp.position().y)
     else:
         key = lambda wp: (wp.position().y, wp.position().x)

@@ -22,12 +22,9 @@ from .errors import AllPointsDropped, EmptyWaypoints, ProviderUnavailable
 from .geometry import (
     CameraIntrinsics,
     Frame,
-    Orientation,
     Point3,
     RigidTransform,
     compose,
-    laser_correction,
-    rotation_about_z,
     transform_point,
 )
 from .perception import (
@@ -37,6 +34,7 @@ from .perception import (
     extract_pixels,
     order_path,
     pixels_to_robot,
+    runs_along_x,
     skeletonize,
     space_pixels,
 )
@@ -65,6 +63,10 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_AREA_FLOOR_MM2 = 1.0
 DEFAULT_SCAN_SPAN_MM = 40.0
+
+# An exact quarter turn about z, which lays the scan line along the mount's
+# y axis; rotation_about_z(pi / 2) would leave 6e-17 in its zero terms.
+_QUARTER_TURN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 def edge_threshold_for(noise: SensorNoise) -> float:
@@ -246,6 +248,8 @@ class RepairScene:
 
     crack may be None for an undamaged specimen; the pipeline then
     fails with EmptyPath at perception, which is the expected outcome.
+    The scene holds no scan axis: refinement scans across the axis the
+    perceived waypoints run along.
     """
 
     crack: CrackSpec | None
@@ -262,9 +266,6 @@ class RepairScene:
     min_spacing_px: float = DEFAULT_MIN_SPACING_PX
     mask_threshold_mm: float = DEFAULT_MASK_THRESHOLD_MM
     area_floor_mm2: float = DEFAULT_AREA_FLOOR_MM2
-
-    def orientation(self) -> Orientation:
-        return self.crack.orientation if self.crack is not None else Orientation.HORIZONTAL
 
     def build_specimen(self) -> Heightfield:
         if self.crack is None:
@@ -364,31 +365,33 @@ def refine_waypoints(
     hf: Heightfield,
     *,
     laser_mount: RigidTransform,
-    orientation: Orientation,
     span_mm: float = DEFAULT_SCAN_SPAN_MM,
     standoff_mm: float = SCANNER_STANDOFF_MM,
     noise: SensorNoise,
 ) -> RefinementResult:
     """Correct each waypoint with a laser line scan across the crack.
 
-    The scanner parks above each RGB-D-derived point, profiles the
-    crack along the line the mount rotation gives, and the measured
-    centre offsets (lateral and height) are mapped through the laser
-    mount into a robot-frame correction added to a new copy of the
-    waypoint. Waypoints whose scan shows no crack are
-    dropped with a warning; if none survive AllPointsDropped is raised.
-    Survivors keep the input's travel order.
+    The crack runs along the waypoints' larger x/y extent, the axis
+    order_path sorts them by (see runs_along_x). The scanner parks
+    above each RGB-D-derived point and profiles the crack across that
+    axis: along the laser mount's x axis for a crack along robot y, and
+    along the mount turned a quarter about z, its y axis, for a crack
+    along x. A lone waypoint has no extent and counts as running along
+    x, so it is scanned along the mount's y axis. The measured centre
+    offsets (lateral and height) are mapped through the turned mount
+    into a robot-frame correction added to a new copy of the waypoint.
+    Waypoints whose scan shows no crack are dropped with a warning; if
+    none survive AllPointsDropped is raised. Survivors keep the input's
+    travel order.
     """
     threshold = edge_threshold_for(noise)
-    # The line runs along the mount's x axis across a horizontal crack and
-    # along its y axis across a vertical one, as laser_correction maps the
-    # measured offset back.
-    turn = np.eye(3) if orientation == Orientation.HORIZONTAL else rotation_about_z(math.pi / 2)
-    scanner = RigidTransform(laser_mount.rotation @ turn, np.zeros(3), Frame.LASER, Frame.ROBOT)
-    m = laser_mount.translation
+    points = [wp.robot_pt for wp in waypoints]
+    turn = _QUARTER_TURN if points and runs_along_x(points) else np.eye(3)
+    mount = RigidTransform(laser_mount.rotation @ turn, laser_mount.translation, Frame.LASER, Frame.ROBOT)
+    m = mount.translation
     stations = [
-        ScanStation(scanner.at([p.x + m[0], p.y + m[1], p.z + m[2] + standoff_mm]), span_mm, standoff_mm)
-        for p in (wp.robot_pt for wp in waypoints)
+        ScanStation(mount.at([p.x + m[0], p.y + m[1], p.z + m[2] + standoff_mm]), span_mm, standoff_mm)
+        for p in points
     ]
     profiles = scan_profile(
         hf,
@@ -409,8 +412,7 @@ def refine_waypoints(
         # correction vanishes; any RGB-D depth error shows up here and is
         # cancelled.
         height = feats.centre_height_mm + feats.baseline_mm
-        correction = laser_correction(feats.centre_offset_mm, height, orientation)
-        corr_robot = transform_point(correction, laser_mount, Frame.ROBOT)
+        corr_robot = transform_point(Point3(feats.centre_offset_mm, 0.0, height, Frame.LASER), mount, Frame.ROBOT)
         refined = Point3(
             wp.robot_pt.x + corr_robot.x,
             wp.robot_pt.y + corr_robot.y,
@@ -582,7 +584,6 @@ def survey(scene: RepairScene, view: SpecimenView, noise: SensorNoise) -> Survey
         perception.waypoints,
         view.specimen,
         laser_mount=scene.laser_mount,
-        orientation=scene.orientation(),
         span_mm=scene.scan_span_mm,
         standoff_mm=scene.scan_standoff_mm,
         noise=noise,

@@ -18,7 +18,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import Overfill, PathOutsideGrid, SegmentOutsideGrid, StationOutsideGrid, ZeroLengthSegment, ZeroSpeed
-from .geometry import Orientation
 
 logger = logging.getLogger(__name__)
 
@@ -132,7 +131,6 @@ class CrackSpec:
     path: Sequence[tuple[float, float]]
     width: Profile
     depth: Profile
-    orientation: Orientation = Orientation.HORIZONTAL
 
     def __post_init__(self) -> None:
         if len(self.path) < 2:

@@ -73,7 +73,7 @@ def make_waypoint(x: float, y: float, z: float) -> Waypoint:
 
 
 def down_scan_pose(x=0.0, y=0.0, z=310.0) -> RigidTransform:
-    """Scanner pose sampling along robot x (horizontal-crack orientation)."""
+    """Scanner pose sampling along robot x, across a crack along robot y."""
     return RigidTransform(np.eye(3), [x, y, z], Frame.LASER, Frame.ROBOT)
 
 

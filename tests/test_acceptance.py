@@ -23,25 +23,27 @@ import pytest
 
 from crackfill import (
     CameraIntrinsics,
+    CrackSpec,
     DepthImage,
     Frame,
     LaserProfile,
-    Orientation,
     PixelCoord,
     Point3,
     RigidTransform,
     ScenarioConfig,
+    SensorNoise,
     Waypoint,
     axis_angle_rotation,
     compose,
     experiment_modes,
     extract_pixels,
+    generate_specimen,
     invert,
-    laser_correction,
     localization_experiment,
     measure,
     order_path,
     pixel_to_camera,
+    refine_waypoints,
     run_experiment,
     skeletonize,
     space_pixels,
@@ -49,6 +51,7 @@ from crackfill import (
 import crackfill
 from crackfill import cli, repair
 from crackfill.sensors import SCANNER_POINTS
+from conftest import make_waypoint
 
 FITTED_FLOW_MM3_S = 946.0635673187572
 REFERENCE_STRIP_AREAS = {
@@ -209,12 +212,33 @@ def test_geometry_invariants():
         assert np.allclose(ident.rotation, np.eye(3), atol=1e-9)
         assert np.allclose(ident.translation, 0.0, atol=1e-9)
 
-    for _ in range(1000):
-        c_x, c_y = rng.uniform(-30.0, 30.0, 2)
-        h = laser_correction(c_x, c_y, Orientation.HORIZONTAL)
-        assert (h.x, h.y, h.z) == (c_x, 0.0, c_y) and h.frame is Frame.LASER
-        v3 = laser_correction(c_x, c_y, Orientation.VERTICAL)
-        assert (v3.x, v3.y, v3.z) == (0.0, c_x, c_y)
+    # Refinement scans across the axis the waypoints spread along and
+    # corrects only across it and in height: through the identity mount a
+    # crack along y keeps each waypoint's y, one along x its x.
+    mount = RigidTransform.identity(Frame.LASER, Frame.ROBOT)
+    along_y = generate_specimen(
+        CrackSpec(path=[(0.0, 10.0), (0.0, 90.0)], width=8.0, depth=5.0), origin=(-30.0, 0.0), cell_size=0.1, nx=600, ny=1000
+    )
+    along_x = generate_specimen(
+        CrackSpec(path=[(10.0, 0.0), (90.0, 0.0)], width=8.0, depth=5.0), origin=(0.0, -30.0), cell_size=0.1, nx=1000, ny=600
+    )
+    for hf, swap in ((along_y, False), (along_x, True)):
+        across = rng.uniform(-3.0, 3.0, 200)
+        along = rng.uniform(20.0, 80.0, 200)
+        heights = rng.uniform(-6.0, -4.0, 200)
+        waypoints = [make_waypoint(b, a, z) if swap else make_waypoint(a, b, z) for a, b, z in zip(across, along, heights)]
+        result = refine_waypoints(waypoints, hf, laser_mount=mount, noise=SensorNoise.noiseless())
+        assert result.dropped == 0
+        for wp, feats in zip(result.waypoints, result.features, strict=True):
+            robot, refined = wp.robot_pt, wp.refined_robot_pt
+            c_x, c_y = feats.centre_offset_mm, feats.centre_height_mm + feats.baseline_mm
+            assert refined.frame is Frame.ROBOT
+            if swap:
+                assert refined.x == robot.x
+                assert (refined.y, refined.z) == (robot.y + c_x, robot.z + c_y)
+            else:
+                assert refined.y == robot.y
+                assert (refined.x, refined.z) == (robot.x + c_x, robot.z + c_y)
 
 
 def _blob_mask(rng: np.random.Generator, size: int = 64) -> np.ndarray:
@@ -297,7 +321,6 @@ EXPERIMENT_CONFIG = {
     # the default localization crack is longer than this grid
     "localization": {
         "crack": {
-            "orientation": "horizontal",
             "path_mm": [[0.0, 10.0], [0.0, 110.0]],
             "width_mm": 8.0,
             "depth_mm": 5.0,
@@ -321,12 +344,12 @@ def test_experiment_determinism(tmp_path):
 
 
 # An adaptive fill of a crack along robot x: deposition walks strided columns
-# of the heightfield instead of rows.
+# of the heightfield instead of rows, and the laser scans along robot y
+# because the perceived waypoints spread along x.
 CRACK_ALONG_X_CONFIG = {
     "camera": {"position_mm": [0.0, 60.0, 500.0]},
     "grid": {"origin_mm": [-70.0, 30.0], "nx": 1400, "ny": 600},
     "crack": {
-        "orientation": "vertical",
         "path_mm": [[-55.0, 60.0], [55.0, 60.0]],
         "width_mm": [[0.0, 10.0], [110.0, 16.0]],
         "depth_mm": [[0.0, 5.0], [110.0, 9.5]],
@@ -414,6 +437,23 @@ def test_artifact_digests_are_pinned(tmp_path, monkeypatch, argv):
     config = [] if "--config" in argv else ["--config", "scenario.json"]
     out = tmp_path / "out"
     assert cli.main([*config, "--out", str(out), *argv]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == ARTIFACT_DIGESTS[argv]
+
+
+@pytest.mark.parametrize(
+    "scenario, orientation, argv",
+    [(EXPERIMENT_CONFIG, "vertical", ("fill",)), (CRACK_ALONG_X_CONFIG, "horizontal", ("--config", "crack_along_x.json", "fill"))],
+    ids=["along y", "along x"],
+)
+def test_crack_orientation_key_is_ignored(tmp_path, scenario, orientation, argv):
+    """crack.orientation is accepted and read by nothing: the laser scans
+    across the axis perception finds, so each crack keyed with the other
+    axis's value fills to the bytes pinned for it without the key."""
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps({**scenario, "crack": {**scenario["crack"], "orientation": orientation}}))
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg_path), "--out", str(out), "fill"]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == ARTIFACT_DIGESTS[argv]
 

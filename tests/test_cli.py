@@ -15,6 +15,7 @@ import pytest
 
 from crackfill import Heightfield, ScenarioConfig, cli, experiment_modes, run_experiment
 from crackfill import io as cfio
+from crackfill import config as config_module
 from crackfill import repair as repair_module
 
 WAYPOINT_HEADER = (
@@ -398,6 +399,21 @@ class TestConfigErrors:
             assert cli.main(["--config", cfg, "--out", str(tmp_path / "o"), command]) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error: grid.cell_size_mm") and "Traceback" not in err
+        assert built == []
+
+    def test_strip_batch_over_the_sample_cap(self, tmp_path, capsys, monkeypatch):
+        """A scan step so fine that one strip's batch of laser samples would
+        pass the cap (40,001 stations x 1024 samples here) is a config error
+        that calibrate reports before any strip is printed or scanned."""
+        data = compact_config()
+        data["calibration"]["scan_step_mm"] = 1e-3
+        cfg = write_config(tmp_path, data)
+        built = []
+        monkeypatch.setattr(Heightfield, "flat", staticmethod(lambda *args, **kwargs: built.append(args)))
+        monkeypatch.setattr(config_module, "scan_profile", lambda *args, **kwargs: built.append("scan"))
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "o"), "calibrate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: calibration.scan_step_mm") and "Traceback" not in err
         assert built == []
 
 

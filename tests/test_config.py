@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from crackfill import ScenarioConfig, cli, rotation_about_y
-from crackfill.config import SCHEMA, Field
+from crackfill import ConfigError, ScenarioConfig, cli, rotation_about_y
+from crackfill.config import MAX_GRID_CELLS, SCHEMA, Field, _strip_stations
+from crackfill.sensors import SCANNER_POINTS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -143,6 +144,18 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys, data):
 def test_cross_field_rules(tmp_path, capsys, calibration, message):
     assert run_scan(tmp_path, {"calibration": calibration}) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_strip_batch_over_the_sample_cap():
+    """Each calibration strip is scanned as one batch of stations x
+    SCANNER_POINTS samples; a scan step that makes it larger than
+    MAX_GRID_CELLS is refused before any strip is printed. 100 mm in steps
+    of 100/16383 mm is 16,384 stations, exactly the cap."""
+    cal = ScenarioConfig.from_dict({"calibration": {"scan_step_mm": 100.0 / 16383}}).raw["calibration"]
+    assert _strip_stations(cal) * SCANNER_POINTS == MAX_GRID_CELLS
+    for step in (100.0 / 16384, 1e-3, 5e-324):
+        with pytest.raises(ConfigError, match=r"^calibration\.scan_step_mm .* more than 16384 laser stations"):
+            ScenarioConfig.from_dict({"calibration": {"scan_step_mm": step}})
 
 
 def test_localization_crack_merges_over_its_own_defaults():

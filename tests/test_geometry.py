@@ -10,21 +10,23 @@ from crackfill import (
     Frame,
     FrameMismatch,
     NonPositiveDepth,
-    Orientation,
     PixelCoord,
     Point3,
+    ProfileFeatures,
     RigidTransform,
+    SensorNoise,
     axis_angle_rotation,
     compose,
     invert,
-    laser_correction,
     pixel_to_camera,
+    refine_waypoints,
     rotation_about_x,
     rotation_about_y,
     rotation_about_z,
     transform_point,
 )
-from conftest import random_rotation
+from crackfill import repair
+from conftest import make_flat, make_waypoint, random_rotation
 
 
 @pytest.fixture
@@ -191,23 +193,41 @@ class TestTransformPoint:
             compose(cam_to_robot, laser_to_robot)
 
 
-class TestLaserCorrection:
-    def test_structural_zeros_hold_for_random_inputs(self):
-        """Horizontal corrections have no y part; vertical have no x part."""
-        rng = np.random.default_rng(16)
-        for _ in range(1000):
-            c_x = rng.uniform(-30, 30)
-            c_y = rng.uniform(-10, 10)
-            h = laser_correction(c_x, c_y, Orientation.HORIZONTAL)
-            v = laser_correction(c_x, c_y, Orientation.VERTICAL)
-            assert h.frame == Frame.LASER and v.frame == Frame.LASER
-            assert (h.x, h.y, h.z) == (c_x, 0.0, c_y)
-            assert (v.x, v.y, v.z) == (0.0, c_x, c_y)
+def refine_as_measured(monkeypatch, waypoints, offsets, mount):
+    """refine_waypoints on a flat plate, the scan at waypoints[i] measured
+    with its centre offset and height (c_x, c_y) = offsets[i]."""
 
-    def test_zero_measurement_gives_zero_correction(self):
-        for orientation in Orientation:
-            c = laser_correction(0.0, 0.0, orientation)
-            assert (c.x, c.y, c.z) == (0.0, 0.0, 0.0)
+    def measured(profiles, threshold):
+        return [ProfileFeatures(0, 1, 0.0, 0.0, 0.0, 0.0, c_x, c_y) for c_x, c_y in offsets]
+
+    monkeypatch.setattr(repair, "measure", measured)
+    plate = make_flat(nx=300, ny=300, cell=1.0, origin=(-150.0, -150.0))
+    return refine_waypoints(waypoints, plate, laser_mount=mount, noise=SensorNoise.noiseless()).waypoints
+
+
+class TestLaserCorrection:
+    def test_structural_zeros_hold_for_random_inputs(self, monkeypatch):
+        """Across a crack along robot y the correction has no y part; across
+        one along x it has no x part. The height offset c_y lands on z."""
+        rng = np.random.default_rng(16)
+        offsets = [(rng.uniform(-30, 30), rng.uniform(-10, 10)) for _ in range(1000)]
+        along = np.linspace(-100.0, 100.0, 1000)
+        mount = RigidTransform.identity(Frame.LASER, Frame.ROBOT)
+        along_y = refine_as_measured(monkeypatch, [make_waypoint(0.5, t, -1.0) for t in along], offsets, mount)
+        along_x = refine_as_measured(monkeypatch, [make_waypoint(t, 0.5, -1.0) for t in along], offsets, mount)
+        for t, (c_x, c_y), h, v in zip(along, offsets, along_y, along_x, strict=True):
+            assert h.refined_robot_pt.frame == Frame.ROBOT and v.refined_robot_pt.frame == Frame.ROBOT
+            assert (h.refined_robot_pt.x, h.refined_robot_pt.y, h.refined_robot_pt.z) == (0.5 + c_x, t, -1.0 + c_y)
+            assert (v.refined_robot_pt.x, v.refined_robot_pt.y, v.refined_robot_pt.z) == (t, 0.5 + c_x, -1.0 + c_y)
+
+    def test_zero_measurement_gives_zero_correction(self, monkeypatch):
+        mount = RigidTransform(rotation_about_z(0.3), np.zeros(3), Frame.LASER, Frame.ROBOT)
+        for waypoints in (
+            [make_waypoint(1.0, y, -2.0) for y in (-20.0, 0.0, 20.0)],
+            [make_waypoint(x, 1.0, -2.0) for x in (-20.0, 0.0, 20.0)],
+        ):
+            for wp in refine_as_measured(monkeypatch, waypoints, [(0.0, 0.0)] * 3, mount):
+                assert wp.refined_robot_pt == wp.robot_pt
 
 
 class TestPoint3:

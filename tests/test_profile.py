@@ -25,7 +25,6 @@ from crackfill import (
     LaserProfile,
     NoEdges,
     NonMonotonicCalibration,
-    Orientation,
     Point3,
     ProfileFeatures,
     RigidTransform,
@@ -37,7 +36,6 @@ from crackfill import (
     calibrate,
     detect_edges,
     edge_threshold_for,
-    laser_correction,
     measure,
     refine_waypoints,
     rotation_about_z,
@@ -541,7 +539,7 @@ class TestBatchMatchesPerStation:
         mount = RigidTransform(rotation_about_z(0.05), [0.5, -0.25, 1.0], Frame.LASER, Frame.ROBOT)
         waypoints = [make_waypoint(0.4 * math.sin(k), y, -0.3) for k, y in enumerate(np.arange(-8.0, 24.0, 1.5))]
         threshold = edge_threshold_for(NOISY)
-        result = refine_waypoints(waypoints, PLATE, laser_mount=mount, orientation=Orientation.HORIZONTAL, noise=NOISY)
+        result = refine_waypoints(waypoints, PLATE, laser_mount=mount, noise=NOISY)
         kept, features, poses = [], [], []
         for i, wp in enumerate(waypoints):
             p = wp.robot_pt
@@ -551,7 +549,7 @@ class TestBatchMatchesPerStation:
             except NoEdges:
                 continue
             corr = transform_point(
-                laser_correction(feats.centre_offset_mm, feats.centre_height_mm + feats.baseline_mm, Orientation.HORIZONTAL),
+                Point3(feats.centre_offset_mm, 0.0, feats.centre_height_mm + feats.baseline_mm, Frame.LASER),
                 mount,
                 Frame.ROBOT,
             )
@@ -573,7 +571,7 @@ class TestBatchMatchesPerStation:
         with the pre-fill window as the fallback where the fill left no edges."""
         mount = RigidTransform.identity(Frame.LASER, Frame.ROBOT)
         waypoints = [make_waypoint(0.1 * k, y, 0.0) for k, y in enumerate([-8.0, -4.0, 2.0, 5.0, 16.0, 19.0])]
-        refined = refine_waypoints(waypoints, PLATE, laser_mount=mount, orientation=Orientation.HORIZONTAL, noise=NOISY)
+        refined = refine_waypoints(waypoints, PLATE, laser_mount=mount, noise=NOISY)
         filled = PLATE.copy()
         filled.heights[: filled.iy_of(-3.0)] = 0.0  # stations 0 and 1 levelled: no edges after the fill
         speeds = [6.0, 8.0, 10.0, 12.0, 15.0, 20.0]

@@ -19,7 +19,6 @@ from crackfill import (
     FillMode,
     Frame,
     Heightfield,
-    Orientation,
     PixelCoord,
     Point3,
     ProfileFeatures,
@@ -111,20 +110,21 @@ class TestSmallHelpers:
     def test_scan_station_pose(self):
         """Each station records the pose it scanned from: the waypoint
         shifted by the mount offset and raised by the standoff, its line
-        along the mount's x axis across a horizontal crack and its y axis
-        across a vertical one."""
+        along the mount's x axis across a crack along robot y and its y
+        axis across one along x, the axis the waypoints spread along."""
         along_y = make_scene(straight_crack()).build_specimen()
         along_x = make_scene(CrackSpec(path=[(-20.0, 75.0), (20.0, 75.0)], width=8.0, depth=5.0)).build_specimen()
         for angle in (0.0, 0.2):
             mount = RigidTransform(rotation_about_z(angle), [1.0, 2.0, 3.0], Frame.LASER, Frame.ROBOT)
-            for hf, orientation, turn in ((along_y, Orientation.HORIZONTAL, 0.0), (along_x, Orientation.VERTICAL, np.pi / 2.0)):
-                result = refine_waypoints(
-                    [make_waypoint(0.0, 75.0, -5.0)], hf, laser_mount=mount, orientation=orientation, noise=SensorNoise.noiseless()
-                )
-                pose = result.stations[0].pose
-                np.testing.assert_allclose(pose.rotation, rotation_about_z(angle + turn), atol=1e-12)
-                np.testing.assert_array_equal(pose.translation, [1.0, 77.0, 308.0])
-                assert pose.source_frame == Frame.LASER and pose.target_frame == Frame.ROBOT
+            for hf, spread, turn in ((along_y, (0.0, 10.0), 0.0), (along_x, (10.0, 0.0), np.pi / 2.0)):
+                waypoints = [make_waypoint(0.0, 75.0, -5.0), make_waypoint(spread[0], 75.0 + spread[1], -5.0)]
+                result = refine_waypoints(waypoints, hf, laser_mount=mount, noise=SensorNoise.noiseless())
+                assert result.dropped == 0
+                for wp, station in zip(waypoints, result.stations, strict=True):
+                    pose = station.pose
+                    np.testing.assert_allclose(pose.rotation, rotation_about_z(angle + turn), atol=1e-12)
+                    np.testing.assert_array_equal(pose.translation, [wp.robot_pt.x + 1.0, wp.robot_pt.y + 2.0, 308.0])
+                    assert pose.source_frame == Frame.LASER and pose.target_frame == Frame.ROBOT
 
     def test_distance_to_centreline(self):
         path = [(0.0, 10.0), (0.0, 140.0)]
@@ -167,7 +167,6 @@ class TestRefineWaypoints:
             waypoints,
             hf,
             laser_mount=scene.laser_mount,
-            orientation=Orientation.HORIZONTAL,
             noise=SensorNoise.noiseless(),
         )
         assert result.dropped == 0
@@ -181,7 +180,7 @@ class TestRefineWaypoints:
         hf = scene.build_specimen()
         waypoints = [make_waypoint(0.0, y, -5.0) for y in (40.0, 75.0, 110.0)]
         result = refine_waypoints(
-            waypoints, hf, laser_mount=scene.laser_mount, orientation=Orientation.HORIZONTAL, noise=SensorNoise.noiseless()
+            waypoints, hf, laser_mount=scene.laser_mount, noise=SensorNoise.noiseless()
         )
         for wp in result.waypoints:
             assert abs(wp.refined_robot_pt.x - wp.robot_pt.x) <= 2.0 * PITCH_40MM
@@ -195,7 +194,7 @@ class TestRefineWaypoints:
         mount = RigidTransform(np.eye(3), [5.0, 0.0, 2.0], Frame.LASER, Frame.ROBOT)
         waypoints = [make_waypoint(0.0, y, -5.0) for y in (40.0, 75.0, 110.0)]
         result = refine_waypoints(
-            waypoints, hf, laser_mount=mount, orientation=Orientation.HORIZONTAL, noise=SensorNoise.noiseless()
+            waypoints, hf, laser_mount=mount, noise=SensorNoise.noiseless()
         )
         for wp in result.waypoints:
             assert abs(wp.refined_robot_pt.x) <= 2.5 * PITCH_40MM
@@ -207,7 +206,7 @@ class TestRefineWaypoints:
         waypoints = [make_waypoint(0.0, 75.0, -5.0), make_waypoint(0.0, 145.0, 0.0)]
         with caplog.at_level("WARNING", logger="crackfill.repair"):
             result = refine_waypoints(
-                waypoints, hf, laser_mount=scene.laser_mount, orientation=Orientation.HORIZONTAL, noise=SensorNoise.noiseless()
+                waypoints, hf, laser_mount=scene.laser_mount, noise=SensorNoise.noiseless()
             )
         assert result.dropped == 1
         assert len(result.waypoints) == 1
@@ -224,7 +223,7 @@ class TestRefineWaypoints:
         off_crack = make_waypoint(1.0, 145.0, 0.0)
         for waypoints in (on_crack, [on_crack[0], off_crack, *on_crack[1:]]):
             result = refine_waypoints(
-                waypoints, hf, laser_mount=scene.laser_mount, orientation=Orientation.HORIZONTAL, noise=SensorNoise.noiseless()
+                waypoints, hf, laser_mount=scene.laser_mount, noise=SensorNoise.noiseless()
             )
             assert result.dropped == len(waypoints) - 3
             assert [wp.robot_pt.y for wp in result.waypoints] == [110.0, 75.0, 40.0]
@@ -247,7 +246,7 @@ class TestRefineWaypoints:
         monkeypatch.setattr(repair, "measure", counted(calls, "measure", repair.measure))
         monkeypatch.setattr(geometry, "_check_rotation", counted(calls, "rotation", geometry._check_rotation))
         result = refine_waypoints(
-            waypoints, hf, laser_mount=scene.laser_mount, orientation=Orientation.HORIZONTAL, noise=noise
+            waypoints, hf, laser_mount=scene.laser_mount, noise=noise
         )
         assert calls == {"scan": 1, "measure": 1, "rotation": 1}
         assert len({id(st.pose.rotation) for st in result.stations}) == 1
@@ -257,16 +256,17 @@ class TestRefineWaypoints:
         assert calls == {"scan": 2, "measure": 2, "rotation": 1}
 
     def test_all_points_dropped_raises(self):
+        """A waypoint on a plate with no crack is dropped, and so is the
+        whole of an empty list."""
         hf = make_flat(nx=500, ny=500, cell=0.1, origin=(-25.0, -25.0))
-        waypoints = [make_waypoint(0.0, 0.0, 0.0)]
-        with pytest.raises(AllPointsDropped):
-            refine_waypoints(
-                waypoints,
-                hf,
-                laser_mount=RigidTransform.identity(Frame.LASER, Frame.ROBOT),
-                orientation=Orientation.HORIZONTAL,
-                noise=SensorNoise.noiseless(),
-            )
+        for waypoints in ([make_waypoint(0.0, 0.0, 0.0)], []):
+            with pytest.raises(AllPointsDropped):
+                refine_waypoints(
+                    waypoints,
+                    hf,
+                    laser_mount=RigidTransform.identity(Frame.LASER, Frame.ROBOT),
+                    noise=SensorNoise.noiseless(),
+                )
 
 
 class TestPlanFill:
