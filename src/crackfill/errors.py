@@ -61,7 +61,7 @@ class EmptyWaypoints(CrackFillError):
 
 
 class NoEdges(CrackFillError):
-    """No opposite-signed edge pair above threshold exists in a laser profile."""
+    """A calibration strip line shows no opposite-signed edge pair above threshold."""
 
 
 class InsufficientSamples(CrackFillError):

@@ -4,7 +4,9 @@ A crack (or a printed strip) shows up in a laser line as a region
 whose first difference carries two large opposite-signed excursions,
 one per wall. Edges are located there, the cross-section area is the
 unsigned deviation from a robust baseline integrated between them, and
-the crack centre is read at the midpoint sample.
+the crack centre is read at the midpoint sample. Edge detection and
+measurement take a batch of lines and answer per line, None for a
+line without edges.
 """
 
 from __future__ import annotations
@@ -119,17 +121,20 @@ def _plateau_end(d: np.ndarray, index: int, direction: int) -> int:
     return j
 
 
-def _find_edges(profile: LaserProfile, edge_threshold_mm: float) -> list[tuple[int, int] | None]:
-    """Edge pair of every line of a profile, None where a line has none.
+def detect_edges(profile: LaserProfile, edge_threshold_mm: float) -> list[tuple[int, int] | None]:
+    """Locate the two crack walls of every line as opposite-signed first-difference extrema.
 
-    The first differences, both extrema and the opposite-sign mask are
-    taken for all lines at once; only the walk to each wall's outer end
-    runs per line.
+    The second wall must lie at least MIN_SEPARATION samples from the
+    first and have the opposite sign. Each wall's index is pushed to
+    the outer end of its near-equal run so that sloped walls (ramps)
+    resolve to the foot of the ramp rather than an arbitrary sample on
+    it. Gives one entry per station, None where that line has no pair
+    above the threshold. The first differences, both extrema and the
+    opposite-sign mask are taken for all lines at once; only the walk
+    to each wall's outer end runs per line.
     """
-    z = np.atleast_2d(profile.z)
-    valid = np.atleast_2d(profile.valid)
-    d = np.diff(z, axis=1)
-    pair_valid = valid[:, 1:] & valid[:, :-1]
+    d = np.diff(profile.z, axis=1)
+    pair_valid = profile.valid[:, 1:] & profile.valid[:, :-1]
     mag = np.where(pair_valid, np.abs(d), -np.inf)
     rows = np.arange(len(d))
     first = np.argmax(mag, axis=1)
@@ -150,101 +155,72 @@ def _find_edges(profile: LaserProfile, edge_threshold_mm: float) -> list[tuple[i
     return edges
 
 
-def detect_edges(profile: LaserProfile, edge_threshold_mm: float) -> tuple[int, int] | list[tuple[int, int] | None]:
-    """Locate the two crack walls as opposite-signed first-difference extrema.
-
-    The second wall must lie at least MIN_SEPARATION samples from the
-    first and have the opposite sign. Each wall's index is pushed to
-    the outer end of its near-equal run so that sloped walls (ramps)
-    resolve to the foot of the ramp rather than an arbitrary sample on
-    it. One line gives its pair or raises NoEdges when no pair exceeds
-    the threshold; a batch gives one entry per station, None where that
-    line has no pair.
-    """
-    edges = _find_edges(profile, edge_threshold_mm)
-    if profile.z.ndim == 2:
-        return edges
-    if edges[0] is None:
-        raise NoEdges("no opposite-signed edge pair above threshold")
-    return edges[0]
-
-
-def window_area(profile: LaserProfile, left: int, right: int) -> tuple[float, float]:
-    """Baseline and unsigned deviation area of one line's window [left, right].
+def window_area(profile: LaserProfile, row: int, left: int, right: int) -> tuple[float, float]:
+    """Baseline and unsigned deviation area of line row's window [left, right].
 
     The baseline is the median valid height outside the window padded by
     BASELINE_MARGIN samples, or of every valid sample when none lies
     outside.
     """
+    z, valid = profile.z[row], profile.valid[row]
     idx = np.arange(profile.n_points)
-    outside = ((idx < left - BASELINE_MARGIN) | (idx > right + BASELINE_MARGIN)) & profile.valid
+    outside = ((idx < left - BASELINE_MARGIN) | (idx > right + BASELINE_MARGIN)) & valid
     if outside.any():
-        baseline = float(np.median(profile.z[outside]))
+        baseline = float(np.median(z[outside]))
     else:
         logger.warning("edge window spans the whole profile; baseline falls back to global median")
-        baseline = float(np.median(profile.z[profile.valid]))
-    window = profile.z[left : right + 1]
+        baseline = float(np.median(z[valid]))
+    window = z[left : right + 1]
     return baseline, float(np.sum(np.abs(window - baseline)) * profile.pitch)
 
 
-def _features(line: LaserProfile, left: int, right: int) -> ProfileFeatures:
-    baseline, area = window_area(line, left, right)
+def _features(profile: LaserProfile, row: int, left: int, right: int) -> ProfileFeatures:
+    baseline, area = window_area(profile, row, left, right)
     centre = (left + right) // 2
     return ProfileFeatures(
         left_index=left,
         right_index=right,
-        left_x_mm=float(line.x[left]),
-        right_x_mm=float(line.x[right]),
+        left_x_mm=float(profile.x[left]),
+        right_x_mm=float(profile.x[right]),
         baseline_mm=baseline,
         area_mm2=area,
-        centre_offset_mm=float(line.x[centre]),
-        centre_height_mm=float(line.z[centre] - baseline),
+        centre_offset_mm=float(profile.x[centre]),
+        centre_height_mm=float(profile.z[row, centre] - baseline),
     )
 
 
-def measure(profile: LaserProfile, edge_threshold_mm: float) -> ProfileFeatures | list[ProfileFeatures | None]:
-    """Measure the crack cross-section bounded by the detected edges.
+def measure(profile: LaserProfile, edge_threshold_mm: float) -> list[ProfileFeatures | None]:
+    """Measure the crack cross-section of every line, bounded by its detected edges.
 
     The baseline is the median height outside the edge window padded by
     BASELINE_MARGIN samples; the area integrates unsigned deviation
-    from it, so troughs and beads (and mixtures) measure alike. One
-    line gives its features or raises NoEdges; a batch gives one entry
-    per station, None where that line shows no edges.
+    from it, so troughs and beads (and mixtures) measure alike. Gives
+    one entry per station, None where that line shows no edges.
     """
     edges = detect_edges(profile, edge_threshold_mm)
-    if profile.z.ndim == 1:
-        return _features(profile, *edges)
-    return [None if e is None else _features(profile.line(i), *e) for i, e in enumerate(edges)]
+    return [None if e is None else _features(profile, row, *e) for row, e in enumerate(edges)]
 
 
-def calibrate(
-    strip_scans: Sequence[tuple[float, LaserProfile | Sequence[LaserProfile]]], edge_threshold_mm: float
-) -> CalibrationModel:
+def calibrate(strip_scans: Sequence[tuple[float, LaserProfile]], edge_threshold_mm: float) -> CalibrationModel:
     """Fit the extrusion model A(v) = Q / v from strip-print scans.
 
-    Each entry pairs a print speed with that strip's profiles: one batch
-    of lines, measured in one call, or a list of single lines. Per
-    speed the area is averaged over all of that speed's lines; the flow
-    rate is the closed-form least squares solution
-    Q = sum(A_i / v_i) / sum(1 / v_i^2) over the per-speed means.
-    Needs at least two distinct speeds with two lines each.
+    Each entry pairs a print speed with that strip's batch of lines,
+    measured in one call; a speed may appear only once. Per speed the
+    area is averaged over the batch's lines; the flow rate is the
+    closed-form least squares solution Q = sum(A_i / v_i) / sum(1 / v_i^2)
+    over the per-speed means. Needs at least two speeds with two lines
+    each, and every line must show edges.
     """
-    by_speed: dict[float, list[LaserProfile]] = {}
-    for speed, profiles in strip_scans:
-        batches = [profiles] if isinstance(profiles, LaserProfile) else profiles
-        by_speed.setdefault(float(speed), []).extend(batches)
-    if len(by_speed) < 2:
-        raise InsufficientSamples(f"calibration needs >= 2 distinct speeds, got {len(by_speed)}")
+    scans = sorted(((float(speed), profiles) for speed, profiles in strip_scans), key=lambda scan: scan[0])
+    if len({speed for speed, _ in scans}) < len(scans):
+        raise ValueError(f"calibration takes one strip batch per speed, got {[speed for speed, _ in scans]}")
+    if len(scans) < 2:
+        raise InsufficientSamples(f"calibration needs >= 2 distinct speeds, got {len(scans)}")
     samples = []
-    for speed in sorted(by_speed):
-        batches = by_speed[speed]
-        n_lines = sum(p.n_lines for p in batches)
-        if n_lines < 2:
-            raise InsufficientSamples(f"speed {speed} mm/s has {n_lines} profiles, needs >= 2")
-        features = []
-        for p in batches:
-            found = measure(p, edge_threshold_mm)
-            features.extend(found if isinstance(found, list) else [found])
+    for speed, profiles in scans:
+        if profiles.n_lines < 2:
+            raise InsufficientSamples(f"speed {speed} mm/s has {profiles.n_lines} profiles, needs >= 2")
+        features = measure(profiles, edge_threshold_mm)
         if None in features:
             raise NoEdges(f"a strip profile at {speed} mm/s shows no edges")
         areas = np.array([f.area_mm2 for f in features])

@@ -525,7 +525,7 @@ def validate(
         if post is not None:
             area_post = post.area_mm2
         else:
-            _, area_post = window_area(profiles.line(number), pre.left_index, pre.right_index)
+            _, area_post = window_area(profiles, number, pre.left_index, pre.right_index)
         included = pre.area_mm2 >= area_floor_mm2
         err = fill_error(pre.area_mm2, area_post) if included else None
         if not included:

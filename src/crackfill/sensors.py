@@ -3,14 +3,14 @@
 The depth camera ray-casts every pixel against the heightfield and
 reports optical-axis depth (the z coordinate of the hit point in the
 camera frame), with multiplicative Gaussian noise. The laser scanner
-samples a fixed number of points along a straight line and reports
-surface height relative to its reference standoff, with additive
-Gaussian noise and a hard validity gate on measuring range.
+scans a batch of stations, sampling a fixed number of points along a
+straight line at each, and reports surface height relative to its
+reference standoff, with additive Gaussian noise and a hard validity
+gate on measuring range.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import logging
 from dataclasses import dataclass
@@ -66,12 +66,11 @@ class MaskImage:
 
 @dataclass
 class LaserProfile:
-    """Laser lines sampled at lateral positions x (mm, scanner frame).
+    """A batch of laser lines sampled at lateral positions x (mm, scanner frame).
 
     x is strictly increasing with uniform pitch span/(n-1); z is height
-    relative to the scanner's reference standoff. A single line holds z
-    and valid as (n,) arrays; a batch of stations scanned with the same
-    x holds one row per station, (stations, n). Samples outside the
+    relative to the scanner's reference standoff, one row per station,
+    (stations, n), all scanned with the same x. Samples outside the
     scanner's measuring range are flagged invalid.
     """
 
@@ -85,8 +84,8 @@ class LaserProfile:
         if self.valid is None:
             self.valid = np.ones(self.z.shape, dtype=bool)
         self.valid = np.asarray(self.valid, dtype=bool)
-        if self.x.ndim != 1 or self.z.ndim not in (1, 2) or self.z.shape[-1:] != self.x.shape:
-            raise ValueError("x must be 1-D and z hold one line or one row per station of equal length")
+        if self.x.ndim != 1 or self.z.ndim != 2 or self.z.shape[1:] != self.x.shape:
+            raise ValueError("x must be 1-D and z hold one row per station of equal length")
         if self.valid.shape != self.z.shape:
             raise ValueError("validity mask and z shapes differ")
         dx = np.diff(self.x)
@@ -99,18 +98,11 @@ class LaserProfile:
 
     @property
     def n_lines(self) -> int:
-        """Stations in a batch; a single line counts one."""
-        return 1 if self.z.ndim == 1 else self.z.shape[0]
+        return len(self.z)
 
     @property
     def pitch(self) -> float:
         return float(self.x[1] - self.x[0])
-
-    def line(self, i: int) -> "LaserProfile":
-        """Row i of a batch as a single line; x was checked with the batch."""
-        row = copy.copy(self)
-        row.z, row.valid = self.z[i], self.valid[i]
-        return row
 
 
 @dataclass(frozen=True)
@@ -241,32 +233,24 @@ def render_truth_mask(
 
 def scan_profile(
     hf: Heightfield,
-    laser_pose: RigidTransform | Sequence[RigidTransform],
+    poses: Sequence[RigidTransform],
     span_mm: float,
-    noise: SensorNoise | Sequence[SensorNoise] = SensorNoise.noiseless(),
+    noises: Sequence[SensorNoise],
     standoff_mm: float = SCANNER_STANDOFF_MM,
 ) -> LaserProfile:
-    """Sample SCANNER_POINTS points of a laser line across the surface.
+    """Scan one laser line of SCANNER_POINTS samples at every station.
 
-    Given one pose, scans one line; given a sequence of poses, scans a
-    batch with one row per station, each with the noise model of the
-    same position in the noise sequence (a lone noiseless model serves
-    every station). Every line runs along its laser frame's x axis,
-    centred on the scanner origin; the scanner measures straight down.
-    z is reported relative to the reference standoff, so a scanner
-    parked exactly standoff_mm above a flat surface reads zero. Samples
-    whose absolute range leaves the scanner's measuring window are
-    flagged invalid. Raises StationOutsideGrid when any line leaves the
-    grid.
+    Returns a batch with one row per pose, each scanned with the noise
+    model at the same position in noises. Every line runs along its
+    laser frame's x axis, centred on the scanner origin; the scanner
+    measures straight down. z is reported relative to the reference
+    standoff, so a scanner parked exactly standoff_mm above a flat
+    surface reads zero. Samples whose absolute range leaves the
+    scanner's measuring window are flagged invalid. Raises
+    StationOutsideGrid when any line leaves the grid.
     """
-    single = isinstance(laser_pose, RigidTransform)
-    poses = [laser_pose] if single else list(laser_pose)
-    if isinstance(noise, SensorNoise):
-        if not single and noise.laser_sigma_mm > 0:
-            raise ValueError("a batch scan needs one noise model per station")
-        noise = [noise] * len(poses)
-    elif len(noise) != len(poses):
-        raise ValueError(f"{len(poses)} stations but {len(noise)} noise models")
+    if len(noises) != len(poses):
+        raise ValueError(f"{len(poses)} stations but {len(noises)} noise models")
     if span_mm <= 0:
         raise ValueError(f"span must be positive, got {span_mm}")
     lateral = np.linspace(-span_mm / 2.0, span_mm / 2.0, SCANNER_POINTS)
@@ -283,9 +267,7 @@ def scan_profile(
     distance = oz - h
     valid = (distance >= SCANNER_RANGE_MM[0]) & (distance <= SCANNER_RANGE_MM[1])
     z = h - (oz - standoff_mm)
-    for row, station_noise in zip(z, noise):
-        if station_noise.laser_sigma_mm > 0:
-            row += station_noise.generator(1).normal(0.0, station_noise.laser_sigma_mm, size=row.shape)
-    if single:
-        return LaserProfile(x=lateral, z=z[0], valid=valid[0])
+    for row, noise in zip(z, noises):
+        if noise.laser_sigma_mm > 0:
+            row += noise.generator(1).normal(0.0, noise.laser_sigma_mm, size=row.shape)
     return LaserProfile(x=lateral, z=z, valid=valid)

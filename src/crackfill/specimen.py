@@ -182,7 +182,7 @@ def _path_distance_field(xs: np.ndarray, ys: np.ndarray, pts: np.ndarray) -> tup
     for a, b in zip(pts[:-1], pts[1:]):
         d = b - a
         seg_len = float(np.hypot(*d))
-        if seg_len == 0:
+        if seg_len**2 == 0:
             continue
         t = ((gx - a[0]) * d[0] + (gy - a[1]) * d[1]) / seg_len**2
         t = np.clip(t, 0.0, 1.0)

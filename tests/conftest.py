@@ -78,7 +78,7 @@ def down_scan_pose(x=0.0, y=0.0, z=310.0) -> RigidTransform:
 
 
 def rect_profile(n=1024, span=40.0, left_frac=0.35, right_frac=0.65, depth=2.0) -> tuple[LaserProfile, int, int]:
-    """Rectangular trough profile plus the exact expected edge indices.
+    """One-line batch crossing a rectangular trough, plus its exact edge indices.
 
     Trough samples are a+1 .. b-1; the falling wall is the first
     difference at index a and the rising wall at b-1, so detect_edges
@@ -89,7 +89,7 @@ def rect_profile(n=1024, span=40.0, left_frac=0.35, right_frac=0.65, depth=2.0) 
     a = int(n * left_frac)
     b = int(n * right_frac)
     z[a + 1 : b] = -depth
-    return LaserProfile(x, z), a, b - 1
+    return LaserProfile(x, z[None]), a, b - 1
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -124,7 +124,7 @@ def test_profile_measurement_oracle():
             ramp = (a > wb / 2) & (a < w / 2)
             z[ramp] = -d * (w / 2 - a[ramp]) / ((w - wb) / 2)
             analytic = (w + wb) / 2 * d
-        feats = measure(LaserProfile(x.copy(), z, valid.copy()), edge_threshold_mm=1e-9)
+        [feats] = measure(LaserProfile(x.copy(), z[None], valid[None].copy()), edge_threshold_mm=1e-9)
         assert feats.area_mm2 == pytest.approx(analytic, rel=0.02)
         assert abs(feats.centre_offset_mm - c) <= pitch + 1e-12
     assert time.perf_counter() - start < 5.0

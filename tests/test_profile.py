@@ -55,32 +55,33 @@ STRIP_AREAS = {6.0: 165.764, 8.0: 111.977, 10.0: 91.448, 15.0: 63.561, 20.0: 41.
 FROZEN_FLOW_MM3_S = 946.0635673187572
 
 
-def exact_area_profile(area: float, n: int = 1024, span: float = 40.0, m: int = 400, a: int = 300) -> LaserProfile:
-    """Rectangular trough whose measured area equals `area` by construction."""
+def exact_area_profile(*areas: float, n: int = 1024, span: float = 40.0, m: int = 400, a: int = 300) -> LaserProfile:
+    """One rectangular trough per line, each measuring its area in `areas` by construction."""
     x = np.linspace(-span / 2.0, span / 2.0, n)
     pitch = float(x[1] - x[0])
-    z = np.zeros(n)
-    z[a + 1 : a + 1 + m] = -area / (m * pitch)
-    return LaserProfile(x=x, z=z, valid=np.ones(n, dtype=bool))
+    z = np.zeros((len(areas), n))
+    z[:, a + 1 : a + 1 + m] = -np.array(areas)[:, None] / (m * pitch)
+    return LaserProfile(x=x, z=z, valid=np.ones(z.shape, dtype=bool))
 
 
 def trough(width: float, depth: float, centre: float = 0.0, n: int = 1024, span: float = 40.0) -> LaserProfile:
+    """One-line batch crossing a rectangular trough."""
     x = np.linspace(-span / 2.0, span / 2.0, n)
     z = np.where(np.abs(x - centre) < width / 2.0, -depth, 0.0)
-    return LaserProfile(x=x, z=z, valid=np.ones(n, dtype=bool))
+    return LaserProfile(x=x, z=z[None], valid=np.ones((1, n), dtype=bool))
 
 
 class TestDetectEdges:
     def test_exact_indices_on_synthetic_trough(self):
         prof, left, right = rect_profile()
-        assert detect_edges(prof, edge_threshold_mm=1e-6) == (left, right)
+        assert detect_edges(prof, edge_threshold_mm=1e-6) == [(left, right)]
 
     def test_walls_of_10mm_trough_land_within_two_pitches(self):
         """Trough walls at x = 10 and x = 20 on a 40 mm, 1024-point line."""
         x = np.linspace(-20.0, 20.0, 1024)
         z = np.where((x > 10.0) & (x < 20.0), -2.0, 0.0)
-        prof = LaserProfile(x=x, z=z, valid=np.ones(x.size, dtype=bool))
-        left, right = detect_edges(prof, edge_threshold_mm=1e-6)
+        prof = LaserProfile(x=x, z=z[None], valid=np.ones((1, x.size), dtype=bool))
+        [(left, right)] = detect_edges(prof, edge_threshold_mm=1e-6)
         assert abs(prof.x[left] - 10.0) <= 2.0 * prof.pitch
         assert abs(prof.x[right] - 20.0) <= 2.0 * prof.pitch
 
@@ -89,34 +90,30 @@ class TestDetectEdges:
         must push each edge to the foot of its ramp."""
         x = np.linspace(-20.0, 20.0, 1024)
         z = -2.0 * np.maximum(0.0, 1.0 - np.abs(x) / 5.0)
-        prof = LaserProfile(x=x, z=z, valid=np.ones(x.size, dtype=bool))
-        left, right = detect_edges(prof, edge_threshold_mm=1e-6)
+        prof = LaserProfile(x=x, z=z[None], valid=np.ones((1, x.size), dtype=bool))
+        [(left, right)] = detect_edges(prof, edge_threshold_mm=1e-6)
         assert abs(prof.x[left] + 5.0) <= 2.0 * prof.pitch
         assert abs(prof.x[right] - 5.0) <= 2.0 * prof.pitch
 
     def test_flat_profile_raises(self):
         x = np.linspace(-20.0, 20.0, 256)
-        prof = LaserProfile(x=x, z=np.zeros(256), valid=np.ones(256, dtype=bool))
-        with pytest.raises(NoEdges):
-            detect_edges(prof, edge_threshold_for(SensorNoise()))
+        prof = LaserProfile(x=x, z=np.zeros((1, 256)), valid=np.ones((1, 256), dtype=bool))
+        assert detect_edges(prof, edge_threshold_for(SensorNoise())) == [None]
 
     def test_subthreshold_trough_raises(self):
         prof = trough(width=10.0, depth=0.05)
-        with pytest.raises(NoEdges):
-            detect_edges(prof, edge_threshold_mm=0.12)
+        assert detect_edges(prof, edge_threshold_mm=0.12) == [None]
 
     def test_single_step_has_no_opposite_wall(self):
         x = np.linspace(-20.0, 20.0, 256)
         z = np.where(x >= 0.0, -2.0, 0.0)
-        prof = LaserProfile(x=x, z=z, valid=np.ones(256, dtype=bool))
-        with pytest.raises(NoEdges):
-            detect_edges(prof, edge_threshold_mm=1e-6)
+        prof = LaserProfile(x=x, z=z[None], valid=np.ones((1, 256), dtype=bool))
+        assert detect_edges(prof, edge_threshold_mm=1e-6) == [None]
 
     def test_all_invalid_raises(self):
         prof, _, _ = rect_profile()
-        dead = LaserProfile(x=prof.x, z=prof.z, valid=np.zeros(prof.n_points, dtype=bool))
-        with pytest.raises(NoEdges):
-            detect_edges(dead, edge_threshold_mm=1e-6)
+        dead = LaserProfile(x=prof.x, z=prof.z, valid=np.zeros((1, prof.n_points), dtype=bool))
+        assert detect_edges(dead, edge_threshold_mm=1e-6) == [None]
 
     def test_min_separation_excludes_adjacent_spike(self):
         """A one-sample spike has its two walls one sample apart, closer
@@ -124,16 +121,15 @@ class TestDetectEdges:
         x = np.linspace(-20.0, 20.0, 256)
         z = np.zeros(256)
         z[100] = -2.0
-        prof = LaserProfile(x=x, z=z, valid=np.ones(256, dtype=bool))
-        with pytest.raises(NoEdges):
-            detect_edges(prof, edge_threshold_mm=1e-6)
+        prof = LaserProfile(x=x, z=z[None], valid=np.ones((1, 256), dtype=bool))
+        assert detect_edges(prof, edge_threshold_mm=1e-6) == [None]
 
 
 class TestMeasure:
     def test_rect_trough_area_and_centre(self):
         """10 mm wide, 2 mm deep: area 20 mm^2, centre height -2 mm."""
         prof = trough(width=10.0, depth=2.0)
-        feats = measure(prof, edge_threshold_mm=1e-6)
+        [feats] = measure(prof, edge_threshold_mm=1e-6)
         assert feats.area_mm2 == pytest.approx(20.0, rel=0.02)
         assert feats.centre_height_mm == pytest.approx(-2.0, abs=1e-9)
         assert feats.centre_offset_mm == pytest.approx(0.0, abs=prof.pitch)
@@ -142,21 +138,21 @@ class TestMeasure:
     def test_triangular_notch_area(self):
         x = np.linspace(-20.0, 20.0, 1024)
         z = -2.0 * np.maximum(0.0, 1.0 - np.abs(x) / 5.0)
-        prof = LaserProfile(x=x, z=z, valid=np.ones(x.size, dtype=bool))
-        feats = measure(prof, edge_threshold_mm=1e-6)
+        prof = LaserProfile(x=x, z=z[None], valid=np.ones((1, x.size), dtype=bool))
+        [feats] = measure(prof, edge_threshold_mm=1e-6)
         assert feats.area_mm2 == pytest.approx(10.0, rel=0.03)
 
     def test_sample_symmetric_trough_centres_within_one_pitch(self):
         """n = 1025 puts a sample exactly at x = 15 and the trough walls
         symmetric around it, so only the midpoint floor can move c_x."""
         prof = trough(width=6.0, depth=2.0, centre=15.0, n=1025)
-        feats = measure(prof, edge_threshold_mm=1e-6)
+        [feats] = measure(prof, edge_threshold_mm=1e-6)
         assert abs(feats.centre_offset_mm - 15.0) <= prof.pitch + 1e-12
 
     def test_offset_trough_centre_position(self):
         """Unaligned walls add up to half a pitch of quantisation each."""
         prof = trough(width=6.0, depth=2.0, centre=15.0)
-        feats = measure(prof, edge_threshold_mm=1e-6)
+        [feats] = measure(prof, edge_threshold_mm=1e-6)
         assert feats.centre_offset_mm == pytest.approx(15.0, abs=1.5 * prof.pitch)
 
     def test_bead_measures_like_trough(self):
@@ -164,8 +160,8 @@ class TestMeasure:
         area as the mirror-image trough."""
         prof = trough(width=8.0, depth=3.0)
         bead = LaserProfile(x=prof.x, z=-prof.z, valid=prof.valid)
-        a = measure(prof, edge_threshold_mm=1e-6)
-        b = measure(bead, edge_threshold_mm=1e-6)
+        [a] = measure(prof, edge_threshold_mm=1e-6)
+        [b] = measure(bead, edge_threshold_mm=1e-6)
         assert b.area_mm2 == pytest.approx(a.area_mm2, rel=1e-12)
         assert b.centre_height_mm == pytest.approx(-a.centre_height_mm, abs=1e-12)
 
@@ -180,8 +176,8 @@ class TestMeasure:
         """Raising the whole surface must not change any measurement."""
         base = trough(width=width, depth=depth, centre=centre)
         moved = LaserProfile(x=base.x, z=base.z + shift, valid=base.valid)
-        a = measure(base, edge_threshold_mm=1e-6)
-        b = measure(moved, edge_threshold_mm=1e-6)
+        [a] = measure(base, edge_threshold_mm=1e-6)
+        [b] = measure(moved, edge_threshold_mm=1e-6)
         assert (a.left_index, a.right_index) == (b.left_index, b.right_index)
         assert b.area_mm2 == pytest.approx(a.area_mm2, abs=1e-9)
         assert b.centre_offset_mm == pytest.approx(a.centre_offset_mm, abs=1e-9)
@@ -193,23 +189,23 @@ class TestMeasure:
     def test_area_tracks_geometry(self, width, depth, centre):
         """Measured area agrees with w*d up to one sample column per wall."""
         prof = trough(width=width, depth=depth, centre=centre)
-        feats = measure(prof, edge_threshold_mm=1e-6)
+        [feats] = measure(prof, edge_threshold_mm=1e-6)
         assert feats.area_mm2 == pytest.approx(width * depth, abs=0.02 * width * depth + 2.0 * prof.pitch * depth)
 
     def test_baseline_fallback_logs_warning(self, caplog):
         x = np.linspace(-10.0, 10.0, 64)
         z = np.zeros(64)
         z[3:61] = -3.0
-        prof = LaserProfile(x=x, z=z, valid=np.ones(64, dtype=bool))
+        prof = LaserProfile(x=x, z=z[None], valid=np.ones((1, 64), dtype=bool))
         with caplog.at_level("WARNING", logger="crackfill.profile"):
-            feats = measure(prof, edge_threshold_mm=1e-6)
+            [feats] = measure(prof, edge_threshold_mm=1e-6)
         assert "baseline" in caplog.text
         assert np.isfinite(feats.area_mm2)
 
     def test_window_area_matches_measure(self):
         prof = trough(width=10.0, depth=2.0)
-        feats = measure(prof, edge_threshold_mm=1e-6)
-        assert window_area(prof, feats.left_index, feats.right_index) == (feats.baseline_mm, feats.area_mm2)
+        [feats] = measure(prof, edge_threshold_mm=1e-6)
+        assert window_area(prof, 0, feats.left_index, feats.right_index) == (feats.baseline_mm, feats.area_mm2)
 
     def test_window_area_fallback_baseline_ignores_invalid_samples(self):
         """With nothing outside the padded window, the baseline is the
@@ -217,8 +213,21 @@ class TestMeasure:
         x = np.linspace(-1.0, 1.0, 11)
         z = np.array([-50.0, -50.0, -50.0, -50.0, 1.0, 1.0, 1.0, 1.0, 1.0, -50.0, -50.0])
         valid = z > 0
-        baseline, area = window_area(LaserProfile(x, z, valid), 4, 8)
+        baseline, area = window_area(LaserProfile(x, z[None], valid[None]), 0, 4, 8)
         assert baseline == 1.0 and area == 0.0
+
+    def test_window_area_reads_the_given_row(self):
+        """Each row of a batch gets its own baseline and area."""
+        batch = exact_area_profile(90.0, 40.0)
+        [first, second] = measure(batch, edge_threshold_mm=1e-6)
+        assert window_area(batch, 1, first.left_index, first.right_index) == (second.baseline_mm, second.area_mm2)
+        assert second.area_mm2 == pytest.approx(40.0, rel=1e-12)
+
+    def test_empty_batch_measures_nothing(self):
+        hf = Heightfield.flat((-30.0, -10.0), 0.5, 120, 40)
+        empty = scan_profile(hf, [], 40.0, [])
+        assert empty.z.shape == (0, SCANNER_POINTS)
+        assert detect_edges(empty, 1e-6) == [] and measure(empty, 1e-6) == []
 
     def test_features_validation(self):
         with pytest.raises(ValueError):
@@ -228,13 +237,14 @@ class TestMeasure:
 
 
 class TestCalibrate:
-    def make_scans(self, areas: dict[float, float]) -> list[tuple[float, list[LaserProfile]]]:
-        return [(speed, [exact_area_profile(area), exact_area_profile(area)]) for speed, area in areas.items()]
+    def make_scans(self, areas: dict[float, float]) -> list[tuple[float, LaserProfile]]:
+        return [(speed, exact_area_profile(area, area)) for speed, area in areas.items()]
 
     def test_fitted_flow_matches_frozen_value(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            model = calibrate(self.make_scans(STRIP_AREAS), edge_threshold_mm=1e-6)
+            # fastest strip first: the samples still come out sorted by speed
+            model = calibrate(self.make_scans(STRIP_AREAS)[::-1], edge_threshold_mm=1e-6)
         assert model.flow_rate_mm3_s == pytest.approx(FROZEN_FLOW_MM3_S, rel=1e-12)
         assert model.v_min == 6.0
         assert model.v_max == 20.0
@@ -245,8 +255,8 @@ class TestCalibrate:
 
     def test_spread_profiles_report_sample_std(self):
         scans = [
-            (10.0, [exact_area_profile(90.0), exact_area_profile(94.0)]),
-            (20.0, [exact_area_profile(40.0), exact_area_profile(44.0)]),
+            (10.0, exact_area_profile(90.0, 94.0)),
+            (20.0, exact_area_profile(40.0, 44.0)),
         ]
         model = calibrate(scans, edge_threshold_mm=1e-6)
         for sample in model.samples:
@@ -264,20 +274,23 @@ class TestCalibrate:
 
     def test_single_profile_per_speed_rejected(self):
         scans = [
-            (10.0, [exact_area_profile(90.0)]),
-            (20.0, [exact_area_profile(40.0), exact_area_profile(40.0)]),
+            (10.0, exact_area_profile(90.0)),
+            (20.0, exact_area_profile(40.0, 40.0)),
         ]
         with pytest.raises(InsufficientSamples):
             calibrate(scans, edge_threshold_mm=1e-6)
 
-    def test_duplicate_speed_entries_pool_profiles(self):
-        scans = [
-            (10.0, [exact_area_profile(90.0)]),
-            (10.0, [exact_area_profile(90.0)]),
-            (20.0, [exact_area_profile(40.0), exact_area_profile(40.0)]),
-        ]
-        model = calibrate(scans, edge_threshold_mm=1e-6)
-        assert len(model.samples) == 2
+    def test_repeated_speed_rejected(self):
+        """Each speed's strip is one batch; a second batch at the same speed
+        (also when written as an int) is refused, not pooled."""
+        for repeat in (10.0, 10):
+            scans = [
+                (10.0, exact_area_profile(90.0, 90.0)),
+                (repeat, exact_area_profile(90.0, 90.0)),
+                (20.0, exact_area_profile(40.0, 40.0)),
+            ]
+            with pytest.raises(ValueError, match="one strip batch per speed"):
+                calibrate(scans, edge_threshold_mm=1e-6)
 
     def test_dict_round_trip_uses_flow_key(self):
         model = calibrate(self.make_scans(STRIP_AREAS), edge_threshold_mm=1e-6)
@@ -470,8 +483,7 @@ def assert_batch_matches_reference(hf, poses, noises, threshold, span=40.0):
     batch = scan_profile(hf, poses, span, noises)
     found = measure(batch, threshold)
     assert batch.n_lines == len(found) == len(poses)
-    per_station = noises if isinstance(noises, list) else [noises] * len(poses)
-    for i, (pose, noise) in enumerate(zip(poses, per_station)):
+    for i, (pose, noise) in enumerate(zip(poses, noises, strict=True)):
         x, z, valid = reference_scan(hf, pose, span, noise)
         assert np.array_equal(batch.x, x) and batch.x.tobytes() == x.tobytes()
         assert np.array_equal(batch.z[i], z) and batch.z[i].tobytes() == z.tobytes()
@@ -494,24 +506,23 @@ class TestBatchMatchesPerStation:
     def test_ramp_walls_resolve_like_the_reference(self):
         shifts = [-0.5, 0.0, 0.7] * 3
         poses = [station_pose(dx, y) for dx, y in zip(shifts, [1.0, 4.0, 7.5] * 3)]
-        _, found = assert_batch_matches_reference(PLATE, poses, SensorNoise.noiseless(), 1e-9)
+        _, found = assert_batch_matches_reference(PLATE, poses, [SensorNoise.noiseless()] * len(poses), 1e-9)
         # the left ramp is resolved to its foot at robot x = -6
         assert all(f is not None and abs(f.left_x_mm + dx + 6.0) < 0.1 for f, dx in zip(found, shifts))
 
     def test_noiseless_batch_matches(self):
         poses = [station_pose(0.0, y) for y in np.linspace(-9.0, 29.0, 12)]
-        assert_batch_matches_reference(PLATE, poses, SensorNoise.noiseless(), edge_threshold_for(SensorNoise.noiseless()))
+        assert_batch_matches_reference(PLATE, poses, [SensorNoise.noiseless()] * len(poses), edge_threshold_for(SensorNoise.noiseless()))
 
     def test_single_station_is_a_batch_of_one(self):
         pose = station_pose(0.2, -4.0)
         noise = NOISY.derive(2, 0)
-        line = scan_profile(PLATE, pose, 40.0, noise)
         batch = scan_profile(PLATE, [pose], 40.0, [noise])
-        assert line.z.shape == (SCANNER_POINTS,) and line.n_lines == 1
-        assert line.z.tobytes() == batch.z[0].tobytes()
-        assert measure(line, 0.12) == measure(batch, 0.12)[0] == reference_measure(*reference_scan(PLATE, pose, 40.0, noise), 0.12)
-        with pytest.raises(NoEdges):
-            measure(scan_profile(PLATE, station_pose(0.0, 11.0), 40.0), 0.12)
+        assert batch.z.shape == (1, SCANNER_POINTS) and batch.n_lines == 1
+        x, z, valid = reference_scan(PLATE, pose, 40.0, noise)
+        assert batch.z[0].tobytes() == z.tobytes()
+        assert measure(batch, 0.12) == [reference_measure(x, z, valid, 0.12)]
+        assert measure(scan_profile(PLATE, [station_pose(0.0, 11.0)], 40.0, [SensorNoise.noiseless()]), 0.12) == [None]
 
     def test_one_station_off_the_grid_fails_the_batch(self):
         poses = [station_pose(0.0, -5.0), station_pose(12.0, 3.0), station_pose(0.0, 20.0)]
@@ -597,7 +608,7 @@ class TestBatchMatchesPerStation:
 
     def test_validation_rejects_mismatched_lengths(self):
         station = ScanStation(station_pose(0.0, -5.0), 40.0, 310.0)
-        feats = measure(scan_profile(PLATE, station.pose, 40.0), 1e-9)
+        [feats] = measure(scan_profile(PLATE, [station.pose], 40.0, [SensorNoise.noiseless()]), 1e-9)
         with pytest.raises(ValueError):
             validate([station, station], [feats], PLATE, speeds=[6.0, 6.0], noise=NOISY, elapsed_s=0.0, mode=FillMode.fixed(6.0))
         with pytest.raises(ValueError):
@@ -620,16 +631,7 @@ class TestStripCalibration:
         assert len(model.samples) == n_strips
         assert all(lines.n_lines > 1 for _, lines in scans)
 
-    def test_batches_and_lists_of_lines_calibrate_alike(self):
-        scans = [(speed, [exact_area_profile(area), exact_area_profile(area)]) for speed, area in STRIP_AREAS.items()]
-        batches = [
-            (speed, LaserProfile(lines[0].x, np.stack([p.z for p in lines]), np.stack([p.valid for p in lines])))
-            for speed, lines in scans
-        ]
-        assert calibrate(batches, edge_threshold_mm=1e-6) == calibrate(scans, edge_threshold_mm=1e-6)
-
     def test_a_strip_line_without_edges_fails_calibration(self):
         flat = LaserProfile(np.linspace(-20.0, 20.0, 1024), np.zeros((2, 1024)))
-        good = exact_area_profile(40.0)
         with pytest.raises(NoEdges):
-            calibrate([(10.0, flat), (20.0, [good, good])], edge_threshold_mm=1e-6)
+            calibrate([(10.0, flat), (20.0, exact_area_profile(40.0, 40.0))], edge_threshold_mm=1e-6)

@@ -170,23 +170,27 @@ class TestRaycast:
         assert add_depth_noise(depth, SensorNoise.noiseless()) is depth
 
 
+NOISELESS = SensorNoise.noiseless()
+
+
 class TestScanProfile:
     def test_flat_surface_reads_zero_at_standoff(self):
         hf = make_flat(nx=400, ny=400, cell=0.5, origin=(-100.0, -100.0))
-        prof = scan_profile(hf, down_scan_pose(z=310.0), span_mm=40.0)
-        assert prof.n_points == SCANNER_POINTS
+        prof = scan_profile(hf, [down_scan_pose(z=310.0)], 40.0, [NOISELESS])
+        assert prof.n_points == SCANNER_POINTS and prof.z.shape == (1, SCANNER_POINTS)
         assert np.all(prof.valid)
         np.testing.assert_allclose(prof.z, 0.0, atol=1e-12)
         np.testing.assert_allclose(prof.x[[0, -1]], [-20.0, 20.0], atol=1e-12)
 
     def test_rect_trough_reads_negative_depth(self):
         hf = make_rect_crack(width=8.0, depth=2.0, cell=0.1)
-        prof = scan_profile(hf, down_scan_pose(y=75.0, z=310.0), span_mm=40.0)
+        prof = scan_profile(hf, [down_scan_pose(y=75.0, z=310.0)], 40.0, [NOISELESS])
+        [z] = prof.z
         interior = np.abs(prof.x) < 3.0
         outside = np.abs(prof.x) > 5.0
-        np.testing.assert_allclose(prof.z[interior], -2.0, atol=1e-12)
-        np.testing.assert_allclose(prof.z[outside], 0.0, atol=1e-12)
-        crossing = np.nonzero(np.abs(np.diff(prof.z)) > 1.0)[0]
+        np.testing.assert_allclose(z[interior], -2.0, atol=1e-12)
+        np.testing.assert_allclose(z[outside], 0.0, atol=1e-12)
+        crossing = np.nonzero(np.abs(np.diff(z)) > 1.0)[0]
         assert crossing.size == 2
         # walls land within a sample pitch plus a grid cell of x = +/-4
         np.testing.assert_allclose(np.abs(prof.x[crossing]), 4.0, atol=2.0 * prof.pitch + hf.cell_size)
@@ -194,36 +198,30 @@ class TestScanProfile:
     def test_laser_noise_statistics(self):
         hf = make_flat(nx=400, ny=400, cell=0.5, origin=(-100.0, -100.0))
         noise = SensorNoise(depth_sigma_fraction=0.0, laser_sigma_mm=0.05, seed=9)
-        zs = []
-        for i in range(40):
-            prof = scan_profile(hf, down_scan_pose(z=310.0), span_mm=40.0, noise=noise.derive(i))
-            zs.append(prof.z)
-        z = np.concatenate(zs)
-        assert z.mean() == pytest.approx(0.0, abs=5e-4)
-        assert z.std() == pytest.approx(0.05, rel=0.02)
+        prof = scan_profile(hf, [down_scan_pose(z=310.0)] * 40, 40.0, [noise.derive(i) for i in range(40)])
+        assert prof.z.shape == (40, SCANNER_POINTS)
+        assert prof.z.mean() == pytest.approx(0.0, abs=5e-4)
+        assert prof.z.std() == pytest.approx(0.05, rel=0.02)
 
     def test_derived_streams_differ(self):
         hf = make_flat(nx=200, ny=200, cell=0.5, origin=(-50.0, -50.0))
         noise = SensorNoise(laser_sigma_mm=0.05, seed=1)
-        a = scan_profile(hf, down_scan_pose(), 40.0, noise=noise.derive(0))
-        b = scan_profile(hf, down_scan_pose(), 40.0, noise=noise.derive(1))
-        a2 = scan_profile(hf, down_scan_pose(), 40.0, noise=noise.derive(0))
-        np.testing.assert_array_equal(a.z, a2.z)
-        assert not np.array_equal(a.z, b.z)
+        a, b, a2 = scan_profile(hf, [down_scan_pose()] * 3, 40.0, [noise.derive(0), noise.derive(1), noise.derive(0)]).z
+        np.testing.assert_array_equal(a, a2)
+        assert not np.array_equal(a, b)
 
     def test_range_gate_flags_out_of_window_samples(self):
         hf = make_flat(nx=400, ny=400, cell=0.5, origin=(-100.0, -100.0))
-        too_high = scan_profile(hf, down_scan_pose(z=SCANNER_RANGE_MM[1] + 1.0), span_mm=40.0)
-        assert not too_high.valid.any()
-        too_low = scan_profile(hf, down_scan_pose(z=SCANNER_RANGE_MM[0] - 1.0), span_mm=40.0)
-        assert not too_low.valid.any()
-        in_window = scan_profile(hf, down_scan_pose(z=300.0), span_mm=40.0)
-        assert in_window.valid.all()
+        heights = [SCANNER_RANGE_MM[1] + 1.0, SCANNER_RANGE_MM[0] - 1.0, 300.0]
+        too_high, too_low, in_window = scan_profile(hf, [down_scan_pose(z=z) for z in heights], 40.0, [NOISELESS] * 3).valid
+        assert not too_high.any()
+        assert not too_low.any()
+        assert in_window.all()
 
     def test_scan_line_outside_grid_raises(self):
         hf = make_flat(nx=100, ny=100, cell=0.5, origin=(-25.0, -25.0))
         with pytest.raises(StationOutsideGrid):
-            scan_profile(hf, down_scan_pose(x=24.0), span_mm=40.0)
+            scan_profile(hf, [down_scan_pose(x=24.0)], 40.0, [NOISELESS])
 
     def test_rejects_tilted_line_and_bad_args(self):
         hf = make_flat(nx=100, ny=100, cell=0.5, origin=(-25.0, -25.0))
@@ -231,22 +229,31 @@ class TestScanProfile:
 
         tilted = RigidTransform(rotation_about_y(0.3), [0.0, 0.0, 310.0], Frame.LASER, Frame.ROBOT)
         with pytest.raises(ValueError):
-            scan_profile(hf, tilted, span_mm=20.0)
+            scan_profile(hf, [tilted], 20.0, [NOISELESS])
         with pytest.raises(ValueError):
-            scan_profile(hf, down_scan_pose(), span_mm=0.0)
+            scan_profile(hf, [down_scan_pose()], 0.0, [NOISELESS])
 
     def test_profile_shape_validation(self):
         with pytest.raises(ValueError):
-            LaserProfile(x=np.array([0.0, 1.0]), z=np.zeros(3), valid=np.ones(3, dtype=bool))
+            LaserProfile(x=np.array([0.0, 1.0]), z=np.zeros((1, 3)), valid=np.ones((1, 3), dtype=bool))
         with pytest.raises(ValueError):
-            LaserProfile(x=np.array([1.0, 0.0]), z=np.zeros(2), valid=np.ones(2, dtype=bool))
+            LaserProfile(x=np.array([1.0, 0.0]), z=np.zeros((1, 2)), valid=np.ones((1, 2), dtype=bool))
+
+    def test_one_dimensional_z_rejected(self):
+        """A profile is always a batch: a lone line is a (1, n) row, never (n,)."""
+        x = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="one row per station"):
+            LaserProfile(x=x, z=np.zeros(5))
+        with pytest.raises(ValueError, match="one row per station"):
+            LaserProfile(x=x, z=np.zeros(5), valid=np.ones(5, dtype=bool))
+        assert LaserProfile(x=x, z=np.zeros((1, 5))).n_lines == 1
 
     def test_non_uniform_pitch_rejected(self):
-        """A profile built by a caller is checked for uniform pitch, as one
-        line or as a batch."""
+        """A profile built by a caller is checked for uniform pitch, with one
+        row or many."""
         x = np.array([0.0, 1.0, 2.0, 3.5])
         with pytest.raises(ValueError, match="uniform pitch"):
-            LaserProfile(x=x, z=np.zeros(4))
+            LaserProfile(x=x, z=np.zeros((1, 4)))
         with pytest.raises(ValueError, match="uniform pitch"):
             LaserProfile(x=x, z=np.zeros((3, 4)))
 
@@ -260,9 +267,7 @@ class TestScanProfile:
             LaserProfile(x=x, z=np.zeros((2, 2, 5)))
         batch = LaserProfile(x=x, z=np.arange(10.0).reshape(2, 5))
         assert batch.n_lines == 2 and batch.valid.shape == (2, 5)
-        row = batch.line(1)
-        assert row.n_lines == 1 and row.x is batch.x
-        np.testing.assert_array_equal(row.z, [5.0, 6.0, 7.0, 8.0, 9.0])
+        assert LaserProfile(x=x, z=np.zeros((0, 5))).n_lines == 0
 
     def test_batch_checks_the_pitch_once(self, monkeypatch):
         hf = make_flat(nx=200, ny=200, cell=0.5, origin=(-50.0, -50.0))
@@ -270,7 +275,7 @@ class TestScanProfile:
         calls = []
         real = np.allclose
         monkeypatch.setattr(np, "allclose", lambda *a, **k: calls.append(1) or real(*a, **k))
-        batch = scan_profile(hf, poses, 40.0)
+        batch = scan_profile(hf, poses, 40.0, [NOISELESS] * 6)
         assert batch.z.shape == (6, SCANNER_POINTS) and len(calls) == 1
 
     def test_batch_takes_one_noise_model_per_station(self):
@@ -278,14 +283,14 @@ class TestScanProfile:
         poses = [down_scan_pose(y=-1.0), down_scan_pose(y=1.0)]
         noise = SensorNoise(laser_sigma_mm=0.05, seed=3)
         with pytest.raises(ValueError):
-            scan_profile(hf, poses, 40.0, noise)
-        with pytest.raises(ValueError):
             scan_profile(hf, poses, 40.0, [noise.derive(0)])
+        with pytest.raises(ValueError):
+            scan_profile(hf, poses, 40.0, [NOISELESS])
         batch = scan_profile(hf, poses, 40.0, [noise.derive(0), noise.derive(1)])
         for row, (pose, k) in enumerate(zip(poses, (0, 1))):
-            assert batch.z[row].tobytes() == scan_profile(hf, pose, 40.0, noise.derive(k)).z.tobytes()
+            assert batch.z[row].tobytes() == scan_profile(hf, [pose], 40.0, [noise.derive(k)]).z[0].tobytes()
         assert not np.array_equal(batch.z[0], batch.z[1])
-        assert scan_profile(hf, [], 40.0).z.shape == (0, SCANNER_POINTS)
+        assert scan_profile(hf, [], 40.0, []).z.shape == (0, SCANNER_POINTS)
 
 
 class TestSensorNoise:

@@ -2,6 +2,7 @@
 deposition volume conservation, and the guard rails on bad inputs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -462,7 +463,7 @@ def full_grid_specimen(spec, *, origin, cell_size, nx, ny):
     for a, b in zip(pts[:-1], pts[1:]):
         d = b - a
         seg_len = float(np.hypot(*d))
-        if seg_len == 0:
+        if seg_len**2 == 0:
             continue
         t = np.clip(((gx - a[0]) * d[0] + (gy - a[1]) * d[1]) / seg_len**2, 0.0, 1.0)
         d2 = (gx - (a[0] + t * d[0])) ** 2 + (gy - (a[1] + t * d[1])) ** 2
@@ -733,6 +734,19 @@ class TestCarveMatchesFullGrid:
         got = generate_specimen(spec, origin=origin, cell_size=cell, nx=nx, ny=ny)
         want = full_grid_specimen(spec, origin=origin, cell_size=cell, nx=nx, ny=ny)
         assert np.array_equal(got.heights, want.heights)
+
+    def test_a_segment_whose_square_underflows(self):
+        """A 1e-200 mm segment squares to 0; it is skipped like a zero-length
+        one, without a divide warning, and carves like the path without it."""
+        grid = dict(origin=(-10.0, 0.0), cell_size=0.5, nx=40, ny=110)
+        spec = CrackSpec(path=[(0.0, 10.0), (1e-200, 10.0), (0.0, 40.0)], width=4.0, depth=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = generate_specimen(spec, **grid)
+            want = full_grid_specimen(spec, **grid)
+        plain = generate_specimen(CrackSpec(path=[(0.0, 10.0), (0.0, 40.0)], width=4.0, depth=2.0), **grid)
+        assert np.array_equal(got.heights, plain.heights)
+        assert np.array_equal(want.heights, plain.heights)
 
     def test_default_scene(self):
         scene = ScenarioConfig.default().build_scene()
