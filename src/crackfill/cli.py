@@ -136,6 +136,7 @@ def cmd_experiment(cfg: ScenarioConfig, out: Path, parallel: int) -> int:
         params=cfg.build_deposition(),
         noise=cfg.build_noise(),
         model=cfg.build_calibration(),
+        mask=cfg.build_mask(),
     )
     # Each worker surveys its own specimen for a contiguous chunk of modes:
     # shipping one survey from here would hold a specimen in this process too.

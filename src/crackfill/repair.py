@@ -82,28 +82,20 @@ def fill_error(area_pre_mm2: float, area_post_mm2: float) -> float:
 
 
 @dataclass(frozen=True)
-class ScanStation:
-    """Where and how one laser scan was taken, so it can be reproduced.
-
-    pose places the scanner; its line runs along the pose's x axis.
-    """
-
-    pose: RigidTransform
-    span_mm: float
-    standoff_mm: float
-
-
-@dataclass(frozen=True)
 class RefinementResult:
     """Survivors of the laser refinement pass, in perception's travel order.
 
-    waypoints[i] was measured as features[i] by the scan at stations[i];
-    a station's number is its position here.
+    waypoints[i] was measured as features[i] by the scan at stations[i],
+    the scanner pose whose line runs along its x axis; a station's number
+    is its position here. Every station was scanned with one span_mm and
+    standoff_mm, so validate can rescan them all as they were taken.
     """
 
     waypoints: tuple[Waypoint, ...]
     features: tuple[ProfileFeatures, ...]
-    stations: tuple[ScanStation, ...]
+    stations: tuple[RigidTransform, ...]
+    span_mm: float
+    standoff_mm: float
     dropped: int
 
 
@@ -389,18 +381,15 @@ def refine_waypoints(
     turn = _QUARTER_TURN if points and runs_along_x(points) else np.eye(3)
     mount = RigidTransform(laser_mount.rotation @ turn, laser_mount.translation, Frame.LASER, Frame.ROBOT)
     m = mount.translation
-    stations = [
-        ScanStation(mount.at([p.x + m[0], p.y + m[1], p.z + m[2] + standoff_mm]), span_mm, standoff_mm)
-        for p in points
-    ]
+    stations = [mount.at([p.x + m[0], p.y + m[1], p.z + m[2] + standoff_mm]) for p in points]
     profiles = scan_profile(
         hf,
-        [station.pose for station in stations],
+        stations,
         span_mm,
         [noise.derive(NOISE_STREAMS["refine"], i) for i in range(len(stations))],
         standoff_mm=standoff_mm,
     )
-    survivors: list[tuple[Waypoint, ProfileFeatures, ScanStation]] = []
+    survivors: list[tuple[Waypoint, ProfileFeatures, RigidTransform]] = []
     for i, (wp, feats, station) in enumerate(zip(waypoints, measure(profiles, threshold), stations)):
         if feats is None:
             logger.warning("waypoint %d: no crack under the laser, dropping", i)
@@ -424,7 +413,12 @@ def refine_waypoints(
         raise AllPointsDropped("laser refinement dropped every waypoint")
     refined_wps, features, stations = zip(*survivors)
     return RefinementResult(
-        waypoints=refined_wps, features=features, stations=stations, dropped=len(waypoints) - len(survivors)
+        waypoints=refined_wps,
+        features=features,
+        stations=stations,
+        span_mm=span_mm,
+        standoff_mm=standoff_mm,
+        dropped=len(waypoints) - len(survivors),
     )
 
 
@@ -480,8 +474,7 @@ def execute_fill(hf: Heightfield, plan: FillPlan, params: DepositionParams) -> E
 
 
 def validate(
-    stations: list[ScanStation],
-    pre_features: list[ProfileFeatures],
+    refinement: RefinementResult,
     hf_filled: Heightfield,
     *,
     speeds: Sequence[float],
@@ -490,37 +483,35 @@ def validate(
     mode: FillMode,
     area_floor_mm2: float = DEFAULT_AREA_FLOOR_MM2,
 ) -> FillReport:
-    """Rescan every pre-fill station and score the fill.
+    """Rescan every pre-fill station of a refinement and score the fill.
 
-    speeds[i] is the planned travel speed at stations[i]; the report
+    The refinement's stations are rescanned as one batch with its span
+    and standoff, and station i is scored against features[i].
+    speeds[i] is the planned travel speed at station i; the report
     records it with the station, numbered i. The fill error at a station is
     |post area / pre area| using unsigned deviation areas, so over- and
     under-fill cannot cancel. If the post-fill profile no longer shows
     edges (the fill levelled the surface) the post area integrates the
     residual deviation over the pre-fill window instead. Stations whose pre-fill area is below
-    area_floor_mm2 are excluded from the statistics. The stations share
-    one scanner span and standoff and are rescanned as one batch.
+    area_floor_mm2 are excluded from the statistics.
     """
+    stations, pre_features = refinement.stations, refinement.features
     if not len(stations) == len(pre_features) == len(speeds):
         raise ValueError(
             f"validate needs one pre-fill feature and one speed per station, got {len(stations)} stations, "
             f"{len(pre_features)} features and {len(speeds)} speeds"
         )
-    if len({(station.span_mm, station.standoff_mm) for station in stations}) > 1:
-        raise ValueError("stations rescanned together must share one scanner span and standoff")
     threshold = edge_threshold_for(noise)
     records: list[StationRecord] = []
     errors: list[float] = []
-    posts: list[ProfileFeatures | None] = []
-    if stations:
-        profiles = scan_profile(
-            hf_filled,
-            [station.pose for station in stations],
-            stations[0].span_mm,
-            [noise.derive(NOISE_STREAMS["validate"], number) for number in range(len(stations))],
-            standoff_mm=stations[0].standoff_mm,
-        )
-        posts = measure(profiles, threshold)
+    profiles = scan_profile(
+        hf_filled,
+        stations,
+        refinement.span_mm,
+        [noise.derive(NOISE_STREAMS["validate"], number) for number in range(len(stations))],
+        standoff_mm=refinement.standoff_mm,
+    )
+    posts = measure(profiles, threshold)
     for number, (pre, post, speed) in enumerate(zip(pre_features, posts, speeds)):
         if post is not None:
             area_post = post.area_mm2
@@ -614,12 +605,10 @@ def repair(
 ) -> FillRunArtifacts:
     """Fill a copy of the surveyed specimen under one speed policy and rescan it."""
     hf = survey.specimen.copy()
-    refinement = survey.refinement
-    plan = plan_fill(refinement.waypoints, mode, model)
+    plan = plan_fill(survey.refinement.waypoints, mode, model)
     execution = execute_fill(hf, plan, params)
     report = validate(
-        refinement.stations,
-        refinement.features,
+        survey.refinement,
         hf,
         speeds=[wp.speed_mm_s for wp in plan.waypoints],
         noise=survey.noise,
@@ -654,9 +643,14 @@ def run_experiment(
     params: DepositionParams,
     noise: SensorNoise,
     model: CalibrationModel,
+    mask: MaskImage | None = None,
 ) -> list[FillReport]:
-    """Survey one fresh specimen, then repair a copy of it under each mode."""
-    surveyed = survey(scene, image_specimen(scene, scene.build_specimen()), noise)
+    """Survey one fresh specimen, then repair a copy of it under each mode.
+
+    An external segmentation mask, when given, replaces the camera's
+    ground-truth mask exactly as in run_fill.
+    """
+    surveyed = survey(scene, image_specimen(scene, scene.build_specimen(), mask), noise)
     reports = []
     for mode in modes:
         report = repair(surveyed, mode, params, model).report

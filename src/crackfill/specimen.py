@@ -256,7 +256,7 @@ def true_cross_section(hf: Heightfield, point: tuple[float, float], normal: tupl
     n = n / norm
     x_min, x_max, y_min, y_max = hf.bounds()
     if not (x_min <= p[0] <= x_max and y_min <= p[1] <= y_max):
-        raise StationOutsideGrid(f"station {tuple(p)} outside grid bounds")
+        raise StationOutsideGrid(f"station {tuple(p.tolist())} outside grid bounds")
 
     t_lo, t_hi = -np.inf, np.inf
     for axis, (lo, hi) in enumerate([(x_min, x_max), (y_min, y_max)]):
@@ -414,11 +414,11 @@ def deposit(
     p0 = np.asarray(start, dtype=float)
     p1 = np.asarray(end, dtype=float)
     if not (hf.contains(p0[0], p0[1]) and hf.contains(p1[0], p1[1])):
-        raise SegmentOutsideGrid(f"segment {tuple(p0)} -> {tuple(p1)} leaves the grid")
+        raise SegmentOutsideGrid(f"segment {tuple(p0.tolist())} -> {tuple(p1.tolist())} leaves the grid")
     # Compare the ends, not the length: the norm of a distinct but tiny
     # offset (say 1e-200 mm) squares to zero and would read as no segment.
     if np.array_equal(p0, p1):
-        raise ZeroLengthSegment(f"deposition segment starts and ends at {tuple(p0)}")
+        raise ZeroLengthSegment(f"deposition segment starts and ends at {tuple(p0.tolist())}")
     length = float(np.linalg.norm(p1 - p0))
 
     area = params.flow_rate_mm3_s / speed_mm_s

@@ -215,6 +215,16 @@ class TestFill:
         assert cli.main(["--config", cfg, "--out", str(tmp_path / "o"), "fill"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("pipeline error: deposition segment starts and ends at") and "Traceback" not in err
+        point = err.removeprefix("pipeline error: deposition segment starts and ends at ").rstrip("\n")
+        assert point == repr(tuple(float(v) for v in point.strip("()").split(", "))) and "np.float64" not in err
+
+    def test_segment_off_a_coarse_grid_is_a_pipeline_error(self, tmp_path, capsys):
+        """On a 10 mm grid the calibration strip's far end falls off its
+        plate; the message names the segment's ends as plain floats."""
+        cfg = write_config(tmp_path, {"grid": {"cell_size_mm": 10}})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "o"), "fill"]) == 1
+        err = capsys.readouterr().err
+        assert err == "pipeline error: segment (0.0, 0.0) -> (0.0, 150.0) leaves the grid\n"
 
     def test_summary_is_strict_json_when_no_station_qualifies(self, tmp_path):
         data = compact_config()
@@ -264,6 +274,20 @@ class TestExperiment:
         assert cli.main(["--config", cfg, "--out", str(outs[1]), "experiment"]) == 0
         assert cli.main(["--config", cfg, "--out", str(outs[2]), "--parallel", "2", "experiment"]) == 0
         blobs = [(o / "experiment.csv").read_bytes() for o in outs]
+        assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_scanned_mask_reproduces_the_table(self, tmp_path):
+        """The mask scan writes is the camera's own: given back as
+        fill.mask_path it leaves experiment.csv byte-identical, serial
+        and in parallel."""
+        data = compact_config()
+        assert cli.main(["--config", write_config(tmp_path, data), "--out", str(tmp_path / "s"), "experiment"]) == 0
+        assert cli.main(["--config", write_config(tmp_path, data), "--out", str(tmp_path / "scan"), "scan"]) == 0
+        data["fill"] = {"mask_path": str(tmp_path / "scan" / "mask.pgm")}
+        cfg = write_config(tmp_path, data, name="masked.json")
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "m"), "experiment"]) == 0
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "p"), "--parallel", "2", "experiment"]) == 0
+        blobs = [(tmp_path / o / "experiment.csv").read_bytes() for o in ("s", "m", "p")]
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_library_matches_cli_with_interpolation(self, tmp_path):
@@ -420,28 +444,33 @@ class TestConfigErrors:
 class TestBadMaskFiles:
     """A mask file the camera cannot use is a configuration error."""
 
-    def scan_with_mask(self, tmp_path, capsys, write) -> str:
+    def run_with_mask(self, tmp_path, capsys, write, command: tuple[str, ...] = ("scan",)) -> str:
         path = tmp_path / "mask.pgm"
         write(path)
         data = compact_config()
         data["fill"] = {"mask_path": str(path)}
         cfg = write_config(tmp_path, data)
-        assert cli.main(["--config", cfg, "--out", str(tmp_path / "o"), "scan"]) == 2
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "o"), *command]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
         return err
 
     def test_truncated_payload(self, tmp_path, capsys):
-        err = self.scan_with_mask(tmp_path, capsys, lambda p: p.write_bytes(b"P5\n640 480\n255\n" + bytes(100)))
+        err = self.run_with_mask(tmp_path, capsys, lambda p: p.write_bytes(b"P5\n640 480\n255\n" + bytes(100)))
         assert "payload" in err
 
     def test_not_a_binary_pgm(self, tmp_path, capsys):
-        err = self.scan_with_mask(tmp_path, capsys, lambda p: p.write_text("P2\n2 2\n255\n0 0 0 0\n"))
+        err = self.run_with_mask(tmp_path, capsys, lambda p: p.write_text("P2\n2 2\n255\n0 0 0 0\n"))
         assert "not a binary PGM" in err
 
     def test_mask_smaller_than_the_camera_image(self, tmp_path, capsys):
-        err = self.scan_with_mask(tmp_path, capsys, lambda p: cfio.write_mask_pgm(p, np.ones((10, 10), dtype=bool)))
+        err = self.run_with_mask(tmp_path, capsys, lambda p: cfio.write_mask_pgm(p, np.ones((10, 10), dtype=bool)))
         assert "10x10" in err and "640x480" in err
+
+    @pytest.mark.parametrize("command", [("fill",), ("experiment",), ("--parallel", "2", "experiment")], ids=" ".join)
+    def test_fill_and_experiment_read_the_mask(self, tmp_path, capsys, command):
+        err = self.run_with_mask(tmp_path, capsys, lambda p: cfio.write_mask_pgm(p, np.ones((4, 4), dtype=bool)), command)
+        assert err == "config error: mask is 4x4 pixels but the camera image is 640x480\n"
 
 
 class TestParser:

@@ -27,8 +27,8 @@ from crackfill import (
     NonMonotonicCalibration,
     Point3,
     ProfileFeatures,
+    RefinementResult,
     RigidTransform,
-    ScanStation,
     ScenarioConfig,
     SensorNoise,
     StationOutsideGrid,
@@ -572,10 +572,10 @@ class TestBatchMatchesPerStation:
         assert result.waypoints == tuple(kept)
         assert result.features == tuple(features)
         for station, pose in zip(result.stations, poses, strict=True):
-            assert station.pose.rotation.tobytes() == pose.rotation.tobytes()
-            assert station.pose.translation.tobytes() == pose.translation.tobytes()
-            assert (station.pose.source_frame, station.pose.target_frame) == (Frame.LASER, Frame.ROBOT)
-            assert (station.span_mm, station.standoff_mm) == (40.0, 310.0)
+            assert station.rotation.tobytes() == pose.rotation.tobytes()
+            assert station.translation.tobytes() == pose.translation.tobytes()
+            assert (station.source_frame, station.target_frame) == (Frame.LASER, Frame.ROBOT)
+        assert (result.span_mm, result.standoff_mm) == (40.0, 310.0)
 
     def test_validation_matches_a_per_station_loop(self):
         """validate against the loop that rescanned one station at a time,
@@ -586,13 +586,11 @@ class TestBatchMatchesPerStation:
         filled = PLATE.copy()
         filled.heights[: filled.iy_of(-3.0)] = 0.0  # stations 0 and 1 levelled: no edges after the fill
         speeds = [6.0, 8.0, 10.0, 12.0, 15.0, 20.0]
-        report = validate(
-            list(refined.stations), list(refined.features), filled, speeds=speeds, noise=NOISY, elapsed_s=4.0, mode=FillMode.adaptive()
-        )
+        report = validate(refined, filled, speeds=speeds, noise=NOISY, elapsed_s=4.0, mode=FillMode.adaptive())
         threshold = edge_threshold_for(NOISY)
         records, fallbacks = [], 0
         for number, (station, pre, speed) in enumerate(zip(refined.stations, refined.features, speeds, strict=True)):
-            x, z, valid = reference_scan(filled, station.pose, 40.0, NOISY.derive(3, number))
+            x, z, valid = reference_scan(filled, station, 40.0, NOISY.derive(3, number))
             try:
                 area_post = reference_measure(x, z, valid, threshold).area_mm2
             except NoEdges:
@@ -607,12 +605,13 @@ class TestBatchMatchesPerStation:
         assert report.median_fill_error == float(np.median(errors))
 
     def test_validation_rejects_mismatched_lengths(self):
-        station = ScanStation(station_pose(0.0, -5.0), 40.0, 310.0)
-        [feats] = measure(scan_profile(PLATE, [station.pose], 40.0, [SensorNoise.noiseless()]), 1e-9)
+        station = station_pose(0.0, -5.0)
+        [feats] = measure(scan_profile(PLATE, [station], 40.0, [SensorNoise.noiseless()]), 1e-9)
+        one = RefinementResult((make_waypoint(0.0, -5.0, 0.0),), (feats,), (station,), 40.0, 310.0, 0)
         with pytest.raises(ValueError):
-            validate([station, station], [feats], PLATE, speeds=[6.0, 6.0], noise=NOISY, elapsed_s=0.0, mode=FillMode.fixed(6.0))
+            validate(replace(one, stations=(station, station)), PLATE, speeds=[6.0, 6.0], noise=NOISY, elapsed_s=0.0, mode=FillMode.fixed(6.0))
         with pytest.raises(ValueError):
-            validate([station], [feats], PLATE, speeds=[6.0, 6.0], noise=NOISY, elapsed_s=0.0, mode=FillMode.fixed(6.0))
+            validate(one, PLATE, speeds=[6.0, 6.0], noise=NOISY, elapsed_s=0.0, mode=FillMode.fixed(6.0))
 
 
 class TestStripCalibration:

@@ -22,9 +22,9 @@ from crackfill import (
     PixelCoord,
     Point3,
     ProfileFeatures,
+    RefinementResult,
     RepairScene,
     RigidTransform,
-    ScanStation,
     ScenarioConfig,
     SensorNoise,
     Waypoint,
@@ -44,7 +44,7 @@ from crackfill import (
 from crackfill import repair
 from crackfill.geometry import CameraIntrinsics, rotation_about_z
 from crackfill.repair import _distance_to_centreline
-from conftest import camera_pose, counted, make_flat, make_rect_crack, make_waypoint
+from conftest import camera_pose, counted, down_scan_pose, make_flat, make_rect_crack, make_waypoint
 
 PITCH_40MM = 40.0 / 1023.0
 
@@ -72,9 +72,17 @@ def make_scene(crack: CrackSpec | None, camera_y: float = 75.0, ny: int = 1500) 
     )
 
 
-def level_station(x: float, y: float, z: float) -> ScanStation:
-    """A station scanning along robot x from (x, y, z)."""
-    return ScanStation(RigidTransform(np.eye(3), [x, y, z], Frame.LASER, Frame.ROBOT), 40.0, 310.0)
+def level_refinement(features, *origins: tuple[float, float, float]) -> RefinementResult:
+    """A refinement whose station i scanned along robot x from origins[i],
+    40 mm wide at a 310 mm standoff, and measured features[i]."""
+    return RefinementResult(
+        waypoints=tuple(make_waypoint(x, y, z - 310.0) for x, y, z in origins),
+        features=tuple(features),
+        stations=tuple(down_scan_pose(x, y, z) for x, y, z in origins),
+        span_mm=40.0,
+        standoff_mm=310.0,
+        dropped=0,
+    )
 
 
 def straight_crack() -> CrackSpec:
@@ -120,8 +128,7 @@ class TestSmallHelpers:
                 waypoints = [make_waypoint(0.0, 75.0, -5.0), make_waypoint(spread[0], 75.0 + spread[1], -5.0)]
                 result = refine_waypoints(waypoints, hf, laser_mount=mount, noise=SensorNoise.noiseless())
                 assert result.dropped == 0
-                for wp, station in zip(waypoints, result.stations, strict=True):
-                    pose = station.pose
+                for wp, pose in zip(waypoints, result.stations, strict=True):
                     np.testing.assert_allclose(pose.rotation, rotation_about_z(angle + turn), atol=1e-12)
                     np.testing.assert_array_equal(pose.translation, [wp.robot_pt.x + 1.0, wp.robot_pt.y + 2.0, 308.0])
                     assert pose.source_frame == Frame.LASER and pose.target_frame == Frame.ROBOT
@@ -228,7 +235,7 @@ class TestRefineWaypoints:
             assert result.dropped == len(waypoints) - 3
             assert [wp.robot_pt.y for wp in result.waypoints] == [110.0, 75.0, 40.0]
             for wp, st in zip(result.waypoints, result.stations, strict=True):
-                assert tuple(st.pose.translation[:2]) == (wp.robot_pt.x, wp.robot_pt.y)
+                assert tuple(st.translation[:2]) == (wp.robot_pt.x, wp.robot_pt.y)
 
     def test_one_batch_and_one_rotation_check_per_pass(self, monkeypatch):
         """Refinement scans and measures all its stations in one call each,
@@ -249,10 +256,8 @@ class TestRefineWaypoints:
             waypoints, hf, laser_mount=scene.laser_mount, noise=noise
         )
         assert calls == {"scan": 1, "measure": 1, "rotation": 1}
-        assert len({id(st.pose.rotation) for st in result.stations}) == 1
-        validate(
-            list(result.stations), list(result.features), hf, speeds=[10.0] * 12, noise=noise, elapsed_s=0.0, mode=FillMode.fixed(10.0)
-        )
+        assert len({id(st.rotation) for st in result.stations}) == 1
+        validate(result, hf, speeds=[10.0] * 12, noise=noise, elapsed_s=0.0, mode=FillMode.fixed(10.0))
         assert calls == {"scan": 2, "measure": 2, "rotation": 1}
 
     def test_all_points_dropped_raises(self):
@@ -351,10 +356,8 @@ class TestValidate:
 
     def test_levelled_surface_scores_zero_error(self):
         hf = make_flat(nx=500, ny=500, cell=0.1, origin=(-25.0, -25.0))
-        station = level_station(0.0, 0.0, 310.0)
         report = validate(
-            [station],
-            [self.scan_setup(100.0)],
+            level_refinement([self.scan_setup(100.0)], (0.0, 0.0, 310.0)),
             hf,
             speeds=[10.0],
             noise=SensorNoise.noiseless(),
@@ -368,14 +371,12 @@ class TestValidate:
 
     def test_small_pre_area_excluded_from_statistics(self, caplog):
         hf = make_flat(nx=500, ny=500, cell=0.1, origin=(-25.0, -25.0))
-        stations = [
-            level_station(0.0, -5.0, 310.0),
-            level_station(0.0, 5.0, 310.0),
-        ]
-        features = [self.scan_setup(100.0), self.scan_setup(0.5)]
+        refinement = level_refinement(
+            [self.scan_setup(100.0), self.scan_setup(0.5)], (0.0, -5.0, 310.0), (0.0, 5.0, 310.0)
+        )
         with caplog.at_level("INFO", logger="crackfill.repair"):
             report = validate(
-                stations, features, hf, speeds=[8.0, 8.0], noise=SensorNoise.noiseless(), elapsed_s=1.0, mode=FillMode.adaptive(), area_floor_mm2=1.0
+                refinement, hf, speeds=[8.0, 8.0], noise=SensorNoise.noiseless(), elapsed_s=1.0, mode=FillMode.adaptive(), area_floor_mm2=1.0
             )
         assert [r.station for r in report.records] == [0, 1]
         assert report.records[0].included
@@ -388,38 +389,20 @@ class TestValidate:
         """A half-filled trough must score |post/pre| using the unsigned
         post-fill deviation."""
         hf = make_rect_crack(width=8.0, depth=5.0)
-        scene = make_scene(straight_crack())
-        del scene
-        station = level_station(0.0, 75.0, 305.0)
-        pre = self.scan_setup(80.0)
-        report = validate([station], [pre], hf, speeds=[6.0], noise=SensorNoise.noiseless(), elapsed_s=0.0, mode=FillMode.fixed(6.0))
+        refinement = level_refinement([self.scan_setup(80.0)], (0.0, 75.0, 305.0))
+        report = validate(refinement, hf, speeds=[6.0], noise=SensorNoise.noiseless(), elapsed_s=0.0, mode=FillMode.fixed(6.0))
         # the unfilled trough still measures about 40 mm^2 against pre=80
         assert report.records[0].fill_error == pytest.approx(0.5, rel=0.05)
 
-    def test_stations_must_share_one_scanner(self):
-        hf = make_flat(nx=500, ny=500, cell=0.1, origin=(-25.0, -25.0))
-        stations = [level_station(0.0, -5.0, 310.0), replace(level_station(0.0, 5.0, 310.0), span_mm=30.0)]
-        with pytest.raises(ValueError, match="span and standoff"):
-            validate(
-                stations,
-                [self.scan_setup(100.0)] * 2,
-                hf,
-                speeds=[8.0, 8.0],
-                noise=SensorNoise.noiseless(),
-                elapsed_s=0.0,
-                mode=FillMode.fixed(8.0),
-            )
-
     def test_no_stations_give_an_empty_report(self):
         hf = make_flat(nx=50, ny=50, cell=0.5, origin=(-12.5, -12.5))
-        report = validate([], [], hf, speeds=[], noise=SensorNoise.noiseless(), elapsed_s=0.0, mode=FillMode.fixed(8.0))
+        report = validate(level_refinement([]), hf, speeds=[], noise=SensorNoise.noiseless(), elapsed_s=0.0, mode=FillMode.fixed(8.0))
         assert report.records == () and np.isnan(report.mean_fill_error)
 
     def test_summary_dict_shape(self):
         hf = make_flat(nx=500, ny=500, cell=0.1, origin=(-25.0, -25.0))
-        station = level_station(0.0, 0.0, 310.0)
         report = validate(
-            [station], [self.scan_setup(50.0)], hf, speeds=[8.0], noise=SensorNoise.noiseless(), elapsed_s=3.0, mode=FillMode.fixed(8.0)
+            level_refinement([self.scan_setup(50.0)], (0.0, 0.0, 310.0)), hf, speeds=[8.0], noise=SensorNoise.noiseless(), elapsed_s=3.0, mode=FillMode.fixed(8.0)
         )
         summary = report.summary_dict()
         assert set(summary) == {"mean", "std", "median", "time_s", "mode"}
@@ -484,6 +467,15 @@ class TestRunFill:
         assert surveyed.specimen.heights.tobytes() == surface
         assert surveyed.refinement.waypoints == waypoints
         assert all(wp.speed_mm_s is None for wp in surveyed.refinement.waypoints)
+
+    def test_survey_records_the_scene_scanner(self):
+        """The survey's refinement keeps the span and standoff its stations
+        were scanned with, the ones validate rescans them with."""
+        scene = replace(make_scene(straight_crack()), scan_span_mm=30.0, scan_standoff_mm=300.0)
+        view = repair.image_specimen(scene, scene.build_specimen())
+        refinement = repair.survey(scene, view, SensorNoise.noiseless()).refinement
+        assert (refinement.span_mm, refinement.standoff_mm) == (scene.scan_span_mm, scene.scan_standoff_mm)
+        assert refinement.dropped == 0 and len(refinement.stations) == len(refinement.features) > 0
 
     def test_rotated_laser_mount_calibrates_at_the_crack_scan_angle(self):
         """With the laser mounted 30 degrees about z the calibration strips
