@@ -479,13 +479,15 @@ class ScenarioConfig:
         noise = self.build_noise()
         mount = self.build_laser_mount()
         margin = 5.0
-        cells = ((span + 2 * margin) / cell, (strip_len + 2 * margin) / cell)
-        if cells[0] * cells[1] > MAX_GRID_CELLS:
+        # cell centres from the origin out to at least the far margin; a side
+        # longer than MAX_GRID_CELLS cells is refused below whatever its length
+        sides = (span + 2 * margin, strip_len + 2 * margin)
+        nx, ny = (math.ceil(min(side / cell, MAX_GRID_CELLS)) + 1 for side in sides)
+        if nx * ny > MAX_GRID_CELLS:
             raise ConfigError(
                 f"grid.cell_size_mm {cell} cuts the calibration strip plate (laser.span_mm + {2 * margin:g} by "
                 f"calibration.strip_length_mm + {2 * margin:g}) into more than {MAX_GRID_CELLS} cells"
             )
-        nx, ny = (int(round(n)) for n in cells)
         origin = (-(span / 2 + margin), -margin)
         y0 = (strip_len - scan_len) / 2
         n_stations = _strip_stations(cal)

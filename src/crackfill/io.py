@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .specimen import row_tiles
+
 FLOAT_FMT = "{:.6f}"
 
 
@@ -26,8 +28,17 @@ def fmt_cell(value: float | None) -> str:
     return fmt(value) if value is not None and math.isfinite(value) else ""
 
 
+def pgm_dtype(maxval: int) -> np.dtype:
+    """The sample type of a binary PGM with this maxval: 16-bit samples are big-endian."""
+    return np.dtype(">u2" if maxval > 255 else "u1")
+
+
 def write_pgm(path, data: np.ndarray, maxval: int, comments: list[str] | None = None) -> None:
-    """Write a binary (P5) PGM; 16-bit data is stored big-endian."""
+    """Write a binary (P5) PGM; 16-bit data is stored big-endian.
+
+    Data already in pgm_dtype(maxval) and C order is written as it is,
+    without a copy.
+    """
     data = np.asarray(data)
     if data.ndim != 2:
         raise ValueError("PGM data must be 2-D")
@@ -36,10 +47,9 @@ def write_pgm(path, data: np.ndarray, maxval: int, comments: list[str] | None = 
         header.append(f"# {c}")
     header.append(f"{data.shape[1]} {data.shape[0]}")
     header.append(str(maxval))
-    raw = data.astype(">u2" if maxval > 255 else "u1").tobytes()
     with open(path, "wb") as f:
         f.write(("\n".join(header) + "\n").encode("ascii"))
-        f.write(raw)
+        f.write(np.ascontiguousarray(data, dtype=pgm_dtype(maxval)))
 
 
 def read_pgm(path) -> tuple[np.ndarray, list[str]]:
@@ -78,7 +88,7 @@ def read_pgm(path) -> tuple[np.ndarray, list[str]]:
     width, height, maxval = (int(t) for t in tokens)
     if width < 1 or height < 1 or not 1 <= maxval <= 65535:
         raise ValueError(f"{path}: PGM header gives width {width}, height {height}, maxval {maxval}")
-    dtype = np.dtype(">u2" if maxval > 255 else "u1")
+    dtype = pgm_dtype(maxval)
     count = width * height
     if len(blob) - pos < count * dtype.itemsize:
         raise ValueError(
@@ -98,6 +108,8 @@ def _quantize(values: np.ndarray, lo: float, hi: float, maxval: int) -> np.ndarr
 
 
 def write_heightfield_pgm(path, hf) -> None:
+    """Quantize the heights over their z range to 16 bits, in row tiles
+    (see row_tiles) written into the one payload array."""
     lo = float(hf.heights.min())
     hi = float(hf.heights.max())
     comments = [
@@ -106,7 +118,10 @@ def write_heightfield_pgm(path, hf) -> None:
         f"nominal_surface_mm {fmt(hf.nominal_surface)}",
         f"z_range_mm {fmt(lo)} {fmt(hi)}",
     ]
-    write_pgm(path, _quantize(hf.heights, lo, hi, 65535), 65535, comments)
+    q = np.empty(hf.heights.shape, dtype=pgm_dtype(65535))
+    for rows in row_tiles(*hf.heights.shape):
+        q[rows] = _quantize(hf.heights[rows], lo, hi, 65535)
+    write_pgm(path, q, 65535, comments)
 
 
 def write_depth_pgm(path, depth_image) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NoIntersection, StationOutsideGrid
 from .geometry import CameraIntrinsics, RigidTransform
-from .specimen import Heightfield
+from .specimen import Heightfield, row_tiles
 
 logger = logging.getLogger(__name__)
 
@@ -132,45 +132,67 @@ class SensorNoise:
         return SensorNoise(depth_sigma_fraction=0.0, laser_sigma_mm=0.0)
 
 
-def _raycast(hf: Heightfield, k: CameraIntrinsics, camera_pose: RigidTransform):
-    """Intersect every pixel ray with the heightfield.
+def _ray_dirs(k: CameraIntrinsics, camera_pose: RigidTransform, rows: slice) -> np.ndarray:
+    """Robot-frame directions (rows, width, 3) of the pixel rays of the given
+    image rows, each with unit z in the camera frame."""
+    uu, vv = np.meshgrid(np.arange(k.image_width, dtype=float), np.arange(k.image_height, dtype=float)[rows])
+    dirs_c = np.stack([(uu - k.px) / k.fx, (vv - k.py) / k.fy, np.ones_like(uu)], axis=-1)
+    return dirs_c @ camera_pose.rotation.T
 
-    Returns (t, x, y, valid) where t is the optical-axis depth. Rays
-    are parameterized with unit z in the camera frame, so the ray
+
+def _step(hf: Heightfield, origin: np.ndarray, t: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """One fixed-point step: the depth at which each ray (dirs, one row per ray)
+    reaches the height of the cell under its hit at depth t."""
+    ox, oy, oz = origin
+    h = hf.height_at(ox + t * dirs[:, 0], oy + t * dirs[:, 1])
+    return (h - oz) / dirs[:, 2]
+
+
+def _raycast(hf: Heightfield, k: CameraIntrinsics, camera_pose: RigidTransform) -> np.ndarray:
+    """Intersect every pixel ray with the heightfield; returns the optical-axis depth t.
+
+    Rays are parameterized with unit z in the camera frame, so the ray
     parameter equals depth. The intersection uses fixed-point iteration
     against the nearest-cell surface height, which converges in one
     step for a camera looking straight down and within a few steps for
-    the mild tilts this rig uses. A ray's next depth depends only on its
-    own depth, so each step updates only the rays whose depth changed in
-    the step before; the stop rule still compares every ray.
+    the mild tilts this rig uses. Rays parallel to the plate keep
+    depth 0. The first step covers every ray and runs in tiles of image
+    rows (see row_tiles). A ray's next depth depends only on its own
+    depth, so each later step updates only the rays whose depth changed
+    in the step before; the stop rule still compares every ray of a step.
     """
-    us = np.arange(k.image_width, dtype=float)
-    vs = np.arange(k.image_height, dtype=float)
-    uu, vv = np.meshgrid(us, vs)
-    dirs_c = np.stack([(uu - k.px) / k.fx, (vv - k.py) / k.fy, np.ones_like(uu)], axis=-1)
-    dirs_0 = dirs_c @ camera_pose.rotation.T
-    ox, oy, oz = camera_pose.translation
-    dz = dirs_0[..., 2]
-    live = np.abs(dz) > 1e-12
-    t = np.where(live, (hf.nominal_surface - oz) / np.where(live, dz, 1.0), 0.0)
+    t = np.empty((k.image_height, k.image_width))
     flat_t = t.reshape(-1)
-    flat_dirs = dirs_0.reshape(-1, 3)
-    moving = np.flatnonzero(live)
-    for _ in range(_RAYCAST_ITERATIONS):
-        t_old = flat_t[moving]
-        d = flat_dirs[moving]
-        h = hf.height_at(ox + t_old * d[:, 0], oy + t_old * d[:, 1])
-        t_new = (h - oz) / d[:, 2]
-        flat_t[moving] = t_new
-        if np.allclose(t_new, t_old, atol=1e-9, rtol=0.0):
+    origin = camera_pose.translation
+    moving, dirs = [], []
+    settled = True
+    for rows in row_tiles(k.image_height, k.image_width):
+        d = _ray_dirs(k, camera_pose, rows).reshape(-1, 3)
+        dz = d[:, 2]
+        live = np.abs(dz) > 1e-12
+        tile = flat_t[rows.start * k.image_width : rows.stop * k.image_width]
+        tile[:] = np.where(live, (hf.nominal_surface - origin[2]) / np.where(live, dz, 1.0), 0.0)
+        rays = np.flatnonzero(live)
+        t_old = tile[rays]
+        t_new = _step(hf, origin, t_old, d[rays])
+        tile[rays] = t_new
+        settled &= bool(np.allclose(t_new, t_old, atol=1e-9, rtol=0.0))
+        changed = t_new != t_old
+        moving.append(rays[changed] + rows.start * k.image_width)
+        dirs.append(d[rays[changed]])
+    moving, d = np.concatenate(moving), np.concatenate(dirs)
+    for _ in range(_RAYCAST_ITERATIONS - 1):
+        if settled:
             break
-        moving = moving[t_new != t_old]
-    else:
+        t_old = flat_t[moving]
+        t_new = _step(hf, origin, t_old, d)
+        flat_t[moving] = t_new
+        settled = np.allclose(t_new, t_old, atol=1e-9, rtol=0.0)
+        changed = t_new != t_old
+        moving, d = moving[changed], d[changed]
+    if not settled:
         logger.debug("raycast stopped after %d steps with %d rays still moving", _RAYCAST_ITERATIONS, moving.size)
-    x = ox + t * dirs_0[..., 0]
-    y = oy + t * dirs_0[..., 1]
-    valid = live & (t > 0) & hf.contains(x, y)
-    return t, x, y, valid
+    return t
 
 
 def render_view(
@@ -181,15 +203,27 @@ def render_view(
 ) -> tuple[DepthImage, MaskImage]:
     """Noise-free depth and the ground-truth mask, both from one raycast.
 
-    The mask flags the ray hits that sit below the nominal surface by
-    more than threshold_mm. Raises NoIntersection when no pixel ray
-    hits the grid.
+    A pixel is valid when its ray runs forward into a hit on the grid;
+    invalid pixels read depth 0. The mask flags the valid hits that sit
+    below the nominal surface by more than threshold_mm. Raises
+    NoIntersection when no pixel ray hits the grid.
     """
-    t, x, y, valid = _raycast(hf, k, camera_pose)
+    depth = _raycast(hf, k, camera_pose)
+    valid = np.empty(depth.shape, dtype=bool)
+    flags = np.empty(depth.shape, dtype=bool)
+    ox, oy, _ = camera_pose.translation
+    for rows in row_tiles(k.image_height, k.image_width):
+        d = _ray_dirs(k, camera_pose, rows)
+        t = depth[rows]
+        x = ox + t * d[..., 0]
+        y = oy + t * d[..., 1]
+        hit = valid[rows]
+        hit[...] = (np.abs(d[..., 2]) > 1e-12) & (t > 0) & hf.contains(x, y)
+        flags[rows] = hit & (hf.nominal_surface - hf.height_at(x, y) > threshold_mm)
+        t[~hit] = 0.0
     if not valid.any():
         raise NoIntersection("no camera ray intersects the heightfield")
-    depth = DepthImage(depth_mm=np.where(valid, t, 0.0), valid=valid)
-    return depth, MaskImage(flags=valid & (hf.nominal_surface - hf.height_at(x, y) > threshold_mm))
+    return DepthImage(depth_mm=depth, valid=valid), MaskImage(flags=flags)
 
 
 def add_depth_noise(depth: DepthImage, noise: SensorNoise) -> DepthImage:

@@ -13,7 +13,7 @@ import copy
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,7 +25,20 @@ logger = logging.getLogger(__name__)
 # surface before deposition is considered outside the model's regime.
 MAX_OVERFILL_MM = 80.0
 
+# Work over a full-size grid or image runs in tiles of whole rows holding
+# about this many cells, each written straight into the one output array,
+# so its float64 temporaries take a tile's worth of memory, not the grid's.
+TILE_CELLS = 1 << 15
+
 Profile = float | Sequence[tuple[float, float]]
+
+
+def row_tiles(n_rows: int, row_cells: int) -> Iterator[slice]:
+    """Consecutive slices of n_rows rows, each holding about TILE_CELLS cells
+    (at least one row) of row_cells cells per row."""
+    step = max(1, TILE_CELLS // row_cells)
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
 
 
 def profile_values(profile: Profile, s: np.ndarray) -> np.ndarray:
@@ -209,7 +222,8 @@ def generate_specimen(
 
     Only the block of cells within the maximum half width of the path's
     bounding box is visited; every cell outside it lies farther than
-    that from the path and keeps the nominal height.
+    that from the path and keeps the nominal height. The block is carved
+    in row tiles (see row_tiles), each cell with the same arithmetic.
 
     Raises PathOutsideGrid when the trough (path swept by its half
     width) would not fit inside the grid.
@@ -232,13 +246,15 @@ def generate_specimen(
     ix0, iy0 = np.maximum(lo, 0)
     ix1, iy1 = np.minimum(hi, (nx, ny))
     block = hf.heights[iy0:iy1, ix0:ix1]
-    dist, s = _path_distance_field(hf.x_of(np.arange(ix0, ix1)), hf.y_of(np.arange(iy0, iy1)), pts)
-    near = dist <= half_w
-    widths = profile_values(spec.width, s[near])
-    depths = profile_values(spec.depth, s[near])
-    carved = dist[near] <= widths / 2.0
-    rows, cols = np.nonzero(near)
-    block[rows[carved], cols[carved]] = nominal_surface - depths[carved]
+    xs, ys = hf.x_of(np.arange(ix0, ix1)), hf.y_of(np.arange(iy0, iy1))
+    for tile in row_tiles(*block.shape):
+        dist, s = _path_distance_field(xs, ys[tile], pts)
+        near = dist <= half_w
+        widths = profile_values(spec.width, s[near])
+        depths = profile_values(spec.depth, s[near])
+        carved = dist[near] <= widths / 2.0
+        rows, cols = np.nonzero(near)
+        block[tile][rows[carved], cols[carved]] = nominal_surface - depths[carved]
     return hf
 
 
@@ -446,8 +462,10 @@ def deposit(
     o_perp = hf.origin[1 - dom]
 
     # the nozzle centre's cell on each line
-    # distinct ends differ in the dominant axis, so the divisor is never zero
-    t = (hf.origin[dom] + lines * cs - p0[dom]) / (p1[dom] - p0[dom])
+    # distinct ends differ in the dominant axis, so the divisor is never zero;
+    # on a segment a few ulps long t overflows, and the clip takes it to an end
+    with np.errstate(over="ignore"):
+        t = (hf.origin[dom] + lines * cs - p0[dom]) / (p1[dom] - p0[dom])
     t = np.where(t > 1.0, 1.0, np.where(t < 0.0, 0.0, t))
     centre_perp = p0[1 - dom] + t * (p1[1 - dom] - p0[1 - dom])
     j_c = np.clip(np.rint((centre_perp - o_perp) / cs), 0, n - 1).astype(int)

@@ -19,6 +19,7 @@ from crackfill import (
     Point3,
     RigidTransform,
     Waypoint,
+    axis_angle_rotation,
     generate_specimen,
 )
 
@@ -51,6 +52,12 @@ def make_rect_crack(
 def camera_pose(height_mm=500.0, x=0.0, y=0.0) -> RigidTransform:
     """Camera looking straight down at the plate from the given height."""
     return RigidTransform(CAMERA_DOWN, [x, y, height_mm], Frame.CAMERA, Frame.ROBOT)
+
+
+def tilted(pose: RigidTransform, angle_rad: float) -> RigidTransform:
+    """pose turned by angle_rad about a fixed oblique axis."""
+    rotation = axis_angle_rotation(np.array([1.0, 0.5, 0.0]), angle_rad) @ pose.rotation
+    return RigidTransform(rotation, pose.translation, pose.source_frame, pose.target_frame)
 
 
 def counted(calls: dict, name: str, fn):
@@ -94,8 +101,6 @@ def rect_profile(n=1024, span=40.0, left_frac=0.35, right_frac=0.65, depth=2.0) 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Uniform-ish random rotation built from a random axis and angle."""
-    from crackfill import axis_angle_rotation
-
     axis = rng.normal(size=3)
     while np.linalg.norm(axis) < 1e-6:
         axis = rng.normal(size=3)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crackfill import Heightfield, ScenarioConfig, cli, experiment_modes, run_experiment
+from crackfill import Frame, Heightfield, Point3, ScenarioConfig, cli, experiment_modes, run_experiment
 from crackfill import io as cfio
 from crackfill import config as config_module
 from crackfill import repair as repair_module
@@ -87,6 +87,13 @@ class TestCalibrate:
             assert mean == pytest.approx(expected, rel=0.05)
         assert all(int(r[3]) == 5 for r in rows)
         assert "fitted flow rate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cell", [6, 8, 10, 12, 15])
+    def test_coarse_cells_hold_the_strip(self, tmp_path, cell):
+        """However coarse the grid, the strip plate reaches past the strip's
+        far end and both ends of every scan line."""
+        cfg = write_config(tmp_path, {"grid": {"cell_size_mm": cell}})
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "o"), "calibrate"]) == 0
 
     def test_single_speed_is_a_config_error(self, tmp_path, capsys):
         data = compact_config()
@@ -218,13 +225,21 @@ class TestFill:
         point = err.removeprefix("pipeline error: deposition segment starts and ends at ").rstrip("\n")
         assert point == repr(tuple(float(v) for v in point.strip("()").split(", "))) and "np.float64" not in err
 
-    def test_segment_off_a_coarse_grid_is_a_pipeline_error(self, tmp_path, capsys):
-        """On a 10 mm grid the calibration strip's far end falls off its
-        plate; the message names the segment's ends as plain floats."""
-        cfg = write_config(tmp_path, {"grid": {"cell_size_mm": 10}})
+    def test_segment_off_the_grid_is_a_pipeline_error(self, tmp_path, capsys, monkeypatch):
+        """A plan whose last segment runs past the grid's far edge (y 119.9 mm
+        here); the message names the segment's ends as plain floats."""
+        plan_fill = repair_module.plan_fill
+
+        def run_off_the_grid(*args, **kwargs):
+            plan = plan_fill(*args, **kwargs)
+            ends = [replace(plan.waypoints[-1], refined_robot_pt=Point3(0.0, y, 0.0, Frame.ROBOT)) for y in (100.0, 150.0)]
+            return replace(plan, waypoints=tuple(ends))
+
+        monkeypatch.setattr(repair_module, "plan_fill", run_off_the_grid)
+        cfg = write_config(tmp_path)
         assert cli.main(["--config", cfg, "--out", str(tmp_path / "o"), "fill"]) == 1
         err = capsys.readouterr().err
-        assert err == "pipeline error: segment (0.0, 0.0) -> (0.0, 150.0) leaves the grid\n"
+        assert err == "pipeline error: segment (0.0, 100.0) -> (0.0, 150.0) leaves the grid\n"
 
     def test_summary_is_strict_json_when_no_station_qualifies(self, tmp_path):
         data = compact_config()

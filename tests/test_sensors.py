@@ -16,7 +16,6 @@ from crackfill import (
     RigidTransform,
     SensorNoise,
     StationOutsideGrid,
-    axis_angle_rotation,
     render_depth,
     render_truth_mask,
     scan_profile,
@@ -29,7 +28,7 @@ from crackfill.sensors import (
     add_depth_noise,
     render_view,
 )
-from conftest import CAMERA_DOWN, camera_pose, down_scan_pose, make_flat, make_rect_crack
+from conftest import CAMERA_DOWN, camera_pose, down_scan_pose, make_flat, make_rect_crack, tilted
 
 
 class TestRenderDepth:
@@ -132,11 +131,6 @@ def full_image_raycast(hf, k, camera_pose):
     return t, x, y, live & (t > 0) & hf.contains(x, y)
 
 
-def tilted(pose: RigidTransform, angle_rad: float) -> RigidTransform:
-    rotation = axis_angle_rotation(np.array([1.0, 0.5, 0.0]), angle_rad) @ pose.rotation
-    return RigidTransform(rotation, pose.translation, pose.source_frame, pose.target_frame)
-
-
 class TestRaycast:
     @pytest.mark.parametrize(
         "localization, tilt",
@@ -149,9 +143,13 @@ class TestRaycast:
         pose = tilted(scene.camera_pose, tilt)
         with caplog.at_level("DEBUG", logger="crackfill.sensors"):
             got = _raycast(hf, scene.intrinsics, pose)
-        want = full_image_raycast(hf, scene.intrinsics, pose)
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
+        depth, mask = render_view(hf, scene.intrinsics, pose, scene.mask_threshold_mm)
+        t, x, y, valid = full_image_raycast(hf, scene.intrinsics, pose)
+        assert got.tobytes() == t.tobytes()
+        assert depth.valid.tobytes() == valid.tobytes()
+        assert depth.depth_mm.tobytes() == np.where(valid, t, 0.0).tobytes()
+        want_mask = valid & (hf.nominal_surface - hf.height_at(x, y) > scene.mask_threshold_mm)
+        assert mask.flags.tobytes() == want_mask.tobytes()
         if not localization and not tilt:
             # a 2-cycle of a few rays keeps the default scene from converging
             assert "still moving" in caplog.text

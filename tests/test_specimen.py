@@ -408,7 +408,8 @@ def line_by_line_deposit(hf, start, end, speed_mm_s, params, include_end=True):
     deposited = 0.0
     for idx in stations:
         coord = hf.x_of(idx) if dom == 0 else hf.y_of(idx)
-        t = (coord - p0[dom]) / denom if denom != 0 else 0.0
+        with np.errstate(over="ignore"):  # a segment a few ulps long; the clip takes t to an end
+            t = (coord - p0[dom]) / denom if denom != 0 else 0.0
         centre_perp = p0[1 - dom] + np.clip(t, 0.0, 1.0) * (p1[1 - dom] - p0[1 - dom])
         line = hf.heights[:, idx] if dom == 0 else hf.heights[idx, :]
         j_c = int(np.clip(round((centre_perp - hf.origin[1 - dom]) / cs), 0, len(line) - 1))
@@ -525,6 +526,12 @@ class TestDepositMatchesLineByLine:
     def test_on_a_carved_crack(self, start, end, speed, include_end):
         assert_deposit_matches_reference(CRACK, start, end, speed, PARAMS, include_end)
 
+    @pytest.mark.parametrize("include_end", [True, False])
+    def test_a_segment_a_few_ulps_long(self, include_end):
+        """Its nozzle position along the line overflows to an end without a warning."""
+        hf = trough_plate(4, 5, 0.25, (-1.0 / 3, -0.625), troughs=[(0, 4, 0, 5, 1.0)])
+        assert_deposit_matches_reference(hf, (0.0, 0.0), (0.0, 5e-324), 1.0, DepositionParams(5.0, 1.0), include_end)
+
     @pytest.mark.parametrize("start, end", [((0.0, 0.0), (0.0, 20.0)), ((-8.0, 3.0), (9.0, 1.0))])
     def test_on_a_flat_plate(self, start, end):
         hf = make_flat(nx=60, ny=80, cell=0.5, origin=(-15.0, -5.0))
@@ -593,7 +600,8 @@ class TestDepositMatchesLineByLine:
         cfg = ScenarioConfig.default()
         span, cell = cfg.raw["laser"]["span_mm"], cfg.raw["grid"]["cell_size_mm"]
         strip_len = cfg.raw["calibration"]["strip_length_mm"]
-        hf = make_flat(nx=round((span + 10) / cell), ny=round((strip_len + 10) / cell), cell=cell, origin=(-span / 2 - 5, -5.0))
+        nx, ny = (math.ceil(side / cell) + 1 for side in (span + 10, strip_len + 10))
+        hf = make_flat(nx=nx, ny=ny, cell=cell, origin=(-span / 2 - 5, -5.0))
         for speed in (6.0, 20.0):
             params = cfg.build_deposition(flow_rate=cfg.calibration_flow(speed))
             assert_deposit_matches_reference(hf, (0.0, 0.0), (0.0, strip_len), speed, params)

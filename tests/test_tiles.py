@@ -1,0 +1,276 @@
+"""Row tiles against the full-size code they replaced.
+
+The carve, the raycast with its view, and the heightfield PGM must be
+byte-identical to the full-size references below at several tile sizes,
+and each must hold only a tile's worth of scratch on top of its output.
+"""
+
+import functools
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from crackfill import CrackSpec, Heightfield, NoIntersection, ScenarioConfig, generate_specimen, specimen
+from crackfill import io as cfio
+from crackfill.geometry import CameraIntrinsics, RigidTransform
+from crackfill.sensors import render_view
+from crackfill.specimen import profile_values, row_tiles
+from conftest import tilted
+
+# A crack along robot x on a 2600 x 900 grid, shaped like the benchmark's fill_x scene.
+ALONG_X = {
+    "grid": {"origin_mm": [-130.0, 60.0], "nx": 2600, "ny": 900},
+    "crack": {"path_mm": [[-115.0, 105.0], [115.0, 105.0]]},
+}
+SCENES = {"default": ({}, False), "localization": ({}, True), "along_x": (ALONG_X, False)}
+
+# The default tile and one that leaves a ragged last tile of image rows
+# (7 rows of 640 pixels; 480 = 68 x 7 + 4); small cases also take a
+# single row per tile.
+TILES = [specimen.TILE_CELLS, 4500]
+WITH_ONE_ROW = pytest.mark.parametrize("tile", TILES + [1], indirect=True)
+
+MULTI_SEGMENT = CrackSpec(
+    path=[(-10.0, 5.0), (0.0, 40.0), (15.0, 60.0), (15.0, 90.0)],
+    width=[(0.0, 3.0), (50.0, 8.0), (100.0, 5.0)],
+    depth=[(0.0, 2.0), (80.0, 6.0)],
+)
+MULTI_SEGMENT_GRID = {"origin": (-25.0, 0.0), "cell_size": 0.1, "nx": 500, "ny": 1000}
+
+
+def reference_distance_field(xs, ys, pts):
+    """Distance from every cell centre to the polyline, and the closest point's arclength."""
+    gx, gy = np.meshgrid(xs, ys)
+    best_d2 = np.full(gx.shape, np.inf)
+    best_s = np.zeros(gx.shape)
+    s0 = 0.0
+    for a, b in zip(pts[:-1], pts[1:]):
+        d = b - a
+        seg_len = float(np.hypot(*d))
+        if seg_len**2 == 0:
+            continue
+        t = ((gx - a[0]) * d[0] + (gy - a[1]) * d[1]) / seg_len**2
+        t = np.clip(t, 0.0, 1.0)
+        px = a[0] + t * d[0]
+        py = a[1] + t * d[1]
+        d2 = (gx - px) ** 2 + (gy - py) ** 2
+        closer = d2 < best_d2
+        best_d2[closer] = d2[closer]
+        best_s[closer] = s0 + t[closer] * seg_len
+        s0 += seg_len
+    return np.sqrt(best_d2), best_s
+
+
+def reference_carve(spec, *, origin, cell_size, nx, ny, nominal_surface=0.0):
+    """The carve as one full-size block."""
+    hf = Heightfield.flat(origin, cell_size, nx, ny, nominal_surface)
+    pts = np.asarray(spec.path, dtype=float)
+    half_w = spec.max_width() / 2.0
+    lo = np.floor((pts.min(axis=0) - half_w - origin) / cell_size).astype(int) - 1
+    hi = np.ceil((pts.max(axis=0) + half_w - origin) / cell_size).astype(int) + 2
+    ix0, iy0 = np.maximum(lo, 0)
+    ix1, iy1 = np.minimum(hi, (nx, ny))
+    block = hf.heights[iy0:iy1, ix0:ix1]
+    dist, s = reference_distance_field(hf.x_of(np.arange(ix0, ix1)), hf.y_of(np.arange(iy0, iy1)), pts)
+    near = dist <= half_w
+    widths = profile_values(spec.width, s[near])
+    depths = profile_values(spec.depth, s[near])
+    carved = dist[near] <= widths / 2.0
+    rows, cols = np.nonzero(near)
+    block[rows[carved], cols[carved]] = nominal_surface - depths[carved]
+    return hf
+
+
+def reference_view(hf, k, camera_pose, threshold_mm):
+    """The full-image raycast and view: (depth, valid, mask, rays still moving at the step cap)."""
+    uu, vv = np.meshgrid(np.arange(k.image_width, dtype=float), np.arange(k.image_height, dtype=float))
+    dirs_c = np.stack([(uu - k.px) / k.fx, (vv - k.py) / k.fy, np.ones_like(uu)], axis=-1)
+    dirs_0 = dirs_c @ camera_pose.rotation.T
+    ox, oy, oz = camera_pose.translation
+    dz = dirs_0[..., 2]
+    live = np.abs(dz) > 1e-12
+    t = np.where(live, (hf.nominal_surface - oz) / np.where(live, dz, 1.0), 0.0)
+    flat_t = t.reshape(-1)
+    flat_dirs = dirs_0.reshape(-1, 3)
+    moving = np.flatnonzero(live)
+    still_moving = 0
+    for _ in range(16):
+        t_old = flat_t[moving]
+        d = flat_dirs[moving]
+        h = hf.height_at(ox + t_old * d[:, 0], oy + t_old * d[:, 1])
+        t_new = (h - oz) / d[:, 2]
+        flat_t[moving] = t_new
+        if np.allclose(t_new, t_old, atol=1e-9, rtol=0.0):
+            break
+        moving = moving[t_new != t_old]
+    else:
+        still_moving = moving.size
+    x = ox + t * dirs_0[..., 0]
+    y = oy + t * dirs_0[..., 1]
+    valid = live & (t > 0) & hf.contains(x, y)
+    if not valid.any():
+        raise NoIntersection("no camera ray intersects the heightfield")
+    mask = valid & (hf.nominal_surface - hf.height_at(x, y) > threshold_mm)
+    return np.where(valid, t, 0.0), valid, mask, still_moving
+
+
+def reference_heightfield_pgm(hf) -> bytes:
+    """The whole heightfield PGM file, quantized in one full-size pass."""
+    lo, hi = float(hf.heights.min()), float(hf.heights.max())
+    span = hi - lo
+    if span <= 0:
+        q = np.zeros(hf.heights.shape, dtype=np.uint32)
+    else:
+        q = np.clip(np.rint((hf.heights - lo) / span * 65535), 0, 65535).astype(np.uint32)
+    header = [
+        "P5",
+        f"# origin_mm {cfio.fmt(hf.origin[0])} {cfio.fmt(hf.origin[1])}",
+        f"# cell_size_mm {cfio.fmt(hf.cell_size)}",
+        f"# nominal_surface_mm {cfio.fmt(hf.nominal_surface)}",
+        f"# z_range_mm {cfio.fmt(lo)} {cfio.fmt(hi)}",
+        f"{hf.nx} {hf.ny}",
+        "65535",
+    ]
+    return ("\n".join(header) + "\n").encode("ascii") + q.astype(">u2").tobytes()
+
+
+@functools.cache
+def scene_and_specimen(name):
+    raw, localization = SCENES[name]
+    scene = ScenarioConfig.from_dict(raw).build_scene(localization=localization)
+    hf = reference_carve(
+        scene.crack, origin=scene.grid_origin, cell_size=scene.cell_size_mm, nx=scene.nx, ny=scene.ny
+    )
+    return scene, hf
+
+
+@functools.cache
+def cached_reference_view(name, tilt):
+    scene, hf = scene_and_specimen(name)
+    return reference_view(hf, scene.intrinsics, tilted(scene.camera_pose, tilt), scene.mask_threshold_mm)
+
+
+@pytest.fixture(params=TILES, ids=lambda cells: f"tile{cells}")
+def tile(request, monkeypatch):
+    monkeypatch.setattr(specimen, "TILE_CELLS", request.param)
+    return request.param
+
+
+def traced_peak(fn):
+    """fn's result and the most memory (bytes) it held at once beyond what was held before it."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestRowTiles:
+    @WITH_ONE_ROW
+    @pytest.mark.parametrize("n_rows, row_cells", [(480, 640), (1, 1), (2600, 900), (7, 10**6)])
+    def test_cover_every_row_once_in_order(self, tile, n_rows, row_cells):
+        tiles = list(row_tiles(n_rows, row_cells))
+        assert np.array_equal(np.concatenate([np.arange(n_rows)[s] for s in tiles]), np.arange(n_rows))
+        assert all(s.stop - s.start == max(1, tile // row_cells) for s in tiles[:-1])
+
+    def test_no_rows_no_tiles(self):
+        assert list(row_tiles(0, 640)) == []
+
+
+class TestCarve:
+    @pytest.mark.parametrize("name", SCENES)
+    def test_scenes_match_the_full_block(self, tile, name):
+        scene, want = scene_and_specimen(name)
+        assert scene.build_specimen().heights.tobytes() == want.heights.tobytes()
+
+    @WITH_ONE_ROW
+    def test_multi_segment_tabled_crack_matches_the_full_block(self, tile):
+        got = generate_specimen(MULTI_SEGMENT, **MULTI_SEGMENT_GRID)
+        want = reference_carve(MULTI_SEGMENT, **MULTI_SEGMENT_GRID)
+        assert got.heights.tobytes() == want.heights.tobytes()
+        assert (want.heights < 0).any()
+
+
+class TestView:
+    @pytest.mark.parametrize(
+        "name, tilt", [("default", 0.0), ("localization", 0.0), ("along_x", 0.0), ("default", 0.05)],
+        ids=["default", "localization", "along_x", "tilted"],
+    )
+    def test_scenes_match_the_full_image(self, tile, name, tilt, caplog):
+        scene, hf = scene_and_specimen(name)
+        pose = tilted(scene.camera_pose, tilt)
+        with caplog.at_level("DEBUG", logger="crackfill.sensors"):
+            depth, mask = render_view(hf, scene.intrinsics, pose, scene.mask_threshold_mm)
+        want_depth, want_valid, want_mask, still_moving = cached_reference_view(name, tilt)
+        assert depth.depth_mm.tobytes() == want_depth.tobytes()
+        assert depth.valid.tobytes() == want_valid.tobytes()
+        assert mask.flags.tobytes() == want_mask.tobytes()
+        if still_moving:
+            assert f"stopped after 16 steps with {still_moving} rays still moving" in caplog.text
+        else:
+            assert "still moving" not in caplog.text
+        if name == "localization":
+            assert still_moving == 22  # rays still moving at the step cap are covered
+
+    @WITH_ONE_ROW
+    def test_one_pixel_image(self, tile):
+        scene, hf = scene_and_specimen("default")
+        k = CameraIntrinsics(fx=600.0, fy=600.0, px=0.0, py=0.0, image_width=1, image_height=1)
+        depth, mask = render_view(hf, k, scene.camera_pose, scene.mask_threshold_mm)
+        want_depth, want_valid, want_mask, _ = reference_view(hf, k, scene.camera_pose, scene.mask_threshold_mm)
+        assert depth.depth_mm.tobytes() == want_depth.tobytes() and depth.depth_mm.shape == (1, 1)
+        assert depth.valid.tobytes() == want_valid.tobytes()
+        assert mask.flags.tobytes() == want_mask.tobytes()
+
+    def test_camera_off_the_grid(self, tile):
+        scene, hf = scene_and_specimen("default")
+        pose = RigidTransform(scene.camera_pose.rotation, [5000.0, 125.0, 500.0], scene.camera_pose.source_frame, scene.camera_pose.target_frame)
+        with pytest.raises(NoIntersection):
+            reference_view(hf, scene.intrinsics, pose, scene.mask_threshold_mm)
+        with pytest.raises(NoIntersection):
+            render_view(hf, scene.intrinsics, pose, scene.mask_threshold_mm)
+
+
+class TestHeightfieldPgm:
+    @pytest.mark.parametrize("name", ["default", "along_x"])
+    def test_scenes_match_the_full_size_quantization(self, tile, name, tmp_path):
+        hf = scene_and_specimen(name)[1]
+        cfio.write_heightfield_pgm(tmp_path / "s.pgm", hf)
+        assert (tmp_path / "s.pgm").read_bytes() == reference_heightfield_pgm(hf)
+
+    @WITH_ONE_ROW
+    @pytest.mark.parametrize("name", ["multi_segment", "flat"])
+    def test_small_plates_match_the_full_size_quantization(self, tile, name, tmp_path):
+        if name == "multi_segment":
+            hf = reference_carve(MULTI_SEGMENT, **MULTI_SEGMENT_GRID)
+        else:  # constant height: a zero z span quantizes to all zeros
+            hf = Heightfield.flat((0.0, 0.0), 0.5, 30, 20, nominal_surface=3.0)
+        cfio.write_heightfield_pgm(tmp_path / "s.pgm", hf)
+        assert (tmp_path / "s.pgm").read_bytes() == reference_heightfield_pgm(hf)
+
+
+class TestScratchBudgets:
+    """Each stage's traced peak stays near its output, far below the full-size
+    temporaries (the full-size code peaked at about 9.5x the PGM payload,
+    45 MB for the view, and the heights plus 28 MB for the carve)."""
+
+    def test_heightfield_pgm_within_twice_its_payload(self, tmp_path):
+        hf = scene_and_specimen("along_x")[1]
+        _, peak = traced_peak(lambda: cfio.write_heightfield_pgm(tmp_path / "s.pgm", hf))
+        assert peak <= 2 * (2 * hf.nx * hf.ny)
+
+    def test_default_view_within_20_mb(self):
+        scene, hf = scene_and_specimen("default")
+        _, peak = traced_peak(lambda: render_view(hf, scene.intrinsics, scene.camera_pose, scene.mask_threshold_mm))
+        assert peak <= 20e6
+
+    def test_default_carve_within_heights_plus_8_mb(self):
+        scene = ScenarioConfig.default().build_scene()
+        hf, peak = traced_peak(scene.build_specimen)
+        assert peak <= hf.heights.nbytes + 8e6
