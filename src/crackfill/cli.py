@@ -44,7 +44,6 @@ from .errors import (
 from .perception import Waypoint
 from .profile import calibrate
 from .repair import (
-    FillRunArtifacts,
     edge_threshold_for,
     experiment_modes,
     image_specimen,
@@ -55,29 +54,19 @@ from .repair import (
 )
 
 
-def _write_waypoints_csv(path, waypoints: tuple[Waypoint, ...]) -> None:
-    columns = (
-        "u,v,depth_mm,x_mm,y_mm,z_mm,"
-        "refined_x_mm,refined_y_mm,refined_z_mm,area_mm2,speed_mm_s"
-    )
-    with open(path, "w", newline="\n") as f:
-        f.write(columns + "\n")
-        for wp in waypoints:
-            refined = wp.refined_robot_pt
-            cells = [
-                str(wp.pixel.u),
-                str(wp.pixel.v),
-                io.fmt(wp.pixel.depth),
-                io.fmt(wp.robot_pt.x),
-                io.fmt(wp.robot_pt.y),
-                io.fmt(wp.robot_pt.z),
-                io.fmt(refined.x) if refined is not None else "",
-                io.fmt(refined.y) if refined is not None else "",
-                io.fmt(refined.z) if refined is not None else "",
-                io.fmt_cell(wp.area_mm2),
-                io.fmt_cell(wp.speed_mm_s),
-            ]
-            f.write(",".join(cells) + "\n")
+WAYPOINTS_HEADER = "u,v,depth_mm,x_mm,y_mm,z_mm,refined_x_mm,refined_y_mm,refined_z_mm,area_mm2,speed_mm_s"
+
+
+def _waypoint_row(wp: Waypoint) -> list[str]:
+    refined = wp.refined_robot_pt
+    return [
+        str(wp.pixel.u),
+        str(wp.pixel.v),
+        *map(io.fmt, (wp.pixel.depth, wp.robot_pt.x, wp.robot_pt.y, wp.robot_pt.z)),
+        *(map(io.fmt, (refined.x, refined.y, refined.z)) if refined is not None else ("", "", "")),
+        io.fmt_cell(wp.area_mm2),
+        io.fmt_cell(wp.speed_mm_s),
+    ]
 
 
 def cmd_calibrate(cfg: ScenarioConfig, out: Path) -> int:
@@ -85,25 +74,17 @@ def cmd_calibrate(cfg: ScenarioConfig, out: Path) -> int:
     model = calibrate(scans, edge_threshold_for(cfg.build_noise()))
     io.ensure_dir(out)
     io.write_json(out / "calibration.json", model.to_dict())
-    with open(out / "calibration_areas.csv", "w", newline="\n") as f:
-        f.write("speed_mm_s,mean_area_mm2,std_area_mm2,n_profiles\n")
-        for sample, (_, profiles) in zip(model.samples, scans):
-            f.write(
-                f"{io.fmt(sample.speed_mm_s)},{io.fmt(sample.area_mm2)},"
-                f"{io.fmt(sample.std_mm2)},{profiles.n_lines}\n"
-            )
+    io.write_csv(
+        out / "calibration_areas.csv",
+        "speed_mm_s,mean_area_mm2,std_area_mm2,n_profiles",
+        (
+            [io.fmt(sample.speed_mm_s), io.fmt(sample.area_mm2), io.fmt(sample.std_mm2), str(profiles.n_lines)]
+            for sample, (_, profiles) in zip(model.samples, scans)
+        ),
+    )
     print(f"fitted flow rate {model.flow_rate_mm3_s:.3f} mm^3/s over {len(model.samples)} speeds")
     print(f"wrote {out / 'calibration.json'} and {out / 'calibration_areas.csv'}")
     return 0
-
-
-def _write_fill_artifacts(out: Path, artifacts: FillRunArtifacts) -> None:
-    io.ensure_dir(out)
-    _write_waypoints_csv(out / "waypoints.csv", artifacts.plan.waypoints)
-    io.write_heightfield_pgm(out / "surface_pre.pgm", artifacts.surface_before)
-    io.write_heightfield_pgm(out / "surface_post.pgm", artifacts.surface_after)
-    artifacts.report.to_csv(out / "fill_report.csv")
-    artifacts.report.to_json(out / "fill_summary.json")
 
 
 def cmd_fill(cfg: ScenarioConfig, out: Path) -> int:
@@ -117,8 +98,20 @@ def cmd_fill(cfg: ScenarioConfig, out: Path) -> int:
         model,
         cfg.build_mask(),
     )
-    _write_fill_artifacts(out, artifacts)
     report = artifacts.report
+    io.ensure_dir(out)
+    io.write_csv(out / "waypoints.csv", WAYPOINTS_HEADER, map(_waypoint_row, artifacts.plan.waypoints))
+    io.write_heightfield_pgm(out / "surface_pre.pgm", artifacts.surface_before)
+    io.write_heightfield_pgm(out / "surface_post.pgm", artifacts.surface_after)
+    io.write_csv(
+        out / "fill_report.csv",
+        "station,area_pre_mm2,area_post_mm2,fill_error,speed_mm_s",
+        (
+            [str(number), io.fmt(r.area_pre_mm2), io.fmt(r.area_post_mm2), io.fmt_cell(r.fill_error), io.fmt(r.speed_mm_s)]
+            for number, r in enumerate(report.records)
+        ),
+    )
+    io.write_json(out / "fill_summary.json", report.summary_dict())
     print(
         f"mode {mode.label()}: mean fill error {report.mean_fill_error:.4f}, "
         f"median {report.median_fill_error:.4f}, elapsed {report.elapsed_s:.2f} s"
@@ -149,14 +142,20 @@ def cmd_experiment(cfg: ScenarioConfig, out: Path, parallel: int) -> int:
         parts = list(map(run, chunks))
     reports = [report for part in parts for report in part]
     io.ensure_dir(out)
-    with open(out / "experiment.csv", "w", newline="\n") as f:
-        f.write("Speed (mm/s),Mean,Std. Dev.,Median,Time (s)\n")
-        for mode, report in zip(modes, reports):
-            f.write(
-                f"{mode.label().capitalize()},{io.fmt_cell(report.mean_fill_error)},"
-                f"{io.fmt_cell(report.std_fill_error)},{io.fmt_cell(report.median_fill_error)},"
-                f"{io.fmt(report.elapsed_s)}\n"
-            )
+    io.write_csv(
+        out / "experiment.csv",
+        "Speed (mm/s),Mean,Std. Dev.,Median,Time (s)",
+        (
+            [
+                mode.label().capitalize(),
+                io.fmt_cell(report.mean_fill_error),
+                io.fmt_cell(report.std_fill_error),
+                io.fmt_cell(report.median_fill_error),
+                io.fmt(report.elapsed_s),
+            ]
+            for mode, report in zip(modes, reports)
+        ),
+    )
     for mode, report in zip(modes, reports):
         print(
             f"mode {mode.label():>8}: mean {report.mean_fill_error:.4f}, "
@@ -171,7 +170,7 @@ def cmd_localize(cfg: ScenarioConfig, out: Path) -> int:
     noise = cfg.build_noise(localization=True)
     report = localization_experiment(scene, noise, cfg.raw["localization"]["n_scans"])
     io.ensure_dir(out)
-    report.to_json(out / "localization.json")
+    io.write_json(out / "localization.json", report.to_dict())
     print(
         f"localization over {report.n_pairs} pairs: "
         f"X {report.x.mean_abs_mm:.3f} mm, Y {report.y.mean_abs_mm:.3f} mm, "
@@ -190,7 +189,7 @@ def cmd_scan(cfg: ScenarioConfig, out: Path) -> int:
     io.write_depth_pgm(out / "depth.pgm", surveyed.perception.depth)
     io.write_mask_pgm(out / "mask.pgm", view.mask.flags)
     io.write_mask_pgm(out / "skeleton.pgm", view.skeleton.flags)
-    _write_waypoints_csv(out / "waypoints.csv", refinement.waypoints)
+    io.write_csv(out / "waypoints.csv", WAYPOINTS_HEADER, map(_waypoint_row, refinement.waypoints))
     print(
         f"found {len(refinement.waypoints)} waypoints "
         f"({refinement.dropped} dropped during refinement)"

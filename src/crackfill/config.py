@@ -124,6 +124,7 @@ def _flow_map(v, path: str) -> None:
         return
     if not isinstance(v, dict):
         raise ConfigError(f"{path} must be an object or null, got {v!r}")
+    keys: dict[float, str] = {}
     for key, flow in v.items():
         try:
             speed = float(key)
@@ -131,6 +132,9 @@ def _flow_map(v, path: str) -> None:
             speed = math.nan
         if not math.isfinite(speed):
             raise ConfigError(f"{path} keys must be finite numbers, got {key!r}")
+        if speed in keys:
+            raise ConfigError(f"{path} keys {keys[speed]!r} and {key!r} name the same speed {speed:g}")
+        keys[speed] = key
         _positive(flow, f"{path}[{key!r}]")
 
 
@@ -181,6 +185,10 @@ _SPEEDS_MM_S = [6.0, 8.0, 10.0, 15.0, 20.0]
 # samples (stations x SCANNER_POINTS) at most MAX_GRID_CELLS values each.
 MAX_IMAGE_PIXELS = 2048 * 2048
 MAX_GRID_CELLS = 2**24
+# A pixel ray may run at most this many mm sideways per mm of depth, far
+# past any real lens. Corner rays much steeper (a tiny fx or fy) hit the
+# plate at positions whose cell indices overflow.
+MAX_RAY_SLOPE = 1e6
 
 # The scenario schema. A dict is a block of keys; a Field is a leaf.
 SCHEMA: dict = {
@@ -317,6 +325,12 @@ class ScenarioConfig:
             raise ConfigError(
                 f"camera.width x camera.height must be at most {MAX_IMAGE_PIXELS} pixels, got {cam['width']} x {cam['height']}"
             )
+        for key, centre, size in (("fx", "px", "width"), ("fy", "py", "height")):
+            slope = max(cam[centre], cam[size] - 1 - cam[centre]) / cam[key]
+            if not slope <= MAX_RAY_SLOPE:
+                raise ConfigError(
+                    f"camera.{key} {cam[key]} gives a corner pixel ray a slope of {slope:g}, more than {MAX_RAY_SLOPE:g}"
+                )
         grid = raw["grid"]
         if grid["nx"] * grid["ny"] > MAX_GRID_CELLS:
             raise ConfigError(f"grid.nx x grid.ny must be at most {MAX_GRID_CELLS} cells, got {grid['nx']} x {grid['ny']}")

@@ -1,9 +1,10 @@
 """Artifact readers and writers: binary PGM images, CSV tables, JSON.
 
-All writers are deterministic: fixed float formatting, sorted JSON
-keys, no timestamps. JSON is strict: a NaN or infinite float is written
-as null. PGM headers carry the metadata needed to invert the integer
-quantization (origin, cell size, z range).
+This is the only module that opens an artifact file. All writers are
+deterministic: fixed float formatting, sorted JSON keys, no timestamps.
+JSON is strict: a NaN or infinite float is written as null. PGM headers
+carry the metadata needed to invert the integer quantization (origin,
+cell size, z range).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -155,6 +157,14 @@ def write_json(path, obj: dict) -> None:
     with open(path, "w", newline="\n") as f:
         json.dump(_finite_or_null(obj), f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
+
+
+def write_csv(path, header: str, rows: Iterable[Sequence[str]]) -> None:
+    """Write the header line, then one line per row of already formatted cells."""
+    with open(path, "w", newline="\n") as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join(row) + "\n")
 
 
 def read_json(path) -> dict:

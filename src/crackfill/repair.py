@@ -138,7 +138,6 @@ class FillPlan:
     """Ordered waypoints with per-segment speeds already assigned."""
 
     waypoints: tuple[Waypoint, ...]
-    mode: FillMode
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,8 @@ class ExecutionResult:
 
 @dataclass(frozen=True)
 class StationRecord:
-    station: int
+    """One rescanned station; its number is its position in FillReport.records."""
+
     area_pre_mm2: float
     area_post_mm2: float
     fill_error: float | None
@@ -168,20 +168,6 @@ class FillReport:
     elapsed_s: float
     mode: FillMode
 
-    def included_errors(self) -> list[float]:
-        return [r.fill_error for r in self.records if r.included]
-
-    def to_csv(self, path) -> None:
-        from . import io as _io
-
-        with open(path, "w", newline="\n") as f:
-            f.write("station,area_pre_mm2,area_post_mm2,fill_error,speed_mm_s\n")
-            for r in self.records:
-                f.write(
-                    f"{r.station},{_io.fmt(r.area_pre_mm2)},{_io.fmt(r.area_post_mm2)},"
-                    f"{_io.fmt_cell(r.fill_error)},{_io.fmt(r.speed_mm_s)}\n"
-                )
-
     def summary_dict(self) -> dict:
         return {
             "mean": self.mean_fill_error,
@@ -190,11 +176,6 @@ class FillReport:
             "time_s": self.elapsed_s,
             "mode": self.mode.label(),
         }
-
-    def to_json(self, path) -> None:
-        from . import io as _io
-
-        _io.write_json(path, self.summary_dict())
 
 
 @dataclass(frozen=True)
@@ -227,11 +208,6 @@ class LocalizationReport:
                 "refined_lateral_max_mm": self.refined_lateral_max_mm,
             },
         }
-
-    def to_json(self, path) -> None:
-        from . import io as _io
-
-        _io.write_json(path, self.to_dict())
 
 
 @dataclass(frozen=True)
@@ -443,7 +419,7 @@ def plan_fill(waypoints: list[Waypoint], mode: FillMode, model: CalibrationModel
         else:
             speed = float(mode.fixed_speed_mm_s)
         planned.append(replace(wp, speed_mm_s=speed))
-    return FillPlan(waypoints=tuple(planned), mode=mode)
+    return FillPlan(waypoints=tuple(planned))
 
 
 def execute_fill(hf: Heightfield, plan: FillPlan, params: DepositionParams) -> ExecutionResult:
@@ -488,7 +464,7 @@ def validate(
     The refinement's stations are rescanned as one batch with its span
     and standoff, and station i is scored against features[i].
     speeds[i] is the planned travel speed at station i; the report
-    records it with the station, numbered i. The fill error at a station is
+    records it in records[i]. The fill error at a station is
     |post area / pre area| using unsigned deviation areas, so over- and
     under-fill cannot cancel. If the post-fill profile no longer shows
     edges (the fill levelled the surface) the post area integrates the
@@ -525,7 +501,6 @@ def validate(
             errors.append(err)
         records.append(
             StationRecord(
-                station=number,
                 area_pre_mm2=pre.area_mm2,
                 area_post_mm2=area_post,
                 fill_error=err,

@@ -384,8 +384,13 @@ def test_refinement_keeps_perception_order(monkeypatch):
 
 
 # The scenario files a pinned run can name with --config; the others read
-# scenario.json.
-SCENARIO_FILES = {"scenario.json": EXPERIMENT_CONFIG, "crack_along_x.json": CRACK_ALONG_X_CONFIG}
+# scenario.json. In no_station_qualifies.json every station's pre-fill area
+# is below the floor, so the fill statistics are empty cells and nulls.
+SCENARIO_FILES = {
+    "scenario.json": EXPERIMENT_CONFIG,
+    "crack_along_x.json": CRACK_ALONG_X_CONFIG,
+    "no_station_qualifies.json": {**EXPERIMENT_CONFIG, "fill": {"area_floor_mm2": 1000}},
+}
 
 # sha256 of every artifact each subcommand writes for EXPERIMENT_CONFIG at the
 # default seed. Recorded before perception was split from repair (one survey
@@ -425,6 +430,17 @@ ARTIFACT_DIGESTS = {
         "surface_post.pgm": "699178122f43e554985c962887c19e2d54ad46e1184e955b14168e07d7efb515",
         "surface_pre.pgm": "567fb0513c71d0a65863607416d4e8a5e44cabd8903072a0df28f07c8124a33d",
         "waypoints.csv": "2d8469fc168a499ba92236f0650065bbbd61ee85ad460802d95752e21a0ee60e",
+    },
+    # recorded while each report wrote its own CSV and JSON
+    ("--config", "no_station_qualifies.json", "fill"): {
+        "fill_report.csv": "911048815cdc175bd81435e342239213791da73002e2df72885a9f21dc68b359",
+        "fill_summary.json": "aaf443497e1f3642910761acc4c294d83eed644fedf50478f1da364a6b4d4de7",
+        "surface_post.pgm": "61456477abc85288a6f64d754a408edee58885961395e02a01156e95c5a5900a",
+        "surface_pre.pgm": "e40d0a311e7ac6f669cc0fda1d54b8a7ceaa5d6daf6c00125abed4d13a116a8d",
+        "waypoints.csv": "42c6449fe970320a2e03f095d017f5215156c4cc6850dfa6d87d6fed6fe77164",
+    },
+    ("--config", "no_station_qualifies.json", "experiment"): {
+        "experiment.csv": "8a314f10c425d7108adb1c1370b7df885e8070176943c058224c41046f2b9ecf",
     },
 }
 

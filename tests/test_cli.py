@@ -7,6 +7,9 @@ prefixes, and byte-level determinism are the contract under test.
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -454,6 +457,22 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: calibration.scan_step_mm") and "Traceback" not in err
         assert built == []
+
+    def test_steep_camera_rays_exit_without_a_warning(self, tmp_path):
+        """A focal length of 1e-300 is refused before any ray is cast; left in,
+        it made numpy warn about an invalid cast and fill from the centre
+        column alone. A fresh interpreter prints any warning it meets."""
+        cfg = write_config(tmp_path, {"camera": {"fx": 1e-300}})
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env["PYTHONWARNINGS"] = "default"
+        argv = ["--config", cfg, "--out", str(tmp_path / "o"), "fill"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "crackfill.cli", *argv], env=env, capture_output=True, text=True, timeout=600
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: camera.fx ")
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestBadMaskFiles:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from crackfill import ConfigError, ScenarioConfig, cli, rotation_about_y
-from crackfill.config import MAX_GRID_CELLS, SCHEMA, Field, _strip_stations
+from crackfill.config import MAX_GRID_CELLS, MAX_RAY_SLOPE, SCHEMA, Field, _strip_stations
 from crackfill.sensors import SCANNER_POINTS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -156,6 +156,45 @@ def test_strip_batch_over_the_sample_cap():
     for step in (100.0 / 16384, 1e-3, 5e-324):
         with pytest.raises(ConfigError, match=r"^calibration\.scan_step_mm .* more than 16384 laser stations"):
             ScenarioConfig.from_dict({"calibration": {"scan_step_mm": step}})
+
+
+@pytest.mark.parametrize(
+    "camera, slope",
+    [
+        ({"fx": 3.3e-4}, None),
+        ({"fx": 3.1e-4}, 320 / 3.1e-4),
+        ({"fy": 2.5e-4}, None),
+        ({"fy": 2e-4}, 240 / 2e-4),
+        # the principal point's far side sets the slope: 639 - 100 columns
+        ({"fx": 5.5e-4, "px": 100.0}, None),
+        ({"fx": 5e-4, "px": 100.0}, 539 / 5e-4),
+        ({"fx": 1e-300}, 320 / 1e-300),
+        ({"fy": 5e-324}, math.inf),
+    ],
+)
+def test_corner_ray_slope(camera, slope):
+    """A focal length so short that a corner pixel's ray leaves the optical
+    axis at a slope over MAX_RAY_SLOPE is refused; at 1e-300 the rays hit
+    the plate at positions whose cell indices overflow."""
+    if slope is None:
+        ScenarioConfig.from_dict({"camera": camera})
+        return
+    key = "fx" if "fx" in camera else "fy"
+    message = f"camera.{key} {camera[key]} gives a corner pixel ray a slope of {slope:g}, more than 1e+06"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ScenarioConfig.from_dict({"camera": camera})
+    assert slope > MAX_RAY_SLOPE
+
+
+@pytest.mark.parametrize("keys", [("6", "6.0"), ("6.0", "6")])
+def test_flow_map_names_each_speed_once(tmp_path, capsys, keys):
+    """Two keys for one speed are refused in either order, rather than the
+    first one silently winning."""
+    flows = dict(zip(keys, (994.584, 10.0)))
+    assert run_scan(tmp_path, {"calibration": {"flow_per_speed_mm3_s": flows}}) == 2
+    assert capsys.readouterr().err == (
+        f"config error: calibration.flow_per_speed_mm3_s keys {keys[0]!r} and {keys[1]!r} name the same speed 6\n"
+    )
 
 
 def test_localization_crack_merges_over_its_own_defaults():

@@ -596,7 +596,7 @@ class TestBatchMatchesPerStation:
             except NoEdges:
                 fallbacks += 1
                 _, area_post = reference_window_area(x, z, valid, pre.left_index, pre.right_index)
-            records.append(StationRecord(number, pre.area_mm2, area_post, abs(area_post / pre.area_mm2), speed, True))
+            records.append(StationRecord(pre.area_mm2, area_post, abs(area_post / pre.area_mm2), speed, True))
         assert fallbacks == 2
         assert report.records == tuple(records)
         errors = [r.fill_error for r in records]

@@ -378,12 +378,10 @@ class TestValidate:
             report = validate(
                 refinement, hf, speeds=[8.0, 8.0], noise=SensorNoise.noiseless(), elapsed_s=1.0, mode=FillMode.adaptive(), area_floor_mm2=1.0
             )
-        assert [r.station for r in report.records] == [0, 1]
-        assert report.records[0].included
-        assert not report.records[1].included
+        assert [r.included for r in report.records] == [True, False]
         assert report.records[1].fill_error is None
         assert "station 1 excluded" in caplog.text
-        assert len(report.included_errors()) == 1
+        assert report.mean_fill_error == report.records[0].fill_error
 
     def test_residual_trough_measured_against_pre_area(self):
         """A half-filled trough must score |post/pre| using the unsigned

@@ -13,7 +13,6 @@ from crackfill import (
     CrackFillError,
     CrackSpec,
     DepositionParams,
-    FillMode,
     FillPlan,
     Frame,
     Heightfield,
@@ -613,11 +612,10 @@ class TestDepositMatchesLineByLine:
         hf = generate_specimen(spec, origin=(-25.0, 0.0), cell_size=0.1, nx=500, ny=200)
         stops = [(-18.0, 10.2, 7.0), (-9.5, 9.8, 12.0), (-1.03, 10.05, 50.0), (8.0, 10.4, 4.0), (18.0, 10.0, 20.0)]
         plan = FillPlan(
-            waypoints=tuple(
+            tuple(
                 Waypoint(PixelCoord(0.0, 0.0, 500.0), Point3(0.0, 0.0, 500.0, Frame.CAMERA), Point3(x, y, 0.0, Frame.ROBOT), speed_mm_s=v)
                 for x, y, v in stops
-            ),
-            mode=FillMode.fixed(10.0),
+            )
         )
         got_hf, want_hf = hf.copy(), hf.copy()
         got = execute_fill(got_hf, plan, PARAMS).segments
