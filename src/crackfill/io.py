@@ -44,14 +44,16 @@ def write_pgm(path, data: np.ndarray, maxval: int, comments: list[str] | None = 
     data = np.asarray(data)
     if data.ndim != 2:
         raise ValueError("PGM data must be 2-D")
-    header = ["P5"]
-    for c in comments or []:
-        header.append(f"# {c}")
-    header.append(f"{data.shape[1]} {data.shape[0]}")
-    header.append(str(maxval))
+    _write_pgm_rows(path, data.shape, maxval, comments, [data])
+
+
+def _write_pgm_rows(path, shape: tuple[int, int], maxval: int, comments: list[str] | None, blocks: Iterable[np.ndarray]) -> None:
+    """Write a binary PGM of shape (rows, columns) from consecutive blocks of its rows."""
+    header = ["P5", *(f"# {c}" for c in comments or []), f"{shape[1]} {shape[0]}", str(maxval)]
     with open(path, "wb") as f:
         f.write(("\n".join(header) + "\n").encode("ascii"))
-        f.write(np.ascontiguousarray(data, dtype=pgm_dtype(maxval)))
+        for block in blocks:
+            f.write(np.ascontiguousarray(block, dtype=pgm_dtype(maxval)))
 
 
 def read_pgm(path) -> tuple[np.ndarray, list[str]]:
@@ -111,7 +113,7 @@ def _quantize(values: np.ndarray, lo: float, hi: float, maxval: int) -> np.ndarr
 
 def write_heightfield_pgm(path, hf) -> None:
     """Quantize the heights over their z range to 16 bits, in row tiles
-    (see row_tiles) written into the one payload array."""
+    (see row_tiles) each written straight to the file."""
     lo = float(hf.heights.min())
     hi = float(hf.heights.max())
     comments = [
@@ -120,10 +122,8 @@ def write_heightfield_pgm(path, hf) -> None:
         f"nominal_surface_mm {fmt(hf.nominal_surface)}",
         f"z_range_mm {fmt(lo)} {fmt(hi)}",
     ]
-    q = np.empty(hf.heights.shape, dtype=pgm_dtype(65535))
-    for rows in row_tiles(*hf.heights.shape):
-        q[rows] = _quantize(hf.heights[rows], lo, hi, 65535)
-    write_pgm(path, q, 65535, comments)
+    tiles = (_quantize(hf.heights[rows], lo, hi, 65535) for rows in row_tiles(*hf.heights.shape))
+    _write_pgm_rows(path, hf.heights.shape, 65535, comments, tiles)
 
 
 def write_depth_pgm(path, depth_image) -> None:

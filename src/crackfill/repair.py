@@ -57,7 +57,7 @@ from .sensors import (
     render_view,
     scan_profile,
 )
-from .specimen import CrackSpec, DepositionParams, DepositResult, Heightfield, deposit, generate_specimen
+from .specimen import CrackSpec, DepositionParams, DepositResult, Heightfield, deposit_path, generate_specimen
 
 logger = logging.getLogger(__name__)
 
@@ -423,30 +423,20 @@ def plan_fill(waypoints: list[Waypoint], mode: FillMode, model: CalibrationModel
 
 
 def execute_fill(hf: Heightfield, plan: FillPlan, params: DepositionParams) -> ExecutionResult:
-    """Run the extruder along the planned path, segment by segment.
+    """Run the extruder along the planned path in one deposit_path call.
 
     Each segment between consecutive waypoints is deposited at the
     starting waypoint's speed; interior segment ends are left to the
     following segment so no cross-section is deposited twice. Elapsed
     time is purge time plus the sum of segment length over speed.
     """
-    elapsed = params.purge_time_s
-    segments: list[DepositResult] = []
     pts = plan.waypoints
-    for i in range(len(pts) - 1):
-        a = pts[i].position()
-        b = pts[i + 1].position()
-        result = deposit(
-            hf,
-            (a.x, a.y),
-            (b.x, b.y),
-            pts[i].speed_mm_s,
-            params,
-            include_end=(i == len(pts) - 2),
-        )
-        segments.append(result)
+    positions = [(p.x, p.y) for p in (wp.position() for wp in pts)]
+    segments = tuple(deposit_path(hf, positions, [wp.speed_mm_s for wp in pts[:-1]], params))
+    elapsed = params.purge_time_s
+    for result in segments:
         elapsed += result.elapsed_s
-    return ExecutionResult(elapsed_s=elapsed, segments=tuple(segments))
+    return ExecutionResult(elapsed_s=elapsed, segments=segments)
 
 
 def validate(

@@ -235,7 +235,10 @@ def add_depth_noise(depth: DepthImage, noise: SensorNoise) -> DepthImage:
     if noise.depth_sigma_fraction <= 0:
         return depth
     rng = noise.generator(0)
-    jitter = rng.normal(0.0, 1.0, size=depth.depth_mm.shape) * depth.depth_mm * noise.depth_sigma_fraction
+    # the stream normal(0, 1) draws, scaled in place
+    jitter = rng.standard_normal(depth.depth_mm.shape)
+    jitter *= depth.depth_mm
+    jitter *= noise.depth_sigma_fraction
     return DepthImage(depth_mm=np.where(depth.valid, depth.depth_mm + jitter, 0.0), valid=depth.valid)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -99,11 +100,14 @@ class Heightfield:
     def y_of(self, iy) -> np.ndarray | float:
         return self.origin[1] + np.asarray(iy) * self.cell_size
 
+    # The nearest cell index; a position off the grid is first clipped to
+    # the index one cell beyond its edge (-1 or n), so the cast never
+    # overflows and in-grid indices are unchanged.
     def ix_of(self, x) -> np.ndarray:
-        return np.rint((np.asarray(x) - self.origin[0]) / self.cell_size).astype(int)
+        return np.rint(np.clip((np.asarray(x) - self.origin[0]) / self.cell_size, -1, self.nx)).astype(int)
 
     def iy_of(self, y) -> np.ndarray:
-        return np.rint((np.asarray(y) - self.origin[1]) / self.cell_size).astype(int)
+        return np.rint(np.clip((np.asarray(y) - self.origin[1]) / self.cell_size, -1, self.ny)).astype(int)
 
     def contains(self, x, y) -> np.ndarray:
         ix = self.ix_of(x)
@@ -293,7 +297,7 @@ def _brentq(f: Callable[[float], float], xa: float, xb: float) -> float:
     """Root of f in [xa, xb] by Brent's method (Brent, 1973): a step-for-step port of
     SciPy's Zeros/brentq.c with xtol 1e-12, rtol 4 eps and 100 iterations, which
     tests/test_specimen.py checks against SciPy's brentq bit for bit."""
-    xtol, rtol = 1e-12, 4 * np.finfo(float).eps
+    xtol, rtol = 1e-12, 4 * sys.float_info.epsilon
     xpre, xcur = xa, xb
     fpre, fcur = f(xpre), f(xcur)
     if fpre == 0:
@@ -343,53 +347,281 @@ def _cap_shape(chord: float, area: float) -> tuple[float, float, float]:
     """
     semi_area = math.pi * chord**2 / 8.0
     if area <= semi_area:
-        f = lambda th: chord**2 * (th - math.sin(th) * math.cos(th)) / (4.0 * math.sin(th) ** 2) - area
+        chord_sq = chord**2
+
+        def f(th: float) -> float:
+            sin = math.sin(th)
+            return chord_sq * (th - sin * math.cos(th)) / (4.0 * sin**2) - area
+
         theta = _brentq(f, 1e-9, math.pi / 2.0)
         radius = chord / (2.0 * math.sin(theta))
         return radius**2, radius * math.cos(theta), 0.0
     return (chord / 2.0) ** 2, 0.0, (area - semi_area) / chord
 
 
-def _caps(offsets: np.ndarray, chords: np.ndarray, areas: np.ndarray, cell_size: float) -> np.ndarray:
-    """Bead heights of one cap per row, at lateral offsets from its centre.
+def _caps(view: np.ndarray, at: tuple, centre: np.ndarray, chords: np.ndarray, areas: np.ndarray, o_perp: float, cell_size: float) -> np.ndarray:
+    """Pile one bead cap per row onto the cells at = (rows, cells) of view
+    and return each row's highest cell.
 
-    Row r is the cap of chord chords[r], scaled so its cells hold
-    areas[r] (mm^2); a cap that covers no cell spreads its area evenly.
-    Rows with the same chord and area share one shape.
+    Row r is the cap of chord chords[r] centred at centre[r] (mm across
+    the line), scaled so its cells hold areas[r] (mm^2); a cap that covers
+    no cell spreads its area evenly. Rows with the same chord and area
+    share one shape. The arithmetic runs in place, so a tile holds about
+    three arrays of its size at once.
     """
+    offsets = o_perp + at[1] * cell_size - centre[:, None]
+    outside = np.abs(offsets) > chords[:, None] / 2.0
     keys = list(zip(chords.tolist(), areas.tolist()))
     shapes = {key: _cap_shape(*key) for key in set(keys)}
     radius_sq, base, riser = np.array([shapes[key] for key in keys]).T[:, :, None]
-    z = riser + np.sqrt(np.maximum(radius_sq - offsets**2, 0.0)) - base
-    z = np.where(np.abs(offsets) <= chords[:, None] / 2.0, z, 0.0)
+    # z = riser + sqrt(max(radius_sq - offsets**2, 0)) - base, in the offsets' array
+    z = np.square(offsets, out=offsets)
+    np.subtract(radius_sq, z, out=z)
+    np.sqrt(np.maximum(z, 0.0, out=z), out=z)
+    z += riser
+    z -= base
+    z[outside] = 0.0
     total = z.sum(axis=1) * cell_size
     spread = total <= 0
-    z[spread] = (areas[spread] / (offsets.shape[1] * cell_size))[:, None]
-    z[~spread] *= (areas[~spread] / total[~spread])[:, None]
-    return z
+    scale = np.ones(len(z))
+    scale[~spread] = areas[~spread] / total[~spread]
+    z *= scale[:, None]
+    z[spread] = (areas[spread] / (z.shape[1] * cell_size))[:, None]
+    z += view[at]
+    view[at] = z
+    return z.max(axis=1)
 
 
-def _water_fill(runs: np.ndarray, budget_area: float, ceiling: float, cell_size: float) -> tuple[np.ndarray, np.ndarray]:
-    """Raise the lowest cells of each row toward the ceiling, spending budget_area (mm^2) per row.
+def _water_fill(runs: np.ndarray, budget_area, ceiling: float, cell_size: float) -> tuple[np.ndarray, np.ndarray]:
+    """Raise the lowest cells of each row toward the ceiling, spending budget_area (mm^2) on each row.
 
-    Returns the filled rows and each row's unspent remainder of the
-    budget (positive when the row fills completely).
+    budget_area is one budget for every row or one per row. Returns the
+    filled rows and each row's unspent remainder of its budget (positive
+    when the row fills completely).
     """
+    budget = np.broadcast_to(budget_area, len(runs))
     capacity = np.maximum(0.0, ceiling - runs).sum(axis=1) * cell_size
     level = np.full(len(runs), float(ceiling))
-    part = np.flatnonzero(budget_area < capacity)
+    part = np.flatnonzero(budget < capacity)
     if part.size:
         h_sorted = np.sort(runs[part], axis=1)
         prefix = np.cumsum(h_sorted, axis=1)
         k = np.arange(1, runs.shape[1] + 1)
         # cost[:, k - 1]: levelling the k lowest cells up to the next height
         cost = (np.append(h_sorted[:, 1:], np.full((part.size, 1), np.inf), axis=1) * k - prefix) * cell_size
-        i = np.argmax(cost >= budget_area, axis=1)
-        fill = budget_area / (cell_size * (i + 1)) + prefix[np.arange(part.size), i] / (i + 1)
+        i = np.argmax(cost >= budget[part, None], axis=1)
+        fill = budget[part] / (cell_size * (i + 1)) + prefix[np.arange(part.size), i] / (i + 1)
         level[part] = np.where(ceiling < fill, ceiling, fill)
-    remaining = budget_area - capacity
+    remaining = budget - capacity
     remaining[part] = 0.0
     return np.maximum(runs, level[:, None]), remaining
+
+
+@dataclass(frozen=True)
+class _Segment:
+    """A checked deposition segment and the grid lines it lays: count lines
+    across axis dom, from index first in steps of step (+1 or -1)."""
+
+    start: np.ndarray
+    end: np.ndarray
+    speed_mm_s: float
+    length: float
+    dom: int
+    first: int
+    step: int
+    count: int
+
+    @property
+    def last(self) -> int:
+        return self.first + self.step * (self.count - 1)
+
+
+def _segment(hf: Heightfield, start, end, speed_mm_s: float, include_end: bool) -> _Segment:
+    """Check one segment and find its grid lines (see deposit)."""
+    if speed_mm_s <= 0:
+        raise ZeroSpeed(f"deposition speed must be positive, got {speed_mm_s}")
+    p0 = np.asarray(start, dtype=float)
+    p1 = np.asarray(end, dtype=float)
+    if not (hf.contains(p0[0], p0[1]) and hf.contains(p1[0], p1[1])):
+        raise SegmentOutsideGrid(f"segment {tuple(p0.tolist())} -> {tuple(p1.tolist())} leaves the grid")
+    # Compare the ends, not the length: the norm of a distinct but tiny
+    # offset (say 1e-200 mm) squares to zero and would read as no segment.
+    if np.array_equal(p0, p1):
+        raise ZeroLengthSegment(f"deposition segment starts and ends at {tuple(p0.tolist())}")
+    dom = 0 if abs(p1[0] - p0[0]) >= abs(p1[1] - p0[1]) else 1
+    if dom == 0:
+        i_from, i_to = int(hf.ix_of(p0[0])), int(hf.ix_of(p1[0]))
+    else:
+        i_from, i_to = int(hf.iy_of(p0[1])), int(hf.iy_of(p1[1]))
+    step = 1 if i_to >= i_from else -1
+    if not include_end and i_to != i_from:
+        i_to -= step
+    length = float(np.linalg.norm(p1 - p0))
+    return _Segment(p0, p1, speed_mm_s, length, dom, i_from, step, abs(i_to - i_from) + 1)
+
+
+def _line_sums(lines: np.ndarray) -> np.ndarray:
+    """The sum of each row of lines, rounded like the sum of that row held
+    contiguously on its own: straight on contiguous rows, otherwise on
+    contiguous copies of row tiles."""
+    if lines.flags.c_contiguous:
+        return lines.sum(axis=1)
+    return np.concatenate([np.ascontiguousarray(lines[tile]).sum(axis=1) for tile in row_tiles(*lines.shape)])
+
+
+def _lay(hf: Heightfield, run: Sequence[_Segment], params: DepositionParams) -> list[DepositResult]:
+    """Lay a run of segments as one block of grid lines; see deposit_path.
+
+    The segments share a dominant axis and a direction, and each one's
+    lines pick up where the previous one's stop, so the run's lines are
+    distinct and each only changes itself. Every line carries its own
+    segment's nozzle centre and station area and gets the same arithmetic
+    as a line handled on its own; the flood and the caps group lines of
+    one size across the whole run. The line sums go straight over the
+    plate's rows or over row tiles, and every other stage works in tiles
+    of about TILE_CELLS cells, so the scratch stays a few tiles' worth.
+    """
+    cs = hf.cell_size
+    nominal = hf.nominal_surface
+    nozzle = params.nozzle_diameter_mm
+    dom, step = run[0].dom, run[0].step
+    # each line's segment, in ascending line order
+    seg_of = np.repeat(np.arange(len(run)), [seg.count for seg in run])[::step]
+    m = len(seg_of)
+    lo = min(run[0].first, run[-1].last)
+    areas = [params.flow_rate_mm3_s / seg.speed_mm_s for seg in run]
+    station_area = np.array([area * seg.length / (seg.count * cs) for area, seg in zip(areas, run)])[seg_of]
+    p0 = np.array([seg.start for seg in run])[seg_of]
+    p1 = np.array([seg.end for seg in run])[seg_of]
+
+    # one row per grid line, in ascending index order
+    view = hf.heights[:, lo : lo + m].T if dom == 0 else hf.heights[lo : lo + m]
+    n = view.shape[1]
+    o_perp = hf.origin[1 - dom]
+    below = nominal - 1e-12  # a cell lower than this is below the surface
+    before = _line_sums(view)
+
+    # the nozzle centre's cell on each line
+    # distinct ends differ in the dominant axis, so the divisor is never zero;
+    # on a segment a few ulps long t overflows, and the clip takes it to an end
+    with np.errstate(over="ignore"):
+        t = (hf.origin[dom] + np.arange(lo, lo + m) * cs - p0[:, dom]) / (p1[:, dom] - p0[:, dom])
+    t = np.where(t > 1.0, 1.0, np.where(t < 0.0, 0.0, t))
+    centre_perp = p0[:, 1 - dom] + t * (p1[:, 1 - dom] - p0[:, 1 - dom])
+    j_c = np.clip(np.rint((centre_perp - o_perp) / cs), 0, n - 1).astype(int)
+
+    # flood the trough run nearest the nozzle centre
+    # no cell lies more than n - 1 away, however wide the nozzle
+    reach = min(max(1, math.ceil(nozzle / 2.0 / cs)), n - 1)
+    j0 = _nearest_trough(view, j_c, reach, below)
+    wet = np.flatnonzero(j0 >= 0)
+    j_lo, j_hi = _trough_runs(view, wet, j0[wet], below)
+    remaining = _flood(view, wet, j_lo, j_hi, station_area, nominal, cs)
+
+    # cap whatever the trough could not hold, centred on the trough if any
+    cap_centre = centre_perp.copy()
+    cap_width = np.full(m, nozzle)
+    cap_centre[wet] = o_perp + (j_lo + j_hi) / 2.0 * cs
+    trough_width = (j_hi - j_lo + 1) * cs
+    cap_width[wet] = np.where(nozzle < trough_width, nozzle, trough_width)
+    capped = np.flatnonzero(remaining > 1e-12)
+    peak = np.full(m, -math.inf)
+    peak[capped] = _pile_caps(view, capped, cap_centre[capped], cap_width[capped], remaining[capped], j_c[capped], o_perp, cs)
+
+    # each segment's lines back in travel order: the volume sums them in
+    # that order, and the first segment over the bound raises
+    change = ((_line_sums(view) - before) * cs * cs)[::step]
+    peak = peak[::step]
+    results = []
+    stop = 0
+    for area, seg in zip(areas, run):
+        start, stop = stop, stop + seg.count
+        if peak[start:stop].max() > nominal + MAX_OVERFILL_MM:
+            raise Overfill(
+                f"deposition at {seg.speed_mm_s:g} mm/s piled a bead more than {MAX_OVERFILL_MM:g} mm above the surface"
+            )
+        deposited = np.cumsum(np.concatenate(([0.0], change[start:stop])))[-1]
+        results.append(DepositResult(seg.length / seg.speed_mm_s, area * seg.length, deposited))
+    return results
+
+
+def _nearest_trough(view: np.ndarray, j_c: np.ndarray, reach: int, below: float) -> np.ndarray:
+    """On each row, the cell under the nozzle (within reach of j_c) below
+    the surface nearest j_c, or -1 when there is none. Cells are searched
+    in the order 0, -1, +1, -2, +2, ... so the lower cell wins a tie."""
+    m, n = view.shape
+    search = np.concatenate(([0], np.column_stack((-np.arange(1, reach + 1), np.arange(1, reach + 1))).ravel()))
+    rows = np.arange(m)
+    found = np.full(m, -1)
+    for tile in row_tiles(m, len(search)):
+        candidates = j_c[tile, None] + search
+        inside = (candidates >= 0) & (candidates < n)
+        # a hit lies inside, where clipping leaves its index as it was
+        np.clip(candidates, 0, n - 1, out=candidates)
+        hit = inside & (view[rows[tile, None], candidates] < below)
+        first = candidates[np.arange(len(candidates)), hit.argmax(axis=1)]
+        found[tile] = np.where(hit.any(axis=1), first, -1)
+    return found
+
+
+def _trough_runs(view: np.ndarray, wet: np.ndarray, j0: np.ndarray, below: float) -> tuple[np.ndarray, np.ndarray]:
+    """First and last cell of the run of below-surface cells around j0 on
+    each wet row. Only the band of columns holding the wet rows'
+    below-surface cells, plus one dry column each side, can bound a run."""
+    j_lo, j_hi = j0.copy(), j0.copy()
+    if not wet.size:
+        return j_lo, j_hi
+    m, n = view.shape
+    is_wet = np.zeros(m, dtype=bool)
+    is_wet[wet] = True
+    wet_cols = np.zeros(n, dtype=bool)
+    for tile in row_tiles(m, n):
+        wet_cols |= (view[tile] < below)[is_wet[tile]].any(axis=0)
+    wet_cols = np.flatnonzero(wet_cols)
+    c0, c1 = max(wet_cols[0] - 1, 0), min(wet_cols[-1] + 2, n)
+    cells = np.arange(c0, c1)
+    for tile in row_tiles(wet.size, c1 - c0):
+        dry = ~(view[wet[tile], c0:c1] < below)
+        j_lo[tile] = np.where(dry & (cells < j0[tile, None]), cells, c0 - 1).max(axis=1, initial=c0 - 1) + 1
+        j_hi[tile] = np.where(dry & (cells > j0[tile, None]), cells, c1).min(axis=1, initial=c1) - 1
+    return j_lo, j_hi
+
+
+def _flood(view, wet, j_lo, j_hi, station_area, ceiling: float, cs: float) -> np.ndarray:
+    """Water-fill each wet row's run j_lo..j_hi with its station area, rows
+    grouped by run length; returns every row's area left over for its cap."""
+    remaining = station_area.copy()
+    for size, of_size in _groups(j_hi - j_lo + 1):
+        rows = wet[of_size]
+        at = (rows[:, None], j_lo[of_size][:, None] + np.arange(size))
+        view[at], remaining[rows] = _water_fill(view[at], station_area[rows], ceiling, cs)
+    return remaining
+
+
+def _pile_caps(view, rows, centre, width, area, j_c, o_perp: float, cs: float) -> np.ndarray:
+    """Pile a cap of each width and area on the cells of each row within
+    half its width of its centre (the nozzle centre's cell j_c when that
+    holds no cell), rows grouped by cap size; returns each row's highest
+    capped cell."""
+    n = view.shape[1]
+    j_first = np.maximum(0, np.ceil((centre - width / 2.0 - o_perp) / cs)).astype(int)
+    j_last = np.minimum(n - 1, np.floor((centre + width / 2.0 - o_perp) / cs)).astype(int)
+    collapsed = j_last < j_first
+    j_first[collapsed] = j_last[collapsed] = j_c[collapsed]
+    peak = np.empty(len(rows))
+    for size, of_size in _groups(j_last - j_first + 1):
+        at = (rows[of_size][:, None], j_first[of_size][:, None] + np.arange(size))
+        peak[of_size] = _caps(view, at, centre[of_size], width[of_size], area[of_size], o_perp, cs)
+    return peak
+
+
+def _groups(sizes: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(size, positions) for each distinct size, the positions of that size
+    split into tiles of about TILE_CELLS cells."""
+    for size in np.unique(sizes):
+        of_size = np.flatnonzero(sizes == size)
+        for tile in row_tiles(of_size.size, int(size)):
+            yield int(size), of_size[tile]
 
 
 def deposit(
@@ -408,12 +640,8 @@ def deposit(
     bottom-up; excess forms a bead cap above the surface of width
     min(local trough width, nozzle diameter). With include_end false the
     grid line at the segment's far end is left to the following segment,
-    so chained segments touch each cross-section exactly once.
-
-    The segment's lines are distinct and each only changes itself, so
-    they are handled together as one (lines x cells) block, each line a
-    contiguous row; every row gets the same arithmetic as a line handled
-    on its own, and the volume sums each line in travel order.
+    so chained segments touch each cross-section exactly once. The
+    volume sums each line's change in travel order.
 
     Mutates hf in place and returns elapsed time plus the volume
     bookkeeping for the segment. Raises Overfill, after the segment is
@@ -425,107 +653,50 @@ def deposit(
     can be above the bound; a plate handed in with such a cell elsewhere
     is not refused.
     """
-    if speed_mm_s <= 0:
-        raise ZeroSpeed(f"deposition speed must be positive, got {speed_mm_s}")
-    p0 = np.asarray(start, dtype=float)
-    p1 = np.asarray(end, dtype=float)
-    if not (hf.contains(p0[0], p0[1]) and hf.contains(p1[0], p1[1])):
-        raise SegmentOutsideGrid(f"segment {tuple(p0.tolist())} -> {tuple(p1.tolist())} leaves the grid")
-    # Compare the ends, not the length: the norm of a distinct but tiny
-    # offset (say 1e-200 mm) squares to zero and would read as no segment.
-    if np.array_equal(p0, p1):
-        raise ZeroLengthSegment(f"deposition segment starts and ends at {tuple(p0.tolist())}")
-    length = float(np.linalg.norm(p1 - p0))
+    return _lay(hf, [_segment(hf, start, end, speed_mm_s, include_end)], params)[0]
 
-    area = params.flow_rate_mm3_s / speed_mm_s
-    cs = hf.cell_size
-    nominal = hf.nominal_surface
-    nozzle = params.nozzle_diameter_mm
-    dom = 0 if abs(p1[0] - p0[0]) >= abs(p1[1] - p0[1]) else 1
-    if dom == 0:
-        i_from, i_to = int(hf.ix_of(p0[0])), int(hf.ix_of(p1[0]))
-    else:
-        i_from, i_to = int(hf.iy_of(p0[1])), int(hf.iy_of(p1[1]))
-    step = 1 if i_to >= i_from else -1
-    if not include_end and i_to != i_from:
-        i_to -= step
-    lo, hi = min(i_from, i_to), max(i_from, i_to) + 1
-    lines = np.arange(lo, hi)
-    station_area = area * length / (len(lines) * cs)
 
-    # one row per grid line, in ascending index order; contiguous rows,
-    # so a row sum rounds like the sum of its own line
-    view = hf.heights[:, lo:hi].T if dom == 0 else hf.heights[lo:hi]
-    block = np.ascontiguousarray(view)
-    before = block.sum(axis=1)
-    m, n = block.shape
-    o_perp = hf.origin[1 - dom]
+def deposit_path(
+    hf: Heightfield,
+    points: Sequence[tuple[float, float]],
+    speeds: Sequence[float],
+    params: DepositionParams,
+) -> list[DepositResult]:
+    """Extrude along the polyline through points, segment k at speeds[k].
 
-    # the nozzle centre's cell on each line
-    # distinct ends differ in the dominant axis, so the divisor is never zero;
-    # on a segment a few ulps long t overflows, and the clip takes it to an end
-    with np.errstate(over="ignore"):
-        t = (hf.origin[dom] + lines * cs - p0[dom]) / (p1[dom] - p0[dom])
-    t = np.where(t > 1.0, 1.0, np.where(t < 0.0, 0.0, t))
-    centre_perp = p0[1 - dom] + t * (p1[1 - dom] - p0[1 - dom])
-    j_c = np.clip(np.rint((centre_perp - o_perp) / cs), 0, n - 1).astype(int)
+    The result, one DepositResult per segment, and the plate are exactly
+    those of calling deposit on each segment in turn, every interior
+    segment leaving its far grid line to the next (include_end false, the
+    last segment true). The path is laid in runs: a segment joins the run
+    before it when it has the same dominant axis and direction and its
+    first grid line follows the run's last, and each run is laid as one
+    block.
 
-    # the below-surface cell under the nozzle nearest its centre, searched
-    # in the order 0, -1, +1, -2, +2, ... so the lower cell wins a tie
-    below = block < nominal - 1e-12
-    # no cell lies more than n - 1 away, however wide the nozzle
-    reach = np.arange(1, min(max(1, math.ceil(nozzle / 2.0 / cs)), n - 1) + 1)
-    candidates = j_c[:, None] + np.concatenate(([0], np.column_stack((-reach, reach)).ravel()))
-    hit = (candidates >= 0) & (candidates < n) & below[np.arange(m)[:, None], np.clip(candidates, 0, n - 1)]
-    wet = np.flatnonzero(hit.any(axis=1))
-    j0 = candidates[wet, hit[wet].argmax(axis=1)]
-
-    # flood the contiguous trough run around that cell, rows grouped by run
-    # length; only the band of columns holding these rows' below-surface
-    # cells, plus one dry column each side, can bound a run
-    wet_cols = np.flatnonzero(below[wet].any(axis=0))
-    c0, c1 = (max(wet_cols[0] - 1, 0), min(wet_cols[-1] + 2, n)) if wet.size else (0, 0)
-    cells = np.arange(c0, c1)
-    dry = ~below[wet, c0:c1]
-    j_lo = np.where(dry & (cells < j0[:, None]), cells, c0 - 1).max(axis=1, initial=c0 - 1) + 1
-    j_hi = np.where(dry & (cells > j0[:, None]), cells, c1).min(axis=1, initial=c1) - 1
-    run = j_hi - j_lo + 1
-    remaining = np.full(m, station_area)
-    for size in np.unique(run):
-        of_size = run == size
-        at = (wet[of_size][:, None], j_lo[of_size][:, None] + np.arange(size))
-        block[at], remaining[wet[of_size]] = _water_fill(block[at], station_area, nominal, cs)
-
-    # cap whatever the trough could not hold, rows grouped by cap size
-    cap_centre = centre_perp.copy()
-    cap_width = np.full(m, nozzle)
-    cap_centre[wet] = o_perp + (j_lo + j_hi) / 2.0 * cs
-    trough_width = run * cs
-    cap_width[wet] = np.where(nozzle < trough_width, nozzle, trough_width)
-    capped = np.flatnonzero(remaining > 1e-12)
-    centre, width = cap_centre[capped], cap_width[capped]
-    j_first = np.maximum(0, np.ceil((centre - width / 2.0 - o_perp) / cs)).astype(int)
-    j_last = np.minimum(n - 1, np.floor((centre + width / 2.0 - o_perp) / cs)).astype(int)
-    collapsed = j_last < j_first
-    j_first[collapsed] = j_last[collapsed] = j_c[capped[collapsed]]
-    span = j_last - j_first + 1
-    peak = -math.inf
-    for size in np.unique(span):
-        of_size = span == size
-        at = (capped[of_size][:, None], j_first[of_size][:, None] + np.arange(size))
-        offsets = o_perp + at[1] * cs - centre[of_size][:, None]
-        cap = block[at] + _caps(offsets, width[of_size], remaining[capped[of_size]], cs)
-        block[at] = cap
-        peak = max(peak, float(cap.max()))
-
-    if block is not view:  # rows already contiguous in hf were filled in place
-        view[...] = block
-    # each line's change, summed in travel order
-    change = (block.sum(axis=1) - before) * cs * cs
-    deposited = np.cumsum(np.concatenate(([0.0], change[::step])))[-1]
-
-    if peak > nominal + MAX_OVERFILL_MM:
-        raise Overfill(
-            f"deposition at {speed_mm_s:g} mm/s piled a bead more than {MAX_OVERFILL_MM:g} mm above the surface"
-        )
-    return DepositResult(elapsed_s=length / speed_mm_s, volume_target_mm3=area * length, volume_deposited_mm3=deposited)
+    Raises what that segment loop raises: Overfill for the first segment
+    in travel order whose cap crosses the bound, and ZeroSpeed,
+    SegmentOutsideGrid or ZeroLengthSegment for a bad segment only once
+    every segment before it is laid and has passed the Overfill check.
+    After a raise the plate's contents are unspecified.
+    """
+    if len(speeds) != max(len(points) - 1, 0):
+        raise ValueError(f"{len(points)} points need {max(len(points) - 1, 0)} speeds, got {len(speeds)}")
+    segments: list[_Segment] = []
+    error = None
+    for k, speed in enumerate(speeds):
+        try:
+            segments.append(_segment(hf, points[k], points[k + 1], speed, include_end=k == len(speeds) - 1))
+        except (ZeroSpeed, SegmentOutsideGrid, ZeroLengthSegment) as exc:
+            error = exc
+            break
+    results: list[DepositResult] = []
+    run: list[_Segment] = []
+    for seg in segments:
+        if run and not (seg.dom == run[-1].dom and seg.step == run[-1].step and seg.first == run[-1].last + seg.step):
+            results += _lay(hf, run, params)
+            run = []
+        run.append(seg)
+    if run:
+        results += _lay(hf, run, params)
+    if error is not None:
+        raise error
+    return results

@@ -289,15 +289,15 @@ def test_perception_invariants():
 @reported(7, "every deposition conserves its commanded volume")
 def test_deposit_volume_conservation(default_scene_model, monkeypatch):
     cfg, model = default_scene_model
-    real_deposit = repair.deposit
+    real_execute_fill = repair.execute_fill
     calls: list[tuple[float, float]] = []
 
     def recording(*args, **kwargs):
-        result = real_deposit(*args, **kwargs)
-        calls.append((result.volume_target_mm3, result.volume_deposited_mm3))
+        result = real_execute_fill(*args, **kwargs)
+        calls.extend((seg.volume_target_mm3, seg.volume_deposited_mm3) for seg in result.segments)
         return result
 
-    monkeypatch.setattr(repair, "deposit", recording)
+    monkeypatch.setattr(repair, "execute_fill", recording)
     default_experiment(cfg, model)
     assert len(calls) >= 100
     for target, deposited in calls:

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -131,6 +132,18 @@ class TestScan:
             assert float(row[9]) > 0.0
             assert row[10] == ""
         assert "wrote scan artifacts" in capsys.readouterr().out
+
+    def test_camera_far_off_the_grid_finds_no_crack_without_a_warning(self, tmp_path, capsys):
+        """Ray hits 1e18 mm away map to a cell index clipped just off the
+        grid, not to an int64 cast that overflows."""
+        data = compact_config()
+        data["camera"] = {"position_mm": [1e18, 125.0, 500.0]}
+        cfg = write_config(tmp_path, data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["--config", cfg, "--out", str(tmp_path / "o"), "scan"]) == 3
+        assert capsys.readouterr().err.startswith("no crack found:")
+        assert [str(w.message) for w in caught] == []
 
     def test_output_dir_from_config(self, tmp_path):
         data = compact_config()

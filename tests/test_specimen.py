@@ -27,6 +27,7 @@ from crackfill import (
     ZeroLengthSegment,
     ZeroSpeed,
     deposit,
+    deposit_path,
     execute_fill,
     generate_specimen,
     true_cross_section,
@@ -504,6 +505,65 @@ def trough_plate(nx, ny, cell, origin, troughs=(), beads=()):
     return hf
 
 
+def random_blocks(nx, ny, max_dz):
+    """Up to 4 random rectangular blocks for trough_plate."""
+    return st.lists(
+        st.tuples(st.integers(0, nx - 1), st.integers(1, nx), st.integers(0, ny - 1), st.integers(1, ny), st.floats(0.01, max_dz)),
+        max_size=4,
+    )
+
+
+def plan_through(stops):
+    """A fill plan through (x, y, speed) stops."""
+    return FillPlan(
+        tuple(
+            Waypoint(PixelCoord(0.0, 0.0, 500.0), Point3(0.0, 0.0, 500.0, Frame.CAMERA), Point3(x, y, 0.0, Frame.ROBOT), speed_mm_s=v)
+            for x, y, v in stops
+        )
+    )
+
+
+def segment_loop_fill(hf, stops, params):
+    """The fill as a loop over its segments, each checked and then laid by
+    the line-by-line reference, interior segments leaving their far line;
+    it raises deposit's errors with deposit's messages."""
+    results = []
+    for i, (a, b) in enumerate(zip(stops, stops[1:])):
+        start, end, speed = (float(a[0]), float(a[1])), (float(b[0]), float(b[1])), a[2]
+        if speed <= 0:
+            raise ZeroSpeed(f"deposition speed must be positive, got {speed}")
+        if not (hf.contains(*start) and hf.contains(*end)):
+            raise SegmentOutsideGrid(f"segment {start} -> {end} leaves the grid")
+        if start == end:
+            raise ZeroLengthSegment(f"deposition segment starts and ends at {start}")
+        try:
+            results.append(line_by_line_deposit(hf, start, end, speed, params, include_end=(i == len(stops) - 2)))
+        except Overfill:
+            raise Overfill(
+                f"deposition at {speed:g} mm/s piled a bead more than {specimen.MAX_OVERFILL_MM:g} mm above the surface"
+            ) from None
+    return results
+
+
+def assert_fill_matches_segment_loop(hf, stops, params):
+    """execute_fill against the segment loop: the same heights and == on
+    every DepositResult field, or the same exception and message. Returns
+    execute_fill's segment results, or its (exception type, message)."""
+    got_hf, want_hf = hf.copy(), hf.copy()
+    try:
+        got = list(execute_fill(got_hf, plan_through(stops), params).segments)
+    except CrackFillError as exc:
+        got = (type(exc), str(exc))
+    try:
+        want = segment_loop_fill(want_hf, stops, params)
+    except CrackFillError as exc:
+        want = (type(exc), str(exc))
+    assert got == want
+    if isinstance(want, list):
+        assert np.array_equal(got_hf.heights, want_hf.heights)
+    return got
+
+
 CRACK = make_rect_crack(width=8.0, depth=5.0, cell=0.1, ny=400, y0=5.0, y1=35.0)
 PARAMS = DepositionParams(flow_rate_mm3_s=946.0)
 
@@ -611,20 +671,83 @@ class TestDepositMatchesLineByLine:
         spec = CrackSpec(path=[(-20.0, 10.0), (20.0, 10.0)], width=6.0, depth=4.0)
         hf = generate_specimen(spec, origin=(-25.0, 0.0), cell_size=0.1, nx=500, ny=200)
         stops = [(-18.0, 10.2, 7.0), (-9.5, 9.8, 12.0), (-1.03, 10.05, 50.0), (8.0, 10.4, 4.0), (18.0, 10.0, 20.0)]
-        plan = FillPlan(
-            tuple(
-                Waypoint(PixelCoord(0.0, 0.0, 500.0), Point3(0.0, 0.0, 500.0, Frame.CAMERA), Point3(x, y, 0.0, Frame.ROBOT), speed_mm_s=v)
-                for x, y, v in stops
+        assert len(assert_fill_matches_segment_loop(hf, stops, PARAMS)) == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        nx=st.integers(4, 40),
+        ny=st.integers(4, 40),
+        cell=st.sampled_from([0.25, 0.5, 1.0]),
+        n_stops=st.integers(2, 8),
+        flow=st.floats(5.0, 1000.0),
+        nozzle=st.floats(0.2, 8.0),
+        tile=st.sampled_from([specimen.TILE_CELLS, 64, 1]),
+        faults=st.lists(st.tuples(st.integers(0, 7), st.sampled_from(["zero speed", "overfill", "repeat", "off grid"])), max_size=2),
+    )
+    def test_random_fills(self, data, nx, ny, cell, n_stops, flow, nozzle, tile, faults):
+        """Polylines of 2 to 8 stops over a carved plate: stops that carry on
+        in the last segment's direction (so segments chain into runs), jump
+        anywhere (reversals, switches of dominant axis) or hop less than a
+        cell, at random speeds; plus up to two faults at random stops."""
+        origin = (-nx * cell / 3, -ny * cell / 2)
+        hf = trough_plate(nx, ny, cell, origin, data.draw(random_blocks(nx, ny, 6.0)), data.draw(random_blocks(nx, ny, 3.0)))
+        x_min, x_max, y_min, y_max = hf.bounds()
+        stops = [data.draw(st.tuples(st.floats(x_min, x_max), st.floats(y_min, y_max)))]
+        for _ in range(n_stops - 1):
+            (x, y), (px, py) = stops[-1], stops[max(len(stops) - 2, 0)]
+            onward = st.tuples(
+                st.floats(x, x_max) if x >= px else st.floats(x_min, x),
+                st.floats(y, y_max) if y >= py else st.floats(y_min, y),
             )
-        )
-        got_hf, want_hf = hf.copy(), hf.copy()
-        got = execute_fill(got_hf, plan, PARAMS).segments
-        want = [
-            line_by_line_deposit(want_hf, a[:2], b[:2], a[2], PARAMS, include_end=(i == len(stops) - 2))
-            for i, (a, b) in enumerate(zip(stops, stops[1:]))
-        ]
-        assert np.array_equal(got_hf.heights, want_hf.heights)
-        assert list(got) == want
+            anywhere = st.tuples(st.floats(x_min, x_max), st.floats(y_min, y_max))
+            hop = st.tuples(st.floats(max(x - cell, x_min), min(x + cell, x_max)), st.floats(max(y - cell, y_min), min(y + cell, y_max)))
+            stops.append(data.draw(st.one_of(onward, onward, anywhere, hop)))
+        speeds = [data.draw(st.floats(1.0, 60.0)) for _ in stops]
+        for at, fault in faults:
+            at = min(at, n_stops - 2)  # the stop that starts a segment
+            if fault == "zero speed":
+                speeds[at] = 0.0
+            elif fault == "overfill":
+                speeds[at] = 0.02
+            elif fault == "repeat":
+                stops[at + 1] = stops[at]
+            else:
+                stops[at + 1] = (x_max + 2 * cell, stops[at + 1][1])
+        params = DepositionParams(flow_rate_mm3_s=flow, nozzle_diameter_mm=nozzle)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(specimen, "TILE_CELLS", tile)
+            assert_fill_matches_segment_loop(hf, [(x, y, v) for (x, y), v in zip(stops, speeds)], params)
+
+    def test_a_hop_inside_one_cell_shares_its_line(self):
+        """A segment that starts and ends on one grid line keeps that line,
+        so the next segment, which starts on it too, begins a new run."""
+        hf = trough_plate(40, 60, 0.5, (-10.0, -5.0), troughs=[(14, 26, 0, 60, 2.0)])
+        for stops in (
+            [(0.0, 0.0, 10.0), (0.1, 0.2, 15.0), (0.3, 20.0, 10.0)],  # rows 10 | 10..50
+            [(0.0, 20.0, 10.0), (0.3, 10.0, 15.0), (0.25, 9.9, 12.0), (-0.1, 0.0, 10.0)],  # 50..31 | 30 | 30..10
+        ):
+            assert len(assert_fill_matches_segment_loop(hf, stops, PARAMS)) == len(stops) - 1
+
+    def test_an_overfill_raises_before_a_later_segment_leaves_the_grid(self):
+        """Segment 2 overfills and segment 4 leaves the grid: the segment loop
+        stops at the Overfill, so the path raises it, not SegmentOutsideGrid."""
+        hf = make_flat(nx=60, ny=80, cell=0.5, origin=(-15.0, -5.0))
+        stops = [(0.0, 0.0, 20.0), (0.0, 5.0, 20.0), (0.0, 10.0, 0.5), (2.0, 12.0, 20.0), (2.0, 20.0, 20.0), (50.0, 20.0, 20.0)]
+        params = DepositionParams(flow_rate_mm3_s=946.0)
+        assert_fill_matches_segment_loop(hf, stops, params)
+        with pytest.raises(Overfill, match="deposition at 0.5 mm/s"):
+            execute_fill(hf.copy(), plan_through(stops), params)
+        # without the overfill the path gets as far as the segment off the grid
+        with pytest.raises(SegmentOutsideGrid):
+            execute_fill(hf.copy(), plan_through([*stops[:2], (0.0, 10.0, 20.0), *stops[3:]]), params)
+
+    def test_a_path_needs_one_speed_per_segment(self):
+        hf = make_flat(nx=60, ny=80, cell=0.5, origin=(-15.0, -5.0))
+        with pytest.raises(ValueError, match="3 points need 2 speeds, got 3"):
+            deposit_path(hf, [(0.0, 0.0), (0.0, 5.0), (0.0, 10.0)], [10.0, 10.0, 10.0], PARAMS)
+        assert deposit_path(hf, [(0.0, 0.0)], [], PARAMS) == []
+        assert deposit_path(hf, [], [], PARAMS) == []
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -639,17 +762,7 @@ class TestDepositMatchesLineByLine:
     )
     def test_random_plates(self, data, nx, ny, cell, speed, flow, nozzle, include_end):
         origin = (-nx * cell / 3, -ny * cell / 2)
-
-        def blocks(max_dz):
-            return st.lists(
-                st.tuples(
-                    st.integers(0, nx - 1), st.integers(1, nx), st.integers(0, ny - 1), st.integers(1, ny),
-                    st.floats(0.01, max_dz),
-                ),
-                max_size=4,
-            )
-
-        hf = trough_plate(nx, ny, cell, origin, data.draw(blocks(6.0)), data.draw(blocks(3.0)))
+        hf = trough_plate(nx, ny, cell, origin, data.draw(random_blocks(nx, ny, 6.0)), data.draw(random_blocks(nx, ny, 3.0)))
         x_min, x_max, y_min, y_max = hf.bounds()
         ends = [(data.draw(st.floats(x_min, x_max)), data.draw(st.floats(y_min, y_max))) for _ in range(2)]
         if ends[0] == ends[1]:

@@ -2,7 +2,8 @@
 
 The carve, the raycast with its view, and the heightfield PGM must be
 byte-identical to the full-size references below at several tile sizes,
-and each must hold only a tile's worth of scratch on top of its output.
+and each must hold only a tile's worth of scratch on top of its output;
+so must a fill's deposition, which lays its whole path in tiles.
 """
 
 import functools
@@ -11,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crackfill import CrackSpec, Heightfield, NoIntersection, ScenarioConfig, generate_specimen, specimen
+from crackfill import CrackSpec, FillMode, Heightfield, NoIntersection, ScenarioConfig, execute_fill, generate_specimen, image_specimen, plan_fill, specimen, survey
 from crackfill import io as cfio
 from crackfill.geometry import CameraIntrinsics, RigidTransform
 from crackfill.sensors import render_view
@@ -146,6 +147,14 @@ def scene_and_specimen(name):
 
 
 @functools.cache
+def surveyed(name):
+    """The scene's survey and deposition parameters."""
+    scene, hf = scene_and_specimen(name)
+    cfg = ScenarioConfig.from_dict(SCENES[name][0])
+    return survey(scene, image_specimen(scene, hf), cfg.build_noise()), cfg.build_deposition()
+
+
+@functools.cache
 def cached_reference_view(name, tilt):
     scene, hf = scene_and_specimen(name)
     return reference_view(hf, scene.intrinsics, tilted(scene.camera_pose, tilt), scene.mask_threshold_mm)
@@ -274,3 +283,15 @@ class TestScratchBudgets:
         scene = ScenarioConfig.default().build_scene()
         hf, peak = traced_peak(scene.build_specimen)
         assert peak <= hf.heights.nbytes + 8e6
+
+    @pytest.mark.parametrize("speed", [6.0, 20.0], ids=["capped", "flooded"])
+    @pytest.mark.parametrize("name", ["default", "along_x"])
+    def test_fill_within_2_mb_of_its_plate(self, name, speed):
+        """The whole path is laid in tiles, not as one block of its lines
+        (2,300 lines of 900 cells, 16.6 MB on either scene)."""
+        surveyed_scene, params = surveyed(name)
+        plan = plan_fill(surveyed_scene.refinement.waypoints, FillMode.fixed(speed))
+        hf = surveyed_scene.specimen.copy()
+        result, peak = traced_peak(lambda: execute_fill(hf, plan, params))
+        assert len(result.segments) >= 30
+        assert peak <= 2e6
