@@ -52,6 +52,7 @@ from .repair import (
     run_fill,
     survey,
 )
+from .sensors import add_depth_noise
 
 
 WAYPOINTS_HEADER = "u,v,depth_mm,x_mm,y_mm,z_mm,refined_x_mm,refined_y_mm,refined_z_mm,area_mm2,speed_mm_s"
@@ -183,10 +184,10 @@ def cmd_localize(cfg: ScenarioConfig, out: Path) -> int:
 def cmd_scan(cfg: ScenarioConfig, out: Path) -> int:
     scene = cfg.build_scene()
     view = image_specimen(scene, scene.build_specimen(), cfg.build_mask())
-    surveyed = survey(scene, view, cfg.build_noise())
-    refinement = surveyed.refinement
+    noise = cfg.build_noise()
+    refinement = survey(scene, view, noise).refinement
     io.ensure_dir(out)
-    io.write_depth_pgm(out / "depth.pgm", surveyed.perception.depth)
+    io.write_depth_pgm(out / "depth.pgm", add_depth_noise(view.depth, noise))
     io.write_mask_pgm(out / "mask.pgm", view.mask.flags)
     io.write_mask_pgm(out / "skeleton.pgm", view.skeleton.flags)
     io.write_csv(out / "waypoints.csv", WAYPOINTS_HEADER, map(_waypoint_row, refinement.waypoints))

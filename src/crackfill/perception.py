@@ -18,11 +18,15 @@ import numpy as np
 
 from .errors import EmptyPath
 from .geometry import CameraIntrinsics, Frame, PixelCoord, Point3, RigidTransform, pixel_to_camera, transform_point
-from .sensors import DepthImage, MaskImage
+from .profile import row_medians
+from .sensors import DepthImage, MaskImage, SensorNoise, depth_noise_at
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_MIN_SPACING_PX = 8.0
+
+# Row and column offsets of a pixel's 3x3 neighbourhood, in raster order.
+_WINDOW_ROWS, _WINDOW_COLS = (a.ravel() for a in np.mgrid[-1:2, -1:2])
 
 
 @dataclass
@@ -207,24 +211,33 @@ def space_pixels(skeleton: Skeleton, min_spacing_px: float = DEFAULT_MIN_SPACING
     return tuple(kept)
 
 
-def extract_pixels(pixels: Sequence[tuple[int, int]], depth: DepthImage) -> list[PixelCoord]:
+def extract_pixels(
+    pixels: Sequence[tuple[int, int]], depth: DepthImage, noise: SensorNoise = SensorNoise.noiseless()
+) -> list[PixelCoord]:
     """Attach a depth to each (row, col) skeleton pixel.
 
-    Depth per pixel is the median of valid depths in its 3x3
-    neighbourhood; a pixel with no valid depth nearby is dropped with a
-    warning.
+    depth is the clean image; noise gives the scan's reading of it (see
+    add_depth_noise), formed only at the pixels read (see
+    depth_noise_at). Depth per pixel is the median of valid depths in
+    its 3x3 neighbourhood; a pixel with no valid depth nearby is dropped
+    with a warning.
     """
-    out: list[PixelCoord] = []
+    if not pixels:
+        return []
     h, w = depth.depth_mm.shape
-    for r, c in pixels:
-        r0, r1 = max(r - 1, 0), min(r + 2, h)
-        c0, c1 = max(c - 1, 0), min(c + 2, w)
-        window = depth.depth_mm[r0:r1, c0:c1]
-        ok = depth.valid[r0:r1, c0:c1]
-        if not ok.any():
+    centres = np.array(pixels)
+    rows = centres[:, :1] + _WINDOW_ROWS
+    cols = centres[:, 1:] + _WINDOW_COLS
+    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    rows, cols = np.clip(rows, 0, h - 1), np.clip(cols, 0, w - 1)
+    ok = inside & depth.valid[rows, cols]
+    medians = row_medians(depth_noise_at(depth, noise, rows, cols), ok)
+    out: list[PixelCoord] = []
+    for (r, c), found, median in zip(pixels, ok.any(axis=1).tolist(), medians.tolist()):
+        if not found:
             logger.warning("dropping skeleton pixel (%d, %d): no valid depth in 3x3 window", r, c)
             continue
-        out.append(PixelCoord(u=float(c), v=float(r), depth=float(np.median(window[ok]))))
+        out.append(PixelCoord(u=float(c), v=float(r), depth=median))
     return out
 
 

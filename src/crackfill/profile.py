@@ -111,14 +111,64 @@ class CalibrationModel:
         return CalibrationModel(samples, float(d["Q"]), float(d["v_min"]), float(d["v_max"]))
 
 
-def _plateau_end(d: np.ndarray, index: int, direction: int) -> int:
-    """Walk from a first-difference extremum to the outer end of its wall."""
-    floor = _PLATEAU_FRACTION * abs(d[index])
-    sign = np.sign(d[index])
-    j = index
-    while 0 <= j + direction < len(d) and np.sign(d[j + direction]) == sign and abs(d[j + direction]) >= floor:
-        j += direction
-    return j
+def row_medians(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """np.median of each row's kept values, bit for bit; NaN for a row that keeps none.
+
+    Each row is sorted with its other entries set to +inf, so its k kept
+    values come first. The middle is then averaged the way np.median
+    averages it: 0.0 + a for odd k, (0.0 + a + b) / 2 for even k; the
+    leading 0.0 turns a -0.0 into 0.0, as np.median does. Values must be
+    finite.
+    """
+    k = keep.sum(axis=1)
+    ordered = np.sort(np.where(keep, values, np.inf), axis=1)
+    rows = np.arange(len(ordered))
+    a, b = ordered[rows, (k - 1) // 2], ordered[rows, k // 2]
+    return np.where(k % 2 == 1, 0.0 + b, np.where(k > 0, (0.0 + a + b) / 2, np.nan))
+
+
+def _plateau_ends(sign: np.ndarray, mag: np.ndarray, start: np.ndarray, direction: int) -> np.ndarray:
+    """Walk each line from its first-difference extremum at start to the
+    outer end of its wall, one step at a time in direction while the next
+    difference (sign and magnitude given) keeps the extremum's sign and at
+    least _PLATEAU_FRACTION of its magnitude. The walk stops before the
+    first sample that breaks the run, found by argmax over a mask of the
+    breaks on that side."""
+    rows = np.arange(len(sign))
+    on_wall = (sign == sign[rows, start][:, None]) & (mag >= (_PLATEAU_FRACTION * mag[rows, start])[:, None])
+    idx = np.arange(sign.shape[1])
+    if direction < 0:
+        breaks = (~on_wall & (idx < start[:, None]))[:, ::-1]
+        return np.where(breaks.any(axis=1), sign.shape[1] - np.argmax(breaks, axis=1), 0)
+    breaks = ~on_wall & (idx > start[:, None])
+    return np.where(breaks.any(axis=1), np.argmax(breaks, axis=1) - 1, sign.shape[1] - 1)
+
+
+def _edges(profile: LaserProfile, edge_threshold_mm: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lines that show both walls, with each one's left and right index; see detect_edges."""
+    d = np.diff(profile.z, axis=1)
+    sign, mag = np.sign(d), np.abs(d)
+    pair_valid = profile.valid[:, 1:] & profile.valid[:, :-1]
+    rows = np.arange(len(d))
+    valid_mag = np.where(pair_valid, mag, -np.inf)
+    first = np.argmax(valid_mag, axis=1)
+    mag_first = valid_mag[rows, first]
+    idx = np.arange(d.shape[1])
+    opposite = (
+        pair_valid
+        & (sign == -sign[rows, first][:, None])
+        & (np.abs(idx - first[:, None]) >= MIN_SEPARATION)
+    )
+    second = np.argmax(np.where(opposite, mag, -np.inf), axis=1)
+    found = np.isfinite(mag_first) & (mag_first > edge_threshold_mm) & opposite[rows, second]
+    found &= mag[rows, second] > edge_threshold_mm
+    lines = np.flatnonzero(found)
+    first, second, sign, mag = first[lines], second[lines], sign[lines], mag[lines]
+    return (
+        lines,
+        _plateau_ends(sign, mag, np.minimum(first, second), -1),
+        _plateau_ends(sign, mag, np.maximum(first, second), +1),
+    )
 
 
 def detect_edges(profile: LaserProfile, edge_threshold_mm: float) -> list[tuple[int, int] | None]:
@@ -129,64 +179,42 @@ def detect_edges(profile: LaserProfile, edge_threshold_mm: float) -> list[tuple[
     the outer end of its near-equal run so that sloped walls (ramps)
     resolve to the foot of the ramp rather than an arbitrary sample on
     it. Gives one entry per station, None where that line has no pair
-    above the threshold. The first differences, both extrema and the
-    opposite-sign mask are taken for all lines at once; only the walk
-    to each wall's outer end runs per line.
+    above the threshold. Every step, the walk to each wall's outer end
+    included, runs on all lines at once.
     """
-    d = np.diff(profile.z, axis=1)
-    pair_valid = profile.valid[:, 1:] & profile.valid[:, :-1]
-    mag = np.where(pair_valid, np.abs(d), -np.inf)
-    rows = np.arange(len(d))
-    first = np.argmax(mag, axis=1)
-    mag_first = mag[rows, first]
-    idx = np.arange(d.shape[1])
-    opposite = (
-        pair_valid
-        & (np.sign(d) == -np.sign(d[rows, first])[:, None])
-        & (np.abs(idx - first[:, None]) >= MIN_SEPARATION)
-    )
-    second = np.argmax(np.where(opposite, np.abs(d), -np.inf), axis=1)
-    found = np.isfinite(mag_first) & (mag_first > edge_threshold_mm) & opposite[rows, second]
-    found &= np.abs(d[rows, second]) > edge_threshold_mm
-    edges: list[tuple[int, int] | None] = []
-    for r in rows:
-        a, b = sorted((int(first[r]), int(second[r])))
-        edges.append((_plateau_end(d[r], a, -1), _plateau_end(d[r], b, +1)) if found[r] else None)
+    edges: list[tuple[int, int] | None] = [None] * profile.n_lines
+    for line, left, right in zip(*(a.tolist() for a in _edges(profile, edge_threshold_mm))):
+        edges[line] = (left, right)
     return edges
 
 
-def window_area(profile: LaserProfile, row: int, left: int, right: int) -> tuple[float, float]:
-    """Baseline and unsigned deviation area of line row's window [left, right].
+def window_areas(
+    profile: LaserProfile, lines: Sequence[int], lefts: Sequence[int], rights: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Baseline and unsigned deviation area of each window [lefts[i], rights[i]] of line lines[i].
 
     The baseline is the median valid height outside the window padded by
     BASELINE_MARGIN samples, or of every valid sample when none lies
-    outside.
+    outside. The windows of one width are summed as the rows of one
+    contiguous block, so each area rounds exactly as its window summed
+    on its own.
     """
-    z, valid = profile.z[row], profile.valid[row]
+    lines, lefts, rights = (np.asarray(a, dtype=np.intp) for a in (lines, lefts, rights))
+    z, valid = profile.z[lines], profile.valid[lines]
     idx = np.arange(profile.n_points)
-    outside = ((idx < left - BASELINE_MARGIN) | (idx > right + BASELINE_MARGIN)) & valid
-    if outside.any():
-        baseline = float(np.median(z[outside]))
-    else:
-        logger.warning("edge window spans the whole profile; baseline falls back to global median")
-        baseline = float(np.median(z[valid]))
-    window = z[left : right + 1]
-    return baseline, float(np.sum(np.abs(window - baseline)) * profile.pitch)
-
-
-def _features(profile: LaserProfile, row: int, left: int, right: int) -> ProfileFeatures:
-    baseline, area = window_area(profile, row, left, right)
-    centre = (left + right) // 2
-    return ProfileFeatures(
-        left_index=left,
-        right_index=right,
-        left_x_mm=float(profile.x[left]),
-        right_x_mm=float(profile.x[right]),
-        baseline_mm=baseline,
-        area_mm2=area,
-        centre_offset_mm=float(profile.x[centre]),
-        centre_height_mm=float(profile.z[row, centre] - baseline),
-    )
+    keep = ((idx < lefts[:, None] - BASELINE_MARGIN) | (idx > rights[:, None] + BASELINE_MARGIN)) & valid
+    spans = ~keep.any(axis=1)
+    for line in lines[spans].tolist():
+        logger.warning("line %d: edge window spans the whole profile; baseline falls back to global median", line)
+    keep[spans] = valid[spans]
+    baselines = row_medians(z, keep)
+    areas = np.empty(len(lines))
+    widths = rights - lefts + 1
+    for width in np.unique(widths).tolist():
+        group = np.flatnonzero(widths == width)
+        window = z[group[:, None], lefts[group, None] + np.arange(width)]
+        areas[group] = np.abs(window - baselines[group, None]).sum(axis=1)
+    return baselines, areas * profile.pitch
 
 
 def measure(profile: LaserProfile, edge_threshold_mm: float) -> list[ProfileFeatures | None]:
@@ -194,11 +222,31 @@ def measure(profile: LaserProfile, edge_threshold_mm: float) -> list[ProfileFeat
 
     The baseline is the median height outside the edge window padded by
     BASELINE_MARGIN samples; the area integrates unsigned deviation
-    from it, so troughs and beads (and mixtures) measure alike. Gives
-    one entry per station, None where that line shows no edges.
+    from it, so troughs and beads (and mixtures) measure alike (see
+    window_areas). Gives one entry per station, None where that line
+    shows no edges. Edges, baselines, areas and centres are found for
+    all lines at once.
     """
-    edges = detect_edges(profile, edge_threshold_mm)
-    return [None if e is None else _features(profile, row, *e) for row, e in enumerate(edges)]
+    lines, lefts, rights = _edges(profile, edge_threshold_mm)
+    baselines, areas = window_areas(profile, lines, lefts, rights)
+    centres = (lefts + rights) // 2
+    x = profile.x
+    heights = profile.z[lines, centres] - baselines
+    features: list[ProfileFeatures | None] = [None] * profile.n_lines
+    for line, left, right, baseline, area, centre_x, height in zip(
+        *(a.tolist() for a in (lines, lefts, rights, baselines, areas, x[centres], heights))
+    ):
+        features[line] = ProfileFeatures(
+            left_index=left,
+            right_index=right,
+            left_x_mm=float(x[left]),
+            right_x_mm=float(x[right]),
+            baseline_mm=baseline,
+            area_mm2=area,
+            centre_offset_mm=centre_x,
+            centre_height_mm=height,
+        )
+    return features
 
 
 def calibrate(strip_scans: Sequence[tuple[float, LaserProfile]], edge_threshold_mm: float) -> CalibrationModel:

@@ -44,7 +44,7 @@ from .profile import (
     ProfileFeatures,
     measure,
     speed_for_area,
-    window_area,
+    window_areas,
 )
 from .sensors import (
     DEFAULT_MASK_THRESHOLD_MM,
@@ -53,7 +53,6 @@ from .sensors import (
     DepthImage,
     MaskImage,
     SensorNoise,
-    add_depth_noise,
     render_view,
     scan_profile,
 )
@@ -270,9 +269,12 @@ class SpecimenView:
 
 @dataclass(frozen=True)
 class PerceptionResult:
-    """One scan's noisy depth and its waypoints; mask and skeleton are the view's."""
+    """One scan's waypoints, in travel order; depth, mask and skeleton are the view's.
 
-    depth: DepthImage
+    The scan forms its noisy depth only where extract_pixels reads it, so
+    no noisy frame is kept; add_depth_noise(view.depth, noise) gives it.
+    """
+
     waypoints: tuple[Waypoint, ...]
 
 
@@ -309,18 +311,18 @@ def image_specimen(scene: RepairScene, specimen: Heightfield, mask: MaskImage | 
 def perceive_view(scene: RepairScene, view: SpecimenView, noise: SensorNoise) -> PerceptionResult:
     """One RGB-D localization scan of an imaged specimen.
 
-    The scan reads the view's depth with fresh noise, attaches it to the
-    view's spaced skeleton pixels, and back-projects them through the
-    camera mount perturbed by the noise model's extrinsic bias, exactly
-    like a miscalibrated hand-eye transform would.
+    The scan reads the view's clean depth with fresh noise around the
+    view's spaced skeleton pixels only (see extract_pixels), attaches it
+    to them, and back-projects them through the camera mount perturbed by
+    the noise model's extrinsic bias, exactly like a miscalibrated
+    hand-eye transform would.
     """
-    depth = add_depth_noise(view.depth, noise)
-    pixels = extract_pixels(view.pixels, depth)
+    pixels = extract_pixels(view.pixels, view.depth, noise)
     pose_used = scene.camera_pose
     if noise.extrinsic_bias is not None:
         pose_used = compose(noise.extrinsic_bias, scene.camera_pose)
     waypoints = pixels_to_robot(pixels, scene.intrinsics, pose_used)
-    return PerceptionResult(depth=depth, waypoints=tuple(order_path(waypoints)))
+    return PerceptionResult(waypoints=tuple(order_path(waypoints)))
 
 
 def perceive(scene: RepairScene, hf: Heightfield, noise: SensorNoise, mask: MaskImage | None = None) -> PerceptionResult:
@@ -458,8 +460,9 @@ def validate(
     |post area / pre area| using unsigned deviation areas, so over- and
     under-fill cannot cancel. If the post-fill profile no longer shows
     edges (the fill levelled the surface) the post area integrates the
-    residual deviation over the pre-fill window instead. Stations whose pre-fill area is below
-    area_floor_mm2 are excluded from the statistics.
+    residual deviation over the pre-fill window instead, all such
+    stations in one window_areas call. Stations whose pre-fill area is
+    below area_floor_mm2 are excluded from the statistics.
     """
     stations, pre_features = refinement.stations, refinement.features
     if not len(stations) == len(pre_features) == len(speeds):
@@ -478,11 +481,16 @@ def validate(
         standoff_mm=refinement.standoff_mm,
     )
     posts = measure(profiles, threshold)
+    levelled = [number for number, post in enumerate(posts) if post is None]
+    _, fallbacks = window_areas(
+        profiles,
+        levelled,
+        [pre_features[number].left_index for number in levelled],
+        [pre_features[number].right_index for number in levelled],
+    )
+    fallback = iter(fallbacks.tolist())
     for number, (pre, post, speed) in enumerate(zip(pre_features, posts, speeds)):
-        if post is not None:
-            area_post = post.area_mm2
-        else:
-            _, area_post = window_area(profiles, number, pre.left_index, pre.right_index)
+        area_post = post.area_mm2 if post is not None else next(fallback)
         included = pre.area_mm2 >= area_floor_mm2
         err = fill_error(pre.area_mm2, area_post) if included else None
         if not included:

@@ -226,6 +226,15 @@ def render_view(
     return DepthImage(depth_mm=depth, valid=valid), MaskImage(flags=flags)
 
 
+def _jittered(depth_mm: np.ndarray, valid: np.ndarray, jitter: np.ndarray, sigma_fraction: float) -> np.ndarray:
+    """Noisy depths from the stream's standard normals drawn for these pixels:
+    depth + (jitter * depth) * sigma_fraction where valid, 0 elsewhere.
+    jitter is scaled in place."""
+    jitter *= depth_mm
+    jitter *= sigma_fraction
+    return np.where(valid, depth_mm + jitter, 0.0)
+
+
 def add_depth_noise(depth: DepthImage, noise: SensorNoise) -> DepthImage:
     """One noisy reading of a noise-free depth image.
 
@@ -234,12 +243,29 @@ def add_depth_noise(depth: DepthImage, noise: SensorNoise) -> DepthImage:
     """
     if noise.depth_sigma_fraction <= 0:
         return depth
+    jitter = noise.generator(0).standard_normal(depth.depth_mm.shape)
+    return DepthImage(_jittered(depth.depth_mm, depth.valid, jitter, noise.depth_sigma_fraction), depth.valid)
+
+
+def depth_noise_at(depth: DepthImage, noise: SensorNoise, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The depths add_depth_noise(depth, noise) reads at pixels (rows, cols), bit for bit.
+
+    The noise stream is drawn in row tiles (see row_tiles), which
+    continue it exactly as one full-frame draw does, and stops after the
+    last row read: its normals cannot be skipped, only cut short. No
+    pixels, or no depth noise, draw nothing.
+    """
+    values = depth.depth_mm[rows, cols]
+    if noise.depth_sigma_fraction <= 0 or rows.size == 0:
+        return values
     rng = noise.generator(0)
-    # the stream normal(0, 1) draws, scaled in place
-    jitter = rng.standard_normal(depth.depth_mm.shape)
-    jitter *= depth.depth_mm
-    jitter *= noise.depth_sigma_fraction
-    return DepthImage(depth_mm=np.where(depth.valid, depth.depth_mm + jitter, 0.0), valid=depth.valid)
+    width = depth.depth_mm.shape[1]
+    jitter = np.empty(rows.shape)
+    for tile in row_tiles(int(rows.max()) + 1, width):
+        draw = rng.standard_normal((tile.stop - tile.start, width))
+        here = (rows >= tile.start) & (rows < tile.stop)
+        jitter[here] = draw[rows[here] - tile.start, cols[here]]
+    return _jittered(values, depth.valid[rows, cols], jitter, noise.depth_sigma_fraction)
 
 
 def render_depth(

@@ -6,7 +6,9 @@ one pixel wide (no fully set 2x2 block), preserve the 8-connected
 component count, and be a fixpoint of the thinning itself.
 """
 
+import functools
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,20 +25,31 @@ from crackfill import (
     PixelCoord,
     ProviderUnavailable,
     ScenarioConfig,
+    SensorNoise,
     Skeleton,
     Waypoint,
     binarize,
     extract_pixels,
+    image_specimen,
     order_path,
     pixels_to_robot,
     skeletonize,
     space_pixels,
 )
 from crackfill import io as cfio
+from crackfill import specimen
 from crackfill.perception import _protect_components
+from crackfill.repair import perceive_view
+from crackfill.sensors import add_depth_noise, depth_noise_at
 from conftest import camera_pose
 
 EIGHT = np.ones((3, 3), dtype=int)
+
+
+@functools.cache
+def default_view():
+    scene = ScenarioConfig.default().build_scene()
+    return image_specimen(scene, scene.build_specimen())
 
 
 def random_blob_mask(rng: np.random.Generator, size: int = 64) -> np.ndarray:
@@ -225,6 +238,113 @@ class TestExtractPixels:
         with caplog.at_level("WARNING", logger="crackfill.perception"):
             assert extract_pixels(space_pixels(skel, 0.0), self.full_depth((5, 5))) == []
         assert "empty skeleton" in caplog.text
+
+
+def reference_extract_pixels(pixels, depth):
+    """extract_pixels as it read a whole noisy frame: np.median per window."""
+    out = []
+    h, w = depth.depth_mm.shape
+    for r, c in pixels:
+        window = depth.depth_mm[max(r - 1, 0) : min(r + 2, h), max(c - 1, 0) : min(c + 2, w)]
+        ok = depth.valid[max(r - 1, 0) : min(r + 2, h), max(c - 1, 0) : min(c + 2, w)]
+        if ok.any():
+            out.append(PixelCoord(u=float(c), v=float(r), depth=float(np.median(window[ok]))))
+    return out
+
+
+class RecordingGenerator:
+    """A noise generator that records the shape of each standard_normal draw."""
+
+    def __init__(self, rng, draws):
+        self.rng, self.draws = rng, draws
+
+    def standard_normal(self, shape):
+        self.draws.append(shape)
+        return self.rng.standard_normal(shape)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The shapes every SensorNoise generator is asked to draw, in order."""
+    shapes = []
+    generator = SensorNoise.generator
+    monkeypatch.setattr(SensorNoise, "generator", lambda self, stream: RecordingGenerator(generator(self, stream), shapes))
+    return shapes
+
+
+@st.composite
+def images_and_pixels(draw):
+    """A small clean depth image with invalid pixels, and skeleton pixels
+    that include its first and last rows and columns."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    valid = rng.random((h, w)) >= draw(st.sampled_from([0.0, 0.3, 0.9]))
+    depth = DepthImage(np.where(valid, rng.uniform(400.0, 600.0, (h, w)), 0.0), valid)
+    corners = [(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1)]
+    pixels = draw(st.lists(st.sampled_from(corners) | st.tuples(st.integers(0, h - 1), st.integers(0, w - 1)), max_size=8))
+    return depth, pixels
+
+
+class TestWindowedNoise:
+    """Noise is formed only at the 3x3 windows extract_pixels reads, and
+    equals the whole noisy frame of add_depth_noise there, bit for bit."""
+
+    @given(case=images_and_pixels(), sigma=st.sampled_from([0.0, 0.02, 0.5]), seed=st.integers(0, 2**31), tile=st.sampled_from([1, 64, specimen.TILE_CELLS]))
+    @settings(max_examples=300, deadline=None)
+    def test_windows_read_the_noisy_frame(self, case, sigma, seed, tile):
+        clean, pixels = case
+        noise = SensorNoise(depth_sigma_fraction=sigma, seed=seed)
+        frame = add_depth_noise(clean, noise)
+        h, w = clean.depth_mm.shape
+        rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+        with mock.patch.object(specimen, "TILE_CELLS", tile):
+            got = extract_pixels(pixels, clean, noise)
+            cells = depth_noise_at(clean, noise, rows, cols)
+        assert repr(got) == repr(reference_extract_pixels(pixels, frame))
+        assert cells.tobytes() == frame.depth_mm.tobytes()
+
+    @pytest.mark.parametrize("tile", [1, 64, specimen.TILE_CELLS])
+    def test_default_view(self, tile, draws, monkeypatch):
+        """The default scan's windows, drawn up to the last row they touch."""
+        monkeypatch.setattr(specimen, "TILE_CELLS", tile)
+        view = default_view()
+        noise = ScenarioConfig.default().build_noise()
+        frame = add_depth_noise(view.depth, noise)
+        del draws[:]
+        assert repr(extract_pixels(view.pixels, view.depth, noise)) == repr(reference_extract_pixels(view.pixels, frame))
+        rows_read = max(r for r, _ in view.pixels) + 2
+        assert sum(shape[0] for shape in draws) == rows_read < view.depth.depth_mm.shape[0]
+        assert {shape[1] for shape in draws} == {640} and len(draws) == -(-rows_read // max(1, tile // 640))
+
+    def test_pixel_without_valid_neighbour_is_dropped(self, caplog):
+        depth = np.full((9, 9), 500.0)
+        valid = np.zeros((9, 9), dtype=bool)
+        valid[6:9, 6:9] = True
+        clean = DepthImage(np.where(valid, depth, 0.0), valid)
+        noise = SensorNoise(seed=3)
+        with caplog.at_level("WARNING", logger="crackfill.perception"):
+            got = extract_pixels([(1, 1), (8, 8), (0, 8)], clean, noise)
+        assert repr(got) == repr(reference_extract_pixels([(8, 8)], add_depth_noise(clean, noise)))
+        assert caplog.text.count("no valid depth") == 2
+
+    def test_no_depth_noise_draws_nothing(self, draws):
+        clean = DepthImage(np.arange(20.0).reshape(4, 5) + 400.0, np.ones((4, 5), dtype=bool))
+        got = extract_pixels([(0, 0), (3, 4)], clean, SensorNoise(depth_sigma_fraction=0.0))
+        assert [px.depth for px in got] == [403.0, 416.0] and draws == []
+
+    def test_no_pixels_draw_nothing(self, draws):
+        clean = DepthImage(np.full((4, 5), 500.0), np.ones((4, 5), dtype=bool))
+        assert extract_pixels([], clean, SensorNoise(seed=1)) == []
+        empty = np.zeros((0, 9), dtype=int)
+        assert depth_noise_at(clean, SensorNoise(seed=1), empty, empty).shape == (0, 9)
+        assert draws == []
+
+    def test_pristine_plate_finds_no_crack(self, draws):
+        scene = ScenarioConfig.from_dict({"crack": None}).build_scene()
+        view = image_specimen(scene, scene.build_specimen())
+        with pytest.raises(EmptyPath):
+            perceive_view(scene, view, SensorNoise(seed=1))
+        assert draws == []
 
 
 class TestPixelsToRobot:

@@ -7,6 +7,7 @@ constant computed independently from the closed-form least squares
 expression Q = sum(A_i/v_i) / sum(1/v_i^2).
 """
 
+import dataclasses
 import math
 import warnings
 from dataclasses import replace
@@ -44,7 +45,7 @@ from crackfill import (
     transform_point,
     validate,
 )
-from crackfill.profile import window_area
+from crackfill.profile import row_medians, window_areas
 from crackfill.sensors import SCANNER_POINTS, SCANNER_RANGE_MM, SCANNER_STANDOFF_MM
 from conftest import counted, make_waypoint, rect_profile
 
@@ -205,7 +206,8 @@ class TestMeasure:
     def test_window_area_matches_measure(self):
         prof = trough(width=10.0, depth=2.0)
         [feats] = measure(prof, edge_threshold_mm=1e-6)
-        assert window_area(prof, 0, feats.left_index, feats.right_index) == (feats.baseline_mm, feats.area_mm2)
+        baselines, areas = window_areas(prof, [0], [feats.left_index], [feats.right_index])
+        assert (baselines.tolist(), areas.tolist()) == ([feats.baseline_mm], [feats.area_mm2])
 
     def test_window_area_fallback_baseline_ignores_invalid_samples(self):
         """With nothing outside the padded window, the baseline is the
@@ -213,14 +215,15 @@ class TestMeasure:
         x = np.linspace(-1.0, 1.0, 11)
         z = np.array([-50.0, -50.0, -50.0, -50.0, 1.0, 1.0, 1.0, 1.0, 1.0, -50.0, -50.0])
         valid = z > 0
-        baseline, area = window_area(LaserProfile(x, z[None], valid[None]), 0, 4, 8)
-        assert baseline == 1.0 and area == 0.0
+        baselines, areas = window_areas(LaserProfile(x, z[None], valid[None]), [0], [4], [8])
+        assert baselines.tolist() == [1.0] and areas.tolist() == [0.0]
 
     def test_window_area_reads_the_given_row(self):
         """Each row of a batch gets its own baseline and area."""
         batch = exact_area_profile(90.0, 40.0)
         [first, second] = measure(batch, edge_threshold_mm=1e-6)
-        assert window_area(batch, 1, first.left_index, first.right_index) == (second.baseline_mm, second.area_mm2)
+        baselines, areas = window_areas(batch, [1], [first.left_index], [first.right_index])
+        assert (baselines.tolist(), areas.tolist()) == ([second.baseline_mm], [second.area_mm2])
         assert second.area_mm2 == pytest.approx(40.0, rel=1e-12)
 
     def test_empty_batch_measures_nothing(self):
@@ -471,6 +474,7 @@ def banded_plate() -> Heightfield:
 
 
 PLATE = banded_plate()
+PLATE_LINE = scan_profile(PLATE, [RigidTransform(np.eye(3), [0.0, -5.0, SCANNER_STANDOFF_MM], Frame.LASER, Frame.ROBOT)], 40.0, [SensorNoise.noiseless()])
 NOISY = SensorNoise(laser_sigma_mm=0.02, seed=5)
 
 
@@ -612,6 +616,146 @@ class TestBatchMatchesPerStation:
             validate(replace(one, stations=(station, station)), PLATE, speeds=[6.0, 6.0], noise=NOISY, elapsed_s=0.0, mode=FillMode.fixed(6.0))
         with pytest.raises(ValueError):
             validate(one, PLATE, speeds=[6.0, 6.0], noise=NOISY, elapsed_s=0.0, mode=FillMode.fixed(6.0))
+
+
+# -- array-form measurement against the per-row reference -------------------------------
+#
+# measure and window_areas work on every line at once; each line must get the
+# per-row reference's fields bit for bit, signs of zero included (repr tells
+# -0.0 from 0.0, where == does not).
+
+
+def bits(value) -> str:
+    return repr(value if value is None else dataclasses.astuple(value))
+
+
+@st.composite
+def profile_lines(draw, n: int):
+    """One laser line of n samples: a wall pair (rectangular or ramped, a
+    trough or a bead) over noise, or a row of signed zeros and steps whose
+    differences tie and halve exactly, with some samples invalid."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    idx = np.arange(n)
+    kind = draw(st.sampled_from(["rect", "ramp", "steps"]))
+    if kind == "steps":
+        z = rng.choice([-0.0, 0.0, -1.0, -2.0, -4.0, 2.0], size=n)
+    else:
+        lo = draw(st.integers(0, n - 1))
+        hi = draw(st.integers(lo, n - 1))
+        height = draw(st.sampled_from([-5.0, -0.5, 3.0]))
+        ramp = 1 if kind == "rect" else draw(st.integers(2, 6))
+        z = height * np.clip(np.minimum(idx - lo + 1, hi + 1 - idx) / ramp, 0.0, 1.0)
+        z = z + rng.normal(0.0, draw(st.sampled_from([0.0, 0.02, 0.3])), n)
+    valid = rng.random(n) >= draw(st.sampled_from([0.0, 0.1, 0.6]))
+    valid[rng.integers(n)] = True
+    return z, valid
+
+
+@st.composite
+def batches(draw):
+    n = draw(st.integers(8, 70))
+    rows = draw(st.lists(profile_lines(n), min_size=1, max_size=6))
+    z, valid = (np.array(a) for a in zip(*rows))
+    return LaserProfile(np.linspace(-5.0, 5.0, n), z, valid)
+
+
+def assert_window_areas_match_reference(batch, lines, lefts, rights):
+    baselines, areas = window_areas(batch, lines, lefts, rights)
+    for i, (line, left, right) in enumerate(zip(lines, lefts, rights, strict=True)):
+        want = reference_window_area(batch.x, batch.z[line], batch.valid[line], left, right)
+        assert repr((baselines.tolist()[i], areas.tolist()[i])) == repr(want)
+
+
+class TestArrayFormMatchesPerRow:
+    @given(batch=batches(), threshold=st.sampled_from([1e-9, 0.12, 1.5]))
+    @settings(max_examples=300, deadline=None)
+    def test_measure_matches_the_reference_field_by_field(self, batch, threshold):
+        got = measure(batch, threshold)
+        assert len(got) == batch.n_lines
+        for line, found in enumerate(got):
+            assert bits(found) == bits(reference_or_none(batch.x, batch.z[line], batch.valid[line], threshold))
+
+    @given(batch=batches(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_window_areas_match_the_reference(self, batch, data):
+        n = batch.n_points
+        lines = data.draw(st.lists(st.integers(0, batch.n_lines - 1), max_size=8))
+        lefts = [data.draw(st.integers(0, n - 2)) for _ in lines]
+        rights = [data.draw(st.integers(left + 1, n - 1)) for left in lefts]
+        assert_window_areas_match_reference(batch, lines, lefts, rights)
+
+    def test_hand_made_rows(self, caplog):
+        """Windows spanning the whole line (global-median fallback), even
+        and odd baseline counts, an invalid sample, and baselines that are
+        medians of signed zeros, which np.median turns into 0.0."""
+        z = np.array(
+            [
+                [1.0, 2.0, 3.0, 4.0, -1.0, -1.0, -1.0, -1.0, 5.0, 6.0, 7.0, 9.0]
+                + [10.0, 12.0, 11.0, 8.0, 0.5, 0.25, 3.5, 2.5, 1.5, 7.5, 6.5, 4.5],
+                [-0.0] * 24,
+                [-0.0, 0.0] * 12,
+                [-0.0, 0.0, 0.0] + [-2.0] * 9 + [-0.0] * 12,
+            ]
+        )
+        valid = np.ones(z.shape, dtype=bool)
+        valid[0, 1] = False
+        batch = LaserProfile(np.linspace(-1.0, 1.0, 24), z, valid)
+        # line 0: 6, 1 and 2 samples outside the padded window, then a fallback to all 23 valid samples
+        windows = [(0, 4, 7), (0, 2, 12), (0, 13, 20), (0, 5, 16), (1, 11, 12), (1, 2, 21), (2, 11, 12), (3, 3, 20), (3, 5, 6)]
+        with caplog.at_level("WARNING", logger="crackfill.profile"):
+            assert_window_areas_match_reference(batch, *map(list, zip(*windows)))
+        assert caplog.text.count("falls back to global median") == 3
+        baselines, _ = window_areas(batch, [1, 1, 3, 3], [11, 2, 3, 5], [12, 21, 20, 6])
+        assert [math.copysign(1.0, b) for b in baselines.tolist()] == [1.0] * 4
+
+    def test_validate_fallback_areas_match_the_reference(self):
+        """Every station of a levelled plate falls back to its pre-fill
+        window, all in one window_areas call."""
+        mount = RigidTransform.identity(Frame.LASER, Frame.ROBOT)
+        waypoints = [make_waypoint(0.1 * k, y, 0.0) for k, y in enumerate([-8.0, -6.0, -4.0, 16.0, 19.0])]
+        refined = refine_waypoints(waypoints, PLATE, laser_mount=mount, noise=NOISY)
+        levelled = Heightfield.flat(PLATE.origin, PLATE.cell_size, PLATE.nx, PLATE.ny)
+        report = validate(refined, levelled, speeds=[6.0] * 5, noise=NOISY, elapsed_s=1.0, mode=FillMode.fixed(6.0))
+        for number, (station, pre, record) in enumerate(zip(refined.stations, refined.features, report.records, strict=True)):
+            x, z, valid = reference_scan(levelled, station, 40.0, NOISY.derive(3, number))
+            assert reference_or_none(x, z, valid, edge_threshold_for(NOISY)) is None
+            _, want = reference_window_area(x, z, valid, pre.left_index, pre.right_index)
+            assert repr(record.area_post_mm2) == repr(want)
+
+    def test_a_step_of_half_the_wall_belongs_to_it(self):
+        """A difference of exactly half the wall's extremum extends the wall."""
+        z = np.array([0.0] * 20 + [-1.0] + [-3.0] * 12 + [-1.0] + [0.0] * 20)
+        batch = LaserProfile(np.linspace(-1.0, 1.0, len(z)), z[None])
+        [found] = measure(batch, 1e-9)
+        assert (found.left_index, found.right_index) == (19, 33)
+        assert bits(found) == bits(reference_measure(batch.x, z, batch.valid[0], 1e-9))
+
+    def test_no_lines_give_no_areas(self):
+        baselines, areas = window_areas(PLATE_LINE, [], [], [])
+        assert baselines.shape == areas.shape == (0,)
+
+
+class TestRowMedians:
+    @given(
+        rows=st.lists(
+            st.lists(st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.0]), st.floats(-1e6, 1e6)), min_size=1, max_size=12),
+            min_size=1,
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equal_np_median_bit_for_bit(self, rows, seed):
+        width = max(map(len, rows))
+        values = np.zeros((len(rows), width))
+        keep = np.random.default_rng(seed).random((len(rows), width)) < 0.7
+        for i, row in enumerate(rows):
+            values[i, : len(row)] = row
+            keep[i, len(row) :] = False
+        got = row_medians(values, keep).tolist()
+        for i in range(len(rows)):
+            want = float(np.median(values[i][keep[i]])) if keep[i].any() else math.nan
+            assert repr(got[i]) == repr(want)
 
 
 class TestStripCalibration:

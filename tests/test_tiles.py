@@ -3,7 +3,8 @@
 The carve, the raycast with its view, and the heightfield PGM must be
 byte-identical to the full-size references below at several tile sizes,
 and each must hold only a tile's worth of scratch on top of its output;
-so must a fill's deposition, which lays its whole path in tiles.
+so must a fill's deposition, which lays its whole path in tiles, and a
+scan's depth noise, drawn in tiles and kept only where it is read.
 """
 
 import functools
@@ -15,6 +16,7 @@ import pytest
 from crackfill import CrackSpec, FillMode, Heightfield, NoIntersection, ScenarioConfig, execute_fill, generate_specimen, image_specimen, plan_fill, specimen, survey
 from crackfill import io as cfio
 from crackfill.geometry import CameraIntrinsics, RigidTransform
+from crackfill.repair import perceive_view
 from crackfill.sensors import render_view
 from crackfill.specimen import profile_values, row_tiles
 from conftest import tilted
@@ -283,6 +285,17 @@ class TestScratchBudgets:
         scene = ScenarioConfig.default().build_scene()
         hf, peak = traced_peak(scene.build_specimen)
         assert peak <= hf.heights.nbytes + 8e6
+
+    def test_default_scan_within_1_mb(self):
+        """A scan forms noisy depth only in the windows it reads, in row
+        tiles: far below one float64 frame (2.46 MB). Reading a whole noisy
+        frame peaked at 7.4 MB; this peaks at 0.54 MB."""
+        surveyed_scene, _ = surveyed("default")
+        scene, view, noise = surveyed_scene.scene, surveyed_scene.view, surveyed_scene.noise
+        perceive_view(scene, view, noise)  # the first scan imports what drawing noise needs
+        result, peak = traced_peak(lambda: perceive_view(scene, view, noise))
+        assert len(result.waypoints) >= 30
+        assert peak <= 1e6
 
     @pytest.mark.parametrize("speed", [6.0, 20.0], ids=["capped", "flooded"])
     @pytest.mark.parametrize("name", ["default", "along_x"])
