@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -56,7 +57,7 @@ from .sensors import (
     render_view,
     scan_profile,
 )
-from .specimen import CrackSpec, DepositionParams, DepositResult, Heightfield, deposit_path, generate_specimen
+from .specimen import CrackSpec, DepositionParams, DepositResult, Heightfield, PathLayout, deposit_path, generate_specimen, lay_out
 
 logger = logging.getLogger(__name__)
 
@@ -424,17 +425,25 @@ def plan_fill(waypoints: list[Waypoint], mode: FillMode, model: CalibrationModel
     return FillPlan(waypoints=tuple(planned))
 
 
-def execute_fill(hf: Heightfield, plan: FillPlan, params: DepositionParams) -> ExecutionResult:
+def fill_points(waypoints: Sequence[Waypoint]) -> list[tuple[float, float]]:
+    """The nozzle's path through the waypoints: each one's best known x, y."""
+    return [(p.x, p.y) for p in (wp.position() for wp in waypoints)]
+
+
+def execute_fill(hf: Heightfield, layout: PathLayout, plan: FillPlan, params: DepositionParams) -> ExecutionResult:
     """Run the extruder along the planned path in one deposit_path call.
 
-    Each segment between consecutive waypoints is deposited at the
-    starting waypoint's speed; interior segment ends are left to the
-    following segment so no cross-section is deposited twice. Elapsed
-    time is purge time plus the sum of segment length over speed.
+    layout is the plan's path laid out on hf's plate (see lay_out); a plan
+    whose positions are not the layout's points raises ValueError. Each
+    segment between consecutive waypoints is deposited at the starting
+    waypoint's speed; interior segment ends are left to the following
+    segment so no cross-section is deposited twice. Elapsed time is purge
+    time plus the sum of segment length over speed.
     """
     pts = plan.waypoints
-    positions = [(p.x, p.y) for p in (wp.position() for wp in pts)]
-    segments = tuple(deposit_path(hf, positions, [wp.speed_mm_s for wp in pts[:-1]], params))
+    if not np.array_equal(fill_points(pts), layout.points, equal_nan=True):
+        raise ValueError("the plan's positions are not the points its layout was made for")
+    segments = tuple(deposit_path(hf, layout, [wp.speed_mm_s for wp in pts[:-1]], params))
     elapsed = params.purge_time_s
     for result in segments:
         elapsed += result.elapsed_s
@@ -527,7 +536,8 @@ def validate(
 class Survey:
     """One imaged specimen, scanned and laser-refined once.
 
-    Each repair fills a copy of the view's read-only specimen.
+    Each repair fills a copy of the view's read-only specimen along the
+    refined waypoints, laid out once (layout) for all of them.
     """
 
     scene: RepairScene
@@ -539,6 +549,11 @@ class Survey:
     @property
     def specimen(self) -> Heightfield:
         return self.view.specimen
+
+    @cached_property
+    def layout(self) -> PathLayout:
+        """The refined path laid out on the specimen, made on first use."""
+        return lay_out(self.specimen, fill_points(self.refinement.waypoints))
 
 
 def survey(scene: RepairScene, view: SpecimenView, noise: SensorNoise) -> Survey:
@@ -579,7 +594,7 @@ def repair(
     """Fill a copy of the surveyed specimen under one speed policy and rescan it."""
     hf = survey.specimen.copy()
     plan = plan_fill(survey.refinement.waypoints, mode, model)
-    execution = execute_fill(hf, plan, params)
+    execution = execute_fill(hf, survey.layout, plan, params)
     report = validate(
         survey.refinement,
         hf,

@@ -11,7 +11,6 @@ gate on measuring range.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 from dataclasses import dataclass
 from typing import Sequence
@@ -123,8 +122,9 @@ class SensorNoise:
         return np.random.default_rng([self.seed, stream])
 
     def derive(self, *key: int) -> "SensorNoise":
+        """This model under the seed drawn from its seed and key."""
         child = int(np.random.SeedSequence((self.seed,) + key).generate_state(1)[0])
-        return dataclasses.replace(self, seed=child)
+        return SensorNoise(self.depth_sigma_fraction, self.laser_sigma_mm, self.extrinsic_bias, child)
 
     @staticmethod
     def noiseless() -> "SensorNoise":

@@ -13,7 +13,7 @@ import copy
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -424,7 +424,6 @@ class _Segment:
 
     start: np.ndarray
     end: np.ndarray
-    speed_mm_s: float
     length: float
     dom: int
     first: int
@@ -436,10 +435,8 @@ class _Segment:
         return self.first + self.step * (self.count - 1)
 
 
-def _segment(hf: Heightfield, start, end, speed_mm_s: float, include_end: bool) -> _Segment:
-    """Check one segment and find its grid lines (see deposit)."""
-    if speed_mm_s <= 0:
-        raise ZeroSpeed(f"deposition speed must be positive, got {speed_mm_s}")
+def _segment(hf: Heightfield, start, end, include_end: bool) -> _Segment:
+    """Check one segment's geometry and find its grid lines (see deposit)."""
     p0 = np.asarray(start, dtype=float)
     p1 = np.asarray(end, dtype=float)
     if not (hf.contains(p0[0], p0[1]) and hf.contains(p1[0], p1[1])):
@@ -457,7 +454,7 @@ def _segment(hf: Heightfield, start, end, speed_mm_s: float, include_end: bool) 
     if not include_end and i_to != i_from:
         i_to -= step
     length = float(np.linalg.norm(p1 - p0))
-    return _Segment(p0, p1, speed_mm_s, length, dom, i_from, step, abs(i_to - i_from) + 1)
+    return _Segment(p0, p1, length, dom, i_from, step, abs(i_to - i_from) + 1)
 
 
 def _line_sums(lines: np.ndarray) -> np.ndarray:
@@ -469,122 +466,172 @@ def _line_sums(lines: np.ndarray) -> np.ndarray:
     return np.concatenate([np.ascontiguousarray(lines[tile]).sum(axis=1) for tile in row_tiles(*lines.shape)])
 
 
-def _lay(hf: Heightfield, run: Sequence[_Segment], params: DepositionParams) -> list[DepositResult]:
-    """Lay a run of segments as one block of grid lines; see deposit_path.
+@dataclass(frozen=True)
+class _Troughs:
+    """A run's lines as the plate holds them before the run is laid.
 
-    The segments share a dominant axis and a direction, and each one's
-    lines pick up where the previous one's stop, so the run's lines are
-    distinct and each only changes itself. Every line carries its own
-    segment's nozzle centre and station area and gets the same arithmetic
-    as a line handled on its own; the flood and the caps group lines of
-    one size across the whole run. The line sums go straight over the
-    plate's rows or over row tiles, and every other stage works in tiles
-    of about TILE_CELLS cells, so the scratch stays a few tiles' worth.
+    before holds each line's sum. bounds holds four rows of cells per
+    line: the first and last cell of the run of below-surface cells
+    holding the nearest such cell at or below the nozzle centre's cell,
+    then the nearest such cell at or above the centre and the last cell of
+    its run. A side without one has its cells n past the centre, beyond
+    any reach.
     """
-    cs = hf.cell_size
-    nominal = hf.nominal_surface
-    nozzle = params.nozzle_diameter_mm
-    dom, step = run[0].dom, run[0].step
-    # each line's segment, in ascending line order
-    seg_of = np.repeat(np.arange(len(run)), [seg.count for seg in run])[::step]
-    m = len(seg_of)
-    lo = min(run[0].first, run[-1].last)
-    areas = [params.flow_rate_mm3_s / seg.speed_mm_s for seg in run]
-    station_area = np.array([area * seg.length / (seg.count * cs) for area, seg in zip(areas, run)])[seg_of]
-    p0 = np.array([seg.start for seg in run])[seg_of]
-    p1 = np.array([seg.end for seg in run])[seg_of]
 
-    # one row per grid line, in ascending index order
-    view = hf.heights[:, lo : lo + m].T if dom == 0 else hf.heights[lo : lo + m]
-    n = view.shape[1]
-    o_perp = hf.origin[1 - dom]
+    before: np.ndarray
+    bounds: np.ndarray
+
+    def nearest(self, j_c: np.ndarray, reach: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The lines with a below-surface cell within reach of their centre
+        cell j_c, and on each the first and last cell of the run holding
+        the nearest such cell; the lower one wins a tie."""
+        left_lo, left_hi, right, right_hi = self.bounds
+        to_left = np.maximum(j_c - left_hi, 0)
+        to_right = right - j_c
+        take_left = (to_left <= to_right) & (to_left <= reach)
+        wet = np.flatnonzero(take_left | (to_right <= reach))
+        take_left = take_left[wet]
+        return wet, np.where(take_left, left_lo[wet], right[wet]), np.where(take_left, left_hi[wet], right_hi[wet])
+
+
+def _troughs(view: np.ndarray, j_c: np.ndarray, nominal: float) -> _Troughs:
+    """The troughs of the lines of view (one row per line) around each
+    centre cell j_c, on a plate whose surface is at nominal. Only the band
+    of columns holding below-surface cells, plus one dry column each side,
+    can bound a run, and the band is read in row tiles."""
+    m, n = view.shape
     below = nominal - 1e-12  # a cell lower than this is below the surface
-    before = _line_sums(view)
+    bounds = np.repeat([j_c - n, j_c + n], 2, axis=0)
+    wet_cols = np.zeros(n, dtype=bool)
+    for tile in row_tiles(m, n):
+        wet_cols |= (view[tile] < below).any(axis=0)
+    wet_cols = np.flatnonzero(wet_cols)
+    if wet_cols.size:
+        c0, c1 = max(wet_cols[0] - 1, 0), min(wet_cols[-1] + 2, n)
+        cells = np.arange(c0, c1)
+        for tile in row_tiles(m, c1 - c0):
+            wet = view[tile, c0:c1] < below
+            dry = ~wet
+            centre = j_c[tile]
+            left = np.where(wet & (cells <= centre[:, None]), cells, -1).max(axis=1)
+            right = np.where(wet & (cells >= centre[:, None]), cells, n).min(axis=1)
+            left_lo = np.where(dry & (cells < left[:, None]), cells, c0 - 1).max(axis=1) + 1
+            right_hi = np.where(dry & (cells > right[:, None]), cells, c1).min(axis=1) - 1
+            # a centre cell below the surface is both, and its run ends at right_hi
+            left_hi = np.where(left == centre, right_hi, left)
+            found = [left >= 0, left >= 0, right < n, right < n]
+            bounds[:, tile] = np.where(found, [left_lo, left_hi, right, right_hi], bounds[:, tile])
+    return _Troughs(before=_line_sums(view), bounds=bounds)
 
-    # the nozzle centre's cell on each line
+
+@dataclass(frozen=True)
+class _Run:
+    """Segments laid as one block of grid lines: they share a dominant axis
+    and a direction, and each one's lines pick up where the previous one's
+    stop, so the lines are distinct and each only changes itself.
+
+    Lines are held in ascending index order from lo: each line's segment,
+    its nozzle centre across the line (mm) and that centre's cell.
+    troughs, when set, survey the lines as the layout's plate holds them;
+    only a run that no earlier run of its path can write on has them.
+    """
+
+    segments: tuple[_Segment, ...]
+    lo: int
+    seg_of: np.ndarray
+    centre_perp: np.ndarray
+    j_c: np.ndarray
+    troughs: _Troughs | None = None
+
+    @property
+    def dom(self) -> int:
+        return self.segments[0].dom
+
+    @property
+    def step(self) -> int:
+        return self.segments[0].step
+
+    @property
+    def hi(self) -> int:
+        """One past the run's last line."""
+        return self.lo + len(self.seg_of)
+
+    def lines(self, hf: Heightfield) -> np.ndarray:
+        """hf's grid lines of this run, one row per line: a view of its heights."""
+        return hf.heights[:, self.lo : self.hi].T if self.dom == 0 else hf.heights[self.lo : self.hi]
+
+
+def _run(hf: Heightfield, segments: Sequence[_Segment]) -> _Run:
+    """The grid lines of chained segments and each line's nozzle centre."""
+    cs = hf.cell_size
+    dom, step = segments[0].dom, segments[0].step
+    # each line's segment, in ascending line order
+    seg_of = np.repeat(np.arange(len(segments)), [seg.count for seg in segments])[::step]
+    m = len(seg_of)
+    lo = min(segments[0].first, segments[-1].last)
+    p0 = np.array([seg.start for seg in segments])[seg_of]
+    p1 = np.array([seg.end for seg in segments])[seg_of]
     # distinct ends differ in the dominant axis, so the divisor is never zero;
     # on a segment a few ulps long t overflows, and the clip takes it to an end
     with np.errstate(over="ignore"):
         t = (hf.origin[dom] + np.arange(lo, lo + m) * cs - p0[:, dom]) / (p1[:, dom] - p0[:, dom])
     t = np.where(t > 1.0, 1.0, np.where(t < 0.0, 0.0, t))
     centre_perp = p0[:, 1 - dom] + t * (p1[:, 1 - dom] - p0[:, 1 - dom])
-    j_c = np.clip(np.rint((centre_perp - o_perp) / cs), 0, n - 1).astype(int)
+    n = hf.ny if dom == 0 else hf.nx
+    j_c = np.clip(np.rint((centre_perp - hf.origin[1 - dom]) / cs), 0, n - 1).astype(int)
+    return _Run(tuple(segments), lo, seg_of, centre_perp, j_c)
+
+
+def _lay(hf: Heightfield, run: _Run, speeds: Sequence[float], params: DepositionParams) -> list[DepositResult]:
+    """Lay a run at speeds, one per segment; see deposit_path.
+
+    Every line carries its own segment's nozzle centre and station area and
+    gets the same arithmetic as a line handled on its own; the flood and
+    the caps group lines of one size across the whole run. A run without
+    troughs has them surveyed here, on hf as it stands. The line sums go
+    straight over the plate's rows or over row tiles, and every other
+    stage works in tiles of about TILE_CELLS cells, so the scratch stays a
+    few tiles' worth.
+    """
+    cs = hf.cell_size
+    nominal = hf.nominal_surface
+    nozzle = params.nozzle_diameter_mm
+    view = run.lines(hf)
+    m, n = view.shape
+    o_perp = hf.origin[1 - run.dom]
+    troughs = run.troughs if run.troughs is not None else _troughs(view, run.j_c, nominal)
+    areas = [params.flow_rate_mm3_s / speed for speed in speeds]
+    station_area = np.array([area * seg.length / (seg.count * cs) for area, seg in zip(areas, run.segments)])[run.seg_of]
 
     # flood the trough run nearest the nozzle centre
     # no cell lies more than n - 1 away, however wide the nozzle
     reach = min(max(1, math.ceil(nozzle / 2.0 / cs)), n - 1)
-    j0 = _nearest_trough(view, j_c, reach, below)
-    wet = np.flatnonzero(j0 >= 0)
-    j_lo, j_hi = _trough_runs(view, wet, j0[wet], below)
+    wet, j_lo, j_hi = troughs.nearest(run.j_c, reach)
     remaining = _flood(view, wet, j_lo, j_hi, station_area, nominal, cs)
 
     # cap whatever the trough could not hold, centred on the trough if any
-    cap_centre = centre_perp.copy()
+    cap_centre = run.centre_perp.copy()
     cap_width = np.full(m, nozzle)
     cap_centre[wet] = o_perp + (j_lo + j_hi) / 2.0 * cs
     trough_width = (j_hi - j_lo + 1) * cs
     cap_width[wet] = np.where(nozzle < trough_width, nozzle, trough_width)
     capped = np.flatnonzero(remaining > 1e-12)
     peak = np.full(m, -math.inf)
-    peak[capped] = _pile_caps(view, capped, cap_centre[capped], cap_width[capped], remaining[capped], j_c[capped], o_perp, cs)
+    peak[capped] = _pile_caps(view, capped, cap_centre[capped], cap_width[capped], remaining[capped], run.j_c[capped], o_perp, cs)
 
     # each segment's lines back in travel order: the volume sums them in
     # that order, and the first segment over the bound raises
-    change = ((_line_sums(view) - before) * cs * cs)[::step]
-    peak = peak[::step]
+    change = ((_line_sums(view) - troughs.before) * cs * cs)[:: run.step]
+    peak = peak[:: run.step]
     results = []
     stop = 0
-    for area, seg in zip(areas, run):
+    for area, speed, seg in zip(areas, speeds, run.segments):
         start, stop = stop, stop + seg.count
         if peak[start:stop].max() > nominal + MAX_OVERFILL_MM:
-            raise Overfill(
-                f"deposition at {seg.speed_mm_s:g} mm/s piled a bead more than {MAX_OVERFILL_MM:g} mm above the surface"
-            )
+            raise Overfill(f"deposition at {speed:g} mm/s piled a bead more than {MAX_OVERFILL_MM:g} mm above the surface")
         deposited = np.cumsum(np.concatenate(([0.0], change[start:stop])))[-1]
-        results.append(DepositResult(seg.length / seg.speed_mm_s, area * seg.length, deposited))
+        results.append(DepositResult(seg.length / speed, area * seg.length, deposited))
     return results
-
-
-def _nearest_trough(view: np.ndarray, j_c: np.ndarray, reach: int, below: float) -> np.ndarray:
-    """On each row, the cell under the nozzle (within reach of j_c) below
-    the surface nearest j_c, or -1 when there is none. Cells are searched
-    in the order 0, -1, +1, -2, +2, ... so the lower cell wins a tie."""
-    m, n = view.shape
-    search = np.concatenate(([0], np.column_stack((-np.arange(1, reach + 1), np.arange(1, reach + 1))).ravel()))
-    rows = np.arange(m)
-    found = np.full(m, -1)
-    for tile in row_tiles(m, len(search)):
-        candidates = j_c[tile, None] + search
-        inside = (candidates >= 0) & (candidates < n)
-        # a hit lies inside, where clipping leaves its index as it was
-        np.clip(candidates, 0, n - 1, out=candidates)
-        hit = inside & (view[rows[tile, None], candidates] < below)
-        first = candidates[np.arange(len(candidates)), hit.argmax(axis=1)]
-        found[tile] = np.where(hit.any(axis=1), first, -1)
-    return found
-
-
-def _trough_runs(view: np.ndarray, wet: np.ndarray, j0: np.ndarray, below: float) -> tuple[np.ndarray, np.ndarray]:
-    """First and last cell of the run of below-surface cells around j0 on
-    each wet row. Only the band of columns holding the wet rows'
-    below-surface cells, plus one dry column each side, can bound a run."""
-    j_lo, j_hi = j0.copy(), j0.copy()
-    if not wet.size:
-        return j_lo, j_hi
-    m, n = view.shape
-    is_wet = np.zeros(m, dtype=bool)
-    is_wet[wet] = True
-    wet_cols = np.zeros(n, dtype=bool)
-    for tile in row_tiles(m, n):
-        wet_cols |= (view[tile] < below)[is_wet[tile]].any(axis=0)
-    wet_cols = np.flatnonzero(wet_cols)
-    c0, c1 = max(wet_cols[0] - 1, 0), min(wet_cols[-1] + 2, n)
-    cells = np.arange(c0, c1)
-    for tile in row_tiles(wet.size, c1 - c0):
-        dry = ~(view[wet[tile], c0:c1] < below)
-        j_lo[tile] = np.where(dry & (cells < j0[tile, None]), cells, c0 - 1).max(axis=1, initial=c0 - 1) + 1
-        j_hi[tile] = np.where(dry & (cells > j0[tile, None]), cells, c1).min(axis=1, initial=c1) - 1
-    return j_lo, j_hi
 
 
 def _flood(view, wet, j_lo, j_hi, station_area, ceiling: float, cs: float) -> np.ndarray:
@@ -624,6 +671,68 @@ def _groups(sizes: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
             yield int(size), of_size[tile]
 
 
+def _grid(hf: Heightfield) -> tuple:
+    """(origin, cell size, nx, ny, nominal surface) of hf."""
+    return (tuple(float(v) for v in hf.origin), float(hf.cell_size), hf.nx, hf.ny, float(hf.nominal_surface))
+
+
+@dataclass(frozen=True)
+class PathLayout:
+    """What laying a path on one plate owes to the plate and the path, not
+    to the speeds or the extruder (see lay_out).
+
+    points is the path and grid the (origin, cell size, nx, ny, nominal
+    surface) of the plate the layout was made on. runs hold the path's
+    checked segments, up to the first one that fails its check; error is
+    that segment's number with its exception type and message, or None.
+    """
+
+    points: tuple[tuple[float, float], ...]
+    grid: tuple
+    runs: tuple[_Run, ...]
+    error: tuple[int, type, str] | None
+
+
+def lay_out(plate: Heightfield, points: Sequence[tuple[float, float]], *, include_end: bool = True) -> PathLayout:
+    """Lay out the polyline through points on plate for deposit_path.
+
+    Checks each segment (SegmentOutsideGrid, ZeroLengthSegment) and finds
+    its grid lines, every interior segment leaving its far line to the
+    next and the last one keeping it unless include_end is false (see
+    deposit). The first segment that fails its check is recorded, not
+    raised, and ends the layout. The segments are split into runs: a
+    segment joins the run before it when it has the same dominant axis and
+    direction and its first grid line follows the run's last. Each line's
+    nozzle centre is found, and a run that no earlier run can write on
+    (each earlier run lies along the same axis, on other lines) has its
+    lines' sums and troughs surveyed on plate. Nothing here depends on the
+    speeds or the extruder, so one layout serves every fill of a copy of
+    plate along points.
+    """
+    segments: list[_Segment] = []
+    error = None
+    for k in range(len(points) - 1):
+        try:
+            segments.append(_segment(plate, points[k], points[k + 1], include_end and k == len(points) - 2))
+        except (SegmentOutsideGrid, ZeroLengthSegment) as exc:
+            error = (k, type(exc), str(exc))
+            break
+    chains: list[list[_Segment]] = []
+    for seg in segments:
+        prev = chains[-1][-1] if chains else None
+        if prev is not None and (seg.dom, seg.step, seg.first) == (prev.dom, prev.step, prev.last + seg.step):
+            chains[-1].append(seg)
+        else:
+            chains.append([seg])
+    runs: list[_Run] = []
+    for chain in chains:
+        run = _run(plate, chain)
+        if all(earlier.dom == run.dom and (earlier.lo >= run.hi or earlier.hi <= run.lo) for earlier in runs):
+            run = replace(run, troughs=_troughs(run.lines(plate), run.j_c, plate.nominal_surface))
+        runs.append(run)
+    return PathLayout(tuple((float(x), float(y)) for x, y in points), _grid(plate), tuple(runs), error)
+
+
 def deposit(
     hf: Heightfield,
     start: tuple[float, float],
@@ -651,26 +760,29 @@ def deposit(
     cells and the trough flood never rises above the surface, so on a
     plate whose earlier segments each passed this check no other cell
     can be above the bound; a plate handed in with such a cell elsewhere
-    is not refused.
+    is not refused. Raises ZeroSpeed, then SegmentOutsideGrid or
+    ZeroLengthSegment, before laying anything. The segment is laid out
+    and laid as a path of one segment.
     """
-    return _lay(hf, [_segment(hf, start, end, speed_mm_s, include_end)], params)[0]
+    return deposit_path(hf, lay_out(hf, [start, end], include_end=include_end), [speed_mm_s], params)[0]
 
 
 def deposit_path(
     hf: Heightfield,
-    points: Sequence[tuple[float, float]],
+    layout: PathLayout,
     speeds: Sequence[float],
     params: DepositionParams,
 ) -> list[DepositResult]:
-    """Extrude along the polyline through points, segment k at speeds[k].
+    """Extrude along layout's path on hf, segment k at speeds[k].
 
-    The result, one DepositResult per segment, and the plate are exactly
-    those of calling deposit on each segment in turn, every interior
-    segment leaving its far grid line to the next (include_end false, the
-    last segment true). The path is laid in runs: a segment joins the run
-    before it when it has the same dominant axis and direction and its
-    first grid line follows the run's last, and each run is laid as one
-    block.
+    hf must hold the heights of the plate the layout was made on, such as
+    a fresh copy of it; a plate on another grid raises ValueError. The
+    result, one DepositResult per segment, and the plate are exactly those
+    of calling deposit on each segment in turn, every interior segment
+    leaving its far grid line to the next (include_end false, the last
+    segment true). Each run of the layout is laid as one block; a run with
+    surveyed troughs is laid on them, any other is surveyed on hf as the
+    runs before it left it.
 
     Raises what that segment loop raises: Overfill for the first segment
     in travel order whose cap crosses the bound, and ZeroSpeed,
@@ -678,25 +790,26 @@ def deposit_path(
     every segment before it is laid and has passed the Overfill check.
     After a raise the plate's contents are unspecified.
     """
-    if len(speeds) != max(len(points) - 1, 0):
-        raise ValueError(f"{len(points)} points need {max(len(points) - 1, 0)} speeds, got {len(speeds)}")
-    segments: list[_Segment] = []
-    error = None
-    for k, speed in enumerate(speeds):
-        try:
-            segments.append(_segment(hf, points[k], points[k + 1], speed, include_end=k == len(speeds) - 1))
-        except (ZeroSpeed, SegmentOutsideGrid, ZeroLengthSegment) as exc:
-            error = exc
-            break
+    if _grid(hf) != layout.grid:
+        raise ValueError(f"the plate's grid {_grid(hf)} is not the grid {layout.grid} its layout was made on")
+    n_segments = max(len(layout.points) - 1, 0)
+    if len(speeds) != n_segments:
+        raise ValueError(f"{len(layout.points)} points need {n_segments} speeds, got {len(speeds)}")
+    # the segment loop stops at the first zero speed or failed check
+    stop = next((k for k, speed in enumerate(speeds) if speed <= 0), n_segments)
+    if layout.error is not None:
+        stop = min(stop, layout.error[0])
     results: list[DepositResult] = []
-    run: list[_Segment] = []
-    for seg in segments:
-        if run and not (seg.dom == run[-1].dom and seg.step == run[-1].step and seg.first == run[-1].last + seg.step):
-            results += _lay(hf, run, params)
-            run = []
-        run.append(seg)
-    if run:
-        results += _lay(hf, run, params)
-    if error is not None:
-        raise error
+    for run in layout.runs:
+        laid = run.segments[: stop - len(results)]
+        if not laid:
+            break
+        if len(laid) < len(run.segments):
+            run = _run(hf, laid)  # the loop stops inside this run
+        results += _lay(hf, run, speeds[len(results) : len(results) + len(laid)], params)
+    if stop < n_segments:
+        if speeds[stop] <= 0:
+            raise ZeroSpeed(f"deposition speed must be positive, got {speeds[stop]}")
+        kind, message = layout.error[1:]
+        raise kind(message)
     return results

@@ -21,6 +21,7 @@ from crackfill import Frame, Heightfield, Point3, ScenarioConfig, cli, experimen
 from crackfill import io as cfio
 from crackfill import config as config_module
 from crackfill import repair as repair_module
+from conftest import counted
 
 WAYPOINT_HEADER = (
     "u,v,depth_mm,x_mm,y_mm,z_mm,"
@@ -66,6 +67,22 @@ def read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
     return rows[0], rows[1:]
+
+
+class InProcessPool:
+    """ProcessPoolExecutor's context and map, running every job in this process."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 class TestCalibrate:
@@ -226,14 +243,14 @@ class TestFill:
         assert err.startswith("pipeline error:") and "Traceback" not in err
 
     def test_zero_length_segment_is_a_pipeline_error(self, tmp_path, capsys, monkeypatch):
-        """Two waypoints at the same xy make a zero-length deposition segment."""
-        plan_fill = repair_module.plan_fill
+        """Two refined waypoints at the same xy make a zero-length deposition segment."""
+        refine_waypoints = repair_module.refine_waypoints
 
         def repeat_first_waypoint(*args, **kwargs):
-            plan = plan_fill(*args, **kwargs)
-            return replace(plan, waypoints=plan.waypoints[:1] + plan.waypoints)
+            refinement = refine_waypoints(*args, **kwargs)
+            return replace(refinement, waypoints=refinement.waypoints[:1] + refinement.waypoints)
 
-        monkeypatch.setattr(repair_module, "plan_fill", repeat_first_waypoint)
+        monkeypatch.setattr(repair_module, "refine_waypoints", repeat_first_waypoint)
         cfg = write_config(tmp_path)
         assert cli.main(["--config", cfg, "--out", str(tmp_path / "o"), "fill"]) == 1
         err = capsys.readouterr().err
@@ -242,16 +259,16 @@ class TestFill:
         assert point == repr(tuple(float(v) for v in point.strip("()").split(", "))) and "np.float64" not in err
 
     def test_segment_off_the_grid_is_a_pipeline_error(self, tmp_path, capsys, monkeypatch):
-        """A plan whose last segment runs past the grid's far edge (y 119.9 mm
-        here); the message names the segment's ends as plain floats."""
-        plan_fill = repair_module.plan_fill
+        """A refined path whose last segment runs past the grid's far edge
+        (y 119.9 mm here); the message names the segment's ends as plain floats."""
+        refine_waypoints = repair_module.refine_waypoints
 
         def run_off_the_grid(*args, **kwargs):
-            plan = plan_fill(*args, **kwargs)
-            ends = [replace(plan.waypoints[-1], refined_robot_pt=Point3(0.0, y, 0.0, Frame.ROBOT)) for y in (100.0, 150.0)]
-            return replace(plan, waypoints=tuple(ends))
+            refinement = refine_waypoints(*args, **kwargs)
+            ends = [replace(refinement.waypoints[-1], refined_robot_pt=Point3(0.0, y, 0.0, Frame.ROBOT)) for y in (100.0, 150.0)]
+            return replace(refinement, waypoints=tuple(ends))
 
-        monkeypatch.setattr(repair_module, "plan_fill", run_off_the_grid)
+        monkeypatch.setattr(repair_module, "refine_waypoints", run_off_the_grid)
         cfg = write_config(tmp_path)
         assert cli.main(["--config", cfg, "--out", str(tmp_path / "o"), "fill"]) == 1
         err = capsys.readouterr().err
@@ -306,6 +323,19 @@ class TestExperiment:
         assert cli.main(["--config", cfg, "--out", str(outs[2]), "--parallel", "2", "experiment"]) == 0
         blobs = [(o / "experiment.csv").read_bytes() for o in outs]
         assert blobs[0] == blobs[1] == blobs[2]
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_each_survey_lays_out_its_path_once(self, tmp_path, monkeypatch, parallel):
+        """One survey serves its chunk of modes, serial or per worker, and
+        lays out its path once for all of them. The workers run in this
+        process here, so their calls are counted."""
+        calls = {"survey": 0, "lay_out": 0, "execute_fill": 0}
+        for name in calls:
+            monkeypatch.setattr(repair_module, name, counted(calls, name, getattr(repair_module, name)))
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        cfg = write_config(tmp_path)
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "o"), "--parallel", str(parallel), "experiment"]) == 0
+        assert calls == {"survey": parallel, "lay_out": parallel, "execute_fill": 3}
 
     def test_scanned_mask_reproduces_the_table(self, tmp_path):
         """The mask scan writes is the camera's own: given back as

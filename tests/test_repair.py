@@ -33,6 +33,7 @@ from crackfill import (
     execute_fill,
     experiment_modes,
     fill_error,
+    lay_out,
     localization_experiment,
     perceive,
     plan_fill,
@@ -43,7 +44,7 @@ from crackfill import (
 )
 from crackfill import repair
 from crackfill.geometry import CameraIntrinsics, rotation_about_z
-from crackfill.repair import _distance_to_centreline
+from crackfill.repair import _distance_to_centreline, fill_points
 from conftest import camera_pose, counted, down_scan_pose, make_flat, make_rect_crack, make_waypoint
 
 PITCH_40MM = 40.0 / 1023.0
@@ -328,7 +329,7 @@ class TestExecuteFill:
         hf = make_flat(nx=200, ny=400, cell=0.5, origin=(-50.0, -50.0))
         wps = [make_waypoint(0.0, 0.0, 0.0), make_waypoint(0.0, 10.0, 0.0)]
         plan = plan_fill(wps, FillMode.fixed(10.0))
-        result = execute_fill(hf, plan, DepositionParams(flow_rate_mm3_s=500.0, purge_time_s=0.0))
+        result = execute_fill(hf, lay_out(hf, fill_points(wps)), plan, DepositionParams(flow_rate_mm3_s=500.0, purge_time_s=0.0))
         assert result.elapsed_s == pytest.approx(1.0)
         assert len(result.segments) == 1
 
@@ -336,7 +337,7 @@ class TestExecuteFill:
         hf = make_flat(nx=200, ny=400, cell=0.5, origin=(-50.0, -50.0))
         wps = [make_waypoint(0.0, float(y), 0.0) for y in (0, 10, 30)]
         plan = plan_fill(wps, FillMode.fixed(10.0))
-        result = execute_fill(hf, plan, DepositionParams(flow_rate_mm3_s=500.0, purge_time_s=1.5))
+        result = execute_fill(hf, lay_out(hf, fill_points(wps)), plan, DepositionParams(flow_rate_mm3_s=500.0, purge_time_s=1.5))
         assert result.elapsed_s == pytest.approx(1.5 + 3.0)
         assert len(result.segments) == 2
 
@@ -466,6 +467,18 @@ class TestRunFill:
         assert surveyed.refinement.waypoints == waypoints
         assert all(wp.speed_mm_s is None for wp in surveyed.refinement.waypoints)
 
+    def test_one_layout_serves_every_mode(self, monkeypatch):
+        """The survey lays out its refined path once; each mode's repair
+        fills its copy along that layout."""
+        calls = {"lay_out": 0, "execute_fill": 0}
+        monkeypatch.setattr(repair, "lay_out", counted(calls, "lay_out", repair.lay_out))
+        monkeypatch.setattr(repair, "execute_fill", counted(calls, "execute_fill", repair.execute_fill))
+        scene = make_scene(self.tapered_crack(), camera_y=60.0, ny=1200)
+        params = DepositionParams(flow_rate_mm3_s=946.0635673187572, purge_time_s=1.5)
+        reports = run_experiment(scene, experiment_modes((6.0, 10.0, 20.0)), params, SensorNoise.noiseless(), make_model())
+        assert len(reports) == 4
+        assert calls == {"lay_out": 1, "execute_fill": 4}
+
     def test_survey_records_the_scene_scanner(self):
         """The survey's refinement keeps the span and standoff its stations
         were scanned with, the ones validate rescans them with."""
@@ -547,6 +560,15 @@ class TestLocalization:
         noise = SensorNoise(depth_sigma_fraction=0.02, laser_sigma_mm=0.02, seed=0)
         localization_experiment(scene, noise, n_scans=3)
         assert calls == {"render_view": 1, "skeletonize": 1, "space_pixels": 1}
+
+    def test_scans_lay_out_no_fill_path(self, monkeypatch):
+        """Localization never fills, so none of its surveys lays out a path."""
+        calls = {"lay_out": 0}
+        monkeypatch.setattr(repair, "lay_out", counted(calls, "lay_out", repair.lay_out))
+        noise = SensorNoise(depth_sigma_fraction=0.02, laser_sigma_mm=0.02, seed=0)
+        report = localization_experiment(make_scene(straight_crack()), noise, n_scans=3)
+        assert report.n_pairs > 0
+        assert calls == {"lay_out": 0}
 
     def test_report_from_identical_pairs_is_all_zero(self):
         p = Point3(1.0, 2.0, 3.0, Frame.ROBOT)

@@ -3,6 +3,8 @@ flat plate must read the mount height at every pixel, a scanner parked
 at its standoff must read zero, and noise statistics must match the
 configured sigmas."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -308,6 +310,18 @@ class TestSensorNoise:
         assert child.depth_sigma_fraction == 0.01
         assert child.laser_sigma_mm == 0.07
         assert child.extrinsic_bias is tf
+
+    @pytest.mark.parametrize("key", [(0,), (4,), (2, 7), (10, 3), (3, 0, 2**31)])
+    @pytest.mark.parametrize(
+        "base",
+        [SensorNoise(), SensorNoise(seed=9173), SensorNoise(0.01, 0.07, RigidTransform(np.eye(3), [1.0, 0.0, 0.0]), 5)],
+        ids=["default", "seed", "bias"],
+    )
+    def test_derive_equals_the_replaced_model(self, base, key):
+        """derive builds its model directly: the model replace gives, under the same child seed."""
+        child = int(np.random.SeedSequence((base.seed,) + key).generate_state(1)[0])
+        assert base.derive(*key) == dataclasses.replace(base, seed=child)
+        assert base.derive(*key).extrinsic_bias is base.extrinsic_bias
 
     def test_generator_streams_are_independent(self):
         noise = SensorNoise(seed=0)

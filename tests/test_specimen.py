@@ -30,6 +30,7 @@ from crackfill import (
     deposit_path,
     execute_fill,
     generate_specimen,
+    lay_out,
     true_cross_section,
 )
 from crackfill import specimen
@@ -513,6 +514,25 @@ def random_blocks(nx, ny, max_dz):
     )
 
 
+def draw_stops(data, hf, n_stops):
+    """n_stops (x, y) stops over hf: each one carries on in the last
+    segment's direction (so segments chain into runs), jumps anywhere
+    (reversals, switches of dominant axis) or hops less than a cell."""
+    x_min, x_max, y_min, y_max = hf.bounds()
+    cell = hf.cell_size
+    stops = [data.draw(st.tuples(st.floats(x_min, x_max), st.floats(y_min, y_max)))]
+    for _ in range(n_stops - 1):
+        (x, y), (px, py) = stops[-1], stops[max(len(stops) - 2, 0)]
+        onward = st.tuples(
+            st.floats(x, x_max) if x >= px else st.floats(x_min, x),
+            st.floats(y, y_max) if y >= py else st.floats(y_min, y),
+        )
+        anywhere = st.tuples(st.floats(x_min, x_max), st.floats(y_min, y_max))
+        hop = st.tuples(st.floats(max(x - cell, x_min), min(x + cell, x_max)), st.floats(max(y - cell, y_min), min(y + cell, y_max)))
+        stops.append(data.draw(st.one_of(onward, onward, anywhere, hop)))
+    return stops
+
+
 def plan_through(stops):
     """A fill plan through (x, y, speed) stops."""
     return FillPlan(
@@ -521,6 +541,16 @@ def plan_through(stops):
             for x, y, v in stops
         )
     )
+
+
+def layout_through(hf, stops):
+    """The layout on hf of the path through (x, y, speed) stops."""
+    return lay_out(hf, [(x, y) for x, y, _ in stops])
+
+
+def fill_through(hf, stops, params):
+    """execute_fill along (x, y, speed) stops on a copy of hf, laid out on hf."""
+    return execute_fill(hf.copy(), layout_through(hf, stops), plan_through(stops), params)
 
 
 def segment_loop_fill(hf, stops, params):
@@ -545,13 +575,14 @@ def segment_loop_fill(hf, stops, params):
     return results
 
 
-def assert_fill_matches_segment_loop(hf, stops, params):
-    """execute_fill against the segment loop: the same heights and == on
-    every DepositResult field, or the same exception and message. Returns
+def assert_fill_matches_segment_loop(hf, stops, params, layout=None):
+    """execute_fill on a copy of hf, along layout (by default the stops laid
+    out on hf), against the segment loop: the same heights and == on every
+    DepositResult field, or the same exception and message. Returns
     execute_fill's segment results, or its (exception type, message)."""
     got_hf, want_hf = hf.copy(), hf.copy()
     try:
-        got = list(execute_fill(got_hf, plan_through(stops), params).segments)
+        got = list(execute_fill(got_hf, layout or layout_through(hf, stops), plan_through(stops), params).segments)
     except CrackFillError as exc:
         got = (type(exc), str(exc))
     try:
@@ -692,17 +723,8 @@ class TestDepositMatchesLineByLine:
         cell, at random speeds; plus up to two faults at random stops."""
         origin = (-nx * cell / 3, -ny * cell / 2)
         hf = trough_plate(nx, ny, cell, origin, data.draw(random_blocks(nx, ny, 6.0)), data.draw(random_blocks(nx, ny, 3.0)))
-        x_min, x_max, y_min, y_max = hf.bounds()
-        stops = [data.draw(st.tuples(st.floats(x_min, x_max), st.floats(y_min, y_max)))]
-        for _ in range(n_stops - 1):
-            (x, y), (px, py) = stops[-1], stops[max(len(stops) - 2, 0)]
-            onward = st.tuples(
-                st.floats(x, x_max) if x >= px else st.floats(x_min, x),
-                st.floats(y, y_max) if y >= py else st.floats(y_min, y),
-            )
-            anywhere = st.tuples(st.floats(x_min, x_max), st.floats(y_min, y_max))
-            hop = st.tuples(st.floats(max(x - cell, x_min), min(x + cell, x_max)), st.floats(max(y - cell, y_min), min(y + cell, y_max)))
-            stops.append(data.draw(st.one_of(onward, onward, anywhere, hop)))
+        x_max = hf.bounds()[1]
+        stops = draw_stops(data, hf, n_stops)
         speeds = [data.draw(st.floats(1.0, 60.0)) for _ in stops]
         for at, fault in faults:
             at = min(at, n_stops - 2)  # the stop that starts a segment
@@ -737,17 +759,17 @@ class TestDepositMatchesLineByLine:
         params = DepositionParams(flow_rate_mm3_s=946.0)
         assert_fill_matches_segment_loop(hf, stops, params)
         with pytest.raises(Overfill, match="deposition at 0.5 mm/s"):
-            execute_fill(hf.copy(), plan_through(stops), params)
+            fill_through(hf, stops, params)
         # without the overfill the path gets as far as the segment off the grid
         with pytest.raises(SegmentOutsideGrid):
-            execute_fill(hf.copy(), plan_through([*stops[:2], (0.0, 10.0, 20.0), *stops[3:]]), params)
+            fill_through(hf, [*stops[:2], (0.0, 10.0, 20.0), *stops[3:]], params)
 
     def test_a_path_needs_one_speed_per_segment(self):
         hf = make_flat(nx=60, ny=80, cell=0.5, origin=(-15.0, -5.0))
         with pytest.raises(ValueError, match="3 points need 2 speeds, got 3"):
-            deposit_path(hf, [(0.0, 0.0), (0.0, 5.0), (0.0, 10.0)], [10.0, 10.0, 10.0], PARAMS)
-        assert deposit_path(hf, [(0.0, 0.0)], [], PARAMS) == []
-        assert deposit_path(hf, [], [], PARAMS) == []
+            deposit_path(hf, lay_out(hf, [(0.0, 0.0), (0.0, 5.0), (0.0, 10.0)]), [10.0, 10.0, 10.0], PARAMS)
+        assert deposit_path(hf, lay_out(hf, [(0.0, 0.0)]), [], PARAMS) == []
+        assert deposit_path(hf, lay_out(hf, []), [], PARAMS) == []
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -769,6 +791,114 @@ class TestDepositMatchesLineByLine:
             return
         params = DepositionParams(flow_rate_mm3_s=flow, nozzle_diameter_mm=nozzle)
         assert_deposit_matches_reference(hf, ends[0], ends[1], speed, params, include_end)
+
+
+class TestPathLayout:
+    """One layout of a path serves every fill of a copy of its plate."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        nx=st.integers(4, 30),
+        ny=st.integers(4, 30),
+        cell=st.sampled_from([0.25, 0.5, 1.0]),
+        n_stops=st.integers(3, 8),
+        copies=st.integers(2, 4),
+        fault=st.sampled_from([None, "zero speed", "repeat", "off grid"]),
+        one_column=st.booleans(),
+        tile=st.sampled_from([specimen.TILE_CELLS, 64, 1]),
+    )
+    def test_copies_at_their_own_speeds(self, data, nx, ny, cell, n_stops, copies, fault, one_column, tile):
+        """Each copy of the plate, filled along the one layout with its own
+        speeds, flow and nozzle, ends as the segment loop leaves it, or
+        raises what the loop raises: a zero speed in mid-path on some
+        copies, or a repeated or off-grid stop on all of them, stops the
+        path after the segments before it are laid. Stops sorted up one
+        column chain into one run, so a zero speed stops inside it."""
+        origin = (-nx * cell / 3, -ny * cell / 2)
+        hf = trough_plate(nx, ny, cell, origin, data.draw(random_blocks(nx, ny, 6.0)), data.draw(random_blocks(nx, ny, 3.0)))
+        stops = draw_stops(data, hf, n_stops)
+        if one_column:
+            stops = [(stops[0][0], y) for y in sorted(y for _, y in stops)]
+        at = data.draw(st.integers(1, n_stops - 2))  # a segment in mid-path
+        if fault == "repeat":
+            stops[at + 1] = stops[at]
+        elif fault == "off grid":
+            stops[at + 1] = (hf.bounds()[1] + 2 * cell, stops[at + 1][1])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(specimen, "TILE_CELLS", tile)
+            layout = lay_out(hf, stops)
+            for _ in range(copies):
+                speeds = [data.draw(st.floats(1.0, 60.0)) for _ in stops]
+                if fault == "zero speed" and data.draw(st.booleans()):
+                    speeds[at] = 0.0
+                params = DepositionParams(flow_rate_mm3_s=data.draw(st.floats(5.0, 1000.0)), nozzle_diameter_mm=data.draw(st.floats(0.2, 8.0)))
+                assert_fill_matches_segment_loop(hf, [(x, y, v) for (x, y), v in zip(stops, speeds)], params, layout)
+
+    def test_only_runs_no_earlier_run_can_write_on_keep_their_troughs(self):
+        """Runs 50..31 | 30 | 30..10 down one column: the second lies on
+        other lines than the first, the third shares line 30 with the
+        second, so only the third is surveyed as the fill reaches it."""
+        hf = trough_plate(40, 60, 0.5, (-10.0, -5.0), troughs=[(14, 26, 0, 60, 2.0)])
+        stops = [(0.0, 20.0, 10.0), (0.3, 10.0, 15.0), (0.25, 9.9, 12.0), (-0.1, 0.0, 10.0)]
+        layout = layout_through(hf, stops)
+        assert [(run.dom, run.lo, len(run.seg_of)) for run in layout.runs] == [(1, 31, 20), (1, 30, 1), (1, 10, 21)]
+        assert [run.troughs is not None for run in layout.runs] == [True, True, False]
+        for speeds in ((10.0, 15.0, 12.0), (3.0, 1.0, 3.0), (40.0, 2.0, 0.0)):
+            assert_fill_matches_segment_loop(hf, [(x, y, v) for (x, y, _), v in zip(stops, (*speeds, 0.0))], PARAMS, layout)
+
+    def test_a_zero_speed_inside_a_run(self):
+        """Four chained segments make one run; a zero speed at the third lays
+        the first two, as the segment loop does, then raises."""
+        hf = trough_plate(40, 60, 0.5, (-10.0, -5.0), troughs=[(14, 26, 0, 60, 2.0)])
+        points = [(0.0, 0.0), (0.2, 5.0), (-0.1, 10.0), (0.1, 15.0), (0.0, 20.0)]
+        layout = lay_out(hf, points)
+        assert [len(run.segments) for run in layout.runs] == [4]
+        for speeds in ((10.0, 4.0, 0.0, 10.0), (0.0, 10.0, 10.0, 10.0), (10.0, 10.0, 10.0, 0.0), (10.0, 0.5, 0.0, 10.0)):
+            got = assert_fill_matches_segment_loop(hf, [(x, y, v) for (x, y), v in zip(points, (*speeds, 0.0))], PARAMS, layout)
+            assert got[0] in (ZeroSpeed, Overfill)
+
+    def test_a_zigzag_along_a_diagonal_crack(self):
+        """Segments of alternating dominant axis along a 45 degree crack: each
+        run after the first crosses the lines of the one before, so every
+        later run is surveyed on the plate as the earlier ones left it."""
+        spec = CrackSpec(path=[(-6.0, 0.0), (6.0, 12.0)], width=3.0, depth=2.0)
+        hf = generate_specimen(spec, origin=(-10.0, -4.0), cell_size=0.25, nx=81, ny=81)
+        points = [(-5.0, 1.0), (-3.0, 2.0), (-2.0, 4.0), (0.0, 5.0), (1.0, 7.0), (3.0, 8.0)]
+        layout = lay_out(hf, points)
+        assert [run.dom for run in layout.runs] == [0, 1, 0, 1, 0]
+        assert [run.troughs is not None for run in layout.runs] == [True, False, False, False, False]
+        for speeds in ((10.0,) * 5, (4.0, 30.0, 6.0, 50.0, 3.0), (8.0, 8.0, 0.0, 8.0, 8.0)):
+            assert_fill_matches_segment_loop(hf, [(x, y, v) for (x, y), v in zip(points, (*speeds, 0.0))], PARAMS, layout)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            dict(nx=61),
+            dict(ny=81),
+            dict(origin=(-15.0, -4.5)),
+            dict(cell=0.25),
+            dict(nominal=1.0),
+        ],
+        ids=["nx", "ny", "origin", "cell", "nominal"],
+    )
+    def test_a_plate_on_another_grid_is_refused(self, grid):
+        plate = make_flat(nx=60, ny=80, cell=0.5, origin=(-15.0, -5.0))
+        layout = lay_out(plate, [(0.0, 0.0), (0.0, 10.0)])
+        other = make_flat(**{**dict(nx=60, ny=80, cell=0.5, origin=(-15.0, -5.0)), **grid})
+        with pytest.raises(ValueError, match="its layout was made on"):
+            deposit_path(other, layout, [10.0], PARAMS)
+        assert np.array_equal(other.heights, make_flat(**{**dict(nx=60, ny=80, cell=0.5, origin=(-15.0, -5.0)), **grid}).heights)
+        assert len(deposit_path(plate.copy(), layout, [10.0], PARAMS)) == 1
+
+    def test_a_plan_off_the_layout_is_refused(self):
+        hf = make_flat(nx=60, ny=80, cell=0.5, origin=(-15.0, -5.0))
+        stops = [(0.0, 0.0, 10.0), (0.0, 10.0, 10.0), (2.0, 20.0, 10.0)]
+        layout = layout_through(hf, stops)
+        for other in ([*stops[:2], (2.0, 20.5, 10.0)], stops[:2], [*stops, (2.0, 25.0, 10.0)]):
+            with pytest.raises(ValueError, match="not the points its layout was made for"):
+                execute_fill(hf.copy(), layout, plan_through(other), PARAMS)
+        assert len(execute_fill(hf.copy(), layout, plan_through(stops), PARAMS).segments) == 2
 
 
 class TestWaterFillMatchesLoop:

@@ -13,10 +13,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crackfill import CrackSpec, FillMode, Heightfield, NoIntersection, ScenarioConfig, execute_fill, generate_specimen, image_specimen, plan_fill, specimen, survey
+from crackfill import CrackSpec, FillMode, Heightfield, NoIntersection, ScenarioConfig, execute_fill, generate_specimen, image_specimen, lay_out, plan_fill, specimen, survey
 from crackfill import io as cfio
 from crackfill.geometry import CameraIntrinsics, RigidTransform
-from crackfill.repair import perceive_view
+from crackfill.repair import fill_points, perceive_view
 from crackfill.sensors import render_view
 from crackfill.specimen import profile_values, row_tiles
 from conftest import tilted
@@ -300,11 +300,13 @@ class TestScratchBudgets:
     @pytest.mark.parametrize("speed", [6.0, 20.0], ids=["capped", "flooded"])
     @pytest.mark.parametrize("name", ["default", "along_x"])
     def test_fill_within_2_mb_of_its_plate(self, name, speed):
-        """The whole path is laid in tiles, not as one block of its lines
-        (2,300 lines of 900 cells, 16.6 MB on either scene)."""
+        """The whole path is laid out and laid in tiles, not as one block of
+        its lines (2,300 lines of 900 cells, 16.6 MB on either scene)."""
         surveyed_scene, params = surveyed(name)
         plan = plan_fill(surveyed_scene.refinement.waypoints, FillMode.fixed(speed))
+        layout, peak = traced_peak(lambda: lay_out(surveyed_scene.specimen, fill_points(plan.waypoints)))
+        assert peak <= 2e6
         hf = surveyed_scene.specimen.copy()
-        result, peak = traced_peak(lambda: execute_fill(hf, plan, params))
+        result, peak = traced_peak(lambda: execute_fill(hf, layout, plan, params))
         assert len(result.segments) >= 30
         assert peak <= 2e6
