@@ -268,17 +268,6 @@ class SpecimenView:
     pixels: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class PerceptionResult:
-    """One scan's waypoints, in travel order; depth, mask and skeleton are the view's.
-
-    The scan forms its noisy depth only where extract_pixels reads it, so
-    no noisy frame is kept; add_depth_noise(view.depth, noise) gives it.
-    """
-
-    waypoints: tuple[Waypoint, ...]
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     view = array.view()
     view.flags.writeable = False
@@ -309,24 +298,25 @@ def image_specimen(scene: RepairScene, specimen: Heightfield, mask: MaskImage | 
     )
 
 
-def perceive_view(scene: RepairScene, view: SpecimenView, noise: SensorNoise) -> PerceptionResult:
-    """One RGB-D localization scan of an imaged specimen.
+def perceive_view(scene: RepairScene, view: SpecimenView, noise: SensorNoise) -> tuple[Waypoint, ...]:
+    """One RGB-D localization scan of an imaged specimen: its waypoints, in travel order.
 
     The scan reads the view's clean depth with fresh noise around the
     view's spaced skeleton pixels only (see extract_pixels), attaches it
     to them, and back-projects them through the camera mount perturbed by
     the noise model's extrinsic bias, exactly like a miscalibrated
-    hand-eye transform would.
+    hand-eye transform would. No noisy frame is kept;
+    add_depth_noise(view.depth, noise) gives it.
     """
     pixels = extract_pixels(view.pixels, view.depth, noise)
     pose_used = scene.camera_pose
     if noise.extrinsic_bias is not None:
         pose_used = compose(noise.extrinsic_bias, scene.camera_pose)
     waypoints = pixels_to_robot(pixels, scene.intrinsics, pose_used)
-    return PerceptionResult(waypoints=tuple(order_path(waypoints)))
+    return tuple(order_path(waypoints))
 
 
-def perceive(scene: RepairScene, hf: Heightfield, noise: SensorNoise, mask: MaskImage | None = None) -> PerceptionResult:
+def perceive(scene: RepairScene, hf: Heightfield, noise: SensorNoise, mask: MaskImage | None = None) -> tuple[Waypoint, ...]:
     """Run the RGB-D localization chain once on the current surface."""
     return perceive_view(scene, image_specimen(scene, hf, mask), noise)
 
@@ -543,7 +533,6 @@ class Survey:
     scene: RepairScene
     noise: SensorNoise
     view: SpecimenView
-    perception: PerceptionResult
     refinement: RefinementResult
 
     @property
@@ -558,16 +547,15 @@ class Survey:
 
 def survey(scene: RepairScene, view: SpecimenView, noise: SensorNoise) -> Survey:
     """Localize the crack in one scan of the imaged specimen and refine it with the laser."""
-    perception = perceive_view(scene, view, noise)
     refinement = refine_waypoints(
-        perception.waypoints,
+        perceive_view(scene, view, noise),
         view.specimen,
         laser_mount=scene.laser_mount,
         span_mm=scene.scan_span_mm,
         standoff_mm=scene.scan_standoff_mm,
         noise=noise,
     )
-    return Survey(scene=scene, noise=noise, view=view, perception=perception, refinement=refinement)
+    return Survey(scene=scene, noise=noise, view=view, refinement=refinement)
 
 
 @dataclass(frozen=True)

@@ -436,7 +436,7 @@ class _Segment:
 
 
 def _segment(hf: Heightfield, start, end, include_end: bool) -> _Segment:
-    """Check one segment's geometry and find its grid lines (see deposit)."""
+    """Check one segment's geometry and find its grid lines (see lay_out)."""
     p0 = np.asarray(start, dtype=float)
     p1 = np.asarray(end, dtype=float)
     if not (hf.contains(p0[0], p0[1]) and hf.contains(p1[0], p1[1])):
@@ -683,40 +683,31 @@ class PathLayout:
 
     points is the path and grid the (origin, cell size, nx, ny, nominal
     surface) of the plate the layout was made on. runs hold the path's
-    checked segments, up to the first one that fails its check; error is
-    that segment's number with its exception type and message, or None.
+    segments, checked and split into runs.
     """
 
     points: tuple[tuple[float, float], ...]
     grid: tuple
     runs: tuple[_Run, ...]
-    error: tuple[int, type, str] | None
 
 
-def lay_out(plate: Heightfield, points: Sequence[tuple[float, float]], *, include_end: bool = True) -> PathLayout:
+def lay_out(plate: Heightfield, points: Sequence[tuple[float, float]]) -> PathLayout:
     """Lay out the polyline through points on plate for deposit_path.
 
-    Checks each segment (SegmentOutsideGrid, ZeroLengthSegment) and finds
-    its grid lines, every interior segment leaving its far line to the
-    next and the last one keeping it unless include_end is false (see
-    deposit). The first segment that fails its check is recorded, not
-    raised, and ends the layout. The segments are split into runs: a
-    segment joins the run before it when it has the same dominant axis and
-    direction and its first grid line follows the run's last. Each line's
-    nozzle centre is found, and a run that no earlier run can write on
-    (each earlier run lies along the same axis, on other lines) has its
-    lines' sums and troughs surveyed on plate. Nothing here depends on the
-    speeds or the extruder, so one layout serves every fill of a copy of
-    plate along points.
+    Checks every segment, raising SegmentOutsideGrid or ZeroLengthSegment
+    for the first one that leaves the grid or has no length, and finds its
+    grid lines, each interior segment leaving its far line to the next so
+    chained segments touch each cross-section once. The segments are split
+    into runs: a segment joins the run before it when it has the same
+    dominant axis and direction and its first grid line follows the run's
+    last. Each line's nozzle centre is found, and a run that no earlier run
+    can write on (each earlier run lies along the same axis, on other
+    lines) has its lines' sums and troughs surveyed on plate. Nothing here
+    depends on the speeds or the extruder, so one layout serves every fill
+    of a copy of plate along points.
     """
-    segments: list[_Segment] = []
-    error = None
-    for k in range(len(points) - 1):
-        try:
-            segments.append(_segment(plate, points[k], points[k + 1], include_end and k == len(points) - 2))
-        except (SegmentOutsideGrid, ZeroLengthSegment) as exc:
-            error = (k, type(exc), str(exc))
-            break
+    n_segments = len(points) - 1
+    segments = [_segment(plate, points[k], points[k + 1], k == n_segments - 1) for k in range(n_segments)]
     chains: list[list[_Segment]] = []
     for seg in segments:
         prev = chains[-1][-1] if chains else None
@@ -730,7 +721,7 @@ def lay_out(plate: Heightfield, points: Sequence[tuple[float, float]], *, includ
         if all(earlier.dom == run.dom and (earlier.lo >= run.hi or earlier.hi <= run.lo) for earlier in runs):
             run = replace(run, troughs=_troughs(run.lines(plate), run.j_c, plate.nominal_surface))
         runs.append(run)
-    return PathLayout(tuple((float(x), float(y)) for x, y in points), _grid(plate), tuple(runs), error)
+    return PathLayout(tuple((float(x), float(y)) for x, y in points), _grid(plate), tuple(runs))
 
 
 def deposit(
@@ -739,17 +730,14 @@ def deposit(
     end: tuple[float, float],
     speed_mm_s: float,
     params: DepositionParams,
-    include_end: bool = True,
 ) -> DepositResult:
     """Extrude along the segment from start to end at constant speed.
 
     Per unit length the nozzle lays a cross-section of A = Q / speed,
-    split evenly over the grid lines across the segment's dominant axis.
-    On each line the material floods the trough run nearest the nozzle
-    bottom-up; excess forms a bead cap above the surface of width
-    min(local trough width, nozzle diameter). With include_end false the
-    grid line at the segment's far end is left to the following segment,
-    so chained segments touch each cross-section exactly once. The
+    split evenly over the grid lines across the segment's dominant axis,
+    the line at each end included. On each line the material floods the
+    trough run nearest the nozzle bottom-up; excess forms a bead cap above
+    the surface of width min(local trough width, nozzle diameter). The
     volume sums each line's change in travel order.
 
     Mutates hf in place and returns elapsed time plus the volume
@@ -760,11 +748,11 @@ def deposit(
     cells and the trough flood never rises above the surface, so on a
     plate whose earlier segments each passed this check no other cell
     can be above the bound; a plate handed in with such a cell elsewhere
-    is not refused. Raises ZeroSpeed, then SegmentOutsideGrid or
-    ZeroLengthSegment, before laying anything. The segment is laid out
-    and laid as a path of one segment.
+    is not refused. The segment is laid out and laid as a path of one
+    segment, so it raises SegmentOutsideGrid or ZeroLengthSegment, then
+    ZeroSpeed, before laying anything (see lay_out and deposit_path).
     """
-    return deposit_path(hf, lay_out(hf, [start, end], include_end=include_end), [speed_mm_s], params)[0]
+    return deposit_path(hf, lay_out(hf, [start, end]), [speed_mm_s], params)[0]
 
 
 def deposit_path(
@@ -776,40 +764,26 @@ def deposit_path(
     """Extrude along layout's path on hf, segment k at speeds[k].
 
     hf must hold the heights of the plate the layout was made on, such as
-    a fresh copy of it; a plate on another grid raises ValueError. The
-    result, one DepositResult per segment, and the plate are exactly those
-    of calling deposit on each segment in turn, every interior segment
-    leaving its far grid line to the next (include_end false, the last
-    segment true). Each run of the layout is laid as one block; a run with
-    surveyed troughs is laid on them, any other is surveyed on hf as the
-    runs before it left it.
-
-    Raises what that segment loop raises: Overfill for the first segment
-    in travel order whose cap crosses the bound, and ZeroSpeed,
-    SegmentOutsideGrid or ZeroLengthSegment for a bad segment only once
-    every segment before it is laid and has passed the Overfill check.
-    After a raise the plate's contents are unspecified.
+    a fresh copy of it. A plate on another grid or a speed count other
+    than one per segment raises ValueError, and a speed that is not
+    positive ZeroSpeed; a refused input lays nothing. The result, one
+    DepositResult per segment, and the plate are those of laying each
+    segment on its own in turn, every interior one leaving its far grid
+    line to the next. Each run of the layout is laid as one block; a run
+    with surveyed troughs is laid on them, any other is surveyed on hf as
+    the runs before it left it. Overfill is raised for the first segment in
+    travel order whose cap crosses the bound (see deposit), once its run is
+    laid, and leaves the plate's contents unspecified.
     """
     if _grid(hf) != layout.grid:
         raise ValueError(f"the plate's grid {_grid(hf)} is not the grid {layout.grid} its layout was made on")
     n_segments = max(len(layout.points) - 1, 0)
     if len(speeds) != n_segments:
         raise ValueError(f"{len(layout.points)} points need {n_segments} speeds, got {len(speeds)}")
-    # the segment loop stops at the first zero speed or failed check
-    stop = next((k for k, speed in enumerate(speeds) if speed <= 0), n_segments)
-    if layout.error is not None:
-        stop = min(stop, layout.error[0])
+    for speed in speeds:
+        if not speed > 0:
+            raise ZeroSpeed(f"deposition speed must be positive, got {speed}")
     results: list[DepositResult] = []
     for run in layout.runs:
-        laid = run.segments[: stop - len(results)]
-        if not laid:
-            break
-        if len(laid) < len(run.segments):
-            run = _run(hf, laid)  # the loop stops inside this run
-        results += _lay(hf, run, speeds[len(results) : len(results) + len(laid)], params)
-    if stop < n_segments:
-        if speeds[stop] <= 0:
-            raise ZeroSpeed(f"deposition speed must be positive, got {speeds[stop]}")
-        kind, message = layout.error[1:]
-        raise kind(message)
+        results += _lay(hf, run, speeds[len(results) : len(results) + len(run.segments)], params)
     return results

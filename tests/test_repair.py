@@ -147,11 +147,11 @@ class TestPerceive:
     def test_noiseless_waypoints_sit_on_centreline(self):
         scene = make_scene(straight_crack())
         hf = scene.build_specimen()
-        result = perceive(scene, hf, SensorNoise.noiseless())
-        assert len(result.waypoints) >= 10
-        ys = [wp.robot_pt.y for wp in result.waypoints]
+        waypoints = perceive(scene, hf, SensorNoise.noiseless())
+        assert len(waypoints) >= 10
+        ys = [wp.robot_pt.y for wp in waypoints]
         assert ys == sorted(ys)
-        for wp in result.waypoints:
+        for wp in waypoints:
             assert abs(wp.robot_pt.x) <= 0.5
             assert wp.robot_pt.z == pytest.approx(-5.0, abs=1e-9)
 

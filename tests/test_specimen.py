@@ -3,6 +3,7 @@ deposition volume conservation, and the guard rails on bad inputs."""
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -252,21 +253,12 @@ class TestDeposit:
         assert mid.min() < -1e-3
         assert mid.min() > -5.0
 
-    def test_include_end_false_skips_final_line(self):
-        params = DepositionParams(flow_rate_mm3_s=500.0)
-        full = make_flat(nx=100, ny=200, cell=0.5, origin=(-25.0, -25.0))
-        part = full.copy()
-        deposit(full, (0.0, 0.0), (0.0, 40.0), 10.0, params, include_end=True)
-        deposit(part, (0.0, 0.0), (0.0, 40.0), 10.0, params, include_end=False)
-        iy_end = int(full.iy_of(40.0))
-        assert full.heights[iy_end, :].max() > 0.0
-        assert part.heights[iy_end, :].max() == 0.0
-
     def test_guards(self):
         hf = make_flat(nx=50, ny=50, cell=1.0, origin=(-25.0, -25.0))
         params = DepositionParams(flow_rate_mm3_s=500.0)
-        with pytest.raises(ZeroSpeed):
-            deposit(hf, (0.0, 0.0), (0.0, 10.0), 0.0, params)
+        for speed in (0.0, float("nan")):
+            with pytest.raises(ZeroSpeed):
+                deposit(hf, (0.0, 0.0), (0.0, 10.0), speed, params)
         with pytest.raises(SegmentOutsideGrid):
             deposit(hf, (0.0, 0.0), (0.0, 1000.0), 10.0, params)
         with pytest.raises(ZeroLengthSegment):
@@ -483,12 +475,21 @@ def full_grid_specimen(spec, *, origin, cell_size, nx, ny):
     return hf
 
 
-def assert_deposit_matches_reference(hf, start, end, speed, params, include_end=True):
+def interior_deposit(hf, start, end, speed_mm_s, params):
+    """The deposit kernel on one segment laid as an interior segment of a
+    path, which leaves its far grid line to the next segment."""
+    run = specimen._run(hf, [specimen._segment(hf, start, end, include_end=False)])
+    return specimen._lay(hf, run, [speed_mm_s], params)[0]
+
+
+def assert_deposit_matches_reference(hf, start, end, speed, params, last=True):
+    """The kernel against the line-by-line reference on one segment that
+    ends its path (last), keeping its far grid line, or on an interior one."""
     got_hf, want_hf = hf.copy(), hf.copy()
     outcomes = []
-    for run, plate in ((deposit, got_hf), (line_by_line_deposit, want_hf)):
+    for run, plate in ((deposit if last else interior_deposit, got_hf), (partial(line_by_line_deposit, include_end=last), want_hf)):
         try:
-            outcomes.append(run(plate, start, end, speed, params, include_end=include_end))
+            outcomes.append(run(plate, start, end, speed, params))
         except Overfill:
             outcomes.append(Overfill)
     assert np.array_equal(got_hf.heights, want_hf.heights)
@@ -553,21 +554,32 @@ def fill_through(hf, stops, params):
     return execute_fill(hf.copy(), layout_through(hf, stops), plan_through(stops), params)
 
 
+def outcome(fill):
+    """fill(), or the (type, message) of the CrackFillError it raises."""
+    try:
+        return fill()
+    except CrackFillError as exc:
+        return type(exc), str(exc)
+
+
 def segment_loop_fill(hf, stops, params):
-    """The fill as a loop over its segments, each checked and then laid by
-    the line-by-line reference, interior segments leaving their far line;
-    it raises deposit's errors with deposit's messages."""
-    results = []
-    for i, (a, b) in enumerate(zip(stops, stops[1:])):
-        start, end, speed = (float(a[0]), float(a[1])), (float(b[0]), float(b[1])), a[2]
-        if speed <= 0:
-            raise ZeroSpeed(f"deposition speed must be positive, got {speed}")
+    """The fill as a loop over its segments, laid by the line-by-line
+    reference, interior segments leaving their far line. Before laying
+    anything it checks every segment's ends and then every speed; it raises
+    deposit's errors with deposit's messages."""
+    segments = [((float(a[0]), float(a[1])), (float(b[0]), float(b[1])), a[2]) for a, b in zip(stops, stops[1:])]
+    for start, end, _ in segments:
         if not (hf.contains(*start) and hf.contains(*end)):
             raise SegmentOutsideGrid(f"segment {start} -> {end} leaves the grid")
         if start == end:
             raise ZeroLengthSegment(f"deposition segment starts and ends at {start}")
+    for _, _, speed in segments:
+        if not speed > 0:
+            raise ZeroSpeed(f"deposition speed must be positive, got {speed}")
+    results = []
+    for i, (start, end, speed) in enumerate(segments):
         try:
-            results.append(line_by_line_deposit(hf, start, end, speed, params, include_end=(i == len(stops) - 2)))
+            results.append(line_by_line_deposit(hf, start, end, speed, params, include_end=(i == len(segments) - 1)))
         except Overfill:
             raise Overfill(
                 f"deposition at {speed:g} mm/s piled a bead more than {specimen.MAX_OVERFILL_MM:g} mm above the surface"
@@ -578,20 +590,17 @@ def segment_loop_fill(hf, stops, params):
 def assert_fill_matches_segment_loop(hf, stops, params, layout=None):
     """execute_fill on a copy of hf, along layout (by default the stops laid
     out on hf), against the segment loop: the same heights and == on every
-    DepositResult field, or the same exception and message. Returns
-    execute_fill's segment results, or its (exception type, message)."""
+    DepositResult field, or the same exception and message, with the copy
+    untouched unless that is Overfill. Returns execute_fill's segment
+    results, or its (exception type, message)."""
     got_hf, want_hf = hf.copy(), hf.copy()
-    try:
-        got = list(execute_fill(got_hf, layout or layout_through(hf, stops), plan_through(stops), params).segments)
-    except CrackFillError as exc:
-        got = (type(exc), str(exc))
-    try:
-        want = segment_loop_fill(want_hf, stops, params)
-    except CrackFillError as exc:
-        want = (type(exc), str(exc))
+    got = outcome(lambda: list(execute_fill(got_hf, layout or layout_through(hf, stops), plan_through(stops), params).segments))
+    want = outcome(lambda: segment_loop_fill(want_hf, stops, params))
     assert got == want
     if isinstance(want, list):
         assert np.array_equal(got_hf.heights, want_hf.heights)
+    elif want[0] is not Overfill:
+        assert np.array_equal(got_hf.heights, hf.heights)  # a refused fill lays nothing
     return got
 
 
@@ -612,15 +621,15 @@ class TestDepositMatchesLineByLine:
         ],
     )
     @pytest.mark.parametrize("speed", [3.0, 20.0, 60.0])  # overfilled to underfilled
-    @pytest.mark.parametrize("include_end", [True, False])
-    def test_on_a_carved_crack(self, start, end, speed, include_end):
-        assert_deposit_matches_reference(CRACK, start, end, speed, PARAMS, include_end)
+    @pytest.mark.parametrize("last", [True, False])  # the path's last segment, or an interior one
+    def test_on_a_carved_crack(self, start, end, speed, last):
+        assert_deposit_matches_reference(CRACK, start, end, speed, PARAMS, last)
 
-    @pytest.mark.parametrize("include_end", [True, False])
-    def test_a_segment_a_few_ulps_long(self, include_end):
+    @pytest.mark.parametrize("last", [True, False])
+    def test_a_segment_a_few_ulps_long(self, last):
         """Its nozzle position along the line overflows to an end without a warning."""
         hf = trough_plate(4, 5, 0.25, (-1.0 / 3, -0.625), troughs=[(0, 4, 0, 5, 1.0)])
-        assert_deposit_matches_reference(hf, (0.0, 0.0), (0.0, 5e-324), 1.0, DepositionParams(5.0, 1.0), include_end)
+        assert_deposit_matches_reference(hf, (0.0, 0.0), (0.0, 5e-324), 1.0, DepositionParams(5.0, 1.0), last)
 
     @pytest.mark.parametrize("start, end", [((0.0, 0.0), (0.0, 20.0)), ((-8.0, 3.0), (9.0, 1.0))])
     def test_on_a_flat_plate(self, start, end):
@@ -646,8 +655,8 @@ class TestDepositMatchesLineByLine:
         """Distinct ends whose squared offset is zero are a segment, not a refusal."""
         hf = make_flat(nx=4, ny=4, cell=0.25, origin=(-1 / 3, -0.5))
         params = DepositionParams(flow_rate_mm3_s=5.0, nozzle_diameter_mm=1.0)
-        for include_end in (True, False):
-            assert_deposit_matches_reference(hf, (0.0, 0.0), (3.9e-260, 0.0), 1.0, params, include_end)
+        for last in (True, False):
+            assert_deposit_matches_reference(hf, (0.0, 0.0), (3.9e-260, 0.0), 1.0, params, last)
 
     def test_a_tie_under_the_nozzle_floods_the_lower_troughs(self):
         """The nozzle centre sits on a dry cell between two troughs, each one
@@ -751,18 +760,30 @@ class TestDepositMatchesLineByLine:
         ):
             assert len(assert_fill_matches_segment_loop(hf, stops, PARAMS)) == len(stops) - 1
 
-    def test_an_overfill_raises_before_a_later_segment_leaves_the_grid(self):
-        """Segment 2 overfills and segment 4 leaves the grid: the segment loop
-        stops at the Overfill, so the path raises it, not SegmentOutsideGrid."""
+    @pytest.mark.parametrize(
+        "fault, error",
+        [("zero speed", ZeroSpeed), ("repeat", ZeroLengthSegment), ("off grid", SegmentOutsideGrid)],
+        ids=["zero speed", "repeat", "off grid"],
+    )
+    def test_a_later_fault_is_refused_first(self, fault, error):
+        """Segment 1 would overfill and segment 3 has a zero speed, a repeated
+        stop or a stop off the grid: the path raises the fault's own error
+        and lays nothing. Without the fault it raises the Overfill."""
         hf = make_flat(nx=60, ny=80, cell=0.5, origin=(-15.0, -5.0))
-        stops = [(0.0, 0.0, 20.0), (0.0, 5.0, 20.0), (0.0, 10.0, 0.5), (2.0, 12.0, 20.0), (2.0, 20.0, 20.0), (50.0, 20.0, 20.0)]
+        stops = [(0.0, 0.0, 20.0), (0.0, 5.0, 0.02), (0.0, 10.0, 20.0), (2.0, 12.0, 20.0), (2.0, 20.0, 20.0)]
         params = DepositionParams(flow_rate_mm3_s=946.0)
-        assert_fill_matches_segment_loop(hf, stops, params)
-        with pytest.raises(Overfill, match="deposition at 0.5 mm/s"):
+        with pytest.raises(Overfill, match="deposition at 0.02 mm/s"):
             fill_through(hf, stops, params)
-        # without the overfill the path gets as far as the segment off the grid
-        with pytest.raises(SegmentOutsideGrid):
-            fill_through(hf, [*stops[:2], (0.0, 10.0, 20.0), *stops[3:]], params)
+        faulty = {
+            "zero speed": [*stops[:3], (2.0, 12.0, 0.0), stops[4]],
+            "repeat": [*stops[:4], (2.0, 12.0, 20.0)],
+            "off grid": [*stops[:4], (50.0, 20.0, 20.0)],
+        }[fault]
+        plate = hf.copy()
+        with pytest.raises(error):
+            execute_fill(plate, layout_through(plate, faulty), plan_through(faulty), params)
+        assert np.array_equal(plate.heights, hf.heights)
+        assert_fill_matches_segment_loop(hf, faulty, params)
 
     def test_a_path_needs_one_speed_per_segment(self):
         hf = make_flat(nx=60, ny=80, cell=0.5, origin=(-15.0, -5.0))
@@ -780,9 +801,9 @@ class TestDepositMatchesLineByLine:
         speed=st.floats(1.0, 60.0),
         flow=st.floats(5.0, 1000.0),
         nozzle=st.floats(0.2, 8.0),
-        include_end=st.booleans(),
+        last=st.booleans(),
     )
-    def test_random_plates(self, data, nx, ny, cell, speed, flow, nozzle, include_end):
+    def test_random_plates(self, data, nx, ny, cell, speed, flow, nozzle, last):
         origin = (-nx * cell / 3, -ny * cell / 2)
         hf = trough_plate(nx, ny, cell, origin, data.draw(random_blocks(nx, ny, 6.0)), data.draw(random_blocks(nx, ny, 3.0)))
         x_min, x_max, y_min, y_max = hf.bounds()
@@ -790,7 +811,7 @@ class TestDepositMatchesLineByLine:
         if ends[0] == ends[1]:
             return
         params = DepositionParams(flow_rate_mm3_s=flow, nozzle_diameter_mm=nozzle)
-        assert_deposit_matches_reference(hf, ends[0], ends[1], speed, params, include_end)
+        assert_deposit_matches_reference(hf, ends[0], ends[1], speed, params, last)
 
 
 class TestPathLayout:
@@ -812,9 +833,9 @@ class TestPathLayout:
         """Each copy of the plate, filled along the one layout with its own
         speeds, flow and nozzle, ends as the segment loop leaves it, or
         raises what the loop raises: a zero speed in mid-path on some
-        copies, or a repeated or off-grid stop on all of them, stops the
-        path after the segments before it are laid. Stops sorted up one
-        column chain into one run, so a zero speed stops inside it."""
+        copies refuses their fill, and a repeated or off-grid stop refuses
+        the layout, as the loop refuses every copy. Stops sorted up one
+        column chain into one run, so a zero speed falls inside it."""
         origin = (-nx * cell / 3, -ny * cell / 2)
         hf = trough_plate(nx, ny, cell, origin, data.draw(random_blocks(nx, ny, 6.0)), data.draw(random_blocks(nx, ny, 3.0)))
         stops = draw_stops(data, hf, n_stops)
@@ -827,13 +848,17 @@ class TestPathLayout:
             stops[at + 1] = (hf.bounds()[1] + 2 * cell, stops[at + 1][1])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(specimen, "TILE_CELLS", tile)
-            layout = lay_out(hf, stops)
+            layout = outcome(lambda: lay_out(hf, stops))
             for _ in range(copies):
                 speeds = [data.draw(st.floats(1.0, 60.0)) for _ in stops]
                 if fault == "zero speed" and data.draw(st.booleans()):
                     speeds[at] = 0.0
                 params = DepositionParams(flow_rate_mm3_s=data.draw(st.floats(5.0, 1000.0)), nozzle_diameter_mm=data.draw(st.floats(0.2, 8.0)))
-                assert_fill_matches_segment_loop(hf, [(x, y, v) for (x, y), v in zip(stops, speeds)], params, layout)
+                path = [(x, y, v) for (x, y), v in zip(stops, speeds)]
+                if isinstance(layout, tuple):
+                    assert layout == outcome(lambda: segment_loop_fill(hf.copy(), path, params))
+                else:
+                    assert_fill_matches_segment_loop(hf, path, params, layout)
 
     def test_only_runs_no_earlier_run_can_write_on_keep_their_troughs(self):
         """Runs 50..31 | 30 | 30..10 down one column: the second lies on
@@ -848,15 +873,16 @@ class TestPathLayout:
             assert_fill_matches_segment_loop(hf, [(x, y, v) for (x, y, _), v in zip(stops, (*speeds, 0.0))], PARAMS, layout)
 
     def test_a_zero_speed_inside_a_run(self):
-        """Four chained segments make one run; a zero speed at the third lays
-        the first two, as the segment loop does, then raises."""
+        """Four chained segments make one run; a zero speed anywhere in it
+        refuses the path before any of it is laid, even after a segment
+        that would overfill."""
         hf = trough_plate(40, 60, 0.5, (-10.0, -5.0), troughs=[(14, 26, 0, 60, 2.0)])
         points = [(0.0, 0.0), (0.2, 5.0), (-0.1, 10.0), (0.1, 15.0), (0.0, 20.0)]
         layout = lay_out(hf, points)
         assert [len(run.segments) for run in layout.runs] == [4]
         for speeds in ((10.0, 4.0, 0.0, 10.0), (0.0, 10.0, 10.0, 10.0), (10.0, 10.0, 10.0, 0.0), (10.0, 0.5, 0.0, 10.0)):
             got = assert_fill_matches_segment_loop(hf, [(x, y, v) for (x, y), v in zip(points, (*speeds, 0.0))], PARAMS, layout)
-            assert got[0] in (ZeroSpeed, Overfill)
+            assert got[0] is ZeroSpeed
 
     def test_a_zigzag_along_a_diagonal_crack(self):
         """Segments of alternating dominant axis along a 45 degree crack: each

@@ -293,8 +293,8 @@ class TestScratchBudgets:
         surveyed_scene, _ = surveyed("default")
         scene, view, noise = surveyed_scene.scene, surveyed_scene.view, surveyed_scene.noise
         perceive_view(scene, view, noise)  # the first scan imports what drawing noise needs
-        result, peak = traced_peak(lambda: perceive_view(scene, view, noise))
-        assert len(result.waypoints) >= 30
+        waypoints, peak = traced_peak(lambda: perceive_view(scene, view, noise))
+        assert len(waypoints) >= 30
         assert peak <= 1e6
 
     @pytest.mark.parametrize("speed", [6.0, 20.0], ids=["capped", "flooded"])
