@@ -22,10 +22,10 @@ import numpy as np
 from . import io
 from .errors import ConfigError, ProviderUnavailable
 from .geometry import ROTATION_TOL, CameraIntrinsics, Frame, RigidTransform
-from .perception import binarize
+from .perception import DEFAULT_MIN_SPACING_PX, binarize
 from .profile import CalibrationModel, calibrate
-from .repair import FillMode, RepairScene, edge_threshold_for
-from .sensors import NOISE_STREAMS, SCANNER_POINTS, LaserProfile, MaskImage, SensorNoise, scan_profile
+from .repair import DEFAULT_AREA_FLOOR_MM2, DEFAULT_SCAN_SPAN_MM, FillMode, RepairScene, edge_threshold_for
+from .sensors import DEFAULT_MASK_THRESHOLD_MM, NOISE_STREAMS, SCANNER_POINTS, SCANNER_STANDOFF_MM, LaserProfile, MaskImage, SensorNoise, scan_profile
 from .specimen import CrackSpec, DepositionParams, Heightfield, deposit
 
 
@@ -205,8 +205,8 @@ SCHEMA: dict = {
         "rotation": Field([1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, -1.0], _rotation),
     },
     "laser": {
-        "span_mm": Field(40.0, _positive),
-        "standoff_mm": Field(310.0, _positive),
+        "span_mm": Field(DEFAULT_SCAN_SPAN_MM, _positive),
+        "standoff_mm": Field(SCANNER_STANDOFF_MM, _positive),
         "mount_rotation": Field([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], _rotation_about_z),
         "mount_translation_mm": Field([0.0, 0.0, 0.0], _vector(3)),
     },
@@ -243,9 +243,9 @@ SCHEMA: dict = {
     "fill": {
         "mode": Field("adaptive", _choice("adaptive", "fixed")),
         "fixed_speed_mm_s": Field(10.0, _positive),
-        "min_spacing_px": Field(8.0, _non_negative),
-        "mask_threshold_mm": Field(0.2, _positive),
-        "area_floor_mm2": Field(1.0, _non_negative),
+        "min_spacing_px": Field(DEFAULT_MIN_SPACING_PX, _non_negative),
+        "mask_threshold_mm": Field(DEFAULT_MASK_THRESHOLD_MM, _positive),
+        "area_floor_mm2": Field(DEFAULT_AREA_FLOOR_MM2, _non_negative),
         "mask_path": Field(None, _string_or_null),
     },
     "experiment": {

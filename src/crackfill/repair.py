@@ -142,8 +142,12 @@ class FillPlan:
 
 @dataclass(frozen=True)
 class ExecutionResult:
+    """One fill's elapsed time and segment volumes, and its filled surface:
+    a fresh copy of the layout's plate."""
+
     elapsed_s: float
     segments: tuple[DepositResult, ...]
+    surface: Heightfield
 
 
 @dataclass(frozen=True)
@@ -420,12 +424,13 @@ def fill_points(waypoints: Sequence[Waypoint]) -> list[tuple[float, float]]:
     return [(p.x, p.y) for p in (wp.position() for wp in waypoints)]
 
 
-def execute_fill(hf: Heightfield, layout: PathLayout, plan: FillPlan, params: DepositionParams) -> ExecutionResult:
-    """Run the extruder along the planned path in one deposit_path call.
+def execute_fill(layout: PathLayout, plan: FillPlan, params: DepositionParams) -> ExecutionResult:
+    """Run the extruder along the planned path on a fresh copy of the
+    layout's plate, in one deposit_path call.
 
-    layout is the plan's path laid out on hf's plate (see lay_out); a plan
-    whose positions are not the layout's points raises ValueError. Each
-    segment between consecutive waypoints is deposited at the starting
+    layout is the plan's path laid out on the plate to fill (see lay_out);
+    a plan whose positions are not the layout's points raises ValueError.
+    Each segment between consecutive waypoints is deposited at the starting
     waypoint's speed; interior segment ends are left to the following
     segment so no cross-section is deposited twice. Elapsed time is purge
     time plus the sum of segment length over speed.
@@ -433,11 +438,11 @@ def execute_fill(hf: Heightfield, layout: PathLayout, plan: FillPlan, params: De
     pts = plan.waypoints
     if not np.array_equal(fill_points(pts), layout.points, equal_nan=True):
         raise ValueError("the plan's positions are not the points its layout was made for")
-    segments = tuple(deposit_path(hf, layout, [wp.speed_mm_s for wp in pts[:-1]], params))
+    surface, segments = deposit_path(layout, [wp.speed_mm_s for wp in pts[:-1]], params)
     elapsed = params.purge_time_s
     for result in segments:
         elapsed += result.elapsed_s
-    return ExecutionResult(elapsed_s=elapsed, segments=segments)
+    return ExecutionResult(elapsed_s=elapsed, segments=tuple(segments), surface=surface)
 
 
 def validate(
@@ -526,8 +531,8 @@ def validate(
 class Survey:
     """One imaged specimen, scanned and laser-refined once.
 
-    Each repair fills a copy of the view's read-only specimen along the
-    refined waypoints, laid out once (layout) for all of them.
+    The refined path is laid out on the view's read-only specimen once
+    (layout), and each repair fills its own copy of the specimen along it.
     """
 
     scene: RepairScene
@@ -565,12 +570,15 @@ class FillRunArtifacts:
     survey: Survey
     plan: FillPlan
     execution: ExecutionResult
-    surface_after: Heightfield
     report: FillReport
 
     @property
     def surface_before(self) -> Heightfield:
         return self.survey.specimen
+
+    @property
+    def surface_after(self) -> Heightfield:
+        return self.execution.surface
 
 
 def repair(
@@ -580,19 +588,18 @@ def repair(
     model: CalibrationModel | None = None,
 ) -> FillRunArtifacts:
     """Fill a copy of the surveyed specimen under one speed policy and rescan it."""
-    hf = survey.specimen.copy()
     plan = plan_fill(survey.refinement.waypoints, mode, model)
-    execution = execute_fill(hf, survey.layout, plan, params)
+    execution = execute_fill(survey.layout, plan, params)
     report = validate(
         survey.refinement,
-        hf,
+        execution.surface,
         speeds=[wp.speed_mm_s for wp in plan.waypoints],
         noise=survey.noise,
         elapsed_s=execution.elapsed_s,
         mode=mode,
         area_floor_mm2=survey.scene.area_floor_mm2,
     )
-    return FillRunArtifacts(survey=survey, plan=plan, execution=execution, surface_after=hf, report=report)
+    return FillRunArtifacts(survey=survey, plan=plan, execution=execution, report=report)
 
 
 def run_fill(
@@ -638,22 +645,20 @@ def run_experiment(
 def _distance_to_centreline(path, x: float, y: float) -> float:
     """Lateral distance from (x, y) to the crack centreline.
 
-    The first and last segments are extended past the path endpoints
-    because the carved crack reaches half a width beyond them (the end
-    caps); a waypoint on a cap is laterally on the centreline even
-    though it lies past the path's own extent.
+    The first and last segments that have a length are extended past the
+    path endpoints because the carved crack reaches half a width beyond
+    them (the end caps); a waypoint on a cap is laterally on the
+    centreline even though it lies past the path's own extent. A repeated
+    path point changes nothing.
     """
     pts = np.asarray(path, dtype=float)
-    n_seg = len(pts) - 1
+    segments = [(a, b - a) for a, b in zip(pts[:-1], pts[1:]) if float((b - a) @ (b - a)) != 0]
     best = math.inf
-    for i, (a, b) in enumerate(zip(pts[:-1], pts[1:])):
-        d = b - a
+    for i, (a, d) in enumerate(segments):
         seg2 = float(d @ d)
-        if seg2 == 0:
-            continue
         t = ((x - a[0]) * d[0] + (y - a[1]) * d[1]) / seg2
         lo = -math.inf if i == 0 else 0.0
-        hi = math.inf if i == n_seg - 1 else 1.0
+        hi = math.inf if i == len(segments) - 1 else 1.0
         t = min(max(t, lo), hi)
         px, py = a + t * d
         best = min(best, math.hypot(x - px, y - py))

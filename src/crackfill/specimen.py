@@ -533,7 +533,7 @@ class _Run:
     Lines are held in ascending index order from lo: each line's segment,
     its nozzle centre across the line (mm) and that centre's cell.
     troughs, when set, survey the lines as the layout's plate holds them;
-    only a run that no earlier run of its path can write on has them.
+    only a path's first run has them.
     """
 
     segments: tuple[_Segment, ...]
@@ -671,23 +671,19 @@ def _groups(sizes: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
             yield int(size), of_size[tile]
 
 
-def _grid(hf: Heightfield) -> tuple:
-    """(origin, cell size, nx, ny, nominal surface) of hf."""
-    return (tuple(float(v) for v in hf.origin), float(hf.cell_size), hf.nx, hf.ny, float(hf.nominal_surface))
-
-
 @dataclass(frozen=True)
 class PathLayout:
-    """What laying a path on one plate owes to the plate and the path, not
-    to the speeds or the extruder (see lay_out).
+    """A path laid out on the plate it fills: what laying it owes to the
+    plate and the path, not to the speeds or the extruder (see lay_out).
 
-    points is the path and grid the (origin, cell size, nx, ny, nominal
-    surface) of the plate the layout was made on. runs hold the path's
-    segments, checked and split into runs.
+    points is the path. plate is held as given, not copied, and
+    deposit_path fills copies of it; a plate changed after lay_out is no
+    longer the one its layout describes (a survey's specimen is read-only).
+    runs hold the path's segments, checked and split into runs.
     """
 
     points: tuple[tuple[float, float], ...]
-    grid: tuple
+    plate: Heightfield
     runs: tuple[_Run, ...]
 
 
@@ -700,11 +696,11 @@ def lay_out(plate: Heightfield, points: Sequence[tuple[float, float]]) -> PathLa
     chained segments touch each cross-section once. The segments are split
     into runs: a segment joins the run before it when it has the same
     dominant axis and direction and its first grid line follows the run's
-    last. Each line's nozzle centre is found, and a run that no earlier run
-    can write on (each earlier run lies along the same axis, on other
-    lines) has its lines' sums and troughs surveyed on plate. Nothing here
-    depends on the speeds or the extruder, so one layout serves every fill
-    of a copy of plate along points.
+    last. Each line's nozzle centre is found, and the first run has its
+    lines' sums and troughs surveyed on plate; every later run is surveyed
+    as the fill reaches it, on the plate as the runs before it left it.
+    Nothing here depends on the speeds or the extruder, so one layout
+    serves every fill of plate along points.
     """
     n_segments = len(points) - 1
     segments = [_segment(plate, points[k], points[k + 1], k == n_segments - 1) for k in range(n_segments)]
@@ -715,13 +711,25 @@ def lay_out(plate: Heightfield, points: Sequence[tuple[float, float]]) -> PathLa
             chains[-1].append(seg)
         else:
             chains.append([seg])
-    runs: list[_Run] = []
-    for chain in chains:
-        run = _run(plate, chain)
-        if all(earlier.dom == run.dom and (earlier.lo >= run.hi or earlier.hi <= run.lo) for earlier in runs):
-            run = replace(run, troughs=_troughs(run.lines(plate), run.j_c, plate.nominal_surface))
-        runs.append(run)
-    return PathLayout(tuple((float(x), float(y)) for x, y in points), _grid(plate), tuple(runs))
+    runs = [_run(plate, chain) for chain in chains]
+    if runs:
+        runs[0] = replace(runs[0], troughs=_troughs(runs[0].lines(plate), runs[0].j_c, plate.nominal_surface))
+    return PathLayout(tuple((float(x), float(y)) for x, y in points), plate, tuple(runs))
+
+
+def _lay_path(hf: Heightfield, layout: PathLayout, speeds: Sequence[float], params: DepositionParams) -> list[DepositResult]:
+    """Lay layout's runs on hf in place, segment k at speeds[k], once every
+    speed is checked (see deposit_path)."""
+    n_segments = max(len(layout.points) - 1, 0)
+    if len(speeds) != n_segments:
+        raise ValueError(f"{len(layout.points)} points need {n_segments} speeds, got {len(speeds)}")
+    for speed in speeds:
+        if not speed > 0:
+            raise ZeroSpeed(f"deposition speed must be positive, got {speed}")
+    results: list[DepositResult] = []
+    for run in layout.runs:
+        results += _lay(hf, run, speeds[len(results) : len(results) + len(run.segments)], params)
+    return results
 
 
 def deposit(
@@ -748,42 +756,27 @@ def deposit(
     cells and the trough flood never rises above the surface, so on a
     plate whose earlier segments each passed this check no other cell
     can be above the bound; a plate handed in with such a cell elsewhere
-    is not refused. The segment is laid out and laid as a path of one
-    segment, so it raises SegmentOutsideGrid or ZeroLengthSegment, then
-    ZeroSpeed, before laying anything (see lay_out and deposit_path).
+    is not refused. The segment is laid out on hf and laid there as a path
+    of one segment, so it raises SegmentOutsideGrid or ZeroLengthSegment,
+    then ZeroSpeed, before laying anything (see lay_out and deposit_path).
     """
-    return deposit_path(hf, lay_out(hf, [start, end]), [speed_mm_s], params)[0]
+    return _lay_path(hf, lay_out(hf, [start, end]), [speed_mm_s], params)[0]
 
 
-def deposit_path(
-    hf: Heightfield,
-    layout: PathLayout,
-    speeds: Sequence[float],
-    params: DepositionParams,
-) -> list[DepositResult]:
-    """Extrude along layout's path on hf, segment k at speeds[k].
+def deposit_path(layout: PathLayout, speeds: Sequence[float], params: DepositionParams) -> tuple[Heightfield, list[DepositResult]]:
+    """Extrude along layout's path on a fresh copy of its plate, segment k
+    at speeds[k], and return the filled copy with one DepositResult per
+    segment.
 
-    hf must hold the heights of the plate the layout was made on, such as
-    a fresh copy of it. A plate on another grid or a speed count other
-    than one per segment raises ValueError, and a speed that is not
-    positive ZeroSpeed; a refused input lays nothing. The result, one
-    DepositResult per segment, and the plate are those of laying each
-    segment on its own in turn, every interior one leaving its far grid
-    line to the next. Each run of the layout is laid as one block; a run
-    with surveyed troughs is laid on them, any other is surveyed on hf as
-    the runs before it left it. Overfill is raised for the first segment in
-    travel order whose cap crosses the bound (see deposit), once its run is
-    laid, and leaves the plate's contents unspecified.
+    A speed count other than one per segment raises ValueError, and a
+    speed that is not positive ZeroSpeed, before anything is laid. The
+    copy and the results are those of laying each segment on its own in
+    turn, every interior one leaving its far grid line to the next. Each
+    run of the layout is laid as one block: the first on the troughs
+    lay_out surveyed, every later one surveyed on the copy as the runs
+    before it left it. Overfill is raised for the first segment in travel
+    order whose cap crosses the bound (see deposit), once its run is laid.
+    Nothing a layout refers to is written.
     """
-    if _grid(hf) != layout.grid:
-        raise ValueError(f"the plate's grid {_grid(hf)} is not the grid {layout.grid} its layout was made on")
-    n_segments = max(len(layout.points) - 1, 0)
-    if len(speeds) != n_segments:
-        raise ValueError(f"{len(layout.points)} points need {n_segments} speeds, got {len(speeds)}")
-    for speed in speeds:
-        if not speed > 0:
-            raise ZeroSpeed(f"deposition speed must be positive, got {speed}")
-    results: list[DepositResult] = []
-    for run in layout.runs:
-        results += _lay(hf, run, speeds[len(results) : len(results) + len(run.segments)], params)
-    return results
+    filled = layout.plate.copy()
+    return filled, _lay_path(filled, layout, speeds, params)

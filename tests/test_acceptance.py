@@ -357,6 +357,26 @@ CRACK_ALONG_X_CONFIG = {
     "calibration": EXPERIMENT_CONFIG["calibration"],
 }
 
+# A 45 degree crack on a small grid: its fill path's runs alternate axes, so
+# every run after the first is laid on the plate as the runs before it left it.
+DIAGONAL_CONFIG = {
+    "seed": 3,
+    "camera": {"position_mm": [0.0, 75.0, 500.0]},
+    "grid": {"origin_mm": [-40.0, 35.0], "nx": 800, "ny": 800},
+    "crack": {"path_mm": [[-15.0, 60.0], [15.0, 90.0]], "width_mm": 8.0, "depth_mm": 5.0},
+    "calibration": EXPERIMENT_CONFIG["calibration"],
+    "experiment": EXPERIMENT_CONFIG["experiment"],
+}
+
+
+def test_the_diagonal_crack_fills_in_several_runs():
+    """Its pinned experiment covers runs laid after the first, which are
+    surveyed on the plate as the fill reaches them."""
+    cfg = ScenarioConfig.from_dict(DIAGONAL_CONFIG)
+    scene = cfg.build_scene()
+    surveyed = repair.survey(scene, repair.image_specimen(scene, scene.build_specimen()), cfg.build_noise())
+    assert [run.dom for run in surveyed.layout.runs] == [0, 1, 0, 1, 0]
+
 
 def test_refinement_keeps_perception_order(monkeypatch):
     """Perception fixes the travel order and no later stage sorts again, so
@@ -390,6 +410,7 @@ SCENARIO_FILES = {
     "scenario.json": EXPERIMENT_CONFIG,
     "crack_along_x.json": CRACK_ALONG_X_CONFIG,
     "no_station_qualifies.json": {**EXPERIMENT_CONFIG, "fill": {"area_floor_mm2": 1000}},
+    "diagonal.json": DIAGONAL_CONFIG,
 }
 
 # sha256 of every artifact each subcommand writes for EXPERIMENT_CONFIG at the
@@ -441,6 +462,10 @@ ARTIFACT_DIGESTS = {
     },
     ("--config", "no_station_qualifies.json", "experiment"): {
         "experiment.csv": "8a314f10c425d7108adb1c1370b7df885e8070176943c058224c41046f2b9ecf",
+    },
+    # recorded while a layout still surveyed every run no earlier run could write on
+    ("--config", "diagonal.json", "experiment"): {
+        "experiment.csv": "534834269cbc624d8dd3b8723521de5d58bc463cfea7faf9fe6aac74a100d64f",
     },
 }
 

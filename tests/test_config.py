@@ -2,6 +2,7 @@
 path, defaults merge block by block, and the README's configuration tables
 name exactly the keys of the schema."""
 
+import dataclasses
 import json
 import math
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from crackfill import ConfigError, ScenarioConfig, cli, rotation_about_y
+from crackfill import ConfigError, RepairScene, ScenarioConfig, cli, rotation_about_y
 from crackfill.config import MAX_GRID_CELLS, MAX_RAY_SLOPE, SCHEMA, Field, _strip_stations
 from crackfill.sensors import SCANNER_POINTS
 
@@ -263,3 +264,12 @@ def test_readme_tables_match_the_schema():
     }
     assert len(schema_keys(SCHEMA)) == 51
     assert readme_keys() == schema
+
+
+def test_schema_defaults_are_the_scene_defaults():
+    """The scenario schema's defaults for the scene's scan and perception
+    settings are RepairScene's own, written once."""
+    scene = ScenarioConfig.default().build_scene()
+    defaults = {f.name: f.default for f in dataclasses.fields(RepairScene)}
+    for name in ("scan_span_mm", "scan_standoff_mm", "min_spacing_px", "mask_threshold_mm", "area_floor_mm2"):
+        assert getattr(scene, name) == defaults[name], name

@@ -142,6 +142,18 @@ class TestSmallHelpers:
         assert _distance_to_centreline(path, 0.0, 145.0) == pytest.approx(0.0)
         assert _distance_to_centreline(path, -2.0, 5.0) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize(
+        "path",
+        [[(0.0, 10.0), (0.0, 240.0)], [(0.0, 10.0), (0.0, 10.0), (0.0, 240.0)], [(0.0, 10.0), (0.0, 240.0), (0.0, 240.0)]],
+        ids=["plain", "repeated start", "repeated end"],
+    )
+    def test_centreline_runs_on_past_a_repeated_end(self, path):
+        """A repeated first or last point is a segment of no length: the
+        segment extended over the end cap is the next one that has one."""
+        for y in (9.0, 241.0):  # 1 mm past either end, on the centreline
+            assert _distance_to_centreline(path, 0.0, y) == 0.0
+        assert _distance_to_centreline(path, 2.0, 9.0) == 2.0
+
 
 class TestPerceive:
     def test_noiseless_waypoints_sit_on_centreline(self):
@@ -329,7 +341,7 @@ class TestExecuteFill:
         hf = make_flat(nx=200, ny=400, cell=0.5, origin=(-50.0, -50.0))
         wps = [make_waypoint(0.0, 0.0, 0.0), make_waypoint(0.0, 10.0, 0.0)]
         plan = plan_fill(wps, FillMode.fixed(10.0))
-        result = execute_fill(hf, lay_out(hf, fill_points(wps)), plan, DepositionParams(flow_rate_mm3_s=500.0, purge_time_s=0.0))
+        result = execute_fill(lay_out(hf, fill_points(wps)), plan, DepositionParams(flow_rate_mm3_s=500.0, purge_time_s=0.0))
         assert result.elapsed_s == pytest.approx(1.0)
         assert len(result.segments) == 1
 
@@ -337,7 +349,7 @@ class TestExecuteFill:
         hf = make_flat(nx=200, ny=400, cell=0.5, origin=(-50.0, -50.0))
         wps = [make_waypoint(0.0, float(y), 0.0) for y in (0, 10, 30)]
         plan = plan_fill(wps, FillMode.fixed(10.0))
-        result = execute_fill(hf, lay_out(hf, fill_points(wps)), plan, DepositionParams(flow_rate_mm3_s=500.0, purge_time_s=1.5))
+        result = execute_fill(lay_out(hf, fill_points(wps)), plan, DepositionParams(flow_rate_mm3_s=500.0, purge_time_s=1.5))
         assert result.elapsed_s == pytest.approx(1.5 + 3.0)
         assert len(result.segments) == 2
 

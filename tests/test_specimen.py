@@ -550,8 +550,8 @@ def layout_through(hf, stops):
 
 
 def fill_through(hf, stops, params):
-    """execute_fill along (x, y, speed) stops on a copy of hf, laid out on hf."""
-    return execute_fill(hf.copy(), layout_through(hf, stops), plan_through(stops), params)
+    """execute_fill along (x, y, speed) stops, laid out on hf."""
+    return execute_fill(layout_through(hf, stops), plan_through(stops), params)
 
 
 def outcome(fill):
@@ -588,19 +588,19 @@ def segment_loop_fill(hf, stops, params):
 
 
 def assert_fill_matches_segment_loop(hf, stops, params, layout=None):
-    """execute_fill on a copy of hf, along layout (by default the stops laid
-    out on hf), against the segment loop: the same heights and == on every
-    DepositResult field, or the same exception and message, with the copy
-    untouched unless that is Overfill. Returns execute_fill's segment
-    results, or its (exception type, message)."""
-    got_hf, want_hf = hf.copy(), hf.copy()
-    got = outcome(lambda: list(execute_fill(got_hf, layout or layout_through(hf, stops), plan_through(stops), params).segments))
+    """execute_fill along layout, made on hf (by default the stops laid out
+    on hf), against the segment loop on a copy of hf: the same heights and
+    == on every DepositResult field, or the same exception and message,
+    with hf untouched either way. Returns execute_fill's segment results,
+    or its (exception type, message)."""
+    pristine, want_hf = hf.heights.copy(), hf.copy()
+    result = outcome(lambda: execute_fill(layout or layout_through(hf, stops), plan_through(stops), params))
     want = outcome(lambda: segment_loop_fill(want_hf, stops, params))
+    got = result if isinstance(result, tuple) else list(result.segments)
     assert got == want
     if isinstance(want, list):
-        assert np.array_equal(got_hf.heights, want_hf.heights)
-    elif want[0] is not Overfill:
-        assert np.array_equal(got_hf.heights, hf.heights)  # a refused fill lays nothing
+        assert np.array_equal(result.surface.heights, want_hf.heights)
+    assert np.array_equal(hf.heights, pristine)  # no fill writes on its layout's plate
     return got
 
 
@@ -779,18 +779,19 @@ class TestDepositMatchesLineByLine:
             "repeat": [*stops[:4], (2.0, 12.0, 20.0)],
             "off grid": [*stops[:4], (50.0, 20.0, 20.0)],
         }[fault]
-        plate = hf.copy()
         with pytest.raises(error):
-            execute_fill(plate, layout_through(plate, faulty), plan_through(faulty), params)
-        assert np.array_equal(plate.heights, hf.heights)
+            fill_through(hf, faulty, params)
+        assert not hf.heights.any()  # the flat plate it was laid out on
         assert_fill_matches_segment_loop(hf, faulty, params)
 
     def test_a_path_needs_one_speed_per_segment(self):
         hf = make_flat(nx=60, ny=80, cell=0.5, origin=(-15.0, -5.0))
         with pytest.raises(ValueError, match="3 points need 2 speeds, got 3"):
-            deposit_path(hf, lay_out(hf, [(0.0, 0.0), (0.0, 5.0), (0.0, 10.0)]), [10.0, 10.0, 10.0], PARAMS)
-        assert deposit_path(hf, lay_out(hf, [(0.0, 0.0)]), [], PARAMS) == []
-        assert deposit_path(hf, lay_out(hf, []), [], PARAMS) == []
+            deposit_path(lay_out(hf, [(0.0, 0.0), (0.0, 5.0), (0.0, 10.0)]), [10.0, 10.0, 10.0], PARAMS)
+        for points in ([(0.0, 0.0)], []):
+            filled, results = deposit_path(lay_out(hf, points), [], PARAMS)
+            assert results == []
+            assert np.array_equal(filled.heights, hf.heights)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -860,15 +861,15 @@ class TestPathLayout:
                 else:
                     assert_fill_matches_segment_loop(hf, path, params, layout)
 
-    def test_only_runs_no_earlier_run_can_write_on_keep_their_troughs(self):
-        """Runs 50..31 | 30 | 30..10 down one column: the second lies on
-        other lines than the first, the third shares line 30 with the
-        second, so only the third is surveyed as the fill reaches it."""
+    def test_only_the_first_run_keeps_its_troughs(self):
+        """Runs 50..31 | 30 | 30..10 down one column: lay_out surveys the
+        first run on the plate, and each later run, even the second on
+        lines the first never reaches, is surveyed as the fill reaches it."""
         hf = trough_plate(40, 60, 0.5, (-10.0, -5.0), troughs=[(14, 26, 0, 60, 2.0)])
         stops = [(0.0, 20.0, 10.0), (0.3, 10.0, 15.0), (0.25, 9.9, 12.0), (-0.1, 0.0, 10.0)]
         layout = layout_through(hf, stops)
         assert [(run.dom, run.lo, len(run.seg_of)) for run in layout.runs] == [(1, 31, 20), (1, 30, 1), (1, 10, 21)]
-        assert [run.troughs is not None for run in layout.runs] == [True, True, False]
+        assert [run.troughs is not None for run in layout.runs] == [True, False, False]
         for speeds in ((10.0, 15.0, 12.0), (3.0, 1.0, 3.0), (40.0, 2.0, 0.0)):
             assert_fill_matches_segment_loop(hf, [(x, y, v) for (x, y, _), v in zip(stops, (*speeds, 0.0))], PARAMS, layout)
 
@@ -897,25 +898,41 @@ class TestPathLayout:
         for speeds in ((10.0,) * 5, (4.0, 30.0, 6.0, 50.0, 3.0), (8.0, 8.0, 0.0, 8.0, 8.0)):
             assert_fill_matches_segment_loop(hf, [(x, y, v) for (x, y), v in zip(points, (*speeds, 0.0))], PARAMS, layout)
 
-    @pytest.mark.parametrize(
-        "grid",
-        [
-            dict(nx=61),
-            dict(ny=81),
-            dict(origin=(-15.0, -4.5)),
-            dict(cell=0.25),
-            dict(nominal=1.0),
-        ],
-        ids=["nx", "ny", "origin", "cell", "nominal"],
-    )
-    def test_a_plate_on_another_grid_is_refused(self, grid):
-        plate = make_flat(nx=60, ny=80, cell=0.5, origin=(-15.0, -5.0))
-        layout = lay_out(plate, [(0.0, 0.0), (0.0, 10.0)])
-        other = make_flat(**{**dict(nx=60, ny=80, cell=0.5, origin=(-15.0, -5.0)), **grid})
-        with pytest.raises(ValueError, match="its layout was made on"):
-            deposit_path(other, layout, [10.0], PARAMS)
-        assert np.array_equal(other.heights, make_flat(**{**dict(nx=60, ny=80, cell=0.5, origin=(-15.0, -5.0)), **grid}).heights)
-        assert len(deposit_path(plate.copy(), layout, [10.0], PARAMS)) == 1
+    # two runs: up the trough along y, then along x out of it
+    POINTS = [(0.0, 0.0), (0.0, 10.0), (3.0, 12.0)]
+
+    def test_each_fill_lays_its_own_copy(self):
+        """Two fills along one layout return equal plates that share no
+        memory with each other or with the layout's plate, which stays as
+        it was, and every segment of both deposits its target volume."""
+        hf = trough_plate(40, 60, 0.5, (-10.0, -5.0), troughs=[(14, 26, 0, 60, 2.0)])
+        pristine = hf.heights.copy()
+        layout = lay_out(hf, self.POINTS)
+        (first, first_results), (second, second_results) = (deposit_path(layout, [10.0, 10.0], PARAMS) for _ in range(2))
+        assert np.array_equal(first.heights, second.heights)
+        assert first_results == second_results
+        for a, b in ((first, second), (first, hf), (second, hf)):
+            assert not np.shares_memory(a.heights, b.heights)
+        assert np.array_equal(hf.heights, pristine)
+        assert not np.array_equal(first.heights, pristine)
+        for result in first_results:
+            assert result.volume_deposited_mm3 == pytest.approx(result.volume_target_mm3, rel=1e-9)
+
+    @pytest.mark.parametrize("speeds, error", [([10.0, 0.0], ZeroSpeed), ([0.02, 10.0], Overfill)], ids=["zero speed", "overfill"])
+    def test_a_refused_fill_leaves_its_layout_as_it_was(self, speeds, error):
+        """A refused or overfilled fill writes nothing its layout holds: the
+        plate keeps its heights and the next fill along the layout equals
+        one along a fresh layout."""
+        hf = trough_plate(40, 60, 0.5, (-10.0, -5.0), troughs=[(14, 26, 0, 60, 2.0)])
+        pristine = hf.heights.copy()
+        layout = lay_out(hf, self.POINTS)
+        with pytest.raises(error):
+            deposit_path(layout, speeds, PARAMS)
+        assert np.array_equal(hf.heights, pristine)
+        filled, results = deposit_path(layout, [10.0, 10.0], PARAMS)
+        fresh, fresh_results = deposit_path(lay_out(hf.copy(), self.POINTS), [10.0, 10.0], PARAMS)
+        assert np.array_equal(filled.heights, fresh.heights)
+        assert results == fresh_results
 
     def test_a_plan_off_the_layout_is_refused(self):
         hf = make_flat(nx=60, ny=80, cell=0.5, origin=(-15.0, -5.0))
@@ -923,8 +940,8 @@ class TestPathLayout:
         layout = layout_through(hf, stops)
         for other in ([*stops[:2], (2.0, 20.5, 10.0)], stops[:2], [*stops, (2.0, 25.0, 10.0)]):
             with pytest.raises(ValueError, match="not the points its layout was made for"):
-                execute_fill(hf.copy(), layout, plan_through(other), PARAMS)
-        assert len(execute_fill(hf.copy(), layout, plan_through(stops), PARAMS).segments) == 2
+                execute_fill(layout, plan_through(other), PARAMS)
+        assert len(execute_fill(layout, plan_through(stops), PARAMS).segments) == 2
 
 
 class TestWaterFillMatchesLoop:
