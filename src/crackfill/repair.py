@@ -11,6 +11,7 @@ localization-accuracy and adaptive-versus-fixed comparisons end to end.
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -285,7 +286,8 @@ def image_specimen(scene: RepairScene, specimen: Heightfield, mask: MaskImage | 
     an external segmentation mask replaces when given. That mask must
     match the camera image size.
     """
-    specimen = replace(specimen, heights=_read_only(specimen.heights))
+    specimen = copy.copy(specimen)  # its heights passed the finiteness check when it was built
+    specimen.heights = _read_only(specimen.heights)
     depth, truth = render_view(specimen, scene.intrinsics, scene.camera_pose, scene.mask_threshold_mm)
     if mask is None:
         mask = truth

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import Overfill, PathOutsideGrid, SegmentOutsideGrid, StationOutsideGrid, ZeroLengthSegment, ZeroSpeed
 
@@ -85,8 +86,11 @@ class Heightfield:
 
     @staticmethod
     def flat(origin: tuple[float, float], cell_size: float, nx: int, ny: int, nominal_surface: float = 0.0) -> "Heightfield":
-        heights = np.full((ny, nx), float(nominal_surface))
-        return Heightfield(origin, cell_size, nx, ny, heights, nominal_surface)
+        """A plate at nominal_surface everywhere. It is checked as a plate of
+        one cell: every other cell holds the same value."""
+        hf = Heightfield(origin, cell_size, 1, 1, np.full((1, 1), float(nominal_surface)), nominal_surface)
+        hf.nx, hf.ny, hf.heights = nx, ny, np.full((ny, nx), float(nominal_surface))
+        return hf
 
     def copy(self) -> "Heightfield":
         """An independent copy; its heights passed the finiteness check with self's."""
@@ -293,87 +297,105 @@ def true_cross_section(hf: Heightfield, point: tuple[float, float], normal: tupl
     return float(deficit.sum() * hf.cell_size)
 
 
-def _brentq(f: Callable[[float], float], xa: float, xb: float) -> float:
-    """Root of f in [xa, xb] by Brent's method (Brent, 1973): a step-for-step port of
-    SciPy's Zeros/brentq.c with xtol 1e-12, rtol 4 eps and 100 iterations, which
-    tests/test_specimen.py checks against SciPy's brentq bit for bit."""
+def _brent_roots(f: Callable[[np.ndarray, np.ndarray], np.ndarray], xa: float, xb: float, n: int) -> np.ndarray:
+    """The root in [xa, xb] of each of n functions by Brent's method (Brent,
+    1973), ported elementwise from SciPy's Zeros/brentq.c (xtol 1e-12, rtol
+    4 eps, 100 iterations); tests/test_specimen.py checks it against SciPy
+    bit for bit. f(x, at) evaluates function at[i] at x[i]. Each function
+    takes its own steps and leaves the batch once converged; the branches
+    it does not take are computed too, and may divide by zero."""
     xtol, rtol = 1e-12, 4 * sys.float_info.epsilon
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
+    roots = np.empty(n)
+    at, xpre, xcur = np.arange(n), np.full(n, xa), np.full(n, xb)
+    fpre, fcur = f(xpre, at), f(xcur, at)
+    signs = np.sign(fpre) * np.sign(fcur)  # < 0 where the ends bracket a root, 0 where one is a root
+    if (signs > 0).any():
         raise ValueError("f(xa) and f(xb) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError("Brent's method did not converge in 100 iterations")
+    roots[fcur == 0] = xb
+    roots[fpre == 0] = xa
+    at, xpre, xcur, fpre, fcur = (a[signs < 0] for a in (at, xpre, xcur, fpre, fcur))
+    xblk = fblk = spre = scur = np.zeros(at.size)
+    with np.errstate(all="ignore"):
+        for _ in range(100):
+            if not at.size:
+                return roots
+            flip = np.sign(fpre) * np.sign(fcur) < 0
+            xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+            step = xcur - xpre
+            spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+            fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+            delta = (xtol + rtol * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = (fcur == 0) | (np.abs(sbis) < delta)
+            if done.any():
+                roots[at[done]] = xcur[done]
+                go = ~done
+                at, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                    a[go] for a in (at, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
+                )
+            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            stry = np.where(xpre == xblk, interpolate, extrapolate)
+            # a good short step where one is tried, a bisection otherwise
+            good = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+            good &= 2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)
+            spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+            fcur = f(xcur, at)
+    if at.size:
+        raise RuntimeError("Brent's method did not converge in 100 iterations")
+    return roots
 
 
-def _cap_shape(chord: float, area: float) -> tuple[float, float, float]:
-    """(radius**2, base, riser) of a bead cap with the given chord and area.
+def _cap_shapes(chords: np.ndarray, areas: np.ndarray) -> np.ndarray:
+    """Rows (radius**2, base, riser) of a bead cap of each chord and area.
 
     Up to a semicircle the bead cross-section is a circular segment of
     the given chord, whose circle centre lies base below the surface;
     beyond that the extra material is modelled as a rectangular riser of
-    the same width under a semicircular cap.
+    the same width under a semicircular cap. Every sin, cos and power
+    runs on Python floats, so each cap is the one math gives on its own;
+    numpy does the rest of the arithmetic, which rounds the same.
     """
-    semi_area = math.pi * chord**2 / 8.0
-    if area <= semi_area:
-        chord_sq = chord**2
+    chord_sq = np.array([c**2 for c in chords.tolist()])
+    semi_area = math.pi * chord_sq / 8.0
+    shapes = np.zeros((3, len(chords)))
+    segment = areas <= semi_area
+    segment_chord_sq, segment_area = chord_sq[segment], areas[segment]
 
-        def f(th: float) -> float:
-            sin = math.sin(th)
-            return chord_sq * (th - sin * math.cos(th)) / (4.0 * sin**2) - area
+    def f(th: np.ndarray, at: np.ndarray) -> np.ndarray:
+        th_list = th.tolist()
+        sin = list(map(math.sin, th_list))
+        sin_cos = np.array(sin) * np.array(list(map(math.cos, th_list)))
+        return segment_chord_sq[at] * (th - sin_cos) / (4.0 * np.array([s**2 for s in sin])) - segment_area[at]
 
-        theta = _brentq(f, 1e-9, math.pi / 2.0)
-        radius = chord / (2.0 * math.sin(theta))
-        return radius**2, radius * math.cos(theta), 0.0
-    return (chord / 2.0) ** 2, 0.0, (area - semi_area) / chord
+    theta = _brent_roots(f, 1e-9, math.pi / 2.0, segment_area.size).tolist()
+    radius = chords[segment] / (2.0 * np.array(list(map(math.sin, theta))))
+    shapes[0, segment] = [r**2 for r in radius.tolist()]
+    shapes[1, segment] = radius * np.array(list(map(math.cos, theta)))
+    shapes[0, ~segment] = [(c / 2.0) ** 2 for c in chords[~segment].tolist()]
+    shapes[2, ~segment] = (areas[~segment] - semi_area[~segment]) / chords[~segment]
+    return shapes
 
 
-def _caps(view: np.ndarray, at: tuple, centre: np.ndarray, chords: np.ndarray, areas: np.ndarray, o_perp: float, cell_size: float) -> np.ndarray:
-    """Pile one bead cap per row onto the cells at = (rows, cells) of view
-    and return each row's highest cell.
+def _caps(view: np.ndarray, size: int, rows, j_first, centre, chords, areas, shapes, o_perp: float, cell_size: float) -> np.ndarray:
+    """Pile one bead cap on each row of view, over its size cells from
+    j_first, and return each row's highest cell.
 
-    Row r is the cap of chord chords[r] centred at centre[r] (mm across
-    the line), scaled so its cells hold areas[r] (mm^2); a cap that covers
-    no cell spreads its area evenly. Rows with the same chord and area
-    share one shape. The arithmetic runs in place, so a tile holds about
-    three arrays of its size at once.
+    Row rows[i] gets the cap of chord chords[i] and shape shapes[:, i] (see
+    _cap_shapes) centred at centre[i] (mm across the line), scaled so its
+    cells hold areas[i] (mm^2); a cap that covers no cell spreads its area
+    evenly. The arithmetic runs in place, so a tile holds about three
+    arrays of its size at once.
     """
-    offsets = o_perp + at[1] * cell_size - centre[:, None]
+    offsets = o_perp + (j_first[:, None] + np.arange(size)) * cell_size - centre[:, None]
     outside = np.abs(offsets) > chords[:, None] / 2.0
-    keys = list(zip(chords.tolist(), areas.tolist()))
-    shapes = {key: _cap_shape(*key) for key in set(keys)}
-    radius_sq, base, riser = np.array([shapes[key] for key in keys]).T[:, :, None]
+    radius_sq, base, riser = shapes[:, :, None]
     # z = riser + sqrt(max(radius_sq - offsets**2, 0)) - base, in the offsets' array
     z = np.square(offsets, out=offsets)
     np.subtract(radius_sq, z, out=z)
@@ -387,8 +409,9 @@ def _caps(view: np.ndarray, at: tuple, centre: np.ndarray, chords: np.ndarray, a
     scale[~spread] = areas[~spread] / total[~spread]
     z *= scale[:, None]
     z[spread] = (areas[spread] / (z.shape[1] * cell_size))[:, None]
-    z += view[at]
-    view[at] = z
+    cells = sliding_window_view(view, size, axis=1, writeable=True)  # [r, j]: row r's cells j..j + size - 1
+    z += cells[rows, j_first]
+    cells[rows, j_first] = z
     return z.max(axis=1)
 
 
@@ -639,26 +662,26 @@ def _flood(view, wet, j_lo, j_hi, station_area, ceiling: float, cs: float) -> np
     grouped by run length; returns every row's area left over for its cap."""
     remaining = station_area.copy()
     for size, of_size in _groups(j_hi - j_lo + 1):
-        rows = wet[of_size]
-        at = (rows[:, None], j_lo[of_size][:, None] + np.arange(size))
-        view[at], remaining[rows] = _water_fill(view[at], station_area[rows], ceiling, cs)
+        # each row's run as a window of the plate; the rows are distinct, so no cell is written twice
+        rows, cells = wet[of_size], sliding_window_view(view, size, axis=1, writeable=True)
+        cells[rows, j_lo[of_size]], remaining[rows] = _water_fill(cells[rows, j_lo[of_size]], station_area[rows], ceiling, cs)
     return remaining
 
 
 def _pile_caps(view, rows, centre, width, area, j_c, o_perp: float, cs: float) -> np.ndarray:
     """Pile a cap of each width and area on the cells of each row within
     half its width of its centre (the nozzle centre's cell j_c when that
-    holds no cell), rows grouped by cap size; returns each row's highest
-    capped cell."""
+    holds no cell); returns each row's highest capped cell. Every row's
+    cap is shaped in one batch, then piled in groups of rows of one size."""
     n = view.shape[1]
     j_first = np.maximum(0, np.ceil((centre - width / 2.0 - o_perp) / cs)).astype(int)
     j_last = np.minimum(n - 1, np.floor((centre + width / 2.0 - o_perp) / cs)).astype(int)
     collapsed = j_last < j_first
     j_first[collapsed] = j_last[collapsed] = j_c[collapsed]
     peak = np.empty(len(rows))
+    columns = (rows, j_first, centre, width, area, _cap_shapes(width, area))
     for size, of_size in _groups(j_last - j_first + 1):
-        at = (rows[of_size][:, None], j_first[of_size][:, None] + np.arange(size))
-        peak[of_size] = _caps(view, at, centre[of_size], width[of_size], area[of_size], o_perp, cs)
+        peak[of_size] = _caps(view, size, *(a[..., of_size] for a in columns), o_perp, cs)
     return peak
 
 

@@ -500,6 +500,24 @@ class TestRunFill:
         assert (refinement.span_mm, refinement.standoff_mm) == (scene.scan_span_mm, scene.scan_standoff_mm)
         assert refinement.dropped == 0 and len(refinement.stations) == len(refinement.features) > 0
 
+    def test_imaging_skips_the_finiteness_scan(self, monkeypatch):
+        """The view's specimen is a read-only view of the specimen's heights,
+        which passed the finiteness check when the specimen was built."""
+        scene = make_scene(straight_crack())
+        specimen = scene.build_specimen()
+
+        def refuse(self):
+            raise AssertionError("image_specimen re-ran __post_init__")
+
+        monkeypatch.setattr(Heightfield, "__post_init__", refuse)
+        imaged = repair.image_specimen(scene, specimen).specimen
+        assert (imaged.origin, imaged.cell_size, imaged.nx, imaged.ny, imaged.nominal_surface) == (
+            specimen.origin, specimen.cell_size, specimen.nx, specimen.ny, specimen.nominal_surface
+        )
+        assert np.shares_memory(imaged.heights, specimen.heights)
+        assert imaged.heights.tobytes() == specimen.heights.tobytes()
+        assert not imaged.heights.flags.writeable and specimen.heights.flags.writeable
+
     def test_rotated_laser_mount_calibrates_at_the_crack_scan_angle(self):
         """With the laser mounted 30 degrees about z the calibration strips
         are cut at the crack scans' angle, so the fitted flow and the

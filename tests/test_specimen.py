@@ -189,6 +189,25 @@ class TestHeightfield:
         clone.heights[:] = 1.0
         assert source.heights.tobytes() == hf.heights.tobytes()
 
+    def test_flat_plate_checks_one_cell_for_finiteness(self, monkeypatch):
+        """A flat plate scans only its one nominal value, not its grid of
+        copies of it, and a non-finite nominal is still refused."""
+        scanned = []
+        check = Heightfield.__post_init__
+
+        def recording(self):
+            scanned.append(np.size(self.heights))
+            check(self)
+
+        monkeypatch.setattr(Heightfield, "__post_init__", recording)
+        hf = Heightfield.flat((-2.0, 3.0), 0.5, 300, 200, 1.5)
+        assert scanned == [1]
+        assert (hf.origin, hf.cell_size, hf.nx, hf.ny, hf.nominal_surface) == ((-2.0, 3.0), 0.5, 300, 200, 1.5)
+        assert hf.heights.shape == (200, 300) and np.all(hf.heights == 1.5)
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                Heightfield.flat((0.0, 0.0), 0.5, 300, 200, bad)
+
     def test_non_finite_heights_still_rejected(self):
         for bad in (np.inf, -np.inf, np.nan):
             heights = np.zeros((3, 4))
@@ -279,34 +298,45 @@ class TestDeposit:
             DepositionParams(flow_rate_mm3_s=10.0, purge_time_s=-0.5)
 
 
+def scipy_cap_angle(chord: float, area: float) -> float:
+    """The half angle of a circular-segment bead cap of this chord and area,
+    found by scipy.optimize.brentq with the deposit kernel's tolerances."""
+    f = lambda th: chord**2 * (th - math.sin(th) * math.cos(th)) / (4.0 * math.sin(th) ** 2) - area
+    return brentq(f, 1e-9, math.pi / 2.0, xtol=1e-12, rtol=4 * np.finfo(float).eps, maxiter=100)
+
+
 class TestBrentRoot:
     def test_matches_scipy_bit_for_bit(self, monkeypatch):
-        """Every bead-cap angle the in-package Brent root finds is the root
-        scipy.optimize.brentq finds, bit for bit: 10,000 seeded (chord, area)
-        pairs, the full semicircle, and areas down to 1e-12 mm^2."""
-        port = specimen._brentq
-        roots = []
-
-        def both(f, xa, xb):
-            got = port(f, xa, xb)
-            want = brentq(f, xa, xb, xtol=1e-12, rtol=4 * np.finfo(float).eps, maxiter=100)
-            assert got.hex() == want.hex()
-            roots.append(got)
-            return got
-
-        monkeypatch.setattr(specimen, "_brentq", both)
+        """Every bead-cap angle the batched Brent root finder finds is the
+        root scipy.optimize.brentq finds, bit for bit, and so is the cap's
+        shape: 10,000 seeded (chord, area) pairs, the full semicircle, and
+        areas down to 1e-12 mm^2, solved as one batch and as single-element
+        batches."""
         rng = np.random.default_rng(1973)
         chords = rng.uniform(0.05, 10.0, 10_000)
         semi = math.pi * chords**2 / 8.0
         fractions = np.concatenate([rng.uniform(0.0, 1.0, 5_000), 10.0 ** rng.uniform(-12.0, 0.0, 5_000)])
-        pairs = [
+        chords, areas = np.array([
             *zip(chords, np.maximum(semi * fractions, 1e-12)),
             *zip(chords[:200], semi[:200]),
             *zip(chords[:200], np.geomspace(1e-12, 1e-10, 200)),
-        ]
-        for chord, area in pairs:
-            specimen._cap_shape(float(chord), float(area))
-        assert len(roots) == len(pairs)
+        ]).T
+        solved = []
+
+        def recording(f, xa, xb, n, real=specimen._brent_roots):
+            solved.append(real(f, xa, xb, n))
+            return solved[-1]
+
+        monkeypatch.setattr(specimen, "_brent_roots", recording)
+        batch = specimen._cap_shapes(chords, areas)
+        singles = np.concatenate([specimen._cap_shapes(chords[i : i + 1], areas[i : i + 1]) for i in range(len(chords))], axis=1)
+        assert len(solved) == 1 + len(chords) and solved[0].shape == chords.shape
+        for i, (chord, area) in enumerate(zip(chords.tolist(), areas.tolist())):
+            theta = scipy_cap_angle(chord, area)
+            radius = chord / (2.0 * math.sin(theta))
+            want = (theta.hex(), (radius**2).hex(), (radius * math.cos(theta)).hex(), (0.0).hex())
+            assert (solved[0][i].hex(), *(float(v).hex() for v in batch[:, i])) == want
+            assert (solved[1 + i][0].hex(), *(float(v).hex() for v in singles[:, i])) == want
 
 
 class TestOverfill:
@@ -364,8 +394,7 @@ def loop_cap_profile(offsets: np.ndarray, chord: float, area: float) -> np.ndarr
     half = chord / 2.0
     semi_area = math.pi * chord**2 / 8.0
     if area <= semi_area:
-        f = lambda th: chord**2 * (th - math.sin(th) * math.cos(th)) / (4.0 * math.sin(th) ** 2) - area
-        theta = specimen._brentq(f, 1e-9, math.pi / 2.0)
+        theta = scipy_cap_angle(chord, area)
         radius = chord / (2.0 * math.sin(theta))
         base = radius * math.cos(theta)
         riser = 0.0

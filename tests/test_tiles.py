@@ -8,6 +8,7 @@ scan's depth noise, drawn in tiles and kept only where it is read.
 """
 
 import functools
+import gc
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from crackfill import CrackSpec, FillMode, Heightfield, NoIntersection, ScenarioConfig, execute_fill, generate_specimen, image_specimen, lay_out, plan_fill, specimen, survey
 from crackfill import io as cfio
 from crackfill.geometry import CameraIntrinsics, RigidTransform
-from crackfill.repair import fill_points, perceive_view
+from crackfill.repair import fill_points, perceive_view, repair
 from crackfill.sensors import render_view
 from crackfill.specimen import profile_values, row_tiles
 from conftest import tilted
@@ -310,3 +311,23 @@ class TestScratchBudgets:
         result, peak = traced_peak(lambda: execute_fill(layout, plan, params))
         assert len(result.segments) >= 30
         assert peak <= result.surface.heights.nbytes + 2e6  # the fill's own copy of the plate, and its scratch
+
+    def test_nothing_a_fill_computes_outlives_it(self):
+        """Once a survey's first repair has built its layout, five more
+        repairs leave the traced memory within 64 KB of its level after the
+        first: a fill keeps nothing on the layout, the survey or the module.
+        One float64 kept per flooded cell would be 2.35 MB."""
+        surveyed_scene, params = surveyed("default")
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            repair(surveyed_scene, FillMode.fixed(10.0), params)
+            gc.collect()
+            level = tracemalloc.get_traced_memory()[0]
+            for speed in (6.0, 8.0, 10.0, 15.0, 20.0):
+                repair(surveyed_scene, FillMode.fixed(speed), params)
+            gc.collect()
+            assert tracemalloc.get_traced_memory()[0] - level <= 64 * 1024
+        finally:
+            if started:
+                tracemalloc.stop()
