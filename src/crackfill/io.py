@@ -112,18 +112,23 @@ def _quantize(values: np.ndarray, lo: float, hi: float, maxval: int) -> np.ndarr
 
 
 def write_heightfield_pgm(path, hf) -> None:
-    """Quantize the heights over their z range to 16 bits, in row tiles
-    (see row_tiles) each written straight to the file."""
-    lo = float(hf.heights.min())
-    hi = float(hf.heights.max())
+    """Quantize the heights of a Heightfield or a FilledPlate over their z
+    range to 16 bits. Both passes, the range and the quantization, read
+    the heights in row tiles (see row_tiles), and each quantized tile is
+    written straight to the file."""
+    tiles = list(row_tiles(hf.ny, hf.nx))
+    lo, hi = math.inf, -math.inf
+    for rows in tiles:
+        heights = hf.rows(rows)
+        lo, hi = min(lo, float(heights.min())), max(hi, float(heights.max()))
     comments = [
         f"origin_mm {fmt(hf.origin[0])} {fmt(hf.origin[1])}",
         f"cell_size_mm {fmt(hf.cell_size)}",
         f"nominal_surface_mm {fmt(hf.nominal_surface)}",
         f"z_range_mm {fmt(lo)} {fmt(hi)}",
     ]
-    tiles = (_quantize(hf.heights[rows], lo, hi, 65535) for rows in row_tiles(*hf.heights.shape))
-    _write_pgm_rows(path, hf.heights.shape, 65535, comments, tiles)
+    blocks = (_quantize(hf.rows(rows), lo, hi, 65535) for rows in tiles)
+    _write_pgm_rows(path, (hf.ny, hf.nx), 65535, comments, blocks)
 
 
 def write_depth_pgm(path, depth_image) -> None:

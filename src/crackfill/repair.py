@@ -2,11 +2,12 @@
 
 This module wires the perception, profiling, and deposition layers into
 the full repair loop. A survey finds RGB-D waypoints and corrects them by
-laser line scans; a repair fills a copy of the surveyed specimen (a fill
-plan assigns per-segment speeds, adaptive or fixed, the extruder executes
-it) and a post-fill rescan at the same stations scores the fill error per
-station. The two experiment drivers at the bottom reproduce the
-localization-accuracy and adaptive-versus-fixed comparisons end to end.
+laser line scans; a repair fills a copy of the box of the surveyed
+specimen that its path can change (a fill plan assigns per-segment
+speeds, adaptive or fixed, the extruder executes it) and a post-fill
+rescan at the same stations scores the fill error per station. The two
+experiment drivers at the bottom reproduce the localization-accuracy and
+adaptive-versus-fixed comparisons end to end.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .sensors import (
     render_view,
     scan_profile,
 )
-from .specimen import CrackSpec, DepositionParams, DepositResult, Heightfield, PathLayout, deposit_path, generate_specimen, lay_out
+from .specimen import CrackSpec, DepositionParams, DepositResult, FilledPlate, Heightfield, PathLayout, deposit_path, generate_specimen, lay_out
 
 logger = logging.getLogger(__name__)
 
@@ -144,11 +145,12 @@ class FillPlan:
 @dataclass(frozen=True)
 class ExecutionResult:
     """One fill's elapsed time and segment volumes, and its filled surface:
-    a fresh copy of the layout's plate."""
+    the layout's plate with a fresh copy of the box of it the fill could
+    change (see deposit_path); surface.heightfield() gives a full copy."""
 
     elapsed_s: float
     segments: tuple[DepositResult, ...]
-    surface: Heightfield
+    surface: FilledPlate
 
 
 @dataclass(frozen=True)
@@ -427,8 +429,9 @@ def fill_points(waypoints: Sequence[Waypoint]) -> list[tuple[float, float]]:
 
 
 def execute_fill(layout: PathLayout, plan: FillPlan, params: DepositionParams) -> ExecutionResult:
-    """Run the extruder along the planned path on a fresh copy of the
-    layout's plate, in one deposit_path call.
+    """Run the extruder along the planned path on the layout's plate, in
+    one deposit_path call, which fills a fresh copy of the box of the
+    plate that the fill can change and writes nothing on the plate itself.
 
     layout is the plan's path laid out on the plate to fill (see lay_out);
     a plan whose positions are not the layout's points raises ValueError.
@@ -449,7 +452,7 @@ def execute_fill(layout: PathLayout, plan: FillPlan, params: DepositionParams) -
 
 def validate(
     refinement: RefinementResult,
-    hf_filled: Heightfield,
+    hf_filled: Heightfield | FilledPlate,
     *,
     speeds: Sequence[float],
     noise: SensorNoise,
@@ -533,18 +536,16 @@ def validate(
 class Survey:
     """One imaged specimen, scanned and laser-refined once.
 
-    The refined path is laid out on the view's read-only specimen once
-    (layout), and each repair fills its own copy of the specimen along it.
+    It keeps the view's read-only specimen, not the view, whose depth and
+    masks no repair reads. The refined path is laid out on the specimen
+    once (layout), and each repair fills its own copy of the box of the
+    specimen that its fill can change along it.
     """
 
     scene: RepairScene
     noise: SensorNoise
-    view: SpecimenView
+    specimen: Heightfield
     refinement: RefinementResult
-
-    @property
-    def specimen(self) -> Heightfield:
-        return self.view.specimen
 
     @cached_property
     def layout(self) -> PathLayout:
@@ -562,7 +563,7 @@ def survey(scene: RepairScene, view: SpecimenView, noise: SensorNoise) -> Survey
         standoff_mm=scene.scan_standoff_mm,
         noise=noise,
     )
-    return Survey(scene=scene, noise=noise, view=view, refinement=refinement)
+    return Survey(scene=scene, noise=noise, specimen=view.specimen, refinement=refinement)
 
 
 @dataclass(frozen=True)
@@ -579,7 +580,9 @@ class FillRunArtifacts:
         return self.survey.specimen
 
     @property
-    def surface_after(self) -> Heightfield:
+    def surface_after(self) -> FilledPlate:
+        """The filled specimen: the specimen with the filled copy of the
+        box the fill could change (see ExecutionResult)."""
         return self.execution.surface
 
 
@@ -589,7 +592,8 @@ def repair(
     params: DepositionParams,
     model: CalibrationModel | None = None,
 ) -> FillRunArtifacts:
-    """Fill a copy of the surveyed specimen under one speed policy and rescan it."""
+    """Fill the surveyed specimen under one speed policy, on a copy of the
+    box of it the fill can change, and rescan it."""
     plan = plan_fill(survey.refinement.waypoints, mode, model)
     execution = execute_fill(survey.layout, plan, params)
     report = validate(
@@ -613,8 +617,7 @@ def run_fill(
     mask: MaskImage | None = None,
 ) -> FillRunArtifacts:
     """Run the complete repair pipeline once on a fresh specimen."""
-    view = image_specimen(scene, scene.build_specimen(), mask)
-    return repair(survey(scene, view, noise), mode, params, model)
+    return repair(survey(scene, image_specimen(scene, scene.build_specimen(), mask), noise), mode, params, model)
 
 
 def experiment_modes(fixed_speeds: Sequence[float], interpolate: bool = False) -> list[FillMode]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NoIntersection, StationOutsideGrid
 from .geometry import CameraIntrinsics, RigidTransform
-from .specimen import Heightfield, row_tiles
+from .specimen import FilledPlate, Heightfield, row_tiles
 
 logger = logging.getLogger(__name__)
 
@@ -295,7 +295,7 @@ def render_truth_mask(
 
 
 def scan_profile(
-    hf: Heightfield,
+    hf: Heightfield | FilledPlate,
     poses: Sequence[RigidTransform],
     span_mm: float,
     noises: Sequence[SensorNoise],

@@ -133,10 +133,77 @@ class Heightfield:
             self.origin[1] + (self.ny - 1) * self.cell_size,
         )
 
+    def rows(self, rows: slice) -> np.ndarray:
+        """The heights of a slice of rows: a view."""
+        return self.heights[rows]
+
     def volume_below_nominal(self) -> float:
         """Total trough volume (mm^3) below the nominal surface."""
         deficit = np.maximum(0.0, self.nominal_surface - self.heights)
         return float(deficit.sum() * self.cell_size**2)
+
+
+@dataclass(frozen=True)
+class FilledPlate:
+    """A plate as a fill left it, held as the plate it was laid on and the
+    filled cells of the one box of it that the fill could change.
+
+    plate is read, never written. box is its (rows, columns) slices and
+    cells the filled heights there; every other cell holds plate's height.
+    contains, height_at and rows read it like a Heightfield, and
+    heightfield() gives it as one.
+    """
+
+    plate: Heightfield
+    box: tuple[slice, slice]
+    cells: np.ndarray
+
+    @property
+    def origin(self) -> tuple[float, float]:
+        return self.plate.origin
+
+    @property
+    def cell_size(self) -> float:
+        return self.plate.cell_size
+
+    @property
+    def nx(self) -> int:
+        return self.plate.nx
+
+    @property
+    def ny(self) -> int:
+        return self.plate.ny
+
+    @property
+    def nominal_surface(self) -> float:
+        return self.plate.nominal_surface
+
+    def contains(self, x, y) -> np.ndarray:
+        return self.plate.contains(x, y)
+
+    def height_at(self, x, y) -> np.ndarray:
+        """Nearest-cell height lookup, as Heightfield.height_at."""
+        ix = np.clip(self.plate.ix_of(x), 0, self.nx - 1)
+        iy = np.clip(self.plate.iy_of(y), 0, self.ny - 1)
+        rows, cols = self.box
+        h = np.array(self.plate.heights[iy, ix])
+        inside = (iy >= rows.start) & (iy < rows.stop) & (ix >= cols.start) & (ix < cols.stop)
+        h[inside] = self.cells[iy[inside] - rows.start, ix[inside] - cols.start]
+        return h
+
+    def rows(self, rows: slice) -> np.ndarray:
+        """The heights of a slice of rows: a copy."""
+        out = self.plate.heights[rows].copy()
+        lo, hi = max(rows.start, self.box[0].start), min(rows.stop, self.box[0].stop)
+        if lo < hi:
+            out[lo - rows.start : hi - rows.start, self.box[1]] = self.cells[lo - self.box[0].start : hi - self.box[0].start]
+        return out
+
+    def heightfield(self) -> Heightfield:
+        """The filled plate as one Heightfield: a full-size copy."""
+        out = self.plate.copy()
+        out.heights[self.box] = self.cells
+        return out
 
 
 @dataclass(frozen=True)
@@ -383,9 +450,10 @@ def _cap_shapes(chords: np.ndarray, areas: np.ndarray) -> np.ndarray:
     return shapes
 
 
-def _caps(view: np.ndarray, size: int, rows, j_first, centre, chords, areas, shapes, o_perp: float, cell_size: float) -> np.ndarray:
+def _caps(view: np.ndarray, first: int, size: int, rows, j_first, centre, chords, areas, shapes, o_perp: float, cell_size: float) -> np.ndarray:
     """Pile one bead cap on each row of view, over its size cells from
-    j_first, and return each row's highest cell.
+    j_first, and return each row's highest cell. view holds its lines'
+    cells from cell first on; j_first counts from the line's start.
 
     Row rows[i] gets the cap of chord chords[i] and shape shapes[:, i] (see
     _cap_shapes) centred at centre[i] (mm across the line), scaled so its
@@ -409,9 +477,9 @@ def _caps(view: np.ndarray, size: int, rows, j_first, centre, chords, areas, sha
     scale[~spread] = areas[~spread] / total[~spread]
     z *= scale[:, None]
     z[spread] = (areas[spread] / (z.shape[1] * cell_size))[:, None]
-    cells = sliding_window_view(view, size, axis=1, writeable=True)  # [r, j]: row r's cells j..j + size - 1
-    z += cells[rows, j_first]
-    cells[rows, j_first] = z
+    cells = sliding_window_view(view, size, axis=1, writeable=True)  # [r, j]: row r's cells first + j onwards
+    z += cells[rows, j_first - first]
+    cells[rows, j_first - first] = z
     return z.max(axis=1)
 
 
@@ -480,13 +548,48 @@ def _segment(hf: Heightfield, start, end, include_end: bool) -> _Segment:
     return _Segment(p0, p1, length, dom, i_from, step, abs(i_to - i_from) + 1)
 
 
-def _line_sums(lines: np.ndarray) -> np.ndarray:
-    """The sum of each row of lines, rounded like the sum of that row held
-    contiguously on its own: straight on contiguous rows, otherwise on
-    contiguous copies of row tiles."""
-    if lines.flags.c_contiguous:
-        return lines.sum(axis=1)
-    return np.concatenate([np.ascontiguousarray(lines[tile]).sum(axis=1) for tile in row_tiles(*lines.shape)])
+def _line_sums(view: np.ndarray, first: int, whole: np.ndarray) -> np.ndarray:
+    """The sum of each whole line: a row of whole with view's cells laid
+    over it from cell first on. Each sum is rounded like that of the line
+    held contiguously on its own: straight on contiguous rows of a view
+    that holds the whole lines, otherwise on contiguous row tiles composed
+    afresh."""
+    m, n = whole.shape
+    width = view.shape[1]
+    if width == n and view.flags.c_contiguous:
+        return view.sum(axis=1)
+    sums = []
+    for tile in row_tiles(m, n):
+        if width == n:
+            lines = np.ascontiguousarray(view[tile])
+        else:
+            lines = whole[tile].copy()
+            lines[:, first : first + width] = view[tile]
+        sums.append(lines.sum(axis=1))
+    return np.concatenate(sums)
+
+
+# A cell lower than the nominal surface by more than this is below it.
+_WET_DEPTH_MM = 1e-12
+
+
+def _wet_band(lines: np.ndarray, first: int, nominal: float) -> tuple[int, int] | None:
+    """The first and last cell at which any of lines (one row per line,
+    holding the line's cells from cell first on) lies below the surface
+    at nominal, counted from the line's start; None when no cell does.
+    Read in row tiles."""
+    wet = np.zeros(lines.shape[1], dtype=bool)
+    for tile in row_tiles(*lines.shape):
+        wet |= (lines[tile] < nominal - _WET_DEPTH_MM).any(axis=0)
+    wet = np.flatnonzero(wet)
+    return (first + int(wet[0]), first + int(wet[-1])) if wet.size else None
+
+
+def _reach(nozzle: float, cell_size: float, n: int) -> int:
+    """How many cells from a line's nozzle centre cell the flood looks for
+    a trough, on lines of n cells: no cell lies more than n - 1 away,
+    however wide the nozzle."""
+    return min(max(1, math.ceil(nozzle / 2.0 / cell_size)), n - 1)
 
 
 @dataclass(frozen=True)
@@ -494,11 +597,11 @@ class _Troughs:
     """A run's lines as the plate holds them before the run is laid.
 
     before holds each line's sum. bounds holds four rows of cells per
-    line: the first and last cell of the run of below-surface cells
-    holding the nearest such cell at or below the nozzle centre's cell,
-    then the nearest such cell at or above the centre and the last cell of
-    its run. A side without one has its cells n past the centre, beyond
-    any reach.
+    line, counted from the line's start: the first and last cell of the
+    run of below-surface cells holding the nearest such cell at or below
+    the nozzle centre's cell, then the nearest such cell at or above the
+    centre and the last cell of its run. A side without one has its cells
+    n past the centre, beyond any reach.
     """
 
     before: np.ndarray
@@ -517,34 +620,30 @@ class _Troughs:
         return wet, np.where(take_left, left_lo[wet], right[wet]), np.where(take_left, left_hi[wet], right_hi[wet])
 
 
-def _troughs(view: np.ndarray, j_c: np.ndarray, nominal: float) -> _Troughs:
-    """The troughs of the lines of view (one row per line) around each
-    centre cell j_c, on a plate whose surface is at nominal. Only the band
-    of columns holding below-surface cells, plus one dry column each side,
-    can bound a run, and the band is read in row tiles."""
-    m, n = view.shape
-    below = nominal - 1e-12  # a cell lower than this is below the surface
+def _troughs(view: np.ndarray, first: int, n: int, j_c: np.ndarray, wet: tuple[int, int] | None, nominal: float, before: np.ndarray) -> _Troughs:
+    """The troughs of lines of n cells around each centre cell j_c, on a
+    plate whose surface is at nominal, with each line's sum before. view
+    holds the lines' cells from cell first on, one row per line, and wet
+    is their band of below-surface cells (see _wet_band). Only that band,
+    plus one dry cell each side, can bound a run, and it is read in row
+    tiles."""
     bounds = np.repeat([j_c - n, j_c + n], 2, axis=0)
-    wet_cols = np.zeros(n, dtype=bool)
-    for tile in row_tiles(m, n):
-        wet_cols |= (view[tile] < below).any(axis=0)
-    wet_cols = np.flatnonzero(wet_cols)
-    if wet_cols.size:
-        c0, c1 = max(wet_cols[0] - 1, 0), min(wet_cols[-1] + 2, n)
+    if wet is not None:
+        c0, c1 = max(wet[0] - 1, 0), min(wet[1] + 2, n)
         cells = np.arange(c0, c1)
-        for tile in row_tiles(m, c1 - c0):
-            wet = view[tile, c0:c1] < below
-            dry = ~wet
+        for tile in row_tiles(len(j_c), c1 - c0):
+            below = view[tile, c0 - first : c1 - first] < nominal - _WET_DEPTH_MM
+            dry = ~below
             centre = j_c[tile]
-            left = np.where(wet & (cells <= centre[:, None]), cells, -1).max(axis=1)
-            right = np.where(wet & (cells >= centre[:, None]), cells, n).min(axis=1)
+            left = np.where(below & (cells <= centre[:, None]), cells, -1).max(axis=1)
+            right = np.where(below & (cells >= centre[:, None]), cells, n).min(axis=1)
             left_lo = np.where(dry & (cells < left[:, None]), cells, c0 - 1).max(axis=1) + 1
             right_hi = np.where(dry & (cells > right[:, None]), cells, c1).min(axis=1) - 1
             # a centre cell below the surface is both, and its run ends at right_hi
             left_hi = np.where(left == centre, right_hi, left)
             found = [left >= 0, left >= 0, right < n, right < n]
             bounds[:, tile] = np.where(found, [left_lo, left_hi, right, right_hi], bounds[:, tile])
-    return _Troughs(before=_line_sums(view), bounds=bounds)
+    return _Troughs(before=before, bounds=bounds)
 
 
 @dataclass(frozen=True)
@@ -554,9 +653,10 @@ class _Run:
     stop, so the lines are distinct and each only changes itself.
 
     Lines are held in ascending index order from lo: each line's segment,
-    its nozzle centre across the line (mm) and that centre's cell.
-    troughs, when set, survey the lines as the layout's plate holds them;
-    only a path's first run has them.
+    its nozzle centre across the line (mm) and that centre's cell. wet is
+    the band of the lines' below-surface cells on the layout's plate (see
+    _wet_band). troughs, when set, survey the lines as the layout's plate
+    holds them; only a path's first run has them.
     """
 
     segments: tuple[_Segment, ...]
@@ -564,6 +664,7 @@ class _Run:
     seg_of: np.ndarray
     centre_perp: np.ndarray
     j_c: np.ndarray
+    wet: tuple[int, int] | None
     troughs: _Troughs | None = None
 
     @property
@@ -579,13 +680,24 @@ class _Run:
         """One past the run's last line."""
         return self.lo + len(self.seg_of)
 
-    def lines(self, hf: Heightfield) -> np.ndarray:
-        """hf's grid lines of this run, one row per line: a view of its heights."""
-        return hf.heights[:, self.lo : self.hi].T if self.dom == 0 else hf.heights[self.lo : self.hi]
+    @property
+    def span(self) -> tuple[int, int]:
+        """The first and last cell across the lines that is below the
+        surface on the layout's plate or some line's nozzle centre cell."""
+        lo, hi = int(self.j_c.min()), int(self.j_c.max())
+        return (lo, hi) if self.wet is None else (min(lo, self.wet[0]), max(hi, self.wet[1]))
+
+    def lines(self, heights: np.ndarray, row0: int = 0, col0: int = 0) -> np.ndarray:
+        """This run's grid lines in heights, one row per line: a view.
+        heights holds the plate's cells from row row0 and column col0 on."""
+        if self.dom == 0:
+            return heights[:, self.lo - col0 : self.hi - col0].T
+        return heights[self.lo - row0 : self.hi - row0]
 
 
 def _run(hf: Heightfield, segments: Sequence[_Segment]) -> _Run:
-    """The grid lines of chained segments and each line's nozzle centre."""
+    """The grid lines of chained segments, each line's nozzle centre, and
+    the band of their below-surface cells on hf."""
     cs = hf.cell_size
     dom, step = segments[0].dom, segments[0].step
     # each line's segment, in ascending line order
@@ -602,35 +714,43 @@ def _run(hf: Heightfield, segments: Sequence[_Segment]) -> _Run:
     centre_perp = p0[:, 1 - dom] + t * (p1[:, 1 - dom] - p0[:, 1 - dom])
     n = hf.ny if dom == 0 else hf.nx
     j_c = np.clip(np.rint((centre_perp - hf.origin[1 - dom]) / cs), 0, n - 1).astype(int)
-    return _Run(tuple(segments), lo, seg_of, centre_perp, j_c)
+    run = _Run(tuple(segments), lo, seg_of, centre_perp, j_c, None)
+    return replace(run, wet=_wet_band(run.lines(hf.heights), 0, hf.nominal_surface))
 
 
-def _lay(hf: Heightfield, run: _Run, speeds: Sequence[float], params: DepositionParams) -> list[DepositResult]:
-    """Lay a run at speeds, one per segment; see deposit_path.
+def _lay(filled: FilledPlate, run: _Run, speeds: Sequence[float], params: DepositionParams) -> list[DepositResult]:
+    """Lay a run at speeds, one per segment, on filled's cells; see
+    deposit_path.
 
     Every line carries its own segment's nozzle centre and station area and
     gets the same arithmetic as a line handled on its own; the flood and
-    the caps group lines of one size across the whole run. A run without
-    troughs has them surveyed here, on hf as it stands. The line sums go
-    straight over the plate's rows or over row tiles, and every other
+    the caps group lines of one size across the whole run. Cells are
+    counted along the plate's whole lines throughout, and the box's corner
+    is taken off only to read or write the box. A run without troughs has
+    them surveyed here, on the lines as the fill stands. The line sums run
+    over whole lines composed of the plate and the box, and every other
     stage works in tiles of about TILE_CELLS cells, so the scratch stays a
     few tiles' worth.
     """
-    cs = hf.cell_size
-    nominal = hf.nominal_surface
+    plate = filled.plate
+    cs = plate.cell_size
+    nominal = plate.nominal_surface
     nozzle = params.nozzle_diameter_mm
-    view = run.lines(hf)
-    m, n = view.shape
-    o_perp = hf.origin[1 - run.dom]
-    troughs = run.troughs if run.troughs is not None else _troughs(view, run.j_c, nominal)
+    rows, cols = filled.box
+    view = run.lines(filled.cells, rows.start, cols.start)
+    first = rows.start if run.dom == 0 else cols.start
+    whole = run.lines(plate.heights)
+    m, n = whole.shape
+    o_perp = plate.origin[1 - run.dom]
+    troughs = run.troughs
+    if troughs is None:
+        troughs = _troughs(view, first, n, run.j_c, _wet_band(view, first, nominal), nominal, _line_sums(view, first, whole))
     areas = [params.flow_rate_mm3_s / speed for speed in speeds]
     station_area = np.array([area * seg.length / (seg.count * cs) for area, seg in zip(areas, run.segments)])[run.seg_of]
 
     # flood the trough run nearest the nozzle centre
-    # no cell lies more than n - 1 away, however wide the nozzle
-    reach = min(max(1, math.ceil(nozzle / 2.0 / cs)), n - 1)
-    wet, j_lo, j_hi = troughs.nearest(run.j_c, reach)
-    remaining = _flood(view, wet, j_lo, j_hi, station_area, nominal, cs)
+    wet, j_lo, j_hi = troughs.nearest(run.j_c, _reach(nozzle, cs, n))
+    remaining = _flood(view, first, wet, j_lo, j_hi, station_area, nominal, cs)
 
     # cap whatever the trough could not hold, centred on the trough if any
     cap_centre = run.centre_perp.copy()
@@ -640,11 +760,11 @@ def _lay(hf: Heightfield, run: _Run, speeds: Sequence[float], params: Deposition
     cap_width[wet] = np.where(nozzle < trough_width, nozzle, trough_width)
     capped = np.flatnonzero(remaining > 1e-12)
     peak = np.full(m, -math.inf)
-    peak[capped] = _pile_caps(view, capped, cap_centre[capped], cap_width[capped], remaining[capped], run.j_c[capped], o_perp, cs)
+    peak[capped] = _pile_caps(view, first, n, capped, cap_centre[capped], cap_width[capped], remaining[capped], run.j_c[capped], o_perp, cs)
 
     # each segment's lines back in travel order: the volume sums them in
     # that order, and the first segment over the bound raises
-    change = ((_line_sums(view) - troughs.before) * cs * cs)[:: run.step]
+    change = ((_line_sums(view, first, whole) - troughs.before) * cs * cs)[:: run.step]
     peak = peak[:: run.step]
     results = []
     stop = 0
@@ -657,23 +777,24 @@ def _lay(hf: Heightfield, run: _Run, speeds: Sequence[float], params: Deposition
     return results
 
 
-def _flood(view, wet, j_lo, j_hi, station_area, ceiling: float, cs: float) -> np.ndarray:
+def _flood(view, first: int, wet, j_lo, j_hi, station_area, ceiling: float, cs: float) -> np.ndarray:
     """Water-fill each wet row's run j_lo..j_hi with its station area, rows
-    grouped by run length; returns every row's area left over for its cap."""
+    grouped by run length; returns every row's area left over for its cap.
+    view holds its lines' cells from cell first on."""
     remaining = station_area.copy()
     for size, of_size in _groups(j_hi - j_lo + 1):
         # each row's run as a window of the plate; the rows are distinct, so no cell is written twice
-        rows, cells = wet[of_size], sliding_window_view(view, size, axis=1, writeable=True)
-        cells[rows, j_lo[of_size]], remaining[rows] = _water_fill(cells[rows, j_lo[of_size]], station_area[rows], ceiling, cs)
+        rows, cells, at = wet[of_size], sliding_window_view(view, size, axis=1, writeable=True), j_lo[of_size] - first
+        cells[rows, at], remaining[rows] = _water_fill(cells[rows, at], station_area[rows], ceiling, cs)
     return remaining
 
 
-def _pile_caps(view, rows, centre, width, area, j_c, o_perp: float, cs: float) -> np.ndarray:
+def _pile_caps(view, first: int, n: int, rows, centre, width, area, j_c, o_perp: float, cs: float) -> np.ndarray:
     """Pile a cap of each width and area on the cells of each row within
     half its width of its centre (the nozzle centre's cell j_c when that
-    holds no cell); returns each row's highest capped cell. Every row's
+    holds no cell) on lines of n cells, of which view holds those from
+    cell first on; returns each row's highest capped cell. Every row's
     cap is shaped in one batch, then piled in groups of rows of one size."""
-    n = view.shape[1]
     j_first = np.maximum(0, np.ceil((centre - width / 2.0 - o_perp) / cs)).astype(int)
     j_last = np.minimum(n - 1, np.floor((centre + width / 2.0 - o_perp) / cs)).astype(int)
     collapsed = j_last < j_first
@@ -681,7 +802,7 @@ def _pile_caps(view, rows, centre, width, area, j_c, o_perp: float, cs: float) -
     peak = np.empty(len(rows))
     columns = (rows, j_first, centre, width, area, _cap_shapes(width, area))
     for size, of_size in _groups(j_last - j_first + 1):
-        peak[of_size] = _caps(view, size, *(a[..., of_size] for a in columns), o_perp, cs)
+        peak[of_size] = _caps(view, first, size, *(a[..., of_size] for a in columns), o_perp, cs)
     return peak
 
 
@@ -700,14 +821,37 @@ class PathLayout:
     plate and the path, not to the speeds or the extruder (see lay_out).
 
     points is the path. plate is held as given, not copied, and
-    deposit_path fills copies of it; a plate changed after lay_out is no
-    longer the one its layout describes (a survey's specimen is read-only).
-    runs hold the path's segments, checked and split into runs.
+    deposit_path fills copies of a box of it (see box); a plate changed
+    after lay_out is no longer the one its layout describes (a survey's
+    specimen is read-only). runs hold the path's segments, checked and
+    split into runs.
     """
 
     points: tuple[tuple[float, float], ...]
     plate: Heightfield
     runs: tuple[_Run, ...]
+
+    def box(self, nozzle_diameter_mm: float) -> tuple[slice, slice]:
+        """The (rows, columns) of plate holding every cell that a fill with
+        this nozzle can change.
+
+        A run changes only its own lines, and on each line only the
+        trough run its flood reaches (within the nozzle's reach of the
+        nozzle centre cell), a cap over that trough, or a cap within the
+        reach of the centre cell. So a run's box is its lines by its span
+        (see _Run.span) widened by the reach and one cell more and clipped
+        to the grid, and the box is the smallest one holding every run's;
+        it is empty for a path without runs.
+        """
+        sizes = (self.plate.nx, self.plate.ny)
+        lo, hi = list(sizes), [0, 0]  # per axis: x (columns), then y (rows)
+        for run in self.runs:
+            cross = 1 - run.dom
+            reach = _reach(nozzle_diameter_mm, self.plate.cell_size, sizes[cross]) + 1
+            span_lo, span_hi = run.span
+            for axis, a, b in ((run.dom, run.lo, run.hi), (cross, max(span_lo - reach, 0), min(span_hi + reach + 1, sizes[cross]))):
+                lo[axis], hi[axis] = min(lo[axis], a), max(hi[axis], b)
+        return slice(lo[1], hi[1]), slice(lo[0], hi[0])
 
 
 def lay_out(plate: Heightfield, points: Sequence[tuple[float, float]]) -> PathLayout:
@@ -719,11 +863,13 @@ def lay_out(plate: Heightfield, points: Sequence[tuple[float, float]]) -> PathLa
     chained segments touch each cross-section once. The segments are split
     into runs: a segment joins the run before it when it has the same
     dominant axis and direction and its first grid line follows the run's
-    last. Each line's nozzle centre is found, and the first run has its
-    lines' sums and troughs surveyed on plate; every later run is surveyed
-    as the fill reaches it, on the plate as the runs before it left it.
-    Nothing here depends on the speeds or the extruder, so one layout
-    serves every fill of plate along points.
+    last. Each line's nozzle centre is found, and each run's band of
+    below-surface cells, which with the nozzle bounds the box a fill can
+    change (see PathLayout.box). The first run has its lines' sums and
+    troughs surveyed on plate; every later run is surveyed as the fill
+    reaches it, on the plate as the runs before it left it. Nothing here
+    depends on the speeds or the extruder, so one layout serves every fill
+    of plate along points.
     """
     n_segments = len(points) - 1
     segments = [_segment(plate, points[k], points[k + 1], k == n_segments - 1) for k in range(n_segments)]
@@ -736,13 +882,15 @@ def lay_out(plate: Heightfield, points: Sequence[tuple[float, float]]) -> PathLa
             chains.append([seg])
     runs = [_run(plate, chain) for chain in chains]
     if runs:
-        runs[0] = replace(runs[0], troughs=_troughs(runs[0].lines(plate), runs[0].j_c, plate.nominal_surface))
+        lines = runs[0].lines(plate.heights)
+        troughs = _troughs(lines, 0, lines.shape[1], runs[0].j_c, runs[0].wet, plate.nominal_surface, _line_sums(lines, 0, lines))
+        runs[0] = replace(runs[0], troughs=troughs)
     return PathLayout(tuple((float(x), float(y)) for x, y in points), plate, tuple(runs))
 
 
-def _lay_path(hf: Heightfield, layout: PathLayout, speeds: Sequence[float], params: DepositionParams) -> list[DepositResult]:
-    """Lay layout's runs on hf in place, segment k at speeds[k], once every
-    speed is checked (see deposit_path)."""
+def _lay_path(filled: FilledPlate, layout: PathLayout, speeds: Sequence[float], params: DepositionParams) -> list[DepositResult]:
+    """Lay layout's runs on filled's cells, segment k at speeds[k], once
+    every speed is checked (see deposit_path)."""
     n_segments = max(len(layout.points) - 1, 0)
     if len(speeds) != n_segments:
         raise ValueError(f"{len(layout.points)} points need {n_segments} speeds, got {len(speeds)}")
@@ -751,7 +899,7 @@ def _lay_path(hf: Heightfield, layout: PathLayout, speeds: Sequence[float], para
             raise ZeroSpeed(f"deposition speed must be positive, got {speed}")
     results: list[DepositResult] = []
     for run in layout.runs:
-        results += _lay(hf, run, speeds[len(results) : len(results) + len(run.segments)], params)
+        results += _lay(filled, run, speeds[len(results) : len(results) + len(run.segments)], params)
     return results
 
 
@@ -783,23 +931,30 @@ def deposit(
     of one segment, so it raises SegmentOutsideGrid or ZeroLengthSegment,
     then ZeroSpeed, before laying anything (see lay_out and deposit_path).
     """
-    return _lay_path(hf, lay_out(hf, [start, end]), [speed_mm_s], params)[0]
+    layout = lay_out(hf, [start, end])
+    # the box is the whole grid and its cells are hf's own heights, so the kernel lays in place
+    in_place = FilledPlate(hf, (slice(0, hf.ny), slice(0, hf.nx)), hf.heights)
+    return _lay_path(in_place, layout, [speed_mm_s], params)[0]
 
 
-def deposit_path(layout: PathLayout, speeds: Sequence[float], params: DepositionParams) -> tuple[Heightfield, list[DepositResult]]:
-    """Extrude along layout's path on a fresh copy of its plate, segment k
-    at speeds[k], and return the filled copy with one DepositResult per
-    segment.
+def deposit_path(layout: PathLayout, speeds: Sequence[float], params: DepositionParams) -> tuple[FilledPlate, list[DepositResult]]:
+    """Extrude along layout's path, segment k at speeds[k], and return the
+    filled plate with one DepositResult per segment.
 
-    A speed count other than one per segment raises ValueError, and a
-    speed that is not positive ZeroSpeed, before anything is laid. The
-    copy and the results are those of laying each segment on its own in
-    turn, every interior one leaving its far grid line to the next. Each
-    run of the layout is laid as one block: the first on the troughs
-    lay_out surveyed, every later one surveyed on the copy as the runs
-    before it left it. Overfill is raised for the first segment in travel
-    order whose cap crosses the bound (see deposit), once its run is laid.
+    The fill is laid on a fresh copy of the box of the layout's plate that
+    a fill with params' nozzle can change (see PathLayout.box), and the
+    FilledPlate returned holds that copy with the plate, which is read and
+    never written. A speed count other than one per segment raises
+    ValueError, and a speed that is not positive ZeroSpeed, before
+    anything is laid. The filled plate and the results are those of laying
+    each segment on its own in turn on a copy of the whole plate, every
+    interior one leaving its far grid line to the next. Each run of the
+    layout is laid as one block: the first on the troughs lay_out
+    surveyed, every later one surveyed on the fill as the runs before it
+    left it. Overfill is raised for the first segment in travel order
+    whose cap crosses the bound (see deposit), once its run is laid.
     Nothing a layout refers to is written.
     """
-    filled = layout.plate.copy()
+    box = layout.box(params.nozzle_diameter_mm)
+    filled = FilledPlate(layout.plate, box, layout.plate.heights[box].copy())
     return filled, _lay_path(filled, layout, speeds, params)

@@ -467,6 +467,15 @@ ARTIFACT_DIGESTS = {
     ("--config", "diagonal.json", "experiment"): {
         "experiment.csv": "534834269cbc624d8dd3b8723521de5d58bc463cfea7faf9fe6aac74a100d64f",
     },
+    # recorded while every fill still laid its path on a copy of the whole plate;
+    # surface_post.pgm spans a five-run path's box on both axes
+    ("--config", "diagonal.json", "fill"): {
+        "fill_report.csv": "a254ee9f352d1c65e2dd15b362d9b6fa0b1a90378488de0e77fe47cb92ab2411",
+        "fill_summary.json": "5408847fcf47d6718505b1ee706783acd4079e0f6598ca7a1a01ab1a8ed3d6aa",
+        "surface_post.pgm": "3c32932944060ecedb4bf8bffdc8908e7e22a833ca341fb8206b306a0b40b045",
+        "surface_pre.pgm": "2d3e3bde3c3fae6b01836e6272ae0f351cd6e6b847361b07cf06e5cca432d4de",
+        "waypoints.csv": "4bf4157e0eae31874c686dc2b93107f78efc7f37dd23af44cca520aa76db6256",
+    },
 }
 
 

@@ -14,6 +14,7 @@ from crackfill import (
     CrackFillError,
     CrackSpec,
     DepositionParams,
+    FilledPlate,
     FillPlan,
     Frame,
     Heightfield,
@@ -508,7 +509,7 @@ def interior_deposit(hf, start, end, speed_mm_s, params):
     """The deposit kernel on one segment laid as an interior segment of a
     path, which leaves its far grid line to the next segment."""
     run = specimen._run(hf, [specimen._segment(hf, start, end, include_end=False)])
-    return specimen._lay(hf, run, [speed_mm_s], params)[0]
+    return specimen._lay(FilledPlate(hf, (slice(0, hf.ny), slice(0, hf.nx)), hf.heights), run, [speed_mm_s], params)[0]
 
 
 def assert_deposit_matches_reference(hf, start, end, speed, params, last=True):
@@ -616,19 +617,28 @@ def segment_loop_fill(hf, stops, params):
     return results
 
 
-def assert_fill_matches_segment_loop(hf, stops, params, layout=None):
+def assert_fill_matches_segment_loop(hf, stops, params, layout=None, probes=()):
     """execute_fill along layout, made on hf (by default the stops laid out
     on hf), against the segment loop on a copy of hf: the same heights and
     == on every DepositResult field, or the same exception and message,
-    with hf untouched either way. Returns execute_fill's segment results,
-    or its (exception type, message)."""
+    with hf untouched either way. A filled plate's box holds every cell
+    the loop changed, and the plate reads at every cell centre and at the
+    (x, y) probes as its full copy does. Returns execute_fill's segment
+    results, or its (exception type, message)."""
     pristine, want_hf = hf.heights.copy(), hf.copy()
     result = outcome(lambda: execute_fill(layout or layout_through(hf, stops), plan_through(stops), params))
     want = outcome(lambda: segment_loop_fill(want_hf, stops, params))
     got = result if isinstance(result, tuple) else list(result.segments)
     assert got == want
     if isinstance(want, list):
-        assert np.array_equal(result.surface.heights, want_hf.heights)
+        filled, full = result.surface, result.surface.heightfield()
+        assert np.array_equal(full.heights, want_hf.heights)
+        changed = want_hf.heights != pristine
+        changed[filled.box] = False
+        assert not changed.any()  # every cell the loop changed lies in the box
+        gx, gy = np.meshgrid(hf.x_of(np.arange(hf.nx)), hf.y_of(np.arange(hf.ny)))
+        xs, ys = np.append(gx, [x for x, _ in probes]), np.append(gy, [y for _, y in probes])
+        assert np.array_equal(filled.height_at(xs, ys), full.height_at(xs, ys))
     assert np.array_equal(hf.heights, pristine)  # no fill writes on its layout's plate
     return got
 
@@ -753,16 +763,24 @@ class TestDepositMatchesLineByLine:
         nozzle=st.floats(0.2, 8.0),
         tile=st.sampled_from([specimen.TILE_CELLS, 64, 1]),
         faults=st.lists(st.tuples(st.integers(0, 7), st.sampled_from(["zero speed", "overfill", "repeat", "off grid"])), max_size=2),
+        at_edge=st.booleans(),
     )
-    def test_random_fills(self, data, nx, ny, cell, n_stops, flow, nozzle, tile, faults):
+    def test_random_fills(self, data, nx, ny, cell, n_stops, flow, nozzle, tile, faults, at_edge):
         """Polylines of 2 to 8 stops over a carved plate: stops that carry on
         in the last segment's direction (so segments chain into runs), jump
         anywhere (reversals, switches of dominant axis) or hop less than a
-        cell, at random speeds; plus up to two faults at random stops."""
+        cell, at random speeds; plus up to two faults at random stops. At an
+        edge, the stops alternate within one nozzle radius of the grid's low
+        x and high y edges, so the path's box is clipped to the grid there.
+        The filled plate is read at random points too."""
         origin = (-nx * cell / 3, -ny * cell / 2)
         hf = trough_plate(nx, ny, cell, origin, data.draw(random_blocks(nx, ny, 6.0)), data.draw(random_blocks(nx, ny, 3.0)))
-        x_max = hf.bounds()[1]
+        x_min, x_max, y_min, y_max = hf.bounds()
         stops = draw_stops(data, hf, n_stops)
+        if at_edge:
+            radius = nozzle / 2
+            stops = [(min(x, x_min + radius), y) if k % 2 else (x, max(y, y_max - radius)) for k, (x, y) in enumerate(stops)]
+        probes = data.draw(st.lists(st.tuples(st.floats(x_min, x_max), st.floats(y_min, y_max)), max_size=8))
         speeds = [data.draw(st.floats(1.0, 60.0)) for _ in stops]
         for at, fault in faults:
             at = min(at, n_stops - 2)  # the stop that starts a segment
@@ -777,7 +795,7 @@ class TestDepositMatchesLineByLine:
         params = DepositionParams(flow_rate_mm3_s=flow, nozzle_diameter_mm=nozzle)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(specimen, "TILE_CELLS", tile)
-            assert_fill_matches_segment_loop(hf, [(x, y, v) for (x, y), v in zip(stops, speeds)], params)
+            assert_fill_matches_segment_loop(hf, [(x, y, v) for (x, y), v in zip(stops, speeds)], params, probes=probes)
 
     def test_a_hop_inside_one_cell_shares_its_line(self):
         """A segment that starts and ends on one grid line keeps that line,
@@ -819,8 +837,8 @@ class TestDepositMatchesLineByLine:
             deposit_path(lay_out(hf, [(0.0, 0.0), (0.0, 5.0), (0.0, 10.0)]), [10.0, 10.0, 10.0], PARAMS)
         for points in ([(0.0, 0.0)], []):
             filled, results = deposit_path(lay_out(hf, points), [], PARAMS)
-            assert results == []
-            assert np.array_equal(filled.heights, hf.heights)
+            assert results == [] and filled.cells.size == 0
+            assert np.array_equal(filled.heightfield().heights, hf.heights)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -931,19 +949,21 @@ class TestPathLayout:
     POINTS = [(0.0, 0.0), (0.0, 10.0), (3.0, 12.0)]
 
     def test_each_fill_lays_its_own_copy(self):
-        """Two fills along one layout return equal plates that share no
-        memory with each other or with the layout's plate, which stays as
-        it was, and every segment of both deposits its target volume."""
+        """Two fills along one layout return equal plates, each reading the
+        layout's plate, which stays as it was, through its own copy of the
+        box it filled, which shares no memory with the other's or with the
+        plate; every segment of both deposits its target volume."""
         hf = trough_plate(40, 60, 0.5, (-10.0, -5.0), troughs=[(14, 26, 0, 60, 2.0)])
         pristine = hf.heights.copy()
         layout = lay_out(hf, self.POINTS)
         (first, first_results), (second, second_results) = (deposit_path(layout, [10.0, 10.0], PARAMS) for _ in range(2))
-        assert np.array_equal(first.heights, second.heights)
+        assert np.array_equal(first.heightfield().heights, second.heightfield().heights)
         assert first_results == second_results
-        for a, b in ((first, second), (first, hf), (second, hf)):
-            assert not np.shares_memory(a.heights, b.heights)
+        assert first.plate is second.plate is hf
+        for a, b in ((first.cells, second.cells), (first.cells, hf.heights), (second.cells, hf.heights)):
+            assert not np.shares_memory(a, b)
         assert np.array_equal(hf.heights, pristine)
-        assert not np.array_equal(first.heights, pristine)
+        assert not np.array_equal(first.heightfield().heights, pristine)
         for result in first_results:
             assert result.volume_deposited_mm3 == pytest.approx(result.volume_target_mm3, rel=1e-9)
 
@@ -960,7 +980,7 @@ class TestPathLayout:
         assert np.array_equal(hf.heights, pristine)
         filled, results = deposit_path(layout, [10.0, 10.0], PARAMS)
         fresh, fresh_results = deposit_path(lay_out(hf.copy(), self.POINTS), [10.0, 10.0], PARAMS)
-        assert np.array_equal(filled.heights, fresh.heights)
+        assert np.array_equal(filled.heightfield().heights, fresh.heightfield().heights)
         assert results == fresh_results
 
     def test_a_plan_off_the_layout_is_refused(self):

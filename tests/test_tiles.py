@@ -292,7 +292,8 @@ class TestScratchBudgets:
         tiles: far below one float64 frame (2.46 MB). Reading a whole noisy
         frame peaked at 7.4 MB; this peaks at 0.54 MB."""
         surveyed_scene, _ = surveyed("default")
-        scene, view, noise = surveyed_scene.scene, surveyed_scene.view, surveyed_scene.noise
+        scene, noise = surveyed_scene.scene, surveyed_scene.noise
+        view = image_specimen(scene, surveyed_scene.specimen)
         perceive_view(scene, view, noise)  # the first scan imports what drawing noise needs
         waypoints, peak = traced_peak(lambda: perceive_view(scene, view, noise))
         assert len(waypoints) >= 30
@@ -302,15 +303,19 @@ class TestScratchBudgets:
     @pytest.mark.parametrize("name", ["default", "along_x"])
     def test_fill_within_2_mb_of_its_plate(self, name, speed):
         """The whole path is laid out and laid in tiles, not as one block of
-        its lines (2,300 lines of 900 cells, 16.6 MB on either scene); the
-        fill's one full-size array is the copy of the plate it returns."""
+        its lines (2,300 lines of 900 cells, 16.6 MB on either scene). The
+        fill's one large array is its copy of the box of the plate that it
+        can change, which holds at most a quarter of the plate (about a
+        fifth on either scene, 3.6 MB of the 18.7 MB plate)."""
         surveyed_scene, params = surveyed(name)
         plan = plan_fill(surveyed_scene.refinement.waypoints, FillMode.fixed(speed))
         layout, peak = traced_peak(lambda: lay_out(surveyed_scene.specimen, fill_points(plan.waypoints)))
         assert peak <= 2e6
         result, peak = traced_peak(lambda: execute_fill(layout, plan, params))
         assert len(result.segments) >= 30
-        assert peak <= result.surface.heights.nbytes + 2e6  # the fill's own copy of the plate, and its scratch
+        box = result.surface.cells
+        assert box.size <= 0.25 * surveyed_scene.specimen.heights.size
+        assert peak <= box.nbytes + 2e6  # the fill's own copy of its box, and its scratch
 
     def test_nothing_a_fill_computes_outlives_it(self):
         """Once a survey's first repair has built its layout, five more
