@@ -480,7 +480,8 @@ class ScenarioConfig:
         same angle as such a crack's. Each strip's stations are scanned
         as one batch, a row per station; from_dict caps that batch at
         MAX_GRID_CELLS samples. A plate over MAX_GRID_CELLS cells is
-        refused before it is built.
+        refused before it is built. Every strip is printed on one plate,
+        levelled flat before each.
         """
         cal = self.raw["calibration"]
         speeds = sorted(float(v) for v in cal["speeds_mm_s"])
@@ -507,8 +508,9 @@ class ScenarioConfig:
         n_stations = _strip_stations(cal)
         poses = [mount.at([0.0, y0 + k * step, standoff]) for k in range(n_stations)]
         scans: list[tuple[float, LaserProfile]] = []
+        hf = Heightfield.flat(origin, cell, nx, ny).copy()  # one writable plate, flat again before each strip
         for si, speed in enumerate(speeds):
-            hf = Heightfield.flat(origin, cell, nx, ny)
+            hf.heights.fill(hf.nominal_surface)
             params = self.build_deposition(flow_rate=self.calibration_flow(speed))
             deposit(hf, (0.0, 0.0), (0.0, strip_len), speed, params)
             noises = [noise.derive(NOISE_STREAMS["calibrate"], si, k) for k in range(n_stations)]

@@ -59,7 +59,7 @@ from .sensors import (
     render_view,
     scan_profile,
 )
-from .specimen import CrackSpec, DepositionParams, DepositResult, FilledPlate, Heightfield, PathLayout, deposit_path, generate_specimen, lay_out
+from .specimen import CrackSpec, DepositionParams, DepositResult, FilledPlate, Heightfield, PathLayout, Plate, deposit_path, generate_specimen, lay_out
 
 logger = logging.getLogger(__name__)
 
@@ -145,8 +145,9 @@ class FillPlan:
 @dataclass(frozen=True)
 class ExecutionResult:
     """One fill's elapsed time and segment volumes, and its filled surface:
-    the layout's plate with a fresh copy of the box of it the fill could
-    change (see deposit_path); surface.heightfield() gives a full copy."""
+    the layout's base plate with a fresh copy of the box of it the fill
+    could change, which holds the plate's own patch too (see
+    deposit_path); surface.heightfield() gives a full copy."""
 
     elapsed_s: float
     segments: tuple[DepositResult, ...]
@@ -242,7 +243,9 @@ class RepairScene:
     mask_threshold_mm: float = DEFAULT_MASK_THRESHOLD_MM
     area_floor_mm2: float = DEFAULT_AREA_FLOOR_MM2
 
-    def build_specimen(self) -> Heightfield:
+    def build_specimen(self) -> Plate:
+        """The flat plate, with the crack's carved block when there is a
+        crack (see generate_specimen)."""
         if self.crack is None:
             return Heightfield.flat(
                 self.grid_origin, self.cell_size_mm, self.nx, self.ny, self.nominal_surface_mm
@@ -268,7 +271,7 @@ class SpecimenView:
     every array here are read-only.
     """
 
-    specimen: Heightfield
+    specimen: Plate
     depth: DepthImage
     mask: MaskImage
     skeleton: Skeleton
@@ -281,15 +284,24 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return view
 
 
-def image_specimen(scene: RepairScene, specimen: Heightfield, mask: MaskImage | None = None) -> SpecimenView:
+def _read_only_plate(plate: Plate) -> Plate:
+    """plate with read-only views of its heights, or of its base's heights
+    and its patch's cells."""
+    if isinstance(plate, FilledPlate):
+        return replace(plate, plate=_read_only_plate(plate.plate), cells=_read_only(plate.cells))
+    plate = copy.copy(plate)  # its heights passed the finiteness check when it was built
+    plate.heights = _read_only(plate.heights)
+    return plate
+
+
+def image_specimen(scene: RepairScene, specimen: Plate, mask: MaskImage | None = None) -> SpecimenView:
     """Image the specimen once through the true camera mount.
 
     One raycast gives the clean depth and the ground-truth mask, which
     an external segmentation mask replaces when given. That mask must
     match the camera image size.
     """
-    specimen = copy.copy(specimen)  # its heights passed the finiteness check when it was built
-    specimen.heights = _read_only(specimen.heights)
+    specimen = _read_only_plate(specimen)
     depth, truth = render_view(specimen, scene.intrinsics, scene.camera_pose, scene.mask_threshold_mm)
     if mask is None:
         mask = truth
@@ -324,14 +336,14 @@ def perceive_view(scene: RepairScene, view: SpecimenView, noise: SensorNoise) ->
     return tuple(order_path(waypoints))
 
 
-def perceive(scene: RepairScene, hf: Heightfield, noise: SensorNoise, mask: MaskImage | None = None) -> tuple[Waypoint, ...]:
+def perceive(scene: RepairScene, hf: Plate, noise: SensorNoise, mask: MaskImage | None = None) -> tuple[Waypoint, ...]:
     """Run the RGB-D localization chain once on the current surface."""
     return perceive_view(scene, image_specimen(scene, hf, mask), noise)
 
 
 def refine_waypoints(
     waypoints: list[Waypoint],
-    hf: Heightfield,
+    hf: Plate,
     *,
     laser_mount: RigidTransform,
     span_mm: float = DEFAULT_SCAN_SPAN_MM,
@@ -452,7 +464,7 @@ def execute_fill(layout: PathLayout, plan: FillPlan, params: DepositionParams) -
 
 def validate(
     refinement: RefinementResult,
-    hf_filled: Heightfield | FilledPlate,
+    hf_filled: Plate,
     *,
     speeds: Sequence[float],
     noise: SensorNoise,
@@ -544,7 +556,7 @@ class Survey:
 
     scene: RepairScene
     noise: SensorNoise
-    specimen: Heightfield
+    specimen: Plate
     refinement: RefinementResult
 
     @cached_property
@@ -576,7 +588,7 @@ class FillRunArtifacts:
     report: FillReport
 
     @property
-    def surface_before(self) -> Heightfield:
+    def surface_before(self) -> Plate:
         return self.survey.specimen
 
     @property

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NoIntersection, StationOutsideGrid
 from .geometry import CameraIntrinsics, RigidTransform
-from .specimen import FilledPlate, Heightfield, row_tiles
+from .specimen import Plate, row_tiles
 
 logger = logging.getLogger(__name__)
 
@@ -140,7 +140,7 @@ def _ray_dirs(k: CameraIntrinsics, camera_pose: RigidTransform, rows: slice) -> 
     return dirs_c @ camera_pose.rotation.T
 
 
-def _step(hf: Heightfield, origin: np.ndarray, t: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+def _step(hf: Plate, origin: np.ndarray, t: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """One fixed-point step: the depth at which each ray (dirs, one row per ray)
     reaches the height of the cell under its hit at depth t."""
     ox, oy, oz = origin
@@ -148,7 +148,7 @@ def _step(hf: Heightfield, origin: np.ndarray, t: np.ndarray, dirs: np.ndarray) 
     return (h - oz) / dirs[:, 2]
 
 
-def _raycast(hf: Heightfield, k: CameraIntrinsics, camera_pose: RigidTransform) -> np.ndarray:
+def _raycast(hf: Plate, k: CameraIntrinsics, camera_pose: RigidTransform) -> np.ndarray:
     """Intersect every pixel ray with the heightfield; returns the optical-axis depth t.
 
     Rays are parameterized with unit z in the camera frame, so the ray
@@ -196,7 +196,7 @@ def _raycast(hf: Heightfield, k: CameraIntrinsics, camera_pose: RigidTransform) 
 
 
 def render_view(
-    hf: Heightfield,
+    hf: Plate,
     k: CameraIntrinsics,
     camera_pose: RigidTransform,
     threshold_mm: float = DEFAULT_MASK_THRESHOLD_MM,
@@ -269,7 +269,7 @@ def depth_noise_at(depth: DepthImage, noise: SensorNoise, rows: np.ndarray, cols
 
 
 def render_depth(
-    hf: Heightfield,
+    hf: Plate,
     k: CameraIntrinsics,
     camera_pose: RigidTransform,
     noise: SensorNoise = SensorNoise.noiseless(),
@@ -285,7 +285,7 @@ def render_depth(
 
 
 def render_truth_mask(
-    hf: Heightfield,
+    hf: Plate,
     k: CameraIntrinsics,
     camera_pose: RigidTransform,
     threshold_mm: float = DEFAULT_MASK_THRESHOLD_MM,
@@ -295,7 +295,7 @@ def render_truth_mask(
 
 
 def scan_profile(
-    hf: Heightfield | FilledPlate,
+    hf: Plate,
     poses: Sequence[RigidTransform],
     span_mm: float,
     noises: Sequence[SensorNoise],

@@ -1,10 +1,11 @@
 """Synthetic specimen plates: heightfields, carved cracks, and deposition.
 
 A specimen is a regular grid of surface heights over the robot-frame
-xy plane. Cracks are carved as troughs below the nominal surface;
-repair material is added by the deposition model, which fills the
-local trough bottom-up and piles any excess into a bead cap above the
-surface. All lengths are millimetres, areas mm^2, volumes mm^3.
+xy plane. Cracks are carved as troughs below the nominal surface, into
+one block held over a flat plate (see FilledPlate); repair material is
+added by the deposition model, which fills the local trough bottom-up
+and piles any excess into a bead cap above the surface. All lengths are
+millimetres, areas mm^2, volumes mm^3.
 """
 
 from __future__ import annotations
@@ -86,10 +87,11 @@ class Heightfield:
 
     @staticmethod
     def flat(origin: tuple[float, float], cell_size: float, nx: int, ny: int, nominal_surface: float = 0.0) -> "Heightfield":
-        """A plate at nominal_surface everywhere. It is checked as a plate of
-        one cell: every other cell holds the same value."""
+        """A plate at nominal_surface everywhere, held as that one value:
+        heights is a read-only view of it at every cell, so a caller that
+        writes takes copy(). It is checked as a plate of one cell."""
         hf = Heightfield(origin, cell_size, 1, 1, np.full((1, 1), float(nominal_surface)), nominal_surface)
-        hf.nx, hf.ny, hf.heights = nx, ny, np.full((ny, nx), float(nominal_surface))
+        hf.nx, hf.ny, hf.heights = nx, ny, np.broadcast_to(hf.heights, (ny, nx))
         return hf
 
     def copy(self) -> "Heightfield":
@@ -145,13 +147,15 @@ class Heightfield:
 
 @dataclass(frozen=True)
 class FilledPlate:
-    """A plate as a fill left it, held as the plate it was laid on and the
-    filled cells of the one box of it that the fill could change.
+    """A plate held as a base plus one patch: the base plate, read and
+    never written, and the cells of one box of it.
 
-    plate is read, never written. box is its (rows, columns) slices and
-    cells the filled heights there; every other cell holds plate's height.
-    contains, height_at and rows read it like a Heightfield, and
-    heightfield() gives it as one.
+    plate is the base, box the patch's (rows, columns) slices and cells its
+    heights; every other cell holds the base's height. A carved specimen is
+    a flat base with its carved block (see generate_specimen), and a filled
+    plate the base it was laid on with the box the fill could change (see
+    deposit_path). Its coordinates, contains, height_at, rows and bounds
+    read it like a Heightfield, and heightfield() gives it as one.
     """
 
     plate: Heightfield
@@ -178,8 +182,23 @@ class FilledPlate:
     def nominal_surface(self) -> float:
         return self.plate.nominal_surface
 
+    def x_of(self, ix) -> np.ndarray | float:
+        return self.plate.x_of(ix)
+
+    def y_of(self, iy) -> np.ndarray | float:
+        return self.plate.y_of(iy)
+
+    def ix_of(self, x) -> np.ndarray:
+        return self.plate.ix_of(x)
+
+    def iy_of(self, y) -> np.ndarray:
+        return self.plate.iy_of(y)
+
     def contains(self, x, y) -> np.ndarray:
         return self.plate.contains(x, y)
+
+    def bounds(self) -> tuple[float, float, float, float]:
+        return self.plate.bounds()
 
     def height_at(self, x, y) -> np.ndarray:
         """Nearest-cell height lookup, as Heightfield.height_at."""
@@ -200,10 +219,21 @@ class FilledPlate:
         return out
 
     def heightfield(self) -> Heightfield:
-        """The filled plate as one Heightfield: a full-size copy."""
+        """The plate as one Heightfield: a full-size copy."""
         out = self.plate.copy()
         out.heights[self.box] = self.cells
         return out
+
+
+Plate = Heightfield | FilledPlate
+
+
+def _patched(plate: Plate) -> FilledPlate:
+    """plate as a base plus one patch: a Heightfield is its own base with an
+    empty patch."""
+    if isinstance(plate, FilledPlate):
+        return plate
+    return FilledPlate(plate, (slice(0, 0), slice(0, 0)), np.empty((0, 0)))
 
 
 @dataclass(frozen=True)
@@ -292,21 +322,23 @@ def generate_specimen(
     nx: int,
     ny: int,
     nominal_surface: float = 0.0,
-) -> Heightfield:
-    """Carve the crack into a fresh flat plate.
+) -> FilledPlate:
+    """Carve the crack into a flat plate, held as the flat plate plus the
+    one block of it that the carve visits.
 
-    Only the block of cells within the maximum half width of the path's
-    bounding box is visited; every cell outside it lies farther than
-    that from the path and keeps the nominal height. The block is carved
-    in row tiles (see row_tiles), each cell with the same arithmetic.
+    The block is the cells within the maximum half width of the path's
+    bounding box, with one spare cell on each side; every cell outside it
+    lies farther than that from the path and keeps the nominal height. The
+    block is carved into a fresh array in row tiles (see row_tiles), each
+    cell with the same arithmetic.
 
     Raises PathOutsideGrid when the trough (path swept by its half
     width) would not fit inside the grid.
     """
-    hf = Heightfield.flat(origin, cell_size, nx, ny, nominal_surface)
+    plate = Heightfield.flat(origin, cell_size, nx, ny, nominal_surface)
     pts = np.asarray(spec.path, dtype=float)
     half_w = spec.max_width() / 2.0
-    x_min, x_max, y_min, y_max = hf.bounds()
+    x_min, x_max, y_min, y_max = plate.bounds()
     if (
         pts[:, 0].min() - half_w < x_min
         or pts[:, 0].max() + half_w > x_max
@@ -318,10 +350,10 @@ def generate_specimen(
     # one spare cell on each side absorbs rounding at the block's edges
     lo = np.floor((pts.min(axis=0) - half_w - origin) / cell_size).astype(int) - 1
     hi = np.ceil((pts.max(axis=0) + half_w - origin) / cell_size).astype(int) + 2
-    ix0, iy0 = np.maximum(lo, 0)
-    ix1, iy1 = np.minimum(hi, (nx, ny))
-    block = hf.heights[iy0:iy1, ix0:ix1]
-    xs, ys = hf.x_of(np.arange(ix0, ix1)), hf.y_of(np.arange(iy0, iy1))
+    ix0, iy0 = np.maximum(lo, 0).tolist()
+    ix1, iy1 = np.minimum(hi, (nx, ny)).tolist()
+    block = np.full((iy1 - iy0, ix1 - ix0), float(nominal_surface))
+    xs, ys = plate.x_of(np.arange(ix0, ix1)), plate.y_of(np.arange(iy0, iy1))
     for tile in row_tiles(*block.shape):
         dist, s = _path_distance_field(xs, ys[tile], pts)
         near = dist <= half_w
@@ -330,10 +362,10 @@ def generate_specimen(
         carved = dist[near] <= widths / 2.0
         rows, cols = np.nonzero(near)
         block[tile][rows[carved], cols[carved]] = nominal_surface - depths[carved]
-    return hf
+    return FilledPlate(plate, (slice(iy0, iy1), slice(ix0, ix1)), block)
 
 
-def true_cross_section(hf: Heightfield, point: tuple[float, float], normal: tuple[float, float]) -> float:
+def true_cross_section(hf: Plate, point: tuple[float, float], normal: tuple[float, float]) -> float:
     """Ground-truth trough area along the line through point with direction normal.
 
     Samples the heightfield at cell_size steps along the line and sums
@@ -526,7 +558,7 @@ class _Segment:
         return self.first + self.step * (self.count - 1)
 
 
-def _segment(hf: Heightfield, start, end, include_end: bool) -> _Segment:
+def _segment(hf: Plate, start, end, include_end: bool) -> _Segment:
     """Check one segment's geometry and find its grid lines (see lay_out)."""
     p0 = np.asarray(start, dtype=float)
     p1 = np.asarray(end, dtype=float)
@@ -548,41 +580,54 @@ def _segment(hf: Heightfield, start, end, include_end: bool) -> _Segment:
     return _Segment(p0, p1, length, dom, i_from, step, abs(i_to - i_from) + 1)
 
 
-def _line_sums(view: np.ndarray, first: int, whole: np.ndarray) -> np.ndarray:
-    """The sum of each whole line: a row of whole with view's cells laid
-    over it from cell first on. Each sum is rounded like that of the line
-    held contiguously on its own: straight on contiguous rows of a view
-    that holds the whole lines, otherwise on contiguous row tiles composed
-    afresh."""
-    m, n = whole.shape
-    width = view.shape[1]
-    if width == n and view.flags.c_contiguous:
-        return view.sum(axis=1)
-    sums = []
-    for tile in row_tiles(m, n):
-        if width == n:
-            lines = np.ascontiguousarray(view[tile])
-        else:
-            lines = whole[tile].copy()
-            lines[:, first : first + width] = view[tile]
-        sums.append(lines.sum(axis=1))
-    return np.concatenate(sums)
+@dataclass(frozen=True)
+class _Lines:
+    """A run's grid lines on a base plus one patch, one row per line: whole
+    holds the base's lines, and cells the patch's cells of the lines held,
+    from cell first on, as a view of the patch. Every other cell of a line
+    is whole's."""
+
+    whole: np.ndarray
+    cells: np.ndarray
+    held: slice
+    first: int
+
+    def read(self, tile: slice, c0: int, c1: int) -> np.ndarray:
+        """Cells c0 to c1 (exclusive) of the lines in tile: a view where one
+        array holds them all, otherwise a copy composed of the two."""
+        a, b = max(tile.start, self.held.start), min(tile.stop, self.held.stop)
+        lo, hi = max(c0, self.first), min(c1, self.first + self.cells.shape[1])
+        if a >= b or lo >= hi:
+            return self.whole[tile, c0:c1]
+        patch = self.cells[a - self.held.start : b - self.held.start, lo - self.first : hi - self.first]
+        if (a, b, lo, hi) == (tile.start, tile.stop, c0, c1):
+            return patch
+        out = self.whole[tile, c0:c1].copy()
+        out[a - tile.start : b - tile.start, lo - c0 : hi - c0] = patch
+        return out
+
+
+def _line_sums(lines: _Lines) -> np.ndarray:
+    """The sum of each whole line, rounded like that of the line held
+    contiguously on its own: each row tile is summed as a contiguous array,
+    a view where the lines are held so and a copy otherwise."""
+    m, n = lines.whole.shape
+    return np.concatenate([np.ascontiguousarray(lines.read(tile, 0, n)).sum(axis=1) for tile in row_tiles(m, n)])
 
 
 # A cell lower than the nominal surface by more than this is below it.
 _WET_DEPTH_MM = 1e-12
 
 
-def _wet_band(lines: np.ndarray, first: int, nominal: float) -> tuple[int, int] | None:
-    """The first and last cell at which any of lines (one row per line,
-    holding the line's cells from cell first on) lies below the surface
-    at nominal, counted from the line's start; None when no cell does.
-    Read in row tiles."""
-    wet = np.zeros(lines.shape[1], dtype=bool)
-    for tile in row_tiles(*lines.shape):
-        wet |= (lines[tile] < nominal - _WET_DEPTH_MM).any(axis=0)
+def _wet_band(lines: _Lines, c0: int, c1: int, nominal: float) -> tuple[int, int] | None:
+    """The first and last of cells c0 to c1 (exclusive) at which any of
+    lines lies below the surface at nominal, counted from the line's start;
+    None when no cell does. Read in row tiles."""
+    wet = np.zeros(c1 - c0, dtype=bool)
+    for tile in row_tiles(len(lines.whole), c1 - c0):
+        wet |= (lines.read(tile, c0, c1) < nominal - _WET_DEPTH_MM).any(axis=0)
     wet = np.flatnonzero(wet)
-    return (first + int(wet[0]), first + int(wet[-1])) if wet.size else None
+    return (c0 + int(wet[0]), c0 + int(wet[-1])) if wet.size else None
 
 
 def _reach(nozzle: float, cell_size: float, n: int) -> int:
@@ -620,19 +665,18 @@ class _Troughs:
         return wet, np.where(take_left, left_lo[wet], right[wet]), np.where(take_left, left_hi[wet], right_hi[wet])
 
 
-def _troughs(view: np.ndarray, first: int, n: int, j_c: np.ndarray, wet: tuple[int, int] | None, nominal: float, before: np.ndarray) -> _Troughs:
-    """The troughs of lines of n cells around each centre cell j_c, on a
-    plate whose surface is at nominal, with each line's sum before. view
-    holds the lines' cells from cell first on, one row per line, and wet
-    is their band of below-surface cells (see _wet_band). Only that band,
-    plus one dry cell each side, can bound a run, and it is read in row
-    tiles."""
+def _troughs(lines: _Lines, j_c: np.ndarray, wet: tuple[int, int] | None, nominal: float, before: np.ndarray) -> _Troughs:
+    """The troughs of lines around each centre cell j_c, on a plate whose
+    surface is at nominal, with each line's sum before. wet is the lines'
+    band of below-surface cells (see _wet_band). Only that band, plus one
+    dry cell each side, can bound a run, and it is read in row tiles."""
+    n = lines.whole.shape[1]
     bounds = np.repeat([j_c - n, j_c + n], 2, axis=0)
     if wet is not None:
         c0, c1 = max(wet[0] - 1, 0), min(wet[1] + 2, n)
         cells = np.arange(c0, c1)
         for tile in row_tiles(len(j_c), c1 - c0):
-            below = view[tile, c0 - first : c1 - first] < nominal - _WET_DEPTH_MM
+            below = lines.read(tile, c0, c1) < nominal - _WET_DEPTH_MM
             dry = ~below
             centre = j_c[tile]
             left = np.where(below & (cells <= centre[:, None]), cells, -1).max(axis=1)
@@ -687,15 +731,21 @@ class _Run:
         lo, hi = int(self.j_c.min()), int(self.j_c.max())
         return (lo, hi) if self.wet is None else (min(lo, self.wet[0]), max(hi, self.wet[1]))
 
-    def lines(self, heights: np.ndarray, row0: int = 0, col0: int = 0) -> np.ndarray:
-        """This run's grid lines in heights, one row per line: a view.
-        heights holds the plate's cells from row row0 and column col0 on."""
+    def lines(self, plate: Plate) -> _Lines:
+        """This run's grid lines on plate (see _Lines)."""
+        plate = _patched(plate)
+        rows, cols = plate.box
+        along, first = (cols, rows.start) if self.dom == 0 else (rows, cols.start)
+        a = min(max(self.lo, along.start), self.hi)
+        b = max(min(self.hi, along.stop), a)
         if self.dom == 0:
-            return heights[:, self.lo - col0 : self.hi - col0].T
-        return heights[self.lo - row0 : self.hi - row0]
+            whole, cells = plate.plate.heights[:, self.lo : self.hi].T, plate.cells[:, a - cols.start : b - cols.start].T
+        else:
+            whole, cells = plate.plate.heights[self.lo : self.hi], plate.cells[a - rows.start : b - rows.start]
+        return _Lines(whole, cells, slice(a - self.lo, b - self.lo), first)
 
 
-def _run(hf: Heightfield, segments: Sequence[_Segment]) -> _Run:
+def _run(hf: Plate, segments: Sequence[_Segment]) -> _Run:
     """The grid lines of chained segments, each line's nozzle centre, and
     the band of their below-surface cells on hf."""
     cs = hf.cell_size
@@ -715,36 +765,33 @@ def _run(hf: Heightfield, segments: Sequence[_Segment]) -> _Run:
     n = hf.ny if dom == 0 else hf.nx
     j_c = np.clip(np.rint((centre_perp - hf.origin[1 - dom]) / cs), 0, n - 1).astype(int)
     run = _Run(tuple(segments), lo, seg_of, centre_perp, j_c, None)
-    return replace(run, wet=_wet_band(run.lines(hf.heights), 0, hf.nominal_surface))
+    return replace(run, wet=_wet_band(run.lines(hf), 0, n, hf.nominal_surface))
 
 
 def _lay(filled: FilledPlate, run: _Run, speeds: Sequence[float], params: DepositionParams) -> list[DepositResult]:
-    """Lay a run at speeds, one per segment, on filled's cells; see
-    deposit_path.
+    """Lay a run at speeds, one per segment, on filled's cells, whose box
+    holds every cell the run can change; see deposit_path.
 
     Every line carries its own segment's nozzle centre and station area and
     gets the same arithmetic as a line handled on its own; the flood and
     the caps group lines of one size across the whole run. Cells are
     counted along the plate's whole lines throughout, and the box's corner
     is taken off only to read or write the box. A run without troughs has
-    them surveyed here, on the lines as the fill stands. The line sums run
-    over whole lines composed of the plate and the box, and every other
-    stage works in tiles of about TILE_CELLS cells, so the scratch stays a
-    few tiles' worth.
+    them surveyed here, on the box's cells as the fill stands. The line
+    sums run over whole lines composed of the base and the box, and every
+    other stage works in tiles of about TILE_CELLS cells, so the scratch
+    stays a few tiles' worth.
     """
-    plate = filled.plate
-    cs = plate.cell_size
-    nominal = plate.nominal_surface
+    cs = filled.cell_size
+    nominal = filled.nominal_surface
     nozzle = params.nozzle_diameter_mm
-    rows, cols = filled.box
-    view = run.lines(filled.cells, rows.start, cols.start)
-    first = rows.start if run.dom == 0 else cols.start
-    whole = run.lines(plate.heights)
-    m, n = whole.shape
-    o_perp = plate.origin[1 - run.dom]
+    lines = run.lines(filled)
+    view, first = lines.cells, lines.first
+    m, n = lines.whole.shape
+    o_perp = filled.origin[1 - run.dom]
     troughs = run.troughs
     if troughs is None:
-        troughs = _troughs(view, first, n, run.j_c, _wet_band(view, first, nominal), nominal, _line_sums(view, first, whole))
+        troughs = _troughs(lines, run.j_c, _wet_band(lines, first, first + view.shape[1], nominal), nominal, _line_sums(lines))
     areas = [params.flow_rate_mm3_s / speed for speed in speeds]
     station_area = np.array([area * seg.length / (seg.count * cs) for area, seg in zip(areas, run.segments)])[run.seg_of]
 
@@ -764,7 +811,7 @@ def _lay(filled: FilledPlate, run: _Run, speeds: Sequence[float], params: Deposi
 
     # each segment's lines back in travel order: the volume sums them in
     # that order, and the first segment over the bound raises
-    change = ((_line_sums(view, first, whole) - troughs.before) * cs * cs)[:: run.step]
+    change = ((_line_sums(lines) - troughs.before) * cs * cs)[:: run.step]
     peak = peak[:: run.step]
     results = []
     stop = 0
@@ -820,15 +867,15 @@ class PathLayout:
     """A path laid out on the plate it fills: what laying it owes to the
     plate and the path, not to the speeds or the extruder (see lay_out).
 
-    points is the path. plate is held as given, not copied, and
-    deposit_path fills copies of a box of it (see box); a plate changed
-    after lay_out is no longer the one its layout describes (a survey's
-    specimen is read-only). runs hold the path's segments, checked and
-    split into runs.
+    points is the path. plate, a Heightfield or a FilledPlate, is held as
+    given, not copied, and deposit_path fills copies of a box of it (see
+    box); a plate changed after lay_out is no longer the one its layout
+    describes (a survey's specimen is read-only). runs hold the path's
+    segments, checked and split into runs.
     """
 
     points: tuple[tuple[float, float], ...]
-    plate: Heightfield
+    plate: Plate
     runs: tuple[_Run, ...]
 
     def box(self, nozzle_diameter_mm: float) -> tuple[slice, slice]:
@@ -854,7 +901,7 @@ class PathLayout:
         return slice(lo[1], hi[1]), slice(lo[0], hi[0])
 
 
-def lay_out(plate: Heightfield, points: Sequence[tuple[float, float]]) -> PathLayout:
+def lay_out(plate: Plate, points: Sequence[tuple[float, float]]) -> PathLayout:
     """Lay out the polyline through points on plate for deposit_path.
 
     Checks every segment, raising SegmentOutsideGrid or ZeroLengthSegment
@@ -870,6 +917,10 @@ def lay_out(plate: Heightfield, points: Sequence[tuple[float, float]]) -> PathLa
     reaches it, on the plate as the runs before it left it. Nothing here
     depends on the speeds or the extruder, so one layout serves every fill
     of plate along points.
+
+    On a FilledPlate each line is read from the patch's cells where the
+    patch holds it, and composed of the base and the patch a row tile at a
+    time where it does not.
     """
     n_segments = len(points) - 1
     segments = [_segment(plate, points[k], points[k + 1], k == n_segments - 1) for k in range(n_segments)]
@@ -882,9 +933,8 @@ def lay_out(plate: Heightfield, points: Sequence[tuple[float, float]]) -> PathLa
             chains.append([seg])
     runs = [_run(plate, chain) for chain in chains]
     if runs:
-        lines = runs[0].lines(plate.heights)
-        troughs = _troughs(lines, 0, lines.shape[1], runs[0].j_c, runs[0].wet, plate.nominal_surface, _line_sums(lines, 0, lines))
-        runs[0] = replace(runs[0], troughs=troughs)
+        lines = runs[0].lines(plate)
+        runs[0] = replace(runs[0], troughs=_troughs(lines, runs[0].j_c, runs[0].wet, plate.nominal_surface, _line_sums(lines)))
     return PathLayout(tuple((float(x), float(y)) for x, y in points), plate, tuple(runs))
 
 
@@ -919,7 +969,8 @@ def deposit(
     the surface of width min(local trough width, nozzle diameter). The
     volume sums each line's change in travel order.
 
-    Mutates hf in place and returns elapsed time plus the volume
+    Mutates hf, which must be writable (a flat plate's copy(), not the
+    plate), in place and returns elapsed time plus the volume
     bookkeeping for the segment. Raises Overfill, after the segment is
     laid, when a cap cell of this segment ends more than MAX_OVERFILL_MM
     above the nominal surface; a cap stacked on an earlier bead counts.
@@ -931,6 +982,8 @@ def deposit(
     of one segment, so it raises SegmentOutsideGrid or ZeroLengthSegment,
     then ZeroSpeed, before laying anything (see lay_out and deposit_path).
     """
+    if not hf.heights.flags.writeable:
+        raise ValueError("deposit lays in place and needs a writable plate")
     layout = lay_out(hf, [start, end])
     # the box is the whole grid and its cells are hf's own heights, so the kernel lays in place
     in_place = FilledPlate(hf, (slice(0, hf.ny), slice(0, hf.nx)), hf.heights)
@@ -942,11 +995,13 @@ def deposit_path(layout: PathLayout, speeds: Sequence[float], params: Deposition
     filled plate with one DepositResult per segment.
 
     The fill is laid on a fresh copy of the box of the layout's plate that
-    a fill with params' nozzle can change (see PathLayout.box), and the
-    FilledPlate returned holds that copy with the plate, which is read and
-    never written. A speed count other than one per segment raises
-    ValueError, and a speed that is not positive ZeroSpeed, before
-    anything is laid. The filled plate and the results are those of laying
+    a fill with params' nozzle can change (see PathLayout.box). On a
+    FilledPlate the box also holds the plate's patch, which the copy takes
+    over the base. The FilledPlate returned holds that copy with the base
+    (the plate itself when it is a Heightfield), which is read and never
+    written, so it is again a base plus one patch. A speed count other
+    than one per segment raises ValueError, and a speed that is not
+    positive ZeroSpeed, before anything is laid. The filled plate and the results are those of laying
     each segment on its own in turn on a copy of the whole plate, every
     interior one leaving its far grid line to the next. Each run of the
     layout is laid as one block: the first on the troughs lay_out
@@ -955,6 +1010,20 @@ def deposit_path(layout: PathLayout, speeds: Sequence[float], params: Deposition
     whose cap crosses the bound (see deposit), once its run is laid.
     Nothing a layout refers to is written.
     """
-    box = layout.box(params.nozzle_diameter_mm)
-    filled = FilledPlate(layout.plate, box, layout.plate.heights[box].copy())
+    plate = _patched(layout.plate)
+    box = _union(layout.box(params.nozzle_diameter_mm), plate.box)
+    cells = plate.plate.heights[box].copy()
+    if plate.cells.size:
+        (rows, cols), (patch_rows, patch_cols) = box, plate.box
+        cells[patch_rows.start - rows.start : patch_rows.stop - rows.start, patch_cols.start - cols.start : patch_cols.stop - cols.start] = plate.cells
+    filled = FilledPlate(plate.plate, box, cells)
     return filled, _lay_path(filled, layout, speeds, params)
+
+
+def _union(a: tuple[slice, slice], b: tuple[slice, slice]) -> tuple[slice, slice]:
+    """The smallest box holding the (rows, columns) boxes a and b; an empty
+    one holds no cell, and two empty boxes give a."""
+    boxes = [box for box in (a, b) if all(s.start < s.stop for s in box)]
+    if not boxes:
+        return a
+    return tuple(slice(min(box[k].start for box in boxes), max(box[k].stop for box in boxes)) for k in range(2))

@@ -12,6 +12,7 @@ import pytest
 from crackfill import (
     CameraIntrinsics,
     CrackSpec,
+    FilledPlate,
     Frame,
     Heightfield,
     LaserProfile,
@@ -32,7 +33,7 @@ def intrinsics() -> CameraIntrinsics:
 
 
 def make_flat(nx=200, ny=200, cell=0.5, origin=(-50.0, -50.0), nominal=0.0) -> Heightfield:
-    return Heightfield.flat(origin, cell, nx, ny, nominal)
+    return Heightfield.flat(origin, cell, nx, ny, nominal).copy()
 
 
 def make_rect_crack(
@@ -44,7 +45,7 @@ def make_rect_crack(
     origin=(-25.0, 0.0),
     nx=500,
     ny=1500,
-) -> Heightfield:
+) -> FilledPlate:
     spec = CrackSpec(path=[(0.0, y0), (0.0, y1)], width=width, depth=depth)
     return generate_specimen(spec, origin=origin, cell_size=cell, nx=nx, ny=ny)
 

@@ -457,7 +457,7 @@ def banded_plate() -> Heightfield:
     beside a pit at 8 <= x <= 12 too deep for the scanner's range, so part
     of the line is invalid. y >= 22: one step down at x = 2, no second wall.
     """
-    hf = Heightfield.flat((-30.0, -10.0), 0.1, 600, 400)
+    hf = Heightfield.flat((-30.0, -10.0), 0.1, 600, 400).copy()
     x = hf.x_of(np.arange(hf.nx))[None, :]
     y = hf.y_of(np.arange(hf.ny))[:, None]
     h = np.zeros((hf.ny, hf.nx))

@@ -467,7 +467,7 @@ class TestRunFill:
 
         def recording(*args, **kwargs):
             s = real_survey(*args, **kwargs)
-            seen.append((s, s.specimen.heights.tobytes(), copy.deepcopy(s.refinement.waypoints)))
+            seen.append((s, s.specimen.heightfield().heights.tobytes(), copy.deepcopy(s.refinement.waypoints)))
             return s
 
         monkeypatch.setattr(repair, "survey", recording)
@@ -476,7 +476,7 @@ class TestRunFill:
         reports = run_experiment(scene, experiment_modes((6.0, 20.0)), params, SensorNoise.noiseless(), make_model())
         assert len(reports) == 3 and len(seen) == 1
         surveyed, surface, waypoints = seen[0]
-        assert surveyed.specimen.heights.tobytes() == surface
+        assert surveyed.specimen.heightfield().heights.tobytes() == surface
         assert surveyed.refinement.waypoints == waypoints
         assert all(wp.speed_mm_s is None for wp in surveyed.refinement.waypoints)
 
@@ -502,8 +502,8 @@ class TestRunFill:
         assert refinement.dropped == 0 and len(refinement.stations) == len(refinement.features) > 0
 
     def test_imaging_skips_the_finiteness_scan(self, monkeypatch):
-        """The view's specimen is a read-only view of the specimen's heights,
-        which passed the finiteness check when the specimen was built."""
+        """The view's specimen reads the specimen's carved block through a
+        read-only view, with no second finiteness check."""
         scene = make_scene(straight_crack())
         specimen = scene.build_specimen()
 
@@ -515,9 +515,9 @@ class TestRunFill:
         assert (imaged.origin, imaged.cell_size, imaged.nx, imaged.ny, imaged.nominal_surface) == (
             specimen.origin, specimen.cell_size, specimen.nx, specimen.ny, specimen.nominal_surface
         )
-        assert np.shares_memory(imaged.heights, specimen.heights)
-        assert imaged.heights.tobytes() == specimen.heights.tobytes()
-        assert not imaged.heights.flags.writeable and specimen.heights.flags.writeable
+        assert np.shares_memory(imaged.cells, specimen.cells)
+        assert imaged.cells.tobytes() == specimen.cells.tobytes()
+        assert not imaged.cells.flags.writeable and specimen.cells.flags.writeable
 
     def test_rotated_laser_mount_calibrates_at_the_crack_scan_angle(self):
         """With the laser mounted 30 degrees about z the calibration strips

@@ -95,9 +95,10 @@ class TestGenerateSpecimen:
 
     def test_true_cross_section_matches_brute_force_column_sum(self):
         hf = make_rect_crack(width=8.0, depth=3.0, cell=0.1)
+        heights = hf.heightfield().heights
         for y in (30.0, 75.0, 120.0):
             oracle = float(
-                np.maximum(0.0, hf.nominal_surface - hf.heights[int(hf.iy_of(y)), :]).sum() * hf.cell_size
+                np.maximum(0.0, hf.nominal_surface - heights[int(hf.iy_of(y)), :]).sum() * hf.cell_size
             )
             got = true_cross_section(hf, (0.0, y), (1.0, 0.0))
             assert got == pytest.approx(oracle, abs=1e-9)
@@ -106,7 +107,7 @@ class TestGenerateSpecimen:
         hf = make_rect_crack(width=6.0, depth=2.0, cell=0.1)
         y = hf.y_of(700)
         got = true_cross_section(hf, (0.0, float(y)), (1.0, 0.0))
-        oracle = float(np.maximum(0.0, -hf.heights[700, :]).sum() * hf.cell_size)
+        oracle = float(np.maximum(0.0, -hf.rows(slice(700, 701))[0]).sum() * hf.cell_size)
         assert got == pytest.approx(oracle, abs=1e-9)
 
     def test_varying_width_profile_applied(self):
@@ -127,7 +128,8 @@ class TestGenerateSpecimen:
         scene = cfg.build_scene()
         assert scene.crack.max_width() == 20.0
         hf = scene.build_specimen()
-        carved = np.count_nonzero(hf.heights[int(hf.iy_of(11.0)), :] < hf.nominal_surface) * hf.cell_size
+        row = int(hf.iy_of(11.0))
+        carved = np.count_nonzero(hf.rows(slice(row, row + 1))[0] < hf.nominal_surface) * hf.cell_size
         assert carved == pytest.approx(20.0, abs=2 * hf.cell_size)
 
     def test_path_outside_grid_rejected(self):
@@ -136,7 +138,7 @@ class TestGenerateSpecimen:
             generate_specimen(spec, origin=(-25.0, 0.0), cell_size=0.1, nx=500, ny=1500)
 
     def test_untouched_cells_stay_at_nominal(self):
-        hf = make_rect_crack(width=4.0, depth=5.0)
+        hf = make_rect_crack(width=4.0, depth=5.0).heightfield()
         assert hf.heights[0, 0] == hf.nominal_surface
         assert hf.heights.min() == pytest.approx(hf.nominal_surface - 5.0)
 
@@ -172,7 +174,7 @@ class TestHeightfield:
     def test_copy_of_a_read_only_view_skips_the_finiteness_scan(self, monkeypatch):
         """A copy owns writable heights equal to its source's and does not
         check again what the source passed when it was built."""
-        hf = make_rect_crack(cell=0.5, nx=100, ny=300)
+        hf = make_rect_crack(cell=0.5, nx=100, ny=300).heightfield()
         view = hf.heights.view()
         view.flags.writeable = False
         source = Heightfield(hf.origin, hf.cell_size, hf.nx, hf.ny, view, hf.nominal_surface)
@@ -228,7 +230,7 @@ class TestHeightfield:
 class TestDeposit:
     def test_volume_conserved_against_heights_delta(self):
         """Deposited volume must equal the change in stored material."""
-        hf = make_rect_crack(width=8.0, depth=5.0, cell=0.1)
+        hf = make_rect_crack(width=8.0, depth=5.0, cell=0.1).heightfield()
         before = hf.heights.sum() * hf.cell_size**2
         params = DepositionParams(flow_rate_mm3_s=946.0, nozzle_diameter_mm=4.0)
         result = deposit(hf, (0.0, 20.0), (0.0, 130.0), 10.0, params)
@@ -241,7 +243,7 @@ class TestDeposit:
         params = DepositionParams(flow_rate_mm3_s=500.0)
         runs = []
         for _ in range(2):
-            hf = make_rect_crack(width=8.0, depth=5.0, cell=0.1)
+            hf = make_rect_crack(width=8.0, depth=5.0, cell=0.1).heightfield()
             deposit(hf, (0.0, 20.0), (0.0, 130.0), 12.0, params)
             runs.append(hf.heights.copy())
         np.testing.assert_array_equal(runs[0], runs[1])
@@ -258,7 +260,7 @@ class TestDeposit:
             assert measured == pytest.approx(946.0 / speed, rel=0.02)
 
     def test_fills_trough_before_capping(self):
-        hf = make_rect_crack(width=8.0, depth=5.0, cell=0.1)
+        hf = make_rect_crack(width=8.0, depth=5.0, cell=0.1).heightfield()
         params = DepositionParams(flow_rate_mm3_s=946.0)
         deposit(hf, (0.0, 20.0), (0.0, 130.0), 20.0, params)
         mid = hf.heights[int(hf.iy_of(75.0)), :]
@@ -266,7 +268,7 @@ class TestDeposit:
         assert mid.min() >= -1e-9
 
     def test_underfill_leaves_material_below_surface(self):
-        hf = make_rect_crack(width=8.0, depth=5.0, cell=0.1)
+        hf = make_rect_crack(width=8.0, depth=5.0, cell=0.1).heightfield()
         params = DepositionParams(flow_rate_mm3_s=400.0)
         deposit(hf, (0.0, 20.0), (0.0, 130.0), 20.0, params)
         mid = hf.heights[int(hf.iy_of(75.0)), :]
@@ -284,6 +286,17 @@ class TestDeposit:
         with pytest.raises(ZeroLengthSegment):
             deposit(hf, (0.0, 0.0), (0.0, 0.0), 10.0, params)
         assert issubclass(ZeroLengthSegment, CrackFillError)
+
+    def test_a_read_only_plate_is_refused(self):
+        """deposit lays in place: a flat plate, whose heights are one read-only
+        value, is refused before anything is laid, and its copy is filled."""
+        hf = Heightfield.flat((-25.0, -25.0), 1.0, 50, 50)
+        params = DepositionParams(flow_rate_mm3_s=500.0)
+        with pytest.raises(ValueError, match="writable"):
+            deposit(hf, (0.0, 0.0), (0.0, 10.0), 10.0, params)
+        plate = hf.copy()
+        deposit(plate, (0.0, 0.0), (0.0, 10.0), 10.0, params)
+        assert plate.heights.any() and not hf.heights.any()
 
     def test_station_outside_grid(self):
         hf = make_flat(nx=50, ny=50, cell=1.0, origin=(-25.0, -25.0))
@@ -477,7 +490,7 @@ def line_by_line_deposit(hf, start, end, speed_mm_s, params, include_end=True):
 
 
 def full_grid_specimen(spec, *, origin, cell_size, nx, ny):
-    hf = Heightfield.flat(origin, cell_size, nx, ny)
+    hf = Heightfield.flat(origin, cell_size, nx, ny).copy()
     pts = np.asarray(spec.path, dtype=float)
     half_w = spec.max_width() / 2.0
     gx, gy = np.meshgrid(hf.x_of(np.arange(nx)), hf.y_of(np.arange(ny)))
@@ -529,7 +542,7 @@ def assert_deposit_matches_reference(hf, start, end, speed, params, last=True):
 
 def trough_plate(nx, ny, cell, origin, troughs=(), beads=()):
     """Flat plate with rectangular troughs and raised beads: (ix0, ix1, iy0, iy1, dz)."""
-    hf = Heightfield.flat(origin, cell, nx, ny)
+    hf = Heightfield.flat(origin, cell, nx, ny).copy()
     for ix0, ix1, iy0, iy1, dz in troughs:
         hf.heights[iy0:iy1, ix0:ix1] -= dz
     for ix0, ix1, iy0, iy1, dz in beads:
@@ -643,7 +656,7 @@ def assert_fill_matches_segment_loop(hf, stops, params, layout=None, probes=()):
     return got
 
 
-CRACK = make_rect_crack(width=8.0, depth=5.0, cell=0.1, ny=400, y0=5.0, y1=35.0)
+CRACK = make_rect_crack(width=8.0, depth=5.0, cell=0.1, ny=400, y0=5.0, y1=35.0).heightfield()
 PARAMS = DepositionParams(flow_rate_mm3_s=946.0)
 
 
@@ -748,7 +761,7 @@ class TestDepositMatchesLineByLine:
         """execute_fill along a crack on robot x deposits column by column,
         each interior segment leaving its far line to the next."""
         spec = CrackSpec(path=[(-20.0, 10.0), (20.0, 10.0)], width=6.0, depth=4.0)
-        hf = generate_specimen(spec, origin=(-25.0, 0.0), cell_size=0.1, nx=500, ny=200)
+        hf = generate_specimen(spec, origin=(-25.0, 0.0), cell_size=0.1, nx=500, ny=200).heightfield()
         stops = [(-18.0, 10.2, 7.0), (-9.5, 9.8, 12.0), (-1.03, 10.05, 50.0), (8.0, 10.4, 4.0), (18.0, 10.0, 20.0)]
         assert len(assert_fill_matches_segment_loop(hf, stops, PARAMS)) == 4
 
@@ -937,7 +950,7 @@ class TestPathLayout:
         run after the first crosses the lines of the one before, so every
         later run is surveyed on the plate as the earlier ones left it."""
         spec = CrackSpec(path=[(-6.0, 0.0), (6.0, 12.0)], width=3.0, depth=2.0)
-        hf = generate_specimen(spec, origin=(-10.0, -4.0), cell_size=0.25, nx=81, ny=81)
+        hf = generate_specimen(spec, origin=(-10.0, -4.0), cell_size=0.25, nx=81, ny=81).heightfield()
         points = [(-5.0, 1.0), (-3.0, 2.0), (-2.0, 4.0), (0.0, 5.0), (1.0, 7.0), (3.0, 8.0)]
         layout = lay_out(hf, points)
         assert [run.dom for run in layout.runs] == [0, 1, 0, 1, 0]
@@ -982,6 +995,47 @@ class TestPathLayout:
         fresh, fresh_results = deposit_path(lay_out(hf.copy(), self.POINTS), [10.0, 10.0], PARAMS)
         assert np.array_equal(filled.heightfield().heights, fresh.heightfield().heights)
         assert results == fresh_results
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        nx=st.integers(4, 30),
+        ny=st.integers(4, 30),
+        cell=st.sampled_from([0.25, 0.5, 1.0]),
+        n_stops=st.integers(2, 6),
+        tile=st.sampled_from([specimen.TILE_CELLS, 64, 1]),
+    )
+    def test_a_base_and_patch_fill_as_their_heightfield(self, data, nx, ny, cell, n_stops, tile):
+        """A plate held as a carved base plus a patch of other heights over a
+        random box (empty, the whole grid or anything between) is laid out
+        and filled as its heightfield() is: the same results and heights,
+        or the same error. The filled plate is the same base plus one patch
+        over a box holding the plate's, and neither base nor patch is
+        written."""
+        origin = (-nx * cell / 3, -ny * cell / 2)
+        base = trough_plate(nx, ny, cell, origin, data.draw(random_blocks(nx, ny, 6.0)), data.draw(random_blocks(nx, ny, 3.0)))
+        other = trough_plate(nx, ny, cell, origin, data.draw(random_blocks(nx, ny, 6.0)), data.draw(random_blocks(nx, ny, 3.0)))
+        r0, c0 = data.draw(st.integers(0, ny)), data.draw(st.integers(0, nx))
+        box = (slice(r0, data.draw(st.integers(r0, ny))), slice(c0, data.draw(st.integers(c0, nx))))
+        plate = FilledPlate(base, box, other.heights[box].copy())
+        pristine = (base.heights.copy(), plate.cells.copy())
+        stops = draw_stops(data, base, n_stops)
+        speeds = [data.draw(st.floats(1.0, 60.0)) for _ in stops[1:]]
+        params = DepositionParams(flow_rate_mm3_s=data.draw(st.floats(5.0, 1000.0)), nozzle_diameter_mm=data.draw(st.floats(0.2, 8.0)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(specimen, "TILE_CELLS", tile)
+            got = outcome(lambda: deposit_path(lay_out(plate, stops), speeds, params))
+            want = outcome(lambda: deposit_path(lay_out(plate.heightfield(), stops), speeds, params))
+        if isinstance(want[0], FilledPlate):
+            (filled, results), (want_filled, want_results) = got, want
+            assert results == want_results
+            assert np.array_equal(filled.heightfield().heights, want_filled.heightfield().heights)
+            assert filled.plate is base
+            if plate.cells.size:
+                assert all(f.start <= p.start and p.stop <= f.stop for f, p in zip(filled.box, box))
+        else:
+            assert got == want
+        assert np.array_equal(base.heights, pristine[0]) and np.array_equal(plate.cells, pristine[1])
 
     def test_a_plan_off_the_layout_is_refused(self):
         hf = make_flat(nx=60, ny=80, cell=0.5, origin=(-15.0, -5.0))
@@ -1072,7 +1126,7 @@ class TestCarveMatchesFullGrid:
         origin = tuple(arr.min(axis=0) - half_w - margin)
         # the low edges touch the trough; one spare cell keeps the high edges clear of rounding
         nx, ny = (np.ceil((np.ptp(arr, axis=0) + 2 * (half_w + margin)) / cell).astype(int) + 2).tolist()
-        got = generate_specimen(spec, origin=origin, cell_size=cell, nx=nx, ny=ny)
+        got = generate_specimen(spec, origin=origin, cell_size=cell, nx=nx, ny=ny).heightfield()
         want = full_grid_specimen(spec, origin=origin, cell_size=cell, nx=nx, ny=ny)
         assert np.array_equal(got.heights, want.heights)
 
@@ -1083,14 +1137,14 @@ class TestCarveMatchesFullGrid:
         spec = CrackSpec(path=[(0.0, 10.0), (1e-200, 10.0), (0.0, 40.0)], width=4.0, depth=2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = generate_specimen(spec, **grid)
+            got = generate_specimen(spec, **grid).heightfield()
             want = full_grid_specimen(spec, **grid)
-        plain = generate_specimen(CrackSpec(path=[(0.0, 10.0), (0.0, 40.0)], width=4.0, depth=2.0), **grid)
+        plain = generate_specimen(CrackSpec(path=[(0.0, 10.0), (0.0, 40.0)], width=4.0, depth=2.0), **grid).heightfield()
         assert np.array_equal(got.heights, plain.heights)
         assert np.array_equal(want.heights, plain.heights)
 
     def test_default_scene(self):
         scene = ScenarioConfig.default().build_scene()
-        hf = scene.build_specimen()
+        hf = scene.build_specimen().heightfield()
         want = full_grid_specimen(scene.crack, origin=hf.origin, cell_size=hf.cell_size, nx=hf.nx, ny=hf.ny)
         assert np.array_equal(hf.heights, want.heights)

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crackfill import CrackSpec, FillMode, Heightfield, NoIntersection, ScenarioConfig, execute_fill, generate_specimen, image_specimen, lay_out, plan_fill, specimen, survey
+from crackfill import CrackSpec, FilledPlate, FillMode, Heightfield, NoIntersection, ScenarioConfig, deposit_path, execute_fill, generate_specimen, image_specimen, lay_out, plan_fill, specimen, survey
 from crackfill import io as cfio
 from crackfill.geometry import CameraIntrinsics, RigidTransform
 from crackfill.repair import fill_points, perceive_view, repair
@@ -68,7 +68,7 @@ def reference_distance_field(xs, ys, pts):
 
 def reference_carve(spec, *, origin, cell_size, nx, ny, nominal_surface=0.0):
     """The carve as one full-size block."""
-    hf = Heightfield.flat(origin, cell_size, nx, ny, nominal_surface)
+    hf = Heightfield.flat(origin, cell_size, nx, ny, nominal_surface).copy()
     pts = np.asarray(spec.path, dtype=float)
     half_w = spec.max_width() / 2.0
     lo = np.floor((pts.min(axis=0) - half_w - origin) / cell_size).astype(int) - 1
@@ -150,9 +150,13 @@ def scene_and_specimen(name):
 
 
 @functools.cache
-def surveyed(name):
-    """The scene's survey and deposition parameters."""
+def surveyed(name, patched=False):
+    """The scene's survey and deposition parameters: on the full-size
+    reference carve, or, patched, on the specimen as build_specimen holds
+    it, a flat plate plus its carved block."""
     scene, hf = scene_and_specimen(name)
+    if patched:
+        hf = scene.build_specimen()
     cfg = ScenarioConfig.from_dict(SCENES[name][0])
     return survey(scene, image_specimen(scene, hf), cfg.build_noise()), cfg.build_deposition()
 
@@ -199,14 +203,32 @@ class TestCarve:
     @pytest.mark.parametrize("name", SCENES)
     def test_scenes_match_the_full_block(self, tile, name):
         scene, want = scene_and_specimen(name)
-        assert scene.build_specimen().heights.tobytes() == want.heights.tobytes()
+        assert scene.build_specimen().heightfield().heights.tobytes() == want.heights.tobytes()
 
     @WITH_ONE_ROW
     def test_multi_segment_tabled_crack_matches_the_full_block(self, tile):
-        got = generate_specimen(MULTI_SEGMENT, **MULTI_SEGMENT_GRID)
+        got = generate_specimen(MULTI_SEGMENT, **MULTI_SEGMENT_GRID).heightfield()
         want = reference_carve(MULTI_SEGMENT, **MULTI_SEGMENT_GRID)
         assert got.heights.tobytes() == want.heights.tobytes()
         assert (want.heights < 0).any()
+
+    @pytest.mark.parametrize("name", [*SCENES, "multi_segment"])
+    def test_a_specimen_holds_only_its_carved_block(self, name):
+        """build_specimen (generate_specimen for the multi-segment crack) holds
+        a flat plate of one value plus the block the carve visits: it reads
+        as the full-size reference carve bit for bit, and every cell of the
+        reference outside the block is nominal."""
+        if name == "multi_segment":
+            got, want = generate_specimen(MULTI_SEGMENT, **MULTI_SEGMENT_GRID), reference_carve(MULTI_SEGMENT, **MULTI_SEGMENT_GRID)
+        else:
+            scene, want = scene_and_specimen(name)
+            got = scene.build_specimen()
+        assert isinstance(got, FilledPlate) and got.plate.heights.strides == (0, 0)
+        assert got.heightfield().heights.tobytes() == want.heights.tobytes()
+        outside = np.ones(want.heights.shape, dtype=bool)
+        outside[got.box] = False
+        assert (want.heights[outside] == want.nominal_surface).all()
+        assert (got.cells < got.nominal_surface).any()
 
 
 class TestView:
@@ -282,10 +304,14 @@ class TestScratchBudgets:
         _, peak = traced_peak(lambda: render_view(hf, scene.intrinsics, scene.camera_pose, scene.mask_threshold_mm))
         assert peak <= 20e6
 
-    def test_default_carve_within_heights_plus_8_mb(self):
+    def test_default_carve_within_its_block_plus_5_mb(self):
+        """The default specimen holds its carved block, 3.2 MB, not a
+        full-size plate, 18.7 MB; the carve's row-tile scratch peaks at about
+        4.3 MB on top of it."""
         scene = ScenarioConfig.default().build_scene()
         hf, peak = traced_peak(scene.build_specimen)
-        assert peak <= hf.heights.nbytes + 8e6
+        assert hf.cells.nbytes <= 4e6
+        assert peak <= hf.cells.nbytes + 5e6
 
     def test_default_scan_within_1_mb(self):
         """A scan forms noisy depth only in the windows it reads, in row
@@ -307,32 +333,92 @@ class TestScratchBudgets:
         fill's one large array is its copy of the box of the plate that it
         can change, which holds at most a quarter of the plate (about a
         fifth on either scene, 3.6 MB of the 18.7 MB plate)."""
-        surveyed_scene, params = surveyed(name)
-        plan = plan_fill(surveyed_scene.refinement.waypoints, FillMode.fixed(speed))
-        layout, peak = traced_peak(lambda: lay_out(surveyed_scene.specimen, fill_points(plan.waypoints)))
-        assert peak <= 2e6
-        result, peak = traced_peak(lambda: execute_fill(layout, plan, params))
-        assert len(result.segments) >= 30
-        box = result.surface.cells
-        assert box.size <= 0.25 * surveyed_scene.specimen.heights.size
-        assert peak <= box.nbytes + 2e6  # the fill's own copy of its box, and its scratch
+        assert_fill_within_2_mb_of_its_plate(*surveyed(name), speed)
+
+    @pytest.mark.parametrize("speed", [6.0, 20.0], ids=["capped", "flooded"])
+    @pytest.mark.parametrize("name", ["default", "along_x"])
+    def test_fill_on_the_carved_block_within_2_mb(self, name, speed):
+        """The same on the specimen as build_specimen holds it: lay_out reads
+        each line from the carved block, and composes a row tile at a time
+        where a line leaves it; the fill's box holds the block too."""
+        assert_fill_within_2_mb_of_its_plate(*surveyed(name, patched=True), speed)
 
     def test_nothing_a_fill_computes_outlives_it(self):
         """Once a survey's first repair has built its layout, five more
         repairs leave the traced memory within 64 KB of its level after the
         first: a fill keeps nothing on the layout, the survey or the module.
         One float64 kept per flooded cell would be 2.35 MB."""
-        surveyed_scene, params = surveyed("default")
-        started = not tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            repair(surveyed_scene, FillMode.fixed(10.0), params)
-            gc.collect()
-            level = tracemalloc.get_traced_memory()[0]
-            for speed in (6.0, 8.0, 10.0, 15.0, 20.0):
-                repair(surveyed_scene, FillMode.fixed(speed), params)
-            gc.collect()
-            assert tracemalloc.get_traced_memory()[0] - level <= 64 * 1024
-        finally:
-            if started:
-                tracemalloc.stop()
+        assert_nothing_a_fill_computes_outlives_it(*surveyed("default"))
+
+    def test_nothing_a_fill_on_the_carved_block_outlives_it(self):
+        """The same on the specimen as build_specimen holds it."""
+        assert_nothing_a_fill_computes_outlives_it(*surveyed("default", patched=True))
+
+
+def assert_nothing_a_fill_computes_outlives_it(surveyed_scene, params):
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        repair(surveyed_scene, FillMode.fixed(10.0), params)
+        gc.collect()
+        level = tracemalloc.get_traced_memory()[0]
+        for speed in (6.0, 8.0, 10.0, 15.0, 20.0):
+            repair(surveyed_scene, FillMode.fixed(speed), params)
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - level <= 64 * 1024
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def assert_fill_within_2_mb_of_its_plate(surveyed_scene, params, speed):
+    plan = plan_fill(surveyed_scene.refinement.waypoints, FillMode.fixed(speed))
+    layout, peak = traced_peak(lambda: lay_out(surveyed_scene.specimen, fill_points(plan.waypoints)))
+    assert peak <= 2e6
+    result, peak = traced_peak(lambda: execute_fill(layout, plan, params))
+    assert len(result.segments) >= 30
+    box = result.surface.cells
+    assert box.size <= 0.25 * surveyed_scene.specimen.nx * surveyed_scene.specimen.ny
+    assert peak <= box.nbytes + 2e6  # the fill's own copy of its box, and its scratch
+
+
+# Second fills laid out on a first fill's FilledPlate: a pass along the
+# crack's centreline at 20 mm/s, then one at 12 mm/s along the points given
+# (x across the centreline, y). On the default crack; with the second pass
+# run on to y = 255 mm, past the end cap at 248 mm onto the flat plate,
+# veering off the cap's tip, whose one-cell trough would take a bead cap
+# of one cell's width and overfill; and on a crack at x = -37 mm, whose
+# carve touches the grid's low x edge, so its block starts at column 0.
+# (config, the centreline's x, the second pass)
+SECOND_FILLS = {
+    "default": ({}, 0.0, [(-0.2, 15.0), (0.1, 100.0), (0.0, 238.0)]),
+    "past_the_end_cap": ({}, 0.0, [(-0.2, 15.0), (0.1, 100.0), (0.0, 236.0), (6.0, 255.0)]),
+    "at_the_grid_edge": ({"crack": {"path_mm": [[-37.0, 10.0], [-37.0, 240.0]]}}, -37.0, [(-0.2, 15.0), (0.1, 100.0), (0.0, 238.0)]),
+}
+
+
+class TestSecondFill:
+    @pytest.mark.parametrize("case", SECOND_FILLS)
+    def test_matches_two_fills_on_a_full_plate(self, case):
+        """A fill laid out on the specimen, then a second one laid out on the
+        FilledPlate the first returned, give == results and equal heights to
+        the same two fills laid out on full heightfield() copies. The
+        second fill copies only its box, which holds the first's: its
+        traced peak, layout included, stays within that box plus 2 MB."""
+        raw, x, second = SECOND_FILLS[case]
+        cfg = ScenarioConfig.from_dict(raw)
+        specimen_plate, params = cfg.build_scene().build_specimen(), cfg.build_deposition()
+        first = [(x, 12.0), (x + 0.3, 70.0), (x - 0.2, 130.0), (x + 0.1, 190.0), (x, 238.0)]
+        second = [(x + dx, y) for dx, y in second]
+        filled, results = deposit_path(lay_out(specimen_plate, first), [20.0] * 4, params)
+        (refilled, again), peak = traced_peak(lambda: deposit_path(lay_out(filled, second), [12.0] * (len(second) - 1), params))
+        want_filled, want_results = deposit_path(lay_out(specimen_plate.heightfield(), first), [20.0] * 4, params)
+        want_refilled, want_again = deposit_path(lay_out(want_filled.heightfield(), second), [12.0] * (len(second) - 1), params)
+        assert (results, again) == (want_results, want_again)
+        assert np.array_equal(refilled.heightfield().heights, want_refilled.heightfield().heights)
+        assert refilled.plate is filled.plate is specimen_plate.plate
+        assert peak <= refilled.cells.nbytes + 2e6
+        if case == "past_the_end_cap":
+            assert refilled.box[0].stop > filled.box[0].stop  # the second pass's lines leave the first's patch
+        if case == "at_the_grid_edge":
+            assert specimen_plate.box[1].start == 0
