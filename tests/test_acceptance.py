@@ -44,6 +44,7 @@ from crackfill import (
     order_path,
     pixel_to_camera,
     refine_waypoints,
+    rotation_about_x,
     run_experiment,
     skeletonize,
     space_pixels,
@@ -368,6 +369,17 @@ DIAGONAL_CONFIG = {
     "experiment": EXPERIMENT_CONFIG["experiment"],
 }
 
+# The camera of EXPERIMENT_CONFIG turned 20 degrees about robot x, so it looks
+# obliquely toward +y: rays cross the trough's walls and keep moving after
+# their first fixed-point step, and the image's far rows miss the grid.
+TILTED_CONFIG = {
+    **EXPERIMENT_CONFIG,
+    "camera": {
+        **EXPERIMENT_CONFIG["camera"],
+        "rotation": (rotation_about_x(np.radians(20.0)) @ np.diag([1.0, -1.0, -1.0])).ravel().tolist(),
+    },
+}
+
 
 def test_the_diagonal_crack_fills_in_several_runs():
     """Its pinned experiment covers runs laid after the first, which are
@@ -411,6 +423,7 @@ SCENARIO_FILES = {
     "crack_along_x.json": CRACK_ALONG_X_CONFIG,
     "no_station_qualifies.json": {**EXPERIMENT_CONFIG, "fill": {"area_floor_mm2": 1000}},
     "diagonal.json": DIAGONAL_CONFIG,
+    "tilted.json": TILTED_CONFIG,
 }
 
 # sha256 of every artifact each subcommand writes for EXPERIMENT_CONFIG at the
@@ -475,6 +488,21 @@ ARTIFACT_DIGESTS = {
         "surface_post.pgm": "3c32932944060ecedb4bf8bffdc8908e7e22a833ca341fb8206b306a0b40b045",
         "surface_pre.pgm": "2d3e3bde3c3fae6b01836e6272ae0f351cd6e6b847361b07cf06e5cca432d4de",
         "waypoints.csv": "4bf4157e0eae31874c686dc2b93107f78efc7f37dd23af44cca520aa76db6256",
+    },
+    # recorded while the raycast still took a second pass over every ray for
+    # its validity and mask, and the surface PGMs quantized every cell
+    ("--config", "tilted.json", "scan"): {
+        "depth.pgm": "dc07b724a9b11f0e921fb5d21209e6983f71032e6eb436fda5ef99406addce70",
+        "mask.pgm": "4a15202bc80fca83cbd1e539f14c397b8ac1006ac2504a076879642fd31851ee",
+        "skeleton.pgm": "c67ef36ef0b813dafc1d61f34a3103dc36a1cb528b3e1efab7de819bd1289543",
+        "waypoints.csv": "064f7a1706d5dc7318ce178a16871fa6f46fa0d5e12bcf000b5b44b7b1f0c2b3",
+    },
+    ("--config", "tilted.json", "fill"): {
+        "fill_report.csv": "ab422ebb17e87e860462488a44b8a0367d965f5f04c24d417c6826ef559502e9",
+        "fill_summary.json": "e3b37e3c7549318963ae7873a0259148b06322a475e1de5984d38fc3ea96d574",
+        "surface_post.pgm": "60898857d942c1cc7f72deb0f3654d2b6b132d46a5cc68e96d65f4b6a331c7b4",
+        "surface_pre.pgm": "e40d0a311e7ac6f669cc0fda1d54b8a7ceaa5d6daf6c00125abed4d13a116a8d",
+        "waypoints.csv": "1f0a27e95758fa760fe1b750664b6c5ea317a1a8615b24678795fe13b5217238",
     },
 }
 
