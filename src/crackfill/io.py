@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .specimen import row_tiles
+from .specimen import _patched, row_tiles
 
 FLOAT_FMT = "{:.6f}"
 
@@ -111,24 +111,43 @@ def _quantize(values: np.ndarray, lo: float, hi: float, maxval: int) -> np.ndarr
     return np.clip(q, 0, maxval).astype(np.uint32)
 
 
+def _one_per_stride_0(a: np.ndarray) -> np.ndarray:
+    """a with each axis of stride 0, which holds one value, cut to that value."""
+    return a[tuple(slice(0, 1) if stride == 0 else slice(None) for stride in a.strides)]
+
+
 def write_heightfield_pgm(path, hf) -> None:
-    """Quantize the heights of a Heightfield or a FilledPlate over their z
-    range to 16 bits. Both passes, the range and the quantization, read
-    the heights in row tiles (see row_tiles), and each quantized tile is
-    written straight to the file."""
-    tiles = list(row_tiles(hf.ny, hf.nx))
-    lo, hi = math.inf, -math.inf
-    for rows in tiles:
-        heights = hf.rows(rows)
-        lo, hi = min(lo, float(heights.min())), max(hi, float(heights.max()))
+    """Quantize the heights of a Heightfield or a FilledPlate, read as a
+    base plus one patch, to 16 bits over the z range of the cells it
+    shows: the patch, and the base outside the patch's box. Each row tile
+    of the base (see row_tiles) is quantized over the values it holds,
+    one per axis of stride 0, so a flat base costs one cell per tile; the
+    patch's quantized cells are laid over it, and the tile is written
+    straight to the file."""
+    plate = _patched(hf)
+    base, cells, (box_rows, box_cols) = plate.plate.heights, plate.cells, plate.box
+    outside = (base[: box_rows.start], base[box_rows.stop :], base[box_rows, : box_cols.start], base[box_rows, box_cols.stop :])
+    shown = [_one_per_stride_0(part) for part in (cells, *outside) if part.size]
+    lo, hi = min(float(part.min()) for part in shown), max(float(part.max()) for part in shown)
     comments = [
         f"origin_mm {fmt(hf.origin[0])} {fmt(hf.origin[1])}",
         f"cell_size_mm {fmt(hf.cell_size)}",
         f"nominal_surface_mm {fmt(hf.nominal_surface)}",
         f"z_range_mm {fmt(lo)} {fmt(hi)}",
     ]
-    blocks = (_quantize(hf.rows(rows), lo, hi, 65535) for rows in tiles)
-    _write_pgm_rows(path, (hf.ny, hf.nx), 65535, comments, blocks)
+
+    def blocks():
+        for rows in row_tiles(hf.ny, hf.nx):
+            block = np.empty((rows.stop - rows.start, hf.nx), dtype=pgm_dtype(65535))
+            block[...] = _quantize(_one_per_stride_0(base[rows]), lo, hi, 65535)
+            first, last = max(rows.start, box_rows.start), min(rows.stop, box_rows.stop)
+            if first < last:
+                block[first - rows.start : last - rows.start, box_cols] = _quantize(
+                    cells[first - box_rows.start : last - box_rows.start], lo, hi, 65535
+                )
+            yield block
+
+    _write_pgm_rows(path, (hf.ny, hf.nx), 65535, comments, blocks())
 
 
 def write_depth_pgm(path, depth_image) -> None:

@@ -148,51 +148,34 @@ def _step(hf: Plate, origin: np.ndarray, t: np.ndarray, dirs: np.ndarray) -> np.
     return (h - oz) / dirs[:, 2]
 
 
-def _raycast(hf: Plate, k: CameraIntrinsics, camera_pose: RigidTransform) -> np.ndarray:
-    """Intersect every pixel ray with the heightfield; returns the optical-axis depth t.
-
-    Rays are parameterized with unit z in the camera frame, so the ray
-    parameter equals depth. The intersection uses fixed-point iteration
-    against the nearest-cell surface height, which converges in one
-    step for a camera looking straight down and within a few steps for
-    the mild tilts this rig uses. Rays parallel to the plate keep
-    depth 0. The first step covers every ray and runs in tiles of image
-    rows (see row_tiles). A ray's next depth depends only on its own
-    depth, so each later step updates only the rays whose depth changed
-    in the step before; the stop rule still compares every ray of a step.
-    """
-    t = np.empty((k.image_height, k.image_width))
-    flat_t = t.reshape(-1)
-    origin = camera_pose.translation
-    moving, dirs = [], []
-    settled = True
-    for rows in row_tiles(k.image_height, k.image_width):
-        d = _ray_dirs(k, camera_pose, rows).reshape(-1, 3)
-        dz = d[:, 2]
-        live = np.abs(dz) > 1e-12
-        tile = flat_t[rows.start * k.image_width : rows.stop * k.image_width]
-        tile[:] = np.where(live, (hf.nominal_surface - origin[2]) / np.where(live, dz, 1.0), 0.0)
-        rays = np.flatnonzero(live)
-        t_old = tile[rays]
-        t_new = _step(hf, origin, t_old, d[rays])
-        tile[rays] = t_new
-        settled &= bool(np.allclose(t_new, t_old, atol=1e-9, rtol=0.0))
-        changed = t_new != t_old
-        moving.append(rays[changed] + rows.start * k.image_width)
-        dirs.append(d[rays[changed]])
-    moving, d = np.concatenate(moving), np.concatenate(dirs)
-    for _ in range(_RAYCAST_ITERATIONS - 1):
-        if settled:
-            break
-        t_old = flat_t[moving]
-        t_new = _step(hf, origin, t_old, d)
-        flat_t[moving] = t_new
-        settled = np.allclose(t_new, t_old, atol=1e-9, rtol=0.0)
-        changed = t_new != t_old
-        moving, d = moving[changed], d[changed]
-    if not settled:
-        logger.debug("raycast stopped after %d steps with %d rays still moving", _RAYCAST_ITERATIONS, moving.size)
-    return t
+def _first_step(
+    hf: Plate, k: CameraIntrinsics, camera_pose: RigidTransform, rows: slice, threshold_mm: float, t: np.ndarray, hit: np.ndarray, flags: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The first fixed-point step of the pixel rays of a tile of image rows,
+    from the nominal surface, into the tile's depth t, validity hit and
+    mask flags (flat views of render_view's outputs). A ray the step leaves
+    in place is judged at the point and cell it was stepped from, the same
+    floats a judgement at its depth would read; a ray parallel to the plate
+    keeps depth 0. Returns the rays the step moved, their directions, and
+    whether every ray settled."""
+    ox, oy, oz = camera_pose.translation
+    d = _ray_dirs(k, camera_pose, rows).reshape(-1, 3)
+    dz = d[:, 2]
+    live = np.abs(dz) > 1e-12
+    dz[~live] = 1.0  # no moved ray is parallel to the plate, so d[rays] keeps its z
+    t_old = (hf.nominal_surface - oz) / dz
+    t_old[~live] = 0.0
+    x = ox + t_old * d[:, 0]
+    y = oy + t_old * d[:, 1]
+    h = hf.height_at(x, y)
+    hit[:] = hf.contains(x, y)
+    np.divide(h - oz, dz, out=t)
+    t[~live] = 0.0
+    hit &= t > 0
+    np.greater(hf.nominal_surface - h, threshold_mm, out=flags)
+    flags &= hit
+    rays = np.flatnonzero(t != t_old)
+    return rays, d[rays], bool(np.allclose(t[rays], t_old[rays], atol=1e-9, rtol=0.0))
 
 
 def render_view(
@@ -203,24 +186,55 @@ def render_view(
 ) -> tuple[DepthImage, MaskImage]:
     """Noise-free depth and the ground-truth mask, both from one raycast.
 
-    A pixel is valid when its ray runs forward into a hit on the grid;
-    invalid pixels read depth 0. The mask flags the valid hits that sit
-    below the nominal surface by more than threshold_mm. Raises
-    NoIntersection when no pixel ray hits the grid.
+    Rays are parameterized with unit z in the camera frame, so the ray
+    parameter equals depth. The intersection uses fixed-point iteration
+    against the nearest-cell surface height, which converges in one
+    step for a camera looking straight down and within a few steps for
+    the mild tilts this rig uses. A pixel is valid when its ray runs
+    forward into a hit on the grid; invalid pixels read depth 0. The mask
+    flags the valid hits below the nominal surface by more than
+    threshold_mm. Raises NoIntersection when no pixel ray hits the grid.
+
+    The cast is one pass of tiles of image rows (see row_tiles), each
+    computing its ray directions once and taking the first step over all
+    its rays (see _first_step). A ray's next depth depends only on its
+    own depth, so each later step updates only the rays whose depth
+    changed in the step before, and only the rays the first step moved
+    are judged again once the iteration stops; the stop rule still
+    compares every ray of a step.
     """
-    depth = _raycast(hf, k, camera_pose)
-    valid = np.empty(depth.shape, dtype=bool)
-    flags = np.empty(depth.shape, dtype=bool)
-    ox, oy, _ = camera_pose.translation
-    for rows in row_tiles(k.image_height, k.image_width):
-        d = _ray_dirs(k, camera_pose, rows)
-        t = depth[rows]
-        x = ox + t * d[..., 0]
-        y = oy + t * d[..., 1]
-        hit = valid[rows]
-        hit[...] = (np.abs(d[..., 2]) > 1e-12) & (t > 0) & hf.contains(x, y)
-        flags[rows] = hit & (hf.nominal_surface - hf.height_at(x, y) > threshold_mm)
-        t[~hit] = 0.0
+    shape = (k.image_height, k.image_width)
+    depth, valid, flags = np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+    flat_t, flat_valid, flat_flags = depth.reshape(-1), valid.reshape(-1), flags.reshape(-1)
+    moved, dirs = [], []
+    settled = True
+    for rows in row_tiles(*shape):
+        cells = slice(rows.start * k.image_width, rows.stop * k.image_width)
+        rays, d, tile_settled = _first_step(hf, k, camera_pose, rows, threshold_mm, flat_t[cells], flat_valid[cells], flat_flags[cells])
+        moved.append(rays + cells.start)
+        dirs.append(d)
+        settled &= tile_settled
+    moved, d = np.concatenate(moved), np.concatenate(dirs)
+    origin = camera_pose.translation
+    moving, d_moving = moved, d
+    for _ in range(_RAYCAST_ITERATIONS - 1):
+        if settled:
+            break
+        t_old = flat_t[moving]
+        t_new = _step(hf, origin, t_old, d_moving)
+        flat_t[moving] = t_new
+        settled = np.allclose(t_new, t_old, atol=1e-9, rtol=0.0)
+        changed = t_new != t_old
+        moving, d_moving = moving[changed], d_moving[changed]
+    if not settled:
+        logger.debug("raycast stopped after %d steps with %d rays still moving", _RAYCAST_ITERATIONS, moving.size)
+    t = flat_t[moved]
+    x = origin[0] + t * d[:, 0]
+    y = origin[1] + t * d[:, 1]
+    hit = (t > 0) & hf.contains(x, y)
+    flat_valid[moved] = hit
+    flat_flags[moved] = hit & (hf.nominal_surface - hf.height_at(x, y) > threshold_mm)
+    np.copyto(depth, 0.0, where=~valid)
     if not valid.any():
         raise NoIntersection("no camera ray intersects the heightfield")
     return DepthImage(depth_mm=depth, valid=valid), MaskImage(flags=flags)

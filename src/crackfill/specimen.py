@@ -135,10 +135,6 @@ class Heightfield:
             self.origin[1] + (self.ny - 1) * self.cell_size,
         )
 
-    def rows(self, rows: slice) -> np.ndarray:
-        """The heights of a slice of rows: a view."""
-        return self.heights[rows]
-
     def volume_below_nominal(self) -> float:
         """Total trough volume (mm^3) below the nominal surface."""
         deficit = np.maximum(0.0, self.nominal_surface - self.heights)
@@ -154,8 +150,8 @@ class FilledPlate:
     heights; every other cell holds the base's height. A carved specimen is
     a flat base with its carved block (see generate_specimen), and a filled
     plate the base it was laid on with the box the fill could change (see
-    deposit_path). Its coordinates, contains, height_at, rows and bounds
-    read it like a Heightfield, and heightfield() gives it as one.
+    deposit_path). Its coordinates, contains, height_at and bounds read it
+    like a Heightfield, and heightfield() gives it as one.
     """
 
     plate: Heightfield
@@ -209,14 +205,6 @@ class FilledPlate:
         inside = (iy >= rows.start) & (iy < rows.stop) & (ix >= cols.start) & (ix < cols.stop)
         h[inside] = self.cells[iy[inside] - rows.start, ix[inside] - cols.start]
         return h
-
-    def rows(self, rows: slice) -> np.ndarray:
-        """The heights of a slice of rows: a copy."""
-        out = self.plate.heights[rows].copy()
-        lo, hi = max(rows.start, self.box[0].start), min(rows.stop, self.box[0].stop)
-        if lo < hi:
-            out[lo - rows.start : hi - rows.start, self.box[1]] = self.cells[lo - self.box[0].start : hi - self.box[0].start]
-        return out
 
     def heightfield(self) -> Heightfield:
         """The plate as one Heightfield: a full-size copy."""

@@ -8,6 +8,7 @@ areas and edges.
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from crackfill import (
     CameraIntrinsics,
@@ -22,9 +23,21 @@ from crackfill import (
     Waypoint,
     axis_angle_rotation,
     generate_specimen,
+    specimen,
 )
 
 CAMERA_DOWN = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
+
+# The default tile and one that leaves a ragged last tile of image rows
+# (7 rows of 640 pixels; 480 = 68 x 7 + 4).
+TILES = [specimen.TILE_CELLS, 4500]
+
+
+@pytest.fixture(params=TILES, ids=lambda cells: f"tile{cells}")
+def tile(request, monkeypatch):
+    """Work in row tiles of request.param cells (see specimen.row_tiles)."""
+    monkeypatch.setattr(specimen, "TILE_CELLS", request.param)
+    return request.param
 
 
 @pytest.fixture
@@ -106,3 +119,32 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     while np.linalg.norm(axis) < 1e-6:
         axis = rng.normal(size=3)
     return axis_angle_rotation(axis, rng.uniform(-np.pi, np.pi))
+
+
+def _edge_or_any(lo: int, hi: int, edge: int):
+    """An index in [lo, hi], the grid edge edge as often as any other."""
+    return st.just(edge) | st.integers(lo, hi)
+
+
+@st.composite
+def base_and_patch_plates(draw, max_cells: int = 24):
+    """A small plate: a flat or a dense base, alone or with a patch over a
+    random box (empty, touching any of the grid's edges, or the whole grid),
+    whose cells may all lie below nominal. Heights are quarter-millimetre
+    steps about the nominal surface."""
+    nx, ny = draw(st.integers(1, max_cells)), draw(st.integers(1, max_cells))
+    cell = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    nominal = draw(st.sampled_from([0.0, 3.0]))
+    origin = (-nx * cell / 2, -ny * cell / 2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        base = Heightfield.flat(origin, cell, nx, ny, nominal)
+    else:
+        base = Heightfield(origin, cell, nx, ny, nominal + rng.integers(-12, 5, (ny, nx)) / 4, nominal)
+    if draw(st.booleans()):
+        return base
+    r0, c0 = draw(_edge_or_any(0, ny, 0)), draw(_edge_or_any(0, nx, 0))
+    r1, c1 = draw(_edge_or_any(r0, ny, ny)), draw(_edge_or_any(c0, nx, nx))
+    highest = draw(st.sampled_from([4, -1]))  # -1: every patch cell below nominal
+    cells = nominal + rng.integers(-12, highest + 1, (r1 - r0, c1 - c0)) / 4
+    return FilledPlate(base, (slice(r0, r1), slice(c0, c1)), cells)

@@ -7,9 +7,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from crackfill import (
+    CameraIntrinsics,
     DepthImage,
+    Heightfield,
     ScenarioConfig,
     Frame,
     LaserProfile,
@@ -18,6 +21,7 @@ from crackfill import (
     RigidTransform,
     SensorNoise,
     StationOutsideGrid,
+    axis_angle_rotation,
     render_depth,
     render_truth_mask,
     scan_profile,
@@ -26,11 +30,10 @@ from crackfill.sensors import (
     NOISE_STREAMS,
     SCANNER_POINTS,
     SCANNER_RANGE_MM,
-    _raycast,
     add_depth_noise,
     render_view,
 )
-from conftest import CAMERA_DOWN, camera_pose, down_scan_pose, make_flat, make_rect_crack, tilted
+from conftest import CAMERA_DOWN, TILES, base_and_patch_plates, camera_pose, down_scan_pose, make_flat, make_rect_crack, tilted
 
 
 class TestRenderDepth:
@@ -133,6 +136,22 @@ def full_image_raycast(hf, k, camera_pose):
     return t, x, y, live & (t > 0) & hf.contains(x, y)
 
 
+@st.composite
+def cameras(draw):
+    """Small pinhole cameras over base_and_patch_plates' plates, at most
+    24 mm from the origin to an edge, tilted from straight down to past
+    the horizon (pi/2 turns the optical axis parallel to the plate); some
+    stand off the grid, so some or all rays miss it."""
+    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 10))
+    f = draw(st.floats(2.0, 20.0))
+    k = CameraIntrinsics(f, f * draw(st.sampled_from([1.0, 0.7])), draw(st.floats(0.0, width - 0.5)), draw(st.floats(0.0, height - 0.5)), width, height)
+    heading = draw(st.floats(0.0, 2 * np.pi))
+    tilt = draw(st.sampled_from([0.0, np.pi / 2]) | st.floats(0.0, 1.8))
+    rotation = axis_angle_rotation(np.array([np.cos(heading), np.sin(heading), 0.0]), tilt) @ CAMERA_DOWN
+    position = [draw(st.floats(-30.0, 30.0)) for _ in range(2)] + [draw(st.floats(4.0, 60.0))]
+    return k, RigidTransform(rotation, position, Frame.CAMERA, Frame.ROBOT)
+
+
 class TestRaycast:
     @pytest.mark.parametrize(
         "localization, tilt",
@@ -144,10 +163,8 @@ class TestRaycast:
         hf = scene.build_specimen()
         pose = tilted(scene.camera_pose, tilt)
         with caplog.at_level("DEBUG", logger="crackfill.sensors"):
-            got = _raycast(hf, scene.intrinsics, pose)
-        depth, mask = render_view(hf, scene.intrinsics, pose, scene.mask_threshold_mm)
+            depth, mask = render_view(hf, scene.intrinsics, pose, scene.mask_threshold_mm)
         t, x, y, valid = full_image_raycast(hf, scene.intrinsics, pose)
-        assert got.tobytes() == t.tobytes()
         assert depth.valid.tobytes() == valid.tobytes()
         assert depth.depth_mm.tobytes() == np.where(valid, t, 0.0).tobytes()
         want_mask = valid & (hf.nominal_surface - hf.height_at(x, y) > scene.mask_threshold_mm)
@@ -155,6 +172,26 @@ class TestRaycast:
         if not localization and not tilt:
             # a 2-cycle of a few rays keeps the default scene from converging
             assert "still moving" in caplog.text
+
+    @pytest.mark.parametrize("tile", [*TILES, 64, 1], indirect=True)
+    @given(plate=base_and_patch_plates(), camera=cameras(), threshold_mm=st.sampled_from([0.2, 1.0]))
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_random_plates_and_cameras_match_full_image_iteration(self, tile, plate, camera, threshold_mm):
+        """render_view on a base plus patch reads as the full-image iteration
+        on its heightfield(): depth, valid and mask, bit for bit, or
+        NoIntersection where no ray hits."""
+        k, pose = camera
+        hf = plate if isinstance(plate, Heightfield) else plate.heightfield()
+        t, x, y, valid = full_image_raycast(hf, k, pose)
+        if not valid.any():
+            with pytest.raises(NoIntersection):
+                render_view(plate, k, pose, threshold_mm)
+            return
+        depth, mask = render_view(plate, k, pose, threshold_mm)
+        assert depth.valid.tobytes() == valid.tobytes()
+        assert depth.depth_mm.tobytes() == np.where(valid, t, 0.0).tobytes()
+        want_mask = valid & (hf.nominal_surface - hf.height_at(x, y) > threshold_mm)
+        assert mask.flags.tobytes() == want_mask.tobytes()
 
     def test_view_is_one_raycast_of_both_renderers(self, intrinsics):
         hf = make_rect_crack(width=8.0, depth=5.0, cell=0.1)

@@ -107,7 +107,7 @@ class TestGenerateSpecimen:
         hf = make_rect_crack(width=6.0, depth=2.0, cell=0.1)
         y = hf.y_of(700)
         got = true_cross_section(hf, (0.0, float(y)), (1.0, 0.0))
-        oracle = float(np.maximum(0.0, -hf.rows(slice(700, 701))[0]).sum() * hf.cell_size)
+        oracle = float(np.maximum(0.0, -hf.heightfield().heights[700]).sum() * hf.cell_size)
         assert got == pytest.approx(oracle, abs=1e-9)
 
     def test_varying_width_profile_applied(self):
@@ -129,7 +129,7 @@ class TestGenerateSpecimen:
         assert scene.crack.max_width() == 20.0
         hf = scene.build_specimen()
         row = int(hf.iy_of(11.0))
-        carved = np.count_nonzero(hf.rows(slice(row, row + 1))[0] < hf.nominal_surface) * hf.cell_size
+        carved = np.count_nonzero(hf.heightfield().heights[row] < hf.nominal_surface) * hf.cell_size
         assert carved == pytest.approx(20.0, abs=2 * hf.cell_size)
 
     def test_path_outside_grid_rejected(self):

@@ -13,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
 from crackfill import CrackSpec, FilledPlate, FillMode, Heightfield, NoIntersection, ScenarioConfig, deposit_path, execute_fill, generate_specimen, image_specimen, lay_out, plan_fill, specimen, survey
 from crackfill import io as cfio
@@ -20,7 +21,7 @@ from crackfill.geometry import CameraIntrinsics, RigidTransform
 from crackfill.repair import fill_points, perceive_view, repair
 from crackfill.sensors import render_view
 from crackfill.specimen import profile_values, row_tiles
-from conftest import tilted
+from conftest import TILES, base_and_patch_plates, tilted
 
 # A crack along robot x on a 2600 x 900 grid, shaped like the benchmark's fill_x scene.
 ALONG_X = {
@@ -29,10 +30,7 @@ ALONG_X = {
 }
 SCENES = {"default": ({}, False), "localization": ({}, True), "along_x": (ALONG_X, False)}
 
-# The default tile and one that leaves a ragged last tile of image rows
-# (7 rows of 640 pixels; 480 = 68 x 7 + 4); small cases also take a
-# single row per tile.
-TILES = [specimen.TILE_CELLS, 4500]
+# Small cases also take a single row per tile.
 WITH_ONE_ROW = pytest.mark.parametrize("tile", TILES + [1], indirect=True)
 
 MULTI_SEGMENT = CrackSpec(
@@ -167,12 +165,6 @@ def cached_reference_view(name, tilt):
     return reference_view(hf, scene.intrinsics, tilted(scene.camera_pose, tilt), scene.mask_threshold_mm)
 
 
-@pytest.fixture(params=TILES, ids=lambda cells: f"tile{cells}")
-def tile(request, monkeypatch):
-    monkeypatch.setattr(specimen, "TILE_CELLS", request.param)
-    return request.param
-
-
 def traced_peak(fn):
     """fn's result and the most memory (bytes) it held at once beyond what was held before it."""
     started = not tracemalloc.is_tracing()
@@ -271,7 +263,35 @@ class TestView:
             render_view(hf, scene.intrinsics, pose, scene.mask_threshold_mm)
 
 
+# Named plates for the PGM oracle: an empty patch; a patch over the whole
+# grid with every cell below nominal, so nominal, which the plate shows
+# nowhere, must stay out of the z range; one height everywhere (a zero z
+# span); a patch on a dense base.
+_FLAT = Heightfield.flat((-3.0, -2.0), 0.5, 12, 9, nominal_surface=1.0)
+PGM_CASES = {
+    "empty_patch": FilledPlate(_FLAT, (slice(0, 0), slice(0, 0)), np.empty((0, 0))),
+    "whole_grid_below_nominal": FilledPlate(_FLAT, (slice(0, 9), slice(0, 12)), 0.5 - np.arange(108.0).reshape(9, 12) / 50),
+    "zero_span": FilledPlate(_FLAT, (slice(2, 5), slice(3, 7)), np.full((3, 4), 1.0)),
+    "dense_base": FilledPlate(
+        Heightfield((-3.0, -2.0), 0.5, 12, 9, np.linspace(-2.0, 2.0, 108).reshape(9, 12), 1.0), (slice(4, 9), slice(0, 5)), np.full((5, 5), -4.0)
+    ),
+}
+
+
 class TestHeightfieldPgm:
+    @pytest.mark.parametrize("tile", [*TILES, 64, 1], indirect=True)
+    @given(plate=base_and_patch_plates())
+    @example(plate=PGM_CASES["empty_patch"])
+    @example(plate=PGM_CASES["whole_grid_below_nominal"])
+    @example(plate=PGM_CASES["zero_span"])
+    @example(plate=PGM_CASES["dense_base"])
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_random_plates_match_the_full_size_quantization(self, tile, plate, tmp_path):
+        """A base plus patch writes the PGM of its heightfield(), byte for byte."""
+        cfio.write_heightfield_pgm(tmp_path / "s.pgm", plate)
+        want = plate if isinstance(plate, Heightfield) else plate.heightfield()
+        assert (tmp_path / "s.pgm").read_bytes() == reference_heightfield_pgm(want)
+
     @pytest.mark.parametrize("name", ["default", "along_x"])
     def test_scenes_match_the_full_size_quantization(self, tile, name, tmp_path):
         hf = scene_and_specimen(name)[1]
@@ -298,6 +318,26 @@ class TestScratchBudgets:
         hf = scene_and_specimen("along_x")[1]
         _, peak = traced_peak(lambda: cfio.write_heightfield_pgm(tmp_path / "s.pgm", hf))
         assert peak <= 2 * (2 * hf.nx * hf.ny)
+
+    def test_default_view_within_its_outputs_plus_4_mb(self):
+        """render_view holds its outputs, depth, valid and mask (10 B a
+        pixel, 3.1 MB), plus one tile's scratch and the rays its first step
+        moved: about 5.9 MB in all, against 6.5 MB while a second pass over
+        every ray judged validity and the mask."""
+        scene, hf = scene_and_specimen("default")
+        _, peak = traced_peak(lambda: render_view(hf, scene.intrinsics, scene.camera_pose, scene.mask_threshold_mm))
+        assert peak <= 10 * scene.intrinsics.image_width * scene.intrinsics.image_height + 4e6
+
+    def test_surface_pgm_of_a_flat_base_quantizes_the_patch_and_a_cell_per_tile(self, tmp_path, monkeypatch):
+        """A specimen's base is flat, so its PGM quantizes the patch's cells
+        and one base cell per row tile, not each of the plate's 2.34 M."""
+        plate = scene_and_specimen("along_x")[0].build_specimen()
+        quantized = []
+        quantize = cfio._quantize
+        monkeypatch.setattr(cfio, "_quantize", lambda values, *args: quantized.append(values.size) or quantize(values, *args))
+        cfio.write_heightfield_pgm(tmp_path / "s.pgm", plate)
+        assert sum(quantized) <= plate.cells.size + len(list(row_tiles(plate.ny, plate.nx)))
+        assert (tmp_path / "s.pgm").read_bytes() == reference_heightfield_pgm(plate.heightfield())
 
     def test_default_view_within_20_mb(self):
         scene, hf = scene_and_specimen("default")
