@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -411,10 +411,10 @@ class ScenarioConfig:
             seed=self.seed,
         )
 
-    def build_deposition(self, flow_rate: float | None = None) -> DepositionParams:
+    def build_deposition(self) -> DepositionParams:
         dep = self.raw["deposition"]
         return DepositionParams(
-            flow_rate_mm3_s=dep["flow_rate_mm3_s"] if flow_rate is None else flow_rate,
+            flow_rate_mm3_s=dep["flow_rate_mm3_s"],
             nozzle_diameter_mm=dep["nozzle_diameter_mm"],
             purge_time_s=dep["purge_time_s"],
         )
@@ -509,10 +509,10 @@ class ScenarioConfig:
         poses = [mount.at([0.0, y0 + k * step, standoff]) for k in range(n_stations)]
         scans: list[tuple[float, LaserProfile]] = []
         hf = Heightfield.flat(origin, cell, nx, ny).copy()  # one writable plate, flat again before each strip
+        params = self.build_deposition()
         for si, speed in enumerate(speeds):
             hf.heights.fill(hf.nominal_surface)
-            params = self.build_deposition(flow_rate=self.calibration_flow(speed))
-            deposit(hf, (0.0, 0.0), (0.0, strip_len), speed, params)
+            deposit(hf, (0.0, 0.0), (0.0, strip_len), speed, replace(params, flow_rate_mm3_s=self.calibration_flow(speed)))
             noises = [noise.derive(NOISE_STREAMS["calibrate"], si, k) for k in range(n_stations)]
             scans.append((speed, scan_profile(hf, poses, span, noises, standoff_mm=standoff)))
         return scans

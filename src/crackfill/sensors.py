@@ -167,11 +167,10 @@ def _first_step(
     t_old[~live] = 0.0
     x = ox + t_old * d[:, 0]
     y = oy + t_old * d[:, 1]
-    h = hf.height_at(x, y)
-    hit[:] = hf.contains(x, y)
+    h, on_grid = hf.lookup(x, y)
     np.divide(h - oz, dz, out=t)
     t[~live] = 0.0
-    hit &= t > 0
+    np.logical_and(on_grid, t > 0, out=hit)
     np.greater(hf.nominal_surface - h, threshold_mm, out=flags)
     flags &= hit
     rays = np.flatnonzero(t != t_old)
@@ -231,9 +230,10 @@ def render_view(
     t = flat_t[moved]
     x = origin[0] + t * d[:, 0]
     y = origin[1] + t * d[:, 1]
-    hit = (t > 0) & hf.contains(x, y)
+    h, on_grid = hf.lookup(x, y)
+    hit = (t > 0) & on_grid
     flat_valid[moved] = hit
-    flat_flags[moved] = hit & (hf.nominal_surface - hf.height_at(x, y) > threshold_mm)
+    flat_flags[moved] = hit & (hf.nominal_surface - h > threshold_mm)
     np.copyto(depth, 0.0, where=~valid)
     if not valid.any():
         raise NoIntersection("no camera ray intersects the heightfield")
@@ -338,9 +338,9 @@ def scan_profile(
     ox, oy, oz = origin.T[..., None]
     xs = ox + lateral * direction[:, [0]]
     ys = oy + lateral * direction[:, [1]]
-    if not np.all(hf.contains(xs, ys)):
+    h, on_grid = hf.lookup(xs, ys)
+    if not np.all(on_grid):
         raise StationOutsideGrid("scan line leaves the heightfield")
-    h = hf.height_at(xs, ys)
     distance = oz - h
     valid = (distance >= SCANNER_RANGE_MM[0]) & (distance <= SCANNER_RANGE_MM[1])
     z = h - (oz - standoff_mm)

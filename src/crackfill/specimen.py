@@ -60,8 +60,58 @@ def _profile_extremes(profile: Profile, length: float) -> np.ndarray:
     return profile_values(profile, np.clip([0.0, length, *knots], 0.0, length))
 
 
+class _Grid:
+    """The grid methods Heightfield and FilledPlate share, read from their
+    origin, cell_size, nx and ny; each reads the heights of cells (iy, ix)
+    on the grid through its own _cells_at."""
+
+    def x_of(self, ix) -> np.ndarray | float:
+        return self.origin[0] + np.asarray(ix) * self.cell_size
+
+    def y_of(self, iy) -> np.ndarray | float:
+        return self.origin[1] + np.asarray(iy) * self.cell_size
+
+    # The nearest cell index; a position off the grid is first clipped to
+    # the index one cell beyond its edge (-1 or n), so the cast never
+    # overflows and in-grid indices are unchanged.
+    def ix_of(self, x) -> np.ndarray:
+        return np.rint(np.clip((np.asarray(x) - self.origin[0]) / self.cell_size, -1, self.nx)).astype(int)
+
+    def iy_of(self, y) -> np.ndarray:
+        return np.rint(np.clip((np.asarray(y) - self.origin[1]) / self.cell_size, -1, self.ny)).astype(int)
+
+    def _index(self, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each point's nearest cell (iy, ix) clipped to the grid, and
+        whether the clip left it as it was: whether the point is on the grid."""
+        iy, ix = self.iy_of(y), self.ix_of(x)
+        cy, cx = np.clip(iy, 0, self.ny - 1), np.clip(ix, 0, self.nx - 1)
+        return cy, cx, (cy == iy) & (cx == ix)
+
+    def contains(self, x, y) -> np.ndarray:
+        return self._index(x, y)[2]
+
+    def height_at(self, x, y) -> np.ndarray:
+        """Nearest-cell height lookup; a point off the grid reads the cell
+        nearest it on the grid's edge."""
+        return self.lookup(x, y)[0]
+
+    def lookup(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """height_at and contains of each point, from one cell index."""
+        iy, ix, on_grid = self._index(x, y)
+        return self._cells_at(iy, ix), on_grid
+
+    def bounds(self) -> tuple[float, float, float, float]:
+        """(x_min, x_max, y_min, y_max) of cell centres."""
+        return (
+            self.origin[0],
+            self.origin[0] + (self.nx - 1) * self.cell_size,
+            self.origin[1],
+            self.origin[1] + (self.ny - 1) * self.cell_size,
+        )
+
+
 @dataclass
-class Heightfield:
+class Heightfield(_Grid):
     """Surface heights h[iy, ix] on a grid with square cells.
 
     Cell (ix, iy) is centred at (origin[0] + ix*cell_size,
@@ -100,40 +150,8 @@ class Heightfield:
         out.heights = self.heights.copy()
         return out
 
-    def x_of(self, ix) -> np.ndarray | float:
-        return self.origin[0] + np.asarray(ix) * self.cell_size
-
-    def y_of(self, iy) -> np.ndarray | float:
-        return self.origin[1] + np.asarray(iy) * self.cell_size
-
-    # The nearest cell index; a position off the grid is first clipped to
-    # the index one cell beyond its edge (-1 or n), so the cast never
-    # overflows and in-grid indices are unchanged.
-    def ix_of(self, x) -> np.ndarray:
-        return np.rint(np.clip((np.asarray(x) - self.origin[0]) / self.cell_size, -1, self.nx)).astype(int)
-
-    def iy_of(self, y) -> np.ndarray:
-        return np.rint(np.clip((np.asarray(y) - self.origin[1]) / self.cell_size, -1, self.ny)).astype(int)
-
-    def contains(self, x, y) -> np.ndarray:
-        ix = self.ix_of(x)
-        iy = self.iy_of(y)
-        return (ix >= 0) & (ix < self.nx) & (iy >= 0) & (iy < self.ny)
-
-    def height_at(self, x, y) -> np.ndarray:
-        """Nearest-cell height lookup; caller guarantees points in bounds."""
-        ix = np.clip(self.ix_of(x), 0, self.nx - 1)
-        iy = np.clip(self.iy_of(y), 0, self.ny - 1)
+    def _cells_at(self, iy, ix) -> np.ndarray:
         return self.heights[iy, ix]
-
-    def bounds(self) -> tuple[float, float, float, float]:
-        """(x_min, x_max, y_min, y_max) of cell centres."""
-        return (
-            self.origin[0],
-            self.origin[0] + (self.nx - 1) * self.cell_size,
-            self.origin[1],
-            self.origin[1] + (self.ny - 1) * self.cell_size,
-        )
 
     def volume_below_nominal(self) -> float:
         """Total trough volume (mm^3) below the nominal surface."""
@@ -142,7 +160,7 @@ class Heightfield:
 
 
 @dataclass(frozen=True)
-class FilledPlate:
+class FilledPlate(_Grid):
     """A plate held as a base plus one patch: the base plate, read and
     never written, and the cells of one box of it.
 
@@ -150,8 +168,8 @@ class FilledPlate:
     heights; every other cell holds the base's height. A carved specimen is
     a flat base with its carved block (see generate_specimen), and a filled
     plate the base it was laid on with the box the fill could change (see
-    deposit_path). Its coordinates, contains, height_at and bounds read it
-    like a Heightfield, and heightfield() gives it as one.
+    deposit_path). It reads like a Heightfield through the grid methods
+    both share, and heightfield() gives it as one.
     """
 
     plate: Heightfield
@@ -178,38 +196,26 @@ class FilledPlate:
     def nominal_surface(self) -> float:
         return self.plate.nominal_surface
 
-    def x_of(self, ix) -> np.ndarray | float:
-        return self.plate.x_of(ix)
-
-    def y_of(self, iy) -> np.ndarray | float:
-        return self.plate.y_of(iy)
-
-    def ix_of(self, x) -> np.ndarray:
-        return self.plate.ix_of(x)
-
-    def iy_of(self, y) -> np.ndarray:
-        return self.plate.iy_of(y)
-
-    def contains(self, x, y) -> np.ndarray:
-        return self.plate.contains(x, y)
-
-    def bounds(self) -> tuple[float, float, float, float]:
-        return self.plate.bounds()
-
-    def height_at(self, x, y) -> np.ndarray:
-        """Nearest-cell height lookup, as Heightfield.height_at."""
-        ix = np.clip(self.plate.ix_of(x), 0, self.nx - 1)
-        iy = np.clip(self.plate.iy_of(y), 0, self.ny - 1)
+    def _cells_at(self, iy, ix) -> np.ndarray:
         rows, cols = self.box
         h = np.array(self.plate.heights[iy, ix])
         inside = (iy >= rows.start) & (iy < rows.stop) & (ix >= cols.start) & (ix < cols.stop)
         h[inside] = self.cells[iy[inside] - rows.start, ix[inside] - cols.start]
         return h
 
+    def copy_box(self, box: tuple[slice, slice]) -> np.ndarray:
+        """A fresh array of the heights of the (rows, columns) box, which
+        holds the patch's box: the base's, with the patch's cells over them."""
+        out = self.plate.heights[box].copy()
+        if self.cells.size:
+            (rows, cols), (patch_rows, patch_cols) = box, self.box
+            out[patch_rows.start - rows.start : patch_rows.stop - rows.start, patch_cols.start - cols.start : patch_cols.stop - cols.start] = self.cells
+        return out
+
     def heightfield(self) -> Heightfield:
         """The plate as one Heightfield: a full-size copy."""
-        out = self.plate.copy()
-        out.heights[self.box] = self.cells
+        out = copy.copy(self.plate)  # its heights passed the finiteness check with the base's
+        out.heights = self.copy_box((slice(0, self.ny), slice(0, self.nx)))
         return out
 
 
@@ -926,21 +932,6 @@ def lay_out(plate: Plate, points: Sequence[tuple[float, float]]) -> PathLayout:
     return PathLayout(tuple((float(x), float(y)) for x, y in points), plate, tuple(runs))
 
 
-def _lay_path(filled: FilledPlate, layout: PathLayout, speeds: Sequence[float], params: DepositionParams) -> list[DepositResult]:
-    """Lay layout's runs on filled's cells, segment k at speeds[k], once
-    every speed is checked (see deposit_path)."""
-    n_segments = max(len(layout.points) - 1, 0)
-    if len(speeds) != n_segments:
-        raise ValueError(f"{len(layout.points)} points need {n_segments} speeds, got {len(speeds)}")
-    for speed in speeds:
-        if not speed > 0:
-            raise ZeroSpeed(f"deposition speed must be positive, got {speed}")
-    results: list[DepositResult] = []
-    for run in layout.runs:
-        results += _lay(filled, run, speeds[len(results) : len(results) + len(run.segments)], params)
-    return results
-
-
 def deposit(
     hf: Heightfield,
     start: tuple[float, float],
@@ -948,39 +939,31 @@ def deposit(
     speed_mm_s: float,
     params: DepositionParams,
 ) -> DepositResult:
-    """Extrude along the segment from start to end at constant speed.
+    """Extrude along the segment from start to end at constant speed, as a
+    path of one segment (see deposit_path), and write the box it filled
+    back into hf; returns the segment's DepositResult.
 
-    Per unit length the nozzle lays a cross-section of A = Q / speed,
-    split evenly over the grid lines across the segment's dominant axis,
-    the line at each end included. On each line the material floods the
-    trough run nearest the nozzle bottom-up; excess forms a bead cap above
-    the surface of width min(local trough width, nozzle diameter). The
-    volume sums each line's change in travel order.
-
-    Mutates hf, which must be writable (a flat plate's copy(), not the
-    plate), in place and returns elapsed time plus the volume
-    bookkeeping for the segment. Raises Overfill, after the segment is
-    laid, when a cap cell of this segment ends more than MAX_OVERFILL_MM
-    above the nominal surface; a cap stacked on an earlier bead counts.
-    Only the cells this segment caps are checked. Carving only lowers
-    cells and the trough flood never rises above the surface, so on a
-    plate whose earlier segments each passed this check no other cell
-    can be above the bound; a plate handed in with such a cell elsewhere
-    is not refused. The segment is laid out on hf and laid there as a path
-    of one segment, so it raises SegmentOutsideGrid or ZeroLengthSegment,
-    then ZeroSpeed, before laying anything (see lay_out and deposit_path).
+    hf must be writable (a flat plate's copy(), not the plate), or
+    ValueError is raised before anything is laid. A refused segment
+    (SegmentOutsideGrid, ZeroLengthSegment, ZeroSpeed or Overfill) writes
+    nothing, so hf keeps its heights.
     """
     if not hf.heights.flags.writeable:
-        raise ValueError("deposit lays in place and needs a writable plate")
-    layout = lay_out(hf, [start, end])
-    # the box is the whole grid and its cells are hf's own heights, so the kernel lays in place
-    in_place = FilledPlate(hf, (slice(0, hf.ny), slice(0, hf.nx)), hf.heights)
-    return _lay_path(in_place, layout, [speed_mm_s], params)[0]
+        raise ValueError("deposit writes its fill back into the plate and needs a writable plate")
+    filled, (result,) = deposit_path(lay_out(hf, [start, end]), [speed_mm_s], params)
+    hf.heights[filled.box] = filled.cells
+    return result
 
 
 def deposit_path(layout: PathLayout, speeds: Sequence[float], params: DepositionParams) -> tuple[FilledPlate, list[DepositResult]]:
     """Extrude along layout's path, segment k at speeds[k], and return the
     filled plate with one DepositResult per segment.
+
+    Per unit length a segment lays A = Q / speed, split evenly over its
+    grid lines across its dominant axis. On each line the material floods
+    the trough run nearest the nozzle bottom-up; excess forms a bead cap
+    of width min(local trough width, nozzle diameter). A segment's volume
+    sums its lines' changes in travel order.
 
     The fill is laid on a fresh copy of the box of the layout's plate that
     a fill with params' nozzle can change (see PathLayout.box). On a
@@ -989,23 +972,33 @@ def deposit_path(layout: PathLayout, speeds: Sequence[float], params: Deposition
     (the plate itself when it is a Heightfield), which is read and never
     written, so it is again a base plus one patch. A speed count other
     than one per segment raises ValueError, and a speed that is not
-    positive ZeroSpeed, before anything is laid. The filled plate and the results are those of laying
-    each segment on its own in turn on a copy of the whole plate, every
-    interior one leaving its far grid line to the next. Each run of the
-    layout is laid as one block: the first on the troughs lay_out
-    surveyed, every later one surveyed on the fill as the runs before it
-    left it. Overfill is raised for the first segment in travel order
-    whose cap crosses the bound (see deposit), once its run is laid.
-    Nothing a layout refers to is written.
+    positive ZeroSpeed, before anything is laid. The filled plate and the
+    results are those of laying each segment on its own in turn on a copy
+    of the whole plate, every interior one leaving its far grid line to
+    the next. Each run of the layout is laid as one block: the first on
+    the troughs lay_out surveyed, every later one surveyed on the fill as
+    the runs before it left it.
+
+    Overfill is raised, once its run is laid, for the first segment in
+    travel order with a cap cell (stacked on an earlier bead or not) more
+    than MAX_OVERFILL_MM above the nominal surface. Only capped cells are
+    checked: carving only lowers cells and the flood never rises above
+    the surface, so a plate handed in above the bound elsewhere is not
+    refused. Nothing a layout refers to is written.
     """
+    n_segments = max(len(layout.points) - 1, 0)
+    if len(speeds) != n_segments:
+        raise ValueError(f"{len(layout.points)} points need {n_segments} speeds, got {len(speeds)}")
+    for speed in speeds:
+        if not speed > 0:
+            raise ZeroSpeed(f"deposition speed must be positive, got {speed}")
     plate = _patched(layout.plate)
     box = _union(layout.box(params.nozzle_diameter_mm), plate.box)
-    cells = plate.plate.heights[box].copy()
-    if plate.cells.size:
-        (rows, cols), (patch_rows, patch_cols) = box, plate.box
-        cells[patch_rows.start - rows.start : patch_rows.stop - rows.start, patch_cols.start - cols.start : patch_cols.stop - cols.start] = plate.cells
-    filled = FilledPlate(plate.plate, box, cells)
-    return filled, _lay_path(filled, layout, speeds, params)
+    filled = FilledPlate(plate.plate, box, plate.copy_box(box))
+    results: list[DepositResult] = []
+    for run in layout.runs:
+        results += _lay(filled, run, speeds[len(results) : len(results) + len(run.segments)], params)
+    return filled, results
 
 
 def _union(a: tuple[slice, slice], b: tuple[slice, slice]) -> tuple[slice, slice]:

@@ -3,11 +3,12 @@ deposition volume conservation, and the guard rails on bad inputs."""
 
 import math
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from crackfill import (
@@ -288,8 +289,9 @@ class TestDeposit:
         assert issubclass(ZeroLengthSegment, CrackFillError)
 
     def test_a_read_only_plate_is_refused(self):
-        """deposit lays in place: a flat plate, whose heights are one read-only
-        value, is refused before anything is laid, and its copy is filled."""
+        """deposit writes its fill back into the plate: a flat plate, whose
+        heights are one read-only value, is refused before anything is
+        laid, and its copy is filled."""
         hf = Heightfield.flat((-25.0, -25.0), 1.0, 50, 50)
         params = DepositionParams(flow_rate_mm3_s=500.0)
         with pytest.raises(ValueError, match="writable"):
@@ -324,8 +326,9 @@ class TestBrentRoot:
         """Every bead-cap angle the batched Brent root finder finds is the
         root scipy.optimize.brentq finds, bit for bit, and so is the cap's
         shape: 10,000 seeded (chord, area) pairs, the full semicircle, and
-        areas down to 1e-12 mm^2, solved as one batch and as single-element
-        batches."""
+        areas down to 1e-12 mm^2, solved as one batch and once more
+        shuffled into batches of mixed sizes, among them single-element
+        batches of each of the three families."""
         rng = np.random.default_rng(1973)
         chords = rng.uniform(0.05, 10.0, 10_000)
         semi = math.pi * chords**2 / 8.0
@@ -335,6 +338,11 @@ class TestBrentRoot:
             *zip(chords[:200], semi[:200]),
             *zip(chords[:200], np.geomspace(1e-12, 1e-10, 200)),
         ]).T
+        singles = np.concatenate([rng.choice(np.arange(lo, hi), 10, replace=False) for lo, hi in ((0, 10_000), (10_000, 10_200), (10_200, 10_400))])
+        rest = rng.permutation(np.setdiff1d(np.arange(len(chords)), singles))
+        cuts = np.cumsum(rng.integers(2, 1_500, 20))
+        batches = [*np.split(singles, len(singles)), *np.split(rest, cuts[cuts < rest.size])]
+        batches = [batches[k] for k in rng.permutation(len(batches))]
         solved = []
 
         def recording(f, xa, xb, n, real=specimen._brent_roots):
@@ -343,14 +351,19 @@ class TestBrentRoot:
 
         monkeypatch.setattr(specimen, "_brent_roots", recording)
         batch = specimen._cap_shapes(chords, areas)
-        singles = np.concatenate([specimen._cap_shapes(chords[i : i + 1], areas[i : i + 1]) for i in range(len(chords))], axis=1)
-        assert len(solved) == 1 + len(chords) and solved[0].shape == chords.shape
+        shuffled, roots = np.empty_like(batch), np.empty_like(areas)
+        for at in batches:
+            shuffled[:, at] = specimen._cap_shapes(chords[at], areas[at])
+            roots[at] = solved[-1]
+        assert len(solved) == 1 + len(batches) and solved[0].shape == chords.shape
+        assert sorted(np.concatenate(batches).tolist()) == list(range(len(chords)))
+        assert min(map(len, batches)) == 1 and max(map(len, batches)) > 500
         for i, (chord, area) in enumerate(zip(chords.tolist(), areas.tolist())):
             theta = scipy_cap_angle(chord, area)
             radius = chord / (2.0 * math.sin(theta))
             want = (theta.hex(), (radius**2).hex(), (radius * math.cos(theta)).hex(), (0.0).hex())
             assert (solved[0][i].hex(), *(float(v).hex() for v in batch[:, i])) == want
-            assert (solved[1 + i][0].hex(), *(float(v).hex() for v in singles[:, i])) == want
+            assert (roots[i].hex(), *(float(v).hex() for v in shuffled[:, i])) == want
 
 
 class TestOverfill:
@@ -370,8 +383,10 @@ class TestOverfill:
         peak = hf.heights.max() - hf.nominal_surface
         assert 40.0 < peak <= specimen.MAX_OVERFILL_MM
         deposit(hf, (0.0, 25.0), (0.0, 30.0), 1.0, self.PARAMS)  # other lines: no stacking
+        before = hf.heights.tobytes()
         with pytest.raises(Overfill):
             deposit(hf, (0.0, 20.0), (0.0, 10.0), 1.0, self.PARAMS)
+        assert hf.heights.tobytes() == before  # the refused segment wrote nothing
 
     def test_check_reads_only_the_cells_the_segment_caps(self):
         """A plate handed in already above the bound, away from this
@@ -520,14 +535,20 @@ def full_grid_specimen(spec, *, origin, cell_size, nx, ny):
 
 def interior_deposit(hf, start, end, speed_mm_s, params):
     """The deposit kernel on one segment laid as an interior segment of a
-    path, which leaves its far grid line to the next segment."""
+    path, which leaves its far grid line to the next segment, on a copy of
+    hf that is written back unless the segment is refused, as deposit does."""
     run = specimen._run(hf, [specimen._segment(hf, start, end, include_end=False)])
-    return specimen._lay(FilledPlate(hf, (slice(0, hf.ny), slice(0, hf.nx)), hf.heights), run, [speed_mm_s], params)[0]
+    filled = FilledPlate(hf, (slice(0, hf.ny), slice(0, hf.nx)), hf.heights.copy())
+    result = specimen._lay(filled, run, [speed_mm_s], params)[0]
+    hf.heights[...] = filled.cells
+    return result
 
 
 def assert_deposit_matches_reference(hf, start, end, speed, params, last=True):
     """The kernel against the line-by-line reference on one segment that
-    ends its path (last), keeping its far grid line, or on an interior one."""
+    ends its path (last), keeping its far grid line, or on an interior one.
+    The reference lays an overfilled segment before it raises; the kernel
+    leaves the plate untouched."""
     got_hf, want_hf = hf.copy(), hf.copy()
     outcomes = []
     for run, plate in ((deposit if last else interior_deposit, got_hf), (partial(line_by_line_deposit, include_end=last), want_hf)):
@@ -535,9 +556,27 @@ def assert_deposit_matches_reference(hf, start, end, speed, params, last=True):
             outcomes.append(run(plate, start, end, speed, params))
         except Overfill:
             outcomes.append(Overfill)
-    assert np.array_equal(got_hf.heights, want_hf.heights)
     got, want = outcomes
     assert got == want  # the same exception, or == on every DepositResult field
+    assert np.array_equal(got_hf.heights, hf.heights if got is Overfill else want_hf.heights)
+
+
+def assert_deposit_is_a_one_segment_path(hf, start, end, speed, params):
+    """deposit on a copy of hf against deposit_path on the one-segment
+    layout of hf: the same heights, bit for bit, as the filled plate's
+    heightfield() and == results, or the same error and message with the
+    copy's heights byte-identical. Returns deposit's outcome."""
+    got_hf = hf.copy()
+    got = outcome(lambda: deposit(got_hf, start, end, speed, params))
+    want = outcome(lambda: deposit_path(lay_out(hf, [start, end]), [speed], params))
+    if isinstance(want, tuple) and isinstance(want[0], FilledPlate):
+        filled, (result,) = want
+        assert got == result
+        assert got_hf.heights.tobytes() == filled.heightfield().heights.tobytes()
+    else:
+        assert got == want
+        assert got_hf.heights.tobytes() == hf.heights.tobytes()
+    return got
 
 
 def trough_plate(nx, ny, cell, origin, troughs=(), beads=()):
@@ -754,7 +793,7 @@ class TestDepositMatchesLineByLine:
         nx, ny = (math.ceil(side / cell) + 1 for side in (span + 10, strip_len + 10))
         hf = make_flat(nx=nx, ny=ny, cell=cell, origin=(-span / 2 - 5, -5.0))
         for speed in (6.0, 20.0):
-            params = cfg.build_deposition(flow_rate=cfg.calibration_flow(speed))
+            params = replace(cfg.build_deposition(), flow_rate_mm3_s=cfg.calibration_flow(speed))
             assert_deposit_matches_reference(hf, (0.0, 0.0), (0.0, strip_len), speed, params)
 
     def test_a_fill_chained_along_x(self):
@@ -853,7 +892,7 @@ class TestDepositMatchesLineByLine:
             assert results == [] and filled.cells.size == 0
             assert np.array_equal(filled.heightfield().heights, hf.heights)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
         data=st.data(),
         nx=st.integers(4, 40),
@@ -863,16 +902,33 @@ class TestDepositMatchesLineByLine:
         flow=st.floats(5.0, 1000.0),
         nozzle=st.floats(0.2, 8.0),
         last=st.booleans(),
+        fault=st.one_of(st.none(), st.sampled_from(["overfill", "zero speed", "off grid"])),
     )
-    def test_random_plates(self, data, nx, ny, cell, speed, flow, nozzle, last):
+    def test_random_plates(self, data, nx, ny, cell, speed, flow, nozzle, last, fault):
+        """One segment at a random speed, or with a fault: the kernel matches
+        the line-by-line reference, and deposit is the one-segment
+        deposit_path written back. A refused segment leaves the plate
+        byte-identical."""
         origin = (-nx * cell / 3, -ny * cell / 2)
         hf = trough_plate(nx, ny, cell, origin, data.draw(random_blocks(nx, ny, 6.0)), data.draw(random_blocks(nx, ny, 3.0)))
         x_min, x_max, y_min, y_max = hf.bounds()
         ends = [(data.draw(st.floats(x_min, x_max)), data.draw(st.floats(y_min, y_max))) for _ in range(2)]
         if ends[0] == ends[1]:
             return
+        if fault == "overfill":
+            assume(math.dist(*ends) >= cell)
+            # at least 10^4 mm^2 a line: more than any trough here holds, capped at most 8 mm wide
+            speed = flow * math.dist(*ends) / (1e4 * cell * max(nx, ny))
+        elif fault == "zero speed":
+            speed = 0.0
+        elif fault == "off grid":
+            ends[1] = (x_max + 2 * cell, ends[1][1])
         params = DepositionParams(flow_rate_mm3_s=flow, nozzle_diameter_mm=nozzle)
-        assert_deposit_matches_reference(hf, ends[0], ends[1], speed, params, last)
+        if fault in (None, "overfill"):
+            assert_deposit_matches_reference(hf, ends[0], ends[1], speed, params, last)
+        got = assert_deposit_is_a_one_segment_path(hf, ends[0], ends[1], speed, params)
+        if fault is not None:
+            assert got[0] is {"overfill": Overfill, "zero speed": ZeroSpeed, "off grid": SegmentOutsideGrid}[fault]
 
 
 class TestPathLayout:
@@ -1011,7 +1067,9 @@ class TestPathLayout:
         and filled as its heightfield() is: the same results and heights,
         or the same error. The filled plate is the same base plus one patch
         over a box holding the plate's, and neither base nor patch is
-        written."""
+        written. At random points, some off the grid, lookup reads each
+        plate, its base and its heightfield() as height_at and contains do,
+        and as the nearest cell does."""
         origin = (-nx * cell / 3, -ny * cell / 2)
         base = trough_plate(nx, ny, cell, origin, data.draw(random_blocks(nx, ny, 6.0)), data.draw(random_blocks(nx, ny, 3.0)))
         other = trough_plate(nx, ny, cell, origin, data.draw(random_blocks(nx, ny, 6.0)), data.draw(random_blocks(nx, ny, 3.0)))
@@ -1026,6 +1084,7 @@ class TestPathLayout:
             mp.setattr(specimen, "TILE_CELLS", tile)
             got = outcome(lambda: deposit_path(lay_out(plate, stops), speeds, params))
             want = outcome(lambda: deposit_path(lay_out(plate.heightfield(), stops), speeds, params))
+        plates = [plate, base]
         if isinstance(want[0], FilledPlate):
             (filled, results), (want_filled, want_results) = got, want
             assert results == want_results
@@ -1033,9 +1092,22 @@ class TestPathLayout:
             assert filled.plate is base
             if plate.cells.size:
                 assert all(f.start <= p.start and p.stop <= f.stop for f, p in zip(filled.box, box))
+            plates.append(filled)
         else:
             assert got == want
         assert np.array_equal(base.heights, pristine[0]) and np.array_equal(plate.cells, pristine[1])
+        x_min, x_max, y_min, y_max = base.bounds()
+        near = lambda lo, hi: st.one_of(st.floats(lo - 3 * cell, hi + 3 * cell), st.floats(-1e300, 1e300))
+        xs, ys = np.array(data.draw(st.lists(st.tuples(near(x_min, x_max), near(y_min, y_max)), min_size=1, max_size=16))).T
+        ix, iy = np.rint((xs - origin[0]) / cell), np.rint((ys - origin[1]) / cell)
+        on_grid = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+        nearest = (np.clip(iy, 0, ny - 1).astype(int), np.clip(ix, 0, nx - 1).astype(int))
+        for p in plates:
+            full = p.heightfield() if isinstance(p, FilledPlate) else p
+            h, inside = p.lookup(xs, ys)
+            assert np.array_equal(h, p.height_at(xs, ys)) and np.array_equal(inside, p.contains(xs, ys))
+            assert np.array_equal(h, full.heights[nearest]) and np.array_equal(inside, on_grid)
+            assert all(np.array_equal(a, b) for a, b in zip(full.lookup(xs, ys), (h, inside)))
 
     def test_a_plan_off_the_layout_is_refused(self):
         hf = make_flat(nx=60, ny=80, cell=0.5, origin=(-15.0, -5.0))
