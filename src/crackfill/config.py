@@ -25,8 +25,8 @@ from .geometry import ROTATION_TOL, CameraIntrinsics, Frame, RigidTransform
 from .perception import DEFAULT_MIN_SPACING_PX, binarize
 from .profile import CalibrationModel, calibrate
 from .repair import DEFAULT_AREA_FLOOR_MM2, DEFAULT_SCAN_SPAN_MM, FillMode, RepairScene, edge_threshold_for
-from .sensors import DEFAULT_MASK_THRESHOLD_MM, NOISE_STREAMS, SCANNER_POINTS, SCANNER_STANDOFF_MM, LaserProfile, MaskImage, SensorNoise, scan_profile
-from .specimen import CrackSpec, DepositionParams, Heightfield, deposit
+from .sensors import DEFAULT_DEPTH_SIGMA_FRACTION, DEFAULT_LASER_SIGMA_MM, DEFAULT_MASK_THRESHOLD_MM, NOISE_STREAMS, SCANNER_POINTS, SCANNER_STANDOFF_MM, LaserProfile, MaskImage, SensorNoise, scan_profile
+from .specimen import DEFAULT_NOZZLE_DIAMETER_MM, CrackSpec, DepositionParams, Heightfield, deposit
 
 
 def _is_number(v) -> bool:
@@ -211,8 +211,8 @@ SCHEMA: dict = {
         "mount_translation_mm": Field([0.0, 0.0, 0.0], _vector(3)),
     },
     "noise": {
-        "depth_sigma_fraction": Field(0.02, _non_negative),
-        "laser_sigma_mm": Field(0.02, _non_negative),
+        "depth_sigma_fraction": Field(DEFAULT_DEPTH_SIGMA_FRACTION, _non_negative),
+        "laser_sigma_mm": Field(DEFAULT_LASER_SIGMA_MM, _non_negative),
         "camera_bias_mm": Field([0.0, 0.0, 0.0], _vector(3)),
     },
     "grid": {
@@ -225,7 +225,7 @@ SCHEMA: dict = {
     "crack": _crack([[0.0, 10.0], [230.0, 16.0]], [[0.0, 4.0], [230.0, 9.5]]),
     "deposition": {
         "flow_rate_mm3_s": Field(946.0635673187572, _positive),
-        "nozzle_diameter_mm": Field(4.0, _positive),
+        "nozzle_diameter_mm": Field(DEFAULT_NOZZLE_DIAMETER_MM, _positive),
         "purge_time_s": Field(1.5, _non_negative),
     },
     "calibration": {

@@ -145,7 +145,11 @@ def _plateau_ends(sign: np.ndarray, mag: np.ndarray, start: np.ndarray, directio
 
 
 def _edges(profile: LaserProfile, edge_threshold_mm: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The lines that show both walls, with each one's left and right index; see detect_edges."""
+    """The lines that show both walls, as opposite-signed first-difference
+    extrema above the threshold at least MIN_SEPARATION samples apart, and
+    each one's left and right index. Each index is pushed to the outer end
+    of its wall's near-equal run, so a ramp resolves to its foot. Every
+    step runs on all lines at once."""
     d = np.diff(profile.z, axis=1)
     sign, mag = np.sign(d), np.abs(d)
     pair_valid = profile.valid[:, 1:] & profile.valid[:, :-1]
@@ -169,23 +173,6 @@ def _edges(profile: LaserProfile, edge_threshold_mm: float) -> tuple[np.ndarray,
         _plateau_ends(sign, mag, np.minimum(first, second), -1),
         _plateau_ends(sign, mag, np.maximum(first, second), +1),
     )
-
-
-def detect_edges(profile: LaserProfile, edge_threshold_mm: float) -> list[tuple[int, int] | None]:
-    """Locate the two crack walls of every line as opposite-signed first-difference extrema.
-
-    The second wall must lie at least MIN_SEPARATION samples from the
-    first and have the opposite sign. Each wall's index is pushed to
-    the outer end of its near-equal run so that sloped walls (ramps)
-    resolve to the foot of the ramp rather than an arbitrary sample on
-    it. Gives one entry per station, None where that line has no pair
-    above the threshold. Every step, the walk to each wall's outer end
-    included, runs on all lines at once.
-    """
-    edges: list[tuple[int, int] | None] = [None] * profile.n_lines
-    for line, left, right in zip(*(a.tolist() for a in _edges(profile, edge_threshold_mm))):
-        edges[line] = (left, right)
-    return edges
 
 
 def window_areas(

@@ -54,6 +54,7 @@ from .sensors import (
     NOISE_STREAMS,
     SCANNER_STANDOFF_MM,
     DepthImage,
+    LaserProfile,
     MaskImage,
     SensorNoise,
     render_view,
@@ -341,6 +342,17 @@ def perceive(scene: RepairScene, hf: Plate, noise: SensorNoise, mask: MaskImage 
     return perceive_view(scene, image_specimen(scene, hf, mask), noise)
 
 
+def _scan(
+    hf: Plate, stations: Sequence[RigidTransform], span_mm: float, standoff_mm: float, noise: SensorNoise, stream: int
+) -> tuple[LaserProfile, list[ProfileFeatures | None]]:
+    """Scan the stations as one batch, station i under noise.derive(stream, i),
+    and measure every line at the noise's edge threshold."""
+    profiles = scan_profile(
+        hf, stations, span_mm, [noise.derive(stream, i) for i in range(len(stations))], standoff_mm=standoff_mm
+    )
+    return profiles, measure(profiles, edge_threshold_for(noise))
+
+
 def refine_waypoints(
     waypoints: list[Waypoint],
     hf: Plate,
@@ -365,21 +377,14 @@ def refine_waypoints(
     none survive AllPointsDropped is raised. Survivors keep the input's
     travel order.
     """
-    threshold = edge_threshold_for(noise)
     points = [wp.robot_pt for wp in waypoints]
     turn = _QUARTER_TURN if points and runs_along_x(points) else np.eye(3)
     mount = RigidTransform(laser_mount.rotation @ turn, laser_mount.translation, Frame.LASER, Frame.ROBOT)
     m = mount.translation
     stations = [mount.at([p.x + m[0], p.y + m[1], p.z + m[2] + standoff_mm]) for p in points]
-    profiles = scan_profile(
-        hf,
-        stations,
-        span_mm,
-        [noise.derive(NOISE_STREAMS["refine"], i) for i in range(len(stations))],
-        standoff_mm=standoff_mm,
-    )
+    _, measured = _scan(hf, stations, span_mm, standoff_mm, noise, NOISE_STREAMS["refine"])
     survivors: list[tuple[Waypoint, ProfileFeatures, RigidTransform]] = []
-    for i, (wp, feats, station) in enumerate(zip(waypoints, measure(profiles, threshold), stations)):
+    for i, (wp, feats, station) in enumerate(zip(waypoints, measured, stations)):
         if feats is None:
             logger.warning("waypoint %d: no crack under the laser, dropping", i)
             continue
@@ -491,17 +496,9 @@ def validate(
             f"validate needs one pre-fill feature and one speed per station, got {len(stations)} stations, "
             f"{len(pre_features)} features and {len(speeds)} speeds"
         )
-    threshold = edge_threshold_for(noise)
     records: list[StationRecord] = []
     errors: list[float] = []
-    profiles = scan_profile(
-        hf_filled,
-        stations,
-        refinement.span_mm,
-        [noise.derive(NOISE_STREAMS["validate"], number) for number in range(len(stations))],
-        standoff_mm=refinement.standoff_mm,
-    )
-    posts = measure(profiles, threshold)
+    profiles, posts = _scan(hf_filled, stations, refinement.span_mm, refinement.standoff_mm, noise, NOISE_STREAMS["validate"])
     levelled = [number for number, post in enumerate(posts) if post is None]
     _, fallbacks = window_areas(
         profiles,

@@ -27,6 +27,8 @@ SCANNER_POINTS = 1024
 SCANNER_RANGE_MM = (200.0, 420.0)
 SCANNER_STANDOFF_MM = 310.0
 DEFAULT_MASK_THRESHOLD_MM = 0.2
+DEFAULT_DEPTH_SIGMA_FRACTION = 0.02
+DEFAULT_LASER_SIGMA_MM = 0.02
 
 _RAYCAST_ITERATIONS = 16
 
@@ -113,8 +115,8 @@ class SensorNoise:
     uses the true mount); it models imperfect hand-eye calibration.
     """
 
-    depth_sigma_fraction: float = 0.02
-    laser_sigma_mm: float = 0.02
+    depth_sigma_fraction: float = DEFAULT_DEPTH_SIGMA_FRACTION
+    laser_sigma_mm: float = DEFAULT_LASER_SIGMA_MM
     extrinsic_bias: RigidTransform | None = None
     seed: int = 0
 

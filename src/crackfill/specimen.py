@@ -20,13 +20,15 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import Overfill, PathOutsideGrid, SegmentOutsideGrid, StationOutsideGrid, ZeroLengthSegment, ZeroSpeed
+from .errors import Overfill, PathOutsideGrid, SegmentOutsideGrid, ZeroLengthSegment, ZeroSpeed
 
 logger = logging.getLogger(__name__)
 
 # Hard sanity bound on how far a bead cap may rise above the nominal
 # surface before deposition is considered outside the model's regime.
 MAX_OVERFILL_MM = 80.0
+
+DEFAULT_NOZZLE_DIAMETER_MM = 4.0
 
 # Work over a full-size grid or image runs in tiles of whole rows holding
 # about this many cells, each written straight into the one output array,
@@ -153,11 +155,6 @@ class Heightfield(_Grid):
     def _cells_at(self, iy, ix) -> np.ndarray:
         return self.heights[iy, ix]
 
-    def volume_below_nominal(self) -> float:
-        """Total trough volume (mm^3) below the nominal surface."""
-        deficit = np.maximum(0.0, self.nominal_surface - self.heights)
-        return float(deficit.sum() * self.cell_size**2)
-
 
 @dataclass(frozen=True)
 class FilledPlate(_Grid):
@@ -263,7 +260,7 @@ class DepositionParams:
     """Extruder parameters: constant volumetric flow and nozzle size."""
 
     flow_rate_mm3_s: float
-    nozzle_diameter_mm: float = 4.0
+    nozzle_diameter_mm: float = DEFAULT_NOZZLE_DIAMETER_MM
     purge_time_s: float = 0.0
 
     def __post_init__(self) -> None:
@@ -357,37 +354,6 @@ def generate_specimen(
         rows, cols = np.nonzero(near)
         block[tile][rows[carved], cols[carved]] = nominal_surface - depths[carved]
     return FilledPlate(plate, (slice(iy0, iy1), slice(ix0, ix1)), block)
-
-
-def true_cross_section(hf: Plate, point: tuple[float, float], normal: tuple[float, float]) -> float:
-    """Ground-truth trough area along the line through point with direction normal.
-
-    Samples the heightfield at cell_size steps along the line and sums
-    the deficit below the nominal surface. Exact up to grid resolution.
-    """
-    p = np.asarray(point, dtype=float)
-    n = np.asarray(normal, dtype=float)
-    norm = np.linalg.norm(n)
-    if norm == 0:
-        raise ValueError("normal must be non-zero")
-    n = n / norm
-    x_min, x_max, y_min, y_max = hf.bounds()
-    if not (x_min <= p[0] <= x_max and y_min <= p[1] <= y_max):
-        raise StationOutsideGrid(f"station {tuple(p.tolist())} outside grid bounds")
-
-    t_lo, t_hi = -np.inf, np.inf
-    for axis, (lo, hi) in enumerate([(x_min, x_max), (y_min, y_max)]):
-        if abs(n[axis]) > 1e-12:
-            a = (lo - p[axis]) / n[axis]
-            b = (hi - p[axis]) / n[axis]
-            t_lo = max(t_lo, min(a, b))
-            t_hi = min(t_hi, max(a, b))
-    ts = np.arange(math.ceil(t_lo / hf.cell_size), math.floor(t_hi / hf.cell_size) + 1) * hf.cell_size
-    xs = p[0] + ts * n[0]
-    ys = p[1] + ts * n[1]
-    h = hf.height_at(xs, ys)
-    deficit = np.maximum(0.0, hf.nominal_surface - h)
-    return float(deficit.sum() * hf.cell_size)
 
 
 def _brent_roots(f: Callable[[np.ndarray, np.ndarray], np.ndarray], xa: float, xb: float, n: int) -> np.ndarray:
@@ -659,11 +625,12 @@ class _Troughs:
         return wet, np.where(take_left, left_lo[wet], right[wet]), np.where(take_left, left_hi[wet], right_hi[wet])
 
 
-def _troughs(lines: _Lines, j_c: np.ndarray, wet: tuple[int, int] | None, nominal: float, before: np.ndarray) -> _Troughs:
+def _troughs(lines: _Lines, j_c: np.ndarray, wet: tuple[int, int] | None, nominal: float) -> _Troughs:
     """The troughs of lines around each centre cell j_c, on a plate whose
-    surface is at nominal, with each line's sum before. wet is the lines'
-    band of below-surface cells (see _wet_band). Only that band, plus one
-    dry cell each side, can bound a run, and it is read in row tiles."""
+    surface is at nominal, with each line's sum. wet is the lines' band of
+    below-surface cells (see _wet_band). Only that band, plus one dry cell
+    each side, can bound a run, and it is read in row tiles."""
+    before = _line_sums(lines)
     n = lines.whole.shape[1]
     bounds = np.repeat([j_c - n, j_c + n], 2, axis=0)
     if wet is not None:
@@ -785,7 +752,7 @@ def _lay(filled: FilledPlate, run: _Run, speeds: Sequence[float], params: Deposi
     o_perp = filled.origin[1 - run.dom]
     troughs = run.troughs
     if troughs is None:
-        troughs = _troughs(lines, run.j_c, _wet_band(lines, first, first + view.shape[1], nominal), nominal, _line_sums(lines))
+        troughs = _troughs(lines, run.j_c, _wet_band(lines, first, first + view.shape[1], nominal), nominal)
     areas = [params.flow_rate_mm3_s / speed for speed in speeds]
     station_area = np.array([area * seg.length / (seg.count * cs) for area, seg in zip(areas, run.segments)])[run.seg_of]
 
@@ -927,8 +894,7 @@ def lay_out(plate: Plate, points: Sequence[tuple[float, float]]) -> PathLayout:
             chains.append([seg])
     runs = [_run(plate, chain) for chain in chains]
     if runs:
-        lines = runs[0].lines(plate)
-        runs[0] = replace(runs[0], troughs=_troughs(lines, runs[0].j_c, runs[0].wet, plate.nominal_surface, _line_sums(lines)))
+        runs[0] = replace(runs[0], troughs=_troughs(runs[0].lines(plate), runs[0].j_c, runs[0].wet, plate.nominal_surface))
     return PathLayout(tuple((float(x), float(y)) for x, y in points), plate, tuple(runs))
 
 
@@ -972,7 +938,8 @@ def deposit_path(layout: PathLayout, speeds: Sequence[float], params: Deposition
     (the plate itself when it is a Heightfield), which is read and never
     written, so it is again a base plus one patch. A speed count other
     than one per segment raises ValueError, and a speed that is not
-    positive ZeroSpeed, before anything is laid. The filled plate and the
+    positive, or whose area per unit length (flow rate / speed) is not
+    finite, ZeroSpeed, before anything is laid. The filled plate and the
     results are those of laying each segment on its own in turn on a copy
     of the whole plate, every interior one leaving its far grid line to
     the next. Each run of the layout is laid as one block: the first on
@@ -992,6 +959,9 @@ def deposit_path(layout: PathLayout, speeds: Sequence[float], params: Deposition
     for speed in speeds:
         if not speed > 0:
             raise ZeroSpeed(f"deposition speed must be positive, got {speed}")
+        # Python floats: a numpy scalar would warn on the overflow
+        if not math.isfinite(float(params.flow_rate_mm3_s) / float(speed)):
+            raise ZeroSpeed(f"deposition speed {speed} mm/s is too slow to lay a finite area per mm")
     plate = _patched(layout.plate)
     box = _union(layout.box(params.nozzle_diameter_mm), plate.box)
     filled = FilledPlate(plate.plate, box, plate.copy_box(box))

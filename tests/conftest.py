@@ -63,6 +63,13 @@ def make_rect_crack(
     return generate_specimen(spec, origin=origin, cell_size=cell, nx=nx, ny=ny)
 
 
+def row_deficit(plate: FilledPlate, y: float) -> float:
+    """Trough area (mm^2) below the nominal surface along the grid row
+    nearest y, summed cell by cell over the whole plate."""
+    row = plate.heightfield().heights[int(plate.iy_of(y))]
+    return float(np.maximum(0.0, plate.nominal_surface - row).sum() * plate.cell_size)
+
+
 def camera_pose(height_mm=500.0, x=0.0, y=0.0) -> RigidTransform:
     """Camera looking straight down at the plate from the given height."""
     return RigidTransform(CAMERA_DOWN, [x, y, height_mm], Frame.CAMERA, Frame.ROBOT)
@@ -102,7 +109,7 @@ def rect_profile(n=1024, span=40.0, left_frac=0.35, right_frac=0.65, depth=2.0) 
     """One-line batch crossing a rectangular trough, plus its exact edge indices.
 
     Trough samples are a+1 .. b-1; the falling wall is the first
-    difference at index a and the rising wall at b-1, so detect_edges
+    difference at index a and the rising wall at b-1, so measure
     reports the window (a, b-1): one baseline sample plus the trough.
     """
     x = np.linspace(-span / 2, span / 2, n)

@@ -63,6 +63,17 @@ def write_config(tmp_path: Path, data: dict | None = None, name: str = "scenario
     return str(path)
 
 
+def run_cli_process(tmp_path: Path, data: dict, command: str) -> subprocess.CompletedProcess:
+    """Run one command on data in a fresh interpreter, which prints any
+    warning it meets to stderr."""
+    cfg = write_config(tmp_path, data)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env["PYTHONWARNINGS"] = "default"
+    argv = ["--config", cfg, "--out", str(tmp_path / "o"), command]
+    return subprocess.run([sys.executable, "-m", "crackfill.cli", *argv], env=env, capture_output=True, text=True, timeout=600)
+
+
 def read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
@@ -241,6 +252,23 @@ class TestFill:
         assert cli.main(["--config", cfg, "--out", str(tmp_path / "o"), "fill"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("pipeline error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "data, command",
+        [
+            ({"fill": {"mode": "fixed", "fixed_speed_mm_s": 1e-320}}, "fill"),
+            ({"calibration": {"speeds_mm_s": [1e-320, 10.0]}}, "calibrate"),
+        ],
+        ids=["fixed fill", "strip"],
+    )
+    def test_a_subnormal_speed_is_a_pipeline_error(self, tmp_path, data, command):
+        """Q / 1e-320 overflows to an infinite area per mm; the speed is
+        refused before any of it is laid, where it once laid NaN caps with
+        numpy warnings and a fill exited 0 with a NaN mean."""
+        proc = run_cli_process(tmp_path, data, command)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("pipeline error: deposition speed ") and "too slow" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
     def test_zero_length_segment_is_a_pipeline_error(self, tmp_path, capsys, monkeypatch):
         """Two refined waypoints at the same xy make a zero-length deposition segment."""
@@ -505,14 +533,7 @@ class TestConfigErrors:
         """A focal length of 1e-300 is refused before any ray is cast; left in,
         it made numpy warn about an invalid cast and fill from the centre
         column alone. A fresh interpreter prints any warning it meets."""
-        cfg = write_config(tmp_path, {"camera": {"fx": 1e-300}})
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        env["PYTHONWARNINGS"] = "default"
-        argv = ["--config", cfg, "--out", str(tmp_path / "o"), "fill"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "crackfill.cli", *argv], env=env, capture_output=True, text=True, timeout=600
-        )
+        proc = run_cli_process(tmp_path, {"camera": {"fx": 1e-300}}, "fill")
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error: camera.fx ")
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from crackfill import ConfigError, RepairScene, ScenarioConfig, cli, rotation_about_y
+from crackfill import ConfigError, DepositionParams, RepairScene, ScenarioConfig, SensorNoise, cli, rotation_about_y
 from crackfill.config import MAX_GRID_CELLS, MAX_RAY_SLOPE, SCHEMA, Field, _strip_stations
 from crackfill.sensors import SCANNER_POINTS
 
@@ -273,3 +273,15 @@ def test_schema_defaults_are_the_scene_defaults():
     defaults = {f.name: f.default for f in dataclasses.fields(RepairScene)}
     for name in ("scan_span_mm", "scan_standoff_mm", "min_spacing_px", "mask_threshold_mm", "area_floor_mm2"):
         assert getattr(scene, name) == defaults[name], name
+
+
+def test_schema_defaults_are_the_noise_and_nozzle_defaults():
+    """The default config's sensor noise and nozzle are SensorNoise's and
+    DepositionParams' own defaults, written once."""
+    cfg = ScenarioConfig.default()
+    noise = {f.name: f.default for f in dataclasses.fields(SensorNoise)}
+    built = cfg.build_noise()
+    for name in ("depth_sigma_fraction", "laser_sigma_mm"):
+        assert getattr(built, name) == noise[name], name
+    nozzle = {f.name: f.default for f in dataclasses.fields(DepositionParams)}["nozzle_diameter_mm"]
+    assert cfg.build_deposition().nozzle_diameter_mm == nozzle

@@ -35,7 +35,6 @@ from crackfill import (
     StationOutsideGrid,
     StationRecord,
     calibrate,
-    detect_edges,
     edge_threshold_for,
     measure,
     refine_waypoints,
@@ -72,17 +71,22 @@ def trough(width: float, depth: float, centre: float = 0.0, n: int = 1024, span:
     return LaserProfile(x=x, z=z[None], valid=np.ones((1, n), dtype=bool))
 
 
+def edges(profile: LaserProfile, edge_threshold_mm: float) -> list[tuple[int, int] | None]:
+    """Each line's measured (left_index, right_index), or None where it shows no edges."""
+    return [None if f is None else (f.left_index, f.right_index) for f in measure(profile, edge_threshold_mm)]
+
+
 class TestDetectEdges:
     def test_exact_indices_on_synthetic_trough(self):
         prof, left, right = rect_profile()
-        assert detect_edges(prof, edge_threshold_mm=1e-6) == [(left, right)]
+        assert edges(prof, edge_threshold_mm=1e-6) == [(left, right)]
 
     def test_walls_of_10mm_trough_land_within_two_pitches(self):
         """Trough walls at x = 10 and x = 20 on a 40 mm, 1024-point line."""
         x = np.linspace(-20.0, 20.0, 1024)
         z = np.where((x > 10.0) & (x < 20.0), -2.0, 0.0)
         prof = LaserProfile(x=x, z=z[None], valid=np.ones((1, x.size), dtype=bool))
-        [(left, right)] = detect_edges(prof, edge_threshold_mm=1e-6)
+        [(left, right)] = edges(prof, edge_threshold_mm=1e-6)
         assert abs(prof.x[left] - 10.0) <= 2.0 * prof.pitch
         assert abs(prof.x[right] - 20.0) <= 2.0 * prof.pitch
 
@@ -92,29 +96,29 @@ class TestDetectEdges:
         x = np.linspace(-20.0, 20.0, 1024)
         z = -2.0 * np.maximum(0.0, 1.0 - np.abs(x) / 5.0)
         prof = LaserProfile(x=x, z=z[None], valid=np.ones((1, x.size), dtype=bool))
-        [(left, right)] = detect_edges(prof, edge_threshold_mm=1e-6)
+        [(left, right)] = edges(prof, edge_threshold_mm=1e-6)
         assert abs(prof.x[left] + 5.0) <= 2.0 * prof.pitch
         assert abs(prof.x[right] - 5.0) <= 2.0 * prof.pitch
 
     def test_flat_profile_raises(self):
         x = np.linspace(-20.0, 20.0, 256)
         prof = LaserProfile(x=x, z=np.zeros((1, 256)), valid=np.ones((1, 256), dtype=bool))
-        assert detect_edges(prof, edge_threshold_for(SensorNoise())) == [None]
+        assert edges(prof, edge_threshold_for(SensorNoise())) == [None]
 
     def test_subthreshold_trough_raises(self):
         prof = trough(width=10.0, depth=0.05)
-        assert detect_edges(prof, edge_threshold_mm=0.12) == [None]
+        assert edges(prof, edge_threshold_mm=0.12) == [None]
 
     def test_single_step_has_no_opposite_wall(self):
         x = np.linspace(-20.0, 20.0, 256)
         z = np.where(x >= 0.0, -2.0, 0.0)
         prof = LaserProfile(x=x, z=z[None], valid=np.ones((1, 256), dtype=bool))
-        assert detect_edges(prof, edge_threshold_mm=1e-6) == [None]
+        assert edges(prof, edge_threshold_mm=1e-6) == [None]
 
     def test_all_invalid_raises(self):
         prof, _, _ = rect_profile()
         dead = LaserProfile(x=prof.x, z=prof.z, valid=np.zeros((1, prof.n_points), dtype=bool))
-        assert detect_edges(dead, edge_threshold_mm=1e-6) == [None]
+        assert edges(dead, edge_threshold_mm=1e-6) == [None]
 
     def test_min_separation_excludes_adjacent_spike(self):
         """A one-sample spike has its two walls one sample apart, closer
@@ -123,7 +127,7 @@ class TestDetectEdges:
         z = np.zeros(256)
         z[100] = -2.0
         prof = LaserProfile(x=x, z=z[None], valid=np.ones((1, 256), dtype=bool))
-        assert detect_edges(prof, edge_threshold_mm=1e-6) == [None]
+        assert edges(prof, edge_threshold_mm=1e-6) == [None]
 
 
 class TestMeasure:
@@ -230,7 +234,7 @@ class TestMeasure:
         hf = Heightfield.flat((-30.0, -10.0), 0.5, 120, 40)
         empty = scan_profile(hf, [], 40.0, [])
         assert empty.z.shape == (0, SCANNER_POINTS)
-        assert detect_edges(empty, 1e-6) == [] and measure(empty, 1e-6) == []
+        assert measure(empty, 1e-6) == []
 
     def test_features_validation(self):
         with pytest.raises(ValueError):
