@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .specimen import _patched, row_tiles
+from .specimen import row_tiles
 
 FLOAT_FMT = "{:.6f}"
 
@@ -117,15 +117,14 @@ def _one_per_stride_0(a: np.ndarray) -> np.ndarray:
 
 
 def write_heightfield_pgm(path, hf) -> None:
-    """Quantize the heights of a Heightfield or a FilledPlate, read as a
-    base plus one patch, to 16 bits over the z range of the cells it
-    shows: the patch, and the base outside the patch's box. Each row tile
-    of the base (see row_tiles) is quantized over the values it holds,
-    one per axis of stride 0, so a flat base costs one cell per tile; the
-    patch's quantized cells are laid over it, and the tile is written
-    straight to the file."""
-    plate = _patched(hf)
-    base, cells, (box_rows, box_cols) = plate.plate.heights, plate.cells, plate.box
+    """Quantize the heights of a Heightfield, a base plus one patch, to 16
+    bits over the z range of the cells it shows: the patch, and the base
+    (hf.heights) outside the patch's box. Each row tile of the base (see
+    row_tiles) is quantized over the values it holds, one per axis of
+    stride 0, so a flat base costs one cell per tile; the patch's
+    quantized cells are laid over it, and the tile is written straight to
+    the file."""
+    base, cells, (box_rows, box_cols) = hf.heights, hf.cells, hf.box
     outside = (base[: box_rows.start], base[box_rows.stop :], base[box_rows, : box_cols.start], base[box_rows, box_cols.stop :])
     shown = [_one_per_stride_0(part) for part in (cells, *outside) if part.size]
     lo, hi = min(float(part.min()) for part in shown), max(float(part.max()) for part in shown)

@@ -12,7 +12,6 @@ adaptive-versus-fixed comparisons end to end.
 
 from __future__ import annotations
 
-import copy
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -60,7 +59,7 @@ from .sensors import (
     render_view,
     scan_profile,
 )
-from .specimen import CrackSpec, DepositionParams, DepositResult, FilledPlate, Heightfield, PathLayout, Plate, deposit_path, generate_specimen, lay_out
+from .specimen import CrackSpec, DepositionParams, DepositResult, Heightfield, PathLayout, deposit_path, generate_specimen, lay_out
 
 logger = logging.getLogger(__name__)
 
@@ -146,13 +145,13 @@ class FillPlan:
 @dataclass(frozen=True)
 class ExecutionResult:
     """One fill's elapsed time and segment volumes, and its filled surface:
-    the layout's base plate with a fresh copy of the box of it the fill
-    could change, which holds the plate's own patch too (see
+    the layout's base plate patched with a fresh copy of the box of it the
+    fill could change, which holds the plate's own patch too (see
     deposit_path); surface.heightfield() gives a full copy."""
 
     elapsed_s: float
     segments: tuple[DepositResult, ...]
-    surface: FilledPlate
+    surface: Heightfield
 
 
 @dataclass(frozen=True)
@@ -244,7 +243,7 @@ class RepairScene:
     mask_threshold_mm: float = DEFAULT_MASK_THRESHOLD_MM
     area_floor_mm2: float = DEFAULT_AREA_FLOOR_MM2
 
-    def build_specimen(self) -> Plate:
+    def build_specimen(self) -> Heightfield:
         """The flat plate, with the crack's carved block when there is a
         crack (see generate_specimen)."""
         if self.crack is None:
@@ -272,7 +271,7 @@ class SpecimenView:
     every array here are read-only.
     """
 
-    specimen: Plate
+    specimen: Heightfield
     depth: DepthImage
     mask: MaskImage
     skeleton: Skeleton
@@ -285,24 +284,14 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return view
 
 
-def _read_only_plate(plate: Plate) -> Plate:
-    """plate with read-only views of its heights, or of its base's heights
-    and its patch's cells."""
-    if isinstance(plate, FilledPlate):
-        return replace(plate, plate=_read_only_plate(plate.plate), cells=_read_only(plate.cells))
-    plate = copy.copy(plate)  # its heights passed the finiteness check when it was built
-    plate.heights = _read_only(plate.heights)
-    return plate
-
-
-def image_specimen(scene: RepairScene, specimen: Plate, mask: MaskImage | None = None) -> SpecimenView:
+def image_specimen(scene: RepairScene, specimen: Heightfield, mask: MaskImage | None = None) -> SpecimenView:
     """Image the specimen once through the true camera mount.
 
     One raycast gives the clean depth and the ground-truth mask, which
     an external segmentation mask replaces when given. That mask must
     match the camera image size.
     """
-    specimen = _read_only_plate(specimen)
+    specimen = specimen._replace(heights=_read_only(specimen.heights), cells=_read_only(specimen.cells))
     depth, truth = render_view(specimen, scene.intrinsics, scene.camera_pose, scene.mask_threshold_mm)
     if mask is None:
         mask = truth
@@ -337,13 +326,13 @@ def perceive_view(scene: RepairScene, view: SpecimenView, noise: SensorNoise) ->
     return tuple(order_path(waypoints))
 
 
-def perceive(scene: RepairScene, hf: Plate, noise: SensorNoise, mask: MaskImage | None = None) -> tuple[Waypoint, ...]:
+def perceive(scene: RepairScene, hf: Heightfield, noise: SensorNoise, mask: MaskImage | None = None) -> tuple[Waypoint, ...]:
     """Run the RGB-D localization chain once on the current surface."""
     return perceive_view(scene, image_specimen(scene, hf, mask), noise)
 
 
 def _scan(
-    hf: Plate, stations: Sequence[RigidTransform], span_mm: float, standoff_mm: float, noise: SensorNoise, stream: int
+    hf: Heightfield, stations: Sequence[RigidTransform], span_mm: float, standoff_mm: float, noise: SensorNoise, stream: int
 ) -> tuple[LaserProfile, list[ProfileFeatures | None]]:
     """Scan the stations as one batch, station i under noise.derive(stream, i),
     and measure every line at the noise's edge threshold."""
@@ -355,7 +344,7 @@ def _scan(
 
 def refine_waypoints(
     waypoints: list[Waypoint],
-    hf: Plate,
+    hf: Heightfield,
     *,
     laser_mount: RigidTransform,
     span_mm: float = DEFAULT_SCAN_SPAN_MM,
@@ -469,7 +458,7 @@ def execute_fill(layout: PathLayout, plan: FillPlan, params: DepositionParams) -
 
 def validate(
     refinement: RefinementResult,
-    hf_filled: Plate,
+    hf_filled: Heightfield,
     *,
     speeds: Sequence[float],
     noise: SensorNoise,
@@ -553,7 +542,7 @@ class Survey:
 
     scene: RepairScene
     noise: SensorNoise
-    specimen: Plate
+    specimen: Heightfield
     refinement: RefinementResult
 
     @cached_property
@@ -577,7 +566,12 @@ def survey(scene: RepairScene, view: SpecimenView, noise: SensorNoise) -> Survey
 
 @dataclass(frozen=True)
 class FillRunArtifacts:
-    """Everything one repair produces, for export and inspection."""
+    """Everything one repair produces, for export and inspection.
+
+    surface_before is the survey's specimen and surface_after the filled
+    plate: the same base, each with its own patch (the carved block, or
+    the filled box), which io.write_heightfield_pgm writes alike.
+    """
 
     survey: Survey
     plan: FillPlan
@@ -585,13 +579,13 @@ class FillRunArtifacts:
     report: FillReport
 
     @property
-    def surface_before(self) -> Plate:
+    def surface_before(self) -> Heightfield:
         return self.survey.specimen
 
     @property
-    def surface_after(self) -> FilledPlate:
-        """The filled specimen: the specimen with the filled copy of the
-        box the fill could change (see ExecutionResult)."""
+    def surface_after(self) -> Heightfield:
+        """The filled specimen: the specimen's base patched with the filled
+        copy of the box the fill could change (see ExecutionResult)."""
         return self.execution.surface
 
 

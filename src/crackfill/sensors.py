@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NoIntersection, StationOutsideGrid
 from .geometry import CameraIntrinsics, RigidTransform
-from .specimen import Plate, row_tiles
+from .specimen import Heightfield, row_tiles
 
 logger = logging.getLogger(__name__)
 
@@ -142,7 +142,7 @@ def _ray_dirs(k: CameraIntrinsics, camera_pose: RigidTransform, rows: slice) -> 
     return dirs_c @ camera_pose.rotation.T
 
 
-def _step(hf: Plate, origin: np.ndarray, t: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+def _step(hf: Heightfield, origin: np.ndarray, t: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """One fixed-point step: the depth at which each ray (dirs, one row per ray)
     reaches the height of the cell under its hit at depth t."""
     ox, oy, oz = origin
@@ -151,7 +151,7 @@ def _step(hf: Plate, origin: np.ndarray, t: np.ndarray, dirs: np.ndarray) -> np.
 
 
 def _first_step(
-    hf: Plate, k: CameraIntrinsics, camera_pose: RigidTransform, rows: slice, threshold_mm: float, t: np.ndarray, hit: np.ndarray, flags: np.ndarray
+    hf: Heightfield, k: CameraIntrinsics, camera_pose: RigidTransform, rows: slice, threshold_mm: float, t: np.ndarray, hit: np.ndarray, flags: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """The first fixed-point step of the pixel rays of a tile of image rows,
     from the nominal surface, into the tile's depth t, validity hit and
@@ -180,7 +180,7 @@ def _first_step(
 
 
 def render_view(
-    hf: Plate,
+    hf: Heightfield,
     k: CameraIntrinsics,
     camera_pose: RigidTransform,
     threshold_mm: float = DEFAULT_MASK_THRESHOLD_MM,
@@ -285,7 +285,7 @@ def depth_noise_at(depth: DepthImage, noise: SensorNoise, rows: np.ndarray, cols
 
 
 def render_depth(
-    hf: Plate,
+    hf: Heightfield,
     k: CameraIntrinsics,
     camera_pose: RigidTransform,
     noise: SensorNoise = SensorNoise.noiseless(),
@@ -301,7 +301,7 @@ def render_depth(
 
 
 def render_truth_mask(
-    hf: Plate,
+    hf: Heightfield,
     k: CameraIntrinsics,
     camera_pose: RigidTransform,
     threshold_mm: float = DEFAULT_MASK_THRESHOLD_MM,
@@ -311,7 +311,7 @@ def render_truth_mask(
 
 
 def scan_profile(
-    hf: Plate,
+    hf: Heightfield,
     poses: Sequence[RigidTransform],
     span_mm: float,
     noises: Sequence[SensorNoise],

@@ -1,11 +1,12 @@
 """Synthetic specimen plates: heightfields, carved cracks, and deposition.
 
 A specimen is a regular grid of surface heights over the robot-frame
-xy plane. Cracks are carved as troughs below the nominal surface, into
-one block held over a flat plate (see FilledPlate); repair material is
-added by the deposition model, which fills the local trough bottom-up
-and piles any excess into a bead cap above the surface. All lengths are
-millimetres, areas mm^2, volumes mm^3.
+xy plane, held as a base plus one patch (see Heightfield). Cracks are
+carved as troughs below the nominal surface, into one block patched
+over a flat plate; repair material is added by the deposition model,
+which fills the local trough bottom-up and piles any excess into a bead
+cap above the surface. All lengths are millimetres, areas mm^2, volumes
+mm^3.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import copy
 import logging
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -62,10 +63,67 @@ def _profile_extremes(profile: Profile, length: float) -> np.ndarray:
     return profile_values(profile, np.clip([0.0, length, *knots], 0.0, length))
 
 
-class _Grid:
-    """The grid methods Heightfield and FilledPlate share, read from their
-    origin, cell_size, nx and ny; each reads the heights of cells (iy, ix)
-    on the grid through its own _cells_at."""
+@dataclass(frozen=True)
+class Heightfield:
+    """Surface heights on a grid with square cells: a base plus one patch.
+
+    Cell (ix, iy) is centred at (origin[0] + ix*cell_size,
+    origin[1] + iy*cell_size). heights is the base, of shape (ny, nx); box
+    is the patch's (rows, columns) slices and cells its heights, and every
+    cell outside the box holds the base's height. Heights are absolute z;
+    the undamaged plate sits at z = nominal_surface. The patch is empty
+    unless given: a carved specimen is a flat base with its carved block
+    as its patch (see generate_specimen), and a filled plate the base it
+    was laid on with the box the fill could change (see deposit_path),
+    which reads the base and never writes it.
+
+    heights is the base, not the plate the patch composes: a reader of it
+    either means the base or holds a plate with no patch, such as the
+    calibration strips' plate. The grid methods, copy_box and
+    heightfield() read the composed plate.
+    """
+
+    origin: tuple[float, float]
+    cell_size: float
+    nx: int
+    ny: int
+    heights: np.ndarray
+    nominal_surface: float = 0.0
+    box: tuple[slice, slice] = (slice(0, 0), slice(0, 0))
+    cells: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+
+    def __post_init__(self) -> None:
+        if self.cell_size <= 0:
+            raise ValueError(f"cell_size must be positive, got {self.cell_size}")
+        heights, cells = np.asarray(self.heights, dtype=float), np.asarray(self.cells, dtype=float)
+        if heights.shape != (self.ny, self.nx):
+            raise ValueError(f"heights shape {heights.shape} != (ny={self.ny}, nx={self.nx})")
+        if cells.shape != heights[self.box].shape:
+            raise ValueError(f"patch cells shape {cells.shape} != its box's {heights[self.box].shape}")
+        if not (np.all(np.isfinite(heights)) and np.all(np.isfinite(cells))):
+            raise ValueError("heights must be finite")
+        object.__setattr__(self, "heights", heights)
+        object.__setattr__(self, "cells", cells)
+
+    def _replace(self, **changes) -> "Heightfield":
+        """dataclasses.replace without the checks: every value changed is a
+        view or copy of a checked plate's arrays, or cells laid on one."""
+        out = copy.copy(self)
+        for name, value in changes.items():
+            object.__setattr__(out, name, value)
+        return out
+
+    @staticmethod
+    def flat(origin: tuple[float, float], cell_size: float, nx: int, ny: int, nominal_surface: float = 0.0) -> "Heightfield":
+        """A plate at nominal_surface everywhere, held as that one value:
+        heights is a read-only view of it at every cell, so a caller that
+        writes takes copy(). It is checked as a plate of one cell."""
+        hf = Heightfield(origin, cell_size, 1, 1, np.full((1, 1), float(nominal_surface)), nominal_surface)
+        return hf._replace(nx=nx, ny=ny, heights=np.broadcast_to(hf.heights, (ny, nx)))
+
+    def copy(self) -> "Heightfield":
+        """An independent copy; its arrays passed the finiteness check with self's."""
+        return self._replace(heights=self.heights.copy(), cells=self.cells.copy())
 
     def x_of(self, ix) -> np.ndarray | float:
         return self.origin[0] + np.asarray(ix) * self.cell_size
@@ -100,7 +158,13 @@ class _Grid:
     def lookup(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         """height_at and contains of each point, from one cell index."""
         iy, ix, on_grid = self._index(x, y)
-        return self._cells_at(iy, ix), on_grid
+        if not self.cells.size:
+            return self.heights[iy, ix], on_grid
+        rows, cols = self.box
+        h = np.array(self.heights[iy, ix])
+        inside = (iy >= rows.start) & (iy < rows.stop) & (ix >= cols.start) & (ix < cols.stop)
+        h[inside] = self.cells[iy[inside] - rows.start, ix[inside] - cols.start]
+        return h, on_grid
 
     def bounds(self) -> tuple[float, float, float, float]:
         """(x_min, x_max, y_min, y_max) of cell centres."""
@@ -111,120 +175,18 @@ class _Grid:
             self.origin[1] + (self.ny - 1) * self.cell_size,
         )
 
-
-@dataclass
-class Heightfield(_Grid):
-    """Surface heights h[iy, ix] on a grid with square cells.
-
-    Cell (ix, iy) is centred at (origin[0] + ix*cell_size,
-    origin[1] + iy*cell_size). heights hold absolute z; the undamaged
-    plate sits at z = nominal_surface.
-    """
-
-    origin: tuple[float, float]
-    cell_size: float
-    nx: int
-    ny: int
-    heights: np.ndarray
-    nominal_surface: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.cell_size <= 0:
-            raise ValueError(f"cell_size must be positive, got {self.cell_size}")
-        self.heights = np.asarray(self.heights, dtype=float)
-        if self.heights.shape != (self.ny, self.nx):
-            raise ValueError(f"heights shape {self.heights.shape} != (ny={self.ny}, nx={self.nx})")
-        if not np.all(np.isfinite(self.heights)):
-            raise ValueError("heights must be finite")
-
-    @staticmethod
-    def flat(origin: tuple[float, float], cell_size: float, nx: int, ny: int, nominal_surface: float = 0.0) -> "Heightfield":
-        """A plate at nominal_surface everywhere, held as that one value:
-        heights is a read-only view of it at every cell, so a caller that
-        writes takes copy(). It is checked as a plate of one cell."""
-        hf = Heightfield(origin, cell_size, 1, 1, np.full((1, 1), float(nominal_surface)), nominal_surface)
-        hf.nx, hf.ny, hf.heights = nx, ny, np.broadcast_to(hf.heights, (ny, nx))
-        return hf
-
-    def copy(self) -> "Heightfield":
-        """An independent copy; its heights passed the finiteness check with self's."""
-        out = copy.copy(self)
-        out.heights = self.heights.copy()
-        return out
-
-    def _cells_at(self, iy, ix) -> np.ndarray:
-        return self.heights[iy, ix]
-
-
-@dataclass(frozen=True)
-class FilledPlate(_Grid):
-    """A plate held as a base plus one patch: the base plate, read and
-    never written, and the cells of one box of it.
-
-    plate is the base, box the patch's (rows, columns) slices and cells its
-    heights; every other cell holds the base's height. A carved specimen is
-    a flat base with its carved block (see generate_specimen), and a filled
-    plate the base it was laid on with the box the fill could change (see
-    deposit_path). It reads like a Heightfield through the grid methods
-    both share, and heightfield() gives it as one.
-    """
-
-    plate: Heightfield
-    box: tuple[slice, slice]
-    cells: np.ndarray
-
-    @property
-    def origin(self) -> tuple[float, float]:
-        return self.plate.origin
-
-    @property
-    def cell_size(self) -> float:
-        return self.plate.cell_size
-
-    @property
-    def nx(self) -> int:
-        return self.plate.nx
-
-    @property
-    def ny(self) -> int:
-        return self.plate.ny
-
-    @property
-    def nominal_surface(self) -> float:
-        return self.plate.nominal_surface
-
-    def _cells_at(self, iy, ix) -> np.ndarray:
-        rows, cols = self.box
-        h = np.array(self.plate.heights[iy, ix])
-        inside = (iy >= rows.start) & (iy < rows.stop) & (ix >= cols.start) & (ix < cols.stop)
-        h[inside] = self.cells[iy[inside] - rows.start, ix[inside] - cols.start]
-        return h
-
     def copy_box(self, box: tuple[slice, slice]) -> np.ndarray:
         """A fresh array of the heights of the (rows, columns) box, which
         holds the patch's box: the base's, with the patch's cells over them."""
-        out = self.plate.heights[box].copy()
+        out = self.heights[box].copy()
         if self.cells.size:
             (rows, cols), (patch_rows, patch_cols) = box, self.box
             out[patch_rows.start - rows.start : patch_rows.stop - rows.start, patch_cols.start - cols.start : patch_cols.stop - cols.start] = self.cells
         return out
 
-    def heightfield(self) -> Heightfield:
-        """The plate as one Heightfield: a full-size copy."""
-        out = copy.copy(self.plate)  # its heights passed the finiteness check with the base's
-        out.heights = self.copy_box((slice(0, self.ny), slice(0, self.nx)))
-        return out
-
-
-Plate = Heightfield | FilledPlate
-
-
-def _patched(plate: Plate) -> FilledPlate:
-    """plate as a base plus one patch: a Heightfield is its own base with an
-    empty patch."""
-    if isinstance(plate, FilledPlate):
-        return plate
-    return FilledPlate(plate, (slice(0, 0), slice(0, 0)), np.empty((0, 0)))
+    def heightfield(self) -> "Heightfield":
+        """The plate as a full-size copy with no patch."""
+        return self._replace(heights=self.copy_box((slice(0, self.ny), slice(0, self.nx))), box=(slice(0, 0), slice(0, 0)), cells=np.empty((0, 0)))
 
 
 @dataclass(frozen=True)
@@ -313,9 +275,9 @@ def generate_specimen(
     nx: int,
     ny: int,
     nominal_surface: float = 0.0,
-) -> FilledPlate:
-    """Carve the crack into a flat plate, held as the flat plate plus the
-    one block of it that the carve visits.
+) -> Heightfield:
+    """Carve the crack into a flat plate, held as the flat plate with the
+    one block of it that the carve visits as its patch.
 
     The block is the cells within the maximum half width of the path's
     bounding box, with one spare cell on each side; every cell outside it
@@ -353,7 +315,7 @@ def generate_specimen(
         carved = dist[near] <= widths / 2.0
         rows, cols = np.nonzero(near)
         block[tile][rows[carved], cols[carved]] = nominal_surface - depths[carved]
-    return FilledPlate(plate, (slice(iy0, iy1), slice(ix0, ix1)), block)
+    return plate._replace(box=(slice(iy0, iy1), slice(ix0, ix1)), cells=block)
 
 
 def _brent_roots(f: Callable[[np.ndarray, np.ndarray], np.ndarray], xa: float, xb: float, n: int) -> np.ndarray:
@@ -518,7 +480,7 @@ class _Segment:
         return self.first + self.step * (self.count - 1)
 
 
-def _segment(hf: Plate, start, end, include_end: bool) -> _Segment:
+def _segment(hf: Heightfield, start, end, include_end: bool) -> _Segment:
     """Check one segment's geometry and find its grid lines (see lay_out)."""
     p0 = np.asarray(start, dtype=float)
     p1 = np.asarray(end, dtype=float)
@@ -692,21 +654,20 @@ class _Run:
         lo, hi = int(self.j_c.min()), int(self.j_c.max())
         return (lo, hi) if self.wet is None else (min(lo, self.wet[0]), max(hi, self.wet[1]))
 
-    def lines(self, plate: Plate) -> _Lines:
+    def lines(self, plate: Heightfield) -> _Lines:
         """This run's grid lines on plate (see _Lines)."""
-        plate = _patched(plate)
         rows, cols = plate.box
         along, first = (cols, rows.start) if self.dom == 0 else (rows, cols.start)
         a = min(max(self.lo, along.start), self.hi)
         b = max(min(self.hi, along.stop), a)
         if self.dom == 0:
-            whole, cells = plate.plate.heights[:, self.lo : self.hi].T, plate.cells[:, a - cols.start : b - cols.start].T
+            whole, cells = plate.heights[:, self.lo : self.hi].T, plate.cells[:, a - cols.start : b - cols.start].T
         else:
-            whole, cells = plate.plate.heights[self.lo : self.hi], plate.cells[a - rows.start : b - rows.start]
+            whole, cells = plate.heights[self.lo : self.hi], plate.cells[a - rows.start : b - rows.start]
         return _Lines(whole, cells, slice(a - self.lo, b - self.lo), first)
 
 
-def _run(hf: Plate, segments: Sequence[_Segment]) -> _Run:
+def _run(hf: Heightfield, segments: Sequence[_Segment]) -> _Run:
     """The grid lines of chained segments, each line's nozzle centre, and
     the band of their below-surface cells on hf."""
     cs = hf.cell_size
@@ -729,7 +690,7 @@ def _run(hf: Plate, segments: Sequence[_Segment]) -> _Run:
     return replace(run, wet=_wet_band(run.lines(hf), 0, n, hf.nominal_surface))
 
 
-def _lay(filled: FilledPlate, run: _Run, speeds: Sequence[float], params: DepositionParams) -> list[DepositResult]:
+def _lay(filled: Heightfield, run: _Run, speeds: Sequence[float], params: DepositionParams) -> list[DepositResult]:
     """Lay a run at speeds, one per segment, on filled's cells, whose box
     holds every cell the run can change; see deposit_path.
 
@@ -828,15 +789,14 @@ class PathLayout:
     """A path laid out on the plate it fills: what laying it owes to the
     plate and the path, not to the speeds or the extruder (see lay_out).
 
-    points is the path. plate, a Heightfield or a FilledPlate, is held as
-    given, not copied, and deposit_path fills copies of a box of it (see
+    points is the path. plate is held as given, not copied, and deposit_path fills copies of a box of it (see
     box); a plate changed after lay_out is no longer the one its layout
     describes (a survey's specimen is read-only). runs hold the path's
     segments, checked and split into runs.
     """
 
     points: tuple[tuple[float, float], ...]
-    plate: Plate
+    plate: Heightfield
     runs: tuple[_Run, ...]
 
     def box(self, nozzle_diameter_mm: float) -> tuple[slice, slice]:
@@ -862,7 +822,7 @@ class PathLayout:
         return slice(lo[1], hi[1]), slice(lo[0], hi[0])
 
 
-def lay_out(plate: Plate, points: Sequence[tuple[float, float]]) -> PathLayout:
+def lay_out(plate: Heightfield, points: Sequence[tuple[float, float]]) -> PathLayout:
     """Lay out the polyline through points on plate for deposit_path.
 
     Checks every segment, raising SegmentOutsideGrid or ZeroLengthSegment
@@ -879,9 +839,9 @@ def lay_out(plate: Plate, points: Sequence[tuple[float, float]]) -> PathLayout:
     depends on the speeds or the extruder, so one layout serves every fill
     of plate along points.
 
-    On a FilledPlate each line is read from the patch's cells where the
-    patch holds it, and composed of the base and the patch a row tile at a
-    time where it does not.
+    Each line is read from the plate's patch where the patch holds it,
+    and composed of the base and the patch a row tile at a time where it
+    does not.
     """
     n_segments = len(points) - 1
     segments = [_segment(plate, points[k], points[k + 1], k == n_segments - 1) for k in range(n_segments)]
@@ -909,19 +869,23 @@ def deposit(
     path of one segment (see deposit_path), and write the box it filled
     back into hf; returns the segment's DepositResult.
 
-    hf must be writable (a flat plate's copy(), not the plate), or
-    ValueError is raised before anything is laid. A refused segment
-    (SegmentOutsideGrid, ZeroLengthSegment, ZeroSpeed or Overfill) writes
-    nothing, so hf keeps its heights.
+    hf must be writable (a flat plate's copy(), not the plate) and hold no
+    patch (a patched plate's heightfield(), not the plate), or ValueError
+    is raised before anything is laid: the fill is written into the base,
+    where a patch would hide it. A refused segment (SegmentOutsideGrid,
+    ZeroLengthSegment, ZeroSpeed or Overfill) writes nothing, so hf keeps
+    its heights.
     """
     if not hf.heights.flags.writeable:
         raise ValueError("deposit writes its fill back into the plate and needs a writable plate")
+    if hf.cells.size:
+        raise ValueError("deposit writes its fill into the plate's base and needs a plate with no patch")
     filled, (result,) = deposit_path(lay_out(hf, [start, end]), [speed_mm_s], params)
     hf.heights[filled.box] = filled.cells
     return result
 
 
-def deposit_path(layout: PathLayout, speeds: Sequence[float], params: DepositionParams) -> tuple[FilledPlate, list[DepositResult]]:
+def deposit_path(layout: PathLayout, speeds: Sequence[float], params: DepositionParams) -> tuple[Heightfield, list[DepositResult]]:
     """Extrude along layout's path, segment k at speeds[k], and return the
     filled plate with one DepositResult per segment.
 
@@ -932,17 +896,16 @@ def deposit_path(layout: PathLayout, speeds: Sequence[float], params: Deposition
     sums its lines' changes in travel order.
 
     The fill is laid on a fresh copy of the box of the layout's plate that
-    a fill with params' nozzle can change (see PathLayout.box). On a
-    FilledPlate the box also holds the plate's patch, which the copy takes
-    over the base. The FilledPlate returned holds that copy with the base
-    (the plate itself when it is a Heightfield), which is read and never
-    written, so it is again a base plus one patch. A speed count other
-    than one per segment raises ValueError, and a speed that is not
-    positive, or whose area per unit length (flow rate / speed) is not
-    finite, ZeroSpeed, before anything is laid. The filled plate and the
-    results are those of laying each segment on its own in turn on a copy
-    of the whole plate, every interior one leaving its far grid line to
-    the next. Each run of the layout is laid as one block: the first on
+    a fill with params' nozzle can change (see PathLayout.box), grown to
+    hold the plate's patch, which the copy takes over the base. The plate
+    returned holds that copy as its patch over the layout's base, which is
+    read and never written, so it is again a base plus one patch. A speed
+    count other than one per segment raises ValueError, and a speed that
+    is not positive, or whose area per unit length (flow rate / speed) is
+    not finite, ZeroSpeed, before anything is laid. The filled plate and
+    the results are those of laying each segment on its own in turn on a
+    copy of the whole plate, every interior one leaving its far grid line
+    to the next. Each run of the layout is laid as one block: the first on
     the troughs lay_out surveyed, every later one surveyed on the fill as
     the runs before it left it.
 
@@ -962,9 +925,9 @@ def deposit_path(layout: PathLayout, speeds: Sequence[float], params: Deposition
         # Python floats: a numpy scalar would warn on the overflow
         if not math.isfinite(float(params.flow_rate_mm3_s) / float(speed)):
             raise ZeroSpeed(f"deposition speed {speed} mm/s is too slow to lay a finite area per mm")
-    plate = _patched(layout.plate)
+    plate = layout.plate
     box = _union(layout.box(params.nozzle_diameter_mm), plate.box)
-    filled = FilledPlate(plate.plate, box, plate.copy_box(box))
+    filled = plate._replace(box=box, cells=plate.copy_box(box))
     results: list[DepositResult] = []
     for run in layout.runs:
         results += _lay(filled, run, speeds[len(results) : len(results) + len(run.segments)], params)

@@ -6,6 +6,8 @@ rectangular cracks, and synthetic laser profiles with exactly known
 areas and edges.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -13,7 +15,6 @@ from hypothesis import strategies as st
 from crackfill import (
     CameraIntrinsics,
     CrackSpec,
-    FilledPlate,
     Frame,
     Heightfield,
     LaserProfile,
@@ -58,12 +59,12 @@ def make_rect_crack(
     origin=(-25.0, 0.0),
     nx=500,
     ny=1500,
-) -> FilledPlate:
+) -> Heightfield:
     spec = CrackSpec(path=[(0.0, y0), (0.0, y1)], width=width, depth=depth)
     return generate_specimen(spec, origin=origin, cell_size=cell, nx=nx, ny=ny)
 
 
-def row_deficit(plate: FilledPlate, y: float) -> float:
+def row_deficit(plate: Heightfield, y: float) -> float:
     """Trough area (mm^2) below the nominal surface along the grid row
     nearest y, summed cell by cell over the whole plate."""
     row = plate.heightfield().heights[int(plate.iy_of(y))]
@@ -154,4 +155,4 @@ def base_and_patch_plates(draw, max_cells: int = 24):
     r1, c1 = draw(_edge_or_any(r0, ny, ny)), draw(_edge_or_any(c0, nx, nx))
     highest = draw(st.sampled_from([4, -1]))  # -1: every patch cell below nominal
     cells = nominal + rng.integers(-12, highest + 1, (r1 - r0, c1 - c0)) / 4
-    return FilledPlate(base, (slice(r0, r1), slice(c0, c1)), cells)
+    return replace(base, box=(slice(r0, r1), slice(c0, c1)), cells=cells)

@@ -29,6 +29,7 @@ from crackfill import (
     SensorNoise,
     Waypoint,
     build_localization_report,
+    deposit_path,
     edge_threshold_for,
     execute_fill,
     experiment_modes,
@@ -498,7 +499,8 @@ class TestRunFill:
 
     def test_imaging_skips_the_finiteness_scan(self, monkeypatch):
         """The view's specimen reads the specimen's carved block through a
-        read-only view, with no second finiteness check."""
+        read-only view, with no second finiteness check, and a fill laid on
+        it patches the same base with its box, with none either."""
         scene = make_scene(straight_crack())
         specimen = scene.build_specimen()
 
@@ -513,6 +515,9 @@ class TestRunFill:
         assert np.shares_memory(imaged.cells, specimen.cells)
         assert imaged.cells.tobytes() == specimen.cells.tobytes()
         assert not imaged.cells.flags.writeable and specimen.cells.flags.writeable
+        filled, _ = deposit_path(lay_out(imaged, [(0.0, 20.0), (0.0, 130.0)]), [10.0], DepositionParams(flow_rate_mm3_s=500.0))
+        assert filled.heights is imaged.heights and filled.cells.flags.writeable
+        assert not np.shares_memory(filled.cells, imaged.cells) and filled.cells.sum() > imaged.cells.sum()
 
     def test_rotated_laser_mount_calibrates_at_the_crack_scan_angle(self):
         """With the laser mounted 30 degrees about z the calibration strips

@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from crackfill import (
     CameraIntrinsics,
     DepthImage,
-    Heightfield,
     ScenarioConfig,
     Frame,
     LaserProfile,
@@ -181,7 +180,7 @@ class TestRaycast:
         on its heightfield(): depth, valid and mask, bit for bit, or
         NoIntersection where no ray hits."""
         k, pose = camera
-        hf = plate if isinstance(plate, Heightfield) else plate.heightfield()
+        hf = plate.heightfield()
         t, x, y, valid = full_image_raycast(hf, k, pose)
         if not valid.any():
             with pytest.raises(NoIntersection):

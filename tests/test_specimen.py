@@ -15,7 +15,6 @@ from crackfill import (
     CrackFillError,
     CrackSpec,
     DepositionParams,
-    FilledPlate,
     FillPlan,
     Frame,
     Heightfield,
@@ -195,6 +194,17 @@ class TestHeightfield:
             with pytest.raises(ValueError, match="finite"):
                 Heightfield((0.0, 0.0), 0.1, 4, 3, heights)
 
+    def test_a_patch_must_fit_its_box_and_be_finite(self):
+        base = Heightfield.flat((0.0, 0.0), 0.1, 4, 3)
+        with pytest.raises(ValueError, match="box"):
+            replace(base, box=(slice(0, 2), slice(1, 4)), cells=np.zeros((2, 2)))
+        cells = np.zeros((2, 3))
+        cells[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            replace(base, box=(slice(0, 2), slice(1, 4)), cells=cells)
+        plate = replace(base, box=(slice(0, 2), slice(1, 4)), cells=[[1, 2, 3], [4, 5, 6]])
+        assert plate.cells.dtype == float and plate.heightfield().heights.tolist() == [[0, 1, 2, 3], [0, 4, 5, 6], [0, 0, 0, 0]]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Heightfield.flat((0.0, 0.0), 0.0, 10, 10)
@@ -284,6 +294,22 @@ class TestDeposit:
         plate = hf.copy()
         deposit(plate, (0.0, 0.0), (0.0, 10.0), 10.0, params)
         assert plate.heights.any() and not hf.heights.any()
+
+    def test_a_patched_plate_is_refused(self):
+        """deposit writes its fill into the plate's base, where a patch would
+        hide it: a filled plate, a writable base plus a patch, is refused
+        before anything is laid, its base and its patch byte-identical, and
+        its heightfield() is filled."""
+        hf, params = make_flat(50, 50, 1.0, (-25.0, -25.0)), DepositionParams(flow_rate_mm3_s=500.0)
+        filled, _ = deposit_path(lay_out(hf, [(0.0, -10.0), (0.0, 5.0)]), [10.0], params)
+        before = (hf.heights.tobytes(), filled.cells.tobytes())
+        with pytest.raises(ValueError, match="no patch"):
+            deposit(filled, (0.0, 0.0), (0.0, 10.0), 10.0, params)
+        assert filled.heights is hf.heights and filled.cells.any()
+        assert (hf.heights.tobytes(), filled.cells.tobytes()) == before
+        plate = filled.heightfield()
+        deposit(plate, (0.0, 0.0), (0.0, 10.0), 10.0, params)
+        assert plate.heights.sum() > filled.cells.sum() > 0
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -518,7 +544,7 @@ def interior_deposit(hf, start, end, speed_mm_s, params):
     path, which leaves its far grid line to the next segment, on a copy of
     hf that is written back unless the segment is refused, as deposit does."""
     run = specimen._run(hf, [specimen._segment(hf, start, end, include_end=False)])
-    filled = FilledPlate(hf, (slice(0, hf.ny), slice(0, hf.nx)), hf.heights.copy())
+    filled = replace(hf, box=(slice(0, hf.ny), slice(0, hf.nx)), cells=hf.heights.copy())
     result = specimen._lay(filled, run, [speed_mm_s], params)[0]
     hf.heights[...] = filled.cells
     return result
@@ -549,7 +575,7 @@ def assert_deposit_is_a_one_segment_path(hf, start, end, speed, params):
     got_hf = hf.copy()
     got = outcome(lambda: deposit(got_hf, start, end, speed, params))
     want = outcome(lambda: deposit_path(lay_out(hf, [start, end]), [speed], params))
-    if isinstance(want, tuple) and isinstance(want[0], FilledPlate):
+    if isinstance(want, tuple) and isinstance(want[0], Heightfield):
         filled, (result,) = want
         assert got == result
         assert got_hf.heights.tobytes() == filled.heightfield().heights.tobytes()
@@ -1008,7 +1034,7 @@ class TestPathLayout:
         (first, first_results), (second, second_results) = (deposit_path(layout, [10.0, 10.0], PARAMS) for _ in range(2))
         assert np.array_equal(first.heightfield().heights, second.heightfield().heights)
         assert first_results == second_results
-        assert first.plate is second.plate is hf
+        assert first.heights is second.heights is hf.heights
         for a, b in ((first.cells, second.cells), (first.cells, hf.heights), (second.cells, hf.heights)):
             assert not np.shares_memory(a, b)
         assert np.array_equal(hf.heights, pristine)
@@ -1055,7 +1081,7 @@ class TestPathLayout:
         other = trough_plate(nx, ny, cell, origin, data.draw(random_blocks(nx, ny, 6.0)), data.draw(random_blocks(nx, ny, 3.0)))
         r0, c0 = data.draw(st.integers(0, ny)), data.draw(st.integers(0, nx))
         box = (slice(r0, data.draw(st.integers(r0, ny))), slice(c0, data.draw(st.integers(c0, nx))))
-        plate = FilledPlate(base, box, other.heights[box].copy())
+        plate = replace(base, box=box, cells=other.heights[box].copy())
         pristine = (base.heights.copy(), plate.cells.copy())
         stops = draw_stops(data, base, n_stops)
         speeds = [data.draw(st.floats(1.0, 60.0)) for _ in stops[1:]]
@@ -1065,11 +1091,11 @@ class TestPathLayout:
             got = outcome(lambda: deposit_path(lay_out(plate, stops), speeds, params))
             want = outcome(lambda: deposit_path(lay_out(plate.heightfield(), stops), speeds, params))
         plates = [plate, base]
-        if isinstance(want[0], FilledPlate):
+        if isinstance(want[0], Heightfield):
             (filled, results), (want_filled, want_results) = got, want
             assert results == want_results
             assert np.array_equal(filled.heightfield().heights, want_filled.heightfield().heights)
-            assert filled.plate is base
+            assert filled.heights is base.heights
             if plate.cells.size:
                 assert all(f.start <= p.start and p.stop <= f.stop for f, p in zip(filled.box, box))
             plates.append(filled)
@@ -1083,7 +1109,7 @@ class TestPathLayout:
         on_grid = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
         nearest = (np.clip(iy, 0, ny - 1).astype(int), np.clip(ix, 0, nx - 1).astype(int))
         for p in plates:
-            full = p.heightfield() if isinstance(p, FilledPlate) else p
+            full = p.heightfield()
             h, inside = p.lookup(xs, ys)
             assert np.array_equal(h, p.height_at(xs, ys)) and np.array_equal(inside, p.contains(xs, ys))
             assert np.array_equal(h, full.heights[nearest]) and np.array_equal(inside, on_grid)

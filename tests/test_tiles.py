@@ -10,12 +10,13 @@ scan's depth noise, drawn in tiles and kept only where it is read.
 import functools
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
-from crackfill import CrackSpec, FilledPlate, FillMode, Heightfield, NoIntersection, ScenarioConfig, deposit_path, execute_fill, generate_specimen, image_specimen, lay_out, plan_fill, specimen, survey
+from crackfill import CrackSpec, FillMode, Heightfield, NoIntersection, ScenarioConfig, deposit_path, execute_fill, generate_specimen, image_specimen, lay_out, plan_fill, specimen, survey
 from crackfill import io as cfio
 from crackfill.geometry import CameraIntrinsics, RigidTransform
 from crackfill.repair import fill_points, perceive_view, repair
@@ -215,7 +216,7 @@ class TestCarve:
         else:
             scene, want = scene_and_specimen(name)
             got = scene.build_specimen()
-        assert isinstance(got, FilledPlate) and got.plate.heights.strides == (0, 0)
+        assert got.heights.strides == (0, 0)
         assert got.heightfield().heights.tobytes() == want.heights.tobytes()
         outside = np.ones(want.heights.shape, dtype=bool)
         outside[got.box] = False
@@ -269,11 +270,11 @@ class TestView:
 # span); a patch on a dense base.
 _FLAT = Heightfield.flat((-3.0, -2.0), 0.5, 12, 9, nominal_surface=1.0)
 PGM_CASES = {
-    "empty_patch": FilledPlate(_FLAT, (slice(0, 0), slice(0, 0)), np.empty((0, 0))),
-    "whole_grid_below_nominal": FilledPlate(_FLAT, (slice(0, 9), slice(0, 12)), 0.5 - np.arange(108.0).reshape(9, 12) / 50),
-    "zero_span": FilledPlate(_FLAT, (slice(2, 5), slice(3, 7)), np.full((3, 4), 1.0)),
-    "dense_base": FilledPlate(
-        Heightfield((-3.0, -2.0), 0.5, 12, 9, np.linspace(-2.0, 2.0, 108).reshape(9, 12), 1.0), (slice(4, 9), slice(0, 5)), np.full((5, 5), -4.0)
+    "empty_patch": replace(_FLAT, box=(slice(0, 0), slice(0, 0)), cells=np.empty((0, 0))),
+    "whole_grid_below_nominal": replace(_FLAT, box=(slice(0, 9), slice(0, 12)), cells=0.5 - np.arange(108.0).reshape(9, 12) / 50),
+    "zero_span": replace(_FLAT, box=(slice(2, 5), slice(3, 7)), cells=np.full((3, 4), 1.0)),
+    "dense_base": Heightfield(
+        (-3.0, -2.0), 0.5, 12, 9, np.linspace(-2.0, 2.0, 108).reshape(9, 12), 1.0, (slice(4, 9), slice(0, 5)), np.full((5, 5), -4.0)
     ),
 }
 
@@ -289,7 +290,7 @@ class TestHeightfieldPgm:
     def test_random_plates_match_the_full_size_quantization(self, tile, plate, tmp_path):
         """A base plus patch writes the PGM of its heightfield(), byte for byte."""
         cfio.write_heightfield_pgm(tmp_path / "s.pgm", plate)
-        want = plate if isinstance(plate, Heightfield) else plate.heightfield()
+        want = plate.heightfield()
         assert (tmp_path / "s.pgm").read_bytes() == reference_heightfield_pgm(want)
 
     @pytest.mark.parametrize("name", ["default", "along_x"])
@@ -422,7 +423,7 @@ def assert_fill_within_2_mb_of_its_plate(surveyed_scene, params, speed):
     assert peak <= box.nbytes + 2e6  # the fill's own copy of its box, and its scratch
 
 
-# Second fills laid out on a first fill's FilledPlate: a pass along the
+# Second fills laid out on a first fill's filled plate: a pass along the
 # crack's centreline at 20 mm/s, then one at 12 mm/s along the points given
 # (x across the centreline, y). On the default crack; with the second pass
 # run on to y = 255 mm, past the end cap at 248 mm onto the flat plate,
@@ -441,7 +442,7 @@ class TestSecondFill:
     @pytest.mark.parametrize("case", SECOND_FILLS)
     def test_matches_two_fills_on_a_full_plate(self, case):
         """A fill laid out on the specimen, then a second one laid out on the
-        FilledPlate the first returned, give == results and equal heights to
+        filled plate the first returned, give == results and equal heights to
         the same two fills laid out on full heightfield() copies. The
         second fill copies only its box, which holds the first's: its
         traced peak, layout included, stays within that box plus 2 MB."""
@@ -456,7 +457,7 @@ class TestSecondFill:
         want_refilled, want_again = deposit_path(lay_out(want_filled.heightfield(), second), [12.0] * (len(second) - 1), params)
         assert (results, again) == (want_results, want_again)
         assert np.array_equal(refilled.heightfield().heights, want_refilled.heightfield().heights)
-        assert refilled.plate is filled.plate is specimen_plate.plate
+        assert refilled.heights is filled.heights is specimen_plate.heights
         assert peak <= refilled.cells.nbytes + 2e6
         if case == "past_the_end_cap":
             assert refilled.box[0].stop > filled.box[0].stop  # the second pass's lines leave the first's patch
