@@ -189,6 +189,9 @@ MAX_GRID_CELLS = 2**24
 # past any real lens. Corner rays much steeper (a tiny fx or fy) hit the
 # plate at positions whose cell indices overflow.
 MAX_RAY_SLOPE = 1e6
+# A nozzle at most a metre wide, far past any real rig; the cap of a much
+# wider one squares its chord past the largest float.
+MAX_NOZZLE_MM = 1000.0
 
 # The scenario schema. A dict is a block of keys; a Field is a leaf.
 SCHEMA: dict = {
@@ -331,6 +334,9 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"camera.{key} {cam[key]} gives a corner pixel ray a slope of {slope:g}, more than {MAX_RAY_SLOPE:g}"
                 )
+        nozzle = raw["deposition"]["nozzle_diameter_mm"]
+        if nozzle > MAX_NOZZLE_MM:
+            raise ConfigError(f"deposition.nozzle_diameter_mm must be at most {MAX_NOZZLE_MM:g} mm, got {nozzle}")
         grid = raw["grid"]
         if grid["nx"] * grid["ny"] > MAX_GRID_CELLS:
             raise ConfigError(f"grid.nx x grid.ny must be at most {MAX_GRID_CELLS} cells, got {grid['nx']} x {grid['ny']}")

@@ -146,7 +146,7 @@ def _step(hf: Heightfield, origin: np.ndarray, t: np.ndarray, dirs: np.ndarray) 
     """One fixed-point step: the depth at which each ray (dirs, one row per ray)
     reaches the height of the cell under its hit at depth t."""
     ox, oy, oz = origin
-    h = hf.height_at(ox + t * dirs[:, 0], oy + t * dirs[:, 1])
+    h = hf.lookup(ox + t * dirs[:, 0], oy + t * dirs[:, 1])[0]
     return (h - oz) / dirs[:, 2]
 
 

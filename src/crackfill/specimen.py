@@ -63,7 +63,7 @@ def _profile_extremes(profile: Profile, length: float) -> np.ndarray:
     return profile_values(profile, np.clip([0.0, length, *knots], 0.0, length))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Heightfield:
     """Surface heights on a grid with square cells: a base plus one patch.
 
@@ -79,8 +79,8 @@ class Heightfield:
 
     heights is the base, not the plate the patch composes: a reader of it
     either means the base or holds a plate with no patch, such as the
-    calibration strips' plate. The grid methods, copy_box and
-    heightfield() read the composed plate.
+    calibration strips' plate. lookup (the one point read), copy_box and
+    heightfield() read the composed plate. Plates compare by identity.
     """
 
     origin: tuple[float, float]
@@ -140,31 +140,17 @@ class Heightfield:
     def iy_of(self, y) -> np.ndarray:
         return np.rint(np.clip((np.asarray(y) - self.origin[1]) / self.cell_size, -1, self.ny)).astype(int)
 
-    def _index(self, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each point's nearest cell (iy, ix) clipped to the grid, and
-        whether the clip left it as it was: whether the point is on the grid."""
+    def lookup(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """The height of each point's nearest cell, and whether the point is
+        on the grid; a point off it reads the cell nearest it on the grid's
+        edge."""
         iy, ix = self.iy_of(y), self.ix_of(x)
         cy, cx = np.clip(iy, 0, self.ny - 1), np.clip(ix, 0, self.nx - 1)
-        return cy, cx, (cy == iy) & (cx == ix)
-
-    def contains(self, x, y) -> np.ndarray:
-        return self._index(x, y)[2]
-
-    def height_at(self, x, y) -> np.ndarray:
-        """Nearest-cell height lookup; a point off the grid reads the cell
-        nearest it on the grid's edge."""
-        return self.lookup(x, y)[0]
-
-    def lookup(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        """height_at and contains of each point, from one cell index."""
-        iy, ix, on_grid = self._index(x, y)
-        if not self.cells.size:
-            return self.heights[iy, ix], on_grid
         rows, cols = self.box
-        h = np.array(self.heights[iy, ix])
-        inside = (iy >= rows.start) & (iy < rows.stop) & (ix >= cols.start) & (ix < cols.stop)
-        h[inside] = self.cells[iy[inside] - rows.start, ix[inside] - cols.start]
-        return h, on_grid
+        h = np.asarray(self.heights[cy, cx])
+        inside = (cy >= rows.start) & (cy < rows.stop) & (cx >= cols.start) & (cx < cols.stop)
+        h[inside] = self.cells[cy[inside] - rows.start, cx[inside] - cols.start]
+        return h, (cy == iy) & (cx == ix)
 
     def bounds(self) -> tuple[float, float, float, float]:
         """(x_min, x_max, y_min, y_max) of cell centres."""
@@ -484,7 +470,7 @@ def _segment(hf: Heightfield, start, end, include_end: bool) -> _Segment:
     """Check one segment's geometry and find its grid lines (see lay_out)."""
     p0 = np.asarray(start, dtype=float)
     p1 = np.asarray(end, dtype=float)
-    if not (hf.contains(p0[0], p0[1]) and hf.contains(p1[0], p1[1])):
+    if not hf.lookup([p0[0], p1[0]], [p0[1], p1[1]])[1].all():
         raise SegmentOutsideGrid(f"segment {tuple(p0.tolist())} -> {tuple(p1.tolist())} leaves the grid")
     # Compare the ends, not the length: the norm of a distinct but tiny
     # offset (say 1e-200 mm) squares to zero and would read as no segment.
@@ -696,13 +682,14 @@ def _lay(filled: Heightfield, run: _Run, speeds: Sequence[float], params: Deposi
 
     Every line carries its own segment's nozzle centre and station area and
     gets the same arithmetic as a line handled on its own; the flood and
-    the caps group lines of one size across the whole run. Cells are
-    counted along the plate's whole lines throughout, and the box's corner
-    is taken off only to read or write the box. A run without troughs has
-    them surveyed here, on the box's cells as the fill stands. The line
-    sums run over whole lines composed of the base and the box, and every
-    other stage works in tiles of about TILE_CELLS cells, so the scratch
-    stays a few tiles' worth.
+    the caps group lines of one size across the whole run. Every cap is
+    the nozzle's width, centred on the flooded trough or the nozzle. Cells
+    are counted along the plate's whole lines throughout, and the box's
+    corner is taken off only to read or write the box. A run without
+    troughs has them surveyed here, on the box's cells as the fill stands.
+    The line sums run over whole lines composed of the base and the box,
+    and every other stage works in tiles of about TILE_CELLS cells, so the
+    scratch stays a few tiles' worth.
     """
     cs = filled.cell_size
     nominal = filled.nominal_surface
@@ -721,15 +708,12 @@ def _lay(filled: Heightfield, run: _Run, speeds: Sequence[float], params: Deposi
     wet, j_lo, j_hi = troughs.nearest(run.j_c, _reach(nozzle, cs, n))
     remaining = _flood(view, first, wet, j_lo, j_hi, station_area, nominal, cs)
 
-    # cap whatever the trough could not hold, centred on the trough if any
+    # cap whatever the trough could not hold, as wide as the nozzle and centred on the trough if any
     cap_centre = run.centre_perp.copy()
-    cap_width = np.full(m, nozzle)
     cap_centre[wet] = o_perp + (j_lo + j_hi) / 2.0 * cs
-    trough_width = (j_hi - j_lo + 1) * cs
-    cap_width[wet] = np.where(nozzle < trough_width, nozzle, trough_width)
     capped = np.flatnonzero(remaining > 1e-12)
     peak = np.full(m, -math.inf)
-    peak[capped] = _pile_caps(view, first, n, capped, cap_centre[capped], cap_width[capped], remaining[capped], run.j_c[capped], o_perp, cs)
+    peak[capped] = _pile_caps(view, first, n, capped, cap_centre[capped], np.full(capped.size, nozzle), remaining[capped], run.j_c[capped], o_perp, cs)
 
     # each segment's lines back in travel order: the volume sums them in
     # that order, and the first segment over the bound raises
@@ -805,11 +789,11 @@ class PathLayout:
 
         A run changes only its own lines, and on each line only the
         trough run its flood reaches (within the nozzle's reach of the
-        nozzle centre cell), a cap over that trough, or a cap within the
-        reach of the centre cell. So a run's box is its lines by its span
-        (see _Run.span) widened by the reach and one cell more and clipped
-        to the grid, and the box is the smallest one holding every run's;
-        it is empty for a path without runs.
+        nozzle centre cell) and a cap within the reach of that trough's
+        centre, or of the centre cell where there is none. So a run's box
+        is its lines by its span (see _Run.span) widened by the reach and
+        one cell more and clipped to the grid, and the box is the smallest
+        one holding every run's; it is empty for a path without runs.
         """
         sizes = (self.plate.nx, self.plate.ny)
         lo, hi = list(sizes), [0, 0]  # per axis: x (columns), then y (rows)
@@ -892,8 +876,9 @@ def deposit_path(layout: PathLayout, speeds: Sequence[float], params: Deposition
     Per unit length a segment lays A = Q / speed, split evenly over its
     grid lines across its dominant axis. On each line the material floods
     the trough run nearest the nozzle bottom-up; excess forms a bead cap
-    of width min(local trough width, nozzle diameter). A segment's volume
-    sums its lines' changes in travel order.
+    as wide as the nozzle, centred on that trough, or on the nozzle where
+    the line has none in reach. A segment's volume sums its lines' changes
+    in travel order.
 
     The fill is laid on a fresh copy of the box of the layout's plate that
     a fill with params' nozzle can change (see PathLayout.box), grown to

@@ -538,6 +538,17 @@ class TestConfigErrors:
         assert proc.stderr.startswith("config error: camera.fx ")
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("nozzle", [1e200, 1e308])
+    @pytest.mark.parametrize("command", ["calibrate", "fill"])
+    def test_a_huge_nozzle_exits_without_a_traceback(self, tmp_path, nozzle, command):
+        """A nozzle of 1e200 mm overflowed squaring its cap's chord, and one
+        of 1e308 mm reached an infinite number of cells; both are now config
+        errors."""
+        proc = run_cli_process(tmp_path, {"deposition": {"nozzle_diameter_mm": nozzle}}, command)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: deposition.nozzle_diameter_mm ")
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestBadMaskFiles:
     """A mask file the camera cannot use is a configuration error."""

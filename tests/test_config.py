@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from crackfill import ConfigError, DepositionParams, RepairScene, ScenarioConfig, SensorNoise, cli, rotation_about_y
-from crackfill.config import MAX_GRID_CELLS, MAX_RAY_SLOPE, SCHEMA, Field, _strip_stations
+from crackfill.config import MAX_GRID_CELLS, MAX_NOZZLE_MM, MAX_RAY_SLOPE, SCHEMA, Field, _strip_stations
 from crackfill.sensors import SCANNER_POINTS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -185,6 +185,16 @@ def test_corner_ray_slope(camera, slope):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         ScenarioConfig.from_dict({"camera": camera})
     assert slope > MAX_RAY_SLOPE
+
+
+@pytest.mark.parametrize("nozzle", [1000.0000000000001, 1e150, 1e200, 1e308])
+def test_a_nozzle_over_a_metre_is_refused(nozzle):
+    """A nozzle wider than MAX_NOZZLE_MM is refused before anything is
+    built; at 1e150 mm and more its caps overflowed the float range."""
+    ScenarioConfig.from_dict({"deposition": {"nozzle_diameter_mm": MAX_NOZZLE_MM}})
+    message = f"deposition.nozzle_diameter_mm must be at most 1000 mm, got {nozzle}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ScenarioConfig.from_dict({"deposition": {"nozzle_diameter_mm": nozzle}})
 
 
 @pytest.mark.parametrize("keys", [("6", "6.0"), ("6.0", "6")])

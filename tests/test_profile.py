@@ -382,9 +382,9 @@ def reference_scan(hf, pose, span, noise, standoff=SCANNER_STANDOFF_MM):
     ox, oy, oz = pose.translation
     xs = ox + lateral * direction[0]
     ys = oy + lateral * direction[1]
-    if not np.all(hf.contains(xs, ys)):
+    if not np.all(hf.lookup(xs, ys)[1]):
         raise StationOutsideGrid("scan line leaves the heightfield")
-    h = hf.height_at(xs, ys)
+    h = hf.lookup(xs, ys)[0]
     distance = oz - h
     valid = (distance >= SCANNER_RANGE_MM[0]) & (distance <= SCANNER_RANGE_MM[1])
     z = h - (oz - standoff)

@@ -124,7 +124,7 @@ def full_image_raycast(hf, k, camera_pose):
     live = np.abs(dz) > 1e-12
     t = np.where(live, (hf.nominal_surface - oz) / np.where(live, dz, 1.0), 0.0)
     for _ in range(16):
-        h = hf.height_at(ox + t * dirs_0[..., 0], oy + t * dirs_0[..., 1])
+        h = hf.lookup(ox + t * dirs_0[..., 0], oy + t * dirs_0[..., 1])[0]
         t_new = np.where(live, (h - oz) / np.where(live, dz, 1.0), 0.0)
         converged = np.allclose(t_new, t, atol=1e-9, rtol=0.0)
         t = t_new
@@ -132,7 +132,7 @@ def full_image_raycast(hf, k, camera_pose):
             break
     x = ox + t * dirs_0[..., 0]
     y = oy + t * dirs_0[..., 1]
-    return t, x, y, live & (t > 0) & hf.contains(x, y)
+    return t, x, y, live & (t > 0) & hf.lookup(x, y)[1]
 
 
 @st.composite
@@ -166,7 +166,7 @@ class TestRaycast:
         t, x, y, valid = full_image_raycast(hf, scene.intrinsics, pose)
         assert depth.valid.tobytes() == valid.tobytes()
         assert depth.depth_mm.tobytes() == np.where(valid, t, 0.0).tobytes()
-        want_mask = valid & (hf.nominal_surface - hf.height_at(x, y) > scene.mask_threshold_mm)
+        want_mask = valid & (hf.nominal_surface - hf.lookup(x, y)[0] > scene.mask_threshold_mm)
         assert mask.flags.tobytes() == want_mask.tobytes()
         if not localization and not tilt:
             # a 2-cycle of a few rays keeps the default scene from converging
@@ -189,7 +189,7 @@ class TestRaycast:
         depth, mask = render_view(plate, k, pose, threshold_mm)
         assert depth.valid.tobytes() == valid.tobytes()
         assert depth.depth_mm.tobytes() == np.where(valid, t, 0.0).tobytes()
-        want_mask = valid & (hf.nominal_surface - hf.height_at(x, y) > threshold_mm)
+        want_mask = valid & (hf.nominal_surface - hf.lookup(x, y)[0] > threshold_mm)
         assert mask.flags.tobytes() == want_mask.tobytes()
 
     def test_view_is_one_raycast_of_both_renderers(self, intrinsics):

@@ -135,11 +135,18 @@ class TestHeightfield:
         assert int(hf.iy_of(3.0 + 19 * 0.5)) == 19
         assert np.all(hf.heights == 1.0)
 
-    def test_height_at_clips_to_grid(self):
+    def test_lookup_clips_to_grid(self):
         hf = make_flat(nx=10, ny=10, cell=1.0, origin=(0.0, 0.0))
         hf.heights[9, 9] = 7.0
-        assert float(hf.height_at(1e6, 1e6)) == 7.0
-        assert not hf.contains(1e6, 1e6)
+        assert float(hf.lookup(1e6, 1e6)[0]) == 7.0
+        assert not hf.lookup(1e6, 1e6)[1]
+
+    def test_plates_compare_and_hash_by_identity(self):
+        """A plate equals only itself: comparing held arrays field by field
+        raised ValueError, and the arrays made the plate unhashable."""
+        plate = Heightfield.flat((0.0, 0.0), 1.0, 3, 3)
+        assert plate == plate and plate != plate.copy()
+        assert len({plate, plate, plate.copy()}) == 2
 
     def test_copy_is_independent(self):
         hf = make_flat(nx=4, ny=4, cell=1.0)
@@ -253,6 +260,20 @@ class TestDeposit:
         mid = hf.heights[int(hf.iy_of(75.0)), :]
         # 946/20 = 47.3 mm^2 per mm beats the 40 mm^2 trough: bottom full
         assert mid.min() >= -1e-9
+
+    def test_a_cap_over_a_one_cell_trough_is_the_nozzle_wide(self):
+        """A trough one cell wide holds 0.1 mm^2 of a 10 mm^2 bead; the rest
+        lands as a cap the nozzle's width, centred on the trough."""
+        hf = trough_plate(100, 200, 0.1, (-5.0, 0.0), troughs=[(50, 51, 0, 200, 1.0)])
+        nozzle = 4.0
+        params = DepositionParams(flow_rate_mm3_s=100.0, nozzle_diameter_mm=nozzle)
+        filled, _ = deposit_path(lay_out(hf, [(0.0, 2.0), (0.0, 18.0)]), [10.0], params)
+        heights = filled.heightfield().heights
+        x = hf.x_of(np.arange(hf.nx))
+        for row in range(int(hf.iy_of(2.0)), int(hf.iy_of(18.0)) + 1):
+            raised = x[heights[row] > hf.nominal_surface]
+            assert -nozzle / 2 <= raised.min() < -nozzle / 2 + hf.cell_size
+            assert nozzle / 2 - hf.cell_size < raised.max() <= nozzle / 2
 
     def test_underfill_leaves_material_below_surface(self):
         hf = make_rect_crack(width=8.0, depth=5.0, cell=0.1).heightfield()
@@ -461,6 +482,7 @@ def line_by_line_deposit(hf, start, end, speed_mm_s, params, include_end=True):
 
     station_area = area * length / (len(stations) * cs)
     nozzle_half_cells = max(1, math.ceil(params.nozzle_diameter_mm / 2.0 / cs))
+    cap_width = params.nozzle_diameter_mm  # every line's cap, wet or dry
     denom = p1[dom] - p0[dom]
     deposited = 0.0
     for idx in stations:
@@ -483,13 +505,10 @@ def line_by_line_deposit(hf, start, end, speed_mm_s, params, include_end=True):
             j_hi = j0
             while j_hi < len(line) - 1 and line[j_hi + 1] < hf.nominal_surface - 1e-12:
                 j_hi += 1
-            trough_width = (j_hi - j_lo + 1) * cs
             remaining = loop_water_fill(line[j_lo : j_hi + 1], station_area, hf.nominal_surface, cs)
             cap_centre = hf.origin[1 - dom] + (j_lo + j_hi) / 2.0 * cs
-            cap_width = min(trough_width, params.nozzle_diameter_mm)
         else:
             cap_centre = centre_perp
-            cap_width = params.nozzle_diameter_mm
         if remaining > 1e-12:
             j_first = max(0, int(math.ceil((cap_centre - cap_width / 2.0 - hf.origin[1 - dom]) / cs)))
             j_last = min(len(line) - 1, int(math.floor((cap_centre + cap_width / 2.0 - hf.origin[1 - dom]) / cs)))
@@ -657,7 +676,7 @@ def segment_loop_fill(hf, stops, params):
     deposit's errors with deposit's messages."""
     segments = [((float(a[0]), float(a[1])), (float(b[0]), float(b[1])), a[2]) for a, b in zip(stops, stops[1:])]
     for start, end, _ in segments:
-        if not (hf.contains(*start) and hf.contains(*end)):
+        if not (hf.lookup(*start)[1] and hf.lookup(*end)[1]):
             raise SegmentOutsideGrid(f"segment {start} -> {end} leaves the grid")
         if start == end:
             raise ZeroLengthSegment(f"deposition segment starts and ends at {start}")
@@ -696,7 +715,7 @@ def assert_fill_matches_segment_loop(hf, stops, params, layout=None, probes=()):
         assert not changed.any()  # every cell the loop changed lies in the box
         gx, gy = np.meshgrid(hf.x_of(np.arange(hf.nx)), hf.y_of(np.arange(hf.ny)))
         xs, ys = np.append(gx, [x for x, _ in probes]), np.append(gy, [y for _, y in probes])
-        assert np.array_equal(filled.height_at(xs, ys), full.height_at(xs, ys))
+        assert np.array_equal(filled.lookup(xs, ys)[0], full.lookup(xs, ys)[0])
     assert np.array_equal(hf.heights, pristine)  # no fill writes on its layout's plate
     return got
 
@@ -1074,8 +1093,7 @@ class TestPathLayout:
         or the same error. The filled plate is the same base plus one patch
         over a box holding the plate's, and neither base nor patch is
         written. At random points, some off the grid, lookup reads each
-        plate, its base and its heightfield() as height_at and contains do,
-        and as the nearest cell does."""
+        plate, its base and its heightfield() as the nearest cell does."""
         origin = (-nx * cell / 3, -ny * cell / 2)
         base = trough_plate(nx, ny, cell, origin, data.draw(random_blocks(nx, ny, 6.0)), data.draw(random_blocks(nx, ny, 3.0)))
         other = trough_plate(nx, ny, cell, origin, data.draw(random_blocks(nx, ny, 6.0)), data.draw(random_blocks(nx, ny, 3.0)))
@@ -1111,7 +1129,6 @@ class TestPathLayout:
         for p in plates:
             full = p.heightfield()
             h, inside = p.lookup(xs, ys)
-            assert np.array_equal(h, p.height_at(xs, ys)) and np.array_equal(inside, p.contains(xs, ys))
             assert np.array_equal(h, full.heights[nearest]) and np.array_equal(inside, on_grid)
             assert all(np.array_equal(a, b) for a, b in zip(full.lookup(xs, ys), (h, inside)))
 

@@ -101,7 +101,7 @@ def reference_view(hf, k, camera_pose, threshold_mm):
     for _ in range(16):
         t_old = flat_t[moving]
         d = flat_dirs[moving]
-        h = hf.height_at(ox + t_old * d[:, 0], oy + t_old * d[:, 1])
+        h = hf.lookup(ox + t_old * d[:, 0], oy + t_old * d[:, 1])[0]
         t_new = (h - oz) / d[:, 2]
         flat_t[moving] = t_new
         if np.allclose(t_new, t_old, atol=1e-9, rtol=0.0):
@@ -111,10 +111,10 @@ def reference_view(hf, k, camera_pose, threshold_mm):
         still_moving = moving.size
     x = ox + t * dirs_0[..., 0]
     y = oy + t * dirs_0[..., 1]
-    valid = live & (t > 0) & hf.contains(x, y)
+    valid = live & (t > 0) & hf.lookup(x, y)[1]
     if not valid.any():
         raise NoIntersection("no camera ray intersects the heightfield")
-    mask = valid & (hf.nominal_surface - hf.height_at(x, y) > threshold_mm)
+    mask = valid & (hf.nominal_surface - hf.lookup(x, y)[0] > threshold_mm)
     return np.where(valid, t, 0.0), valid, mask, still_moving
 
 
