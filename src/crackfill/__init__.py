@@ -12,6 +12,8 @@ crackfill.repair.repair (fill a surveyed specimen) is not re-exported:
 here its name would hide the crackfill.repair module.
 """
 
+from types import ModuleType as _ModuleType
+
 from .config import ScenarioConfig
 from .errors import (
     AllPointsDropped,
@@ -117,93 +119,5 @@ from .specimen import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllPointsDropped",
-    "AxisStats",
-    "CalibrationModel",
-    "CalibrationSample",
-    "CameraIntrinsics",
-    "ConfigError",
-    "CrackFillError",
-    "CrackSpec",
-    "DepositResult",
-    "DepositionParams",
-    "DepthImage",
-    "EmptyPath",
-    "EmptyWaypoints",
-    "ExecutionResult",
-    "FillMode",
-    "FillPlan",
-    "FillReport",
-    "FillRunArtifacts",
-    "Frame",
-    "FrameMismatch",
-    "Heightfield",
-    "InsufficientSamples",
-    "LaserProfile",
-    "LocalizationReport",
-    "MaskImage",
-    "NoEdges",
-    "NoIntersection",
-    "NonMonotonicCalibration",
-    "NonPositiveDepth",
-    "Overfill",
-    "PathLayout",
-    "PathOutsideGrid",
-    "PixelCoord",
-    "Point3",
-    "ProfileFeatures",
-    "ProviderUnavailable",
-    "RefinementResult",
-    "RepairScene",
-    "RigidTransform",
-    "ScenarioConfig",
-    "SegmentOutsideGrid",
-    "SensorNoise",
-    "Skeleton",
-    "SpecimenView",
-    "StationOutsideGrid",
-    "StationRecord",
-    "Survey",
-    "Waypoint",
-    "ZeroLengthSegment",
-    "ZeroSpeed",
-    "axis_angle_rotation",
-    "binarize",
-    "build_localization_report",
-    "calibrate",
-    "compose",
-    "deposit",
-    "deposit_path",
-    "edge_threshold_for",
-    "execute_fill",
-    "experiment_modes",
-    "extract_pixels",
-    "fill_error",
-    "generate_specimen",
-    "image_specimen",
-    "invert",
-    "lay_out",
-    "localization_experiment",
-    "measure",
-    "order_path",
-    "perceive",
-    "pixel_to_camera",
-    "pixels_to_robot",
-    "plan_fill",
-    "refine_waypoints",
-    "render_depth",
-    "render_truth_mask",
-    "rotation_about_x",
-    "rotation_about_y",
-    "rotation_about_z",
-    "run_experiment",
-    "run_fill",
-    "scan_profile",
-    "skeletonize",
-    "space_pixels",
-    "speed_for_area",
-    "survey",
-    "transform_point",
-    "validate",
-]
+# every public name bound above; the submodules the imports bind are not
+__all__ = sorted(name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -30,7 +30,11 @@ from .specimen import DEFAULT_NOZZLE_DIAMETER_MM, CrackSpec, DepositionParams, H
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """A finite int or float; an int too large for a float is not finite."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _number(v, path: str) -> None:

@@ -79,8 +79,9 @@ class Heightfield:
 
     heights is the base, not the plate the patch composes: a reader of it
     either means the base or holds a plate with no patch, such as the
-    calibration strips' plate. lookup (the one point read), copy_box and
-    heightfield() read the composed plate. Plates compare by identity.
+    calibration strips' plate. lookup (the one point read) and window (the
+    one box read) read the composed plate, and copy_box and heightfield()
+    are window's fresh copies. Plates compare by identity.
     """
 
     origin: tuple[float, float]
@@ -161,18 +162,36 @@ class Heightfield:
             self.origin[1] + (self.ny - 1) * self.cell_size,
         )
 
-    def copy_box(self, box: tuple[slice, slice]) -> np.ndarray:
-        """A fresh array of the heights of the (rows, columns) box, which
-        holds the patch's box: the base's, with the patch's cells over them."""
-        out = self.heights[box].copy()
-        if self.cells.size:
-            (rows, cols), (patch_rows, patch_cols) = box, self.box
-            out[patch_rows.start - rows.start : patch_rows.stop - rows.start, patch_cols.start - cols.start : patch_cols.stop - cols.start] = self.cells
+    def window(self, rows: slice, cols: slice) -> np.ndarray:
+        """The heights of the box of rows by cols, slices on the grid: a view
+        where the base or the patch holds the whole box, otherwise a fresh
+        copy of the base's cells with the patch's cells laid over them."""
+        patch_rows, patch_cols = self.box
+        r0, r1 = max(rows.start, patch_rows.start), min(rows.stop, patch_rows.stop)
+        c0, c1 = max(cols.start, patch_cols.start), min(cols.stop, patch_cols.stop)
+        if r0 >= r1 or c0 >= c1:
+            return self.heights[rows, cols]
+        patch = self.cells[r0 - patch_rows.start : r1 - patch_rows.start, c0 - patch_cols.start : c1 - patch_cols.start]
+        if (r0, r1, c0, c1) == (rows.start, rows.stop, cols.start, cols.stop):
+            return patch
+        out = self.heights[rows, cols].copy()
+        out[r0 - rows.start : r1 - rows.start, c0 - cols.start : c1 - cols.start] = patch
         return out
+
+    def copy_box(self, box: tuple[slice, slice]) -> np.ndarray:
+        """A fresh array of the heights of the (rows, columns) box: its window, copied where that is a view."""
+        out = self.window(*box)
+        return out if out.flags.owndata else out.copy()
 
     def heightfield(self) -> "Heightfield":
         """The plate as a full-size copy with no patch."""
         return self._replace(heights=self.copy_box((slice(0, self.ny), slice(0, self.nx))), box=(slice(0, 0), slice(0, 0)), cells=np.empty((0, 0)))
+
+    def _transposed(self) -> "Heightfield":
+        """The plate with x and y swapped, as views of self's arrays: its
+        lookup(y, x) reads self's lookup(x, y), and its rows are self's columns."""
+        rows, cols = self.box
+        return self._replace(origin=self.origin[::-1], nx=self.ny, ny=self.nx, heights=self.heights.T, box=(cols, rows), cells=self.cells.T)
 
 
 @dataclass(frozen=True)
@@ -488,52 +507,30 @@ def _segment(hf: Heightfield, start, end, include_end: bool) -> _Segment:
     return _Segment(p0, p1, length, dom, i_from, step, abs(i_to - i_from) + 1)
 
 
-@dataclass(frozen=True)
-class _Lines:
-    """A run's grid lines on a base plus one patch, one row per line: whole
-    holds the base's lines, and cells the patch's cells of the lines held,
-    from cell first on, as a view of the patch. Every other cell of a line
-    is whole's."""
-
-    whole: np.ndarray
-    cells: np.ndarray
-    held: slice
-    first: int
-
-    def read(self, tile: slice, c0: int, c1: int) -> np.ndarray:
-        """Cells c0 to c1 (exclusive) of the lines in tile: a view where one
-        array holds them all, otherwise a copy composed of the two."""
-        a, b = max(tile.start, self.held.start), min(tile.stop, self.held.stop)
-        lo, hi = max(c0, self.first), min(c1, self.first + self.cells.shape[1])
-        if a >= b or lo >= hi:
-            return self.whole[tile, c0:c1]
-        patch = self.cells[a - self.held.start : b - self.held.start, lo - self.first : hi - self.first]
-        if (a, b, lo, hi) == (tile.start, tile.stop, c0, c1):
-            return patch
-        out = self.whole[tile, c0:c1].copy()
-        out[a - tile.start : b - tile.start, lo - c0 : hi - c0] = patch
-        return out
+def _from(lines: slice, tile: slice) -> slice:
+    """tile, counted from the first of lines."""
+    return slice(lines.start + tile.start, lines.start + tile.stop)
 
 
-def _line_sums(lines: _Lines) -> np.ndarray:
-    """The sum of each whole line, rounded like that of the line held
-    contiguously on its own: each row tile is summed as a contiguous array,
-    a view where the lines are held so and a copy otherwise."""
-    m, n = lines.whole.shape
-    return np.concatenate([np.ascontiguousarray(lines.read(tile, 0, n)).sum(axis=1) for tile in row_tiles(m, n)])
+def _line_sums(plate: Heightfield, lines: slice) -> np.ndarray:
+    """The sum of each of plate's rows in lines, rounded like that of the
+    row held contiguously on its own: each row tile is summed as a
+    contiguous array, its window where that is held so and a copy otherwise."""
+    m, n = lines.stop - lines.start, plate.nx
+    return np.concatenate([np.ascontiguousarray(plate.window(_from(lines, tile), slice(0, n))).sum(axis=1) for tile in row_tiles(m, n)])
 
 
 # A cell lower than the nominal surface by more than this is below it.
 _WET_DEPTH_MM = 1e-12
 
 
-def _wet_band(lines: _Lines, c0: int, c1: int, nominal: float) -> tuple[int, int] | None:
-    """The first and last of cells c0 to c1 (exclusive) at which any of
-    lines lies below the surface at nominal, counted from the line's start;
-    None when no cell does. Read in row tiles."""
+def _wet_band(plate: Heightfield, lines: slice, c0: int, c1: int) -> tuple[int, int] | None:
+    """The first and last of columns c0 to c1 (exclusive) at which any of
+    plate's rows in lines lies below its nominal surface; None when no
+    cell does. Read in row tiles."""
     wet = np.zeros(c1 - c0, dtype=bool)
-    for tile in row_tiles(len(lines.whole), c1 - c0):
-        wet |= (lines.read(tile, c0, c1) < nominal - _WET_DEPTH_MM).any(axis=0)
+    for tile in row_tiles(lines.stop - lines.start, c1 - c0):
+        wet |= (plate.window(_from(lines, tile), slice(c0, c1)) < plate.nominal_surface - _WET_DEPTH_MM).any(axis=0)
     wet = np.flatnonzero(wet)
     return (c0 + int(wet[0]), c0 + int(wet[-1])) if wet.size else None
 
@@ -573,19 +570,19 @@ class _Troughs:
         return wet, np.where(take_left, left_lo[wet], right[wet]), np.where(take_left, left_hi[wet], right_hi[wet])
 
 
-def _troughs(lines: _Lines, j_c: np.ndarray, wet: tuple[int, int] | None, nominal: float) -> _Troughs:
-    """The troughs of lines around each centre cell j_c, on a plate whose
-    surface is at nominal, with each line's sum. wet is the lines' band of
-    below-surface cells (see _wet_band). Only that band, plus one dry cell
-    each side, can bound a run, and it is read in row tiles."""
-    before = _line_sums(lines)
-    n = lines.whole.shape[1]
+def _troughs(plate: Heightfield, lines: slice, j_c: np.ndarray, wet: tuple[int, int] | None) -> _Troughs:
+    """The troughs of plate's rows in lines around each centre column j_c,
+    with each row's sum. wet is the rows' band of below-surface cells (see
+    _wet_band). Only that band, plus one dry cell each side, can bound a
+    run, and it is read in row tiles."""
+    before = _line_sums(plate, lines)
+    n = plate.nx
     bounds = np.repeat([j_c - n, j_c + n], 2, axis=0)
     if wet is not None:
         c0, c1 = max(wet[0] - 1, 0), min(wet[1] + 2, n)
         cells = np.arange(c0, c1)
         for tile in row_tiles(len(j_c), c1 - c0):
-            below = lines.read(tile, c0, c1) < nominal - _WET_DEPTH_MM
+            below = plate.window(_from(lines, tile), slice(c0, c1)) < plate.nominal_surface - _WET_DEPTH_MM
             dry = ~below
             centre = j_c[tile]
             left = np.where(below & (cells <= centre[:, None]), cells, -1).max(axis=1)
@@ -640,17 +637,16 @@ class _Run:
         lo, hi = int(self.j_c.min()), int(self.j_c.max())
         return (lo, hi) if self.wet is None else (min(lo, self.wet[0]), max(hi, self.wet[1]))
 
-    def lines(self, plate: Heightfield) -> _Lines:
-        """This run's grid lines on plate (see _Lines)."""
-        rows, cols = plate.box
-        along, first = (cols, rows.start) if self.dom == 0 else (rows, cols.start)
-        a = min(max(self.lo, along.start), self.hi)
-        b = max(min(self.hi, along.stop), a)
-        if self.dom == 0:
-            whole, cells = plate.heights[:, self.lo : self.hi].T, plate.cells[:, a - cols.start : b - cols.start].T
-        else:
-            whole, cells = plate.heights[self.lo : self.hi], plate.cells[a - rows.start : b - rows.start]
-        return _Lines(whole, cells, slice(a - self.lo, b - self.lo), first)
+    @property
+    def rows(self) -> slice:
+        """The run's lines, as rows of along(plate)."""
+        return slice(self.lo, self.hi)
+
+    def along(self, plate: Heightfield) -> Heightfield:
+        """plate with the run's grid lines as its rows: plate itself for a
+        run along y, its transposed view for one along x (see
+        Heightfield._transposed), so every line reads contiguously."""
+        return plate if self.dom == 1 else plate._transposed()
 
 
 def _run(hf: Heightfield, segments: Sequence[_Segment]) -> _Run:
@@ -673,7 +669,7 @@ def _run(hf: Heightfield, segments: Sequence[_Segment]) -> _Run:
     n = hf.ny if dom == 0 else hf.nx
     j_c = np.clip(np.rint((centre_perp - hf.origin[1 - dom]) / cs), 0, n - 1).astype(int)
     run = _Run(tuple(segments), lo, seg_of, centre_perp, j_c, None)
-    return replace(run, wet=_wet_band(run.lines(hf), 0, n, hf.nominal_surface))
+    return replace(run, wet=_wet_band(run.along(hf), run.rows, 0, n))
 
 
 def _lay(filled: Heightfield, run: _Run, speeds: Sequence[float], params: DepositionParams) -> list[DepositResult]:
@@ -694,13 +690,14 @@ def _lay(filled: Heightfield, run: _Run, speeds: Sequence[float], params: Deposi
     cs = filled.cell_size
     nominal = filled.nominal_surface
     nozzle = params.nozzle_diameter_mm
-    lines = run.lines(filled)
-    view, first = lines.cells, lines.first
-    m, n = lines.whole.shape
-    o_perp = filled.origin[1 - run.dom]
+    plate = run.along(filled)
+    cols = plate.box[1]
+    view, first = plate.window(run.rows, cols), cols.start
+    m, n = len(run.seg_of), plate.nx
+    o_perp = plate.origin[0]
     troughs = run.troughs
     if troughs is None:
-        troughs = _troughs(lines, run.j_c, _wet_band(lines, first, first + view.shape[1], nominal), nominal)
+        troughs = _troughs(plate, run.rows, run.j_c, _wet_band(plate, run.rows, cols.start, cols.stop))
     areas = [params.flow_rate_mm3_s / speed for speed in speeds]
     station_area = np.array([area * seg.length / (seg.count * cs) for area, seg in zip(areas, run.segments)])[run.seg_of]
 
@@ -717,7 +714,7 @@ def _lay(filled: Heightfield, run: _Run, speeds: Sequence[float], params: Deposi
 
     # each segment's lines back in travel order: the volume sums them in
     # that order, and the first segment over the bound raises
-    change = ((_line_sums(lines) - troughs.before) * cs * cs)[:: run.step]
+    change = ((_line_sums(plate, run.rows) - troughs.before) * cs * cs)[:: run.step]
     peak = peak[:: run.step]
     results = []
     stop = 0
@@ -838,7 +835,7 @@ def lay_out(plate: Heightfield, points: Sequence[tuple[float, float]]) -> PathLa
             chains.append([seg])
     runs = [_run(plate, chain) for chain in chains]
     if runs:
-        runs[0] = replace(runs[0], troughs=_troughs(runs[0].lines(plate), runs[0].j_c, runs[0].wet, plate.nominal_surface))
+        runs[0] = replace(runs[0], troughs=_troughs(runs[0].along(plate), runs[0].rows, runs[0].j_c, runs[0].wet))
     return PathLayout(tuple((float(x), float(y)) for x, y in points), plate, tuple(runs))
 
 

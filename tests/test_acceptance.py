@@ -550,3 +550,15 @@ def test_fill_runs_on_numpy_alone(tmp_path):
     assert proc.returncode == 0, proc.stderr
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == ARTIFACT_DIGESTS[("fill",)]
+
+
+def test_star_import_binds_the_public_names():
+    """`from crackfill import *` binds the 88 public names the package
+    imports, and neither its submodules nor repair.repair, whose name would
+    hide the crackfill.repair module."""
+    names: dict = {}
+    exec("from crackfill import *", names)
+    bound = set(names) - {"__builtins__"}
+    assert len(bound) == 88 and bound == set(crackfill.__all__)
+    assert {"AllPointsDropped", "Heightfield", "ScenarioConfig", "deposit_path", "lay_out", "validate"} <= bound
+    assert not bound & {"config", "io", "repair", "specimen", "errors", "ModuleType", "annotations"}

@@ -549,6 +549,14 @@ class TestConfigErrors:
         assert proc.stderr.startswith("config error: deposition.nozzle_diameter_mm ")
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_a_path_point_too_large_for_a_float_exits_without_a_traceback(self, tmp_path):
+        """A 400-digit integer overflowed converting to a float; it is now a
+        config error."""
+        proc = run_cli_process(tmp_path, {"crack": {"path_mm": [[10**399, 10], [0, 240]]}}, "fill")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: crack.path_mm ")
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestBadMaskFiles:
     """A mask file the camera cannot use is a configuration error."""

@@ -132,6 +132,29 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys, data):
     assert err.startswith("config error:") and "finite" in err
 
 
+# 400 digits, past the largest float: math.isfinite cannot convert it
+HUGE_INT = 10**399
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"deposition": {"nozzle_diameter_mm": HUGE_INT}}, f"deposition.nozzle_diameter_mm must be a finite number, got {HUGE_INT}\n"),
+        ({"crack": {"path_mm": [[HUGE_INT, 10], [0, 240]]}}, f"crack.path_mm must be a list of at least two [x, y] points, got [[{HUGE_INT}, 10], [0, 240]]\n"),
+        ({"calibration": {"flow_per_speed_mm3_s": {"6": HUGE_INT}}}, f"calibration.flow_per_speed_mm3_s['6'] must be a finite number, got {HUGE_INT}\n"),
+    ],
+    ids=["nozzle", "path point", "flow-map value"],
+)
+def test_an_int_too_large_for_a_float_is_not_finite(tmp_path, capsys, data, message):
+    """Such an int overflowed converting to a float and ended in a traceback."""
+    assert run_scan(tmp_path, data) == 2
+    assert capsys.readouterr().err == f"config error: {message}"
+
+
+def test_integer_keys_still_accept_an_int_too_large_for_a_float():
+    assert ScenarioConfig.from_dict({"seed": HUGE_INT, "localization": {"n_scans": HUGE_INT}}).raw["seed"] == HUGE_INT
+
+
 @pytest.mark.parametrize(
     "calibration, message",
     [

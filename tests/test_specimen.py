@@ -221,6 +221,96 @@ class TestHeightfield:
             Heightfield((0.0, 0.0), 0.1, 2, 2, np.full((2, 2), np.nan))
 
 
+def shares(a: np.ndarray, plate: Heightfield) -> bool:
+    return np.shares_memory(a, plate.heights) or np.shares_memory(a, plate.cells)
+
+
+def assert_box_reads(plate: Heightfield, rows: slice, cols: slice) -> None:
+    """window reads the box as heightfield() does, bit for bit, as a view
+    exactly when the base or the patch holds the whole box and as a fresh
+    C-contiguous copy otherwise; copy_box reads it too, and never shares
+    memory with the plate. So does the transposed plate, box for box."""
+    (patch_rows, patch_cols), want = plate.box, plate.heightfield().heights[rows, cols]
+    meets = max(rows.start, patch_rows.start) < min(rows.stop, patch_rows.stop) and max(cols.start, patch_cols.start) < min(cols.stop, patch_cols.stop)
+    inside = patch_rows.start <= rows.start and rows.stop <= patch_rows.stop and patch_cols.start <= cols.start and cols.stop <= patch_cols.stop
+    for p, box, want in ((plate, (rows, cols), want), (plate._transposed(), (cols, rows), want.T)):
+        got, copied = p.window(*box), p.copy_box(box)
+        assert got.tobytes() == copied.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert not shares(copied, p)
+        if want.size:
+            assert shares(got, p) == (inside or not meets)
+            assert shares(got, p) or (got.flags.owndata and got.flags.c_contiguous)
+
+
+class TestWindow:
+    """window is the plate's one box read; copy_box and heightfield() are
+    its fresh copies, and _transposed swaps a plate's axes over its arrays."""
+
+    BOXES = {
+        "inside the patch": (slice(3, 5), slice(4, 6)),
+        "the patch's box": (slice(2, 6), slice(3, 7)),
+        "outside the patch": (slice(0, 2), slice(0, 9)),
+        "beside the patch": (slice(0, 8), slice(7, 9)),
+        "straddling the patch": (slice(1, 4), slice(2, 5)),
+        "holding the patch": (slice(0, 8), slice(0, 9)),
+        "empty": (slice(4, 4), slice(2, 5)),
+    }
+
+    @pytest.mark.parametrize("flat", [False, True], ids=["carved base", "zero-stride flat base"])
+    @pytest.mark.parametrize("patched", [True, False], ids=["patch", "empty patch"])
+    @pytest.mark.parametrize("name", list(BOXES))
+    def test_named_boxes(self, flat, patched, name):
+        base = Heightfield.flat((-1.0, 2.0), 0.5, 9, 8, 1.0)
+        if not flat:
+            base = trough_plate(9, 8, 0.5, (-1.0, 2.0), troughs=[(1, 8, 0, 5, 2.0)], beads=[(0, 3, 3, 8, 0.5)])
+        assert (base.heights.strides == (0, 0)) == flat
+        box = (slice(2, 6), slice(3, 7)) if patched else (slice(0, 0), slice(0, 0))
+        plate = replace(base, box=box, cells=-np.arange(base.heights[box].size, dtype=float).reshape(base.heights[box].shape))
+        assert_box_reads(plate, *self.BOXES[name])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), nx=st.integers(1, 12), ny=st.integers(1, 12), flat=st.booleans())
+    def test_random_plates_and_boxes(self, data, nx, ny, flat):
+        base = Heightfield.flat((-1.0, 2.0), 0.5, nx, ny, 1.0)
+        if not flat:
+            base = trough_plate(nx, ny, 0.5, (-1.0, 2.0), data.draw(random_blocks(nx, ny, 6.0)), data.draw(random_blocks(nx, ny, 3.0)))
+
+        def box():
+            r0, c0 = data.draw(st.integers(0, ny)), data.draw(st.integers(0, nx))
+            return slice(r0, data.draw(st.integers(r0, ny))), slice(c0, data.draw(st.integers(c0, nx)))
+
+        patch = box()
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        plate = replace(base, box=patch, cells=rng.normal(size=base.heights[patch].shape))
+        for _ in range(4):
+            assert_box_reads(plate, *box())
+
+    def test_refilling_along_the_same_layout_copies_the_patch(self):
+        """A second fill along the path its plate was filled on copies a box
+        equal to the plate's patch; copy_box copies it, so the filled plate's
+        base and cells keep every byte."""
+        hf = trough_plate(40, 60, 0.5, (-10.0, -5.0), troughs=[(14, 26, 0, 60, 2.0)])
+        points = [(0.0, 0.0), (0.0, 10.0), (3.0, 12.0)]
+        filled, _ = deposit_path(lay_out(hf, points), [10.0, 10.0], PARAMS)
+        before = (filled.heights.tobytes(), filled.cells.tobytes())
+        refilled, _ = deposit_path(lay_out(filled, points), [10.0, 10.0], PARAMS)
+        assert refilled.box == filled.box and refilled.cells.sum() > filled.cells.sum()
+        assert not shares(refilled.cells, filled)
+        assert (filled.heights.tobytes(), filled.cells.tobytes()) == before
+
+    def test_transposed_round_trips(self):
+        """The transposed plate reads every point as the plate does with x and
+        y swapped, on the grid and off it, and shares the plate's arrays."""
+        plate = generate_specimen(CrackSpec(path=[(-3.0, 1.0), (4.0, 9.0)], width=1.5, depth=2.0), origin=(-6.0, -2.0), cell_size=0.5, nx=25, ny=31)
+        turned = plate._transposed()
+        assert (turned.nx, turned.ny, turned.origin) == (plate.ny, plate.nx, (-2.0, -6.0))
+        assert np.shares_memory(turned.cells, plate.cells) and turned._transposed().box == plate.box
+        x_min, x_max, y_min, y_max = plate.bounds()
+        xs, ys = np.meshgrid(np.arange(x_min - 2.0, x_max + 2.0, 0.25), np.arange(y_min - 2.0, y_max + 2.0, 0.25))
+        for got, want in zip(turned.lookup(ys, xs), plate.lookup(xs, ys)):
+            assert np.array_equal(got, want)
+
+
 class TestDeposit:
     def test_volume_conserved_against_heights_delta(self):
         """Deposited volume must equal the change in stored material."""
